@@ -25,7 +25,7 @@ _EXPORTS = {
     "LaplacianOperator": "gradients",
     "SylvesterSystem": "sylvester",
     "build_system": "sylvester",
-    "solve": "sylvester",
+    "solve_fast": "sylvester",
     "vstep": "vstep",
     "HqsConfig": "hqs",
     "FusionResult": "hqs",

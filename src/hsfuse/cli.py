@@ -54,9 +54,9 @@ def _manifest_path(args: argparse.Namespace, primary_out: str) -> str:
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    from .io import write_atomic
+
+    write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def _run(manifest: dict, path: str, body) -> int:

@@ -7,9 +7,13 @@ whose anchor sits on (i, j). With the anchor at the top-left tap, a k x k
 uniform kernel averages the window [i, i+k) x [j, j+k), so decimation by k at
 phase (0, 0) yields exact non-overlapping block means.
 
-All three operators expose ``apply`` / ``adjoint`` on cubes plus unvalidated
-``*_array`` fast paths used by the solvers. Adjoints are exact: for every pair
-<apply(x), y> == <x, adjoint(y)> up to roundoff.
+All three operators act on plain arrays through ``apply_array`` /
+``adjoint_array`` and do not re-validate their input; ``DegradationModel``
+checks a cube's full (bands, height, width) shape once at its entry point.
+Adjoints are exact: for every pair <apply(x), y> == <x, adjoint(y)> up to
+roundoff. ``DegradationModel`` rejects grids the decimation factor does not
+divide, so every model it accepts has the aliasing-group structure the
+closed-form x-step solver needs.
 """
 
 from __future__ import annotations
@@ -137,13 +141,6 @@ class BlurOperator:
             anchor = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
         return cls._build(height, width, kernel, anchor, ("custom",), normalize=normalize)
 
-    def _check_grid(self, data: np.ndarray) -> None:
-        if data.shape[-2:] != (self.height, self.width):
-            raise ValidationError(
-                f"cube grid {data.shape[-2:]} does not match operator grid "
-                f"{(self.height, self.width)}"
-            )
-
     def apply_array(self, data: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(np.fft.fft2(data, axes=(-2, -1)) * self.multiplier, axes=(-2, -1)).real
 
@@ -151,14 +148,6 @@ class BlurOperator:
         return np.fft.ifft2(
             np.fft.fft2(data, axes=(-2, -1)) * np.conj(self.multiplier), axes=(-2, -1)
         ).real
-
-    def apply(self, x: HsiCube) -> HsiCube:
-        self._check_grid(x.data)
-        return HsiCube(self.apply_array(x.data))
-
-    def adjoint(self, x: HsiCube) -> HsiCube:
-        self._check_grid(x.data)
-        return HsiCube(self.adjoint_array(x.data))
 
 
 @dataclass(frozen=True)
@@ -194,22 +183,6 @@ class Downsampler:
         out = np.zeros(data.shape[:-2] + (data.shape[-2] * s, data.shape[-1] * s), dtype=data.dtype)
         out[..., pr::s, pc::s] = data
         return out
-
-    def apply(self, x: HsiCube) -> HsiCube:
-        return HsiCube(self.apply_array(x.data).copy())
-
-    def adjoint(self, y: HsiCube, hr_shape: tuple[int, int] | None = None) -> HsiCube:
-        """Scatter low-res values back onto the sampled positions of the full grid.
-
-        This is the exact adjoint of ``apply``; unsampled positions are zero.
-        """
-        expected = (y.height * self.factor, y.width * self.factor)
-        if hr_shape is not None and tuple(hr_shape) != expected:
-            raise ValidationError(
-                f"hr_shape {tuple(hr_shape)} inconsistent with {y.height}x{y.width} "
-                f"at factor {self.factor} (expected {expected})"
-            )
-        return HsiCube(self.adjoint_array(y.data))
 
 
 @dataclass(frozen=True)
@@ -267,25 +240,11 @@ class SpectralResponse:
     def in_bands(self) -> int:
         return self.matrix.shape[1]
 
-    def _check_bands(self, data: np.ndarray, expected: int, role: str) -> None:
-        if data.shape[0] != expected:
-            raise ValidationError(
-                f"{role} cube has {data.shape[0]} bands, response expects {expected}"
-            )
-
     def apply_array(self, data: np.ndarray) -> np.ndarray:
         return np.tensordot(self.matrix, data, axes=(1, 0))
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
         return np.tensordot(self.matrix.T, data, axes=(1, 0))
-
-    def apply(self, x: HsiCube) -> HsiCube:
-        self._check_bands(x.data, self.in_bands, "input")
-        return HsiCube(self.apply_array(x.data))
-
-    def adjoint(self, z: HsiCube) -> HsiCube:
-        self._check_bands(z.data, self.out_bands, "input")
-        return HsiCube(self.adjoint_array(z.data))
 
 
 @dataclass(frozen=True)
@@ -321,15 +280,14 @@ class DegradationModel:
 
     def degrade(self, x: HsiCube) -> tuple[HsiCube, HsiCube]:
         """Produce the low-res cube and the mixed-band image for a full cube."""
-        if x.bands != self.srf.in_bands:
-            raise ValidationError(
-                f"cube has {x.bands} bands, model expects {self.srf.in_bands}"
-            )
-        y = self.down.apply(self.blur.apply(x))
-        z = self.srf.apply(x)
+        expected = (self.bands,) + self.hr_shape
+        if x.data.shape != expected:
+            raise ValidationError(f"cube has shape {x.data.shape}, model expects {expected}")
+        y = self.down.apply_array(self.blur.apply_array(x.data))
+        z = self.srf.apply_array(x.data)
         if self.noise_sigma > 0:
             rng = np.random.default_rng(self.noise_seed)
             # draw order fixed (y then z) so a seed pins both outputs
-            y = HsiCube(y.data + rng.normal(0.0, self.noise_sigma, y.data.shape))
-            z = HsiCube(z.data + rng.normal(0.0, self.noise_sigma, z.data.shape))
-        return y, z
+            y = y + rng.normal(0.0, self.noise_sigma, y.shape)
+            z = z + rng.normal(0.0, self.noise_sigma, z.shape)
+        return HsiCube(y), HsiCube(z)

@@ -25,8 +25,9 @@ __all__ = [
     "LAPLACIAN_KERNEL",
     "LaplacianOperator",
     "TridiagMatrix",
-    "spectral_diff_apply",
-    "spectral_diff_adjoint",
+    "spectral_diff_apply_array",
+    "spectral_diff_adjoint_array",
+    "spectral_gram_apply_array",
     "spectral_gram_tridiag",
     "regularizer_value",
 ]
@@ -74,32 +75,8 @@ class LaplacianOperator:
         response_sq.setflags(write=False)
         return cls(height, width, kernel, multiplier, response_sq)
 
-    @property
-    def response(self) -> np.ndarray:
-        """Real part of the frequency response (exact for symmetric stencils)."""
-        return self.multiplier.real
-
-    def _check_grid(self, data: np.ndarray) -> None:
-        if data.shape[-2:] != (self.height, self.width):
-            raise ValidationError(
-                f"cube grid {data.shape[-2:]} does not match operator grid "
-                f"{(self.height, self.width)}"
-            )
-
     def apply_array(self, data: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(np.fft.fft2(data, axes=(-2, -1)) * self.multiplier, axes=(-2, -1)).real
-
-    def gram_apply_array(self, data: np.ndarray) -> np.ndarray:
-        """Adjoint-then-forward application, i.e. multiplication by |response|^2."""
-        return np.fft.ifft2(np.fft.fft2(data, axes=(-2, -1)) * self.response_sq, axes=(-2, -1)).real
-
-    def apply(self, x: HsiCube) -> HsiCube:
-        self._check_grid(x.data)
-        return HsiCube(self.apply_array(x.data))
-
-    def gram_apply(self, x: HsiCube) -> HsiCube:
-        self._check_grid(x.data)
-        return HsiCube(self.gram_apply_array(x.data))
 
 
 def spectral_diff_apply_array(data: np.ndarray) -> np.ndarray:
@@ -120,16 +97,6 @@ def spectral_gram_apply_array(data: np.ndarray) -> np.ndarray:
     if data.shape[0] == 1:
         return np.zeros_like(data)
     return spectral_diff_adjoint_array(spectral_diff_apply_array(data))
-
-
-def spectral_diff_apply(x: HsiCube) -> HsiCube:
-    """Difference of consecutive bands: output band m = x[m+1] - x[m]."""
-    return HsiCube(spectral_diff_apply_array(x.data))
-
-
-def spectral_diff_adjoint(d: HsiCube) -> HsiCube:
-    """Exact adjoint of the band difference; output has one more band."""
-    return HsiCube(spectral_diff_adjoint_array(d.data))
 
 
 @dataclass(frozen=True)

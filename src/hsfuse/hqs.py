@@ -5,23 +5,25 @@ The augmented objective
     L(x, v) = ||y - down(blur(x))||^2 + ||z - srf(x)||^2 + rho*||x - v||^2
               + mu*||D(v - prior)||^2 + nu*||E(v - prior)||^2
 
-is minimized by alternating exact sub-solves: the Sylvester step updates x with
-v fixed, the per-frequency tridiagonal step updates v with x fixed. Both are
-exact minimizers, so the objective trace is non-increasing (with the default
-fixed rho). The iteration starts from v = prior and returns the last x iterate.
+is minimized by alternating exact sub-solves with a fixed rho: the Sylvester
+step updates x with v fixed (closed form, ``sylvester.solve_fast``), the
+per-frequency tridiagonal step updates v with x fixed. Both are exact
+minimizers, so the objective trace is non-increasing. The iteration starts
+from v = prior and returns the last x iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sylvester
 from .cube import HsiCube
 from .degradation import DegradationModel
 from .errors import ValidationError
 from .gradients import LaplacianOperator, regularizer_value
-from .sylvester import build_system, solve
+from .sylvester import build_system
 from .vstep import vstep
 
 __all__ = ["HqsConfig", "FusionResult", "objective_value", "fuse"]
@@ -29,20 +31,13 @@ __all__ = ["HqsConfig", "FusionResult", "objective_value", "fuse"]
 
 @dataclass(frozen=True)
 class HqsConfig:
-    """Penalty weights and iteration policy.
-
-    ``rho_growth`` > 1 turns on geometric continuation of the coupling weight;
-    the objective trace is then not comparable across iterations and descent is
-    only guaranteed at the default growth of 1.
-    """
+    """Penalty weights and iteration policy."""
 
     mu: float = 0.05
     nu: float = 0.001
     rho: float = 0.001
     max_iter: int = 20
     rel_tol: float = 1e-5
-    track_objective: bool = True
-    rho_growth: float = 1.0
 
     def __post_init__(self) -> None:
         for name, w in (("mu", self.mu), ("nu", self.nu)):
@@ -54,8 +49,6 @@ class HqsConfig:
             raise ValidationError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValidationError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (np.isfinite(self.rho_growth) and self.rho_growth >= 1):
-            raise ValidationError(f"rho_growth must be at least 1, got {self.rho_growth!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,10 @@ def fuse(
     Stops early once the relative change between consecutive x iterates falls
     to ``cfg.rel_tol`` (the ``converged`` flag records whether that happened
     before the ``max_iter`` cap).
+
+    Raises:
+        UnsupportedStructureError: the x-step system is outside the closed-form
+            solver's structure.
     """
     if cfg is None:
         cfg = HqsConfig()
@@ -124,14 +121,12 @@ def fuse(
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
-        rho_k = cfg.rho * cfg.rho_growth**k
-        system = build_system(model, y, z, v, rho_k)
-        x = solve(system).x
-        v = vstep(x, prior, lap, cfg.mu / rho_k, cfg.nu / rho_k)
+        system = build_system(model, y, z, v, cfg.rho)
+        # looked up on its module, so a wrapper installed there sees every x-step
+        x = sylvester.solve_fast(system)
+        v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         iterations = k + 1
-        if cfg.track_objective:
-            cfg_k = cfg if rho_k == cfg.rho else replace(cfg, rho=rho_k)
-            trace.append(objective_value(x, v, y, z, model, prior, cfg_k, lap=lap))
+        trace.append(objective_value(x, v, y, z, model, prior, cfg, lap=lap))
         if x_prev is not None:
             denom = max(x_prev.norm(), float(np.finfo(np.float64).tiny))
             if float(np.linalg.norm(x.data - x_prev.data)) / denom <= cfg.rel_tol:

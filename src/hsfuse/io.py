@@ -8,15 +8,19 @@ Cube container layout, front to back:
   optional two-element ``scale``
 * the raw little-endian payload, exactly bands*height*width values
 
-Writes are bit-reproducible for equal inputs. Error maps are binary P5
+Writes are bit-reproducible for equal inputs. Cubes (and the CLI's JSON
+manifests) are written atomically through a sibling temp file, so a failed
+write leaves the previous file in place. Error maps are binary P5
 graymaps scaling |difference| linearly so ``max_error`` maps to 255, with
 round-half-up quantization.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import csv
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,7 @@ __all__ = [
     "MAGIC",
     "save_cube",
     "load_cube",
+    "write_atomic",
     "save_srf_csv",
     "load_srf_csv",
     "export_error_map",
@@ -44,6 +49,27 @@ __all__ = [
 MAGIC = b"HSRC"
 
 _DTYPES = {"f64": "<f8", "f32": "<f4"}
+
+
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` through a sibling temp file and ``os.replace``.
+
+    Readers see the previous file or the complete new one, never a partial
+    write. On failure the temp file is removed and ``path`` is left as it was.
+    The new file gets the usual mode of a file created by ``open``.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_cube(
@@ -68,11 +94,8 @@ def save_cube(
             raise ValidationError(f"scale must be a finite (lo, hi) pair with hi > lo, got {scale!r}")
         header["scale"] = [lo, hi]
     payload = np.ascontiguousarray(cube.data, dtype=_DTYPES[dtype]).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(payload)
+    head = MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
+    write_atomic(path, head, payload)
 
 
 def load_cube(path: str | Path) -> HsiCube:

@@ -16,124 +16,19 @@ bit-identical to solving frequencies one at a time in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cube import FreqCube, HsiCube, dft2_per_band, idft2_per_band
 from .errors import ValidationError
-from .gradients import (
-    LaplacianOperator,
-    TridiagMatrix,
-    spectral_gram_apply_array,
-    spectral_gram_tridiag,
-)
+from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
 
-__all__ = [
-    "VStepSystem",
-    "build_vstep_system",
-    "assemble_tf",
-    "solve_tridiagonal",
-    "solve_frequency",
-    "vstep",
-    "vstep_gradient",
-]
-
-
-def _resolve_lap_sq(
-    lap: LaplacianOperator | np.ndarray, bands: int, height: int, width: int
-) -> np.ndarray:
-    """Squared response magnitudes, shape (height, width) or (bands, height, width)."""
-    if isinstance(lap, LaplacianOperator):
-        if (lap.height, lap.width) != (height, width):
-            raise ValidationError(
-                f"operator grid {(lap.height, lap.width)} does not match cube grid "
-                f"{(height, width)}"
-            )
-        return lap.response_sq
-    resp = np.asarray(lap, dtype=np.float64)
-    if resp.shape not in ((height, width), (bands, height, width)):
-        raise ValidationError(
-            f"response grid shape {resp.shape} must be {(height, width)} or "
-            f"{(bands, height, width)}"
-        )
-    if not np.all(np.isfinite(resp)) or np.any(resp < 0):
-        raise ValidationError("response magnitudes must be finite and non-negative")
-    return resp**2
+__all__ = ["solve_tridiagonal", "vstep"]
 
 
 def _check_weight(name: str, value: float) -> float:
     if not (np.isfinite(value) and value >= 0):
         raise ValidationError(f"{name} must be non-negative and finite, got {value!r}")
     return float(value)
-
-
-@dataclass(frozen=True)
-class VStepSystem:
-    """Frequency-domain data for one full denoising solve."""
-
-    x_next: FreqCube
-    prior: FreqCube
-    lap_sq: np.ndarray
-    gram: TridiagMatrix | None
-    mu_p: float
-    nu_p: float
-
-
-def build_vstep_system(
-    x_next: HsiCube,
-    prior: HsiCube,
-    lap: LaplacianOperator | np.ndarray,
-    mu_p: float,
-    nu_p: float,
-) -> VStepSystem:
-    """Transform both cubes and bundle the per-frequency coefficients.
-
-    ``lap`` is a LaplacianOperator or an array of response magnitudes, either
-    one grid shared by all bands or one grid per band.
-    """
-    mu_p = _check_weight("mu_p", mu_p)
-    nu_p = _check_weight("nu_p", nu_p)
-    if x_next.data.shape != prior.data.shape:
-        raise ValidationError(
-            f"cube shapes differ: {x_next.data.shape} vs {prior.data.shape}"
-        )
-    lap_sq = _resolve_lap_sq(lap, x_next.bands, x_next.height, x_next.width)
-    gram = spectral_gram_tridiag(x_next.bands) if x_next.bands > 1 else None
-    return VStepSystem(
-        x_next=dft2_per_band(x_next),
-        prior=dft2_per_band(prior),
-        lap_sq=lap_sq,
-        gram=gram,
-        mu_p=mu_p,
-        nu_p=nu_p,
-    )
-
-
-def assemble_tf(
-    lap_value: float | np.ndarray,
-    gram: TridiagMatrix,
-    mu_p: float,
-    nu_p: float,
-) -> TridiagMatrix:
-    """Tridiagonal system matrix at one frequency.
-
-    ``lap_value`` is the response magnitude there, a scalar shared by all bands
-    or one value per band.
-    """
-    mu_p = _check_weight("mu_p", mu_p)
-    nu_p = _check_weight("nu_p", nu_p)
-    lap_value = np.asarray(lap_value, dtype=np.float64)
-    if np.any(lap_value < 0) or not np.all(np.isfinite(lap_value)):
-        raise ValidationError("lap_value must be finite and non-negative")
-    if lap_value.ndim not in (0, 1):
-        raise ValidationError(f"lap_value must be scalar or per-band, got shape {lap_value.shape}")
-    if lap_value.ndim == 1 and lap_value.shape[0] != gram.n:
-        raise ValidationError(
-            f"per-band lap_value has {lap_value.shape[0]} entries, expected {gram.n}"
-        )
-    diag = 1.0 + mu_p * lap_value**2 + nu_p * gram.diag
-    return TridiagMatrix(diag, nu_p * gram.sub, nu_p * gram.sup)
 
 
 def solve_tridiagonal(
@@ -175,48 +70,10 @@ def solve_tridiagonal(
     return x
 
 
-def _columns_solve(sys: VStepSystem, x_cols: np.ndarray, p_cols: np.ndarray, lap_sq_cols: np.ndarray) -> np.ndarray:
-    """Solve T v = rhs for stacked frequency columns of shape (bands, m)."""
-    bands = x_cols.shape[0]
-    if bands == 1:
-        diag = 1.0 + sys.mu_p * lap_sq_cols
-        return (x_cols + sys.mu_p * lap_sq_cols * p_cols) / diag
-    rhs = (
-        x_cols
-        + sys.mu_p * lap_sq_cols * p_cols
-        + sys.nu_p * spectral_gram_apply_array(p_cols)
-    )
-    diag = 1.0 + sys.mu_p * lap_sq_cols + sys.nu_p * sys.gram.diag[:, None]
-    sub = (sys.nu_p * sys.gram.sub)[:, None]
-    sup = (sys.nu_p * sys.gram.sup)[:, None]
-    return solve_tridiagonal(diag, sub, sup, rhs)
-
-
-def _lap_sq_columns(sys: VStepSystem, bands: int) -> np.ndarray:
-    """Squared responses flattened to (bands, pixels) or (1, pixels)."""
-    if sys.lap_sq.ndim == 2:
-        return sys.lap_sq.reshape(1, -1)
-    return sys.lap_sq.reshape(bands, -1)
-
-
-def solve_frequency(sys: VStepSystem, f: tuple[int, int]) -> np.ndarray:
-    """Solution column v_f at one frequency; bit-identical to the batched path."""
-    fr, fc = f
-    height, width = sys.x_next.height, sys.x_next.width
-    if not (0 <= fr < height and 0 <= fc < width):
-        raise ValidationError(f"frequency {f} outside the {height}x{width} grid")
-    bands = sys.x_next.bands
-    idx = fr * width + fc
-    lap_cols = _lap_sq_columns(sys, bands)[:, idx : idx + 1]
-    x_cols = sys.x_next.data.reshape(bands, -1)[:, idx : idx + 1]
-    p_cols = sys.prior.data.reshape(bands, -1)[:, idx : idx + 1]
-    return _columns_solve(sys, x_cols, p_cols, lap_cols)[:, 0]
-
-
 def vstep(
     x_next: HsiCube,
     prior: HsiCube,
-    lap: LaplacianOperator | np.ndarray,
+    lap: LaplacianOperator,
     mu_p: float,
     nu_p: float,
 ) -> HsiCube:
@@ -229,42 +86,27 @@ def vstep(
     nu_p = _check_weight("nu_p", nu_p)
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
-    sys = build_vstep_system(x_next, prior, lap, mu_p, nu_p)
-    bands = x_next.bands
-    cols = _columns_solve(
-        sys,
-        sys.x_next.data.reshape(bands, -1),
-        sys.prior.data.reshape(bands, -1),
-        _lap_sq_columns(sys, bands),
-    )
-    out = FreqCube(cols.reshape(bands, x_next.height, x_next.width))
-    return idft2_per_band(out)
-
-
-def vstep_gradient(
-    v: HsiCube,
-    x_next: HsiCube,
-    prior: HsiCube,
-    lap: LaplacianOperator | np.ndarray,
-    rho: float,
-    mu: float,
-    nu: float,
-) -> HsiCube:
-    """Gradient of the unscaled sub-problem objective at v.
-
-    Zero (to roundoff) exactly at the ``vstep`` solution with
-    mu_p = mu/rho and nu_p = nu/rho.
-    """
-    if not (np.isfinite(rho) and rho > 0):
-        raise ValidationError(f"rho must be positive, got {rho!r}")
-    mu = _check_weight("mu", mu)
-    nu = _check_weight("nu", nu)
-    if not (v.data.shape == x_next.data.shape == prior.data.shape):
-        raise ValidationError("v, x_next, and prior must share one shape")
-    lap_sq = _resolve_lap_sq(lap, v.bands, v.height, v.width)
-    diff = v.data - prior.data
-    gram_d = np.fft.ifft2(np.fft.fft2(diff, axes=(-2, -1)) * lap_sq, axes=(-2, -1)).real
-    grad = rho * (v.data - x_next.data) + mu * gram_d
-    if v.bands > 1:
-        grad = grad + nu * spectral_gram_apply_array(diff)
-    return HsiCube(grad)
+    if x_next.data.shape != prior.data.shape:
+        raise ValidationError(
+            f"cube shapes differ: {x_next.data.shape} vs {prior.data.shape}"
+        )
+    bands, height, width = x_next.data.shape
+    if (lap.height, lap.width) != (height, width):
+        raise ValidationError(
+            f"operator grid {(lap.height, lap.width)} does not match cube grid "
+            f"{(height, width)}"
+        )
+    # one column per frequency: (bands, pixels), squared response shared by bands
+    x_cols = dft2_per_band(x_next).data.reshape(bands, -1)
+    p_cols = dft2_per_band(prior).data.reshape(bands, -1)
+    lap_sq = lap.response_sq.reshape(1, -1)
+    if bands == 1:
+        cols = (x_cols + mu_p * lap_sq * p_cols) / (1.0 + mu_p * lap_sq)
+    else:
+        gram = spectral_gram_tridiag(bands)
+        rhs = x_cols + mu_p * lap_sq * p_cols + nu_p * spectral_gram_apply_array(p_cols)
+        diag = 1.0 + mu_p * lap_sq + nu_p * gram.diag[:, None]
+        sub = (nu_p * gram.sub)[:, None]
+        sup = (nu_p * gram.sup)[:, None]
+        cols = solve_tridiagonal(diag, sub, sup, rhs)
+    return idft2_per_band(FreqCube(cols.reshape(bands, height, width)))

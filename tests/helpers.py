@@ -3,12 +3,18 @@
 Everything here is deliberately independent of the library's FFT-based
 implementations: blur is evaluated tap by tap with np.roll, dense operator
 matrices are built from impulses, and adjointness is checked through raw
-inner products.
+inner products. The x-step and v-step oracles live here too: matrix-free
+conjugate gradient on the full Sylvester operator, and the gradient of the
+v-step objective.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from hsfuse.cube import HsiCube
+from hsfuse.errors import ValidationError
+from hsfuse.gradients import LaplacianOperator, spectral_gram_apply_array
 
 
 def rand_cube(rng, bands, height, width, lo=-1.0, hi=1.0) -> HsiCube:
@@ -59,3 +65,73 @@ def random_srf_matrix(rng, in_bands: int, out_bands: int) -> np.ndarray:
     """Non-negative response rows with a guaranteed positive sum."""
     mat = rng.uniform(0.0, 1.0, (out_bands, in_bands)) ** 2 + 0.05
     return mat
+
+
+class CgSolution(NamedTuple):
+    x: HsiCube
+    converged: bool
+    iterations: int
+
+
+def solve_cg(system, x0: HsiCube | None = None, tol: float = 1e-9, max_iter: int = 1000) -> CgSolution:
+    """Matrix-free conjugate gradient on the full SPD operator C1 X + X C2.
+
+    Stops when the recurrence residual drops below ``tol`` relative to ||C3||;
+    returns the last iterate with ``converged=False`` if the budget runs out.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    b = system.c3.data
+    if x0 is None:
+        x = np.zeros_like(b)
+    else:
+        if x0.data.shape != b.shape:
+            raise ValidationError(f"x0 has shape {x0.data.shape}, system expects {b.shape}")
+        x = x0.data.copy()
+    bnorm = max(float(np.linalg.norm(b)), float(np.finfo(np.float64).tiny))
+    r = b - system.operator_apply_array(x)
+    p = r.copy()
+    rs = float(np.vdot(r, r).real)
+    converged = np.sqrt(rs) / bnorm <= tol
+    iterations = 0
+    while not converged and iterations < max_iter:
+        ap = system.operator_apply_array(p)
+        alpha = rs / float(np.vdot(p, ap).real)
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(np.vdot(r, r).real)
+        iterations += 1
+        if np.sqrt(rs_new) / bnorm <= tol:
+            converged = True
+        else:
+            p = r + (rs_new / rs) * p
+        rs = rs_new
+    return CgSolution(HsiCube(x), bool(converged), iterations)
+
+
+def vstep_gradient(
+    v: HsiCube,
+    x_next: HsiCube,
+    prior: HsiCube,
+    lap: LaplacianOperator,
+    rho: float,
+    mu: float,
+    nu: float,
+) -> HsiCube:
+    """Gradient of the unscaled v-step sub-problem objective at v.
+
+    Zero (to roundoff) exactly at the ``vstep`` solution with
+    mu_p = mu/rho and nu_p = nu/rho.
+    """
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValidationError(f"rho must be positive, got {rho!r}")
+    if not (v.data.shape == x_next.data.shape == prior.data.shape):
+        raise ValidationError("v, x_next, and prior must share one shape")
+    diff = v.data - prior.data
+    gram_d = np.fft.ifft2(np.fft.fft2(diff, axes=(-2, -1)) * lap.response_sq, axes=(-2, -1)).real
+    grad = rho * (v.data - x_next.data) + mu * gram_d
+    if v.bands > 1:
+        grad = grad + nu * spectral_gram_apply_array(diff)
+    return HsiCube(grad)

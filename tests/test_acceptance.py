@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import hsfuse
-from helpers import rand_cube, random_srf_matrix, relative_gap
+from helpers import rand_cube, random_srf_matrix, relative_gap, solve_cg, vstep_gradient
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import (
     BlurOperator,
@@ -39,8 +39,8 @@ from hsfuse.io import band_index_for_wavelength
 from hsfuse.metrics import evaluate
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
-from hsfuse.sylvester import build_system, solve_cg, solve_fast, sylvester_residual
-from hsfuse.vstep import vstep, vstep_gradient
+from hsfuse.sylvester import build_system, solve_fast, sylvester_residual
+from hsfuse.vstep import vstep
 
 
 def _report(num, name, ok, detail):
@@ -224,9 +224,9 @@ def test_criterion_2_sylvester_oracle_triangle(rng):
         cg = solve_cg(system, tol=1e-12, max_iter=20000)
         assert cg.converged, f"CG stalled on system {i}"
         dense = dense_sylvester_solve(system)
-        for a, b in ((fast.x, cg.x), (fast.x, dense), (cg.x, dense)):
+        for a, b in ((fast, cg.x), (fast, dense), (cg.x, dense)):
             worst_pair = max(worst_pair, relative_gap(a.data, b.data))
-        worst_resid = max(worst_resid, sylvester_residual(system, fast.x))
+        worst_resid = max(worst_resid, sylvester_residual(system, fast))
     elapsed = time.perf_counter() - t0
     ok = systems >= 20 and worst_pair <= 1e-7 and worst_resid <= 1e-8 and elapsed < 30.0
     _report(

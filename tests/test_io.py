@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import hsfuse.io
 from helpers import rand_cube
+from hsfuse.cli import _write_manifest
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import SpectralResponse
 from hsfuse.errors import (
@@ -67,6 +69,28 @@ class TestCubeContainer:
         save_cube(p1, cube)
         save_cube(p2, cube)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("write", ["cube", "manifest"])
+    def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous contents")
+        real_open = open
+
+        def open_then_fail(file, mode="r", *args, **kwargs):
+            # the disk fills after the first bytes land
+            fh = real_open(file, mode, *args, **kwargs)
+            fh.write(b"\0" if "b" in mode else "\0")
+            fh.close()
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(hsfuse.io, "open", open_then_fail, raising=False)
+        with pytest.raises(OSError):
+            if write == "cube":
+                save_cube(path, rand_cube(rng, 2, 3, 4))
+            else:
+                _write_manifest(str(path), {"command": "fuse"})
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_save_validation(self, rng, tmp_path):
         cube = rand_cube(rng, 1, 2, 2)

@@ -75,8 +75,8 @@ class TestNaiveFusion:
         y, z = model.degrade(gt)
         prior = make_prior(PriorSource.naive_fusion(), y, z, model)
         assert prior.data.shape == (6, 8, 8)
-        zz = model.srf.apply(prior)
-        assert np.allclose(zz.data, z.data, rtol=0, atol=1e-10)
+        zz = model.srf.apply_array(prior.data)
+        assert np.allclose(zz, z.data, rtol=0, atol=1e-10)
 
     def test_closer_to_truth_than_plain_upsampling(self):
         from hsfuse.scenes import SceneSpec, generate_scene

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_matrix, rand_cube, random_srf_matrix, relative_gap
+from helpers import dense_matrix, rand_cube, random_srf_matrix, relative_gap, solve_cg
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import (
     BlurOperator,
@@ -10,12 +10,10 @@ from hsfuse.degradation import (
     SpectralResponse,
 )
 from hsfuse.errors import UnsupportedStructureError, ValidationError
+from hsfuse.hqs import HqsConfig, fuse
 from hsfuse.sylvester import (
-    SolveMethod,
     SylvesterSystem,
     build_system,
-    solve,
-    solve_cg,
     solve_fast,
     sylvester_residual,
 )
@@ -105,17 +103,17 @@ class TestOracleTriangle:
             fast = solve_fast(system)
             cg = solve_cg(system, tol=1e-12, max_iter=5000)
             dense = dense_solve(system)
-            assert fast.residual <= 1e-8
-            assert relative_gap(fast.x.data, cg.x.data) <= 1e-7
-            assert relative_gap(fast.x.data, dense.data) <= 1e-7
+            assert sylvester_residual(system, fast) <= 1e-8
+            assert relative_gap(fast.data, cg.x.data) <= 1e-7
+            assert relative_gap(fast.data, dense.data) <= 1e-7
             assert relative_gap(cg.x.data, dense.data) <= 1e-7
 
     def test_nonzero_phase(self, rng):
         system, *_ = random_system(rng, 3, 8, 8, 2, rho=0.01, phase=(1, 1))
         fast = solve_fast(system)
         dense = dense_solve(system)
-        assert relative_gap(fast.x.data, dense.data) <= 1e-8
-        assert fast.residual <= 1e-10
+        assert relative_gap(fast.data, dense.data) <= 1e-8
+        assert sylvester_residual(system, fast) <= 1e-10
 
     def test_ground_truth_is_fixed_point(self, rng):
         model = make_model(rng, 5, 8, 8, 2)
@@ -124,7 +122,7 @@ class TestOracleTriangle:
         # v = gt with noiseless data: gt satisfies the optimality system exactly
         system = build_system(model, y, z, gt, rho=0.02)
         sol = solve_fast(system)
-        assert relative_gap(sol.x.data, gt.data) <= 1e-10
+        assert relative_gap(sol.data, gt.data) <= 1e-10
 
 
 class TestSolveFast:
@@ -142,18 +140,11 @@ class TestSolveFast:
         with pytest.raises(UnsupportedStructureError):
             solve_fast(system)
 
-    def test_reports_method_and_residual(self, rng):
-        system, *_ = random_system(rng, 3, 6, 6, 2, rho=0.05)
-        sol = solve_fast(system)
-        assert sol.method is SolveMethod.FAST_FREQUENCY
-        assert sol.converged
-        assert sol.residual == pytest.approx(sylvester_residual(system, sol.x), rel=1e-9)
-
 
 class TestSolveCG:
     def test_warm_start_at_solution_returns_immediately(self, rng):
         system, *_ = random_system(rng, 3, 6, 6, 2, rho=0.05)
-        exact = solve_fast(system).x
+        exact = solve_fast(system)
         sol = solve_cg(system, x0=exact, tol=1e-8)
         assert sol.iterations == 0
         assert sol.converged
@@ -175,25 +166,40 @@ class TestSolveCG:
 
 
 class TestSolveDispatch:
-    def test_prefers_fast_path(self, rng):
-        system, *_ = random_system(rng, 3, 6, 6, 2, rho=0.05)
-        assert solve(system).method is SolveMethod.FAST_FREQUENCY
+    """``fuse`` looks ``solve_fast`` up on its module for every x-step."""
 
-    def test_falls_back_to_cg(self, rng, monkeypatch):
-        system, *_ = random_system(rng, 3, 6, 6, 2, rho=0.05)
+    def _problem(self, rng):
+        model = make_model(rng, 4, 8, 8, 2)
+        y, z = model.degrade(rand_cube(rng, 4, 8, 8, lo=0.0, hi=1.0))
+        return y, z, model, rand_cube(rng, 4, 8, 8)
 
-        def refuse(_):
+    def test_prefers_fast_path(self, rng, monkeypatch):
+        y, z, model, prior = self._problem(rng)
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return solve_fast(system)
+
+        monkeypatch.setattr("hsfuse.sylvester.solve_fast", counting)
+        result = fuse(y, z, model, prior, HqsConfig(max_iter=3, rel_tol=1e-14))
+        assert len(calls) == result.iterations == 3
+
+    def test_refusal_propagates_without_fallback(self, rng, monkeypatch):
+        # a system outside the closed form's structure fails the run (CLI exit 4)
+        y, z, model, prior = self._problem(rng)
+
+        def refuse(system):
             raise UnsupportedStructureError("forced")
 
         monkeypatch.setattr("hsfuse.sylvester.solve_fast", refuse)
-        sol = solve(system, cg_tol=1e-11)
-        assert sol.method is SolveMethod.CONJUGATE_GRADIENT
-        assert sol.residual <= 1e-9
+        with pytest.raises(UnsupportedStructureError, match="forced"):
+            fuse(y, z, model, prior)
 
 
 def test_residual_is_relative(rng):
     system, *_ = random_system(rng, 3, 6, 6, 2, rho=0.05)
-    x = solve_fast(system).x
+    x = solve_fast(system)
     assert sylvester_residual(system, x) < 1e-10
     off = HsiCube(x.data + 1.0)
     assert sylvester_residual(system, off) > 1e-3

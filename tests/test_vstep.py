@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_cube
+from helpers import rand_cube, vstep_gradient
 from hsfuse.errors import ValidationError
-from hsfuse.gradients import LaplacianOperator, spectral_gram_tridiag
-from hsfuse.vstep import (
-    _columns_solve,
-    _lap_sq_columns,
-    assemble_tf,
-    build_vstep_system,
-    solve_frequency,
-    solve_tridiagonal,
-    vstep,
-    vstep_gradient,
-)
+from hsfuse.gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
+from hsfuse.vstep import solve_tridiagonal, vstep
 
 
 def dense_minimizer(x_next, prior, lap, mu_p, nu_p):
@@ -96,28 +87,6 @@ class TestSolveTridiagonal:
         assert np.allclose(dense @ x, rhs, rtol=0, atol=1e-10)
 
 
-class TestAssembleTf:
-    def test_matches_dense_formula(self):
-        gram = spectral_gram_tridiag(4)
-        tf = assemble_tf(3.0, gram, mu_p=0.5, nu_p=0.25)
-        want = np.eye(4) + 0.5 * 9.0 * np.eye(4) + 0.25 * gram.to_dense()
-        assert np.allclose(tf.to_dense(), want, rtol=0, atol=1e-14)
-
-    def test_per_band_values(self):
-        gram = spectral_gram_tridiag(3)
-        tf = assemble_tf(np.array([1.0, 2.0, 3.0]), gram, mu_p=1.0, nu_p=0.0)
-        assert np.allclose(tf.diag, [2.0, 5.0, 10.0], rtol=0, atol=0)
-
-    def test_validation(self):
-        gram = spectral_gram_tridiag(3)
-        with pytest.raises(ValidationError):
-            assemble_tf(-1.0, gram, 0.1, 0.1)
-        with pytest.raises(ValidationError):
-            assemble_tf(np.ones(4), gram, 0.1, 0.1)
-        with pytest.raises(ValidationError):
-            assemble_tf(1.0, gram, -0.1, 0.1)
-
-
 class TestVstep:
     def test_matches_dense_minimizer(self, rng):
         for bands, h, w in [(1, 5, 5), (3, 4, 6), (5, 6, 6)]:
@@ -156,39 +125,23 @@ class TestVstep:
         assert np.allclose(near_x.data, x.data, rtol=0, atol=1e-9)
 
     def test_single_frequency_is_bitwise_batched(self, rng):
+        # reference loop: one Thomas solve per frequency, in reverse order
         bands, h, w = 4, 4, 6
+        mu_p, nu_p = 0.9, 0.3
         lap = LaplacianOperator.create(h, w)
         x = rand_cube(rng, bands, h, w)
         p = rand_cube(rng, bands, h, w)
-        sys = build_vstep_system(x, p, lap, 0.9, 0.3)
-        batched = _columns_solve(
-            sys,
-            sys.x_next.data.reshape(bands, -1),
-            sys.prior.data.reshape(bands, -1),
-            _lap_sq_columns(sys, bands),
-        )
-        for fr in range(h):
-            for fc in range(w):
-                col = solve_frequency(sys, (fr, fc))
-                assert np.array_equal(col, batched[:, fr * w + fc])
-
-    def test_solve_frequency_validates(self, rng):
-        x = rand_cube(rng, 2, 4, 4)
-        sys = build_vstep_system(x, x, LaplacianOperator.create(4, 4), 0.1, 0.1)
-        with pytest.raises(ValidationError):
-            solve_frequency(sys, (4, 0))
-
-    def test_accepts_response_arrays(self, rng):
-        h, w = 5, 5
-        lap = LaplacianOperator.create(h, w)
-        x = rand_cube(rng, 3, h, w)
-        p = rand_cube(rng, 3, h, w)
-        via_operator = vstep(x, p, lap, 0.5, 0.1)
-        resp = np.abs(lap.response)
-        via_shared = vstep(x, p, resp, 0.5, 0.1)
-        via_per_band = vstep(x, p, np.broadcast_to(resp, (3, h, w)).copy(), 0.5, 0.1)
-        assert np.allclose(via_operator.data, via_shared.data, rtol=0, atol=1e-12)
-        assert np.allclose(via_operator.data, via_per_band.data, rtol=0, atol=1e-12)
+        xf = np.fft.fft2(x.data, axes=(-2, -1)).reshape(bands, -1)
+        pf = np.fft.fft2(p.data, axes=(-2, -1)).reshape(bands, -1)
+        lap_sq = lap.response_sq.ravel()
+        gram = spectral_gram_tridiag(bands)
+        cols = np.empty_like(xf)
+        for j in reversed(range(h * w)):
+            rhs = xf[:, j] + mu_p * lap_sq[j] * pf[:, j] + nu_p * spectral_gram_apply_array(pf[:, j])
+            diag = 1.0 + mu_p * lap_sq[j] + nu_p * gram.diag
+            cols[:, j] = solve_tridiagonal(diag, nu_p * gram.sub, nu_p * gram.sup, rhs)
+        want = np.fft.ifft2(cols.reshape(bands, h, w), axes=(-2, -1)).real
+        assert np.array_equal(vstep(x, p, lap, mu_p, nu_p).data, want)
 
     def test_validation(self, rng):
         x = rand_cube(rng, 2, 5, 5)
