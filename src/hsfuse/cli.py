@@ -293,6 +293,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         manifest["iterations"] = result.iterations
         manifest["converged"] = result.converged
         manifest["objective_trace"] = list(result.objective_trace)
+        # how far the run was from --tol, also when it stopped at the cap
+        manifest["rel_changes"] = list(result.rel_changes)
         print(
             f"wrote {args.out} after {result.iterations} iteration(s), "
             f"converged={result.converged}"

@@ -23,9 +23,14 @@ from .errors import SymmetryViolationError, ValidationError
 __all__ = [
     "HsiCube",
     "FreqCube",
+    "column_blocks",
     "dft2_per_band",
     "idft2_per_band",
 ]
+
+# frequencies per block when a loop walks a (bands, pixels) spectrum: a block
+# of every band stays cache-resident
+_BLOCK_COLUMNS = 1 << 13
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -149,7 +154,10 @@ def idft2_per_band(fc: FreqCube, imag_tol: float = 1e-6) -> HsiCube:
     Raises:
         SymmetryViolationError: imaginary residue exceeds ``imag_tol``.
     """
-    full = np.fft.ifft2(fc.data, axes=(-2, -1))
+    full = np.empty_like(fc.data)
+    # one output buffer keeps the transient to a single spectrum; ifftn, as
+    # numpy's ifft2 drops its out= argument
+    np.fft.ifftn(fc.data, axes=(-2, -1), out=full)
     real = full.real
     scale = max(1.0, float(np.abs(real).max()))
     resid = float(np.abs(full.imag).max()) / scale
@@ -159,3 +167,8 @@ def idft2_per_band(fc: FreqCube, imag_tol: float = 1e-6) -> HsiCube:
             "input was not the spectrum of a real cube"
         )
     return HsiCube(real.copy())
+
+
+def column_blocks(n: int) -> list[slice]:
+    """Slices that cover ``range(n)`` in cache-sized blocks of spectrum columns."""
+    return [slice(j, j + _BLOCK_COLUMNS) for j in range(0, n, _BLOCK_COLUMNS)]

@@ -99,47 +99,54 @@ def save_cube(
 
 
 def load_cube(path: str | Path) -> HsiCube:
-    """Read a cube, checking magic, header, and payload length exactly."""
+    """Read a cube, checking magic, header, and payload length exactly.
+
+    The payload is read straight into the cube's own (aligned) array, so an
+    f64 file is held in memory once; an f32 payload is upcast once.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: missing {MAGIC!r} magic")
-    newline = blob.find(b"\n", 4)
-    if newline < 0:
-        raise CubeFormatError(f"{path}: header line is not terminated")
-    try:
-        header = json.loads(blob[4:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CubeFormatError(f"{path}: header is not one-line JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CubeFormatError(f"{path}: header must be a JSON object")
-    try:
-        bands = int(header["bands"])
-        height = int(header["height"])
-        width = int(header["width"])
-        dtype = header["dtype"]
-        layout = header["layout"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CubeFormatError(f"{path}: header is missing or mistypes a required key ({exc})") from exc
-    if min(bands, height, width) < 1:
-        raise CubeFormatError(f"{path}: dimensions must be positive, got {(bands, height, width)}")
-    if layout != "band-major":
-        raise CubeFormatError(f"{path}: unsupported layout {layout!r}")
-    if dtype not in _DTYPES:
-        raise UnknownDtypeError(f"{path}: unknown dtype {dtype!r}")
-    item = np.dtype(_DTYPES[dtype]).itemsize
-    expected = bands * height * width * item
-    payload = blob[newline + 1 :]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, header promises {expected}"
-        )
-    if len(payload) > expected:
-        raise CubeFormatError(
-            f"{path}: {len(payload) - expected} trailing bytes after the payload"
-        )
-    values = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(bands, height, width)
-    values = values.astype(np.float64)
+        if fh.read(4) != MAGIC:
+            raise BadMagicError(f"{path}: missing {MAGIC!r} magic")
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CubeFormatError(f"{path}: header line is not terminated")
+        try:
+            header = json.loads(line[:-1].decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CubeFormatError(f"{path}: header is not one-line JSON ({exc})") from exc
+        if not isinstance(header, dict):
+            raise CubeFormatError(f"{path}: header must be a JSON object")
+        try:
+            bands = int(header["bands"])
+            height = int(header["height"])
+            width = int(header["width"])
+            dtype = header["dtype"]
+            layout = header["layout"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CubeFormatError(f"{path}: header is missing or mistypes a required key ({exc})") from exc
+        if min(bands, height, width) < 1:
+            raise CubeFormatError(f"{path}: dimensions must be positive, got {(bands, height, width)}")
+        if layout != "band-major":
+            raise CubeFormatError(f"{path}: unsupported layout {layout!r}")
+        if dtype not in _DTYPES:
+            raise UnknownDtypeError(f"{path}: unknown dtype {dtype!r}")
+        expected = bands * height * width * np.dtype(_DTYPES[dtype]).itemsize
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload has {payload} bytes, header promises {expected}"
+            )
+        if payload > expected:
+            raise CubeFormatError(
+                f"{path}: {payload - expected} trailing bytes after the payload"
+            )
+        values = np.empty((bands, height, width), dtype=_DTYPES[dtype])
+        got = fh.readinto(memoryview(values).cast("B"))
+        if got != expected:
+            raise TruncatedPayloadError(
+                f"{path}: read {got} payload bytes, header promises {expected}"
+            )
+    values = values.astype(np.float64, copy=False)
     if not np.all(np.isfinite(values)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")
     return HsiCube(values)

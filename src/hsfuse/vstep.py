@@ -8,27 +8,80 @@ condition is a bands x bands real tridiagonal system
     T_f v_f = x_next_f + (mu_p * |lap(f)|^2 + nu_p * E0^T E0) prior_f
 
 with ``T_f = I + mu_p * |lap(f)|^2 + nu_p * E0^T E0``. T_f is strictly
-diagonally dominant, so the Thomas algorithm needs no pivoting; its real
-factorization is shared by the real and imaginary parts of the right-hand
-side. The batched path factors every frequency in one vectorized sweep and is
-bit-identical to solving frequencies one at a time in any order.
+diagonally dominant, so the Thomas algorithm needs no pivoting. Its real
+factorization depends on the weights only: the HQS loop factors every
+frequency once per run (``factor_denoise``) and then, each iteration, forms
+the right-hand side from spectra it already holds and substitutes
+(``denoise_spectrum``), with no transform. ``vstep`` is the one-shot spatial
+form of the same solve: forward transforms of x_next and the prior,
+``denoise_spectrum``, one inverse transform. Batched solves are bit-identical
+to solving frequencies one at a time in any order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .cube import FreqCube, HsiCube, dft2_per_band, idft2_per_band
+from .cube import FreqCube, HsiCube, column_blocks, dft2_per_band, idft2_per_band
 from .errors import ValidationError
 from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
 
-__all__ = ["solve_tridiagonal", "vstep"]
+__all__ = [
+    "DenoiseFactors",
+    "denoise_spectrum",
+    "factor_denoise",
+    "solve_tridiagonal",
+    "vstep",
+]
 
 
 def _check_weight(name: str, value: float) -> float:
     if not (np.isfinite(value) and value >= 0):
         raise ValidationError(f"{name} must be non-negative and finite, got {value!r}")
     return float(value)
+
+
+def _factor_tridiagonal(
+    diag: np.ndarray, sub: np.ndarray, sup: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-elimination factors ``(c, inv)`` of the Thomas algorithm.
+
+    Batched over trailing axes: ``diag`` has shape (n, ...), ``sub``/``sup``
+    broadcast to (n-1, ...). ``inv[i]`` is the reciprocal of pivot i and
+    ``c[i] = sup[i] * inv[i]``; they depend on the matrix only.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    n = diag.shape[0]
+    tail = diag.shape[1:]
+    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), (n - 1,) + tail)
+    sup = np.broadcast_to(np.asarray(sup, dtype=np.float64), (n - 1,) + tail)
+    c = np.empty((n - 1,) + tail, dtype=np.float64)
+    inv = np.empty_like(diag)
+    inv[0] = 1.0 / diag[0]
+    for i in range(1, n):
+        c[i - 1] = sup[i - 1] * inv[i - 1]
+        inv[i] = 1.0 / (diag[i] - sub[i - 1] * c[i - 1])
+    return c, inv
+
+
+def _substitute(
+    c: np.ndarray, inv: np.ndarray, sub: np.ndarray, rhs: np.ndarray, out: np.ndarray
+) -> None:
+    """Forward and back substitution with ``_factor_tridiagonal``'s factors.
+
+    ``out`` may be ``rhs``: the solve then happens in place.
+    """
+    # pivots enter as real reciprocals: multiplying a complex value by a real
+    # acts on its parts componentwise, so a complex solve is bit-identical to
+    # solving the real and imaginary parts separately (division is not)
+    n = inv.shape[0]
+    out[0] = rhs[0] * inv[0]
+    for i in range(1, n):
+        out[i] = (rhs[i] - sub[i - 1] * out[i - 1]) * inv[i]
+    for i in range(n - 2, -1, -1):
+        out[i] = out[i] - c[i] * out[i + 1]
 
 
 def solve_tridiagonal(
@@ -42,32 +95,65 @@ def solve_tridiagonal(
     """
     diag = np.asarray(diag)
     rhs = np.asarray(rhs)
-    n = diag.shape[0]
     if rhs.shape != diag.shape:
         raise ValidationError(f"rhs shape {rhs.shape} must match diag shape {diag.shape}")
-    # pivots enter as real reciprocals: multiplying a complex value by a real
-    # acts on its parts componentwise, so a complex solve is bit-identical to
-    # solving the real and imaginary parts separately (division is not)
-    if n == 1:
-        return rhs * (1.0 / diag)
-    tail = diag.shape[1:]
-    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), (n - 1,) + tail)
-    sup = np.broadcast_to(np.asarray(sup, dtype=np.float64), (n - 1,) + tail)
-    c = np.empty((n - 1,) + tail, dtype=np.float64)
-    d = np.empty_like(rhs)
-    inv = 1.0 / diag[0]
-    c[0] = sup[0] * inv
-    d[0] = rhs[0] * inv
-    for i in range(1, n):
-        inv = 1.0 / (diag[i] - sub[i - 1] * c[i - 1])
-        if i < n - 1:
-            c[i] = sup[i] * inv
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) * inv
-    x = np.empty_like(rhs)
-    x[n - 1] = d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
+    c, inv = _factor_tridiagonal(diag, sub, sup)
+    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), c.shape)
+    x = np.empty(rhs.shape, dtype=np.result_type(rhs, np.float64))
+    _substitute(c, inv, sub, rhs, x)
     return x
+
+
+@dataclass(frozen=True)
+class DenoiseFactors:
+    """Every frequency's T_f, factored once for fixed weights.
+
+    ``mu_lap`` is ``mu_p * |lap(f)|^2`` per frequency; ``sub`` is T_f's
+    off-diagonal, the same at every frequency; ``c``/``inv`` come from
+    the Thomas forward elimination, one column per frequency.
+    """
+
+    mu_lap: np.ndarray
+    nu_p: float
+    sub: np.ndarray
+    c: np.ndarray
+    inv: np.ndarray
+
+
+def factor_denoise(lap: LaplacianOperator, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
+    """Factor T_f at every frequency of ``lap``'s grid."""
+    mu_p = _check_weight("mu_p", mu_p)
+    nu_p = _check_weight("nu_p", nu_p)
+    mu_lap = mu_p * lap.response_sq.reshape(-1)
+    if bands == 1:
+        gram_diag, gram_off = np.zeros(1), np.zeros(0)
+    else:
+        gram = spectral_gram_tridiag(bands)
+        gram_diag, gram_off = gram.diag, gram.sub
+    diag = 1.0 + mu_lap + nu_p * gram_diag[:, None]
+    sub = np.broadcast_to((nu_p * gram_off)[:, None], (bands - 1, mu_lap.size))
+    c, inv = _factor_tridiagonal(diag, sub, sub)
+    return DenoiseFactors(mu_lap, nu_p, sub, c, inv)
+
+
+def denoise_spectrum(
+    fac: DenoiseFactors, x_hat: np.ndarray, p_hat: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the DFT of the v-step solution into ``out``.
+
+    ``x_hat`` and ``p_hat`` are the DFTs of x_next and the prior, shape
+    (bands, height, width); ``out`` must be a third array of that shape. The
+    right-hand side ``x + mu_lap*p + nu_p*E0^T E0 p`` is formed and solved
+    one cache-sized block of frequencies at a time.
+    """
+    bands = x_hat.shape[0]
+    x = x_hat.reshape(bands, -1)
+    p = p_hat.reshape(bands, -1)
+    rhs = out.reshape(bands, -1)
+    for cols in column_blocks(x.shape[1]):
+        pb, rb = p[:, cols], rhs[:, cols]
+        rb[...] = x[:, cols] + fac.mu_lap[cols] * pb + fac.nu_p * spectral_gram_apply_array(pb)
+        _substitute(fac.c[:, cols], fac.inv[:, cols], fac.sub[:, cols], rb, rb)
 
 
 def vstep(
@@ -77,7 +163,7 @@ def vstep(
     mu_p: float,
     nu_p: float,
 ) -> HsiCube:
-    """Full denoising solve across all frequencies.
+    """One-shot denoising solve across all frequencies.
 
     With both weights zero the system matrix is the identity at every
     frequency, so the input is returned unchanged.
@@ -96,17 +182,11 @@ def vstep(
             f"operator grid {(lap.height, lap.width)} does not match cube grid "
             f"{(height, width)}"
         )
-    # one column per frequency: (bands, pixels), squared response shared by bands
-    x_cols = dft2_per_band(x_next).data.reshape(bands, -1)
-    p_cols = dft2_per_band(prior).data.reshape(bands, -1)
-    lap_sq = lap.response_sq.reshape(1, -1)
-    if bands == 1:
-        cols = (x_cols + mu_p * lap_sq * p_cols) / (1.0 + mu_p * lap_sq)
-    else:
-        gram = spectral_gram_tridiag(bands)
-        rhs = x_cols + mu_p * lap_sq * p_cols + nu_p * spectral_gram_apply_array(p_cols)
-        diag = 1.0 + mu_p * lap_sq + nu_p * gram.diag[:, None]
-        sub = (nu_p * gram.sub)[:, None]
-        sup = (nu_p * gram.sup)[:, None]
-        cols = solve_tridiagonal(diag, sub, sup, rhs)
-    return idft2_per_band(FreqCube(cols.reshape(bands, height, width)))
+    out = np.empty((bands, height, width), dtype=np.complex128)
+    denoise_spectrum(
+        factor_denoise(lap, bands, mu_p, nu_p),
+        dft2_per_band(x_next).data,
+        dft2_per_band(prior).data,
+        out,
+    )
+    return idft2_per_band(FreqCube(out))

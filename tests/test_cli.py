@@ -60,6 +60,10 @@ class TestPipeline:
         assert manifest["iterations"] == len(manifest["objective_trace"]) >= 1
         trace = manifest["objective_trace"]
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        changes = manifest["rel_changes"]
+        assert len(changes) == manifest["iterations"] - 1
+        assert all(c > 0 for c in changes)
+        assert manifest["converged"] == (bool(changes) and changes[-1] <= manifest["config"]["tol"])
         assert set(manifest["timings_s"]) == {"load", "prior", "fuse", "save"}
 
     def test_evaluate_writes_reports(self, pipeline):

@@ -41,6 +41,26 @@ class TestCubeContainer:
         again = load_cube(path)
         assert np.array_equal(again.data, cube.data.astype(np.float32).astype(np.float64))
 
+    def test_f64_load_keeps_one_copy_of_the_payload(self, rng, tmp_path):
+        import tracemalloc
+
+        cube = rand_cube(rng, 4, 64, 64)
+        path = tmp_path / "a.cube"
+        save_cube(path, cube)
+        tracemalloc.start()
+        try:
+            again = load_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.data, cube.data)
+        # one copy of the payload plus small temporaries; a bytes blob, a
+        # slice of it and an upcast copy would need 3x
+        assert peak < 2 * cube.data.nbytes
+        # this header leaves the payload at file offset 3 mod 8; the array
+        # must not inherit that misalignment
+        assert again.data.flags.aligned
+
     def test_header_layout(self, rng, tmp_path):
         cube = rand_cube(rng, 2, 3, 4)
         path = tmp_path / "a.cube"

@@ -15,6 +15,7 @@ from hsfuse.sylvester import (
     SylvesterSystem,
     build_system,
     solve_fast,
+    solve_spectrum,
     sylvester_residual,
 )
 
@@ -166,7 +167,8 @@ class TestSolveCG:
 
 
 class TestSolveDispatch:
-    """``fuse`` looks ``solve_fast`` up on its module for every x-step."""
+    """``fuse`` looks its closed-form x-step, ``solve_spectrum``, up on its
+    module once per iteration."""
 
     def _problem(self, rng):
         model = make_model(rng, 4, 8, 8, 2)
@@ -177,11 +179,11 @@ class TestSolveDispatch:
         y, z, model, prior = self._problem(rng)
         calls = []
 
-        def counting(system):
-            calls.append(system)
-            return solve_fast(system)
+        def counting(fac, v_hat, rho, c_eig):
+            calls.append(rho)
+            return solve_spectrum(fac, v_hat, rho, c_eig)
 
-        monkeypatch.setattr("hsfuse.sylvester.solve_fast", counting)
+        monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", counting)
         result = fuse(y, z, model, prior, HqsConfig(max_iter=3, rel_tol=1e-14))
         assert len(calls) == result.iterations == 3
 
@@ -189,10 +191,10 @@ class TestSolveDispatch:
         # a system outside the closed form's structure fails the run (CLI exit 4)
         y, z, model, prior = self._problem(rng)
 
-        def refuse(system):
+        def refuse(fac, v_hat, rho, c_eig):
             raise UnsupportedStructureError("forced")
 
-        monkeypatch.setattr("hsfuse.sylvester.solve_fast", refuse)
+        monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", refuse)
         with pytest.raises(UnsupportedStructureError, match="forced"):
             fuse(y, z, model, prior)
 
