@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError
+from .errors import SymmetryViolationError, ValidationError, check_int
 
 __all__ = [
     "HsiCube",
@@ -27,6 +27,10 @@ __all__ = [
     "dft2_per_band",
     "idft2_per_band",
 ]
+
+# largest imaginary residue, relative to max(1, peak real magnitude), that an
+# inverse transform discards as roundoff
+_IMAG_TOL = 1e-6
 
 # frequencies per block when a loop walks a (bands, pixels) spectrum: a block
 # of every band stays cache-resident
@@ -61,8 +65,7 @@ class HsiCube:
     def filled(cls, bands: int, height: int, width: int, fill: float = 0.0) -> "HsiCube":
         """New cube of the given dimensions with every value set to ``fill``."""
         for name, dim in (("bands", bands), ("height", height), ("width", width)):
-            if int(dim) != dim or dim < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {dim!r}")
+            check_int(name, dim, 1)
         if not np.isfinite(fill):
             raise ValidationError(f"fill value must be finite, got {fill!r}")
         return cls(np.full((bands, height, width), float(fill)))
@@ -144,15 +147,15 @@ def dft2_per_band(cube: HsiCube) -> FreqCube:
     return FreqCube(np.fft.fft2(cube.data, axes=(-2, -1)))
 
 
-def idft2_per_band(fc: FreqCube, imag_tol: float = 1e-6) -> HsiCube:
+def idft2_per_band(fc: FreqCube) -> HsiCube:
     """Inverse per-band DFT of a spectrum that should come from a real cube.
 
     The imaginary residue of the inverse transform is measured relative to
     max(1, peak real magnitude) and discarded when small. A residue above
-    ``imag_tol`` means the coefficients were not conjugate-symmetric.
+    ``_IMAG_TOL`` means the coefficients were not conjugate-symmetric.
 
     Raises:
-        SymmetryViolationError: imaginary residue exceeds ``imag_tol``.
+        SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
     """
     full = np.empty_like(fc.data)
     # one output buffer keeps the transient to a single spectrum; ifftn, as
@@ -161,9 +164,9 @@ def idft2_per_band(fc: FreqCube, imag_tol: float = 1e-6) -> HsiCube:
     real = full.real
     scale = max(1.0, float(np.abs(real).max()))
     resid = float(np.abs(full.imag).max()) / scale
-    if resid > imag_tol:
+    if resid > _IMAG_TOL:
         raise SymmetryViolationError(
-            f"inverse transform has imaginary residue {resid:.3e} (tolerance {imag_tol:.1e}); "
+            f"inverse transform has imaginary residue {resid:.3e} (tolerance {_IMAG_TOL:.1e}); "
             "input was not the spectrum of a real cube"
         )
     return HsiCube(real.copy())

@@ -8,12 +8,14 @@ uniform kernel averages the window [i, i+k) x [j, j+k), so decimation by k at
 phase (0, 0) yields exact non-overlapping block means.
 
 All three operators act on plain arrays through ``apply_array`` /
-``adjoint_array`` and do not re-validate their input; ``DegradationModel``
-checks a cube's full (bands, height, width) shape once at its entry point.
-Adjoints are exact: for every pair <apply(x), y> == <x, adjoint(y)> up to
-roundoff. ``DegradationModel`` rejects grids the decimation factor does not
-divide, so every model it accepts has the aliasing-group structure the
-closed-form x-step solver needs.
+``adjoint_array`` and do not re-validate their input. Validation lives at the
+entry points: the constructors check their scalar arguments once, through
+``errors.check_int``/``check_real``, and ``DegradationModel`` owns the shape
+contract every solver relies on: ``check_hr`` for a high-resolution cube and
+``check_data`` for the (y, z) pair. Adjoints are exact: for every pair
+<apply(x), y> == <x, adjoint(y)> up to roundoff. ``DegradationModel`` rejects
+grids the decimation factor does not divide, so every model it accepts has
+the aliasing-group structure the closed-form x-step solver needs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import HsiCube
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 
 __all__ = [
     "BlurOperator",
@@ -45,6 +47,15 @@ def _embed_kernel(kernel: np.ndarray, anchor: tuple[int, int], height: int, widt
     return full
 
 
+def _circular(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """``ifft2(fft2(data) * multiplier).real`` per band through one complex buffer."""
+    buf = np.fft.fft2(data, axes=(-2, -1))
+    buf *= multiplier
+    # ifftn, as numpy's ifft2 drops its out= argument
+    np.fft.ifftn(buf, axes=(-2, -1), out=buf)
+    return buf.real
+
+
 @dataclass(frozen=True)
 class BlurOperator:
     """Circular convolution with a fixed kernel, bound to one grid size."""
@@ -53,7 +64,6 @@ class BlurOperator:
     width: int
     kernel: np.ndarray
     anchor: tuple[int, int]
-    kind: tuple
     multiplier: np.ndarray = field(repr=False)
 
     @classmethod
@@ -62,15 +72,15 @@ class BlurOperator:
         height: int,
         width: int,
         kernel: np.ndarray,
-        anchor: tuple[int, int],
-        kind: tuple,
+        anchor: tuple[int, int] | None,
         normalize: bool,
     ) -> "BlurOperator":
         kernel = np.array(kernel, dtype=np.float64)
         if kernel.ndim != 2 or min(kernel.shape) < 1:
             raise ValidationError(f"kernel must be a non-empty 2-D array, got shape {kernel.shape}")
-        if height < 1 or width < 1:
-            raise ValidationError(f"grid must be at least 1x1, got {height}x{width}")
+        if anchor is None:
+            anchor = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
+        height, width = check_int("height", height, 1), check_int("width", width, 1)
         if kernel.shape[0] > height or kernel.shape[1] > width:
             raise ValidationError(
                 f"kernel {kernel.shape} does not fit the {height}x{width} grid"
@@ -78,7 +88,7 @@ class BlurOperator:
         if not np.all(np.isfinite(kernel)):
             raise ValidationError("kernel values must be finite")
         ar, ac = anchor
-        if not (0 <= ar < kernel.shape[0] and 0 <= ac < kernel.shape[1]):
+        if not all(check_int("anchor", a, 0) < n for a, n in zip((ar, ac), kernel.shape)):
             raise ValidationError(f"anchor {anchor} lies outside the kernel {kernel.shape}")
         if normalize:
             total = kernel.sum()
@@ -89,7 +99,7 @@ class BlurOperator:
         multiplier = np.conj(np.fft.fft2(embedded))
         kernel.setflags(write=False)
         multiplier.setflags(write=False)
-        return cls(height, width, kernel, (ar, ac), kind, multiplier)
+        return cls(height, width, kernel, (ar, ac), multiplier)
 
     @classmethod
     def uniform_block(cls, height: int, width: int, size: int) -> "BlurOperator":
@@ -98,27 +108,23 @@ class BlurOperator:
         Decimating the blurred image by k at phase (0, 0) then equals averaging
         each non-overlapping k x k block.
         """
-        if size < 1:
-            raise ValidationError(f"block size must be at least 1, got {size}")
+        size = check_int("block size", size, 1)
         kernel = np.full((size, size), 1.0 / (size * size))
-        return cls._build(height, width, kernel, (0, 0), ("uniform_block", size), normalize=True)
+        return cls._build(height, width, kernel, (0, 0), normalize=True)
 
     @classmethod
     def gaussian(cls, height: int, width: int, sigma: float, support: int | None = None) -> "BlurOperator":
         """Isotropic Gaussian kernel, center-anchored, truncated to odd support."""
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValidationError(f"sigma must be positive, got {sigma!r}")
+        sigma = check_real("sigma", sigma)
         if support is None:
             support = 2 * int(np.ceil(3.0 * sigma)) + 1
-        if support < 1 or support % 2 == 0:
-            raise ValidationError(f"support must be odd and positive, got {support}")
+        if check_int("support", support, 1) % 2 == 0:
+            raise ValidationError(f"support must be odd, got {support}")
         half = support // 2
         offsets = np.arange(-half, half + 1)
         prof = np.exp(-0.5 * (offsets / sigma) ** 2)
         kernel = np.outer(prof, prof)
-        return cls._build(
-            height, width, kernel, (half, half), ("gaussian", float(sigma), support), normalize=True
-        )
+        return cls._build(height, width, kernel, (half, half), normalize=True)
 
     @classmethod
     def custom(
@@ -134,20 +140,13 @@ class BlurOperator:
         ``normalize=False`` keeps the kernel as given (the DC response then
         equals the kernel sum rather than 1).
         """
-        kernel = np.asarray(kernel, dtype=np.float64)
-        if kernel.ndim != 2:
-            raise ValidationError(f"kernel must be 2-D, got shape {kernel.shape}")
-        if anchor is None:
-            anchor = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-        return cls._build(height, width, kernel, anchor, ("custom",), normalize=normalize)
+        return cls._build(height, width, kernel, anchor, normalize=normalize)
 
     def apply_array(self, data: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft2(data, axes=(-2, -1)) * self.multiplier, axes=(-2, -1)).real
+        return _circular(data, self.multiplier)
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(
-            np.fft.fft2(data, axes=(-2, -1)) * np.conj(self.multiplier), axes=(-2, -1)
-        ).real
+        return _circular(data, np.conj(self.multiplier))
 
 
 @dataclass(frozen=True)
@@ -158,22 +157,19 @@ class Downsampler:
     phase: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        if int(self.factor) != self.factor or self.factor < 1:
-            raise ValidationError(f"factor must be a positive integer, got {self.factor!r}")
+        check_int("factor", self.factor, 1)
         pr, pc = self.phase
-        if not (0 <= pr < self.factor and 0 <= pc < self.factor):
+        if not all(check_int("phase", p, 0) < self.factor for p in (pr, pc)):
             raise ValidationError(
                 f"phase {self.phase} must lie in [0, {self.factor}) on both axes"
             )
 
-    def _check_divisible(self, height: int, width: int) -> None:
+    def apply_array(self, data: np.ndarray) -> np.ndarray:
+        height, width = data.shape[-2:]
         if height % self.factor or width % self.factor:
             raise ValidationError(
                 f"factor {self.factor} does not divide the {height}x{width} grid"
             )
-
-    def apply_array(self, data: np.ndarray) -> np.ndarray:
-        self._check_divisible(data.shape[-2], data.shape[-1])
         pr, pc = self.phase
         return data[..., pr :: self.factor, pc :: self.factor]
 
@@ -223,10 +219,7 @@ class SpectralResponse:
         sigma_nm: float = 40.0,
     ) -> "SpectralResponse":
         """Three Gaussian bands at 650/550/450 nm over a uniform channel grid."""
-        if in_bands < 4:
-            raise ValidationError(
-                f"default RGB response needs at least 4 input bands, got {in_bands}"
-            )
+        check_int("in_bands", in_bands, 4)
         centers_nm = np.array([650.0, 550.0, 450.0])
         grid = np.linspace(lo_nm, hi_nm, in_bands)
         mat = np.exp(-0.5 * ((grid[None, :] - centers_nm[:, None]) / sigma_nm) ** 2)
@@ -262,8 +255,7 @@ class DegradationModel:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(f"noise sigma must be non-negative, got {self.noise_sigma!r}")
+        check_real("noise sigma", self.noise_sigma, allow_zero=True)
         if self.blur.height % self.down.factor or self.blur.width % self.down.factor:
             raise ValidationError(
                 f"factor {self.down.factor} does not divide the blur grid "
@@ -278,11 +270,27 @@ class DegradationModel:
     def hr_shape(self) -> tuple[int, int]:
         return (self.blur.height, self.blur.width)
 
+    def check_hr(self, name: str, cube: HsiCube) -> None:
+        """Raise unless ``cube`` has the high-resolution shape (bands, height, width)."""
+        expected = (self.bands,) + self.hr_shape
+        if cube.data.shape != expected:
+            raise ValidationError(f"{name} has shape {cube.data.shape}, model expects {expected}")
+
+    def check_data(self, y: HsiCube, z: HsiCube) -> None:
+        """Raise unless y and z have the shapes ``degrade`` produces."""
+        s = self.down.factor
+        for name, cube, expected in (
+            ("y", y, (self.bands, self.blur.height // s, self.blur.width // s)),
+            ("z", z, (self.srf.out_bands,) + self.hr_shape),
+        ):
+            if cube.data.shape != expected:
+                raise ValidationError(
+                    f"{name} has shape {cube.data.shape}, model expects {expected}"
+                )
+
     def degrade(self, x: HsiCube) -> tuple[HsiCube, HsiCube]:
         """Produce the low-res cube and the mixed-band image for a full cube."""
-        expected = (self.bands,) + self.hr_shape
-        if x.data.shape != expected:
-            raise ValidationError(f"cube has shape {x.data.shape}, model expects {expected}")
+        self.check_hr("cube", x)
         y = self.down.apply_array(self.blur.apply_array(x.data))
         z = self.srf.apply_array(x.data)
         if self.noise_sigma > 0:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its rule for scalar arguments.
 
 The CLI maps these onto process exit codes: validation problems exit with 2,
 file-format and OS-level I/O problems with 3, numerical failures with 4.
+Public entry points check each integer argument with ``check_int`` and each
+positive (or non-negative) real one with ``check_real``, once; the code they
+call trusts the result.
 """
+
+import math
+import operator
 
 __all__ = [
     "ValidationError",
@@ -12,6 +18,8 @@ __all__ = [
     "BadMagicError",
     "TruncatedPayloadError",
     "UnknownDtypeError",
+    "check_int",
+    "check_real",
 ]
 
 
@@ -45,3 +53,26 @@ class TruncatedPayloadError(CubeFormatError):
 
 class UnknownDtypeError(CubeFormatError):
     """Header names a dtype the reader does not support."""
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``: an integer (not an integral float) of at least ``minimum``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def check_real(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a ``float``: finite and positive, or non-negative with ``allow_zero``."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (value >= 0 if allow_zero else value > 0)):
+        kind = "non-negative" if allow_zero else "positive"
+        raise ValidationError(f"{name} must be finite and {kind}, got {value!r}")
+    return float(value)

@@ -1,14 +1,15 @@
 """Spatial and spectral penalty operators for the smoothness regularizer.
 
-The spatial term applies a 4-neighbour Laplacian stencil circularly to every
-band. Its frequency response is real for the symmetric default stencil, with
-value 0 at DC and maximum 8 at Nyquist; quadratic forms only ever consume the
-squared magnitude, which stays real for any kernel.
+The spatial term applies the 4-neighbour Laplacian stencil ``LAPLACIAN_KERNEL``
+circularly to every band. Its frequency response is real, with value 0 at DC
+and maximum 8 at Nyquist; quadratic forms consume its squared magnitude.
 
 The spectral term is the first difference along the band axis, a (B-1) x B
 banded map. It is deliberately not wrapped circularly: band 1 and band B are
 not neighbours. Its normal matrix is tridiagonal with diagonal (1, 2, ..., 2, 1)
-and off-diagonals -1.
+and off-diagonals -1, returned as plain arrays: the stencil and the band
+difference are constants of this module, so only the grid and the weights of
+``regularizer_value``, the public entry point, are checked.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import HsiCube
-from .degradation import _embed_kernel
-from .errors import ValidationError
+from .degradation import _circular, _embed_kernel
+from .errors import ValidationError, check_real
 
 __all__ = [
     "LAPLACIAN_KERNEL",
     "LaplacianOperator",
-    "TridiagMatrix",
     "spectral_diff_apply_array",
     "spectral_diff_adjoint_array",
     "spectral_gram_apply_array",
@@ -44,39 +44,25 @@ LAPLACIAN_KERNEL.setflags(write=False)
 
 @dataclass(frozen=True)
 class LaplacianOperator:
-    """Per-band circular convolution with a small high-pass stencil."""
+    """Per-band circular convolution with ``LAPLACIAN_KERNEL``."""
 
     height: int
     width: int
-    kernel: np.ndarray
     multiplier: np.ndarray
     response_sq: np.ndarray
 
     @classmethod
-    def create(cls, height: int, width: int, kernel: np.ndarray | None = None) -> "LaplacianOperator":
-        if kernel is None:
-            kernel = LAPLACIAN_KERNEL
-        kernel = np.asarray(kernel, dtype=np.float64)
-        if kernel.ndim != 2 or min(kernel.shape) < 1:
-            raise ValidationError(f"stencil must be a non-empty 2-D array, got {kernel.shape}")
-        if not np.all(np.isfinite(kernel)):
-            raise ValidationError("stencil values must be finite")
-        if height < 1 or width < 1:
-            raise ValidationError(f"grid must be at least 1x1, got {height}x{width}")
-        if kernel.shape[0] > height or kernel.shape[1] > width:
-            raise ValidationError(f"stencil {kernel.shape} does not fit the {height}x{width} grid")
-        anchor = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-        embedded = _embed_kernel(kernel, anchor, height, width)
-        multiplier = np.conj(np.fft.fft2(embedded))
+    def create(cls, height: int, width: int) -> "LaplacianOperator":
+        if height < 3 or width < 3:
+            raise ValidationError(f"the 3x3 stencil does not fit the {height}x{width} grid")
+        multiplier = np.conj(np.fft.fft2(_embed_kernel(LAPLACIAN_KERNEL, (1, 1), height, width)))
         response_sq = (multiplier * np.conj(multiplier)).real
-        kernel = kernel.copy()
-        kernel.setflags(write=False)
         multiplier.setflags(write=False)
         response_sq.setflags(write=False)
-        return cls(height, width, kernel, multiplier, response_sq)
+        return cls(height, width, multiplier, response_sq)
 
     def apply_array(self, data: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft2(data, axes=(-2, -1)) * self.multiplier, axes=(-2, -1)).real
+        return _circular(data, self.multiplier)
 
 
 def spectral_diff_apply_array(data: np.ndarray) -> np.ndarray:
@@ -99,52 +85,15 @@ def spectral_gram_apply_array(data: np.ndarray) -> np.ndarray:
     return spectral_diff_adjoint_array(spectral_diff_apply_array(data))
 
 
-@dataclass(frozen=True)
-class TridiagMatrix:
-    """Symmetric-layout tridiagonal storage: diag (n,), sub/sup (n-1,)."""
+def spectral_gram_tridiag(bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the band difference's normal matrix.
 
-    diag: np.ndarray
-    sub: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self) -> None:
-        diag = np.asarray(self.diag, dtype=np.float64)
-        sub = np.asarray(self.sub, dtype=np.float64)
-        sup = np.asarray(self.sup, dtype=np.float64)
-        n = diag.shape[0]
-        if diag.ndim != 1 or n < 1:
-            raise ValidationError("diagonal must be a non-empty 1-D array")
-        if sub.shape != (max(n - 1, 0),) or sup.shape != (max(n - 1, 0),):
-            raise ValidationError(
-                f"off-diagonals must have length {n - 1}, got {sub.shape} and {sup.shape}"
-            )
-        for arr, name in ((diag, "diag"), (sub, "sub"), (sup, "sup")):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} values must be finite")
-            arr.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "sup", sup)
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        if self.n > 1:
-            out += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return out
-
-
-def spectral_gram_tridiag(bands: int) -> TridiagMatrix:
-    """Tridiagonal normal matrix of the band difference operator."""
-    if bands < 2:
-        raise ValidationError(f"spectral difference needs at least 2 bands, got {bands}")
-    diag = np.full(bands, 2.0)
-    diag[0] = diag[-1] = 1.0
-    off = np.full(bands - 1, -1.0)
-    return TridiagMatrix(diag, off, off.copy())
+    A single band has no difference, so its normal matrix is the 1x1 zero.
+    """
+    diag = np.zeros(bands)
+    diag[1:] += 1.0
+    diag[:-1] += 1.0
+    return diag, np.full(bands - 1, -1.0)
 
 
 def regularizer_value(
@@ -158,9 +107,7 @@ def regularizer_value(
 
     The spectral term vanishes for single-band cubes.
     """
-    for name, w in (("mu", mu), ("nu", nu)):
-        if not (np.isfinite(w) and w >= 0):
-            raise ValidationError(f"{name} must be non-negative and finite, got {w!r}")
+    mu, nu = check_real("mu", mu, allow_zero=True), check_real("nu", nu, allow_zero=True)
     if x.data.shape != xt.data.shape:
         raise ValidationError(f"cube shapes differ: {x.data.shape} vs {xt.data.shape}")
     if lap is None:

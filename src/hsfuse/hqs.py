@@ -31,7 +31,7 @@ import numpy as np
 from . import sylvester
 from .cube import FreqCube, HsiCube, column_blocks, idft2_per_band
 from .degradation import DegradationModel
-from .errors import ValidationError
+from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
 from .vstep import DenoiseFactors, denoise_spectrum, factor_denoise
 
@@ -54,15 +54,11 @@ class HqsConfig:
     rel_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name, w in (("mu", self.mu), ("nu", self.nu)):
-            if not (np.isfinite(w) and w >= 0):
-                raise ValidationError(f"{name} must be non-negative and finite, got {w!r}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValidationError(f"rho must be positive, got {self.rho!r}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ValidationError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValidationError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        check_real("mu", self.mu, allow_zero=True)
+        check_real("nu", self.nu, allow_zero=True)
+        check_real("rho", self.rho)
+        check_int("max_iter", self.max_iter, 1)
+        check_real("rel_tol", self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,11 @@ def objective_value(
     lap: LaplacianOperator | None = None,
 ) -> float:
     """Augmented objective at a given (x, v) pair."""
-    if x.data.shape != v.data.shape or x.data.shape != prior.data.shape:
-        raise ValidationError("x, v, and prior must share one shape")
+    for name, cube in (("x", x), ("v", v), ("prior", prior)):
+        model.check_hr(name, cube)
+    model.check_data(y, z)
     y_model = model.down.apply_array(model.blur.apply_array(x.data))
-    if y_model.shape != y.data.shape:
-        raise ValidationError(
-            f"y has shape {y.data.shape}, model produces {y_model.shape}"
-        )
     z_model = model.srf.apply_array(x.data)
-    if z_model.shape != z.data.shape:
-        raise ValidationError(
-            f"z has shape {z.data.shape}, model produces {z_model.shape}"
-        )
     value = float(np.sum((y.data - y_model) ** 2))
     value += float(np.sum((z.data - z_model) ** 2))
     value += cfg.rho * float(np.sum((x.data - v.data) ** 2))
@@ -210,12 +199,8 @@ def fuse(
     """
     if cfg is None:
         cfg = HqsConfig()
-    if prior.bands != model.bands or (prior.height, prior.width) != model.hr_shape:
-        raise ValidationError(
-            f"prior has shape {prior.data.shape}, model expects "
-            f"{(model.bands,) + model.hr_shape}"
-        )
-    sylvester.check_data(model, y, z)
+    model.check_hr("prior", prior)
+    model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
     # two spectrum buffers: the x-step overwrites v's with the new x, and the
     # previous x's buffer then receives the next v

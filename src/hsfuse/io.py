@@ -33,6 +33,8 @@ from .errors import (
     TruncatedPayloadError,
     UnknownDtypeError,
     ValidationError,
+    check_int,
+    check_real,
 )
 
 __all__ = [
@@ -210,10 +212,9 @@ def export_error_map(
         raise ValidationError(
             f"cube shapes differ: {x_hat.data.shape} vs {x_ref.data.shape}"
         )
-    if int(band) != band or not 0 <= band < x_hat.bands:
+    if check_int("band", band, 0) >= x_hat.bands:
         raise ValidationError(f"band {band!r} outside [0, {x_hat.bands})")
-    if not (np.isfinite(max_error) and max_error > 0):
-        raise ValidationError(f"max_error must be positive, got {max_error!r}")
+    check_real("max_error", max_error)
     err = np.abs(x_hat.data[band] - x_ref.data[band]) * (255.0 / max_error)
     pixels = np.clip(np.floor(err + 0.5), 0.0, 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -229,8 +230,7 @@ def band_index_for_wavelength(
     Band centers are spaced uniformly from ``lo_nm`` to ``hi_nm`` inclusive.
     Ties and out-of-range wavelengths resolve to the nearest center.
     """
-    if int(bands) != bands or bands < 1:
-        raise ValidationError(f"bands must be a positive integer, got {bands!r}")
+    check_int("bands", bands, 1)
     if not (np.isfinite(wavelength_nm) and np.isfinite(lo_nm) and np.isfinite(hi_nm)):
         raise ValidationError("wavelengths must be finite")
     if hi_nm <= lo_nm:

@@ -5,8 +5,7 @@ Conventions, fixed so numbers are comparable across runs:
 * RMSE is reported on the 0-255 scale: 255 times the root mean square error of
   [0, 1]-scaled cubes.
 * PSNR uses peak 1.0 and averages per-band values, each capped at 99 dB (the
-  cap is what an identical pair reports). A whole-cube variant is available
-  behind ``psnr_global``.
+  cap is what an identical pair reports).
 * SAM is the mean spectral angle in degrees; pixels where either spectrum has
   zero norm are skipped. Cosines are clipped into [-1, 1] before arccos.
 * ERGAS uses the resolution ratio ``factor``; bands whose reference mean is
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .cube import HsiCube
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 __all__ = ["MetricReport", "CSV_HEADER", "evaluate"]
 
@@ -85,22 +84,13 @@ def _ssim_band(a: np.ndarray, b: np.ndarray, win: np.ndarray, c1: float, c2: flo
     return float(np.mean(num / den))
 
 
-def _psnr_from_mse(mse: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        vals = 10.0 * np.log10(1.0 / mse)
-    return np.minimum(vals, _PSNR_CAP)
-
-
-def evaluate(
-    x_hat: HsiCube, x_ref: HsiCube, factor: int, psnr_global: bool = False
-) -> MetricReport:
+def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
     """All five metrics of ``x_hat`` against the reference ``x_ref``."""
     if x_hat.data.shape != x_ref.data.shape:
         raise ValidationError(
             f"cube shapes differ: {x_hat.data.shape} vs {x_ref.data.shape}"
         )
-    if int(factor) != factor or factor < 1:
-        raise ValidationError(f"factor must be a positive integer, got {factor!r}")
+    check_int("factor", factor, 1)
     if min(x_hat.height, x_hat.width) < _SSIM_WINDOW:
         raise ValidationError(
             f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
@@ -112,10 +102,8 @@ def evaluate(
 
     rmse = 255.0 * float(np.sqrt(np.mean(diff * diff)))
 
-    if psnr_global:
-        psnr = float(_psnr_from_mse(np.asarray(np.mean(diff * diff))))
-    else:
-        psnr = float(np.mean(_psnr_from_mse(mse_b)))
+    with np.errstate(divide="ignore"):
+        psnr = float(np.mean(np.minimum(10.0 * np.log10(1.0 / mse_b), _PSNR_CAP)))
 
     flat_a = x_hat.as_matrix()
     flat_b = x_ref.as_matrix()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cube import HsiCube
 from .degradation import DegradationModel
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 __all__ = ["PriorSource", "bilinear_upsample", "make_prior"]
 
@@ -63,9 +63,7 @@ def bilinear_upsample(y: HsiCube, factor: int) -> HsiCube:
     Pixel centers are aligned under the half-pixel convention and edge values
     are clamped, so constant inputs map to constant outputs of the same value.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValidationError(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
+    if check_int("factor", factor, 1) == 1:
         return y
     rl, rh, rw = _axis_weights(y.height * factor, y.height, factor)
     data = y.data[:, rl, :] * (1.0 - rw)[None, :, None] + y.data[:, rh, :] * rw[None, :, None]
@@ -85,19 +83,7 @@ def _naive_fusion(y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
 
 def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
     """Produce the prior cube and check it against the model geometry."""
-    expected = (model.bands,) + model.hr_shape
-    if y.bands != model.bands:
-        raise ValidationError(f"y has {y.bands} bands, model expects {model.bands}")
-    if (y.height * model.down.factor, y.width * model.down.factor) != model.hr_shape:
-        raise ValidationError(
-            f"y grid {(y.height, y.width)} times factor {model.down.factor} does not give "
-            f"the model grid {model.hr_shape}"
-        )
-    if z.bands != model.srf.out_bands or (z.height, z.width) != model.hr_shape:
-        raise ValidationError(
-            f"z has shape {z.data.shape}, model expects "
-            f"{(model.srf.out_bands,) + model.hr_shape}"
-        )
+    model.check_data(y, z)
     if src.kind == "naive_fusion":
         return _naive_fusion(y, z, model)
     if src.kind == "external_file":
@@ -112,8 +98,5 @@ def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel
         cube = src.cube
     else:
         raise ValidationError(f"unknown prior source kind {src.kind!r}")
-    if cube.data.shape != expected:
-        raise ValidationError(
-            f"prior cube has shape {cube.data.shape}, model expects {expected}"
-        )
+    model.check_hr("prior cube", cube)
     return cube

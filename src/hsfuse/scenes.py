@@ -17,7 +17,7 @@ import numpy as np
 
 from .cube import HsiCube
 from .degradation import BlurOperator
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 
 __all__ = ["SceneSpec", "generate_scene"]
 
@@ -32,23 +32,15 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.bands) != self.bands or self.bands < 1:
-            raise ValidationError(f"bands must be a positive integer, got {self.bands!r}")
-        for name, dim in (("height", self.height), ("width", self.width)):
-            if int(dim) != dim or dim < 4:
-                raise ValidationError(f"{name} must be an integer of at least 4, got {dim!r}")
-        if int(self.endmembers) != self.endmembers or self.endmembers < 1:
-            raise ValidationError(
-                f"endmembers must be a positive integer, got {self.endmembers!r}"
-            )
-        if self.endmembers > self.bands:
+        check_int("bands", self.bands, 1)
+        check_int("height", self.height, 4)
+        check_int("width", self.width, 4)
+        if check_int("endmembers", self.endmembers, 1) > self.bands:
             raise ValidationError(
                 f"endmembers ({self.endmembers}) cannot exceed bands ({self.bands})"
             )
-        if not (np.isfinite(self.smoothness) and self.smoothness > 0):
-            raise ValidationError(f"smoothness must be positive, got {self.smoothness!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_real("smoothness", self.smoothness)
+        check_int("seed", self.seed, 0)
 
 
 def _smooth_spectra(rng: np.random.Generator, bands: int, count: int) -> np.ndarray:

@@ -28,6 +28,12 @@ transformed once per run (``lowres_spectrum``, ``data_rhs``; the transform of
 upsample_adjoint(y) is y's small transform tiled over the aliasing groups).
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
+
+Inputs are validated where they enter: ``build_system`` checks the shapes of
+y, z and v against the model (``DegradationModel.check_data``/``check_hr``),
+``SylvesterSystem`` checks C1 and rho, and ``sylvester_residual`` the shape of
+x. The factor and solve kernels trust their callers: ``solve_fast``, and
+``hqs.fuse`` once ``HqsConfig`` and the model have checked its inputs.
 """
 
 from __future__ import annotations
@@ -38,13 +44,12 @@ import numpy as np
 
 from .cube import HsiCube, column_blocks
 from .degradation import BlurOperator, DegradationModel, Downsampler
-from .errors import UnsupportedStructureError, ValidationError
+from .errors import UnsupportedStructureError, ValidationError, check_real
 
 __all__ = [
     "SylvesterSystem",
     "XStepFactors",
     "build_system",
-    "check_data",
     "data_rhs",
     "factor_xstep",
     "lowres_spectrum",
@@ -82,8 +87,7 @@ class SylvesterSystem:
                 f"blur grid {(self.blur.height, self.blur.width)} does not match C3 grid "
                 f"{(self.c3.height, self.c3.width)}"
             )
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValidationError(f"rho must be positive, got {self.rho!r}")
+        check_real("rho", self.rho)
         c1 = c1.copy()
         c1.setflags(write=False)
         object.__setattr__(self, "c1", c1)
@@ -103,40 +107,18 @@ class SylvesterSystem:
         return np.tensordot(self.c1, data, axes=(1, 0)) + self.normal_apply_array(data)
 
 
-def check_data(model: DegradationModel, y: HsiCube, z: HsiCube) -> None:
-    """Check that y and z have the shapes the model produces."""
-    bands = model.srf.in_bands
-    hr = model.hr_shape
-    s = model.down.factor
-    if y.bands != bands or (y.height * s, y.width * s) != hr:
-        raise ValidationError(
-            f"y has shape {y.data.shape}, model expects "
-            f"{(bands, hr[0] // s, hr[1] // s)}"
-        )
-    if z.bands != model.srf.out_bands or (z.height, z.width) != hr:
-        raise ValidationError(
-            f"z has shape {z.data.shape}, model expects {(model.srf.out_bands,) + hr}"
-        )
-
-
 def build_system(
     model: DegradationModel, y: HsiCube, z: HsiCube, v: HsiCube, rho: float
 ) -> SylvesterSystem:
     """Assemble the normal-equation system for one splitting iterate v."""
-    if not (np.isfinite(rho) and rho > 0):
-        raise ValidationError(f"rho must be positive, got {rho!r}")
-    bands = model.srf.in_bands
-    if v.bands != bands or (v.height, v.width) != model.hr_shape:
-        raise ValidationError(
-            f"v has shape {v.data.shape}, model expects {(bands,) + model.hr_shape}"
-        )
-    check_data(model, y, z)
+    model.check_hr("v", v)
+    model.check_data(y, z)
     c3 = (
         model.srf.adjoint_array(z.data)
         + model.blur.adjoint_array(model.down.adjoint_array(y.data))
         + rho * v.data
     )
-    c1 = model.srf.matrix.T @ model.srf.matrix + rho * np.eye(bands)
+    c1 = model.srf.matrix.T @ model.srf.matrix + rho * np.eye(model.bands)
     return SylvesterSystem(c1, model.blur, model.down, HsiCube(c3), rho)
 
 

@@ -16,6 +16,10 @@ the right-hand side from spectra it already holds and substitutes
 form of the same solve: forward transforms of x_next and the prior,
 ``denoise_spectrum``, one inverse transform. Batched solves are bit-identical
 to solving frequencies one at a time in any order.
+
+``vstep`` and ``solve_tridiagonal`` are the entry points that check their
+inputs; ``factor_denoise`` and ``denoise_spectrum`` trust theirs, which come
+from ``vstep`` or from ``hqs.fuse`` after ``HqsConfig`` has checked the weights.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import FreqCube, HsiCube, column_blocks, dft2_per_band, idft2_per_band
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
 
 __all__ = [
@@ -35,12 +39,6 @@ __all__ = [
     "solve_tridiagonal",
     "vstep",
 ]
-
-
-def _check_weight(name: str, value: float) -> float:
-    if not (np.isfinite(value) and value >= 0):
-        raise ValidationError(f"{name} must be non-negative and finite, got {value!r}")
-    return float(value)
 
 
 def _factor_tridiagonal(
@@ -122,14 +120,8 @@ class DenoiseFactors:
 
 def factor_denoise(lap: LaplacianOperator, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
     """Factor T_f at every frequency of ``lap``'s grid."""
-    mu_p = _check_weight("mu_p", mu_p)
-    nu_p = _check_weight("nu_p", nu_p)
     mu_lap = mu_p * lap.response_sq.reshape(-1)
-    if bands == 1:
-        gram_diag, gram_off = np.zeros(1), np.zeros(0)
-    else:
-        gram = spectral_gram_tridiag(bands)
-        gram_diag, gram_off = gram.diag, gram.sub
+    gram_diag, gram_off = spectral_gram_tridiag(bands)
     diag = 1.0 + mu_lap + nu_p * gram_diag[:, None]
     sub = np.broadcast_to((nu_p * gram_off)[:, None], (bands - 1, mu_lap.size))
     c, inv = _factor_tridiagonal(diag, sub, sub)
@@ -168,8 +160,8 @@ def vstep(
     With both weights zero the system matrix is the identity at every
     frequency, so the input is returned unchanged.
     """
-    mu_p = _check_weight("mu_p", mu_p)
-    nu_p = _check_weight("nu_p", nu_p)
+    mu_p = check_real("mu_p", mu_p, allow_zero=True)
+    nu_p = check_real("nu_p", nu_p, allow_zero=True)
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
     if x_next.data.shape != prior.data.shape:

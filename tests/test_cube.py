@@ -111,11 +111,21 @@ def test_idft_rejects_asymmetric_spectrum():
         idft2_per_band(FreqCube(spec))
 
 
-def test_idft_tolerance_is_relative_to_peak():
-    spec = np.zeros((1, 4, 4), dtype=np.complex128)
-    spec[0, 0, 1] = 1.0
-    out = idft2_per_band(FreqCube(spec), imag_tol=1.0)
-    assert out.data.shape == (1, 4, 4)
+def test_idft_tolerance_is_relative_to_peak(rng):
+    # one stray bin of 1 leaves an imaginary residue of up to 1/16: roundoff
+    # beside a 1e6 peak, a symmetry violation beside a 1e3 one
+    def spectrum(peak):
+        data = rng.standard_normal((1, 4, 4))
+        data[0, 0, 0] = peak
+        spec = np.fft.fft2(data, axes=(-2, -1))
+        spec[0, 0, 1] += 1.0
+        return data, spec
+
+    data, spec = spectrum(1e6)
+    out = idft2_per_band(FreqCube(spec))
+    assert np.abs(out.data - data).max() <= 1.0 / 16 + 1e-9
+    with pytest.raises(SymmetryViolationError):
+        idft2_per_band(FreqCube(spectrum(1e3)[1]))
 
 
 def test_freqcube_validates():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hsfuse.degradation import (
     SpectralResponse,
 )
 from hsfuse.errors import ValidationError
+from hsfuse.gradients import LaplacianOperator
 
 
 class TestBlurOperator:
@@ -57,6 +60,27 @@ class TestBlurOperator:
         blur = BlurOperator.uniform_block(6, 6, 3)
         x = np.full((1, 6, 6), 2.5)
         assert np.allclose(blur.apply_array(x), 2.5, rtol=0, atol=1e-12)
+
+    def test_circular_convolution_holds_one_complex_buffer(self, rng):
+        # the forward transform needs a second buffer while it runs; the
+        # product and the inverse transform must not add a third
+        x = rng.standard_normal((8, 128, 128))
+        blur = BlurOperator.gaussian(128, 128, 1.5)
+        lap = LaplacianOperator.create(128, 128)
+        for apply, multiplier in (
+            (blur.apply_array, blur.multiplier),
+            (blur.adjoint_array, np.conj(blur.multiplier)),
+            (lap.apply_array, lap.multiplier),
+        ):
+            want = np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * multiplier, axes=(-2, -1)).real
+            tracemalloc.start()
+            try:
+                got = apply(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert peak < 2.5 * x.size * 16
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,6 @@ from hsfuse.errors import ValidationError
 from hsfuse.gradients import (
     LAPLACIAN_KERNEL,
     LaplacianOperator,
-    TridiagMatrix,
     regularizer_value,
     spectral_diff_adjoint_array,
     spectral_diff_apply_array,
@@ -55,7 +54,7 @@ class TestLaplacian:
         with pytest.raises(ValidationError):
             LaplacianOperator.create(2, 2)  # stencil does not fit
         with pytest.raises(ValidationError):
-            LaplacianOperator.create(8, 8, kernel=np.array([1.0, 2.0]))
+            LaplacianOperator.create(8, 2)
 
 
 class TestSpectralDiff:
@@ -74,39 +73,25 @@ class TestSpectralDiff:
         assert spectral_diff_adjoint_array(rng.standard_normal((3, 2, 2))).shape == (4, 2, 2)
 
     def test_gram_matches_dense_tridiag(self, rng):
-        bands = 5
-        tri = spectral_gram_tridiag(bands).to_dense()
-        x = rng.standard_normal((bands, 2, 3))
-        got = spectral_gram_apply_array(x)
-        want = (tri @ x.reshape(bands, -1)).reshape(x.shape)
-        assert np.allclose(got, want, rtol=0, atol=1e-14)
+        for bands in (1, 2, 5):
+            diag, off = spectral_gram_tridiag(bands)
+            tri = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+            x = rng.standard_normal((bands, 2, 3))
+            got = spectral_gram_apply_array(x)
+            want = (tri @ x.reshape(bands, -1)).reshape(x.shape)
+            assert np.allclose(got, want, rtol=0, atol=1e-14)
 
     def test_tridiag_pattern(self):
-        tri = spectral_gram_tridiag(4)
-        assert np.array_equal(tri.diag, [1.0, 2.0, 2.0, 1.0])
-        assert np.array_equal(tri.sub, [-1.0, -1.0, -1.0])
-        assert np.array_equal(tri.sup, [-1.0, -1.0, -1.0])
+        diag, off = spectral_gram_tridiag(4)
+        assert np.array_equal(diag, [1.0, 2.0, 2.0, 1.0])
+        assert np.array_equal(off, [-1.0, -1.0, -1.0])
 
     def test_single_band_behaviour(self):
         assert np.array_equal(spectral_gram_apply_array(np.ones((1, 2, 2))), np.zeros((1, 2, 2)))
         with pytest.raises(ValidationError):
             spectral_diff_apply_array(np.ones((1, 2, 2)))
-        with pytest.raises(ValidationError):
-            spectral_gram_tridiag(1)
-
-
-class TestTridiagMatrix:
-    def test_to_dense(self):
-        tri = TridiagMatrix(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]), np.array([6.0, 7.0]))
-        want = np.array([[1.0, 6.0, 0.0], [4.0, 2.0, 7.0], [0.0, 5.0, 3.0]])
-        assert np.array_equal(tri.to_dense(), want)
-        assert tri.n == 3
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TridiagMatrix(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0]))
-        with pytest.raises(ValidationError):
-            TridiagMatrix(np.array([np.nan]), np.zeros(0), np.zeros(0))
+        diag, off = spectral_gram_tridiag(1)  # the 1x1 zero Gram
+        assert np.array_equal(diag, [0.0]) and off.shape == (0,)
 
 
 class TestRegularizerValue:

@@ -35,15 +35,6 @@ def test_psnr_per_band_mean_and_cap(rng):
     assert rep.psnr == pytest.approx((20.0 + 99.0) / 2.0, abs=1e-9)
 
 
-def test_psnr_global_flag(rng):
-    ref = rand_cube(rng, 2, 16, 16, lo=0.0, hi=1.0)
-    noisy = ref.data.copy()
-    noisy[0] += 0.1
-    rep = evaluate(HsiCube(noisy), ref, factor=1, psnr_global=True)
-    want = 10.0 * np.log10(1.0 / np.mean((noisy - ref.data) ** 2))
-    assert rep.psnr == pytest.approx(want, rel=1e-12)
-
-
 def test_sam_orthogonal_spectra_is_90_degrees():
     a = np.zeros((2, 12, 12))
     b = np.zeros((2, 12, 12))

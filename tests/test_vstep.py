@@ -134,12 +134,12 @@ class TestVstep:
         xf = np.fft.fft2(x.data, axes=(-2, -1)).reshape(bands, -1)
         pf = np.fft.fft2(p.data, axes=(-2, -1)).reshape(bands, -1)
         lap_sq = lap.response_sq.ravel()
-        gram = spectral_gram_tridiag(bands)
+        gram_diag, gram_off = spectral_gram_tridiag(bands)
         cols = np.empty_like(xf)
         for j in reversed(range(h * w)):
             rhs = xf[:, j] + mu_p * lap_sq[j] * pf[:, j] + nu_p * spectral_gram_apply_array(pf[:, j])
-            diag = 1.0 + mu_p * lap_sq[j] + nu_p * gram.diag
-            cols[:, j] = solve_tridiagonal(diag, nu_p * gram.sub, nu_p * gram.sup, rhs)
+            diag = 1.0 + mu_p * lap_sq[j] + nu_p * gram_diag
+            cols[:, j] = solve_tridiagonal(diag, nu_p * gram_off, nu_p * gram_off, rhs)
         want = np.fft.ifft2(cols.reshape(bands, h, w), axes=(-2, -1)).real
         assert np.array_equal(vstep(x, p, lap, mu_p, nu_p).data, want)
 
