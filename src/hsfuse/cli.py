@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 validation problem, 3 I/O or file-format problem,
 4 numerical failure. Every run writes one JSON manifest (flag echo, inputs,
 outputs, timings) next to its primary output unless --manifest says otherwise;
-on a numerical failure the manifest is still written, with an error record.
+on a failure the manifest is still written, with an error record. All five
+commands share one stage runner (``_Stage``) for that manifest, and every
+file they write (cubes, manifests, JSON/CSV reports, error maps) goes through
+``io.write_atomic``, so a failed write leaves the previous file in place.
 
 Heavy imports happen inside the command handlers so that --threads (or the
 HSFUSE_THREADS variable) can cap the numeric libraries' thread pools before
@@ -13,13 +16,13 @@ they load. Runs with --threads 1 and fixed seeds are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from pathlib import Path
 
-from .errors import CubeFormatError, UnsupportedStructureError, ValidationError
+from .errors import CubeFormatError, UnsupportedStructureError, ValidationError, check_int
 
 __all__ = ["main", "entry"]
 
@@ -33,24 +36,20 @@ _THREAD_VARS = (
 
 
 def _configure_threads(threads: int | None) -> int | None:
+    name = "--threads"
     if threads is None:
         env = os.environ.get("HSFUSE_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValidationError(f"HSFUSE_THREADS must be an integer, got {env!r}") from None
-    if threads is None:
-        return None
-    if threads < 1:
-        raise ValidationError(f"thread count must be at least 1, got {threads}")
+        if env is None:
+            return None
+        name = "HSFUSE_THREADS"
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = env  # check_int rejects it by name
+    threads = check_int(name, threads, 1)
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
     return threads
-
-
-def _manifest_path(args: argparse.Namespace, primary_out: str) -> str:
-    return args.manifest if args.manifest else str(primary_out) + ".manifest.json"
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
@@ -59,20 +58,58 @@ def _write_manifest(path: str, manifest: dict) -> None:
     write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
-def _run(manifest: dict, path: str, body) -> int:
-    """Run a command body, writing the manifest on success and on failure."""
-    try:
-        body()
-    except BaseException as exc:
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        try:
-            _write_manifest(path, manifest)
-        except OSError:
-            pass
-        raise
-    manifest["error"] = None
-    _write_manifest(path, manifest)
-    return 0
+class _Stage:
+    """One command run and its manifest.
+
+    The manifest goes to --manifest, or next to the primary output. Its keys
+    come in a fixed order: ``command``, ``config`` (the value of each flag in
+    ``flags``), ``inputs`` (all commands but simulate), ``outputs``,
+    ``timings_s``, any command-specific results, then ``error``. Leaving the
+    ``with`` block writes it: ``error`` is None on success, or the
+    exception's type and message, which is re-raised; a failure to write that
+    manifest is not reported over the original error.
+    """
+
+    def __init__(self, args: argparse.Namespace, primary: str, flags: str):
+        self.path = args.manifest or str(primary) + ".manifest.json"
+        config = {flag: getattr(args, flag) for flag in flags.split()}
+        self.manifest: dict = {"command": args.command, "config": config}
+        if args.command != "simulate":
+            self.manifest["inputs"] = {}
+        self.manifest["outputs"] = {}
+        self.manifest["timings_s"] = {}
+
+    def __enter__(self) -> "_Stage":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is None:
+            self.manifest["error"] = None
+            _write_manifest(self.path, self.manifest)
+            return
+        self.manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        with contextlib.suppress(OSError):
+            _write_manifest(self.path, self.manifest)
+
+    @contextlib.contextmanager
+    def timed(self, name: str):
+        """Record the wall time of the block under ``timings_s[name]`` if it succeeds."""
+        t0 = time.perf_counter()
+        yield
+        self.manifest["timings_s"][name] = time.perf_counter() - t0
+
+    def load(self, role: str, path: str):
+        from .io import load_cube
+
+        cube = load_cube(path)
+        self.manifest["inputs"][role] = {"path": path, "shape": list(cube.data.shape)}
+        return cube
+
+    def output(self, role: str, path: str, cube=None) -> None:
+        record: dict = {"path": path}
+        if cube is not None:
+            record["shape"] = list(cube.data.shape)
+        self.manifest["outputs"][role] = record
 
 
 def _parse_blur(spec: str, height: int, width: int):
@@ -104,20 +141,16 @@ def _resolve_srf(spec: str, in_bands: int, out_bands: int | None):
 
     if spec == "default":
         srf = SpectralResponse.default_rgb(in_bands)
-        if out_bands is not None and srf.out_bands != out_bands:
+    else:
+        srf = load_srf_csv(spec)
+        if srf.in_bands != in_bands:
             raise ValidationError(
-                f"default SRF produces {srf.out_bands} bands but z has {out_bands}; "
-                "pass --srf <csv>"
+                f"SRF table covers {srf.in_bands} channels, cube has {in_bands}"
             )
-        return srf
-    srf = load_srf_csv(spec)
-    if srf.in_bands != in_bands:
-        raise ValidationError(
-            f"SRF table covers {srf.in_bands} channels, cube has {in_bands}"
-        )
     if out_bands is not None and srf.out_bands != out_bands:
         raise ValidationError(
-            f"SRF table produces {srf.out_bands} bands but z has {out_bands}"
+            f"SRF {spec!r} produces {srf.out_bands} bands but z has {out_bands}; "
+            "pass --srf <csv> with that many columns"
         )
     return srf
 
@@ -134,91 +167,48 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         smoothness=args.smoothness,
         seed=args.seed,
     )
-    mpath = _manifest_path(args, args.out)
-    manifest = {
-        "command": "simulate",
-        "config": {
-            "bands": args.bands,
-            "size": args.size,
-            "endmembers": args.endmembers,
-            "smoothness": args.smoothness,
-            "seed": args.seed,
-        },
-        "outputs": {},
-        "timings_s": {},
-    }
-
-    def body() -> None:
-        t0 = time.perf_counter()
-        cube = generate_scene(spec)
-        manifest["timings_s"]["generate"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_cube(args.out, cube, scale=(0.0, 1.0))
-        manifest["timings_s"]["save"] = time.perf_counter() - t0
-        manifest["outputs"]["cube"] = {"path": str(args.out), "shape": list(cube.data.shape)}
+    with _Stage(args, args.out, "bands size endmembers smoothness seed") as stage:
+        with stage.timed("generate"):
+            cube = generate_scene(spec)
+        with stage.timed("save"):
+            save_cube(args.out, cube, scale=(0.0, 1.0))
+        stage.output("cube", args.out, cube)
         print(f"wrote {args.out} ({cube.bands}x{cube.height}x{cube.width})")
-
-    return _run(manifest, mpath, body)
+    return 0
 
 
 def cmd_degrade(args: argparse.Namespace) -> int:
     from .degradation import DegradationModel, Downsampler
-    from .io import load_cube, save_cube
+    from .io import save_cube
 
-    mpath = _manifest_path(args, args.out_y)
-    manifest = {
-        "command": "degrade",
-        "config": {
-            "in": args.in_path,
-            "blur": args.blur,
-            "factor": args.factor,
-            "srf": args.srf,
-            "noise": args.noise,
-            "noise_seed": args.noise_seed,
-        },
-        "inputs": {},
-        "outputs": {},
-        "timings_s": {},
-    }
-
-    def body() -> None:
-        t0 = time.perf_counter()
-        x = load_cube(args.in_path)
-        manifest["inputs"]["cube"] = {"path": args.in_path, "shape": list(x.data.shape)}
-        manifest["timings_s"]["load"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        blur = _parse_blur(args.blur, x.height, x.width)
-        srf = _resolve_srf(args.srf, x.bands, None)
-        model = DegradationModel(
-            blur, Downsampler(args.factor), srf, noise_sigma=args.noise, noise_seed=args.noise_seed
-        )
-        y, z = model.degrade(x)
-        manifest["timings_s"]["degrade"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_cube(args.out_y, y)
-        save_cube(args.out_z, z)
-        manifest["timings_s"]["save"] = time.perf_counter() - t0
-        manifest["outputs"]["y"] = {"path": args.out_y, "shape": list(y.data.shape)}
-        manifest["outputs"]["z"] = {"path": args.out_z, "shape": list(z.data.shape)}
+    with _Stage(args, args.out_y, "in blur factor srf noise noise_seed") as stage:
+        with stage.timed("load"):
+            x = stage.load("cube", getattr(args, "in"))  # "in" is a keyword
+        with stage.timed("degrade"):
+            blur = _parse_blur(args.blur, x.height, x.width)
+            srf = _resolve_srf(args.srf, x.bands, None)
+            model = DegradationModel(
+                blur, Downsampler(args.factor), srf, noise_sigma=args.noise, noise_seed=args.noise_seed
+            )
+            y, z = model.degrade(x)
+        with stage.timed("save"):
+            save_cube(args.out_y, y)
+            save_cube(args.out_z, z)
+        stage.output("y", args.out_y, y)
+        stage.output("z", args.out_z, z)
         print(
             f"wrote {args.out_y} ({y.bands}x{y.height}x{y.width}) and "
             f"{args.out_z} ({z.bands}x{z.height}x{z.width})"
         )
-
-    return _run(manifest, mpath, body)
+    return 0
 
 
 def _infer_factor(y, z) -> int:
-    if z.height % y.height or z.width % y.width:
-        raise ValidationError(
-            f"z grid {(z.height, z.width)} is not an integer multiple of y grid "
-            f"{(y.height, y.width)}"
-        )
     factor = z.height // y.height
-    if factor < 1 or z.width != y.width * factor:
+    if z.height != y.height * factor or z.width != y.width * factor:
         raise ValidationError(
-            f"inconsistent resolution ratio between z {(z.height, z.width)} "
-            f"and y {(y.height, y.width)}"
+            f"z grid {(z.height, z.width)} is not the same integer multiple of y grid "
+            f"{(y.height, y.width)} along both axes"
         )
     return factor
 
@@ -226,41 +216,17 @@ def _infer_factor(y, z) -> int:
 def cmd_fuse(args: argparse.Namespace) -> int:
     from .degradation import DegradationModel, Downsampler
     from .hqs import HqsConfig, fuse
-    from .io import load_cube, save_cube
+    from .io import save_cube
     from .priors import PriorSource, make_prior
 
-    mpath = _manifest_path(args, args.out)
-    manifest = {
-        "command": "fuse",
-        "config": {
-            "y": args.y,
-            "z": args.z,
-            "prior": args.prior,
-            "mu": args.mu,
-            "nu": args.nu,
-            "rho": args.rho,
-            "iters": args.iters,
-            "tol": args.tol,
-            "blur": args.blur,
-            "srf": args.srf,
-        },
-        "inputs": {},
-        "outputs": {},
-        "timings_s": {},
-    }
-
-    def body() -> None:
-        t0 = time.perf_counter()
-        y = load_cube(args.y)
-        z = load_cube(args.z)
-        manifest["inputs"]["y"] = {"path": args.y, "shape": list(y.data.shape)}
-        manifest["inputs"]["z"] = {"path": args.z, "shape": list(z.data.shape)}
-        manifest["timings_s"]["load"] = time.perf_counter() - t0
+    with _Stage(args, args.out, "y z prior mu nu rho iters tol blur srf") as stage:
+        with stage.timed("load"):
+            y = stage.load("y", args.y)
+            z = stage.load("z", args.z)
 
         factor = _infer_factor(y, z)
         blur_spec = args.blur if args.blur else f"block:{factor}"
-        manifest["config"]["blur"] = blur_spec
-        manifest["config"]["factor"] = factor
+        stage.manifest["config"].update(blur=blur_spec, factor=factor)
         blur = _parse_blur(blur_spec, z.height, z.width)
         srf = _resolve_srf(args.srf, y.bands, z.bands)
         model = DegradationModel(blur, Downsampler(factor), srf)
@@ -277,108 +243,59 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
         )
 
-        t0 = time.perf_counter()
-        prior = make_prior(src, y, z, model)
-        manifest["timings_s"]["prior"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        result = fuse(y, z, model, prior, cfg)
-        manifest["timings_s"]["fuse"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_cube(args.out, result.x_hat)
-        manifest["timings_s"]["save"] = time.perf_counter() - t0
-        manifest["outputs"]["x_hat"] = {
-            "path": args.out,
-            "shape": list(result.x_hat.data.shape),
-        }
-        manifest["iterations"] = result.iterations
-        manifest["converged"] = result.converged
-        manifest["objective_trace"] = list(result.objective_trace)
+        with stage.timed("prior"):
+            prior = make_prior(src, y, z, model)
+        with stage.timed("fuse"):
+            result = fuse(y, z, model, prior, cfg)
+        with stage.timed("save"):
+            save_cube(args.out, result.x_hat)
+        stage.output("x_hat", args.out, result.x_hat)
+        stage.manifest["iterations"] = result.iterations
+        stage.manifest["converged"] = result.converged
+        stage.manifest["objective_trace"] = list(result.objective_trace)
         # how far the run was from --tol, also when it stopped at the cap
-        manifest["rel_changes"] = list(result.rel_changes)
+        stage.manifest["rel_changes"] = list(result.rel_changes)
         print(
             f"wrote {args.out} after {result.iterations} iteration(s), "
             f"converged={result.converged}"
         )
-
-    return _run(manifest, mpath, body)
+    return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .io import load_cube
+    from .io import write_atomic
     from .metrics import CSV_HEADER, evaluate
 
     primary = args.json or args.csv or (args.x_hat + ".metrics")
-    mpath = _manifest_path(args, primary)
-    manifest = {
-        "command": "evaluate",
-        "config": {
-            "x_hat": args.x_hat,
-            "ref": args.ref,
-            "factor": args.factor,
-            "json": args.json,
-            "csv": args.csv,
-        },
-        "inputs": {},
-        "outputs": {},
-        "timings_s": {},
-    }
-
-    def body() -> None:
-        t0 = time.perf_counter()
-        x_hat = load_cube(args.x_hat)
-        ref = load_cube(args.ref)
-        manifest["inputs"]["x_hat"] = {"path": args.x_hat, "shape": list(x_hat.data.shape)}
-        manifest["inputs"]["ref"] = {"path": args.ref, "shape": list(ref.data.shape)}
-        manifest["timings_s"]["load"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        report = evaluate(x_hat, ref, args.factor)
-        manifest["timings_s"]["evaluate"] = time.perf_counter() - t0
-        manifest["metrics"] = report.to_dict()
+    with _Stage(args, primary, "x_hat ref factor json csv") as stage:
+        with stage.timed("load"):
+            x_hat = stage.load("x_hat", args.x_hat)
+            ref = stage.load("ref", args.ref)
+        with stage.timed("evaluate"):
+            report = evaluate(x_hat, ref, args.factor)
+        stage.manifest["metrics"] = report.to_dict()
         if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-            manifest["outputs"]["json"] = {"path": args.json}
+            write_atomic(args.json, (report.to_json() + "\n").encode())
+            stage.output("json", args.json)
         if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(CSV_HEADER + "\n")
-                fh.write(report.csv_row() + "\n")
-            manifest["outputs"]["csv"] = {"path": args.csv}
+            write_atomic(args.csv, f"{CSV_HEADER}\n{report.csv_row()}\n".encode())
+            stage.output("csv", args.csv)
         print(
             f"rmse={report.rmse:.6g} psnr={report.psnr:.6g} ergas={report.ergas:.6g} "
             f"sam={report.sam:.6g} ssim={report.ssim:.6g}"
         )
-
-    return _run(manifest, mpath, body)
+    return 0
 
 
 def cmd_errormap(args: argparse.Namespace) -> int:
-    from .io import band_index_for_wavelength, export_error_map, load_cube
+    from .io import band_index_for_wavelength, export_error_map
 
-    mpath = _manifest_path(args, args.out)
-    manifest = {
-        "command": "errormap",
-        "config": {
-            "x_hat": args.x_hat,
-            "ref": args.ref,
-            "band": args.band,
-            "wavelength": args.wavelength,
-            "max_error": args.max_error,
-        },
-        "inputs": {},
-        "outputs": {},
-        "timings_s": {},
-    }
-
-    def body() -> None:
+    with _Stage(args, args.out, "x_hat ref band wavelength max_error") as stage:
         if (args.band is None) == (args.wavelength is None):
             raise ValidationError("pass exactly one of --band or --wavelength")
-        t0 = time.perf_counter()
-        x_hat = load_cube(args.x_hat)
-        ref = load_cube(args.ref)
-        manifest["inputs"]["x_hat"] = {"path": args.x_hat, "shape": list(x_hat.data.shape)}
-        manifest["inputs"]["ref"] = {"path": args.ref, "shape": list(ref.data.shape)}
-        manifest["timings_s"]["load"] = time.perf_counter() - t0
+        with stage.timed("load"):
+            x_hat = stage.load("x_hat", args.x_hat)
+            ref = stage.load("ref", args.ref)
         if args.band is not None:
             if not 1 <= args.band <= x_hat.bands:
                 raise ValidationError(
@@ -389,14 +306,12 @@ def cmd_errormap(args: argparse.Namespace) -> int:
             band0 = band_index_for_wavelength(
                 args.wavelength, x_hat.bands, args.wl_min, args.wl_max
             )
-        t0 = time.perf_counter()
-        export_error_map(x_hat, ref, band0, args.out, max_error=args.max_error)
-        manifest["timings_s"]["export"] = time.perf_counter() - t0
-        manifest["band"] = band0 + 1
-        manifest["outputs"]["image"] = {"path": args.out}
+        with stage.timed("export"):
+            export_error_map(x_hat, ref, band0, args.out, max_error=args.max_error)
+        stage.manifest["band"] = band0 + 1
+        stage.output("image", args.out)
         print(f"wrote {args.out} (band {band0 + 1} of {x_hat.bands})")
-
-    return _run(manifest, mpath, body)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("degrade", parents=[common], help="apply the degradation model")
-    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--in", required=True)
     p.add_argument("--blur", default="block:32", help="block:<size> or gauss:<sigma>[:<support>]")
     p.add_argument("--factor", type=int, default=32)
     p.add_argument("--srf", default="default", help="'default' or an SRF csv path")

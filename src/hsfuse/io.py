@@ -8,10 +8,11 @@ Cube container layout, front to back:
   optional two-element ``scale``
 * the raw little-endian payload, exactly bands*height*width values
 
-Writes are bit-reproducible for equal inputs. Cubes (and the CLI's JSON
-manifests) are written atomically through a sibling temp file, so a failed
-write leaves the previous file in place. Error maps are binary P5
-graymaps scaling |difference| linearly so ``max_error`` maps to 255, with
+Writes are bit-reproducible for equal inputs. Every file the package writes
+(cubes, SRF tables and error maps here; the CLI's manifests and reports)
+goes through ``write_atomic``: a sibling temp file renamed onto the target,
+so a failed write leaves the previous file in place. Error maps are binary
+P5 graymaps scaling |difference| linearly so ``max_error`` maps to 255, with
 round-half-up quantization.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -162,11 +164,12 @@ def save_srf_csv(path: str | Path, srf: SpectralResponse, names: tuple[str, ...]
         raise ValidationError(
             f"got {len(names)} column names for {srf.out_bands} output bands"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band", *names])
-        for idx in range(srf.in_bands):
-            writer.writerow([idx + 1, *(format(v, ".12g") for v in srf.matrix[:, idx])])
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["band", *names])
+    for idx in range(srf.in_bands):
+        writer.writerow([idx + 1, *(format(v, ".12g") for v in srf.matrix[:, idx])])
+    write_atomic(path, table.getvalue().encode())
 
 
 def load_srf_csv(path: str | Path) -> SpectralResponse:
@@ -217,9 +220,7 @@ def export_error_map(
     check_real("max_error", max_error)
     err = np.abs(x_hat.data[band] - x_ref.data[band]) * (255.0 / max_error)
     pixels = np.clip(np.floor(err + 0.5), 0.0, 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (x_hat.width, x_hat.height))
-        fh.write(pixels.tobytes())
+    write_atomic(path, b"P5\n%d %d\n255\n" % (x_hat.width, x_hat.height), pixels.tobytes())
 
 
 def band_index_for_wavelength(

@@ -1,10 +1,9 @@
 """Prior cubes for the regularizer's anchor term.
 
 The fusion driver treats the prior as data: any high-resolution cube of the
-right shape works. Three sources are supported: an external file (the usual
-case, e.g. the output of a separately trained network), a self-contained
-naive fusion built from the inputs themselves, and a caller-supplied cube for
-ground-truth oracle experiments.
+right shape works. Two sources are supported: an external file (the usual
+case, e.g. the output of a separately trained network) and a self-contained
+naive fusion built from the inputs themselves.
 
 Naive fusion upsamples the low-res cube bilinearly, then back-projects the
 spectral residual per pixel so the result reproduces the mixed-band image
@@ -31,7 +30,6 @@ class PriorSource:
 
     kind: str
     path: str | None = None
-    cube: HsiCube | None = None
 
     @classmethod
     def external_file(cls, path: str) -> "PriorSource":
@@ -40,10 +38,6 @@ class PriorSource:
     @classmethod
     def naive_fusion(cls) -> "PriorSource":
         return cls(kind="naive_fusion")
-
-    @classmethod
-    def ground_truth(cls, cube: HsiCube) -> "PriorSource":
-        return cls(kind="ground_truth", cube=cube)
 
 
 def _axis_weights(n_out: int, n_in: int, factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,17 +80,12 @@ def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel
     model.check_data(y, z)
     if src.kind == "naive_fusion":
         return _naive_fusion(y, z, model)
-    if src.kind == "external_file":
-        if not src.path:
-            raise ValidationError("external_file prior needs a path")
-        from .io import load_cube
-
-        cube = load_cube(src.path)
-    elif src.kind == "ground_truth":
-        if src.cube is None:
-            raise ValidationError("ground_truth prior needs a cube")
-        cube = src.cube
-    else:
+    if src.kind != "external_file":
         raise ValidationError(f"unknown prior source kind {src.kind!r}")
+    if not src.path:
+        raise ValidationError("external_file prior needs a path")
+    from .io import load_cube
+
+    cube = load_cube(src.path)
     model.check_hr("prior cube", cube)
     return cube

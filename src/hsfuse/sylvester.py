@@ -29,11 +29,11 @@ upsample_adjoint(y) is y's small transform tiled over the aliasing groups).
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
 
-Inputs are validated where they enter: ``build_system`` checks the shapes of
-y, z and v against the model (``DegradationModel.check_data``/``check_hr``),
-``SylvesterSystem`` checks C1 and rho, and ``sylvester_residual`` the shape of
-x. The factor and solve kernels trust their callers: ``solve_fast``, and
-``hqs.fuse`` once ``HqsConfig`` and the model have checked its inputs.
+Inputs are validated where they enter: ``build_system`` checks rho, then the
+shapes of y, z and v against the model (``DegradationModel.check_data``/
+``check_hr``), ``SylvesterSystem`` checks C1, and ``sylvester_residual`` the
+shape of x. The factor and solve kernels trust their callers: ``solve_fast``,
+and ``hqs.fuse`` once ``HqsConfig`` and the model have checked its inputs.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class SylvesterSystem:
     blur: BlurOperator
     down: Downsampler
     c3: HsiCube
-    rho: float
 
     def __post_init__(self) -> None:
         c1 = np.asarray(self.c1, dtype=np.float64)
@@ -87,7 +86,6 @@ class SylvesterSystem:
                 f"blur grid {(self.blur.height, self.blur.width)} does not match C3 grid "
                 f"{(self.c3.height, self.c3.width)}"
             )
-        check_real("rho", self.rho)
         c1 = c1.copy()
         c1.setflags(write=False)
         object.__setattr__(self, "c1", c1)
@@ -111,6 +109,7 @@ def build_system(
     model: DegradationModel, y: HsiCube, z: HsiCube, v: HsiCube, rho: float
 ) -> SylvesterSystem:
     """Assemble the normal-equation system for one splitting iterate v."""
+    check_real("rho", rho)
     model.check_hr("v", v)
     model.check_data(y, z)
     c3 = (
@@ -119,7 +118,7 @@ def build_system(
         + rho * v.data
     )
     c1 = model.srf.matrix.T @ model.srf.matrix + rho * np.eye(model.bands)
-    return SylvesterSystem(c1, model.blur, model.down, HsiCube(c3), rho)
+    return SylvesterSystem(c1, model.blur, model.down, HsiCube(c3))
 
 
 def sylvester_residual(system: SylvesterSystem, x: HsiCube) -> float:

@@ -103,6 +103,52 @@ class TestPipeline:
         assert rc == 0
         assert json.loads(open(tmp / "em.json").read())["band"] == 2
 
+    def test_manifest_schema(self, pipeline):
+        # the manifest format of all five commands: top-level keys in order,
+        # config keys in order, input and output roles, timing sections
+        tmp, paths = pipeline
+        compare = ["--x-hat", paths["xhat"], "--ref", paths["gt"]]
+        assert main(["evaluate", *compare, "--factor", "4", "--json", str(tmp / "m.json"),
+                     "--csv", str(tmp / "m.csv")]) == 0
+        assert main(["errormap", *compare, "--band", "1", "--out", str(tmp / "e.pgm")]) == 0
+        head = ["command", "config", "inputs", "outputs", "timings_s"]
+        expected = {
+            paths["gt"]: (
+                ["command", "config", "outputs", "timings_s", "error"],
+                ["bands", "size", "endmembers", "smoothness", "seed"],
+                None, ["cube"], {"generate", "save"},
+            ),
+            paths["y"]: (
+                head + ["error"],
+                ["in", "blur", "factor", "srf", "noise", "noise_seed"],
+                ["cube"], ["y", "z"], {"load", "degrade", "save"},
+            ),
+            paths["xhat"]: (
+                head + ["iterations", "converged", "objective_trace", "rel_changes", "error"],
+                ["y", "z", "prior", "mu", "nu", "rho", "iters", "tol", "blur", "srf", "factor"],
+                ["y", "z"], ["x_hat"], {"load", "prior", "fuse", "save"},
+            ),
+            str(tmp / "m.json"): (
+                head + ["metrics", "error"],
+                ["x_hat", "ref", "factor", "json", "csv"],
+                ["x_hat", "ref"], ["json", "csv"], {"load", "evaluate"},
+            ),
+            str(tmp / "e.pgm"): (
+                head + ["band", "error"],
+                ["x_hat", "ref", "band", "wavelength", "max_error"],
+                ["x_hat", "ref"], ["image"], {"load", "export"},
+            ),
+        }
+        for primary, (keys, config, inputs, outputs, timings) in expected.items():
+            manifest = json.loads(open(primary + ".manifest.json").read())
+            assert list(manifest) == keys, primary
+            assert list(manifest["config"]) == config, primary
+            if inputs is not None:
+                assert list(manifest["inputs"]) == inputs, primary
+            assert list(manifest["outputs"]) == outputs, primary
+            assert set(manifest["timings_s"]) == timings, primary
+            assert manifest["error"] is None
+
     def test_fuse_with_explicit_prior_file(self, pipeline):
         tmp, paths = pipeline
         out = str(tmp / "anchored.cube")

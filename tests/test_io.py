@@ -5,7 +5,7 @@ import pytest
 
 import hsfuse.io
 from helpers import rand_cube
-from hsfuse.cli import _write_manifest
+from hsfuse.cli import _write_manifest, build_parser
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import SpectralResponse
 from hsfuse.errors import (
@@ -90,27 +90,49 @@ class TestCubeContainer:
         save_cube(p2, cube)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("write", ["cube", "manifest"])
+    @pytest.mark.parametrize(
+        "write", ["cube", "manifest", "pgm", "srf", "evaluate-json", "evaluate-csv"]
+    )
     def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch, write):
-        path = tmp_path / "out"
+        cube = rand_cube(rng, 2, 12, 12, lo=0.0, hi=1.0)
+        cube_path = str(tmp_path / "in.cube")
+        save_cube(cube_path, cube)
+        out_dir = tmp_path / "out_dir"
+        out_dir.mkdir()
+        path = out_dir / "out"
         path.write_bytes(b"previous contents")
         real_open = open
 
         def open_then_fail(file, mode="r", *args, **kwargs):
-            # the disk fills after the first bytes land
             fh = real_open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh  # reads pass, so evaluate can load its inputs
+            # the disk fills after the first bytes land
             fh.write(b"\0" if "b" in mode else "\0")
             fh.close()
             raise OSError("no space left on device")
 
+        def evaluate(report_flag):
+            args = build_parser().parse_args(
+                ["evaluate", "--x-hat", cube_path, "--ref", cube_path, "--factor", "2",
+                 report_flag, str(path)]
+            )
+            args.func(args)
+
+        writes = {
+            "cube": lambda: save_cube(path, cube),
+            "manifest": lambda: _write_manifest(str(path), {"command": "fuse"}),
+            "pgm": lambda: export_error_map(cube, cube, 0, path),
+            "srf": lambda: save_srf_csv(path, SpectralResponse.default_rgb(8)),
+            "evaluate-json": lambda: evaluate("--json"),
+            "evaluate-csv": lambda: evaluate("--csv"),
+        }
         monkeypatch.setattr(hsfuse.io, "open", open_then_fail, raising=False)
         with pytest.raises(OSError):
-            if write == "cube":
-                save_cube(path, rand_cube(rng, 2, 3, 4))
-            else:
-                _write_manifest(str(path), {"command": "fuse"})
+            writes[write]()
         assert path.read_bytes() == b"previous contents"
-        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        # no temp file is left behind, nor a manifest from the failed command
+        assert [p.name for p in out_dir.iterdir()] == ["out"]
 
     def test_save_validation(self, rng, tmp_path):
         cube = rand_cube(rng, 1, 2, 2)

@@ -99,14 +99,7 @@ class TestMakePrior:
         prior = make_prior(PriorSource.external_file(path), y, z, model)
         assert np.array_equal(prior.data, gt.data)
 
-    def test_ground_truth_source_passes_cube_through(self, rng):
-        model = make_model()
-        gt = rand_cube(rng, 6, 8, 8, lo=0.0, hi=1.0)
-        y, z = model.degrade(gt)
-        prior = make_prior(PriorSource.ground_truth(gt), y, z, model)
-        assert prior is gt
-
-    def test_geometry_validation(self, rng):
+    def test_geometry_validation(self, rng, tmp_path):
         model = make_model()
         gt = rand_cube(rng, 6, 8, 8, lo=0.0, hi=1.0)
         y, z = model.degrade(gt)
@@ -117,17 +110,15 @@ class TestMakePrior:
             make_prior(src, rand_cube(rng, 6, 3, 4), z, model)
         with pytest.raises(ValidationError):
             make_prior(src, y, rand_cube(rng, 2, 8, 8), model)
+        wrong_shape = tmp_path / "wrong.cube"
+        save_cube(wrong_shape, rand_cube(rng, 6, 8, 7))
         with pytest.raises(ValidationError):
-            make_prior(PriorSource.ground_truth(rand_cube(rng, 6, 8, 7)), y, z, model)
+            make_prior(PriorSource.external_file(wrong_shape), y, z, model)
         with pytest.raises(ValidationError):
             make_prior(PriorSource(kind="mystery"), y, z, model)
         with pytest.raises(ValidationError):
             make_prior(PriorSource(kind="external_file"), y, z, model)
-        with pytest.raises(ValidationError):
-            make_prior(PriorSource(kind="ground_truth"), y, z, model)
 
     def test_source_constructors_tag_kinds(self):
         assert PriorSource.naive_fusion().kind == "naive_fusion"
         assert PriorSource.external_file("p").path == "p"
-        cube = HsiCube.filled(1, 1, 1)
-        assert PriorSource.ground_truth(cube).cube is cube

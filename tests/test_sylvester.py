@@ -69,8 +69,10 @@ class TestBuildSystem:
         model = make_model(rng, 4, 8, 8, 2)
         gt = rand_cube(rng, 4, 8, 8)
         y, z = model.degrade(gt)
-        with pytest.raises(ValidationError):
-            build_system(model, y, z, gt, rho=0.0)
+        # rho is checked before it scales v or I, and named in the error
+        for rho in (0.0, float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValidationError, match="rho"):
+                build_system(model, y, z, gt, rho=rho)
         with pytest.raises(ValidationError):
             build_system(model, y, z, rand_cube(rng, 4, 8, 6), rho=0.1)
         with pytest.raises(ValidationError):
@@ -82,11 +84,11 @@ class TestBuildSystem:
         model = make_model(rng, 3, 4, 4, 2)
         c3 = rand_cube(rng, 3, 4, 4)
         with pytest.raises(ValidationError):
-            SylvesterSystem(np.ones((3, 2)), model.blur, model.down, c3, 0.1)
+            SylvesterSystem(np.ones((3, 2)), model.blur, model.down, c3)
         skew = np.eye(3)
         skew[0, 1] = 1.0
         with pytest.raises(ValidationError):
-            SylvesterSystem(skew, model.blur, model.down, c3, 0.1)
+            SylvesterSystem(skew, model.blur, model.down, c3)
 
 
 class TestOracleTriangle:
@@ -130,14 +132,14 @@ class TestSolveFast:
     def test_rejects_indivisible_grid(self, rng):
         model = make_model(rng, 3, 6, 6, 2)
         c3 = rand_cube(rng, 3, 6, 6)
-        system = SylvesterSystem(np.eye(3), model.blur, Downsampler(4), c3, 0.1)
+        system = SylvesterSystem(np.eye(3), model.blur, Downsampler(4), c3)
         with pytest.raises(UnsupportedStructureError):
             solve_fast(system)
 
     def test_rejects_indefinite_c1(self, rng):
         model = make_model(rng, 3, 4, 4, 2)
         c1 = np.diag([-1.0, 1.0, 2.0])
-        system = SylvesterSystem(c1, model.blur, model.down, rand_cube(rng, 3, 4, 4), 0.1)
+        system = SylvesterSystem(c1, model.blur, model.down, rand_cube(rng, 3, 4, 4))
         with pytest.raises(UnsupportedStructureError):
             solve_fast(system)
 
