@@ -1,15 +1,17 @@
-"""Hyperspectral cube containers and per-band 2-D Fourier transforms.
+"""Hyperspectral cube containers, per-band 2-D DFTs and circular convolution.
 
 A cube is stored band-major as a float64 array of shape (bands, height, width).
 The matricized view has one row per band and one column per pixel, with pixel
 index p = row * width + col, so flattening a cube band-major and stacking the
 rows of the matricized form describe the same vector.
 
-Transforms use the unnormalized forward DFT; the inverse carries the full
-1/(height*width) factor. Cubes are immutable once constructed: every operation
-returns a new instance and the wrapped arrays are marked read-only. Wrapping
-takes ownership: a float64 contiguous array passed to a cube is frozen in
-place rather than copied, so pass a copy if the caller still needs to write it.
+Every 2-D DFT of the package is made here (``dft2``, ``circular_convolve`` and
+their cube forms), each looked up on ``np.fft`` at call time. Transforms use
+the unnormalized forward DFT; the inverse carries the full 1/(height*width)
+factor. Cubes are immutable once constructed: every operation returns a new
+instance and the wrapped arrays are marked read-only. Wrapping takes
+ownership: a float64 contiguous array passed to a cube is frozen in place
+rather than copied, so pass a copy if the caller still needs to write it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .errors import SymmetryViolationError, ValidationError, check_int
 __all__ = [
     "HsiCube",
     "FreqCube",
+    "circular_convolve",
     "column_blocks",
+    "dft2",
     "dft2_per_band",
     "idft2_per_band",
 ]
@@ -126,17 +130,21 @@ class FreqCube:
         arr = np.ascontiguousarray(arr)
         object.__setattr__(self, "data", _freeze(arr))
 
-    @property
-    def bands(self) -> int:
-        return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
+def dft2(data: np.ndarray) -> np.ndarray:
+    """Unnormalized 2-D DFT over the last two axes, in one new complex buffer."""
+    buf = np.empty(data.shape, dtype=np.complex128)
+    buf[...] = data
+    return np.fft.fft2(buf, axes=(-2, -1), out=buf)
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
+
+def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """``ifft2(fft2(data) * multiplier).real`` over the last two axes, in one complex buffer."""
+    buf = dft2(data)
+    buf *= multiplier
+    # ifftn, as numpy's ifft2 drops its out= argument
+    np.fft.ifftn(buf, axes=(-2, -1), out=buf)
+    return buf.real
 
 
 def dft2_per_band(cube: HsiCube) -> FreqCube:
@@ -144,7 +152,7 @@ def dft2_per_band(cube: HsiCube) -> FreqCube:
 
     Coefficient (0, 0) of each band equals the sum over that band.
     """
-    return FreqCube(np.fft.fft2(cube.data, axes=(-2, -1)))
+    return FreqCube(dft2(cube.data))
 
 
 def idft2_per_band(fc: FreqCube) -> HsiCube:

@@ -1,11 +1,14 @@
 """Forward degradation operators: circular blur, decimation, spectral response.
 
 The blur applies the same 2-D kernel to every band as a circular (periodic)
-convolution, evaluated in the frequency domain. A kernel is placed by its
-anchor tap: output pixel (i, j) is the kernel-weighted sum of the input window
-whose anchor sits on (i, j). With the anchor at the top-left tap, a k x k
-uniform kernel averages the window [i, i+k) x [j, j+k), so decimation by k at
-phase (0, 0) yields exact non-overlapping block means.
+convolution, evaluated in the frequency domain by ``cube.circular_convolve``.
+``BlurOperator.custom`` is its one builder: the uniform and Gaussian kernels
+below, and the Laplacian stencil in ``gradients``, all go through it. A
+kernel is placed by its anchor tap: output pixel (i, j) is the
+kernel-weighted sum of the input window whose anchor sits on (i, j). With the
+anchor at the top-left tap, a k x k uniform kernel averages the window
+[i, i+k) x [j, j+k), so decimation by k at phase (0, 0) yields exact
+non-overlapping block means.
 
 All three operators act on plain arrays through ``apply_array`` /
 ``adjoint_array`` and do not re-validate their input. Validation lives at the
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, circular_convolve, dft2
 from .errors import ValidationError, check_int, check_real
 
 __all__ = [
@@ -47,15 +50,6 @@ def _embed_kernel(kernel: np.ndarray, anchor: tuple[int, int], height: int, widt
     return full
 
 
-def _circular(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """``ifft2(fft2(data) * multiplier).real`` per band through one complex buffer."""
-    buf = np.fft.fft2(data, axes=(-2, -1))
-    buf *= multiplier
-    # ifftn, as numpy's ifft2 drops its out= argument
-    np.fft.ifftn(buf, axes=(-2, -1), out=buf)
-    return buf.real
-
-
 @dataclass(frozen=True)
 class BlurOperator:
     """Circular convolution with a fixed kernel, bound to one grid size."""
@@ -67,14 +61,44 @@ class BlurOperator:
     multiplier: np.ndarray = field(repr=False)
 
     @classmethod
-    def _build(
+    def uniform_block(cls, height: int, width: int, size: int) -> "BlurOperator":
+        """k x k uniform kernel anchored at its top-left tap.
+
+        Decimating the blurred image by k at phase (0, 0) then equals averaging
+        each non-overlapping k x k block.
+        """
+        size = check_int("block size", size, 1)
+        kernel = np.full((size, size), 1.0 / (size * size))
+        return cls.custom(height, width, kernel, (0, 0))
+
+    @classmethod
+    def gaussian(cls, height: int, width: int, sigma: float, support: int | None = None) -> "BlurOperator":
+        """Isotropic Gaussian kernel, center-anchored, truncated to odd support."""
+        sigma = check_real("sigma", sigma)
+        if support is None:
+            support = 2 * int(np.ceil(3.0 * sigma)) + 1
+        if check_int("support", support, 1) % 2 == 0:
+            raise ValidationError(f"support must be odd, got {support}")
+        half = support // 2
+        offsets = np.arange(-half, half + 1)
+        prof = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernel = np.outer(prof, prof)
+        return cls.custom(height, width, kernel, (half, half))
+
+    @classmethod
+    def custom(
         cls,
         height: int,
         width: int,
         kernel: np.ndarray,
-        anchor: tuple[int, int] | None,
-        normalize: bool,
+        anchor: tuple[int, int] | None = None,
+        normalize: bool = True,
     ) -> "BlurOperator":
+        """User-supplied kernel; anchored at its center tap unless told otherwise.
+
+        ``normalize=False`` keeps the kernel as given (the DC response then
+        equals the kernel sum rather than 1).
+        """
         kernel = np.array(kernel, dtype=np.float64)
         if kernel.ndim != 2 or min(kernel.shape) < 1:
             raise ValidationError(f"kernel must be a non-empty 2-D array, got shape {kernel.shape}")
@@ -96,57 +120,16 @@ class BlurOperator:
                 raise ValidationError("kernel sum is too close to zero to normalize")
             kernel = kernel / total
         embedded = _embed_kernel(kernel, (ar, ac), height, width)
-        multiplier = np.conj(np.fft.fft2(embedded))
+        multiplier = np.conj(dft2(embedded))
         kernel.setflags(write=False)
         multiplier.setflags(write=False)
         return cls(height, width, kernel, (ar, ac), multiplier)
 
-    @classmethod
-    def uniform_block(cls, height: int, width: int, size: int) -> "BlurOperator":
-        """k x k uniform kernel anchored at its top-left tap.
-
-        Decimating the blurred image by k at phase (0, 0) then equals averaging
-        each non-overlapping k x k block.
-        """
-        size = check_int("block size", size, 1)
-        kernel = np.full((size, size), 1.0 / (size * size))
-        return cls._build(height, width, kernel, (0, 0), normalize=True)
-
-    @classmethod
-    def gaussian(cls, height: int, width: int, sigma: float, support: int | None = None) -> "BlurOperator":
-        """Isotropic Gaussian kernel, center-anchored, truncated to odd support."""
-        sigma = check_real("sigma", sigma)
-        if support is None:
-            support = 2 * int(np.ceil(3.0 * sigma)) + 1
-        if check_int("support", support, 1) % 2 == 0:
-            raise ValidationError(f"support must be odd, got {support}")
-        half = support // 2
-        offsets = np.arange(-half, half + 1)
-        prof = np.exp(-0.5 * (offsets / sigma) ** 2)
-        kernel = np.outer(prof, prof)
-        return cls._build(height, width, kernel, (half, half), normalize=True)
-
-    @classmethod
-    def custom(
-        cls,
-        height: int,
-        width: int,
-        kernel: np.ndarray,
-        anchor: tuple[int, int] | None = None,
-        normalize: bool = True,
-    ) -> "BlurOperator":
-        """User-supplied kernel; anchored at its center tap unless told otherwise.
-
-        ``normalize=False`` keeps the kernel as given (the DC response then
-        equals the kernel sum rather than 1).
-        """
-        return cls._build(height, width, kernel, anchor, normalize=normalize)
-
     def apply_array(self, data: np.ndarray) -> np.ndarray:
-        return _circular(data, self.multiplier)
+        return circular_convolve(data, self.multiplier)
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
-        return _circular(data, np.conj(self.multiplier))
+        return circular_convolve(data, np.conj(self.multiplier))
 
 
 @dataclass(frozen=True)
@@ -256,6 +239,7 @@ class DegradationModel:
 
     def __post_init__(self) -> None:
         check_real("noise sigma", self.noise_sigma, allow_zero=True)
+        check_int("noise seed", self.noise_seed, 0)
         if self.blur.height % self.down.factor or self.blur.width % self.down.factor:
             raise ValidationError(
                 f"factor {self.down.factor} does not divide the blur grid "

@@ -1,8 +1,10 @@
 """Spatial and spectral penalty operators for the smoothness regularizer.
 
 The spatial term applies the 4-neighbour Laplacian stencil ``LAPLACIAN_KERNEL``
-circularly to every band. Its frequency response is real, with value 0 at DC
-and maximum 8 at Nyquist; quadratic forms consume its squared magnitude.
+circularly to every band: ``LaplacianOperator`` is a ``BlurOperator`` built
+from the stencil without normalizing (it sums to 0). Its frequency response
+is real, with value 0 at DC and maximum 8 at Nyquist; quadratic forms
+consume its squared magnitude.
 
 The spectral term is the first difference along the band axis, a (B-1) x B
 banded map. It is deliberately not wrapped circularly: band 1 and band B are
@@ -14,12 +16,10 @@ difference are constants of this module, so only the grid and the weights of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cube import HsiCube
-from .degradation import _circular, _embed_kernel
+from .degradation import BlurOperator
 from .errors import ValidationError, check_real
 
 __all__ = [
@@ -42,27 +42,18 @@ LAPLACIAN_KERNEL = np.array(
 LAPLACIAN_KERNEL.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class LaplacianOperator:
-    """Per-band circular convolution with ``LAPLACIAN_KERNEL``."""
-
-    height: int
-    width: int
-    multiplier: np.ndarray
-    response_sq: np.ndarray
+class LaplacianOperator(BlurOperator):
+    """Per-band circular convolution with ``LAPLACIAN_KERNEL``, anchored at its center."""
 
     @classmethod
     def create(cls, height: int, width: int) -> "LaplacianOperator":
-        if height < 3 or width < 3:
-            raise ValidationError(f"the 3x3 stencil does not fit the {height}x{width} grid")
-        multiplier = np.conj(np.fft.fft2(_embed_kernel(LAPLACIAN_KERNEL, (1, 1), height, width)))
-        response_sq = (multiplier * np.conj(multiplier)).real
-        multiplier.setflags(write=False)
-        response_sq.setflags(write=False)
-        return cls(height, width, multiplier, response_sq)
+        """The stencil on a height x width grid; it must fit (3x3 or larger)."""
+        return cls.custom(height, width, LAPLACIAN_KERNEL, (1, 1), normalize=False)
 
-    def apply_array(self, data: np.ndarray) -> np.ndarray:
-        return _circular(data, self.multiplier)
+    @property
+    def response_sq(self) -> np.ndarray:
+        """``|multiplier|^2`` per frequency: the Gram multiplier of D^T D."""
+        return (self.multiplier * np.conj(self.multiplier)).real
 
 
 def spectral_diff_apply_array(data: np.ndarray) -> np.ndarray:

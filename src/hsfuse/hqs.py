@@ -14,12 +14,13 @@ last x iterate.
 
 Every operator in L is circulant or pointwise in frequency, so x and v stay
 spectra from the first iteration to the last. A run transforms each input
-once (the prior, z, and y on its low-resolution grid), factors both
-sub-steps once, and returns x through one inverse transform
-(``idft2_per_band``). The objective and the stop test are evaluated through
-Parseval's theorem, the y-term as a sum over aliasing groups on the
-low-resolution grid. ``objective_value`` is the spatial form of the same
-objective, for callers holding cubes.
+once through ``cube.dft2`` (the prior, z, and y on its low-resolution
+grid), factors both sub-steps once, and returns x through one inverse
+transform (``idft2_per_band``). The objective and the stop test are
+evaluated through Parseval's theorem; the y-term is a sum over aliasing
+groups on the low-resolution grid, ``sylvester.lowres_misfit``, so the group
+layout stays in ``sylvester``. ``objective_value`` is the spatial form of
+the same objective, for callers holding cubes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import FreqCube, HsiCube, column_blocks, idft2_per_band
+from .cube import FreqCube, HsiCube, column_blocks, dft2, idft2_per_band
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -132,29 +133,18 @@ class _Spectra:
         )
         denoise = factor_denoise(lap, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         y_tilde = sylvester.lowres_spectrum(model.down, y.data, height, width)
-        z_hat = np.fft.fft2(z.data, axes=(-2, -1))
+        z_hat = dft2(z.data)
         c_eig = sylvester.data_rhs(xstep, srf, y_tilde, z_hat)
-        p_hat = np.empty(prior.data.shape, dtype=np.complex128)
-        p_hat[...] = prior.data
-        np.fft.fft2(p_hat, axes=(-2, -1), out=p_hat)
+        p_hat = dft2(prior.data)
         return cls(cfg, srf, lap.response_sq, xstep, denoise, y_tilde, z_hat, c_eig, p_hat)
 
     def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
         """``objective_value`` at the (x, v) whose DFTs are given, by Parseval."""
-        bands, height, width = x_hat.shape
-        n = height * width
-        s = self.xstep.factor
-        gl, gw = height // s, width // s
-        ce = np.conj(self.xstep.e)
+        bands = x_hat.shape[0]
+        n = x_hat[0].size
         x, v, p = (a.reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat))
         z_hat = self.z_hat.reshape(len(self.srf), -1)
         z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
-        y_term = 0.0
-        for b in range(bands):
-            # the low-resolution DFT of down(blur(x_b)), in y_tilde's phase convention
-            y_model = np.einsum("alcb,alcb->lb", ce, x_hat[b].reshape(s, gl, s, gw))
-            y_model /= s * s
-            y_term += _sq(self.y_tilde[b] - y_model)
         lap_sq = self.lap_sq.reshape(-1)
         coupling = smooth = spectral = 0.0
         for cols in column_blocks(n):
@@ -164,7 +154,7 @@ class _Spectra:
             spectral += _sq(dv[1:] - dv[:-1])
         cfg = self.cfg
         return (
-            y_term / (gl * gw)
+            sylvester.lowres_misfit(self.xstep, self.y_tilde, x_hat)
             + float(np.vdot(z_res, z_res)) / n
             + cfg.rho * coupling / n
             + (cfg.mu * smooth + cfg.nu * spectral) / n

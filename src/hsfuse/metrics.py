@@ -73,7 +73,8 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return win / win.sum()
 
 
-def _ssim_band(a: np.ndarray, b: np.ndarray, win: np.ndarray, c1: float, c2: float) -> float:
+def _ssim_band(a: np.ndarray, b: np.ndarray, win: np.ndarray) -> float:
+    c1, c2 = _SSIM_K1**2, _SSIM_K2**2
     mu_a = fftconvolve(a, win, mode="valid")
     mu_b = fftconvolve(b, win, mode="valid")
     var_a = fftconvolve(a * a, win, mode="valid") - mu_a * mu_a
@@ -95,21 +96,24 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
         raise ValidationError(
             f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
         )
-    a = x_hat.data
-    b = x_ref.data
-    diff = a - b
-    mse_b = np.mean(diff * diff, axis=(1, 2))
+    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
+    # one band at a time, so no temporary is larger than a band; the SAM sums
+    # over bands run per pixel, in band order
+    dots, sq_a, sq_b = (np.zeros(x_hat.data.shape[1:]) for _ in range(3))
+    per_band = []
+    for a, b in zip(x_hat.data, x_ref.data):
+        diff = a - b
+        per_band.append((np.mean(diff * diff), np.mean(b), _ssim_band(a, b, win)))
+        dots += a * b
+        sq_a += a * a
+        sq_b += b * b
+    mse_b, ref_means, ssim_b = np.array(per_band).T
 
-    rmse = 255.0 * float(np.sqrt(np.mean(diff * diff)))
+    rmse = 255.0 * float(np.sqrt(np.mean(mse_b)))
 
     with np.errstate(divide="ignore"):
         psnr = float(np.mean(np.minimum(10.0 * np.log10(1.0 / mse_b), _PSNR_CAP)))
 
-    flat_a = x_hat.as_matrix()
-    flat_b = x_ref.as_matrix()
-    dots = np.sum(flat_a * flat_b, axis=0)
-    sq_a = np.sum(flat_a * flat_a, axis=0)
-    sq_b = np.sum(flat_b * flat_b, axis=0)
     valid = (sq_a > 0) & (sq_b > 0)
     if np.any(valid):
         # sqrt of the product (not product of sqrts) so identical spectra give
@@ -119,7 +123,6 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
     else:
         sam = 0.0
 
-    ref_means = np.mean(b, axis=(1, 2))
     usable = ref_means >= 1e-6
     if not np.all(usable):
         warnings.warn(
@@ -132,9 +135,6 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
     else:
         ergas = 0.0
 
-    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-    c1 = _SSIM_K1**2
-    c2 = _SSIM_K2**2
-    ssim = float(np.mean([_ssim_band(a[i], b[i], win, c1, c2) for i in range(x_hat.bands)]))
+    ssim = float(np.mean(ssim_b))
 
     return MetricReport(rmse=rmse, psnr=psnr, sam=sam, ergas=ergas, ssim=ssim)

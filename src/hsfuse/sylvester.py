@@ -21,11 +21,13 @@ structure raises ``UnsupportedStructureError`` (CLI exit code 4) rather than
 falling back to an iterative solver.
 
 Two entry points share those kernels. ``solve_fast`` is the one-shot spatial
-solve of a ``SylvesterSystem``: one forward and one inverse transform. The
-HQS loop calls ``solve_spectrum`` instead, which maps the spectrum of v to the
-spectrum of the solution with no transform at all: the data part of C3 is
+solve of a ``SylvesterSystem``: it transforms C3, runs ``solve_spectrum``'s
+band mix, Sherman-Morrison pass and band mix, and transforms back. The HQS
+loop calls ``solve_spectrum``, which maps the spectrum of v to the spectrum
+of the solution with no transform at all: the data part of C3 is
 transformed once per run (``lowres_spectrum``, ``data_rhs``; the transform of
-upsample_adjoint(y) is y's small transform tiled over the aliasing groups).
+upsample_adjoint(y) is y's small transform tiled over the aliasing groups),
+and ``lowres_misfit`` scores the objective's y-term on the same groups.
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube, column_blocks
+from .cube import FreqCube, HsiCube, column_blocks, dft2, idft2_per_band
 from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
@@ -52,6 +54,7 @@ __all__ = [
     "build_system",
     "data_rhs",
     "factor_xstep",
+    "lowres_misfit",
     "lowres_spectrum",
     "solve_fast",
     "solve_spectrum",
@@ -176,8 +179,13 @@ def factor_xstep(c1: np.ndarray, blur: BlurOperator, down: Downsampler) -> XStep
     tc = np.arange(s).reshape(1, 1, s, 1)
     twiddle = np.exp(-2j * np.pi * (tr * pr + tc * pc) / s)
     e = np.conj(blur.multiplier.reshape(s, gl, s, gw)) * twiddle
-    esq = np.einsum("alcb,alcb->lb", np.conj(e), e).real
+    esq = _fold(np.conj(e), e).real
     return XStepFactors(q, lam, e, esq)
+
+
+def _fold(ce: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """``e^H`` times each aliasing group of a (s, gl, s, gw) band; ``ce`` is ``conj(e)``."""
+    return np.einsum("alcb,alcb->lb", ce, group)
 
 
 def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
@@ -191,10 +199,25 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
     ce = np.conj(fac.e)
     for n, lam in enumerate(fac.lam):
         group = spec[n].reshape(s, gl, s, gw)
-        num = np.einsum("alcb,alcb->lb", ce, group)
+        num = _fold(ce, group)
         num /= lam * (s * s) + fac.esq
         group -= fac.e * num[None, :, None, :]
         group /= lam
+
+
+def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> float:
+    """``||y - down(blur(x))||^2`` by Parseval, from F(x) and ``lowres_spectrum``'s output."""
+    s = fac.factor
+    gl, gw = y_tilde.shape[-2:]
+    ce = np.conj(fac.e)
+    total = 0.0
+    for b in range(x_hat.shape[0]):
+        # the low-resolution DFT of down(blur(x_b)), in y_tilde's phase convention
+        y_model = _fold(ce, x_hat[b].reshape(s, gl, s, gw))
+        y_model /= s * s
+        resid = y_tilde[b] - y_model
+        total += float(np.vdot(resid, resid).real)
+    return total / (gl * gw)
 
 
 def _mix(mat: np.ndarray, spec: np.ndarray, offset: np.ndarray | None = None) -> None:
@@ -227,7 +250,7 @@ def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -
     ramp = np.exp(
         -2j * np.pi * (np.arange(gl)[:, None] * pr / height + np.arange(gw)[None, :] * pc / width)
     )
-    return np.fft.fft2(y, axes=(-2, -1)) * ramp
+    return dft2(y) * ramp
 
 
 def data_rhs(
@@ -266,15 +289,14 @@ def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, c_eig: np.n
 
 
 def solve_fast(system: SylvesterSystem) -> HsiCube:
-    """One-shot spatial solve: one forward and one inverse transform per band.
+    """One-shot spatial solve: transform C3, run ``solve_spectrum``'s kernels, transform back.
 
     Raises:
         UnsupportedStructureError: structural preconditions do not hold.
     """
     fac = factor_xstep(system.c1, system.blur, system.down)
-    bands, height, width = system.c3.data.shape
-    mixed = (fac.q.T @ system.c3.as_matrix()).reshape(bands, height, width)
-    spec = np.fft.fft2(mixed, axes=(-2, -1))
+    spec = dft2(system.c3.data)
+    _mix(fac.q.T, spec)
     _solve_channels(fac, spec)
-    channels = np.fft.ifft2(spec, axes=(-2, -1)).real
-    return HsiCube((fac.q @ channels.reshape(bands, -1)).reshape(bands, height, width))
+    _mix(fac.q, spec)
+    return idft2_per_band(FreqCube(spec))

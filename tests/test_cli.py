@@ -189,6 +189,14 @@ class TestExitCodes:
                   "--band", "99", "--out", str(tmp / "e.pgm")]) == 2
         )
         assert main(["simulate", "--bands", "4", "--size", "3", "--out", out]) == 2
+        ypath = str(tmp / "a")
+        assert (
+            main(["degrade", "--in", paths["gt"], "--blur", "block:4", "--factor", "4",
+                  "--noise", "0.01", "--noise-seed", "-1", "--out-y", ypath,
+                  "--out-z", str(tmp / "b")]) == 2
+        )
+        manifest = json.loads(open(ypath + ".manifest.json").read())
+        assert manifest["error"]["type"] == "ValidationError"
 
     def test_usage_errors_exit_2(self, capsys):
         assert main(["fuse"]) == 2

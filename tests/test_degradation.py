@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import adjoint_gap, rand_cube, roll_blur
+from hsfuse.cube import HsiCube, dft2_per_band
 from hsfuse.degradation import (
     BlurOperator,
     DegradationModel,
@@ -62,25 +63,28 @@ class TestBlurOperator:
         assert np.allclose(blur.apply_array(x), 2.5, rtol=0, atol=1e-12)
 
     def test_circular_convolution_holds_one_complex_buffer(self, rng):
-        # the forward transform needs a second buffer while it runs; the
-        # product and the inverse transform must not add a third
+        # the forward transform fills one complex buffer and transforms it in
+        # place; the product and the inverse transform reuse that buffer, so
+        # nothing close to a second spectrum is ever allocated
         x = rng.standard_normal((8, 128, 128))
+        cube = HsiCube(x.copy())
+        spec = np.fft.fft2(x, axes=(-2, -1))
         blur = BlurOperator.gaussian(128, 128, 1.5)
         lap = LaplacianOperator.create(128, 128)
-        for apply, multiplier in (
-            (blur.apply_array, blur.multiplier),
-            (blur.adjoint_array, np.conj(blur.multiplier)),
-            (lap.apply_array, lap.multiplier),
+        for run, want in (
+            (lambda: dft2_per_band(cube).data, spec),
+            (lambda: blur.apply_array(x), np.fft.ifft2(spec * blur.multiplier).real),
+            (lambda: blur.adjoint_array(x), np.fft.ifft2(spec * np.conj(blur.multiplier)).real),
+            (lambda: lap.apply_array(x), np.fft.ifft2(spec * lap.multiplier).real),
         ):
-            want = np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * multiplier, axes=(-2, -1)).real
             tracemalloc.start()
             try:
-                got = apply(x)
+                got = run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert np.array_equal(got, want)
-            assert peak < 2.5 * x.size * 16
+            assert peak < 1.5 * x.size * 16
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -228,6 +232,9 @@ class TestDegradationModel:
             self._model().degrade(rand_cube(rng, 5, 8, 8))
         with pytest.raises(ValidationError):
             self._model(sigma=-0.1)
+        for seed in (-1, 1.5):  # checked even when there is no noise to draw
+            with pytest.raises(ValidationError):
+                self._model(seed=seed)
 
     def test_composed_spatial_adjoint(self, rng):
         model = self._model()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def test_rmse_formula(rng):
     rep = evaluate(a, b, factor=1)
     want = 255.0 * np.sqrt(np.mean((a.data - b.data) ** 2))
     assert rep.rmse == pytest.approx(want, rel=1e-14)
+
+
+def test_evaluate_peak_memory_stays_below_one_cube(rng):
+    # bands are scored one at a time; only per-band temporaries and the three
+    # per-pixel SAM sums are held, never a cube-sized difference or product
+    a = rand_cube(rng, 31, 64, 64, lo=0.1, hi=1.0)
+    b = rand_cube(rng, 31, 64, 64, lo=0.1, hi=1.0)
+    tracemalloc.start()
+    try:
+        evaluate(a, b, factor=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.data.nbytes
 
 
 def test_psnr_per_band_mean_and_cap(rng):
