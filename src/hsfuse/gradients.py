@@ -16,6 +16,8 @@ difference are constants of this module, so only the grid and the weights of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .cube import HsiCube
@@ -42,8 +44,19 @@ LAPLACIAN_KERNEL = np.array(
 LAPLACIAN_KERNEL.setflags(write=False)
 
 
+@dataclass(frozen=True)
 class LaplacianOperator(BlurOperator):
-    """Per-band circular convolution with ``LAPLACIAN_KERNEL``, anchored at its center."""
+    """Per-band circular convolution with ``LAPLACIAN_KERNEL``, anchored at its center.
+
+    It holds that stencil only: the constructors inherited from
+    ``BlurOperator`` raise ``ValidationError`` for any other kernel or anchor.
+    """
+
+    def __post_init__(self) -> None:
+        if self.anchor != (1, 1) or not np.array_equal(self.kernel, LAPLACIAN_KERNEL):
+            raise ValidationError(
+                "a LaplacianOperator holds LAPLACIAN_KERNEL at anchor (1, 1), unnormalized"
+            )
 
     @classmethod
     def create(cls, height: int, width: int) -> "LaplacianOperator":

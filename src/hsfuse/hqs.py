@@ -13,14 +13,17 @@ trace is non-increasing. The iteration starts from v = prior and returns the
 last x iterate.
 
 Every operator in L is circulant or pointwise in frequency, so x and v stay
-spectra from the first iteration to the last. A run transforms each input
-once through ``cube.dft2`` (the prior, z, and y on its low-resolution
-grid), factors both sub-steps once, and returns x through one inverse
-transform (``idft2_per_band``). The objective and the stop test are
-evaluated through Parseval's theorem; the y-term is a sum over aliasing
-groups on the low-resolution grid, ``sylvester.lowres_misfit``, so the group
-layout stays in ``sylvester``. ``objective_value`` is the spatial form of
-the same objective, for callers holding cubes.
+spectra from the first iteration to the last. They are half spectra (see
+``cube``), since x and v are real. A run transforms each input once (the
+prior and z through ``cube.rdft2``, y on its low-resolution grid through
+``sylvester.lowres_spectrum``), factors both sub-steps once, and returns x
+through one inverse transform (``idft2_per_band``) that writes the real cube.
+The objective and the stop test are evaluated through Parseval's theorem,
+with every stored column that has a mirror counted twice; the y-term is a
+sum over aliasing groups on the low-resolution grid,
+``sylvester.lowres_misfit``, so the group layout stays in ``sylvester``.
+``objective_value`` is the spatial form of the same objective, for callers
+holding cubes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import FreqCube, HsiCube, column_blocks, dft2, idft2_per_band
+from .cube import (
+    FreqCube,
+    HsiCube,
+    column_blocks,
+    half_spectrum,
+    idft2_per_band,
+    rdft2,
+    self_mirrored,
+)
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -106,6 +117,12 @@ def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
+def _parts(x: np.ndarray, v: np.ndarray, p: np.ndarray, lap_sq: np.ndarray) -> np.ndarray:
+    """Coupling, smoothness and band-difference sums of squares over (bands, columns) spectra."""
+    dv = v - p
+    return np.array([_sq(x - v), float(np.vdot(dv, lap_sq * dv).real), _sq(dv[1:] - dv[:-1])])
+
+
 @dataclass(frozen=True)
 class _Spectra:
     """What one run transforms and factors once, before the first iteration."""
@@ -127,45 +144,53 @@ class _Spectra:
         bands = model.bands
         height, width = model.hr_shape
         srf = model.srf.matrix
-        lap = LaplacianOperator.create(height, width)
+        lap_sq = half_spectrum(LaplacianOperator.create(height, width).response_sq)
         xstep = sylvester.factor_xstep(
             srf.T @ srf + cfg.rho * np.eye(bands), model.blur, model.down
         )
-        denoise = factor_denoise(lap, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
+        denoise = factor_denoise(lap_sq, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         y_tilde = sylvester.lowres_spectrum(model.down, y.data, height, width)
-        z_hat = dft2(z.data)
+        z_hat = rdft2(z.data)
         c_eig = sylvester.data_rhs(xstep, srf, y_tilde, z_hat)
-        p_hat = dft2(prior.data)
-        return cls(cfg, srf, lap.response_sq, xstep, denoise, y_tilde, z_hat, c_eig, p_hat)
+        p_hat = rdft2(prior.data)
+        return cls(cfg, srf, lap_sq, xstep, denoise, y_tilde, z_hat, c_eig, p_hat)
 
     def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
-        """``objective_value`` at the (x, v) whose DFTs are given, by Parseval."""
-        bands = x_hat.shape[0]
-        n = x_hat[0].size
+        """``objective_value`` at the (x, v) whose half spectra are given, by Parseval."""
+        bands, height, half = x_hat.shape
+        n = height * self.xstep.width
         x, v, p = (a.reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat))
-        z_hat = self.z_hat.reshape(len(self.srf), -1)
-        z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
         lap_sq = self.lap_sq.reshape(-1)
-        coupling = smooth = spectral = 0.0
-        for cols in column_blocks(n):
-            coupling += _sq(x[:, cols] - v[:, cols])
-            dv = v[:, cols] - p[:, cols]
-            smooth += float(np.vdot(dv, lap_sq[cols] * dv).real)
-            spectral += _sq(dv[1:] - dv[:-1])
+        total = sum(
+            _parts(x[:, cols], v[:, cols], p[:, cols], lap_sq[cols])
+            for cols in column_blocks(x.shape[1])
+        )
+        # a stored column with a mirror stands for two columns of the full spectrum
+        own = self_mirrored(self.xstep.width)
+        total = 2 * total - _parts(
+            *(a[..., own].reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat)),
+            self.lap_sq[:, own].reshape(-1),
+        )
+        coupling, smooth, spectral = total
+        z_bands = len(self.srf)
+        z_res = self.z_hat.reshape(z_bands, -1).view(np.float64) - self.srf @ x.view(np.float64)
+        z_sq = 2 * _sq(z_res) - _sq(z_res.reshape(z_bands, height, half, 2)[:, :, own])
         cfg = self.cfg
         return (
             sylvester.lowres_misfit(self.xstep, self.y_tilde, x_hat)
-            + float(np.vdot(z_res, z_res)) / n
+            + z_sq / n
             + cfg.rho * coupling / n
             + (cfg.mu * smooth + cfg.nu * spectral) / n
         )
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    """``||new - old|| / max(||old||, tiny)`` for the cubes whose DFTs are given."""
-    n = new[0].size
-    diff = sum(_sq(a - b) for a, b in zip(new, old))
-    base = sum(_sq(b) for b in old)
+def _rel_change(new: np.ndarray, old: np.ndarray, width: int) -> float:
+    """``||new - old|| / max(||old||, tiny)`` for the cubes whose half spectra are given."""
+    n = new.shape[1] * width
+    own = self_mirrored(width)
+    # a stored column with a mirror stands for two columns of the full spectrum
+    diff = 2 * sum(_sq(a - b) for a, b in zip(new, old)) - _sq(new[..., own] - old[..., own])
+    base = 2 * sum(_sq(b) for b in old) - _sq(old[..., own])
     tiny = float(np.finfo(np.float64).tiny)
     return float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
 
@@ -192,6 +217,7 @@ def fuse(
     model.check_hr("prior", prior)
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
+    width = model.hr_shape[1]
     # two spectrum buffers: the x-step overwrites v's with the new x, and the
     # previous x's buffer then receives the next v
     v_hat = fixed.p_hat.copy()
@@ -205,7 +231,7 @@ def fuse(
         sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.c_eig)
         x_hat, v_hat = v_hat, x_hat
         if k > 0:
-            changes.append(_rel_change(x_hat, v_hat))
+            changes.append(_rel_change(x_hat, v_hat, width))
         denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
         iterations = k + 1
         trace.append(fixed.objective(x_hat, v_hat))
@@ -216,7 +242,7 @@ def fuse(
     # transform allocates its output
     del fixed, v_hat
     return FusionResult(
-        x_hat=idft2_per_band(FreqCube(x_hat)),
+        x_hat=idft2_per_band(FreqCube(x_hat, width)),
         iterations=iterations,
         objective_trace=tuple(trace),
         converged=converged,

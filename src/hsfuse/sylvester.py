@@ -14,20 +14,26 @@ eigenbasis every channel n decouples, and in the frequency domain decimation
 couples only the factor^2 frequencies that alias onto one low-resolution
 frequency. Each coupled block is ``lambda_n*I + (1/d) e e^H``, with ``e`` the
 blur response of the group (times unit twiddles for a nonzero sampling phase),
-inverted in closed form by Sherman-Morrison. That covers every system a
-``DegradationModel`` produces: the model rejects grids the factor does not
-divide, and C1 is positive definite for rho > 0. A system outside that
-structure raises ``UnsupportedStructureError`` (CLI exit code 4) rather than
-falling back to an iterative solver.
+inverted in closed form by Sherman-Morrison. The kernels run on half
+spectra (see ``cube``): the members of a group that fall in unstored columns
+are conjugate mirrors of stored members of the mirror group -g, so a group's
+reduction ``e^H x`` is its stored partial sum plus the conjugate of the
+matching partial sum of group -g (``_fold``), and only the stored members are
+updated. That covers every system a ``DegradationModel`` produces: the model
+rejects grids the factor does not divide, and C1 is positive definite for
+rho > 0. A system outside that structure raises
+``UnsupportedStructureError`` (CLI exit code 4) rather than falling back to
+an iterative solver.
 
 Two entry points share those kernels. ``solve_fast`` is the one-shot spatial
-solve of a ``SylvesterSystem``: it transforms C3, runs ``solve_spectrum``'s
-band mix, Sherman-Morrison pass and band mix, and transforms back. The HQS
-loop calls ``solve_spectrum``, which maps the spectrum of v to the spectrum
-of the solution with no transform at all: the data part of C3 is
-transformed once per run (``lowres_spectrum``, ``data_rhs``; the transform of
-upsample_adjoint(y) is y's small transform tiled over the aliasing groups),
-and ``lowres_misfit`` scores the objective's y-term on the same groups.
+solve of a ``SylvesterSystem``: it transforms C3 (``cube.rdft2``), runs
+``solve_spectrum``'s band mix, Sherman-Morrison pass and band mix, and
+transforms back (``idft2_per_band``). The HQS loop calls ``solve_spectrum``,
+which maps the spectrum of v to the spectrum of the solution with no
+transform at all: the data part of C3 is transformed once per run
+(``lowres_spectrum``, ``data_rhs``; the transform of upsample_adjoint(y) is
+y's small transform tiled over the aliasing groups), and ``lowres_misfit``
+scores the objective's y-term on the same groups.
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
 
@@ -44,7 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import FreqCube, HsiCube, column_blocks, dft2, idft2_per_band
+from .cube import (
+    FreqCube,
+    HsiCube,
+    column_blocks,
+    dft2,
+    half_spectrum,
+    idft2_per_band,
+    rdft2,
+)
 from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
@@ -139,20 +153,32 @@ def sylvester_residual(system: SylvesterSystem, x: HsiCube) -> float:
 class XStepFactors:
     """What the x-step keeps fixed for one C1 and one blur/decimation pair.
 
-    ``q``/``lam`` eigendecompose C1 (ascending, all positive). ``e`` has shape
-    (s, gl, s, gw): member (tr, tc) of aliasing group (gr, gc), which sits at
-    frequency (tr*gl + gr, tc*gw + gc), so a band spectrum of shape (H, W)
-    reshapes onto it without a copy. ``esq`` is ``|e|^2`` per group.
+    ``q``/``lam`` eigendecompose C1 (ascending, all positive). Member
+    (tr, tc) of aliasing group (gr, gc) sits at frequency
+    (tr*gl + gr, tc*gw + gc). A half spectrum stores the members in columns
+    0..width//2, so ``e`` has shape (s, gl, width//2 + 1): row tr*gl + gr,
+    column c, which a band of the half spectrum reshapes onto without a copy.
+    The member of group g in column c > width//2 is the conjugate mirror of a
+    stored member of group -g in column width - c. For those columns,
+    ``mirror`` holds the unit factor conj(u(g)) with
+    ``e(-m) = u(g) * conj(e(m))``. ``u(g)`` comes from the sampling-phase
+    twiddles, and it is 1 at phase (0, 0). ``esq`` is ``|e|^2`` summed over
+    all s^2 members of each group, shape (gl, gw).
     """
 
     q: np.ndarray
     lam: np.ndarray
     e: np.ndarray
     esq: np.ndarray
+    mirror: np.ndarray
 
     @property
     def factor(self) -> int:
         return self.e.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.e.shape[2] + self.mirror.shape[1]
 
 
 def factor_xstep(c1: np.ndarray, blur: BlurOperator, down: Downsampler) -> XStepFactors:
@@ -179,41 +205,69 @@ def factor_xstep(c1: np.ndarray, blur: BlurOperator, down: Downsampler) -> XStep
     tc = np.arange(s).reshape(1, 1, s, 1)
     twiddle = np.exp(-2j * np.pi * (tr * pr + tc * pc) / s)
     e = np.conj(blur.multiplier.reshape(s, gl, s, gw)) * twiddle
-    esq = _fold(np.conj(e), e).real
-    return XStepFactors(q, lam, e, esq)
+    esq = (e.real**2 + e.imag**2).sum(axis=(0, 2))
+    e = half_spectrum(e.reshape(height, width)).reshape(s, gl, -1)
+    # a member and its mirror have twiddle indices summing to 0 (mod s) in
+    # group row or column 0, and to -1 elsewhere; the blur response of a real
+    # kernel is conjugate-symmetric
+    gr = np.arange(gl)[:, None]
+    gc = np.arange(e.shape[2], width)[None, :] % gw
+    mirror = np.exp(-2j * np.pi * (pr * (gr != 0) + pc * (gc != 0)) / s)
+    return XStepFactors(q, lam, e, esq, mirror)
 
 
-def _fold(ce: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """``e^H`` times each aliasing group of a (s, gl, s, gw) band; ``ce`` is ``conj(e)``."""
-    return np.einsum("alcb,alcb->lb", ce, group)
+def _fold(fac: XStepFactors, ce: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """``e^H x`` for every aliasing group of one half-spectrum band; ``ce`` is ``conj(e)``.
+
+    Sums each stored column over its s members in rows, extends the
+    (gl, width//2 + 1) partial sums to every column by the mirror relation,
+    and sums the columns of each group: the full (gl, gw) low-resolution grid.
+    """
+    s, gl, half = fac.e.shape
+    width = fac.width
+    rows = np.einsum("tlc,tlc->lc", ce, band.reshape(s, gl, half))
+    full = np.empty((gl, width), dtype=np.complex128)
+    full[:, :half] = rows
+    # column c > width//2 of group row gr mirrors column width - c of group row -gr
+    full[:, half:] = fac.mirror * np.conj(rows[-np.arange(gl) % gl, width - half : 0 : -1])
+    return full.reshape(gl, s, -1).sum(axis=1)
+
+
+def _spread(fac: XStepFactors, low: np.ndarray) -> np.ndarray:
+    """A (gl, gw) per-group value at each stored column: shape (gl, width//2 + 1)."""
+    return np.tile(low, fac.factor)[:, : fac.e.shape[2]]
 
 
 def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
     """Solve ``(lam_n*I + C2) x_n = spec_n`` for every eigen-channel n, in place.
 
-    ``spec`` holds the channels' spectra, shape (bands, height, width). Each
-    aliasing group of a channel is one Sherman-Morrison solve.
+    ``spec`` holds the channels' half spectra, shape (bands, height,
+    width//2 + 1). Each aliasing group of a channel is one Sherman-Morrison
+    solve; its stored members are updated.
     """
-    s = fac.factor
-    gl, gw = fac.e.shape[1], fac.e.shape[3]
+    s, gl, half = fac.e.shape
     ce = np.conj(fac.e)
     for n, lam in enumerate(fac.lam):
-        group = spec[n].reshape(s, gl, s, gw)
-        num = _fold(ce, group)
+        group = spec[n].reshape(s, gl, half)
+        num = _fold(fac, ce, group)
         num /= lam * (s * s) + fac.esq
-        group -= fac.e * num[None, :, None, :]
+        group -= fac.e * _spread(fac, num)
         group /= lam
 
 
 def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> float:
-    """``||y - down(blur(x))||^2`` by Parseval, from F(x) and ``lowres_spectrum``'s output."""
+    """``||y - down(blur(x))||^2`` by Parseval, from F(x) and ``lowres_spectrum``'s output.
+
+    ``x_hat`` is the half spectrum; the group sums cover the whole
+    low-resolution grid, so the low-resolution terms need no mirror weights.
+    """
     s = fac.factor
     gl, gw = y_tilde.shape[-2:]
     ce = np.conj(fac.e)
     total = 0.0
     for b in range(x_hat.shape[0]):
         # the low-resolution DFT of down(blur(x_b)), in y_tilde's phase convention
-        y_model = _fold(ce, x_hat[b].reshape(s, gl, s, gw))
+        y_model = _fold(fac, ce, x_hat[b])
         y_model /= s * s
         resid = y_tilde[b] - y_model
         total += float(np.vdot(resid, resid).real)
@@ -240,7 +294,7 @@ def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -
     """DFT of the low-resolution cube ``y`` times the sampling-phase ramp.
 
     In the group layout of ``XStepFactors.e``, the DFT of
-    ``blur_adjoint(upsample_adjoint(y))`` is ``e * y_tilde``, and
+    ``blur_adjoint(upsample_adjoint(y))`` is ``e * y_tilde`` at every member, and
     ``y_tilde - e^H F(x) / s^2`` is the low-resolution DFT of
     ``y - down(blur(x))`` times the same unit-modulus ramp, so its squared
     magnitudes sum to ``gl*gw * ||y - down(blur(x))||^2``.
@@ -258,12 +312,12 @@ def data_rhs(
 ) -> np.ndarray:
     """``q^T F(srf_adjoint(z) + blur_adjoint(upsample_adjoint(y)))``: C3 without rho*v.
 
-    ``y_tilde`` comes from ``lowres_spectrum``, ``z_hat`` is the per-band
-    DFT of z. The result is in C1's eigenbasis, shape (bands, height, width).
+    ``y_tilde`` comes from ``lowres_spectrum``, ``z_hat`` is the half
+    spectrum of z. The result is a half spectrum in C1's eigenbasis, shape
+    (bands, height, width//2 + 1).
     """
     bands = fac.q.shape[0]
-    s = fac.factor
-    gl, gw = y_tilde.shape[-2:]
+    s, gl, half = fac.e.shape
     out = np.empty((bands,) + z_hat.shape[1:], dtype=np.complex128)
     np.matmul(
         (srf @ fac.q).T,
@@ -272,13 +326,13 @@ def data_rhs(
     )
     y_eig = np.tensordot(fac.q.T, y_tilde, axes=(1, 0))
     for n in range(bands):
-        group = out[n].reshape(s, gl, s, gw)
-        group += fac.e * y_eig[n][None, :, None, :]
+        group = out[n].reshape(s, gl, half)
+        group += fac.e * _spread(fac, y_eig[n])
     return out
 
 
 def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, c_eig: np.ndarray) -> None:
-    """The x-step on spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
+    """The x-step on half spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
 
     ``c_eig`` is ``data_rhs``'s output for the same factors. Two band mixes
     and one Sherman-Morrison pass per channel; no transform.
@@ -295,8 +349,8 @@ def solve_fast(system: SylvesterSystem) -> HsiCube:
         UnsupportedStructureError: structural preconditions do not hold.
     """
     fac = factor_xstep(system.c1, system.blur, system.down)
-    spec = dft2(system.c3.data)
+    spec = rdft2(system.c3.data)
     _mix(fac.q.T, spec)
     _solve_channels(fac, spec)
     _mix(fac.q, spec)
-    return idft2_per_band(FreqCube(spec))
+    return idft2_per_band(FreqCube(spec, system.c3.width))

@@ -12,10 +12,13 @@ diagonally dominant, so the Thomas algorithm needs no pivoting. Its real
 factorization depends on the weights only: the HQS loop factors every
 frequency once per run (``factor_denoise``) and then, each iteration, forms
 the right-hand side from spectra it already holds and substitutes
-(``denoise_spectrum``), with no transform. ``vstep`` is the one-shot spatial
-form of the same solve: forward transforms of x_next and the prior,
-``denoise_spectrum``, one inverse transform. Batched solves are bit-identical
-to solving frequencies one at a time in any order.
+(``denoise_spectrum``), with no transform. Every frequency is solved on its
+own, so the kernels run unchanged on half spectra (see ``cube``): the
+unstored frequencies are the conjugate mirrors of stored ones, and so are
+their solutions. ``vstep`` is the one-shot spatial form of the same solve:
+forward transforms of x_next and the prior (``dft2_per_band``),
+``denoise_spectrum``, one inverse transform (``idft2_per_band``). Batched
+solves are bit-identical to solving frequencies one at a time in any order.
 
 ``vstep`` and ``solve_tridiagonal`` are the entry points that check their
 inputs; ``factor_denoise`` and ``denoise_spectrum`` trust theirs, which come
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import FreqCube, HsiCube, column_blocks, dft2_per_band, idft2_per_band
+from .cube import FreqCube, HsiCube, column_blocks, dft2_per_band, half_spectrum, idft2_per_band
 from .errors import ValidationError, check_real
 from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
 
@@ -108,7 +111,7 @@ class DenoiseFactors:
 
     ``mu_lap`` is ``mu_p * |lap(f)|^2`` per frequency; ``sub`` is T_f's
     off-diagonal, the same at every frequency; ``c``/``inv`` come from
-    the Thomas forward elimination, one column per frequency.
+    the Thomas forward elimination, one column per stored frequency.
     """
 
     mu_lap: np.ndarray
@@ -118,9 +121,9 @@ class DenoiseFactors:
     inv: np.ndarray
 
 
-def factor_denoise(lap: LaplacianOperator, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """Factor T_f at every frequency of ``lap``'s grid."""
-    mu_lap = mu_p * lap.response_sq.reshape(-1)
+def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
+    """Factor T_f at every frequency of ``lap_sq``, ``|lap(f)|^2`` on the half spectrum's grid."""
+    mu_lap = mu_p * lap_sq.reshape(-1)
     gram_diag, gram_off = spectral_gram_tridiag(bands)
     diag = 1.0 + mu_lap + nu_p * gram_diag[:, None]
     sub = np.broadcast_to((nu_p * gram_off)[:, None], (bands - 1, mu_lap.size))
@@ -133,10 +136,10 @@ def denoise_spectrum(
 ) -> None:
     """Write the DFT of the v-step solution into ``out``.
 
-    ``x_hat`` and ``p_hat`` are the DFTs of x_next and the prior, shape
-    (bands, height, width); ``out`` must be a third array of that shape. The
-    right-hand side ``x + mu_lap*p + nu_p*E0^T E0 p`` is formed and solved
-    one cache-sized block of frequencies at a time.
+    ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior,
+    shape (bands, height, width//2 + 1); ``out`` must be a third array of
+    that shape. The right-hand side ``x + mu_lap*p + nu_p*E0^T E0 p`` is
+    formed and solved one cache-sized block of frequencies at a time.
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
@@ -174,11 +177,11 @@ def vstep(
             f"operator grid {(lap.height, lap.width)} does not match cube grid "
             f"{(height, width)}"
         )
-    out = np.empty((bands, height, width), dtype=np.complex128)
+    out = np.empty((bands, height, width // 2 + 1), dtype=np.complex128)
     denoise_spectrum(
-        factor_denoise(lap, bands, mu_p, nu_p),
+        factor_denoise(half_spectrum(lap.response_sq), bands, mu_p, nu_p),
         dft2_per_band(x_next).data,
         dft2_per_band(prior).data,
         out,
     )
-    return idft2_per_band(FreqCube(out))
+    return idft2_per_band(FreqCube(out, width))

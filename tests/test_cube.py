@@ -86,52 +86,68 @@ def test_norm_matches_numpy(rng):
 
 
 def test_dft_roundtrip_and_dc(rng):
-    cube = HsiCube(rng.standard_normal((4, 8, 6)))
-    fc = dft2_per_band(cube)
-    assert fc.data.shape == cube.data.shape
-    # unnormalized forward: DC bin equals the band sum
-    per_band_sums = cube.data.sum(axis=(1, 2))
-    assert np.allclose(fc.data[:, 0, 0], per_band_sums, rtol=0, atol=1e-9)
-    back = idft2_per_band(fc)
-    assert np.allclose(back.data, cube.data, rtol=0, atol=1e-12)
+    for width in (6, 7):
+        cube = HsiCube(rng.standard_normal((4, 8, width)))
+        fc = dft2_per_band(cube)
+        # the half spectrum: columns 0..width//2
+        assert fc.data.shape == (4, 8, width // 2 + 1)
+        assert fc.width == width
+        # unnormalized forward: DC bin equals the band sum
+        per_band_sums = cube.data.sum(axis=(1, 2))
+        assert np.allclose(fc.data[:, 0, 0], per_band_sums, rtol=0, atol=1e-9)
+        back = idft2_per_band(fc)
+        assert np.allclose(back.data, cube.data, rtol=0, atol=1e-12)
 
 
 def test_parseval(rng):
-    cube = HsiCube(rng.standard_normal((2, 8, 8)))
-    fc = dft2_per_band(cube)
-    lhs = float(np.sum(np.abs(fc.data) ** 2))
-    rhs = 64.0 * float(np.sum(cube.data**2))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    # every stored column but 0 and (for even widths) width/2 has a mirror,
+    # so it counts twice
+    for width, weights in ((8, [1, 2, 2, 2, 1]), (7, [1, 2, 2, 2])):
+        cube = HsiCube(rng.standard_normal((2, 8, width)))
+        fc = dft2_per_band(cube)
+        lhs = float(np.sum(np.abs(fc.data) ** 2 * np.array(weights, dtype=float)))
+        rhs = 8.0 * width * float(np.sum(cube.data**2))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_idft_rejects_asymmetric_spectrum():
-    spec = np.zeros((1, 4, 4), dtype=np.complex128)
-    spec[0, 0, 1] = 1.0  # a lone nonzero bin cannot come from a real image
-    with pytest.raises(SymmetryViolationError):
-        idft2_per_band(FreqCube(spec))
+    # columns 0 and width/2 are their own mirrors: a lone nonzero bin off row 0
+    # there cannot come from a real image
+    for col in (0, 2):
+        spec = np.zeros((1, 4, 3), dtype=np.complex128)
+        spec[0, 1, col] = 1.0
+        with pytest.raises(SymmetryViolationError):
+            idft2_per_band(FreqCube(spec, 4))
 
 
 def test_idft_tolerance_is_relative_to_peak(rng):
-    # one stray bin of 1 leaves an imaginary residue of up to 1/16: roundoff
-    # beside a 1e6 peak, a symmetry violation beside a 1e3 one
-    def spectrum(peak):
+    # one stray bin of 1 in a self-mirrored column leaves an imaginary
+    # residue of up to 1/16: roundoff beside a 1e6 peak, a symmetry violation
+    # beside a 1e3 one
+    def spectrum(peak, col):
         data = rng.standard_normal((1, 4, 4))
         data[0, 0, 0] = peak
-        spec = np.fft.fft2(data, axes=(-2, -1))
-        spec[0, 0, 1] += 1.0
+        spec = np.fft.rfft2(data, axes=(-2, -1))
+        spec[0, 1, col] += 1.0
         return data, spec
 
-    data, spec = spectrum(1e6)
-    out = idft2_per_band(FreqCube(spec))
-    assert np.abs(out.data - data).max() <= 1.0 / 16 + 1e-9
-    with pytest.raises(SymmetryViolationError):
-        idft2_per_band(FreqCube(spectrum(1e3)[1]))
+    for col in (0, 2):
+        data, spec = spectrum(1e6, col)
+        out = idft2_per_band(FreqCube(spec, 4))
+        assert np.abs(out.data - data).max() <= 1.0 / 16 + 1e-9
+        with pytest.raises(SymmetryViolationError):
+            idft2_per_band(FreqCube(spectrum(1e3, col)[1], 4))
 
 
 def test_freqcube_validates():
     with pytest.raises(ValidationError):
-        FreqCube(np.zeros((3, 3), dtype=np.complex128))
+        FreqCube(np.zeros((3, 3), dtype=np.complex128), 4)
     bad = np.zeros((1, 2, 2), dtype=np.complex128)
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValidationError):
-        FreqCube(bad)
+        FreqCube(bad, 2)
+    # two stored columns hold a width of 2 or 3, not 4
+    for width in (2, 3):
+        assert FreqCube(np.zeros((1, 2, 2)), width).width == width
+    with pytest.raises(ValidationError):
+        FreqCube(np.zeros((1, 2, 2)), 4)

@@ -56,6 +56,20 @@ class TestLaplacian:
         with pytest.raises(ValidationError):
             LaplacianOperator.create(8, 2)
 
+    def test_inherited_constructors_build_the_stencil_or_raise(self):
+        for make in (
+            lambda: LaplacianOperator.gaussian(8, 8, 1.0),
+            lambda: LaplacianOperator.uniform_block(8, 8, 3),
+            lambda: LaplacianOperator.custom(8, 8, np.ones((3, 3))),
+            lambda: LaplacianOperator.custom(8, 8, -LAPLACIAN_KERNEL, (1, 1), normalize=False),
+            lambda: LaplacianOperator.custom(8, 8, LAPLACIAN_KERNEL, (0, 0), normalize=False),
+            lambda: LaplacianOperator.custom(8, 8, LAPLACIAN_KERNEL, (1, 1)),  # normalized
+        ):
+            with pytest.raises(ValidationError):
+                make()
+        lap = LaplacianOperator.custom(8, 8, LAPLACIAN_KERNEL, (1, 1), normalize=False)
+        assert np.array_equal(lap.multiplier, LaplacianOperator.create(8, 8).multiplier)
+
 
 class TestSpectralDiff:
     def test_forward_values(self, rng):

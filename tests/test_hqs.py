@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -114,6 +115,22 @@ class TestFuse:
         assert isinstance(result, FusionResult)
         assert 1 <= result.iterations <= 20
 
+    def test_peak_memory_stays_below_five_and_a_half_complex_cubes(self):
+        # the loop holds half spectra only, and the one inverse transform
+        # writes the real cube directly
+        gt = generate_scene(SceneSpec(31, 128, 128, seed=0))
+        blur = BlurOperator.uniform_block(128, 128, 4)
+        model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
+        y, z = model.degrade(gt)
+        prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        tracemalloc.start()
+        try:
+            fuse(y, z, model, prior, HqsConfig(max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * gt.data.size * 16
+
     def test_prior_shape_validated(self, rng):
         gt, model, y, z, prior = small_problem()
         with pytest.raises(ValidationError):
@@ -132,23 +149,39 @@ def desk_problem(seed):
     return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
 
 
+# (bands, height, width, factor, phase, blur) of the geometries the desk runs
+# do not cover: Gaussian blur, sampling phases, non-square and odd grids, odd
+# factors, and factors 1 and 2, where many aliasing groups are their own mirrors
+VARIANTS = {
+    "gaussian": (31, 32, 32, 4, (0, 0), "gaussian"),
+    "phase": (31, 32, 32, 4, (1, 2), "block"),
+    "non_square": (31, 32, 48, 4, (0, 0), "block"),
+    "odd_width": (5, 45, 63, 3, (0, 0), "block"),
+    "odd_factor": (6, 30, 35, 5, (0, 0), "gaussian"),
+    "odd_factor_even_width": (6, 35, 30, 5, (0, 0), "block"),
+    "phase_1_3": (6, 30, 40, 5, (1, 3), "block"),
+    "phase_2_1": (5, 45, 63, 3, (2, 1), "gaussian"),
+    "phase_0_4": (6, 30, 35, 5, (0, 4), "block"),
+    "factor_1": (5, 24, 27, 1, (0, 0), "gaussian"),
+    "factor_2": (5, 24, 30, 2, (1, 1), "block"),
+}
+
+
 def variant_problem(kind):
-    """A geometry the desk runs do not cover: Gaussian blur, sampling phase, non-square grid."""
-    height, width = (32, 48) if kind == "non_square" else (32, 32)
-    if kind == "gaussian":
+    """One of ``VARIANTS``, degraded with a little noise, and its naive prior."""
+    bands, height, width, s, phase, blur_kind = VARIANTS[kind]
+    if blur_kind == "gaussian":
         blur = BlurOperator.gaussian(height, width, 1.3)
     else:
-        blur = BlurOperator.uniform_block(height, width, 4)
-    down = Downsampler(4, (1, 2)) if kind == "phase" else Downsampler(4)
-    model = DegradationModel(blur, down, SpectralResponse.default_rgb(31), noise_sigma=0.002)
-    gt = generate_scene(SceneSpec(31, height, width, endmembers=4, seed=7))
+        blur = BlurOperator.uniform_block(height, width, s)
+    down = Downsampler(s, phase)
+    model = DegradationModel(blur, down, SpectralResponse.default_rgb(bands), noise_sigma=0.002)
+    gt = generate_scene(SceneSpec(bands, height, width, endmembers=4, seed=7))
     y, z = model.degrade(gt)
     return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
 
 
-PROBLEMS = [("desk", seed) for seed in range(5)] + [
-    ("variant", kind) for kind in ("gaussian", "phase", "non_square")
-]
+PROBLEMS = [("desk", seed) for seed in range(5)] + [("variant", kind) for kind in VARIANTS]
 
 
 def build_problem(family, arg):
@@ -186,7 +219,7 @@ class TestSpectralLoop:
         assert min(want) > 1e-5
         assert np.allclose(got.rel_changes, want, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "phase", "non_square"])
+    @pytest.mark.parametrize("kind", list(VARIANTS))
     def test_spectral_objective_matches_objective_value(self, kind, rng):
         model, y, z, prior = variant_problem(kind)
         cfg = HqsConfig(mu=0.3, nu=0.02, rho=0.15)
@@ -195,7 +228,7 @@ class TestSpectralLoop:
         for _ in range(3):
             x = rand_cube(rng, *prior.data.shape)
             v = rand_cube(rng, *prior.data.shape)
-            got = fixed.objective(np.fft.fft2(x.data), np.fft.fft2(v.data))
+            got = fixed.objective(np.fft.rfft2(x.data), np.fft.rfft2(v.data))
             want = objective_value(x, v, y, z, model, prior, cfg, lap=lap)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 

@@ -1,11 +1,14 @@
 """Source-level layout rules for the package.
 
 Every Fourier transform goes through ``hsfuse.cube``, so swapping the FFT
-library is a change to that one module; and no module reaches into another's
-private (``_``-prefixed) names.
+library is a change to that one module; no module reaches into another's
+private (``_``-prefixed) names; and the ``fuse`` import path loads no scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hsfuse
@@ -46,3 +49,19 @@ def test_no_module_imports_a_private_name_from_another():
             ):
                 offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert offenders == []
+
+
+def test_fuse_import_path_loads_no_scipy():
+    # ``import scipy.fft`` alone takes about 0.35 s, which every CLI call and
+    # every worker would pay before its first iteration
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, hsfuse.cli, hsfuse.hqs, hsfuse.priors, hsfuse.io; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -118,6 +118,41 @@ class TestOracleTriangle:
         assert relative_gap(fast.data, dense.data) <= 1e-8
         assert sylvester_residual(system, fast) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "bands,h,w,s,phase,blur_kind",
+        [
+            (3, 6, 9, 3, (0, 0), "block"),
+            (3, 6, 9, 3, (2, 1), "gauss"),
+            (3, 10, 10, 5, (0, 4), "gauss"),
+            (2, 10, 15, 5, (1, 3), "block"),
+            (3, 5, 7, 1, (0, 0), "gauss"),
+            (3, 4, 6, 1, (0, 0), "block"),
+            (3, 6, 10, 2, (1, 1), "gauss"),
+            (3, 4, 6, 2, (1, 0), "block"),
+        ],
+        ids=[
+            "odd_width",
+            "odd_width_phase",
+            "odd_factor_even_width_phase",
+            "odd_factor_odd_width_phase",
+            "factor_1_odd_width",
+            "factor_1_even_width",
+            "factor_2_phase",
+            "factor_2_row_phase",
+        ],
+    )
+    def test_half_spectrum_geometries(self, rng, bands, h, w, s, phase, blur_kind):
+        # the aliasing groups of a half spectrum are completed from their
+        # mirrors; these cover odd widths and factors, sampling phases, and
+        # factors 1 and 2, where many groups are their own mirrors
+        system, *_ = random_system(rng, bands, h, w, s, rho=0.01, blur_kind=blur_kind, phase=phase)
+        fast = solve_fast(system)
+        dense = dense_solve(system)
+        cg = solve_cg(system, tol=1e-12, max_iter=5000)
+        assert relative_gap(fast.data, dense.data) <= 1e-8
+        assert relative_gap(fast.data, cg.x.data) <= 1e-7
+        assert sylvester_residual(system, fast) <= 1e-10
+
     def test_ground_truth_is_fixed_point(self, rng):
         model = make_model(rng, 5, 8, 8, 2)
         gt = rand_cube(rng, 5, 8, 8, lo=0.0, hi=1.0)
