@@ -4,8 +4,8 @@ Cube container layout, front to back:
 
 * 4 magic bytes ``HSRC``
 * one line of JSON (terminated by a newline) with keys ``bands``, ``height``,
-  ``width``, ``dtype`` ("f64" or "f32"), ``layout`` ("band-major"), and an
-  optional two-element ``scale``
+  ``width`` (JSON integers), ``dtype`` ("f64" or "f32"), ``layout``
+  ("band-major"), and an optional two-element ``scale``
 * the raw little-endian payload, exactly bands*height*width values
 
 Writes are bit-reproducible for equal inputs. Every file the package writes
@@ -121,18 +121,19 @@ def load_cube(path: str | Path) -> HsiCube:
         if not isinstance(header, dict):
             raise CubeFormatError(f"{path}: header must be a JSON object")
         try:
-            bands = int(header["bands"])
-            height = int(header["height"])
-            width = int(header["width"])
+            dims = tuple(header[key] for key in ("bands", "height", "width"))
             dtype = header["dtype"]
             layout = header["layout"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CubeFormatError(f"{path}: header is missing or mistypes a required key ({exc})") from exc
+        except KeyError as exc:
+            raise CubeFormatError(f"{path}: header is missing the required key {exc}") from exc
+        if not all(type(d) is int for d in dims):
+            raise CubeFormatError(f"{path}: dimensions must be JSON integers, got {dims}")
+        bands, height, width = dims
         if min(bands, height, width) < 1:
             raise CubeFormatError(f"{path}: dimensions must be positive, got {(bands, height, width)}")
         if layout != "band-major":
             raise CubeFormatError(f"{path}: unsupported layout {layout!r}")
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise UnknownDtypeError(f"{path}: unknown dtype {dtype!r}")
         expected = bands * height * width * np.dtype(_DTYPES[dtype]).itemsize
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -150,10 +151,10 @@ def load_cube(path: str | Path) -> HsiCube:
             raise TruncatedPayloadError(
                 f"{path}: read {got} payload bytes, header promises {expected}"
             )
-    values = values.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(values)):
-        raise CubeFormatError(f"{path}: payload contains non-finite values")
-    return HsiCube(values)
+    try:
+        return HsiCube(values.astype(np.float64, copy=False))
+    except ValidationError as exc:
+        raise CubeFormatError(f"{path}: payload contains non-finite values") from exc
 
 
 def save_srf_csv(path: str | Path, srf: SpectralResponse, names: tuple[str, ...] | None = None) -> None:

@@ -12,7 +12,11 @@ Conventions, fixed so numbers are comparable across runs:
   below 1e-6 are excluded with a warning.
 * SSIM follows the single-scale formulation with an 11x11 Gaussian window
   (sigma 1.5), K1 = 0.01, K2 = 0.03, dynamic range 1.0, window-weighted
-  moments, and 'valid'-mode borders; per-band values are averaged.
+  moments, and 'valid'-mode borders; per-band values are averaged. One
+  circular blur of the stack (a, b, a*a, b*b, a*b) by the center-anchored
+  ``BlurOperator.gaussian``, built once per call, gives a band's five window
+  sums; rows [5, H-5) and columns [5, W-5) are the pixels whose window never
+  wraps around the border, which is exactly the 'valid' region.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .cube import HsiCube
+from .degradation import BlurOperator
 from .errors import ValidationError, check_int
 
 __all__ = ["MetricReport", "CSV_HEADER", "evaluate"]
@@ -65,21 +69,14 @@ class MetricReport:
         )
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    offsets = np.arange(size) - half
-    prof = np.exp(-0.5 * (offsets / sigma) ** 2)
-    win = np.outer(prof, prof)
-    return win / win.sum()
-
-
-def _ssim_band(a: np.ndarray, b: np.ndarray, win: np.ndarray) -> float:
+def _ssim_band(a: np.ndarray, b: np.ndarray, window: BlurOperator) -> float:
     c1, c2 = _SSIM_K1**2, _SSIM_K2**2
-    mu_a = fftconvolve(a, win, mode="valid")
-    mu_b = fftconvolve(b, win, mode="valid")
-    var_a = fftconvolve(a * a, win, mode="valid") - mu_a * mu_a
-    var_b = fftconvolve(b * b, win, mode="valid") - mu_b * mu_b
-    cov = fftconvolve(a * b, win, mode="valid") - mu_a * mu_b
+    h = _SSIM_WINDOW // 2
+    sums = window.apply_array(np.stack((a, b, a * a, b * b, a * b)))[:, h:-h, h:-h]
+    mu_a, mu_b, sq_a, sq_b, ab = sums
+    var_a = sq_a - mu_a * mu_a
+    var_b = sq_b - mu_b * mu_b
+    cov = ab - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -96,14 +93,14 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
         raise ValidationError(
             f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
         )
-    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-    # one band at a time, so no temporary is larger than a band; the SAM sums
-    # over bands run per pixel, in band order
+    window = BlurOperator.gaussian(x_hat.height, x_hat.width, _SSIM_SIGMA, _SSIM_WINDOW)
+    # one band at a time, so no temporary is larger than one band's stack of
+    # five SSIM window sums; the SAM sums over bands run per pixel, in band order
     dots, sq_a, sq_b = (np.zeros(x_hat.data.shape[1:]) for _ in range(3))
     per_band = []
     for a, b in zip(x_hat.data, x_ref.data):
         diff = a - b
-        per_band.append((np.mean(diff * diff), np.mean(b), _ssim_band(a, b, win)))
+        per_band.append((np.mean(diff * diff), np.mean(b), _ssim_band(a, b, window)))
         dots += a * b
         sq_a += a * a
         sq_b += b * b

@@ -6,7 +6,8 @@ matrices are built from impulses, and adjointness is checked through raw
 inner products. The x-step and v-step oracles live here too: matrix-free
 conjugate gradient on the full Sylvester operator, and the gradient of the
 v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
-the reference the spectral ``hsfuse.hqs.fuse`` is compared against.
+the reference the spectral ``hsfuse.hqs.fuse`` is compared against, and
+``ssim_direct`` forms the SSIM window sums window by window, with no FFT.
 """
 
 from typing import NamedTuple
@@ -33,6 +34,32 @@ def roll_blur(data: np.ndarray, kernel: np.ndarray, anchor: tuple[int, int]) -> 
         for v in range(kernel.shape[1]):
             out += kernel[u, v] * np.roll(data, (-(u - ar), -(v - ac)), axis=(-2, -1))
     return out
+
+
+def ssim_direct(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean per-band SSIM of two (bands, H, W) arrays from direct 11x11 window sums.
+
+    Gaussian window sigma 1.5, K1 = 0.01, K2 = 0.03, dynamic range 1.0, and
+    only windows that lie wholly inside the image ('valid' borders).
+    """
+    offsets = np.arange(-5, 6)
+    profile = np.exp(-0.5 * (offsets / 1.5) ** 2)
+    window = np.outer(profile, profile)
+    window /= window.sum()
+
+    def window_sums(x):
+        views = np.lib.stride_tricks.sliding_window_view(x, (11, 11), axis=(-2, -1))
+        return np.einsum("...ijuv,uv->...ij", views, window)
+
+    c1, c2 = 0.01**2, 0.03**2
+    mu_a, mu_b = window_sums(a), window_sums(b)
+    var_a = window_sums(a * a) - mu_a**2
+    var_b = window_sums(b * b) - mu_b**2
+    cov = window_sums(a * b) - mu_a * mu_b
+    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    )
+    return float(np.mean(ssim_map.mean(axis=(-2, -1))))
 
 
 def dense_matrix(apply_fn, in_shape, out_shape=None) -> np.ndarray:

@@ -192,6 +192,21 @@ class TestCubeContainer:
         path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + b"\0" * 4)
         with pytest.raises(UnknownDtypeError):
             load_cube(path)
+        head["dtype"] = ["f64"]  # not hashable: must not escape as a TypeError
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + b"\0" * 8)
+        with pytest.raises(UnknownDtypeError):
+            load_cube(path)
+
+    @pytest.mark.parametrize("key", ["bands", "height", "width"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+    def test_dimensions_must_be_json_integers(self, tmp_path, key, value):
+        head = {"bands": 1, "height": 1, "width": 1, "dtype": "f64", "layout": "band-major"}
+        head[key] = value
+        # the payload int(value) promises, so only the type check can reject the file
+        path = tmp_path / "bad.cube"
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + b"\0" * (8 * int(value)))
+        with pytest.raises(CubeFormatError, match="JSON integers"):
+            load_cube(path)
 
     def test_truncated_payload(self, tmp_path, rng):
         blob = self._valid_blob(tmp_path, rng)
@@ -214,6 +229,22 @@ class TestCubeContainer:
         path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + payload)
         with pytest.raises(CubeFormatError):
             load_cube(path)
+
+    def test_load_scans_the_payload_for_non_finite_values_once(self, rng, tmp_path, monkeypatch):
+        cube = rand_cube(rng, 3, 8, 8)
+        path = tmp_path / "a.cube"
+        save_cube(path, cube)
+        scans = []
+        isfinite = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            if np.size(x) == cube.data.size:
+                scans.append(1)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        load_cube(path)
+        assert len(scans) == 1
 
 
 class TestSrfCsv:

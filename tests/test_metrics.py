@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import rand_cube
+from helpers import rand_cube, ssim_direct
 from hsfuse.cube import HsiCube
 from hsfuse.errors import ValidationError
 from hsfuse.metrics import CSV_HEADER, evaluate
@@ -118,6 +118,16 @@ def test_ssim_on_constant_shift_matches_closed_form():
     want = (2.0 * mu * (mu + delta) + c1) / (mu**2 + (mu + delta) ** 2 + c1)
     got = evaluate(a, b, factor=1).ssim
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 16), (2, 23, 37), (1, 11, 11), (2, 40, 12)])
+def test_ssim_matches_direct_window_sums(rng, shape):
+    # the direct oracle slides the window over the image; a crop of the
+    # blurred stack one pixel off the 'valid' region misses it by far more
+    ref = rng.uniform(0.0, 1.0, shape)
+    noisy = ref + rng.normal(0.0, 0.1, shape)
+    got = evaluate(HsiCube(noisy), HsiCube(ref), factor=1).ssim
+    assert got == pytest.approx(ssim_direct(noisy, ref), rel=1e-10)
 
 
 def test_ssim_penalizes_noise(rng):

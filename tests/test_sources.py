@@ -2,7 +2,8 @@
 
 Every Fourier transform goes through ``hsfuse.cube``, so swapping the FFT
 library is a change to that one module; no module reaches into another's
-private (``_``-prefixed) names; and the ``fuse`` import path loads no scipy.
+private (``_``-prefixed) names; and the package runs on numpy alone: no
+module imports scipy, and importing every module loads none.
 """
 
 import ast
@@ -51,14 +52,31 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
 def test_fuse_import_path_loads_no_scipy():
-    # ``import scipy.fft`` alone takes about 0.35 s, which every CLI call and
-    # every worker would pay before its first iteration
+    # ``import scipy.fft`` alone takes about 0.35 s and ``import scipy.signal``
+    # about 1.4 s, which every CLI call and every worker would pay before its
+    # first iteration; every module but ``__main__`` (which runs the CLI) is
+    # imported here
     root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    modules = [f"hsfuse.{path.stem}" for path in SOURCES if path.stem not in ("__init__", "__main__")]
     code = (
-        "import sys, hsfuse.cli, hsfuse.hqs, hsfuse.priors, hsfuse.io; "
+        f"import sys, {', '.join(modules)}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
