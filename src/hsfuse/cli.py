@@ -8,9 +8,11 @@ commands share one stage runner (``_Stage``) for that manifest, and every
 file they write (cubes, manifests, JSON/CSV reports, error maps) goes through
 ``io.write_atomic``, so a failed write leaves the previous file in place.
 
-Heavy imports happen inside the command handlers so that --threads (or the
-HSFUSE_THREADS variable) can cap the numeric libraries' thread pools before
-they load. Runs with --threads 1 and fixed seeds are bit-reproducible.
+Heavy imports happen inside the command handlers so that the BLAS/OpenMP
+thread pools can be pinned to one thread before numpy loads. The package's
+own pool (see ``cube``) is then the only parallelism; --threads, or the
+HSFUSE_THREADS variable, or the available cores size it. Output bytes do not
+depend on that size, and runs with fixed seeds are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ import os
 import sys
 import time
 
-from .errors import CubeFormatError, UnsupportedStructureError, ValidationError, check_int
+from .errors import (
+    CubeFormatError,
+    UnsupportedStructureError,
+    ValidationError,
+    check_int,
+    check_int_text,
+)
 
 __all__ = ["main", "entry"]
 
@@ -35,20 +43,29 @@ _THREAD_VARS = (
 )
 
 
-def _configure_threads(threads: int | None) -> int | None:
-    name = "--threads"
-    if threads is None:
-        env = os.environ.get("HSFUSE_THREADS")
-        if env is None:
-            return None
-        name = "HSFUSE_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = env  # check_int rejects it by name
-    threads = check_int(name, threads, 1)
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _configure_threads(threads: int | None) -> int:
+    """Size the package's pool and pin every BLAS/OpenMP pool to one thread.
+
+    The size is ``threads`` (--threads), else ``HSFUSE_THREADS``, else the
+    available cores; it is written back to ``HSFUSE_THREADS``, where the pool
+    reads it. BLAS worker threads would spin between calls on the cores the
+    pool needs, and the loop gives them almost no work.
+    """
+    if threads is not None:
+        threads = check_int("--threads", threads, 1)
+    elif "HSFUSE_THREADS" in os.environ:
+        threads = check_int_text("HSFUSE_THREADS", os.environ["HSFUSE_THREADS"], 1)
+    else:
+        threads = _available_cores()
     for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
+        os.environ[var] = "1"
+    os.environ["HSFUSE_THREADS"] = str(threads)
     return threads
 
 
@@ -63,7 +80,8 @@ class _Stage:
 
     The manifest goes to --manifest, or next to the primary output. Its keys
     come in a fixed order: ``command``, ``config`` (the value of each flag in
-    ``flags``), ``inputs`` (all commands but simulate), ``outputs``,
+    ``flags``, then the resolved ``threads``), ``inputs`` (all commands but
+    simulate), ``outputs``,
     ``timings_s``, any command-specific results, then ``error``. Leaving the
     ``with`` block writes it: ``error`` is None on success, or the
     exception's type and message, which is re-raised; a failure to write that
@@ -73,6 +91,7 @@ class _Stage:
     def __init__(self, args: argparse.Namespace, primary: str, flags: str):
         self.path = args.manifest or str(primary) + ".manifest.json"
         config = {flag: getattr(args, flag) for flag in flags.split()}
+        config["threads"] = args.threads
         self.manifest: dict = {"command": args.command, "config": config}
         if args.command != "simulate":
             self.manifest["inputs"] = {}
@@ -325,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap numeric thread pools (1 gives bit-reproducible runs); "
-        "falls back to HSFUSE_THREADS",
+        help="threads of the hsfuse pool (output bytes do not depend on it); "
+        "falls back to HSFUSE_THREADS, then to the available cores",
     )
     common.add_argument(
         "--manifest",
@@ -409,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _configure_threads(args.threads)
+        args.threads = _configure_threads(args.threads)
         return args.func(args)
     except Exception as exc:
         code = _exit_code_for(exc)

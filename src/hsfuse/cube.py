@@ -12,11 +12,24 @@ the half spectrum of ``np.fft.rfftn``: columns 0..width//2 of every band,
 shape (bands, height, width//2 + 1). Every other column is the conjugate
 mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
 Parseval sum counts each stored column that has a mirror twice (all but
-``self_mirrored(width)``). ``rdft2``/``dft2_per_band`` and
-``idft2_per_band`` are that transform pair. The full complex ``dft2`` stays
-for the spectra used whole: blur multipliers (an aliasing group spans every
-column), the small low-resolution y, and ``circular_convolve``'s buffer,
-which it filters and transforms back in place.
+``self_mirrored(width)``). ``rdft2`` and ``irdft2`` are that transform
+pair on arrays, ``dft2_per_band`` and ``idft2_per_band`` on cubes.
+``circular_convolve`` filters on half spectra too, one plane at a time: the
+multiplier of a real kernel is conjugate-symmetric, so its stored columns
+are all the product needs. The full complex ``dft2`` stays for the spectra
+used whole: blur multipliers (an aliasing group spans every column) and the
+small low-resolution y.
+
+The package has one thread pool, and ``pool_map`` is its only entry. Every
+per-plane transform here and every independent block loop of the HQS
+iteration (band mixes, eigen-channels, v-step blocks, objective parts) runs
+through it. Its size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
+because a library caller may not have pinned its BLAS threads; the CLI sets
+it to ``--threads`` or the available cores and pins BLAS to one thread. Each
+item writes its own output or returns its own partial result, and callers
+combine partial results in item order, so output bytes do not depend on the
+pool size. A pool of 1 runs the same functions in the calling thread, and
+``concurrent.futures`` is imported only when a map first needs a worker.
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -26,11 +39,15 @@ rather than copied, so pass a copy if the caller still needs to write it.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError, check_int
+from .errors import SymmetryViolationError, ValidationError, check_int, check_int_text
 
 __all__ = [
     "HsiCube",
@@ -41,6 +58,9 @@ __all__ = [
     "dft2_per_band",
     "half_spectrum",
     "idft2_per_band",
+    "irdft2",
+    "pool_map",
+    "pool_size",
     "rdft2",
     "self_mirrored",
 ]
@@ -50,8 +70,17 @@ __all__ = [
 _IMAG_TOL = 1e-6
 
 # frequencies per block when a loop walks a (bands, pixels) spectrum: a block
-# of every band stays cache-resident
-_BLOCK_COLUMNS = 1 << 13
+# of every band stays cache-resident, and the block temporaries that each pool
+# thread's malloc arena keeps between maps stay small (full-scale CLI fuse with
+# a pool of 2 on a 2-core box: peak RSS 447 MB at 1 << 13, 443 MB at 1 << 12,
+# against 438 MB with no pool)
+_BLOCK_COLUMNS = 1 << 12
+
+# the package's executor and its worker count, made by the first map that
+# needs a worker and replaced when the pool size changes
+_pool_lock = threading.Lock()
+_pool = None
+_pool_workers = 0
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -156,6 +185,78 @@ class FreqCube:
         object.__setattr__(self, "width", width)
 
 
+def pool_size() -> int:
+    """Threads that run each ``pool_map``, the caller's included: ``HSFUSE_THREADS``, or 1."""
+    env = os.environ.get("HSFUSE_THREADS")
+    return 1 if env is None else check_int_text("HSFUSE_THREADS", env, 1)
+
+
+def _submit(workers: int, fn: Callable[[], None], count: int) -> list:
+    """Queue ``count`` calls of ``fn`` on the package's executor of ``workers`` threads.
+
+    The executor is made on first use and replaced when ``workers`` changes;
+    a replaced one still runs what was queued on it. Submitting under the
+    lock keeps a replacement from shutting an executor between its lookup
+    and the submit.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers != workers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="hsfuse")
+            _pool_workers = workers
+        return [_pool.submit(fn) for _ in range(count)]
+
+
+def pool_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, run on the package's thread pool.
+
+    ``pool_size()`` threads, the calling one among them, take the next
+    unclaimed item until none is left. Each result lands at its item's
+    index, so the list does not depend on the pool size or on which thread
+    ran what. An error raised by ``fn`` is raised here once every thread has
+    stopped.
+    """
+    results = [None] * len(items)
+    claim = itertools.count()
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(claim)
+            if i >= len(items):
+                return
+            results[i] = fn(items[i])
+
+    size = pool_size()
+    helpers = min(size, len(items)) - 1
+    futures = _submit(size - 1, drain, helpers) if helpers > 0 else []
+    try:
+        drain()
+    finally:
+        # a share no worker has started finds nothing left to take; cancelling
+        # it keeps a map run from a worker from waiting on its own pool
+        errors = [f.exception() for f in futures if not f.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def _each_plane(fn: Callable[..., object], *arrays: np.ndarray) -> None:
+    """``fn(*planes)`` for the 2-D planes at each index of the arrays' leading axes, on the pool.
+
+    The arrays share their leading shape; an output array must be contiguous,
+    so that its plane view is written in place.
+    """
+    planes = [a.reshape((-1,) + a.shape[-2:]) for a in arrays]
+    pool_map(lambda i: fn(*(p[i] for p in planes)), range(len(planes[0])))
+
+
 def dft2(data: np.ndarray) -> np.ndarray:
     """Unnormalized 2-D DFT over the last two axes, in one new complex buffer."""
     buf = np.empty(data.shape, dtype=np.complex128)
@@ -164,18 +265,66 @@ def dft2(data: np.ndarray) -> np.ndarray:
 
 
 def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """``ifft2(fft2(data) * multiplier).real`` over the last two axes, in one complex buffer."""
-    buf = dft2(data)
-    buf *= multiplier
-    # ifftn, as numpy's ifft2 drops its out= argument
-    np.fft.ifftn(buf, axes=(-2, -1), out=buf)
-    return buf.real
+    """``ifft2(fft2(data) * multiplier).real`` over the last two axes of real ``data``.
+
+    ``multiplier`` is the (height, width) spectrum of a real kernel, so the
+    product of each plane's half spectrum with its stored columns is the half
+    spectrum of the result. Each plane is filtered in its own half-size buffer
+    and transformed back into the new real output.
+    """
+    height, width = data.shape[-2:]
+    half = multiplier[..., : width // 2 + 1]
+    out = np.empty(data.shape, dtype=np.float64)
+
+    def plane(src: np.ndarray, dst: np.ndarray) -> None:
+        spec = np.fft.rfftn(src, axes=(-2, -1))
+        spec *= half
+        # irfftn, as numpy's irfft2 drops its out= argument
+        np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=dst)
+
+    _each_plane(plane, data, out)
+    return out
 
 
 def rdft2(data: np.ndarray) -> np.ndarray:
     """Half spectrum of real ``data`` over the last two axes, in one new complex buffer."""
     out = np.empty(data.shape[:-1] + (data.shape[-1] // 2 + 1,), dtype=np.complex128)
-    return np.fft.rfftn(data, axes=(-2, -1), out=out)
+    _each_plane(lambda src, dst: np.fft.rfftn(src, axes=(-2, -1), out=dst), data, out)
+    return out
+
+
+def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of ``rdft2`` for a ``width``-column grid, into one new real array.
+
+    ``np.fft.irfftn`` writes the real result directly. Only the self-mirrored
+    columns can break conjugate symmetry, and a full inverse would turn that
+    break into an imaginary residue; it is measured on those columns,
+    relative to max(1, peak real magnitude), and discarded when small. A
+    non-finite spectrum gives a non-finite result, which the caller's
+    ``HsiCube`` rejects.
+
+    Raises:
+        SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
+    """
+    height = spec.shape[-2]
+    # a self-mirrored column c adds exp(2j*pi*c*j/width)/width, which is +-1/width,
+    # times its inverse over rows to pixel column j, so the worst pixel
+    # carries the sum of the columns' imaginary parts
+    rows = np.fft.ifft(spec[..., self_mirrored(width)], axis=-2)
+    resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
+    real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
+    _each_plane(
+        lambda src, dst: np.fft.irfftn(src, s=(height, width), axes=(-2, -1), out=dst), spec, real
+    )
+    # the scale is at least 1, so a residue within the tolerance needs no peak scan
+    if resid > _IMAG_TOL:
+        scale = max(1.0, float(real.max()), -float(real.min()))
+        if resid / scale > _IMAG_TOL:
+            raise SymmetryViolationError(
+                f"inverse transform has imaginary residue {resid / scale:.3e} "
+                f"(tolerance {_IMAG_TOL:.1e}); input was not the spectrum of a real cube"
+            )
+    return real
 
 
 def half_spectrum(full: np.ndarray) -> np.ndarray:
@@ -197,34 +346,12 @@ def dft2_per_band(cube: HsiCube) -> FreqCube:
 
 
 def idft2_per_band(fc: FreqCube) -> HsiCube:
-    """Inverse per-band DFT of a half spectrum that should come from a real cube.
-
-    ``np.fft.irfftn`` writes the real cube directly. Only the self-mirrored
-    columns can break conjugate symmetry, and a full inverse would turn that
-    break into an imaginary residue; it is measured on those columns,
-    relative to max(1, peak real magnitude), and discarded when small.
+    """Inverse per-band DFT of a half spectrum that should come from a real cube (``irdft2``).
 
     Raises:
         SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
     """
-    spec = fc.data
-    height, width = spec.shape[1], fc.width
-    # a self-mirrored column c adds exp(2j*pi*c*j/width)/width, which is +-1/width,
-    # times its inverse over rows to pixel column j, so the worst pixel
-    # carries the sum of the columns' imaginary parts
-    rows = np.fft.ifft(spec[..., self_mirrored(width)], axis=-2)
-    resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
-    real = np.empty(spec.shape[:2] + (width,), dtype=np.float64)
-    np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=real)
-    # the scale is at least 1, so a residue within the tolerance needs no peak scan
-    if resid > _IMAG_TOL:
-        scale = max(1.0, float(real.max()), -float(real.min()))
-        if resid / scale > _IMAG_TOL:
-            raise SymmetryViolationError(
-                f"inverse transform has imaginary residue {resid / scale:.3e} "
-                f"(tolerance {_IMAG_TOL:.1e}); input was not the spectrum of a real cube"
-            )
-    return HsiCube(real)
+    return HsiCube(irdft2(fc.data, fc.width))
 
 
 def column_blocks(n: int) -> list[slice]:

@@ -17,13 +17,16 @@ spectra from the first iteration to the last. They are half spectra (see
 ``cube``), since x and v are real. A run transforms each input once (the
 prior and z through ``cube.rdft2``, y on its low-resolution grid through
 ``sylvester.lowres_spectrum``), factors both sub-steps once, and returns x
-through one inverse transform (``idft2_per_band``) that writes the real cube.
+through one inverse transform (``cube.irdft2``) that writes the real cube.
 The objective and the stop test are evaluated through Parseval's theorem,
 with every stored column that has a mirror counted twice; the y-term is a
 sum over aliasing groups on the low-resolution grid,
 ``sylvester.lowres_misfit``, so the group layout stays in ``sylvester``.
 ``objective_value`` is the spatial form of the same objective, for callers
-holding cubes.
+holding cubes. Every pass over a spectrum is split into independent items
+(column blocks, bands or eigen-channels) that run on the package's thread
+pool (``cube.pool_map``), and partial sums are added in item order, so the
+iterates and the trace do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -33,15 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import (
-    FreqCube,
-    HsiCube,
-    column_blocks,
-    half_spectrum,
-    idft2_per_band,
-    rdft2,
-    self_mirrored,
-)
+from .cube import HsiCube, column_blocks, half_spectrum, irdft2, pool_map, rdft2, self_mirrored
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -161,9 +156,12 @@ class _Spectra:
         n = height * self.xstep.width
         x, v, p = (a.reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat))
         lap_sq = self.lap_sq.reshape(-1)
+        # partial sums in block order, whatever the pool size
         total = sum(
-            _parts(x[:, cols], v[:, cols], p[:, cols], lap_sq[cols])
-            for cols in column_blocks(x.shape[1])
+            pool_map(
+                lambda cols: _parts(x[:, cols], v[:, cols], p[:, cols], lap_sq[cols]),
+                column_blocks(x.shape[1]),
+            )
         )
         # a stored column with a mirror stands for two columns of the full spectrum
         own = self_mirrored(self.xstep.width)
@@ -188,9 +186,11 @@ def _rel_change(new: np.ndarray, old: np.ndarray, width: int) -> float:
     """``||new - old|| / max(||old||, tiny)`` for the cubes whose half spectra are given."""
     n = new.shape[1] * width
     own = self_mirrored(width)
-    # a stored column with a mirror stands for two columns of the full spectrum
-    diff = 2 * sum(_sq(a - b) for a, b in zip(new, old)) - _sq(new[..., own] - old[..., own])
-    base = 2 * sum(_sq(b) for b in old) - _sq(old[..., own])
+    # per-band sums, added in band order; a stored column with a mirror
+    # stands for two columns of the full spectrum
+    parts = pool_map(lambda b: (_sq(new[b] - old[b]), _sq(old[b])), range(len(new)))
+    diff = 2 * sum(d for d, _ in parts) - _sq(new[..., own] - old[..., own])
+    base = 2 * sum(b for _, b in parts) - _sq(old[..., own])
     tiny = float(np.finfo(np.float64).tiny)
     return float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
 
@@ -242,7 +242,7 @@ def fuse(
     # transform allocates its output
     del fixed, v_hat
     return FusionResult(
-        x_hat=idft2_per_band(FreqCube(x_hat, width)),
+        x_hat=HsiCube(irdft2(x_hat, width)),
         iterations=iterations,
         objective_trace=tuple(trace),
         converged=converged,

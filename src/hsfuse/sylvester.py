@@ -28,7 +28,7 @@ an iterative solver.
 Two entry points share those kernels. ``solve_fast`` is the one-shot spatial
 solve of a ``SylvesterSystem``: it transforms C3 (``cube.rdft2``), runs
 ``solve_spectrum``'s band mix, Sherman-Morrison pass and band mix, and
-transforms back (``idft2_per_band``). The HQS loop calls ``solve_spectrum``,
+transforms back (``cube.irdft2``). The HQS loop calls ``solve_spectrum``,
 which maps the spectrum of v to the spectrum of the solution with no
 transform at all: the data part of C3 is transformed once per run
 (``lowres_spectrum``, ``data_rhs``; the transform of upsample_adjoint(y) is
@@ -50,15 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (
-    FreqCube,
-    HsiCube,
-    column_blocks,
-    dft2,
-    half_spectrum,
-    idft2_per_band,
-    rdft2,
-)
+from .cube import HsiCube, column_blocks, dft2, half_spectrum, irdft2, pool_map, rdft2
 from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
@@ -247,12 +239,16 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
     """
     s, gl, half = fac.e.shape
     ce = np.conj(fac.e)
-    for n, lam in enumerate(fac.lam):
+
+    def channel(n: int) -> None:
+        lam = fac.lam[n]
         group = spec[n].reshape(s, gl, half)
         num = _fold(fac, ce, group)
         num /= lam * (s * s) + fac.esq
         group -= fac.e * _spread(fac, num)
         group /= lam
+
+    pool_map(channel, range(len(fac.lam)))
 
 
 def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> float:
@@ -264,18 +260,19 @@ def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> 
     s = fac.factor
     gl, gw = y_tilde.shape[-2:]
     ce = np.conj(fac.e)
-    total = 0.0
-    for b in range(x_hat.shape[0]):
+
+    def band(b: int) -> float:
         # the low-resolution DFT of down(blur(x_b)), in y_tilde's phase convention
         y_model = _fold(fac, ce, x_hat[b])
         y_model /= s * s
         resid = y_tilde[b] - y_model
-        total += float(np.vdot(resid, resid).real)
-    return total / (gl * gw)
+        return float(np.vdot(resid, resid).real)
+
+    return sum(pool_map(band, range(x_hat.shape[0]))) / (gl * gw)
 
 
 def _mix(mat: np.ndarray, spec: np.ndarray, offset: np.ndarray | None = None) -> None:
-    """``spec <- mat @ spec (+ offset)`` over the band axis, in place, block by block.
+    """``spec <- mat @ spec (+ offset)`` over the band axis, in place, one block per pool item.
 
     A real matrix mixes real and imaginary parts alike, so the complex
     (bands, pixels) spectrum is mixed as its (bands, 2*pixels) real view.
@@ -283,11 +280,14 @@ def _mix(mat: np.ndarray, spec: np.ndarray, offset: np.ndarray | None = None) ->
     flat = spec.reshape(spec.shape[0], -1).view(np.float64)
     if offset is not None:
         offset = offset.reshape(offset.shape[0], -1).view(np.float64)
-    for cols in column_blocks(flat.shape[1]):
+
+    def mix(cols: slice) -> None:
         block = mat @ flat[:, cols]
         if offset is not None:
             block += offset[:, cols]
         flat[:, cols] = block
+
+    pool_map(mix, column_blocks(flat.shape[1]))
 
 
 def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -353,4 +353,4 @@ def solve_fast(system: SylvesterSystem) -> HsiCube:
     _mix(fac.q.T, spec)
     _solve_channels(fac, spec)
     _mix(fac.q, spec)
-    return idft2_per_band(FreqCube(spec, system.c3.width))
+    return HsiCube(irdft2(spec, system.c3.width))

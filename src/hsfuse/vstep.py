@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import FreqCube, HsiCube, column_blocks, dft2_per_band, half_spectrum, idft2_per_band
+from .cube import (
+    FreqCube,
+    HsiCube,
+    column_blocks,
+    dft2_per_band,
+    half_spectrum,
+    idft2_per_band,
+    pool_map,
+)
 from .errors import ValidationError, check_real
 from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
 
@@ -139,16 +147,23 @@ def denoise_spectrum(
     ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior,
     shape (bands, height, width//2 + 1); ``out`` must be a third array of
     that shape. The right-hand side ``x + mu_lap*p + nu_p*E0^T E0 p`` is
-    formed and solved one cache-sized block of frequencies at a time.
+    formed in ``out`` and solved there, one cache-sized block of frequencies
+    per pool item.
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
     p = p_hat.reshape(bands, -1)
     rhs = out.reshape(bands, -1)
-    for cols in column_blocks(x.shape[1]):
+
+    def block(cols: slice) -> None:
         pb, rb = p[:, cols], rhs[:, cols]
-        rb[...] = x[:, cols] + fac.mu_lap[cols] * pb + fac.nu_p * spectral_gram_apply_array(pb)
+        # addition commutes exactly, so this is x + mu_lap*p + nu_p*E0^T E0 p
+        np.multiply(fac.mu_lap[cols], pb, out=rb)
+        rb += x[:, cols]
+        rb += fac.nu_p * spectral_gram_apply_array(pb)
         _substitute(fac.c[:, cols], fac.inv[:, cols], fac.sub[:, cols], rb, rb)
+
+    pool_map(block, column_blocks(x.shape[1]))
 
 
 def vstep(

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsfuse
 from hsfuse.cli import main
+from hsfuse.cube import pool_size
 from hsfuse.io import load_cube
 
 
@@ -115,27 +119,28 @@ class TestPipeline:
         expected = {
             paths["gt"]: (
                 ["command", "config", "outputs", "timings_s", "error"],
-                ["bands", "size", "endmembers", "smoothness", "seed"],
+                ["bands", "size", "endmembers", "smoothness", "seed", "threads"],
                 None, ["cube"], {"generate", "save"},
             ),
             paths["y"]: (
                 head + ["error"],
-                ["in", "blur", "factor", "srf", "noise", "noise_seed"],
+                ["in", "blur", "factor", "srf", "noise", "noise_seed", "threads"],
                 ["cube"], ["y", "z"], {"load", "degrade", "save"},
             ),
             paths["xhat"]: (
                 head + ["iterations", "converged", "objective_trace", "rel_changes", "error"],
-                ["y", "z", "prior", "mu", "nu", "rho", "iters", "tol", "blur", "srf", "factor"],
+                ["y", "z", "prior", "mu", "nu", "rho", "iters", "tol", "blur", "srf", "threads",
+                 "factor"],
                 ["y", "z"], ["x_hat"], {"load", "prior", "fuse", "save"},
             ),
             str(tmp / "m.json"): (
                 head + ["metrics", "error"],
-                ["x_hat", "ref", "factor", "json", "csv"],
+                ["x_hat", "ref", "factor", "json", "csv", "threads"],
                 ["x_hat", "ref"], ["json", "csv"], {"load", "evaluate"},
             ),
             str(tmp / "e.pgm"): (
                 head + ["band", "error"],
-                ["x_hat", "ref", "band", "wavelength", "max_error"],
+                ["x_hat", "ref", "band", "wavelength", "max_error", "threads"],
                 ["x_hat", "ref"], ["image"], {"load", "export"},
             ),
         }
@@ -233,22 +238,62 @@ class TestExitCodes:
 
 
 class TestThreads:
-    def test_flag_pins_environment(self, tmp_path, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
+    BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def simulate(self, tmp_path, *flags):
+        out = str(tmp_path / "s.cube")
         rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
-                   "--threads", "1", "--out", str(tmp_path / "s.cube")])
+                   *flags, "--out", out])
         assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        return json.loads(open(out + ".manifest.json").read())
+
+    def assert_pinned(self, threads, manifest):
+        # BLAS runs on one thread; the hsfuse pool gets the resolved count
+        assert all(os.environ[var] == "1" for var in self.BLAS_VARS)
+        assert os.environ["HSFUSE_THREADS"] == str(threads)
+        assert pool_size() == threads
+        assert manifest["config"]["threads"] == threads
+
+    def test_flag_pins_environment(self, tmp_path, monkeypatch):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("HSFUSE_THREADS", "3")  # the flag wins
+        self.assert_pinned(1, self.simulate(tmp_path, "--threads", "1"))
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HSFUSE_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
-                   "--out", str(tmp_path / "s.cube")])
-        assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        self.assert_pinned(2, self.simulate(tmp_path))
+
+    def test_default_is_the_available_cores(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HSFUSE_THREADS", raising=False)
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        self.assert_pinned(len(os.sched_getaffinity(0)), self.simulate(tmp_path))
+
+    def test_fuse_bytes_do_not_depend_on_threads(self, tmp_path):
+        # several column blocks (128x65 stored columns) and an odd band count
+        assert main(["simulate", "--bands", "7", "--size", "128", "--endmembers", "3",
+                     "--seed", "4", "--out", str(tmp_path / "gt.cube")]) == 0
+        assert main(["degrade", "--in", str(tmp_path / "gt.cube"), "--blur", "block:4",
+                     "--factor", "4", "--out-y", str(tmp_path / "y.cube"),
+                     "--out-z", str(tmp_path / "z.cube")]) == 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"x{threads}.cube"
+            subprocess.run(
+                [sys.executable, "-m", "hsfuse", "fuse", "--threads", threads,
+                 "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
+                 "--iters", "4", "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            manifest = json.loads(open(str(out) + ".manifest.json").read())
+            assert manifest["config"]["threads"] == int(threads)
+            runs.append((out.read_bytes(), manifest["objective_trace"], manifest["rel_changes"]))
+        assert runs[0] == runs[1]
 
     def test_invalid_values_exit_2(self, tmp_path, monkeypatch):
         rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",

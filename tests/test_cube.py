@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsfuse.cube import FreqCube, HsiCube, dft2_per_band, idft2_per_band
+from hsfuse.cube import FreqCube, HsiCube, dft2_per_band, idft2_per_band, irdft2
 from hsfuse.errors import SymmetryViolationError, ValidationError
 
 
@@ -137,6 +137,20 @@ def test_idft_tolerance_is_relative_to_peak(rng):
         assert np.abs(out.data - data).max() <= 1.0 / 16 + 1e-9
         with pytest.raises(SymmetryViolationError):
             idft2_per_band(FreqCube(spectrum(1e3, col)[1], 4))
+
+
+def test_non_finite_spectrum_gives_a_cube_that_fails(rng):
+    # irdft2 does not scan its input: a non-finite coefficient makes the real
+    # result non-finite, and wrapping that result in a cube fails
+    spec = np.fft.rfft2(rng.standard_normal((2, 4, 6)), axes=(-2, -1))
+    for col in (0, 1, 3):
+        for value in (np.nan, np.inf):
+            bad = spec.copy()
+            bad[1, 2, col] = value
+            with np.errstate(invalid="ignore"), pytest.raises(
+                (ValidationError, SymmetryViolationError)
+            ):
+                HsiCube(irdft2(bad, 6))
 
 
 def test_freqcube_validates():

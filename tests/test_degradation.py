@@ -63,34 +63,47 @@ class TestBlurOperator:
         assert np.allclose(blur.apply_array(x), 2.5, rtol=0, atol=1e-12)
 
     def test_circular_convolution_holds_one_complex_buffer(self, rng):
-        # the forward transform fills one complex buffer and transforms it in
-        # place; the product and the inverse transform reuse that buffer, so
-        # nothing close to a second spectrum is ever allocated
-        x = rng.standard_normal((8, 128, 128))
-        cube = HsiCube(x.copy())
-        spec = np.fft.fft2(x, axes=(-2, -1))
-        blur = BlurOperator.gaussian(128, 128, 1.5)
-        lap = LaplacianOperator.create(128, 128)
-        half = np.fft.rfftn(x, axes=(-2, -1))
-        for run, want, buffer in (
-            # the half spectrum is transformed in its own output buffer
-            (lambda: dft2_per_band(cube).data, half, half.nbytes),
-            (lambda: blur.apply_array(x), np.fft.ifft2(spec * blur.multiplier).real, spec.nbytes),
-            (
-                lambda: blur.adjoint_array(x),
-                np.fft.ifft2(spec * np.conj(blur.multiplier)).real,
-                spec.nbytes,
-            ),
-            (lambda: lap.apply_array(x), np.fft.ifft2(spec * lap.multiplier).real, spec.nbytes),
-        ):
-            tracemalloc.start()
-            try:
-                got = run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.array_equal(got, want)
-            assert peak < 1.5 * buffer
+        # each plane is filtered on its own half spectrum and transformed back
+        # into the real output, so a call holds less than one complex spectrum
+        # of the whole input; the half spectrum of dft2_per_band is
+        # transformed in its own output buffer
+        for shape in ((8, 128, 128), (5, 64, 63)):
+            x = rng.standard_normal(shape)
+            height, width = shape[1:]
+            cube = HsiCube(x.copy())
+            spec = np.fft.fft2(x, axes=(-2, -1))
+            half = np.fft.rfftn(x, axes=(-2, -1))
+            blur = BlurOperator.gaussian(height, width, 1.5)
+            lap = LaplacianOperator.create(height, width)
+
+            def planewise(m):
+                # the reference: one plane at a time, rfftn, stored columns, irfftn
+                kept = m[:, : width // 2 + 1]
+                return np.stack([np.fft.irfftn(np.fft.rfftn(a) * kept, s=a.shape, axes=(0, 1)) for a in x])
+
+            got, peak = self._traced(lambda: dft2_per_band(cube).data)
+            assert np.array_equal(got, half)
+            assert peak < 1.5 * half.nbytes
+            for run, m in (
+                (lambda: blur.apply_array(x), blur.multiplier),
+                (lambda: blur.adjoint_array(x), np.conj(blur.multiplier)),
+                (lambda: lap.apply_array(x), lap.multiplier),
+            ):
+                got, peak = self._traced(run)
+                assert np.array_equal(got, planewise(m))
+                full = np.fft.ifft2(spec * m).real
+                assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+                assert peak < 1.0 * spec.nbytes
+
+    @staticmethod
+    def _traced(run):
+        """``run()`` and the peak of the memory it traced."""
+        tracemalloc.start()
+        try:
+            got = run()
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -131,6 +131,23 @@ class TestFuse:
             tracemalloc.stop()
         assert peak < 5.5 * gt.data.size * 16
 
+    def test_scans_the_result_for_finiteness_once(self, monkeypatch):
+        # only the real result is scanned, when it becomes an HsiCube; a
+        # non-finite spectrum would make it non-finite, so the half spectrum
+        # needs no scan of its own
+        model, y, z, prior = desk_problem(0)
+        bands, height, width = prior.data.shape
+        sizes = []
+        isfinite = np.isfinite
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        fuse(y, z, model, prior, HqsConfig(max_iter=2))
+        assert sum(size >= bands * height * (width // 2 + 1) for size in sizes) == 1
+
     def test_prior_shape_validated(self, rng):
         gt, model, y, z, prior = small_problem()
         with pytest.raises(ValidationError):

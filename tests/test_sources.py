@@ -2,8 +2,10 @@
 
 Every Fourier transform goes through ``hsfuse.cube``, so swapping the FFT
 library is a change to that one module; no module reaches into another's
-private (``_``-prefixed) names; and the package runs on numpy alone: no
-module imports scipy, and importing every module loads none.
+private (``_``-prefixed) names; the package runs on numpy alone: no
+module imports scipy, and importing every module loads none; and its one
+thread pool lives in ``hsfuse.cube``, which loads ``concurrent.futures``
+only when a map first needs a worker.
 """
 
 import ast
@@ -52,34 +54,55 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def _imported(path: Path) -> list[str]:
+    """Top-level names of the absolute imports in one source file."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module or "")
+    return [name.split(".")[0] for name in names]
+
+
 def test_no_module_imports_scipy():
-    offenders = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    offenders = [f"{path.name}: scipy" for path in SOURCES if "scipy" in _imported(path)]
     assert offenders == []
+
+
+def test_only_cube_imports_threading_or_concurrent():
+    offenders = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        if path.name != "cube.py"
+        for name in _imported(path)
+        if name in ("threading", "concurrent")
+    ]
+    assert offenders == []
+
+
+def _loaded_by_importing_every_module() -> set[str]:
+    """Top-level names in ``sys.modules`` of a fresh interpreter with HSFUSE_THREADS unset,
+    after importing every module but ``__main__`` (which runs the CLI)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
+    env = os.environ.copy()
+    env.pop("HSFUSE_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    modules = [f"hsfuse.{path.stem}" for path in SOURCES if path.stem not in ("__init__", "__main__")]
+    code = f"import sys, {', '.join(modules)}; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return {name.split(".")[0] for name in proc.stdout.split()}
 
 
 def test_fuse_import_path_loads_no_scipy():
     # ``import scipy.fft`` alone takes about 0.35 s and ``import scipy.signal``
     # about 1.4 s, which every CLI call and every worker would pay before its
-    # first iteration; every module but ``__main__`` (which runs the CLI) is
-    # imported here
-    root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
-    modules = [f"hsfuse.{path.stem}" for path in SOURCES if path.stem not in ("__init__", "__main__")]
-    code = (
-        f"import sys, {', '.join(modules)}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    # first iteration
+    assert "scipy" not in _loaded_by_importing_every_module()
+
+
+def test_import_loads_no_executor():
+    # ``concurrent.futures`` costs 5-7 ms that a pool of one never needs
+    assert "concurrent" not in _loaded_by_importing_every_module()

@@ -1,0 +1,113 @@
+"""The package's thread pool: ``cube.pool_map`` and byte-identical outputs at every pool size.
+
+The pool reads ``HSFUSE_THREADS`` at each map, so one process can run the
+same work at several sizes.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from hsfuse.cube import pool_map, pool_size
+from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
+from hsfuse.errors import ValidationError
+from hsfuse.hqs import HqsConfig, fuse
+from hsfuse.metrics import evaluate
+from hsfuse.priors import PriorSource, make_prior
+from hsfuse.scenes import SceneSpec, generate_scene
+
+
+def test_default_size_is_one(monkeypatch):
+    monkeypatch.delenv("HSFUSE_THREADS", raising=False)
+    assert pool_size() == 1
+    monkeypatch.setenv("HSFUSE_THREADS", "3")
+    assert pool_size() == 3
+    for bad in ("0", "many", "2.0"):
+        monkeypatch.setenv("HSFUSE_THREADS", bad)
+        with pytest.raises(ValidationError, match="HSFUSE_THREADS"):
+            pool_size()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_keeps_item_order(monkeypatch, threads):
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    assert pool_map(lambda i: i * i, range(40)) == [i * i for i in range(40)]
+    assert pool_map(lambda i: i, []) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_runs_its_items_on_the_caller_and_size_minus_one_workers(monkeypatch, threads):
+    # every item waits until all of them have started, which only happens if
+    # the calling thread and the pool's workers run one item each
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    barrier = threading.Barrier(threads, timeout=10)
+    idents = pool_map(lambda i: (barrier.wait(), threading.get_ident())[1], range(threads))
+    assert len(set(idents)) == threads
+    assert threading.get_ident() in idents
+
+
+def test_map_raises_an_item_error_after_every_thread_stops(monkeypatch):
+    monkeypatch.setenv("HSFUSE_THREADS", "2")
+    done = []
+
+    def item(i):
+        if i == 3:
+            raise ArithmeticError("item 3")
+        done.append(i)
+
+    with pytest.raises(ArithmeticError, match="item 3"):
+        pool_map(item, range(8))
+    assert 3 not in done
+
+
+def test_map_inside_a_map_does_not_wait_on_its_own_pool(monkeypatch):
+    monkeypatch.setenv("HSFUSE_THREADS", "2")
+    got = pool_map(lambda i: sum(pool_map(lambda j: i * j, range(5))), range(6))
+    assert got == [10 * i for i in range(6)]
+
+
+def test_outputs_are_byte_identical_at_every_pool_size(monkeypatch):
+    # 128x65 stored columns span three column blocks (five in the band mixes'
+    # real view), and 7 bands split unevenly over 2 or 3 threads
+    gt = generate_scene(SceneSpec(bands=7, height=128, width=128, endmembers=3, seed=5))
+    model = DegradationModel(
+        BlurOperator.gaussian(128, 128, 1.2), Downsampler(4), SpectralResponse.default_rgb(7)
+    )
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        y, z = model.degrade(gt)
+        prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        result = fuse(y, z, model, prior, HqsConfig(max_iter=4, rel_tol=1e-300))
+        report = evaluate(result.x_hat, gt, 4)
+        runs.append(
+            (
+                y.data.tobytes(),
+                z.data.tobytes(),
+                result.x_hat.data.tobytes(),
+                result.objective_trace,
+                result.rel_changes,
+                report.to_dict(),
+            )
+        )
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_map_under_contention_runs_each_item_once(monkeypatch):
+    # more threads than cores and a short switch interval: a claim taken twice
+    # or lost would run an item twice or leave its result at None
+    monkeypatch.setenv("HSFUSE_THREADS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [0] * 3000
+
+        def item(i):
+            runs[i] += 1
+            return i
+
+        assert pool_map(item, range(3000)) == list(range(3000))
+        assert runs == [1] * 3000
+    finally:
+        sys.setswitchinterval(interval)
