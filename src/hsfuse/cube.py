@@ -12,8 +12,8 @@ the half spectrum of ``np.fft.rfftn``: columns 0..width//2 of every band,
 shape (bands, height, width//2 + 1). Every other column is the conjugate
 mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
 Parseval sum counts each stored column that has a mirror twice (all but
-``self_mirrored(width)``). ``rdft2`` and ``irdft2`` are that transform
-pair on arrays, ``dft2_per_band`` and ``idft2_per_band`` on cubes.
+``self_mirrored(width)``; ``full_sum``). ``rdft2`` and ``irdft2`` are that
+transform pair on arrays, ``dft2_per_band`` and ``idft2_per_band`` on cubes.
 ``circular_convolve`` filters on half spectra too, one plane at a time: the
 multiplier of a real kernel is conjugate-symmetric, so its stored columns
 are all the product needs. The full complex ``dft2`` stays for the spectra
@@ -56,6 +56,7 @@ __all__ = [
     "column_blocks",
     "dft2",
     "dft2_per_band",
+    "full_sum",
     "half_spectrum",
     "idft2_per_band",
     "irdft2",
@@ -335,6 +336,16 @@ def half_spectrum(full: np.ndarray) -> np.ndarray:
 def self_mirrored(width: int) -> list[int]:
     """Stored columns that are their own mirror: 0, and width//2 when width is even."""
     return [0, width // 2] if width % 2 == 0 else [0]
+
+
+def full_sum(stored, own):
+    """A sum over the full spectrum from two sums over the half spectrum.
+
+    ``stored`` sums a quantity over every stored column, ``own`` over the
+    ``self_mirrored`` columns alone. Every other stored column stands for
+    itself and its mirror, so the full sum is ``2*stored - own``.
+    """
+    return 2 * stored - own
 
 
 def dft2_per_band(cube: HsiCube) -> FreqCube:

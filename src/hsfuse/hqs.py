@@ -18,6 +18,9 @@ spectra from the first iteration to the last. They are half spectra (see
 prior and z through ``cube.rdft2``, y on its low-resolution grid through
 ``sylvester.lowres_spectrum``), factors both sub-steps once, and returns x
 through one inverse transform (``cube.irdft2``) that writes the real cube.
+The x-step's data term holds no cube of its own (``sylvester.data_term``):
+z is mixed into the x-step's first band mix, and y enters its
+Sherman-Morrison pass as one shift per aliasing group and channel.
 The objective and the stop test are evaluated through Parseval's theorem,
 with every stored column that has a mirror counted twice; the y-term is a
 sum over aliasing groups on the low-resolution grid,
@@ -36,7 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import HsiCube, column_blocks, half_spectrum, irdft2, pool_map, rdft2, self_mirrored
+from .cube import (
+    HsiCube,
+    column_blocks,
+    full_sum,
+    half_spectrum,
+    irdft2,
+    pool_map,
+    rdft2,
+    self_mirrored,
+)
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -128,8 +140,7 @@ class _Spectra:
     xstep: sylvester.XStepFactors
     denoise: DenoiseFactors
     y_tilde: np.ndarray
-    z_hat: np.ndarray
-    c_eig: np.ndarray
+    data: sylvester.DataTerm
     p_hat: np.ndarray
 
     @classmethod
@@ -145,10 +156,9 @@ class _Spectra:
         )
         denoise = factor_denoise(lap_sq, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         y_tilde = sylvester.lowres_spectrum(model.down, y.data, height, width)
-        z_hat = rdft2(z.data)
-        c_eig = sylvester.data_rhs(xstep, srf, y_tilde, z_hat)
+        data = sylvester.data_term(xstep, srf, y_tilde, rdft2(z.data))
         p_hat = rdft2(prior.data)
-        return cls(cfg, srf, lap_sq, xstep, denoise, y_tilde, z_hat, c_eig, p_hat)
+        return cls(cfg, srf, lap_sq, xstep, denoise, y_tilde, data, p_hat)
 
     def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
         """``objective_value`` at the (x, v) whose half spectra are given, by Parseval."""
@@ -163,16 +173,18 @@ class _Spectra:
                 column_blocks(x.shape[1]),
             )
         )
-        # a stored column with a mirror stands for two columns of the full spectrum
         own = self_mirrored(self.xstep.width)
-        total = 2 * total - _parts(
-            *(a[..., own].reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat)),
-            self.lap_sq[:, own].reshape(-1),
+        coupling, smooth, spectral = full_sum(
+            total,
+            _parts(
+                *(a[..., own].reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat)),
+                self.lap_sq[:, own].reshape(-1),
+            ),
         )
-        coupling, smooth, spectral = total
         z_bands = len(self.srf)
-        z_res = self.z_hat.reshape(z_bands, -1).view(np.float64) - self.srf @ x.view(np.float64)
-        z_sq = 2 * _sq(z_res) - _sq(z_res.reshape(z_bands, height, half, 2)[:, :, own])
+        z_hat = self.data.z_hat.reshape(z_bands, -1)
+        z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
+        z_sq = full_sum(_sq(z_res), _sq(z_res.reshape(z_bands, height, half, 2)[:, :, own]))
         cfg = self.cfg
         return (
             sylvester.lowres_misfit(self.xstep, self.y_tilde, x_hat)
@@ -186,11 +198,10 @@ def _rel_change(new: np.ndarray, old: np.ndarray, width: int) -> float:
     """``||new - old|| / max(||old||, tiny)`` for the cubes whose half spectra are given."""
     n = new.shape[1] * width
     own = self_mirrored(width)
-    # per-band sums, added in band order; a stored column with a mirror
-    # stands for two columns of the full spectrum
+    # per-band sums, added in band order
     parts = pool_map(lambda b: (_sq(new[b] - old[b]), _sq(old[b])), range(len(new)))
-    diff = 2 * sum(d for d, _ in parts) - _sq(new[..., own] - old[..., own])
-    base = 2 * sum(b for _, b in parts) - _sq(old[..., own])
+    diff = full_sum(sum(d for d, _ in parts), _sq(new[..., own] - old[..., own]))
+    base = full_sum(sum(b for _, b in parts), _sq(old[..., own]))
     tiny = float(np.finfo(np.float64).tiny)
     return float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
 
@@ -228,7 +239,7 @@ def fuse(
     iterations = 0
     for k in range(cfg.max_iter):
         # looked up on its module, so a wrapper installed there sees every x-step
-        sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.c_eig)
+        sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
         x_hat, v_hat = v_hat, x_hat
         if k > 0:
             changes.append(_rel_change(x_hat, v_hat, width))

@@ -5,10 +5,14 @@ right shape works. Two sources are supported: an external file (the usual
 case, e.g. the output of a separately trained network) and a self-contained
 naive fusion built from the inputs themselves.
 
-Naive fusion upsamples the low-res cube bilinearly, then back-projects the
-spectral residual per pixel so the result reproduces the mixed-band image
-exactly: with correction R^T (R R^T)^-1 (z - R u), the prior satisfies
-``srf(prior) == z`` up to solver roundoff.
+Naive fusion upsamples the low-res cube bilinearly to u, then back-projects
+the spectral residual per pixel so the result reproduces the mixed-band image
+exactly: with K = R^T (R R^T)^-1, the prior u + K (z - R u) satisfies
+``srf(prior) == z`` up to solver roundoff. The upsample is linear and acts on
+each band alone, so it commutes with the band mix M = I - K R, and the prior
+is built as ``Wr (M y)_b Wc^T + (K z)_b``: the bands x bands mix runs on the
+low-resolution grid, and the only cube-sized work is one upsample per band
+and one GEMM over z.
 """
 
 from __future__ import annotations
@@ -40,15 +44,20 @@ class PriorSource:
         return cls(kind="naive_fusion")
 
 
-def _axis_weights(n_out: int, n_in: int, factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _axis_weights(n_in: int, factor: int) -> np.ndarray:
+    """The (n_in*factor, n_in) linear interpolation matrix of one axis."""
+    n_out = n_in * factor
     # half-pixel-center mapping: output i sits at input coordinate (i+0.5)/s - 0.5
-    coords = (np.arange(n_out) + 0.5) / factor - 0.5
-    coords = np.clip(coords, 0.0, n_in - 1.0)
+    coords = np.clip((np.arange(n_out) + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
     lo = np.floor(coords).astype(int)
-    lo = np.minimum(lo, n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
     w = coords - lo
-    return lo, hi, w
+    mat = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    mat[rows, lo] = 1.0 - w
+    # a clamped output has hi == lo and w == 0
+    mat[rows, hi] += w
+    return mat
 
 
 def bilinear_upsample(y: HsiCube, factor: int) -> HsiCube:
@@ -59,20 +68,25 @@ def bilinear_upsample(y: HsiCube, factor: int) -> HsiCube:
     """
     if check_int("factor", factor, 1) == 1:
         return y
-    rl, rh, rw = _axis_weights(y.height * factor, y.height, factor)
-    data = y.data[:, rl, :] * (1.0 - rw)[None, :, None] + y.data[:, rh, :] * rw[None, :, None]
-    cl, ch, cw = _axis_weights(y.width * factor, y.width, factor)
-    data = data[:, :, cl] * (1.0 - cw)[None, None, :] + data[:, :, ch] * cw[None, None, :]
-    return HsiCube(data)
+    wr = _axis_weights(y.height, factor)
+    wc = _axis_weights(y.width, factor)
+    return HsiCube(wr @ y.data @ wc.T)
 
 
 def _naive_fusion(y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
-    up = bilinear_upsample(y, model.down.factor)
     r = model.srf.matrix
-    gram = r @ r.T
-    resid = z.as_matrix() - r @ up.as_matrix()
-    correction = r.T @ np.linalg.solve(gram, resid)
-    return HsiCube.from_matrix(up.as_matrix() + correction, up.height, up.width)
+    # K = R^T (R R^T)^-1; R R^T is symmetric
+    k = np.linalg.solve(r @ r.T, r).T
+    low = ((np.eye(len(k)) - k @ r) @ y.as_matrix()).reshape(y.data.shape)
+    height, width = model.hr_shape
+    out = (k @ z.as_matrix()).reshape(len(k), height, width)
+    s = model.down.factor
+    wr = _axis_weights(y.height, s)
+    wc = _axis_weights(y.width, s)
+    # one band at a time, so the upsample adds a plane, not a cube, to the peak
+    for b in range(len(k)):
+        out[b] += wr @ low[b] @ wc.T
+    return HsiCube(out)
 
 
 def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:

@@ -30,10 +30,12 @@ solve of a ``SylvesterSystem``: it transforms C3 (``cube.rdft2``), runs
 ``solve_spectrum``'s band mix, Sherman-Morrison pass and band mix, and
 transforms back (``cube.irdft2``). The HQS loop calls ``solve_spectrum``,
 which maps the spectrum of v to the spectrum of the solution with no
-transform at all: the data part of C3 is transformed once per run
-(``lowres_spectrum``, ``data_rhs``; the transform of upsample_adjoint(y) is
-y's small transform tiled over the aliasing groups), and ``lowres_misfit``
-scores the objective's y-term on the same groups.
+transform at all. The data part of C3 is never formed as a cube
+(``data_term``): the first band mix adds z's half spectrum, mixed by
+(srf q)^T, block by block; the transform of blur_adjoint(upsample_adjoint(y))
+is ``e`` times y's small transform (``lowres_spectrum``) at every member of a
+group, so it enters the Sherman-Morrison pass as one shift per group and
+channel. ``lowres_misfit`` scores the objective's y-term on the same groups.
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
 
@@ -55,10 +57,11 @@ from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
 __all__ = [
+    "DataTerm",
     "SylvesterSystem",
     "XStepFactors",
     "build_system",
-    "data_rhs",
+    "data_term",
     "factor_xstep",
     "lowres_misfit",
     "lowres_spectrum",
@@ -230,12 +233,13 @@ def _spread(fac: XStepFactors, low: np.ndarray) -> np.ndarray:
     return np.tile(low, fac.factor)[:, : fac.e.shape[2]]
 
 
-def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
+def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | None = None) -> None:
     """Solve ``(lam_n*I + C2) x_n = spec_n`` for every eigen-channel n, in place.
 
     ``spec`` holds the channels' half spectra, shape (bands, height,
     width//2 + 1). Each aliasing group of a channel is one Sherman-Morrison
-    solve; its stored members are updated.
+    solve; its stored members are updated. ``shift`` (``DataTerm.shift``) is
+    subtracted from each group's numerator ``e^H spec_n``.
     """
     s, gl, half = fac.e.shape
     ce = np.conj(fac.e)
@@ -244,6 +248,8 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray) -> None:
         lam = fac.lam[n]
         group = spec[n].reshape(s, gl, half)
         num = _fold(fac, ce, group)
+        if shift is not None:
+            num -= shift[n]
         num /= lam * (s * s) + fac.esq
         group -= fac.e * _spread(fac, num)
         group /= lam
@@ -271,21 +277,26 @@ def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> 
     return sum(pool_map(band, range(x_hat.shape[0]))) / (gl * gw)
 
 
-def _mix(mat: np.ndarray, spec: np.ndarray, offset: np.ndarray | None = None) -> None:
-    """``spec <- mat @ spec (+ offset)`` over the band axis, in place, one block per pool item.
+def _mix(mat: np.ndarray, spec: np.ndarray, data: DataTerm | None = None) -> None:
+    """``spec <- mat @ spec (+ data.mix @ data.z_hat)`` over the band axis, in place.
 
-    A real matrix mixes real and imaginary parts alike, so the complex
-    (bands, pixels) spectrum is mixed as its (bands, 2*pixels) real view.
+    One block of columns per pool item. A real matrix mixes real and
+    imaginary parts alike, so a complex (bands, pixels) spectrum is mixed as
+    its (bands, 2*pixels) real view.
     """
     flat = spec.reshape(spec.shape[0], -1).view(np.float64)
-    if offset is not None:
-        offset = offset.reshape(offset.shape[0], -1).view(np.float64)
+    z = None if data is None else data.z_hat.reshape(data.z_hat.shape[0], -1).view(np.float64)
 
     def mix(cols: slice) -> None:
         block = mat @ flat[:, cols]
-        if offset is not None:
-            block += offset[:, cols]
-        flat[:, cols] = block
+        if z is None:
+            flat[:, cols] = block
+            return
+        # z's part is written straight into the spectrum: adding it through a
+        # second block-sized temporary made this pass 3x slower at 31x64x64
+        out = flat[:, cols]
+        np.matmul(data.mix, z[:, cols], out=out)
+        out += block
 
     pool_map(mix, column_blocks(flat.shape[1]))
 
@@ -307,38 +318,48 @@ def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -
     return dft2(y) * ramp
 
 
-def data_rhs(
+@dataclass(frozen=True)
+class DataTerm:
+    """The data part of C3 as the x-step consumes it, with no cube of its own.
+
+    In C1's eigenbasis the data part of C3 is ``mix @ F(z)`` plus
+    ``e * c_n[g]`` at every member of aliasing group g of channel n, with
+    ``c = q^T y_tilde``. The first band mix adds the z part block by block
+    (``z_hat`` is z's half spectrum, which the loop holds anyway). The y part
+    needs no pass of its own. Sherman-Morrison solves a group as
+    ``x = (b - e * (e^H b) / (lam_n*s^2 + |e|^2)) / lam_n``, and
+    ``e^H (e*c) = |e|^2 c``, so leaving ``e*c_n`` out of b and subtracting
+    ``shift = lam_n*s^2*c_n`` (shape (bands, gl, gw)) from ``e^H b`` gives
+    the same x.
+    """
+
+    mix: np.ndarray
+    z_hat: np.ndarray
+    shift: np.ndarray
+
+
+def data_term(
     fac: XStepFactors, srf: np.ndarray, y_tilde: np.ndarray, z_hat: np.ndarray
-) -> np.ndarray:
-    """``q^T F(srf_adjoint(z) + blur_adjoint(upsample_adjoint(y)))``: C3 without rho*v.
+) -> DataTerm:
+    """The x-step's view of ``srf_adjoint(z) + blur_adjoint(upsample_adjoint(y))``.
 
     ``y_tilde`` comes from ``lowres_spectrum``, ``z_hat`` is the half
-    spectrum of z. The result is a half spectrum in C1's eigenbasis, shape
-    (bands, height, width//2 + 1).
+    spectrum of z.
     """
-    bands = fac.q.shape[0]
-    s, gl, half = fac.e.shape
-    out = np.empty((bands,) + z_hat.shape[1:], dtype=np.complex128)
-    np.matmul(
-        (srf @ fac.q).T,
-        z_hat.reshape(z_hat.shape[0], -1).view(np.float64),
-        out=out.reshape(bands, -1).view(np.float64),
-    )
     y_eig = np.tensordot(fac.q.T, y_tilde, axes=(1, 0))
-    for n in range(bands):
-        group = out[n].reshape(s, gl, half)
-        group += fac.e * _spread(fac, y_eig[n])
-    return out
+    shift = (fac.lam * fac.factor**2)[:, None, None] * y_eig
+    return DataTerm((srf @ fac.q).T, z_hat, shift)
 
 
-def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, c_eig: np.ndarray) -> None:
+def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, data: DataTerm) -> None:
     """The x-step on half spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
 
-    ``c_eig`` is ``data_rhs``'s output for the same factors. Two band mixes
-    and one Sherman-Morrison pass per channel; no transform.
+    ``data`` is ``data_term``'s output for the same factors. Two band mixes
+    (the first adds z) and one Sherman-Morrison pass per channel (which adds
+    y); no transform.
     """
-    _mix(rho * fac.q.T, v_hat, c_eig)
-    _solve_channels(fac, v_hat)
+    _mix(rho * fac.q.T, v_hat, data)
+    _solve_channels(fac, v_hat, data.shift)
     _mix(fac.q, v_hat)
 
 

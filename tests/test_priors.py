@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,40 @@ class TestNaiveFusion:
         prior = make_prior(PriorSource.naive_fusion(), y, z, model)
         up = bilinear_upsample(y, 4)
         assert np.linalg.norm(prior.data - gt.data) < np.linalg.norm(up.data - gt.data)
+
+
+def upsample_then_back_project(y, z, model):
+    """The naive prior in two steps: upsample, then correct each pixel by
+    R^T (R R^T)^-1 (z - R up)."""
+    up = bilinear_upsample(y, model.down.factor).as_matrix()
+    r = model.srf.matrix
+    correction = r.T @ np.linalg.solve(r @ r.T, z.as_matrix() - r @ up)
+    return (up + correction).reshape(r.shape[1], *z.data.shape[1:])
+
+
+class TestNaivePriorOnLowResGrid:
+    """``make_prior`` mixes bands on the low-resolution grid before upsampling."""
+
+    @pytest.mark.parametrize(
+        "bands,h,w,s", [(6, 8, 12, 4), (5, 12, 8, 4), (7, 9, 15, 3), (31, 12, 18, 3), (5, 7, 5, 1)]
+    )
+    def test_matches_upsample_then_back_projection(self, rng, bands, h, w, s):
+        model = make_model(bands, h, w, s)
+        y, z = model.degrade(rand_cube(rng, bands, h, w, lo=0.0, hi=1.0))
+        got = make_prior(PriorSource.naive_fusion(), y, z, model).data
+        want = upsample_then_back_project(y, z, model)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_peak_memory_stays_below_one_and_a_half_cubes(self, rng):
+        model = make_model(31, 128, 128, 4)
+        y, z = model.degrade(rand_cube(rng, 31, 128, 128, lo=0.0, hi=1.0))
+        tracemalloc.start()
+        try:
+            prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * prior.data.nbytes
 
 
 class TestMakePrior:

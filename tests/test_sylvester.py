@@ -216,9 +216,9 @@ class TestSolveDispatch:
         y, z, model, prior = self._problem(rng)
         calls = []
 
-        def counting(fac, v_hat, rho, c_eig):
+        def counting(fac, v_hat, rho, data):
             calls.append(rho)
-            return solve_spectrum(fac, v_hat, rho, c_eig)
+            return solve_spectrum(fac, v_hat, rho, data)
 
         monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", counting)
         result = fuse(y, z, model, prior, HqsConfig(max_iter=3, rel_tol=1e-14))
@@ -228,7 +228,7 @@ class TestSolveDispatch:
         # a system outside the closed form's structure fails the run (CLI exit 4)
         y, z, model, prior = self._problem(rng)
 
-        def refuse(fac, v_hat, rho, c_eig):
+        def refuse(fac, v_hat, rho, data):
             raise UnsupportedStructureError("forced")
 
         monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", refuse)
