@@ -164,6 +164,11 @@ class Downsampler:
         return out
 
 
+# default_rgb's channel grid (400-700 nm) and Gaussian band shapes
+_RGB_LO_NM, _RGB_HI_NM, _RGB_SIGMA_NM = 400.0, 700.0, 40.0
+_RGB_CENTERS_NM = np.array([650.0, 550.0, 450.0])
+
+
 @dataclass(frozen=True)
 class SpectralResponse:
     """Linear band-mixing matrix with non-negative rows normalized to sum 1."""
@@ -194,18 +199,11 @@ class SpectralResponse:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def default_rgb(
-        cls,
-        in_bands: int,
-        lo_nm: float = 400.0,
-        hi_nm: float = 700.0,
-        sigma_nm: float = 40.0,
-    ) -> "SpectralResponse":
+    def default_rgb(cls, in_bands: int) -> "SpectralResponse":
         """Three Gaussian bands at 650/550/450 nm over a uniform channel grid."""
         check_int("in_bands", in_bands, 4)
-        centers_nm = np.array([650.0, 550.0, 450.0])
-        grid = np.linspace(lo_nm, hi_nm, in_bands)
-        mat = np.exp(-0.5 * ((grid[None, :] - centers_nm[:, None]) / sigma_nm) ** 2)
+        grid = np.linspace(_RGB_LO_NM, _RGB_HI_NM, in_bands)
+        mat = np.exp(-0.5 * ((grid[None, :] - _RGB_CENTERS_NM[:, None]) / _RGB_SIGMA_NM) ** 2)
         return cls(mat)
 
     @property

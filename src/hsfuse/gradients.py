@@ -29,7 +29,6 @@ __all__ = [
     "LaplacianOperator",
     "spectral_diff_apply_array",
     "spectral_diff_adjoint_array",
-    "spectral_gram_apply_array",
     "spectral_gram_tridiag",
     "regularizer_value",
 ]
@@ -80,13 +79,6 @@ def spectral_diff_adjoint_array(data: np.ndarray) -> np.ndarray:
     out[:-1] -= data
     out[1:] += data
     return out
-
-
-def spectral_gram_apply_array(data: np.ndarray) -> np.ndarray:
-    """Normal-matrix action of the band difference, valid for 1 band as well."""
-    if data.shape[0] == 1:
-        return np.zeros_like(data)
-    return spectral_diff_adjoint_array(spectral_diff_apply_array(data))
 
 
 def spectral_gram_tridiag(bands: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,12 @@ The augmented objective
               + mu*||D(v - prior)||^2 + nu*||E(v - prior)||^2
 
 is minimized by alternating exact sub-solves with a fixed rho: the Sylvester
-step updates x with v fixed (closed form, ``sylvester.solve_spectrum``), the
-per-frequency tridiagonal step updates v with x fixed
-(``vstep.denoise_spectrum``). Both are exact minimizers, so the objective
-trace is non-increasing. The iteration starts from v = prior and returns the
-last x iterate.
+step updates x with v fixed (closed form, ``sylvester.solve_spectrum``, whose
+mix back to bands ``q Lambda^-1`` ends each channel's Sherman-Morrison
+solve), the per-frequency tridiagonal step updates v with x fixed, solved for
+the deviation v - prior (``vstep.denoise_spectrum``). Both are exact
+minimizers, so the objective trace is non-increasing. The iteration starts
+from v = prior and returns the last x iterate.
 
 Every operator in L is circulant or pointwise in frequency, so x and v stay
 spectra from the first iteration to the last. They are half spectra (see

@@ -14,24 +14,26 @@ eigenbasis every channel n decouples, and in the frequency domain decimation
 couples only the factor^2 frequencies that alias onto one low-resolution
 frequency. Each coupled block is ``lambda_n*I + (1/d) e e^H``, with ``e`` the
 blur response of the group (times unit twiddles for a nonzero sampling phase),
-inverted in closed form by Sherman-Morrison. The kernels run on half
-spectra (see ``cube``): the members of a group that fall in unstored columns
-are conjugate mirrors of stored members of the mirror group -g, so a group's
-reduction ``e^H x`` is its stored partial sum plus the conjugate of the
-matching partial sum of group -g (``_fold``), and only the stored members are
-updated. That covers every system a ``DegradationModel`` produces: the model
-rejects grids the factor does not divide, and C1 is positive definite for
-rho > 0. A system outside that structure raises
-``UnsupportedStructureError`` (CLI exit code 4) rather than falling back to
-an iterative solver.
+inverted in closed form by Sherman-Morrison:
+``x_n = (b_n - e*nu_n) / lambda_n`` with one coefficient ``nu_n`` per group.
+The pass leaves ``b_n - e*nu_n`` and the mix back to bands is ``q Lambda^-1``,
+so no pass of its own divides by lambda. The kernels run on half spectra (see
+``cube``): the members of a group that fall in unstored columns are conjugate
+mirrors of stored members of the mirror group -g, so a group's reduction
+``e^H x`` is its stored partial sum plus the conjugate of the matching partial
+sum of group -g (``_fold``), and only the stored members are updated. That
+covers every system a ``DegradationModel`` produces: the model rejects grids
+the factor does not divide, and C1 is positive definite for rho > 0. A system
+outside that structure raises ``UnsupportedStructureError`` (CLI exit code 4)
+rather than falling back to an iterative solver.
 
 Two entry points share those kernels. ``solve_fast`` is the one-shot spatial
 solve of a ``SylvesterSystem``: it transforms C3 (``cube.rdft2``), runs
-``solve_spectrum``'s band mix, Sherman-Morrison pass and band mix, and
-transforms back (``cube.irdft2``). The HQS loop calls ``solve_spectrum``,
-which maps the spectrum of v to the spectrum of the solution with no
-transform at all. The data part of C3 is never formed as a cube
-(``data_term``): the first band mix adds z's half spectrum, mixed by
+``solve_spectrum``'s band mix, Sherman-Morrison pass and ``q Lambda^-1``
+back-mix, and transforms back (``cube.irdft2``). The HQS loop calls
+``solve_spectrum``, which maps the spectrum of v to the spectrum of the
+solution with no transform at all. The data part of C3 is never formed as a
+cube (``data_term``): the first band mix adds z's half spectrum, mixed by
 (srf q)^T, block by block; the transform of blur_adjoint(upsample_adjoint(y))
 is ``e`` times y's small transform (``lowres_spectrum``) at every member of a
 group, so it enters the Sherman-Morrison pass as one shift per group and
@@ -234,25 +236,26 @@ def _spread(fac: XStepFactors, low: np.ndarray) -> np.ndarray:
 
 
 def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | None = None) -> None:
-    """Solve ``(lam_n*I + C2) x_n = spec_n`` for every eigen-channel n, in place.
+    """Overwrite each eigen-channel ``spec_n`` with ``lam_n * x_n``.
 
-    ``spec`` holds the channels' half spectra, shape (bands, height,
-    width//2 + 1). Each aliasing group of a channel is one Sherman-Morrison
-    solve; its stored members are updated. ``shift`` (``DataTerm.shift``) is
-    subtracted from each group's numerator ``e^H spec_n``.
+    ``x_n`` solves ``(lam_n*I + C2) x_n = spec_n``; ``spec`` holds the
+    channels' half spectra, shape (bands, height, width//2 + 1). Each aliasing
+    group of a channel is one Sherman-Morrison solve; its stored members are
+    updated. The division by ``lam_n`` is left to the back-mix,
+    ``q Lambda^-1`` (``solve_spectrum``, ``solve_fast``). ``shift``
+    (``DataTerm.shift``) is subtracted from each group's numerator
+    ``e^H spec_n``.
     """
     s, gl, half = fac.e.shape
     ce = np.conj(fac.e)
 
     def channel(n: int) -> None:
-        lam = fac.lam[n]
         group = spec[n].reshape(s, gl, half)
         num = _fold(fac, ce, group)
         if shift is not None:
             num -= shift[n]
-        num /= lam * (s * s) + fac.esq
+        num /= fac.lam[n] * (s * s) + fac.esq
         group -= fac.e * _spread(fac, num)
-        group /= lam
 
     pool_map(channel, range(len(fac.lam)))
 
@@ -355,12 +358,13 @@ def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, data: DataT
     """The x-step on half spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
 
     ``data`` is ``data_term``'s output for the same factors. Two band mixes
-    (the first adds z) and one Sherman-Morrison pass per channel (which adds
+    (the first adds z; the second is ``q Lambda^-1``, which finishes each
+    channel's solve) and one Sherman-Morrison pass per channel (which adds
     y); no transform.
     """
     _mix(rho * fac.q.T, v_hat, data)
     _solve_channels(fac, v_hat, data.shift)
-    _mix(fac.q, v_hat)
+    _mix(fac.q / fac.lam, v_hat)
 
 
 def solve_fast(system: SylvesterSystem) -> HsiCube:
@@ -373,5 +377,5 @@ def solve_fast(system: SylvesterSystem) -> HsiCube:
     spec = rdft2(system.c3.data)
     _mix(fac.q.T, spec)
     _solve_channels(fac, spec)
-    _mix(fac.q, spec)
+    _mix(fac.q / fac.lam, spec)
     return HsiCube(irdft2(spec, system.c3.width))

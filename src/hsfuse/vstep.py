@@ -3,22 +3,24 @@
 Minimizing ``||v - x_next||^2 + mu_p*||D(v - prior)||^2 + nu_p*||E(v - prior)||^2``
 decouples across spatial frequencies because D acts per band as a circular
 stencil and E mixes bands pointwise. At each frequency f the optimality
-condition is a bands x bands real tridiagonal system
+condition is a bands x bands real tridiagonal system for the deviation
+``w = v - prior`` from the prior,
 
-    T_f v_f = x_next_f + (mu_p * |lap(f)|^2 + nu_p * E0^T E0) prior_f
+    T_f w_f = x_next_f - prior_f
 
-with ``T_f = I + mu_p * |lap(f)|^2 + nu_p * E0^T E0``. T_f is strictly
-diagonally dominant, so the Thomas algorithm needs no pivoting. Its real
-factorization depends on the weights only: the HQS loop factors every
-frequency once per run (``factor_denoise``) and then, each iteration, forms
-the right-hand side from spectra it already holds and substitutes
-(``denoise_spectrum``), with no transform. Every frequency is solved on its
-own, so the kernels run unchanged on half spectra (see ``cube``): the
-unstored frequencies are the conjugate mirrors of stored ones, and so are
-their solutions. ``vstep`` is the one-shot spatial form of the same solve:
-forward transforms of x_next and the prior (``dft2_per_band``),
-``denoise_spectrum``, one inverse transform (``idft2_per_band``). Batched
-solves are bit-identical to solving frequencies one at a time in any order.
+with ``T_f = I + mu_p * |lap(f)|^2 + nu_p * E0^T E0`` (the same system as
+``T_f v_f = x_next_f + (T_f - I) prior_f``). T_f is strictly diagonally
+dominant, so the Thomas algorithm needs no pivoting. Its real factorization
+depends on the weights only: the HQS loop factors every frequency once per
+run (``factor_denoise``) and then, each iteration, substitutes
+``x_next - prior`` and adds the prior back (``denoise_spectrum``), with no
+transform. Every frequency is solved on its own, so the kernels run
+unchanged on half spectra (see ``cube``): the unstored frequencies are the
+conjugate mirrors of stored ones, and so are their solutions. ``vstep`` is
+the one-shot spatial form of the same solve: forward transforms of x_next
+and the prior (``dft2_per_band``), ``denoise_spectrum``, one inverse
+transform (``idft2_per_band``). Batched solves are bit-identical to solving
+frequencies one at a time in any order.
 
 ``vstep`` and ``solve_tridiagonal`` are the entry points that check their
 inputs; ``factor_denoise`` and ``denoise_spectrum`` trust theirs, which come
@@ -41,7 +43,7 @@ from .cube import (
     pool_map,
 )
 from .errors import ValidationError, check_real
-from .gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
+from .gradients import LaplacianOperator, spectral_gram_tridiag
 
 __all__ = [
     "DenoiseFactors",
@@ -117,13 +119,10 @@ def solve_tridiagonal(
 class DenoiseFactors:
     """Every frequency's T_f, factored once for fixed weights.
 
-    ``mu_lap`` is ``mu_p * |lap(f)|^2`` per frequency; ``sub`` is T_f's
-    off-diagonal, the same at every frequency; ``c``/``inv`` come from
-    the Thomas forward elimination, one column per stored frequency.
+    ``sub`` is T_f's off-diagonal, the same at every frequency; ``c``/``inv``
+    come from the Thomas forward elimination, one column per stored frequency.
     """
 
-    mu_lap: np.ndarray
-    nu_p: float
     sub: np.ndarray
     c: np.ndarray
     inv: np.ndarray
@@ -136,7 +135,7 @@ def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> 
     diag = 1.0 + mu_lap + nu_p * gram_diag[:, None]
     sub = np.broadcast_to((nu_p * gram_off)[:, None], (bands - 1, mu_lap.size))
     c, inv = _factor_tridiagonal(diag, sub, sub)
-    return DenoiseFactors(mu_lap, nu_p, sub, c, inv)
+    return DenoiseFactors(sub, c, inv)
 
 
 def denoise_spectrum(
@@ -146,9 +145,9 @@ def denoise_spectrum(
 
     ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior,
     shape (bands, height, width//2 + 1); ``out`` must be a third array of
-    that shape. The right-hand side ``x + mu_lap*p + nu_p*E0^T E0 p`` is
-    formed in ``out`` and solved there, one cache-sized block of frequencies
-    per pool item.
+    that shape. The deviation ``x - p`` is formed in ``out``, solved there
+    and shifted back by ``p``, one cache-sized block of frequencies per pool
+    item.
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
@@ -157,11 +156,9 @@ def denoise_spectrum(
 
     def block(cols: slice) -> None:
         pb, rb = p[:, cols], rhs[:, cols]
-        # addition commutes exactly, so this is x + mu_lap*p + nu_p*E0^T E0 p
-        np.multiply(fac.mu_lap[cols], pb, out=rb)
-        rb += x[:, cols]
-        rb += fac.nu_p * spectral_gram_apply_array(pb)
+        np.subtract(x[:, cols], pb, out=rb)
         _substitute(fac.c[:, cols], fac.inv[:, cols], fac.sub[:, cols], rb, rb)
+        rb += pb
 
     pool_map(block, column_blocks(x.shape[1]))
 

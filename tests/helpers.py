@@ -16,7 +16,11 @@ import numpy as np
 
 from hsfuse.cube import HsiCube
 from hsfuse.errors import ValidationError
-from hsfuse.gradients import LaplacianOperator, spectral_gram_apply_array
+from hsfuse.gradients import (
+    LaplacianOperator,
+    spectral_diff_adjoint_array,
+    spectral_diff_apply_array,
+)
 from hsfuse.hqs import HqsConfig, objective_value
 from hsfuse.sylvester import build_system, solve_fast
 from hsfuse.vstep import vstep
@@ -164,7 +168,7 @@ def vstep_gradient(
     gram_d = np.fft.ifft2(np.fft.fft2(diff, axes=(-2, -1)) * lap.response_sq, axes=(-2, -1)).real
     grad = rho * (v.data - x_next.data) + mu * gram_d
     if v.bands > 1:
-        grad = grad + nu * spectral_gram_apply_array(diff)
+        grad = grad + nu * spectral_diff_adjoint_array(spectral_diff_apply_array(diff))
     return HsiCube(grad)
 
 

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rand_cube, vstep_gradient
+from hsfuse.cube import half_spectrum
 from hsfuse.errors import ValidationError
-from hsfuse.gradients import LaplacianOperator, spectral_gram_apply_array, spectral_gram_tridiag
-from hsfuse.vstep import solve_tridiagonal, vstep
+from hsfuse.gradients import LaplacianOperator, spectral_gram_tridiag
+from hsfuse.vstep import denoise_spectrum, factor_denoise, solve_tridiagonal, vstep
 
 
 def dense_minimizer(x_next, prior, lap, mu_p, nu_p):
@@ -139,9 +142,10 @@ class TestVstep:
         gram_diag, gram_off = spectral_gram_tridiag(bands)
         cols = np.empty_like(xf)
         for j in reversed(range(h * half)):
-            rhs = xf[:, j] + mu_p * lap_sq[j] * pf[:, j] + nu_p * spectral_gram_apply_array(pf[:, j])
+            # solved for the deviation from the prior, then shifted back
             diag = 1.0 + mu_p * lap_sq[j] + nu_p * gram_diag
-            cols[:, j] = solve_tridiagonal(diag, nu_p * gram_off, nu_p * gram_off, rhs)
+            dev = solve_tridiagonal(diag, nu_p * gram_off, nu_p * gram_off, xf[:, j] - pf[:, j])
+            cols[:, j] = dev + pf[:, j]
         want = np.fft.irfft2(cols.reshape(bands, h, half), s=(h, w), axes=(-2, -1))
         assert np.array_equal(vstep(x, p, lap, mu_p, nu_p).data, want)
 
@@ -156,3 +160,26 @@ class TestVstep:
             vstep(x, x, LaplacianOperator.create(4, 4), 0.1, 0.1)
         with pytest.raises(ValidationError):
             vstep_gradient(x, x, x, lap, 0.0, 0.1, 0.1)
+
+
+class TestDenoiseSpectrum:
+    def test_peak_memory_is_well_under_one_cube(self, rng, monkeypatch):
+        # the block loop writes x - p into the output and solves it in place:
+        # no block-sized temporaries beyond the Thomas rows
+        monkeypatch.setenv("HSFUSE_THREADS", "1")
+        bands, h, w = 31, 128, 128
+        fac = factor_denoise(
+            half_spectrum(LaplacianOperator.create(h, w).response_sq), bands, 0.9, 0.3
+        )
+        shape = (bands, h, w // 2 + 1)
+        x_hat, p_hat = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)
+        )
+        out = np.empty(shape, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            denoise_spectrum(fac, x_hat, p_hat, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * out.nbytes
