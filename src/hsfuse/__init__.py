@@ -15,9 +15,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "HsiCube": "cube",
-    "FreqCube": "cube",
-    "dft2_per_band": "cube",
-    "idft2_per_band": "cube",
     "BlurOperator": "degradation",
     "Downsampler": "degradation",
     "SpectralResponse": "degradation",

@@ -11,9 +11,11 @@ the full 1/(height*width) factor. A cube is real, so its spectrum is held as
 the half spectrum of ``np.fft.rfftn``: columns 0..width//2 of every band,
 shape (bands, height, width//2 + 1). Every other column is the conjugate
 mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
-Parseval sum counts each stored column that has a mirror twice (all but
-``self_mirrored(width)``; ``full_sum``). ``rdft2`` and ``irdft2`` are that
-transform pair on arrays, ``dft2_per_band`` and ``idft2_per_band`` on cubes.
+Parseval sum counts each stored column that has a mirror twice: all but
+column 0 and, for an even width, column width//2. ``half_sums`` is the one
+place that rule lives; it sums over blocks of stored columns on the pool.
+``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
+and ``idft2_per_band`` on cubes.
 ``circular_convolve`` filters on half spectra too, one plane at a time: the
 multiplier of a real kernel is conjugate-symmetric, so its stored columns
 are all the product needs. The full complex ``dft2`` stays for the spectra
@@ -22,8 +24,8 @@ small low-resolution y.
 
 The package has one thread pool, and ``pool_map`` is its only entry. Every
 per-plane transform here and every independent block loop of the HQS
-iteration (band mixes, eigen-channels, v-step blocks, objective parts) runs
-through it. Its size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
+iteration (band mixes, eigen-channels, v-step blocks, ``half_sums`` blocks)
+runs through it. Its size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
 because a library caller may not have pinned its BLAS threads; the CLI sets
 it to ``--threads`` or the available cores and pins BLAS to one thread. Each
 item writes its own output or returns its own partial result, and callers
@@ -56,14 +58,13 @@ __all__ = [
     "column_blocks",
     "dft2",
     "dft2_per_band",
-    "full_sum",
     "half_spectrum",
+    "half_sums",
     "idft2_per_band",
     "irdft2",
     "pool_map",
     "pool_size",
     "rdft2",
-    "self_mirrored",
 ]
 
 # largest imaginary residue, relative to max(1, peak real magnitude), that an
@@ -311,7 +312,7 @@ def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     # a self-mirrored column c adds exp(2j*pi*c*j/width)/width, which is +-1/width,
     # times its inverse over rows to pixel column j, so the worst pixel
     # carries the sum of the columns' imaginary parts
-    rows = np.fft.ifft(spec[..., self_mirrored(width)], axis=-2)
+    rows = np.fft.ifft(spec[..., _self_mirrored(width)], axis=-2)
     resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
     real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
     _each_plane(
@@ -333,19 +334,9 @@ def half_spectrum(full: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
 
 
-def self_mirrored(width: int) -> list[int]:
+def _self_mirrored(width: int) -> list[int]:
     """Stored columns that are their own mirror: 0, and width//2 when width is even."""
     return [0, width // 2] if width % 2 == 0 else [0]
-
-
-def full_sum(stored, own):
-    """A sum over the full spectrum from two sums over the half spectrum.
-
-    ``stored`` sums a quantity over every stored column, ``own`` over the
-    ``self_mirrored`` columns alone. Every other stored column stands for
-    itself and its mirror, so the full sum is ``2*stored - own``.
-    """
-    return 2 * stored - own
 
 
 def dft2_per_band(cube: HsiCube) -> FreqCube:
@@ -368,3 +359,24 @@ def idft2_per_band(fc: FreqCube) -> HsiCube:
 def column_blocks(n: int) -> list[slice]:
     """Slices that cover ``range(n)`` in cache-sized blocks of spectrum columns."""
     return [slice(j, j + _BLOCK_COLUMNS) for j in range(0, n, _BLOCK_COLUMNS)]
+
+
+def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):
+    """A sum over the full spectra of a ``width``-column grid, from their half spectra.
+
+    Each array holds stored columns in its last two axes, (height,
+    width//2 + 1), and is flattened over them. ``fn`` takes one slice of
+    every flattened array, over the same columns and with a contiguous last
+    axis (so a complex slice can be viewed as floats), and returns their sum
+    (a number or an array of sums). It runs on each ``column_blocks`` block
+    on the pool, and the block sums are added in block order. Every stored
+    column but the self-mirrored ones stands for itself and its mirror, so
+    with ``own``, ``fn`` of the self-mirrored columns alone, the full sum is
+    ``2*stored - own``. This is the one place that rule lives.
+    """
+    flat = [a.reshape(a.shape[:-2] + (-1,)) for a in arrays]
+    blocks = column_blocks(flat[0].shape[-1])
+    stored = sum(pool_map(lambda cols: fn(*(a[..., cols] for a in flat)), blocks))
+    cols = _self_mirrored(width)
+    own = fn(*(np.ascontiguousarray(a[..., cols]).reshape(a.shape[:-2] + (-1,)) for a in arrays))
+    return 2 * stored - own

@@ -67,6 +67,14 @@ class LaplacianOperator(BlurOperator):
         """``|multiplier|^2`` per frequency: the Gram multiplier of D^T D."""
         return (self.multiplier * np.conj(self.multiplier)).real
 
+    def check_grid(self, cube: HsiCube) -> None:
+        """Raise unless ``cube`` lies on the operator's grid."""
+        if (self.height, self.width) != (cube.height, cube.width):
+            raise ValidationError(
+                f"operator grid {(self.height, self.width)} does not match cube grid "
+                f"{(cube.height, cube.width)}"
+            )
+
 
 def spectral_diff_apply_array(data: np.ndarray) -> np.ndarray:
     if data.shape[0] < 2:
@@ -108,6 +116,7 @@ def regularizer_value(
         raise ValidationError(f"cube shapes differ: {x.data.shape} vs {xt.data.shape}")
     if lap is None:
         lap = LaplacianOperator.create(x.height, x.width)
+    lap.check_grid(x)
     diff = x.data - xt.data
     value = mu * float(np.sum(lap.apply_array(diff) ** 2))
     if x.bands > 1:

@@ -23,14 +23,16 @@ The x-step's data term holds no cube of its own (``sylvester.data_term``):
 z is mixed into the x-step's first band mix, and y enters its
 Sherman-Morrison pass as one shift per aliasing group and channel.
 The objective and the stop test are evaluated through Parseval's theorem,
-with every stored column that has a mirror counted twice; the y-term is a
-sum over aliasing groups on the low-resolution grid,
-``sylvester.lowres_misfit``, so the group layout stays in ``sylvester``.
-``objective_value`` is the spatial form of the same objective, for callers
-holding cubes. Every pass over a spectrum is split into independent items
-(column blocks, bands or eigen-channels) that run on the package's thread
-pool (``cube.pool_map``), and partial sums are added in item order, so the
-iterates and the trace do not depend on the pool size.
+each in one ``cube.half_sums`` call: one pass over blocks of stored columns
+on the package's thread pool, with the mirror rule applied there and
+nowhere else. The objective's pass sums the z-term, the coupling, the
+smoothness and the band difference together; the y-term is a sum over
+aliasing groups on the low-resolution grid, ``sylvester.lowres_misfit``, so
+the group layout stays in ``sylvester``. ``objective_value`` is the spatial
+form of the same objective, for callers holding cubes. Every pass over a
+spectrum is split into independent items (column blocks, bands or
+eigen-channels) that run on the pool, and partial sums are added in item
+order, so the iterates and the trace do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -40,16 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import (
-    HsiCube,
-    column_blocks,
-    full_sum,
-    half_spectrum,
-    irdft2,
-    pool_map,
-    rdft2,
-    self_mirrored,
-)
+from .cube import HsiCube, half_spectrum, half_sums, irdft2, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -122,13 +115,10 @@ def objective_value(
 
 
 def _sq(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
-
-
-def _parts(x: np.ndarray, v: np.ndarray, p: np.ndarray, lap_sq: np.ndarray) -> np.ndarray:
-    """Coupling, smoothness and band-difference sums of squares over (bands, columns) spectra."""
-    dv = v - p
-    return np.array([_sq(x - v), float(np.vdot(dv, lap_sq * dv).real), _sq(dv[1:] - dv[:-1])])
+    """Sum of squared magnitudes of a (rows, columns) array, read in place."""
+    # row by row: np.vdot would first copy a block of a wider spectrum's rows
+    f = a.view(np.float64)
+    return float(np.vecdot(f, f).sum())
 
 
 @dataclass(frozen=True)
@@ -163,29 +153,19 @@ class _Spectra:
 
     def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
         """``objective_value`` at the (x, v) whose half spectra are given, by Parseval."""
-        bands, height, half = x_hat.shape
-        n = height * self.xstep.width
-        x, v, p = (a.reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat))
-        lap_sq = self.lap_sq.reshape(-1)
-        # partial sums in block order, whatever the pool size
-        total = sum(
-            pool_map(
-                lambda cols: _parts(x[:, cols], v[:, cols], p[:, cols], lap_sq[cols]),
-                column_blocks(x.shape[1]),
-            )
+
+        def sums(x, v, p, lap_sq, z_hat) -> np.ndarray:
+            """z-term, coupling, smoothness and band-difference sums over a block."""
+            z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
+            dv = v - p
+            smooth = float(np.vdot(dv, lap_sq * dv).real)
+            return np.array([_sq(z_res), _sq(x - v), smooth, _sq(dv[1:] - dv[:-1])])
+
+        width = self.xstep.width
+        z_sq, coupling, smooth, spectral = half_sums(
+            sums, (x_hat, v_hat, self.p_hat, self.lap_sq, self.data.z_hat), width
         )
-        own = self_mirrored(self.xstep.width)
-        coupling, smooth, spectral = full_sum(
-            total,
-            _parts(
-                *(a[..., own].reshape(bands, -1) for a in (x_hat, v_hat, self.p_hat)),
-                self.lap_sq[:, own].reshape(-1),
-            ),
-        )
-        z_bands = len(self.srf)
-        z_hat = self.data.z_hat.reshape(z_bands, -1)
-        z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
-        z_sq = full_sum(_sq(z_res), _sq(z_res.reshape(z_bands, height, half, 2)[:, :, own]))
+        n = x_hat.shape[1] * width
         cfg = self.cfg
         return (
             sylvester.lowres_misfit(self.xstep, self.y_tilde, x_hat)
@@ -198,11 +178,7 @@ class _Spectra:
 def _rel_change(new: np.ndarray, old: np.ndarray, width: int) -> float:
     """``||new - old|| / max(||old||, tiny)`` for the cubes whose half spectra are given."""
     n = new.shape[1] * width
-    own = self_mirrored(width)
-    # per-band sums, added in band order
-    parts = pool_map(lambda b: (_sq(new[b] - old[b]), _sq(old[b])), range(len(new)))
-    diff = full_sum(sum(d for d, _ in parts), _sq(new[..., own] - old[..., own]))
-    base = full_sum(sum(b for _, b in parts), _sq(old[..., own]))
+    diff, base = half_sums(lambda a, b: np.array([_sq(a - b), _sq(b)]), (new, old), width)
     tiny = float(np.finfo(np.float64).tiny)
     return float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
 

@@ -177,18 +177,14 @@ def vstep(
     """
     mu_p = check_real("mu_p", mu_p, allow_zero=True)
     nu_p = check_real("nu_p", nu_p, allow_zero=True)
-    if mu_p == 0.0 and nu_p == 0.0:
-        return x_next
     if x_next.data.shape != prior.data.shape:
         raise ValidationError(
             f"cube shapes differ: {x_next.data.shape} vs {prior.data.shape}"
         )
+    lap.check_grid(x_next)
+    if mu_p == 0.0 and nu_p == 0.0:
+        return x_next
     bands, height, width = x_next.data.shape
-    if (lap.height, lap.width) != (height, width):
-        raise ValidationError(
-            f"operator grid {(lap.height, lap.width)} does not match cube grid "
-            f"{(height, width)}"
-        )
     out = np.empty((bands, height, width // 2 + 1), dtype=np.complex128)
     denoise_spectrum(
         factor_denoise(half_spectrum(lap.response_sq), bands, mu_p, nu_p),

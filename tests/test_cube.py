@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsfuse.cube import FreqCube, HsiCube, dft2_per_band, idft2_per_band, irdft2
+from hsfuse.cube import (
+    FreqCube,
+    HsiCube,
+    dft2_per_band,
+    half_sums,
+    idft2_per_band,
+    irdft2,
+    rdft2,
+)
 from hsfuse.errors import SymmetryViolationError, ValidationError
 
 
@@ -101,13 +109,25 @@ def test_dft_roundtrip_and_dc(rng):
 
 def test_parseval(rng):
     # every stored column but 0 and (for even widths) width/2 has a mirror,
-    # so it counts twice
-    for width, weights in ((8, [1, 2, 2, 2, 1]), (7, [1, 2, 2, 2])):
-        cube = HsiCube(rng.standard_normal((2, 8, width)))
-        fc = dft2_per_band(cube)
-        lhs = float(np.sum(np.abs(fc.data) ** 2 * np.array(weights, dtype=float)))
-        rhs = 8.0 * width * float(np.sum(cube.data**2))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    # so it counts twice; half_sums applies that rule blockwise, on slices
+    # whose last axis is contiguous (for a 1-row grid, a plain fancy-indexed
+    # copy of the self-mirrored columns is not), and the 128x65 stored
+    # columns of the last input span three column blocks
+    cases = (
+        ((8, 8), [1, 2, 2, 2, 1]),
+        ((8, 7), [1, 2, 2, 2]),
+        ((1, 6), [1, 2, 2, 1]),
+        ((128, 128), None),
+    )
+    for (height, width), weights in cases:
+        cube = HsiCube(rng.standard_normal((2, height, width)))
+        rhs = height * width * float(np.sum(cube.data**2))
+        spec = rdft2(cube.data)
+        if weights is not None:
+            lhs = float(np.sum(np.abs(spec) ** 2 * np.array(weights, dtype=float)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+        got = half_sums(lambda a: float(np.sum(a.view(np.float64) ** 2)), (spec,), width)
+        assert got == pytest.approx(rhs, rel=1e-12)
 
 
 def test_idft_rejects_asymmetric_spectrum():

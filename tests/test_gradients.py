@@ -134,3 +134,8 @@ class TestRegularizerValue:
             regularizer_value(x, rand_cube(rng, 2, 6, 5), 0.1, 0.1)
         with pytest.raises(ValidationError):
             regularizer_value(x, x, -0.1, 0.1)
+        # a Laplacian of another grid: 6x12 would give a wrong value, 12x6 a numpy error
+        xt = rand_cube(rng, 2, 6, 6)
+        for h, w in ((6, 12), (12, 6)):
+            with pytest.raises(ValidationError):
+                regularizer_value(x, xt, 0.1, 0.1, lap=LaplacianOperator.create(h, w))

@@ -158,6 +158,11 @@ class TestVstep:
             vstep(x, x, lap, -0.1, 0.1)
         with pytest.raises(ValidationError):
             vstep(x, x, LaplacianOperator.create(4, 4), 0.1, 0.1)
+        # zero weights return x unchanged, but only after the checks
+        with pytest.raises(ValidationError):
+            vstep(x, rand_cube(rng, 2, 5, 4), lap, 0.0, 0.0)
+        with pytest.raises(ValidationError):
+            vstep(x, x, LaplacianOperator.create(4, 4), 0.0, 0.0)
         with pytest.raises(ValidationError):
             vstep_gradient(x, x, x, lap, 0.0, 0.1, 0.1)
 
