@@ -9,7 +9,8 @@ consume its squared magnitude.
 The spectral term is the first difference along the band axis, a (B-1) x B
 banded map. It is deliberately not wrapped circularly: band 1 and band B are
 not neighbours. Its normal matrix is tridiagonal with diagonal (1, 2, ..., 2, 1)
-and off-diagonals -1, returned as plain arrays: the stencil and the band
+and off-diagonals -1, the path graph's Laplacian, which the DCT-II basis
+diagonalizes (``spectral_gram_eig``, plain arrays): the stencil and the band
 difference are constants of this module, so only the grid and the weights of
 ``regularizer_value``, the public entry point, are checked.
 """
@@ -29,7 +30,7 @@ __all__ = [
     "LaplacianOperator",
     "spectral_diff_apply_array",
     "spectral_diff_adjoint_array",
-    "spectral_gram_tridiag",
+    "spectral_gram_eig",
     "regularizer_value",
 ]
 
@@ -89,15 +90,16 @@ def spectral_diff_adjoint_array(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_gram_tridiag(bands: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the band difference's normal matrix.
+def spectral_gram_eig(bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``d`` and orthonormal eigenvectors (columns) of the normal matrix.
 
-    A single band has no difference, so its normal matrix is the 1x1 zero.
+    They are the DCT-II's (Strang, SIAM Review 1999): ``d_k = 4 sin^2(pi k / 2B)``,
+    ``u[i, k] = c_k cos(pi k (2i + 1) / 2B)`` with the numerator taken mod 4B.
     """
-    diag = np.zeros(bands)
-    diag[1:] += 1.0
-    diag[:-1] += 1.0
-    return diag, np.full(bands - 1, -1.0)
+    k = np.arange(bands)
+    turns = k * (2 * np.arange(bands)[:, None] + 1) % (4 * bands)
+    u = np.sqrt((2.0 - (k == 0)) / bands) * np.cos(np.pi * turns / (2 * bands))
+    return 4.0 * np.sin(np.pi * k / (2 * bands)) ** 2, u
 
 
 def regularizer_value(

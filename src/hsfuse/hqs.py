@@ -8,17 +8,23 @@ The augmented objective
 is minimized by alternating exact sub-solves with a fixed rho: the Sylvester
 step updates x with v fixed (closed form, ``sylvester.solve_spectrum``, whose
 mix back to bands ``q Lambda^-1`` ends each channel's Sherman-Morrison
-solve), the per-frequency tridiagonal step updates v with x fixed, solved for
-the deviation v - prior (``vstep.denoise_spectrum``). Both are exact
+solve), the v-step updates v with x fixed as one elementwise gain on the
+deviation v - prior (``vstep.denoise_spectrum``). Both are exact
 minimizers, so the objective trace is non-increasing. The iteration starts
 from v = prior and returns the last x iterate.
 
 Every operator in L is circulant or pointwise in frequency, so x and v stay
-spectra from the first iteration to the last. They are half spectra (see
-``cube``), since x and v are real. A run transforms each input once (the
+spectra from the first iteration to the last: half spectra (see ``cube``)
+whose band axis is in the coordinates of U, the DCT-II basis that
+diagonalizes the band difference's normal matrix (see ``vstep``). There the
+v-step is one gain per band and frequency, and the band-difference penalty
+is ``sum_k d_k ||(v - prior)_k||^2``. The x-step keeps its kernels, built
+from ``srf U`` and from y's spectrum times U^T; the other terms and the stop
+test do not see the orthogonal U. A run transforms each input once (the
 prior and z through ``cube.rdft2``, y on its low-resolution grid through
-``sylvester.lowres_spectrum``), factors both sub-steps once, and returns x
-through one inverse transform (``cube.irdft2``) that writes the real cube.
+``sylvester.lowres_spectrum``), rotates the prior and y into U's
+coordinates (``cube.mix_bands``), factors both sub-steps once, and returns x
+through one rotation back and one inverse transform (``cube.irdft2``).
 The x-step's data term holds no cube of its own (``sylvester.data_term``):
 z is mixed into the x-step's first band mix, and y enters its
 Sherman-Morrison pass as one shift per aliasing group and channel.
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import HsiCube, half_spectrum, half_sums, irdft2, rdft2
+from .cube import HsiCube, half_spectrum, half_sums, irdft2, mix_bands, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -114,16 +120,20 @@ def objective_value(
     return value
 
 
-def _sq(a: np.ndarray) -> float:
-    """Sum of squared magnitudes of a (rows, columns) array, read in place."""
+def _sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Sum of squared magnitudes of a (rows, columns) array, read in place, rows weighted."""
     # row by row: np.vdot would first copy a block of a wider spectrum's rows
     f = a.view(np.float64)
-    return float(np.vecdot(f, f).sum())
+    rows = np.vecdot(f, f)
+    return float(rows.sum() if weights is None else rows @ weights)
 
 
 @dataclass(frozen=True)
 class _Spectra:
-    """What one run transforms and factors once, before the first iteration."""
+    """What one run transforms and factors once, in the coordinates of U = ``denoise.basis``.
+
+    ``srf`` is the response times U; ``y_tilde`` and ``p_hat`` are mixed by U^T.
+    """
 
     cfg: HqsConfig
     srf: np.ndarray
@@ -140,26 +150,29 @@ class _Spectra:
     ) -> "_Spectra":
         bands = model.bands
         height, width = model.hr_shape
-        srf = model.srf.matrix
         lap_sq = half_spectrum(LaplacianOperator.create(height, width).response_sq)
+        denoise = factor_denoise(lap_sq, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
+        u = denoise.basis
+        srf = model.srf.matrix @ u
         xstep = sylvester.factor_xstep(
             srf.T @ srf + cfg.rho * np.eye(bands), model.blur, model.down
         )
-        denoise = factor_denoise(lap_sq, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         y_tilde = sylvester.lowres_spectrum(model.down, y.data, height, width)
+        mix_bands(u.T, y_tilde)
         data = sylvester.data_term(xstep, srf, y_tilde, rdft2(z.data))
         p_hat = rdft2(prior.data)
+        mix_bands(u.T, p_hat)
         return cls(cfg, srf, lap_sq, xstep, denoise, y_tilde, data, p_hat)
 
     def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
-        """``objective_value`` at the (x, v) whose half spectra are given, by Parseval."""
+        """``objective_value`` by Parseval, from the half spectra of x and v in U's coordinates."""
 
         def sums(x, v, p, lap_sq, z_hat) -> np.ndarray:
             """z-term, coupling, smoothness and band-difference sums over a block."""
             z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
             dv = v - p
             smooth = float(np.vdot(dv, lap_sq * dv).real)
-            return np.array([_sq(z_res), _sq(x - v), smooth, _sq(dv[1:] - dv[:-1])])
+            return np.array([_sq(z_res), _sq(x - v), smooth, _sq(dv, self.denoise.eig)])
 
         width = self.xstep.width
         z_sq, coupling, smooth, spectral = half_sums(
@@ -226,6 +239,7 @@ def fuse(
         if changes and changes[-1] <= cfg.rel_tol:
             converged = True
             break
+    mix_bands(fixed.denoise.basis, x_hat)
     # free the prior's spectrum, the factors and v before the inverse
     # transform allocates its output
     del fixed, v_hat

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube, column_blocks, dft2, half_spectrum, irdft2, pool_map, rdft2
+from .cube import HsiCube, dft2, half_spectrum, irdft2, mix_bands, pool_map, rdft2
 from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
@@ -280,30 +280,6 @@ def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> 
     return sum(pool_map(band, range(x_hat.shape[0]))) / (gl * gw)
 
 
-def _mix(mat: np.ndarray, spec: np.ndarray, data: DataTerm | None = None) -> None:
-    """``spec <- mat @ spec (+ data.mix @ data.z_hat)`` over the band axis, in place.
-
-    One block of columns per pool item. A real matrix mixes real and
-    imaginary parts alike, so a complex (bands, pixels) spectrum is mixed as
-    its (bands, 2*pixels) real view.
-    """
-    flat = spec.reshape(spec.shape[0], -1).view(np.float64)
-    z = None if data is None else data.z_hat.reshape(data.z_hat.shape[0], -1).view(np.float64)
-
-    def mix(cols: slice) -> None:
-        block = mat @ flat[:, cols]
-        if z is None:
-            flat[:, cols] = block
-            return
-        # z's part is written straight into the spectrum: adding it through a
-        # second block-sized temporary made this pass 3x slower at 31x64x64
-        out = flat[:, cols]
-        np.matmul(data.mix, z[:, cols], out=out)
-        out += block
-
-    pool_map(mix, column_blocks(flat.shape[1]))
-
-
 def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -> np.ndarray:
     """DFT of the low-resolution cube ``y`` times the sampling-phase ramp.
 
@@ -362,9 +338,9 @@ def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, data: DataT
     channel's solve) and one Sherman-Morrison pass per channel (which adds
     y); no transform.
     """
-    _mix(rho * fac.q.T, v_hat, data)
+    mix_bands(rho * fac.q.T, v_hat, (data.mix, data.z_hat))
     _solve_channels(fac, v_hat, data.shift)
-    _mix(fac.q / fac.lam, v_hat)
+    mix_bands(fac.q / fac.lam, v_hat)
 
 
 def solve_fast(system: SylvesterSystem) -> HsiCube:
@@ -375,7 +351,7 @@ def solve_fast(system: SylvesterSystem) -> HsiCube:
     """
     fac = factor_xstep(system.c1, system.blur, system.down)
     spec = rdft2(system.c3.data)
-    _mix(fac.q.T, spec)
+    mix_bands(fac.q.T, spec)
     _solve_channels(fac, spec)
-    _mix(fac.q / fac.lam, spec)
+    mix_bands(fac.q / fac.lam, spec)
     return HsiCube(irdft2(spec, system.c3.width))

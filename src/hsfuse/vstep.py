@@ -1,26 +1,27 @@
-"""Per-frequency tridiagonal solver for the denoising sub-problem.
+"""The denoising sub-problem as one elementwise gain in the band difference's eigenbasis.
 
 Minimizing ``||v - x_next||^2 + mu_p*||D(v - prior)||^2 + nu_p*||E(v - prior)||^2``
 decouples across spatial frequencies because D acts per band as a circular
-stencil and E mixes bands pointwise. At each frequency f the optimality
-condition is a bands x bands real tridiagonal system for the deviation
-``w = v - prior`` from the prior,
+stencil and E mixes bands pointwise. At each frequency f the deviation
+``w = v - prior`` solves
 
-    T_f w_f = x_next_f - prior_f
+    T_f w_f = x_next_f - prior_f,    T_f = (1 + mu_p*|lap(f)|^2) I + nu_p*G
 
-with ``T_f = I + mu_p * |lap(f)|^2 + nu_p * E0^T E0`` (the same system as
-``T_f v_f = x_next_f + (T_f - I) prior_f``). T_f is strictly diagonally
-dominant, so the Thomas algorithm needs no pivoting. Its real factorization
-depends on the weights only: the HQS loop factors every frequency once per
-run (``factor_denoise``) and then, each iteration, substitutes
-``x_next - prior`` and adds the prior back (``denoise_spectrum``), with no
-transform. Every frequency is solved on its own, so the kernels run
-unchanged on half spectra (see ``cube``): the unstored frequencies are the
-conjugate mirrors of stored ones, and so are their solutions. ``vstep`` is
-the one-shot spatial form of the same solve: forward transforms of x_next
-and the prior (``dft2_per_band``), ``denoise_spectrum``, one inverse
-transform (``idft2_per_band``). Batched solves are bit-identical to solving
-frequencies one at a time in any order.
+with ``G = E0^T E0`` the path graph's Laplacian over bands at every
+frequency. The DCT-II basis U diagonalizes G as ``U diag(d) U^T``
+(``gradients.spectral_gram_eig``), and so every T_f at once: for spectra
+whose band vectors are in U's coordinates (mixed by U^T), the solve is
+
+    v = p + g * (x - p),    g[k, f] = 1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k).
+
+``factor_denoise`` builds U, d and the gain once for fixed weights, and
+``denoise_spectrum`` applies the gain, with no transform and no band mix, to
+spectra that the HQS loop keeps in U's coordinates (see ``hqs``). Each
+frequency is solved on its own, so it runs unchanged on half spectra (see
+``cube``). ``vstep``, the one-shot spatial form, rotates x_next and the prior
+(``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain,
+rotates back and transforms back (``idft2_per_band``). ``solve_tridiagonal``
+is the Thomas algorithm for T_f's tridiagonal form; the loop does not need it.
 
 ``vstep`` and ``solve_tridiagonal`` are the entry points that check their
 inputs; ``factor_denoise`` and ``denoise_spectrum`` trust theirs, which come
@@ -40,10 +41,11 @@ from .cube import (
     dft2_per_band,
     half_spectrum,
     idft2_per_band,
+    mix_bands,
     pool_map,
 )
 from .errors import ValidationError, check_real
-from .gradients import LaplacianOperator, spectral_gram_tridiag
+from .gradients import LaplacianOperator, spectral_gram_eig
 
 __all__ = [
     "DenoiseFactors",
@@ -52,47 +54,6 @@ __all__ = [
     "solve_tridiagonal",
     "vstep",
 ]
-
-
-def _factor_tridiagonal(
-    diag: np.ndarray, sub: np.ndarray, sup: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-elimination factors ``(c, inv)`` of the Thomas algorithm.
-
-    Batched over trailing axes: ``diag`` has shape (n, ...), ``sub``/``sup``
-    broadcast to (n-1, ...). ``inv[i]`` is the reciprocal of pivot i and
-    ``c[i] = sup[i] * inv[i]``; they depend on the matrix only.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    n = diag.shape[0]
-    tail = diag.shape[1:]
-    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), (n - 1,) + tail)
-    sup = np.broadcast_to(np.asarray(sup, dtype=np.float64), (n - 1,) + tail)
-    c = np.empty((n - 1,) + tail, dtype=np.float64)
-    inv = np.empty_like(diag)
-    inv[0] = 1.0 / diag[0]
-    for i in range(1, n):
-        c[i - 1] = sup[i - 1] * inv[i - 1]
-        inv[i] = 1.0 / (diag[i] - sub[i - 1] * c[i - 1])
-    return c, inv
-
-
-def _substitute(
-    c: np.ndarray, inv: np.ndarray, sub: np.ndarray, rhs: np.ndarray, out: np.ndarray
-) -> None:
-    """Forward and back substitution with ``_factor_tridiagonal``'s factors.
-
-    ``out`` may be ``rhs``: the solve then happens in place.
-    """
-    # pivots enter as real reciprocals: multiplying a complex value by a real
-    # acts on its parts componentwise, so a complex solve is bit-identical to
-    # solving the real and imaginary parts separately (division is not)
-    n = inv.shape[0]
-    out[0] = rhs[0] * inv[0]
-    for i in range(1, n):
-        out[i] = (rhs[i] - sub[i - 1] * out[i - 1]) * inv[i]
-    for i in range(n - 2, -1, -1):
-        out[i] = out[i] - c[i] * out[i + 1]
 
 
 def solve_tridiagonal(
@@ -104,61 +65,73 @@ def solve_tridiagonal(
     (n-1, ...). Intended for strictly diagonally dominant systems; the
     right-hand side may be complex.
     """
-    diag = np.asarray(diag)
+    diag = np.asarray(diag, dtype=np.float64)
     rhs = np.asarray(rhs)
     if rhs.shape != diag.shape:
         raise ValidationError(f"rhs shape {rhs.shape} must match diag shape {diag.shape}")
-    c, inv = _factor_tridiagonal(diag, sub, sup)
-    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), c.shape)
+    n = diag.shape[0]
+    tail = diag.shape[1:]
+    sub = np.broadcast_to(np.asarray(sub, dtype=np.float64), (n - 1,) + tail)
+    sup = np.broadcast_to(np.asarray(sup, dtype=np.float64), (n - 1,) + tail)
+    # pivots enter as real reciprocals ``inv``, and a complex value times a
+    # real acts on its parts componentwise (division does not), so a complex
+    # solve is bit-identical to solving the real and imaginary parts apart
+    c = np.empty((n - 1,) + tail, dtype=np.float64)
+    inv = np.empty_like(diag)
     x = np.empty(rhs.shape, dtype=np.result_type(rhs, np.float64))
-    _substitute(c, inv, sub, rhs, x)
+    inv[0] = 1.0 / diag[0]
+    x[0] = rhs[0] * inv[0]
+    for i in range(1, n):
+        c[i - 1] = sup[i - 1] * inv[i - 1]
+        inv[i] = 1.0 / (diag[i] - sub[i - 1] * c[i - 1])
+        x[i] = (rhs[i] - sub[i - 1] * x[i - 1]) * inv[i]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] - c[i] * x[i + 1]
     return x
 
 
 @dataclass(frozen=True)
 class DenoiseFactors:
-    """Every frequency's T_f, factored once for fixed weights.
+    """Every frequency's T_f, diagonalized once for fixed weights.
 
-    ``sub`` is T_f's off-diagonal, the same at every frequency; ``c``/``inv``
-    come from the Thomas forward elimination, one column per stored frequency.
+    ``basis`` is U and ``eig`` holds d, in U's column order; ``gain[k, f]`` is
+    ``1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k)`` at each stored frequency f.
     """
 
-    sub: np.ndarray
-    c: np.ndarray
-    inv: np.ndarray
+    basis: np.ndarray
+    eig: np.ndarray
+    gain: np.ndarray
 
 
 def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """Factor T_f at every frequency of ``lap_sq``, ``|lap(f)|^2`` on the half spectrum's grid."""
-    mu_lap = mu_p * lap_sq.reshape(-1)
-    gram_diag, gram_off = spectral_gram_tridiag(bands)
-    diag = 1.0 + mu_lap + nu_p * gram_diag[:, None]
-    sub = np.broadcast_to((nu_p * gram_off)[:, None], (bands - 1, mu_lap.size))
-    c, inv = _factor_tridiagonal(diag, sub, sub)
-    return DenoiseFactors(sub, c, inv)
+    """U, d and the gain at each frequency of ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
+    eig, basis = spectral_gram_eig(bands)
+    gain = np.add.outer(nu_p * eig, 1.0 + mu_p * lap_sq.reshape(-1))
+    np.reciprocal(gain, out=gain)
+    return DenoiseFactors(basis, eig, gain)
 
 
 def denoise_spectrum(
     fac: DenoiseFactors, x_hat: np.ndarray, p_hat: np.ndarray, out: np.ndarray
 ) -> None:
-    """Write the DFT of the v-step solution into ``out``.
+    """Write the DFT of the v-step solution, in U's coordinates, into ``out``.
 
-    ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior,
-    shape (bands, height, width//2 + 1); ``out`` must be a third array of
-    that shape. The deviation ``x - p`` is formed in ``out``, solved there
-    and shifted back by ``p``, one cache-sized block of frequencies per pool
-    item.
+    ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior in
+    U's coordinates, shape (bands, height, width//2 + 1); ``out`` must be a
+    third array of that shape. The deviation ``x - p`` is formed in ``out``,
+    scaled by the gain and shifted back by ``p``, one cache-sized block of
+    frequencies per pool item.
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
     p = p_hat.reshape(bands, -1)
-    rhs = out.reshape(bands, -1)
+    v = out.reshape(bands, -1)
 
     def block(cols: slice) -> None:
-        pb, rb = p[:, cols], rhs[:, cols]
-        np.subtract(x[:, cols], pb, out=rb)
-        _substitute(fac.c[:, cols], fac.inv[:, cols], fac.sub[:, cols], rb, rb)
-        rb += pb
+        vb, pb = v[:, cols], p[:, cols]
+        np.subtract(x[:, cols], pb, out=vb)
+        vb *= fac.gain[:, cols]
+        vb += pb
 
     pool_map(block, column_blocks(x.shape[1]))
 
@@ -184,12 +157,15 @@ def vstep(
     lap.check_grid(x_next)
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
-    bands, height, width = x_next.data.shape
-    out = np.empty((bands, height, width // 2 + 1), dtype=np.complex128)
-    denoise_spectrum(
-        factor_denoise(half_spectrum(lap.response_sq), bands, mu_p, nu_p),
-        dft2_per_band(x_next).data,
-        dft2_per_band(prior).data,
-        out,
-    )
-    return idft2_per_band(FreqCube(out, width))
+    fac = factor_denoise(half_spectrum(lap.response_sq), x_next.bands, mu_p, nu_p)
+
+    def rotated(cube: HsiCube) -> np.ndarray:
+        data = cube.data.copy()
+        mix_bands(fac.basis.T, data)
+        return dft2_per_band(HsiCube(data)).data
+
+    x_hat = rotated(x_next)
+    out = np.empty_like(x_hat)
+    denoise_spectrum(fac, x_hat, rotated(prior), out)
+    mix_bands(fac.basis, out)
+    return idft2_per_band(FreqCube(out, x_next.width))

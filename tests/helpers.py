@@ -4,8 +4,8 @@ Everything here is deliberately independent of the library's FFT-based
 implementations: blur is evaluated tap by tap with np.roll, dense operator
 matrices are built from impulses, and adjointness is checked through raw
 inner products. The x-step and v-step oracles live here too: matrix-free
-conjugate gradient on the full Sylvester operator, and the gradient of the
-v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
+conjugate gradient on the full Sylvester operator, the band difference's
+tridiagonal normal matrix, and the gradient of the v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
 the reference the spectral ``hsfuse.hqs.fuse`` is compared against, and
 ``ssim_direct`` forms the SSIM window sums window by window, with no FFT.
 """
@@ -144,6 +144,17 @@ def solve_cg(system, x0: HsiCube | None = None, tol: float = 1e-9, max_iter: int
             p = r + (rs_new / rs) * p
         rs = rs_new
     return CgSolution(HsiCube(x), bool(converged), iterations)
+
+
+def spectral_gram_tridiag(bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the band difference's normal matrix.
+
+    A single band has no difference, so its normal matrix is the 1x1 zero.
+    """
+    diag = np.zeros(bands)
+    diag[1:] += 1.0
+    diag[:-1] += 1.0
+    return diag, np.full(bands - 1, -1.0)
 
 
 def vstep_gradient(

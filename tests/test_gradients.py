@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import adjoint_gap, rand_cube, roll_blur
+from helpers import adjoint_gap, rand_cube, roll_blur, spectral_gram_tridiag
 from hsfuse.errors import ValidationError
 from hsfuse.gradients import (
     LAPLACIAN_KERNEL,
@@ -9,7 +9,7 @@ from hsfuse.gradients import (
     regularizer_value,
     spectral_diff_adjoint_array,
     spectral_diff_apply_array,
-    spectral_gram_tridiag,
+    spectral_gram_eig,
 )
 
 
@@ -106,6 +106,17 @@ class TestSpectralDiff:
             spectral_diff_apply_array(np.ones((1, 2, 2)))
         diag, off = spectral_gram_tridiag(1)  # the 1x1 zero Gram
         assert np.array_equal(diag, [0.0]) and off.shape == (0,)
+
+    @pytest.mark.parametrize("bands", [1, 2, 5, 31])
+    def test_eigenbasis_diagonalizes_the_gram(self, bands):
+        eig, basis = spectral_gram_eig(bands)
+        diag, off = spectral_gram_tridiag(bands)
+        gram = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        assert np.abs(basis.T @ basis - np.eye(bands)).max() <= 1e-14
+        assert np.abs(basis.T @ gram @ basis - np.diag(eig)).max() <= 1e-14
+        assert eig[0] == 0.0 and np.all(np.diff(eig) > 0)
+        if bands == 1:
+            assert np.array_equal(basis, [[1.0]])
 
 
 class TestRegularizerValue:

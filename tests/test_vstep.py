@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_cube, vstep_gradient
-from hsfuse.cube import half_spectrum
+from helpers import rand_cube, spectral_gram_tridiag, vstep_gradient
+from hsfuse.cube import half_spectrum, mix_bands
 from hsfuse.errors import ValidationError
-from hsfuse.gradients import LaplacianOperator, spectral_gram_tridiag
+from hsfuse.gradients import LaplacianOperator, spectral_gram_eig
 from hsfuse.vstep import denoise_spectrum, factor_denoise, solve_tridiagonal, vstep
 
 
@@ -128,26 +128,57 @@ class TestVstep:
         assert np.allclose(near_x.data, x.data, rtol=0, atol=1e-9)
 
     def test_single_frequency_is_bitwise_batched(self, rng):
-        # reference loop: one Thomas solve per frequency, in reverse order
+        # reference loop: one gain per frequency, in reverse order, between the
+        # same rotations into and out of the band difference's eigenbasis
         bands, h, w = 4, 4, 6
         mu_p, nu_p = 0.9, 0.3
         lap = LaplacianOperator.create(h, w)
         x = rand_cube(rng, bands, h, w)
         p = rand_cube(rng, bands, h, w)
+        eig, basis = spectral_gram_eig(bands)
+
+        def spectrum(cube):
+            data = cube.data.copy()
+            mix_bands(basis.T, data)
+            return np.fft.rfft2(data, axes=(-2, -1)).reshape(bands, -1)
+
         # on the half spectrum, columns 0..w//2
         half = w // 2 + 1
-        xf = np.fft.rfft2(x.data, axes=(-2, -1)).reshape(bands, -1)
-        pf = np.fft.rfft2(p.data, axes=(-2, -1)).reshape(bands, -1)
+        xf, pf = spectrum(x), spectrum(p)
         lap_sq = lap.response_sq[:, :half].ravel()
-        gram_diag, gram_off = spectral_gram_tridiag(bands)
         cols = np.empty_like(xf)
         for j in reversed(range(h * half)):
-            # solved for the deviation from the prior, then shifted back
-            diag = 1.0 + mu_p * lap_sq[j] + nu_p * gram_diag
-            dev = solve_tridiagonal(diag, nu_p * gram_off, nu_p * gram_off, xf[:, j] - pf[:, j])
-            cols[:, j] = dev + pf[:, j]
+            # applied to the deviation from the prior, then shifted back
+            gain = 1.0 / (nu_p * eig + (1.0 + mu_p * lap_sq[j]))
+            cols[:, j] = (xf[:, j] - pf[:, j]) * gain + pf[:, j]
+        mix_bands(basis, cols)
         want = np.fft.irfft2(cols.reshape(bands, h, half), s=(h, w), axes=(-2, -1))
         assert np.array_equal(vstep(x, p, lap, mu_p, nu_p).data, want)
+
+    def test_matches_dense_per_frequency_solve(self, rng):
+        # T_f = (1 + mu_p |lap(f)|^2) I + nu_p G, solved densely at every frequency
+        mu_p, nu_p = 0.9, 0.3
+        for bands, h, w in [(1, 5, 5), (4, 4, 6), (7, 6, 5)]:
+            lap = LaplacianOperator.create(h, w)
+            x = rand_cube(rng, bands, h, w)
+            p = rand_cube(rng, bands, h, w)
+            diag, off = spectral_gram_tridiag(bands)
+            gram = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+            xf = np.fft.fft2(x.data).reshape(bands, -1)
+            pf = np.fft.fft2(p.data).reshape(bands, -1)
+            lap_sq = lap.response_sq.ravel()
+            dev = np.stack(
+                [
+                    np.linalg.solve(
+                        (1.0 + mu_p * lap_sq[j]) * np.eye(bands) + nu_p * gram, xf[:, j] - pf[:, j]
+                    )
+                    for j in range(h * w)
+                ],
+                axis=1,
+            )
+            want = np.fft.ifft2((pf + dev).reshape(bands, h, w)).real
+            got = vstep(x, p, lap, mu_p, nu_p).data
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_validation(self, rng):
         x = rand_cube(rng, 2, 5, 5)
@@ -169,8 +200,8 @@ class TestVstep:
 
 class TestDenoiseSpectrum:
     def test_peak_memory_is_well_under_one_cube(self, rng, monkeypatch):
-        # the block loop writes x - p into the output and solves it in place:
-        # no block-sized temporaries beyond the Thomas rows
+        # the block loop writes x - p into the output, scales it by the gain
+        # and adds p back, all in place: no block-sized temporaries
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         bands, h, w = 31, 128, 128
         fac = factor_denoise(
