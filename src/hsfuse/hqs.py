@@ -6,39 +6,37 @@ The augmented objective
               + mu*||D(v - prior)||^2 + nu*||E(v - prior)||^2
 
 is minimized by alternating exact sub-solves with a fixed rho: the Sylvester
-step updates x with v fixed (closed form, ``sylvester.solve_spectrum``, whose
-mix back to bands ``q Lambda^-1`` ends each channel's Sherman-Morrison
-solve), the v-step updates v with x fixed as one elementwise gain on the
-deviation v - prior (``vstep.denoise_spectrum``). Both are exact
-minimizers, so the objective trace is non-increasing. The iteration starts
-from v = prior and returns the last x iterate.
+step updates x with v fixed (closed form, ``sylvester.solve_spectrum``), the
+v-step updates v with x fixed as one elementwise gain on the deviation
+v - prior (``vstep.denoise_spectrum``). Both are exact minimizers, so the
+objective trace is non-increasing. The iteration starts from v = prior and
+returns the last x iterate; each iteration after the first opens with the
+v-step for the previous x, so no v goes unused.
 
 Every operator in L is circulant or pointwise in frequency, so x and v stay
-spectra from the first iteration to the last: half spectra (see ``cube``)
-whose band axis is in the coordinates of U, the DCT-II basis that
-diagonalizes the band difference's normal matrix (see ``vstep``). There the
-v-step is one gain per band and frequency, and the band-difference penalty
-is ``sum_k d_k ||(v - prior)_k||^2``. The x-step keeps its kernels, built
-from ``srf U`` and from y's spectrum times U^T; the other terms and the stop
-test do not see the orthogonal U. A run transforms each input once (the
-prior and z through ``cube.rdft2``, y on its low-resolution grid through
-``sylvester.lowres_spectrum``), rotates the prior and y into U's
-coordinates (``cube.mix_bands``), factors both sub-steps once, and returns x
-through one rotation back and one inverse transform (``cube.irdft2``).
-The x-step's data term holds no cube of its own (``sylvester.data_term``):
-z is mixed into the x-step's first band mix, and y enters its
-Sherman-Morrison pass as one shift per aliasing group and channel.
-The objective and the stop test are evaluated through Parseval's theorem,
-each in one ``cube.half_sums`` call: one pass over blocks of stored columns
-on the package's thread pool, with the mirror rule applied there and
-nowhere else. The objective's pass sums the z-term, the coupling, the
-smoothness and the band difference together; the y-term is a sum over
-aliasing groups on the low-resolution grid, ``sylvester.lowres_misfit``, so
-the group layout stays in ``sylvester``. ``objective_value`` is the spatial
-form of the same objective, for callers holding cubes. Every pass over a
-spectrum is split into independent items (column blocks, bands or
-eigen-channels) that run on the pool, and partial sums are added in item
-order, so the iterates and the trace do not depend on the pool size.
+half spectra (see ``cube``) from the first iteration to the last, their
+band axis in the coordinates of U, the DCT-II basis in which the v-step is
+one gain per band and frequency (see ``vstep``). A run transforms each
+input once (the prior and z through ``cube.rdft2``, y on its
+low-resolution grid through ``sylvester.lowres_spectrum``), rotates the
+prior and y into U's coordinates (``cube.mix_bands``), factors both
+sub-steps once (the x-step from ``srf U``, with a data term that holds no
+cube: ``sylvester.data_term``), and returns x through one rotation back
+and one inverse transform (``cube.irdft2``).
+
+Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
+x_k, read off what the two exact steps compute. The y-term is the x-step's
+return value (see ``sylvester``). Per band k and frequency f, with
+``a = mu*|lap(f)|^2 + nu*d_k`` and the v-step's gain ``g = rho/(rho + a)``,
+``min_v rho*|x - v|^2 + a*|v - p|^2 = rho*(1 - g)*|x - p|^2``, so the
+coupling and the regularizer need neither v nor the Laplacian. That sum,
+the z-term and the stop test's ``||x_k - x_{k-1}||^2`` and
+``||x_{k-1}||^2`` are one ``cube.half_sums`` call per iteration, by
+Parseval's theorem: one pass over blocks of stored columns on the
+package's thread pool. ``objective_value`` is the spatial form of L at any
+(x, v). Every pass over a spectrum is split into independent items (column
+blocks, bands or eigen-channels) on the pool, and partial sums are added in
+item order, so the iterates and the trace do not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -120,27 +118,25 @@ def objective_value(
     return value
 
 
-def _sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Sum of squared magnitudes of a (rows, columns) array, read in place, rows weighted."""
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum Re(conj(a) * b)`` over two (rows, columns) arrays, read in place."""
     # row by row: np.vdot would first copy a block of a wider spectrum's rows
-    f = a.view(np.float64)
-    rows = np.vecdot(f, f)
-    return float(rows.sum() if weights is None else rows @ weights)
+    return float(np.vecdot(a.view(np.float64), b.view(np.float64)).sum())
 
 
 @dataclass(frozen=True)
 class _Spectra:
-    """What one run transforms and factors once, in the coordinates of U = ``denoise.basis``.
+    """What one run transforms and factors once, and the one pass that scores an iterate.
 
-    ``srf`` is the response times U; ``y_tilde`` and ``p_hat`` are mixed by U^T.
+    Everything is in the coordinates of U = ``denoise.basis``: ``srf`` is the
+    response times U, and ``p_hat`` (the prior's half spectrum) and the
+    x-step's data term are mixed by U^T.
     """
 
     cfg: HqsConfig
     srf: np.ndarray
-    lap_sq: np.ndarray
     xstep: sylvester.XStepFactors
     denoise: DenoiseFactors
-    y_tilde: np.ndarray
     data: sylvester.DataTerm
     p_hat: np.ndarray
 
@@ -162,38 +158,42 @@ class _Spectra:
         data = sylvester.data_term(xstep, srf, y_tilde, rdft2(z.data))
         p_hat = rdft2(prior.data)
         mix_bands(u.T, p_hat)
-        return cls(cfg, srf, lap_sq, xstep, denoise, y_tilde, data, p_hat)
+        return cls(cfg, srf, xstep, denoise, data, p_hat)
 
-    def objective(self, x_hat: np.ndarray, v_hat: np.ndarray) -> float:
-        """``objective_value`` by Parseval, from the half spectra of x and v in U's coordinates."""
+    def score(
+        self, x_hat: np.ndarray, y_term: float, x_old: np.ndarray | None = None
+    ) -> tuple[float, float | None]:
+        """``objective_value`` at x and the v-step's v for it, and the stop test's change.
 
-        def sums(x, v, p, lap_sq, z_hat) -> np.ndarray:
-            """z-term, coupling, smoothness and band-difference sums over a block."""
+        ``x_hat`` is the x-step's output and ``y_term`` its return value.
+        The change ``||x - x_old|| / max(||x_old||, tiny)`` is None without
+        ``x_old``. One ``half_sums`` pass.
+        """
+
+        def sums(x, p, gain, z_hat, *old) -> np.ndarray:
+            """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
+            # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
+            # is rho*(1 - gain)*|x - p|^2
             z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
-            dv = v - p
-            smooth = float(np.vdot(dv, lap_sq * dv).real)
-            return np.array([_sq(z_res), _sq(x - v), smooth, _sq(dv, self.denoise.eig)])
+            dev = x - p
+            out = [_dot(z_res, z_res), _dot(dev, dev * (1.0 - gain))]
+            if old:
+                step = x - old[0]
+                out += [_dot(step, step), _dot(old[0], old[0])]
+            return np.array(out)
 
         width = self.xstep.width
-        z_sq, coupling, smooth, spectral = half_sums(
-            sums, (x_hat, v_hat, self.p_hat, self.lap_sq, self.data.z_hat), width
-        )
+        arrays = (x_hat, self.p_hat, self.denoise.gain.reshape(x_hat.shape), self.data.z_hat)
+        if x_old is not None:
+            arrays += (x_old,)
+        z_sq, coupled, *stop = half_sums(sums, arrays, width)
         n = x_hat.shape[1] * width
-        cfg = self.cfg
-        return (
-            sylvester.lowres_misfit(self.xstep, self.y_tilde, x_hat)
-            + z_sq / n
-            + cfg.rho * coupling / n
-            + (cfg.mu * smooth + cfg.nu * spectral) / n
-        )
-
-
-def _rel_change(new: np.ndarray, old: np.ndarray, width: int) -> float:
-    """``||new - old|| / max(||old||, tiny)`` for the cubes whose half spectra are given."""
-    n = new.shape[1] * width
-    diff, base = half_sums(lambda a, b: np.array([_sq(a - b), _sq(b)]), (new, old), width)
-    tiny = float(np.finfo(np.float64).tiny)
-    return float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
+        objective = y_term + z_sq / n + self.cfg.rho * coupled / n
+        if not stop:
+            return objective, None
+        diff, base = stop
+        tiny = float(np.finfo(np.float64).tiny)
+        return objective, float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
 
 
 def fuse(
@@ -219,8 +219,8 @@ def fuse(
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
     width = model.hr_shape[1]
-    # two spectrum buffers: the x-step overwrites v's with the new x, and the
-    # previous x's buffer then receives the next v
+    # two spectrum buffers: the v-step writes v over the x before last, and
+    # the x-step overwrites that v with the new x
     v_hat = fixed.p_hat.copy()
     x_hat = np.empty_like(v_hat)
     trace: list[float] = []
@@ -228,20 +228,22 @@ def fuse(
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
-        # looked up on its module, so a wrapper installed there sees every x-step
-        sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
-        x_hat, v_hat = v_hat, x_hat
         if k > 0:
-            changes.append(_rel_change(x_hat, v_hat, width))
-        denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
+            denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
+        # looked up on its module, so a wrapper installed there sees every x-step
+        y_term = sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
+        x_hat, v_hat = v_hat, x_hat
+        objective, change = fixed.score(x_hat, y_term, v_hat if k > 0 else None)
         iterations = k + 1
-        trace.append(fixed.objective(x_hat, v_hat))
-        if changes and changes[-1] <= cfg.rel_tol:
-            converged = True
-            break
+        trace.append(objective)
+        if change is not None:
+            changes.append(change)
+            if change <= cfg.rel_tol:
+                converged = True
+                break
     mix_bands(fixed.denoise.basis, x_hat)
-    # free the prior's spectrum, the factors and v before the inverse
-    # transform allocates its output
+    # free the prior's spectrum, the factors and the previous x before the
+    # inverse transform allocates its output
     del fixed, v_hat
     return FusionResult(
         x_hat=HsiCube(irdft2(x_hat, width)),

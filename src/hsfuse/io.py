@@ -97,7 +97,12 @@ def save_cube(
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValidationError(f"scale must be a finite (lo, hi) pair with hi > lo, got {scale!r}")
         header["scale"] = [lo, hi]
-    payload = np.ascontiguousarray(cube.data, dtype=_DTYPES[dtype]).tobytes()
+    try:
+        # a finite value beyond f32's range would be written as inf
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(cube.data, dtype=_DTYPES[dtype]).tobytes()
+    except FloatingPointError:
+        raise ValidationError(f"cube values overflow dtype {dtype!r}") from None
     head = MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
     write_atomic(path, head, payload)
 

@@ -37,7 +37,10 @@ cube (``data_term``): the first band mix adds z's half spectrum, mixed by
 (srf q)^T, block by block; the transform of blur_adjoint(upsample_adjoint(y))
 is ``e`` times y's small transform (``lowres_spectrum``) at every member of a
 group, so it enters the Sherman-Morrison pass as one shift per group and
-channel. ``lowres_misfit`` scores the objective's y-term on the same groups.
+channel. With that shift, ``lam_n*s^2*(q^T y_tilde)_n``, the low-resolution
+residual of the x the pass writes is ``-nu_n``, so ``solve_spectrum``
+returns ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``. Without the
+shift the sum means nothing; ``solve_fast`` ignores it.
 ``sylvester_residual`` is an explicit diagnostic; the test suite keeps a
 matrix-free conjugate-gradient oracle in ``tests/helpers.py``.
 
@@ -65,7 +68,6 @@ __all__ = [
     "build_system",
     "data_term",
     "factor_xstep",
-    "lowres_misfit",
     "lowres_spectrum",
     "solve_fast",
     "solve_spectrum",
@@ -235,8 +237,8 @@ def _spread(fac: XStepFactors, low: np.ndarray) -> np.ndarray:
     return np.tile(low, fac.factor)[:, : fac.e.shape[2]]
 
 
-def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | None = None) -> None:
-    """Overwrite each eigen-channel ``spec_n`` with ``lam_n * x_n``.
+def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | None = None) -> float:
+    """Overwrite each eigen-channel ``spec_n`` with ``lam_n * x_n``; return ``sum |nu|^2``.
 
     ``x_n`` solves ``(lam_n*I + C2) x_n = spec_n``; ``spec`` holds the
     channels' half spectra, shape (bands, height, width//2 + 1). Each aliasing
@@ -244,40 +246,23 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | Non
     updated. The division by ``lam_n`` is left to the back-mix,
     ``q Lambda^-1`` (``solve_spectrum``, ``solve_fast``). ``shift``
     (``DataTerm.shift``) is subtracted from each group's numerator
-    ``e^H spec_n``.
+    ``e^H spec_n``. The squared magnitudes of the groups' coefficients
+    ``nu_n`` are summed per channel and the channel sums added in channel
+    order.
     """
     s, gl, half = fac.e.shape
     ce = np.conj(fac.e)
 
-    def channel(n: int) -> None:
+    def channel(n: int) -> float:
         group = spec[n].reshape(s, gl, half)
         num = _fold(fac, ce, group)
         if shift is not None:
             num -= shift[n]
         num /= fac.lam[n] * (s * s) + fac.esq
         group -= fac.e * _spread(fac, num)
+        return float(np.vdot(num, num).real)
 
-    pool_map(channel, range(len(fac.lam)))
-
-
-def lowres_misfit(fac: XStepFactors, y_tilde: np.ndarray, x_hat: np.ndarray) -> float:
-    """``||y - down(blur(x))||^2`` by Parseval, from F(x) and ``lowres_spectrum``'s output.
-
-    ``x_hat`` is the half spectrum; the group sums cover the whole
-    low-resolution grid, so the low-resolution terms need no mirror weights.
-    """
-    s = fac.factor
-    gl, gw = y_tilde.shape[-2:]
-    ce = np.conj(fac.e)
-
-    def band(b: int) -> float:
-        # the low-resolution DFT of down(blur(x_b)), in y_tilde's phase convention
-        y_model = _fold(fac, ce, x_hat[b])
-        y_model /= s * s
-        resid = y_tilde[b] - y_model
-        return float(np.vdot(resid, resid).real)
-
-    return sum(pool_map(band, range(x_hat.shape[0]))) / (gl * gw)
+    return sum(pool_map(channel, range(len(fac.lam))))
 
 
 def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -330,17 +315,19 @@ def data_term(
     return DataTerm((srf @ fac.q).T, z_hat, shift)
 
 
-def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, data: DataTerm) -> None:
+def solve_spectrum(fac: XStepFactors, v_hat: np.ndarray, rho: float, data: DataTerm) -> float:
     """The x-step on half spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
 
     ``data`` is ``data_term``'s output for the same factors. Two band mixes
     (the first adds z; the second is ``q Lambda^-1``, which finishes each
     channel's solve) and one Sherman-Morrison pass per channel (which adds
-    y); no transform.
+    y); no transform. Returns ``||y - down(blur(x))||^2`` for the x it
+    writes: ``sum |nu|^2 / (gl*gw)`` over every group and channel.
     """
     mix_bands(rho * fac.q.T, v_hat, (data.mix, data.z_hat))
-    _solve_channels(fac, v_hat, data.shift)
+    misfit = _solve_channels(fac, v_hat, data.shift)
     mix_bands(fac.q / fac.lam, v_hat)
+    return misfit / fac.esq.size
 
 
 def solve_fast(system: SylvesterSystem) -> HsiCube:

@@ -14,9 +14,11 @@ whose band vectors are in U's coordinates (mixed by U^T), the solve is
 
     v = p + g * (x - p),    g[k, f] = 1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k).
 
-``factor_denoise`` builds U, d and the gain once for fixed weights, and
-``denoise_spectrum`` applies the gain, with no transform and no band mix, to
-spectra that the HQS loop keeps in U's coordinates (see ``hqs``). Each
+``factor_denoise`` builds ``DenoiseFactors``, the basis U and the gain,
+once for fixed weights (d enters only the gain), and ``denoise_spectrum``
+applies the gain, with no transform and no band mix, to spectra that the HQS
+loop keeps in U's coordinates (see ``hqs``, which also reads the objective's
+coupling and regularizer off the gain). Each
 frequency is solved on its own, so it runs unchanged on half spectra (see
 ``cube``). ``vstep``, the one-shot spatial form, rotates x_next and the prior
 (``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain,
@@ -92,23 +94,22 @@ def solve_tridiagonal(
 
 @dataclass(frozen=True)
 class DenoiseFactors:
-    """Every frequency's T_f, diagonalized once for fixed weights.
+    """Every frequency's T_f, diagonalized once for fixed weights: the basis and the gain.
 
-    ``basis`` is U and ``eig`` holds d, in U's column order; ``gain[k, f]`` is
-    ``1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k)`` at each stored frequency f.
+    ``basis`` is U; ``gain[k, f]`` is ``1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k)``
+    at each stored frequency f, with d_k the eigenvalue of U's column k.
     """
 
     basis: np.ndarray
-    eig: np.ndarray
     gain: np.ndarray
 
 
 def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """U, d and the gain at each frequency of ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
+    """U and the gain at each frequency of ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
     eig, basis = spectral_gram_eig(bands)
     gain = np.add.outer(nu_p * eig, 1.0 + mu_p * lap_sq.reshape(-1))
     np.reciprocal(gain, out=gain)
-    return DenoiseFactors(basis, eig, gain)
+    return DenoiseFactors(basis, gain)
 
 
 def denoise_spectrum(

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import hsfuse.hqs
 import hsfuse.vstep
 from helpers import fuse_spatial, rand_cube, relative_gap
 from hsfuse.degradation import (
@@ -17,6 +18,8 @@ from hsfuse.gradients import LaplacianOperator, regularizer_value
 from hsfuse.hqs import FusionResult, HqsConfig, _Spectra, fuse, objective_value
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
+from hsfuse.sylvester import build_system, solve_fast, solve_spectrum
+from hsfuse.vstep import vstep
 
 
 def small_problem(seed=0, bands=8, size=16, s=2, noise=0.0):
@@ -219,6 +222,11 @@ def build_problem(family, arg):
     return desk_problem(arg) if family == "desk" else variant_problem(arg)
 
 
+def loop_spectrum(fixed, cube):
+    """The loop's form of a cube: its half spectrum, bands mixed by U^T."""
+    return np.tensordot(fixed.denoise.basis.T, np.fft.rfft2(cube.data), axes=(1, 0))
+
+
 class TestSpectralLoop:
     """``fuse`` keeps x and v as spectra; ``fuse_spatial`` is the same loop on cubes."""
 
@@ -252,21 +260,64 @@ class TestSpectralLoop:
 
     @pytest.mark.parametrize("kind", list(VARIANTS))
     def test_spectral_objective_matches_objective_value(self, kind, rng):
+        # the loop scores the x-step's x, with the v-step's v for it, from the
+        # x-step's y-term and the v-step's gain; the oracle runs both one-shot
+        # steps and scores the pair on cubes
         model, y, z, prior = variant_problem(kind)
         cfg = HqsConfig(mu=0.3, nu=0.02, rho=0.15)
         fixed = _Spectra.prepare(y, z, model, prior, cfg)
         lap = LaplacianOperator.create(prior.height, prior.width)
-
-        def spectrum(cube):
-            # the loop's form: the half spectrum, its bands mixed by U^T
-            return np.tensordot(fixed.denoise.basis.T, np.fft.rfft2(cube.data), axes=(1, 0))
-
         for _ in range(3):
-            x = rand_cube(rng, *prior.data.shape)
-            v = rand_cube(rng, *prior.data.shape)
-            got = fixed.objective(spectrum(x), spectrum(v))
+            v_prev = rand_cube(rng, *prior.data.shape)
+            x_hat = loop_spectrum(fixed, v_prev)
+            y_term = solve_spectrum(fixed.xstep, x_hat, cfg.rho, fixed.data)
+            got, change = fixed.score(x_hat, y_term)
+            x = solve_fast(build_system(model, y, z, v_prev, cfg.rho))
+            v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
             want = objective_value(x, v, y, z, model, prior, cfg, lap=lap)
+            assert change is None
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family,arg", [("desk", 0)] + [("variant", kind) for kind in VARIANTS])
+    def test_xstep_returns_the_y_term_of_its_x(self, family, arg, rng):
+        # the low-resolution residual of the x the x-step writes is minus its
+        # Sherman-Morrison coefficients, so their squares sum to the y-term
+        model, y, z, prior = build_problem(family, arg)
+        for cfg, v_prev in (
+            (HqsConfig(), prior),
+            (HqsConfig(mu=0.3, nu=0.02, rho=0.15), rand_cube(rng, *prior.data.shape)),
+        ):
+            fixed = _Spectra.prepare(y, z, model, prior, cfg)
+            x_hat = loop_spectrum(fixed, v_prev)
+            got = solve_spectrum(fixed.xstep, x_hat, cfg.rho, fixed.data)
+            x = np.fft.irfft2(
+                np.tensordot(fixed.denoise.basis, x_hat, axes=(1, 0)), s=prior.data.shape[1:]
+            )
+            want = float(np.sum((y.data - model.down.apply_array(model.blur.apply_array(x))) ** 2))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_one_scoring_pass_per_iteration_and_no_unused_vstep(self, monkeypatch):
+        model, y, z, prior = desk_problem(0)
+        calls = {"denoise_spectrum": 0, "half_sums": 0}
+
+        def counting(name):
+            fn = getattr(hsfuse.hqs, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hsfuse.hqs, name, counting(name))
+        for cfg in (HqsConfig(max_iter=1), HqsConfig(max_iter=4, rel_tol=1e-14), HqsConfig()):
+            calls.update(dict.fromkeys(calls, 0))
+            result = fuse(y, z, model, prior, cfg)
+            assert calls == {
+                "denoise_spectrum": result.iterations - 1,
+                "half_sums": result.iterations,
+            }
 
     def test_transform_count_does_not_grow_with_iterations(self, monkeypatch):
         model, y, z, prior = desk_problem(0)

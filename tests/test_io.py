@@ -141,6 +141,20 @@ class TestCubeContainer:
         with pytest.raises(ValidationError):
             save_cube(tmp_path / "x", cube, scale=(1.0, 1.0))
 
+    def test_f32_overflow_is_rejected_before_writing(self, tmp_path):
+        # a finite f64 beyond f32's range would be written as inf, a file
+        # load_cube rejects; the existing target is left as it was
+        path = tmp_path / "a.cube"
+        path.write_bytes(b"previous contents")
+        for value in (1e39, -1e300):
+            with pytest.raises(ValidationError):
+                save_cube(path, HsiCube(np.full((1, 2, 2), value)), dtype="f32")
+            assert path.read_bytes() == b"previous contents"
+        # the largest f32 itself still round-trips
+        edge = HsiCube(np.full((1, 2, 2), float(np.finfo(np.float32).max)))
+        save_cube(path, edge, dtype="f32")
+        assert np.array_equal(load_cube(path).data, edge.data)
+
     def _valid_blob(self, tmp_path, rng):
         cube = rand_cube(rng, 2, 3, 4)
         path = tmp_path / "good.cube"
