@@ -112,27 +112,6 @@ class HsiCube:
         arr = np.ascontiguousarray(arr)
         object.__setattr__(self, "data", _freeze(arr))
 
-    @classmethod
-    def filled(cls, bands: int, height: int, width: int, fill: float = 0.0) -> "HsiCube":
-        """New cube of the given dimensions with every value set to ``fill``."""
-        for name, dim in (("bands", bands), ("height", height), ("width", width)):
-            check_int(name, dim, 1)
-        if not np.isfinite(fill):
-            raise ValidationError(f"fill value must be finite, got {fill!r}")
-        return cls(np.full((bands, height, width), float(fill)))
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, height: int, width: int) -> "HsiCube":
-        """Rebuild a cube from its (bands, pixels) matricized form."""
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValidationError(f"matrix form must be 2-D, got shape {mat.shape}")
-        if mat.shape[1] != height * width:
-            raise ValidationError(
-                f"matrix has {mat.shape[1]} columns, expected height*width = {height * width}"
-            )
-        return cls(mat.reshape(mat.shape[0], height, width))
-
     @property
     def bands(self) -> int:
         return self.data.shape[0]

@@ -8,19 +8,19 @@ Cube container layout, front to back:
   ("band-major"), and an optional two-element ``scale``
 * the raw little-endian payload, exactly bands*height*width values
 
-Writes are bit-reproducible for equal inputs. Every file the package writes
-(cubes, SRF tables and error maps here; the CLI's manifests and reports)
-goes through ``write_atomic``: a sibling temp file renamed onto the target,
-so a failed write leaves the previous file in place. Error maps are binary
-P5 graymaps scaling |difference| linearly so ``max_error`` maps to 255, with
-round-half-up quantization.
+The package writes f64 cubes and reads f64 or f32 ones, since cubes may come
+from other tools; SRF tables are only read. Writes are bit-reproducible for
+equal inputs. Every file the package writes (cubes and error maps here; the
+CLI's manifests and reports) goes through ``write_atomic``: a sibling temp
+file renamed onto the target, so a failed write leaves the previous file in
+place. Error maps are binary P5 graymaps scaling |difference| linearly so
+``max_error`` maps to 255, with round-half-up quantization.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import os
 from pathlib import Path
@@ -44,7 +44,6 @@ __all__ = [
     "save_cube",
     "load_cube",
     "write_atomic",
-    "save_srf_csv",
     "load_srf_csv",
     "export_error_map",
     "band_index_for_wavelength",
@@ -76,20 +75,13 @@ def write_atomic(path: str | Path, *chunks: bytes) -> None:
         raise
 
 
-def save_cube(
-    path: str | Path,
-    cube: HsiCube,
-    dtype: str = "f64",
-    scale: tuple[float, float] | None = None,
-) -> None:
-    """Write a cube; ``scale`` optionally records the nominal value range."""
-    if dtype not in _DTYPES:
-        raise ValidationError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+def save_cube(path: str | Path, cube: HsiCube, scale: tuple[float, float] | None = None) -> None:
+    """Write a cube as f64; ``scale`` optionally records the nominal value range."""
     header: dict = {
         "bands": cube.bands,
         "height": cube.height,
         "width": cube.width,
-        "dtype": dtype,
+        "dtype": "f64",
         "layout": "band-major",
     }
     if scale is not None:
@@ -97,12 +89,7 @@ def save_cube(
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValidationError(f"scale must be a finite (lo, hi) pair with hi > lo, got {scale!r}")
         header["scale"] = [lo, hi]
-    try:
-        # a finite value beyond f32's range would be written as inf
-        with np.errstate(over="raise"):
-            payload = np.ascontiguousarray(cube.data, dtype=_DTYPES[dtype]).tobytes()
-    except FloatingPointError:
-        raise ValidationError(f"cube values overflow dtype {dtype!r}") from None
+    payload = np.ascontiguousarray(cube.data, dtype=_DTYPES["f64"]).tobytes()
     head = MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
     write_atomic(path, head, payload)
 
@@ -162,24 +149,12 @@ def load_cube(path: str | Path) -> HsiCube:
         raise CubeFormatError(f"{path}: payload contains non-finite values") from exc
 
 
-def save_srf_csv(path: str | Path, srf: SpectralResponse, names: tuple[str, ...] | None = None) -> None:
-    """Write the response transposed: one row per input channel."""
-    if names is None:
-        names = tuple(f"out{i}" for i in range(srf.out_bands))
-    if len(names) != srf.out_bands:
-        raise ValidationError(
-            f"got {len(names)} column names for {srf.out_bands} output bands"
-        )
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(["band", *names])
-    for idx in range(srf.in_bands):
-        writer.writerow([idx + 1, *(format(v, ".12g") for v in srf.matrix[:, idx])])
-    write_atomic(path, table.getvalue().encode())
-
-
 def load_srf_csv(path: str | Path) -> SpectralResponse:
-    """Read a response table; rows are re-normalized by the constructor."""
+    """Read a response table; rows are re-normalized by the constructor.
+
+    Data row i holds input channel i's weights and must start with the band
+    index i + 1, so a reordered or gapped table is rejected.
+    """
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [row for row in rows if row]
@@ -195,6 +170,8 @@ def load_srf_csv(path: str | Path) -> SpectralResponse:
             raise CubeFormatError(
                 f"{path}: row {i + 2} has {len(row)} columns, expected {out_bands + 1}"
             )
+        if row[0].strip() != str(i + 1):
+            raise CubeFormatError(f"{path}: row {i + 2} has band index {row[0]!r}, expected {i + 1}")
         try:
             table[i] = [float(v) for v in row[1:]]
         except ValueError as exc:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .cube import HsiCube
 from .degradation import DegradationModel
-from .errors import ValidationError, check_int
+from .errors import ValidationError
 
-__all__ = ["PriorSource", "bilinear_upsample", "make_prior"]
+__all__ = ["PriorSource", "make_prior"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class PriorSource:
 
 
 def _axis_weights(n_in: int, factor: int) -> np.ndarray:
-    """The (n_in*factor, n_in) linear interpolation matrix of one axis."""
+    """The (n_in*factor, n_in) linear interpolation matrix of one axis; rows sum to 1."""
     n_out = n_in * factor
     # half-pixel-center mapping: output i sits at input coordinate (i+0.5)/s - 0.5
     coords = np.clip((np.arange(n_out) + 0.5) / factor - 0.5, 0.0, n_in - 1.0)
@@ -58,19 +58,6 @@ def _axis_weights(n_in: int, factor: int) -> np.ndarray:
     # a clamped output has hi == lo and w == 0
     mat[rows, hi] += w
     return mat
-
-
-def bilinear_upsample(y: HsiCube, factor: int) -> HsiCube:
-    """Separable linear interpolation to a grid ``factor`` times finer.
-
-    Pixel centers are aligned under the half-pixel convention and edge values
-    are clamped, so constant inputs map to constant outputs of the same value.
-    """
-    if check_int("factor", factor, 1) == 1:
-        return y
-    wr = _axis_weights(y.height, factor)
-    wc = _axis_weights(y.width, factor)
-    return HsiCube(wr @ y.data @ wc.T)
 
 
 def _naive_fusion(y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:

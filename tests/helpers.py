@@ -8,6 +8,8 @@ conjugate gradient on the full Sylvester operator, the band difference's
 tridiagonal normal matrix, and the gradient of the v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
 the reference the spectral ``hsfuse.hqs.fuse`` is compared against, and
 ``ssim_direct`` forms the SSIM window sums window by window, with no FFT.
+``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
+objective over (x, v) at fixed rho, from one dense solve.
 """
 
 from typing import NamedTuple
@@ -17,6 +19,7 @@ import numpy as np
 from hsfuse.cube import HsiCube
 from hsfuse.errors import ValidationError
 from hsfuse.gradients import (
+    LAPLACIAN_KERNEL,
     LaplacianOperator,
     spectral_diff_adjoint_array,
     spectral_diff_apply_array,
@@ -216,3 +219,49 @@ def fuse_spatial(y, z, model, prior, cfg: HqsConfig | None = None) -> SpatialFus
                 break
         x_prev = x
     return SpatialFusion(x, len(iterates), tuple(trace), converged, tuple(iterates))
+
+
+def dense_joint_minimizer(
+    y, z, model, prior, cfg: HqsConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (x, v) minimizing the augmented objective of ``hsfuse.hqs``, and its value.
+
+    With A_y = down∘blur, A_z = srf and Q = mu D^T D + nu E^T E (D the
+    Laplacian, E the band difference), every operator is a dense matrix
+    built from impulses, both convolutions by ``roll_blur``, and the 2n x 2n
+    normal equations
+
+        (A_y^T A_y + A_z^T A_z + rho I) x - rho v = A_y^T y + A_z^T z
+        -rho x + (rho I + Q) v = Q prior
+
+    are solved in one dense solve.
+    """
+    shape = prior.data.shape
+    n = prior.data.size
+    blur = model.blur
+    a_y = dense_matrix(
+        lambda e: model.down.apply_array(roll_blur(e, blur.kernel, blur.anchor)), shape
+    )
+    a_z = dense_matrix(model.srf.apply_array, shape)
+    d = dense_matrix(lambda e: roll_blur(e, LAPLACIAN_KERNEL, (1, 1)), shape)
+    q = cfg.mu * d.T @ d
+    if prior.bands > 1:
+        e = dense_matrix(spectral_diff_apply_array, shape)
+        q += cfg.nu * e.T @ e
+    eye = np.eye(n)
+    lhs = np.block(
+        [
+            [a_y.T @ a_y + a_z.T @ a_z + cfg.rho * eye, -cfg.rho * eye],
+            [-cfg.rho * eye, cfg.rho * eye + q],
+        ]
+    )
+    p = prior.data.ravel()
+    rhs = np.concatenate([a_y.T @ y.data.ravel() + a_z.T @ z.data.ravel(), q @ p])
+    x, v = np.split(np.linalg.solve(lhs, rhs), 2)
+    value = (
+        np.sum((a_y @ x - y.data.ravel()) ** 2)
+        + np.sum((a_z @ x - z.data.ravel()) ** 2)
+        + cfg.rho * np.sum((x - v) ** 2)
+        + (v - p) @ q @ (v - p)
+    )
+    return x.reshape(shape), v.reshape(shape), float(value)

@@ -219,6 +219,21 @@ class TestExitCodes:
         assert main(["fuse", "--y", str(junk), "--z", paths["z"],
                      "--out", str(tmp / "o.cube")]) == 3
 
+    def test_shuffled_srf_table_exits_3(self, pipeline):
+        tmp, paths = pipeline
+        # rows listed 2, 1, 3, ...: loading them in file order would give
+        # channel 2's weights to channel 1
+        weights = ["1,0,0", "1,0,0", "1,0,0", "0,1,0", "0,1,0", "0,1,0", "0,0,1", "0,0,1"]
+        order = [2, 1, 3, 4, 5, 6, 7, 8]
+        srf = tmp / "shuffled_srf.csv"
+        rows = ["band,r,g,b"] + [f"{i},{w}" for i, w in zip(order, weights)]
+        srf.write_text("\n".join(rows) + "\n")
+        out = str(tmp / "o.cube")
+        assert main(["fuse", "--y", paths["y"], "--z", paths["z"], "--srf", str(srf),
+                     "--out", out]) == 3
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"]["type"] == "CubeFormatError"
+
     def test_numerical_errors_exit_4_and_manifest_records(self, pipeline):
         tmp, paths = pipeline
         # two identical response rows make the back-projection gram singular

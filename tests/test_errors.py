@@ -16,7 +16,7 @@ def _model(*down_args):
 
 def _fuse(**cfg):
     model = _model(4)
-    x = HsiCube.filled(4, 8, 8, 0.5)
+    x = HsiCube(np.full((4, 8, 8), 0.5))
     y, z = model.degrade(x)
     return fuse(y, z, model, x, HqsConfig(**cfg))
 
@@ -28,14 +28,13 @@ def _fuse(**cfg):
     [
         lambda tmp: _fuse(max_iter=2.0),
         lambda tmp: HqsConfig(max_iter=np.inf),
-        lambda tmp: _model(4.0).degrade(HsiCube.filled(4, 8, 8)),
-        lambda tmp: _model(4, (1.0, 0)).degrade(HsiCube.filled(4, 8, 8)),
+        lambda tmp: _model(4.0).degrade(HsiCube(np.zeros((4, 8, 8)))),
+        lambda tmp: _model(4, (1.0, 0)).degrade(HsiCube(np.zeros((4, 8, 8)))),
         lambda tmp: generate_scene(SceneSpec(bands=8.0, height=8, width=8)),
-        lambda tmp: HsiCube.filled(2.0, 3, 4),
         lambda tmp: BlurOperator.uniform_block(8, 8, 4.0),
         lambda tmp: band_index_for_wavelength(550.0, 3.0),
         lambda tmp: export_error_map(
-            HsiCube.filled(2, 4, 4), HsiCube.filled(2, 4, 4), band=1.0, path=tmp / "e.pgm"
+            HsiCube(np.zeros((2, 4, 4))), HsiCube(np.zeros((2, 4, 4))), band=1.0, path=tmp / "e.pgm"
         ),
     ],
     ids=[
@@ -44,7 +43,6 @@ def _fuse(**cfg):
         "Downsampler-factor",
         "Downsampler-phase",
         "SceneSpec-bands",
-        "HsiCube.filled",
         "uniform_block",
         "band_index_for_wavelength",
         "export_error_map",

@@ -6,7 +6,7 @@ import pytest
 
 import hsfuse.hqs
 import hsfuse.vstep
-from helpers import fuse_spatial, rand_cube, relative_gap
+from helpers import dense_joint_minimizer, fuse_spatial, rand_cube, relative_gap
 from hsfuse.degradation import (
     BlurOperator,
     DegradationModel,
@@ -352,3 +352,42 @@ class TestSpectralLoop:
         one = planes(1)
         assert 1.0 <= one < 3.0
         assert planes(6) == one
+
+
+# (bands, height, width, factor, phase, blur) of grids small enough for a
+# dense solve over (x, v): 2 * bands * height * width unknowns
+TINY = {
+    "8x8_s2": (4, 8, 8, 2, (0, 0), "block"),
+    "8x8_s2_phase_1_1": (4, 8, 8, 2, (1, 1), "block"),
+    "9x9_s3_phase_2_1": (5, 9, 9, 3, (2, 1), "gaussian"),
+    "6x12_s3_phase_0_2": (4, 6, 12, 3, (0, 2), "block"),
+    "6x8_s1": (4, 6, 8, 1, (0, 0), "gaussian"),
+    "8x10_s2_phase_1_0": (4, 8, 10, 2, (1, 0), "block"),
+}
+
+
+class TestFixedPoint:
+    """``fuse`` run to its fixed point is the minimizer of the objective, not
+    only the same iterates as ``fuse_spatial``."""
+
+    @pytest.mark.parametrize("cfg", [HqsConfig(), HqsConfig(mu=0.3, nu=0.02, rho=0.15)],
+                             ids=["default", "strong"])
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_fuse_reaches_the_dense_joint_minimizer(self, kind, cfg):
+        bands, height, width, s, phase, blur_kind = TINY[kind]
+        if blur_kind == "gaussian":
+            blur = BlurOperator.gaussian(height, width, 0.7, support=3)
+        else:
+            blur = BlurOperator.uniform_block(height, width, s)
+        model = DegradationModel(
+            blur, Downsampler(s, phase), SpectralResponse.default_rgb(bands), noise_sigma=0.002
+        )
+        gt = generate_scene(SceneSpec(bands, height, width, endmembers=3, seed=7))
+        y, z = model.degrade(gt)
+        prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        x_star, _, value = dense_joint_minimizer(y, z, model, prior, cfg)
+        got = fuse(y, z, model, prior, HqsConfig(cfg.mu, cfg.nu, cfg.rho, 200, 1e-14))
+        assert got.converged
+        assert relative_gap(got.x_hat.data, x_star) <= 1e-10
+        # no iterate scores below the minimum
+        assert got.objective_trace[-1] >= value - 1e-12 * abs(value)

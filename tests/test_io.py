@@ -22,7 +22,6 @@ from hsfuse.io import (
     load_cube,
     load_srf_csv,
     save_cube,
-    save_srf_csv,
 )
 
 
@@ -35,9 +34,12 @@ class TestCubeContainer:
         assert np.array_equal(again.data, cube.data)
 
     def test_roundtrip_f32_quantizes(self, rng, tmp_path):
+        # the package writes f64 only; f32 files come from other tools
         cube = rand_cube(rng, 2, 4, 4)
         path = tmp_path / "a.cube"
-        save_cube(path, cube, dtype="f32")
+        head = {"bands": 2, "height": 4, "width": 4, "dtype": "f32", "layout": "band-major"}
+        payload = cube.data.astype("<f4").tobytes()
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + payload)
         again = load_cube(path)
         assert np.array_equal(again.data, cube.data.astype(np.float32).astype(np.float64))
 
@@ -91,7 +93,7 @@ class TestCubeContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
-        "write", ["cube", "manifest", "pgm", "srf", "evaluate-json", "evaluate-csv"]
+        "write", ["cube", "manifest", "pgm", "evaluate-json", "evaluate-csv"]
     )
     def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch, write):
         cube = rand_cube(rng, 2, 12, 12, lo=0.0, hi=1.0)
@@ -123,7 +125,6 @@ class TestCubeContainer:
             "cube": lambda: save_cube(path, cube),
             "manifest": lambda: _write_manifest(str(path), {"command": "fuse"}),
             "pgm": lambda: export_error_map(cube, cube, 0, path),
-            "srf": lambda: save_srf_csv(path, SpectralResponse.default_rgb(8)),
             "evaluate-json": lambda: evaluate("--json"),
             "evaluate-csv": lambda: evaluate("--csv"),
         }
@@ -137,23 +138,7 @@ class TestCubeContainer:
     def test_save_validation(self, rng, tmp_path):
         cube = rand_cube(rng, 1, 2, 2)
         with pytest.raises(ValidationError):
-            save_cube(tmp_path / "x", cube, dtype="f16")
-        with pytest.raises(ValidationError):
             save_cube(tmp_path / "x", cube, scale=(1.0, 1.0))
-
-    def test_f32_overflow_is_rejected_before_writing(self, tmp_path):
-        # a finite f64 beyond f32's range would be written as inf, a file
-        # load_cube rejects; the existing target is left as it was
-        path = tmp_path / "a.cube"
-        path.write_bytes(b"previous contents")
-        for value in (1e39, -1e300):
-            with pytest.raises(ValidationError):
-                save_cube(path, HsiCube(np.full((1, 2, 2), value)), dtype="f32")
-            assert path.read_bytes() == b"previous contents"
-        # the largest f32 itself still round-trips
-        edge = HsiCube(np.full((1, 2, 2), float(np.finfo(np.float32).max)))
-        save_cube(path, edge, dtype="f32")
-        assert np.array_equal(load_cube(path).data, edge.data)
 
     def _valid_blob(self, tmp_path, rng):
         cube = rand_cube(rng, 2, 3, 4)
@@ -263,14 +248,16 @@ class TestCubeContainer:
 
 class TestSrfCsv:
     def test_roundtrip(self, tmp_path):
+        # the response transposed, one row per input channel, numbered from 1
         srf = SpectralResponse.default_rgb(16)
+        rows = [
+            f"{i + 1}," + ",".join(repr(float(v)) for v in col)
+            for i, col in enumerate(srf.matrix.T)
+        ]
         path = tmp_path / "srf.csv"
-        save_srf_csv(path, srf, names=("red", "green", "blue"))
+        path.write_text("\n".join(["band,red,green,blue", *rows]) + "\n")
         again = load_srf_csv(path)
         assert np.allclose(again.matrix, srf.matrix, rtol=0, atol=1e-12)
-        text = path.read_text().splitlines()
-        assert text[0] == "band,red,green,blue"
-        assert text[1].startswith("1,")  # channel numbering is 1-based on disk
 
     def test_bad_tables(self, tmp_path):
         path = tmp_path / "srf.csv"
@@ -290,11 +277,22 @@ class TestSrfCsv:
         path.write_text("band,r,g,h\n1,0.5,0.5,0.5\n2,0.1,0.1,0.1\n")
         with pytest.raises(CubeFormatError):
             load_srf_csv(path)
+        # band indices must run 1, 2, 3, ... in row order: a shuffled table
+        # would give its weights to the wrong channels
+        weights = ["1,0,0", "0,1,0", "0,0,1", "1,1,1"]
 
-    def test_names_validated(self, tmp_path):
-        srf = SpectralResponse.default_rgb(8)
-        with pytest.raises(ValidationError):
-            save_srf_csv(tmp_path / "x.csv", srf, names=("only-one",))
+        def write(indices):
+            rows = [f"{i},{w}" for i, w in zip(indices, weights)]
+            path.write_text("band,r,g,b\n" + "\n".join(rows) + "\n")
+
+        write(["1", "2", "3", "4"])
+        want = [[0.5, 0, 0, 0.5], [0, 0.5, 0, 0.5], [0, 0, 0.5, 0.5]]
+        assert np.array_equal(load_srf_csv(path).matrix, want)
+        shuffled, non_integer, empty, gapped = "3124", "123x", ["1", "2", "3", ""], "1235"
+        for indices in (shuffled, non_integer, empty, gapped):
+            write(indices)
+            with pytest.raises(CubeFormatError, match="band index"):
+                load_srf_csv(path)
 
 
 class TestErrorMap:

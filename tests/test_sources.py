@@ -3,13 +3,16 @@
 Every Fourier transform goes through ``hsfuse.cube``, so swapping the FFT
 library is a change to that one module; no module reaches into another's
 private (``_``-prefixed) names; the package runs on numpy alone: no
-module imports scipy, and importing every module loads none; and its one
+module imports scipy, and importing every module loads none; its one
 thread pool lives in ``hsfuse.cube``, which loads ``concurrent.futures``
-only when a map first needs a worker.
+only when a map first needs a worker; and every public name has a caller
+in the program, the benchmark or the acceptance criteria.
 """
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import hsfuse
 
 SOURCES = sorted(Path(hsfuse.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_only_cube_names_an_fft_library():
@@ -106,3 +110,64 @@ def test_fuse_import_path_loads_no_scipy():
 def test_import_loads_no_executor():
     # ``concurrent.futures`` costs 5-7 ms that a pool of one never needs
     assert "concurrent" not in _loaded_by_importing_every_module()
+
+
+# a string literal that is only dotted identifiers, as the benchmark names its
+# span targets ("hqs.fuse", "DegradationModel.degrade"); prose never matches
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _referenced(path: Path, dotted_strings: bool = False) -> set[str]:
+    """Every name, attribute and import alias that one file's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def _public_names() -> list[tuple[str, str]]:
+    """(qualified name, bare name) of every submodule ``__all__`` entry and of
+    every public method of a class among them."""
+    out = []
+    for path in SOURCES:
+        if path.stem in ("__init__", "__main__"):
+            continue
+        exported = importlib.import_module(f"hsfuse.{path.stem}").__all__
+        classes = {
+            node.name: node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)
+        }
+        for name in exported:
+            out.append((f"{path.stem}.{name}", name))
+            methods = classes[name].body if name in classes else []
+            out += [
+                (f"{path.stem}.{name}.{node.name}", node.name)
+                for node in methods
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ]
+    return out
+
+
+def test_every_public_name_has_a_program_caller():
+    # callers: the package itself, the benchmark, the acceptance criteria and
+    # the installed script; unit tests alone do not keep a name in the package
+    used = set().union(*(_referenced(path) for path in SOURCES))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            used |= _referenced(path, dotted_strings=True)
+    used |= _referenced(ROOT / "tests" / "test_acceptance.py")
+    import tomllib  # Python 3.11 and later; the package supports 3.10
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"].values()
+    used |= {target.rpartition(":")[2] for target in scripts}
+    unused = [qualified for qualified, name in _public_names() if name not in used]
+    assert unused == []
