@@ -69,6 +69,17 @@ def _configure_threads(threads: int | None) -> int:
     return threads
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB (1e6 bytes); None without ``resource``."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB on Linux
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
 def _write_manifest(path: str, manifest: dict) -> None:
     from .io import write_atomic
 
@@ -82,10 +93,12 @@ class _Stage:
     come in a fixed order: ``command``, ``config`` (the value of each flag in
     ``flags``, then the resolved ``threads``), ``inputs`` (all commands but
     simulate), ``outputs``,
-    ``timings_s``, any command-specific results, then ``error``. Leaving the
-    ``with`` block writes it: ``error`` is None on success, or the
-    exception's type and message, which is re-raised; a failure to write that
-    manifest is not reported over the original error.
+    ``timings_s``, any command-specific results, ``peak_rss_mb`` (the
+    process's peak RSS so far, which for an in-process caller covers
+    everything it ran before), then ``error``. Leaving the ``with`` block
+    writes it: ``error`` is None on success, or the exception's type and
+    message, which is re-raised; a failure to write that manifest is not
+    reported over the original error.
     """
 
     def __init__(self, args: argparse.Namespace, primary: str, flags: str):
@@ -102,6 +115,7 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self.manifest["peak_rss_mb"] = _peak_rss_mb()
         if exc is None:
             self.manifest["error"] = None
             _write_manifest(self.path, self.manifest)
@@ -263,9 +277,11 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         )
 
         with stage.timed("prior"):
-            prior = make_prior(src, y, z, model)
+            # held only by the list, so fuse gets the one reference and frees
+            # the cube once it holds its spectrum
+            holder = [make_prior(src, y, z, model)]
         with stage.timed("fuse"):
-            result = fuse(y, z, model, prior, cfg)
+            result = fuse(y, z, model, holder.pop(), cfg)
         with stage.timed("save"):
             save_cube(args.out, result.x_hat)
         stage.output("x_hat", args.out, result.x_hat)

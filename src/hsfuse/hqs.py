@@ -209,7 +209,15 @@ def fuse(
     to ``cfg.rel_tol`` (the ``converged`` flag records whether that happened
     before the ``max_iter`` cap).
 
+    The loop reads the prior only through its half spectrum, so ``fuse``
+    drops its own reference to ``prior`` once that is taken: a caller that
+    hands over its only reference, as the CLI does, has the cube freed
+    before the loop allocates its iterates. On CPython 3.10 the caller's
+    stack holds the argument until the call returns, so there the cube lives
+    through the run.
+
     Raises:
+        ValidationError: the prior, y or z does not fit the model's grids.
         UnsupportedStructureError: the x-step system is outside the closed-form
             solver's structure.
     """
@@ -218,6 +226,7 @@ def fuse(
     model.check_hr("prior", prior)
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
+    del prior
     width = model.hr_shape[1]
     # two spectrum buffers: the v-step writes v over the x before last, and
     # the x-step overwrites that v with the new x

@@ -54,8 +54,11 @@ MAGIC = b"HSRC"
 _DTYPES = {"f64": "<f8", "f32": "<f4"}
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
-    """Write ``chunks`` to ``path`` through a sibling temp file and ``os.replace``.
+def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` through a sibling temp file and ``os.replace``.
+
+    A chunk may be a memoryview of an array's own buffer, which is written
+    without a copy.
 
     Readers see the previous file or the complete new one, never a partial
     write. On failure the temp file is removed and ``path`` is left as it was.
@@ -89,7 +92,8 @@ def save_cube(path: str | Path, cube: HsiCube, scale: tuple[float, float] | None
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValidationError(f"scale must be a finite (lo, hi) pair with hi > lo, got {scale!r}")
         header["scale"] = [lo, hi]
-    payload = np.ascontiguousarray(cube.data, dtype=_DTYPES["f64"]).tobytes()
+    # the array's own buffer, not a cube-sized bytes copy of it
+    payload = memoryview(np.ascontiguousarray(cube.data, dtype=_DTYPES["f64"])).cast("B")
     head = MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
     write_atomic(path, head, payload)
 

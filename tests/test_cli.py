@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,28 +120,29 @@ class TestPipeline:
         head = ["command", "config", "inputs", "outputs", "timings_s"]
         expected = {
             paths["gt"]: (
-                ["command", "config", "outputs", "timings_s", "error"],
+                ["command", "config", "outputs", "timings_s", "peak_rss_mb", "error"],
                 ["bands", "size", "endmembers", "smoothness", "seed", "threads"],
                 None, ["cube"], {"generate", "save"},
             ),
             paths["y"]: (
-                head + ["error"],
+                head + ["peak_rss_mb", "error"],
                 ["in", "blur", "factor", "srf", "noise", "noise_seed", "threads"],
                 ["cube"], ["y", "z"], {"load", "degrade", "save"},
             ),
             paths["xhat"]: (
-                head + ["iterations", "converged", "objective_trace", "rel_changes", "error"],
+                head + ["iterations", "converged", "objective_trace", "rel_changes", "peak_rss_mb",
+                        "error"],
                 ["y", "z", "prior", "mu", "nu", "rho", "iters", "tol", "blur", "srf", "threads",
                  "factor"],
                 ["y", "z"], ["x_hat"], {"load", "prior", "fuse", "save"},
             ),
             str(tmp / "m.json"): (
-                head + ["metrics", "error"],
+                head + ["metrics", "peak_rss_mb", "error"],
                 ["x_hat", "ref", "factor", "json", "csv", "threads"],
                 ["x_hat", "ref"], ["json", "csv"], {"load", "evaluate"},
             ),
             str(tmp / "e.pgm"): (
-                head + ["band", "error"],
+                head + ["band", "peak_rss_mb", "error"],
                 ["x_hat", "ref", "band", "wavelength", "max_error", "threads"],
                 ["x_hat", "ref"], ["image"], {"load", "export"},
             ),
@@ -153,6 +156,20 @@ class TestPipeline:
             assert list(manifest["outputs"]) == outputs, primary
             assert set(manifest["timings_s"]) == timings, primary
             assert manifest["error"] is None
+
+    def test_manifests_record_peak_rss(self, pipeline):
+        # the process's peak so far, on success and on failure alike
+        pytest.importorskip("resource")
+        tmp, paths = pipeline
+        manifest = json.loads(open(paths["xhat"] + ".manifest.json").read())
+        assert manifest["peak_rss_mb"] > 0
+        out = str(tmp / "o.cube")
+        assert main(["fuse", "--y", paths["y"], "--z", paths["z"], "--prior",
+                     "file:" + str(tmp / "missing.cube"), "--out", out]) == 3
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert list(manifest)[-2:] == ["peak_rss_mb", "error"]
+        assert manifest["error"]["type"] == "FileNotFoundError"
+        assert manifest["peak_rss_mb"] > 0
 
     def test_fuse_with_explicit_prior_file(self, pipeline):
         tmp, paths = pipeline
@@ -318,3 +335,73 @@ class TestThreads:
         rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
                    "--out", str(tmp_path / "s.cube")])
         assert rc == 2
+
+
+def write_inputs(tmp_path, bands, size, factor):
+    """A seeded scene's y and z as cube files, and the scene's real cube bytes."""
+    from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
+    from hsfuse.io import save_cube
+    from hsfuse.scenes import SceneSpec, generate_scene
+
+    gt = generate_scene(SceneSpec(bands, size, size, seed=0))
+    model = DegradationModel(
+        BlurOperator.uniform_block(size, size, factor),
+        Downsampler(factor),
+        SpectralResponse.default_rgb(bands),
+    )
+    y, z = model.degrade(gt)
+    save_cube(tmp_path / "y.cube", y)
+    save_cube(tmp_path / "z.cube", z)
+    save_cube(tmp_path / "prior.cube", gt)
+    return gt.data.nbytes
+
+
+class TestMemory:
+    def test_fuse_peak_stays_below_5_9_cubes(self, tmp_path):
+        # from loading y and z to writing x: the naive prior while it is
+        # built, then p_hat, x_hat and v_hat (about one real cube each as
+        # half spectra), the v-step gain and the output cube; the prior cube
+        # itself is freed once fuse holds its spectrum
+        cube_bytes = write_inputs(tmp_path, 31, 128, 4)
+        tracemalloc.start()
+        try:
+            rc = main(["fuse", "--threads", "1", "--y", str(tmp_path / "y.cube"),
+                       "--z", str(tmp_path / "z.cube"), "--iters", "2",
+                       "--out", str(tmp_path / "x.cube")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 5.9 * cube_bytes
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
+        "returns, so fuse cannot free a prior handed to it",
+    )
+    @pytest.mark.parametrize("prior", ["naive", "file"])
+    def test_fuse_frees_the_prior_before_the_first_xstep(self, tmp_path, monkeypatch, prior):
+        import hsfuse.priors
+        import hsfuse.sylvester
+
+        write_inputs(tmp_path, 8, 16, 2)
+        refs, alive = [], []
+        make_prior = hsfuse.priors.make_prior
+        solve_spectrum = hsfuse.sylvester.solve_spectrum
+
+        def recording_prior(*args, **kwargs):
+            cube = make_prior(*args, **kwargs)
+            refs.append(weakref.ref(cube.data))
+            return cube
+
+        def probed_solve(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return solve_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(hsfuse.priors, "make_prior", recording_prior)
+        monkeypatch.setattr(hsfuse.sylvester, "solve_spectrum", probed_solve)
+        spec = "naive" if prior == "naive" else "file:" + str(tmp_path / "prior.cube")
+        rc = main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
+                   "--prior", spec, "--iters", "2", "--out", str(tmp_path / "x.cube")])
+        assert rc == 0
+        assert len(refs) == 1 and alive == [False, False]

@@ -1,12 +1,23 @@
+import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import hsfuse.hqs
+import hsfuse.sylvester
 import hsfuse.vstep
-from helpers import dense_joint_minimizer, fuse_spatial, rand_cube, relative_gap
+from helpers import (
+    dense_joint_minimizer,
+    dense_matrix,
+    fuse_spatial,
+    rand_cube,
+    relative_gap,
+    roll_blur,
+)
+from hsfuse.cube import HsiCube
 from hsfuse.degradation import (
     BlurOperator,
     DegradationModel,
@@ -147,6 +158,29 @@ class TestFuse:
         finally:
             tracemalloc.stop()
         assert peak < 2.7 * gt.data.size * 16
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
+        "returns, so fuse cannot free a prior handed to it",
+    )
+    def test_frees_a_prior_handed_over_before_the_first_xstep(self, monkeypatch):
+        # the loop reads only the prior's spectrum, so a caller that passes
+        # its only reference has the cube freed before the iterates exist
+        model, y, z, prior = desk_problem(0)
+        ref = weakref.ref(prior.data)
+        alive = []
+        solve_spectrum = hsfuse.sylvester.solve_spectrum
+
+        def probed(*args, **kwargs):
+            alive.append(ref() is not None)
+            return solve_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(hsfuse.sylvester, "solve_spectrum", probed)
+        holder = [prior]
+        del prior
+        result = fuse(y, z, model, holder.pop(), HqsConfig(max_iter=2))
+        assert result.iterations == 2 and alive == [False, False]
 
     def test_scans_the_result_for_finiteness_once(self, monkeypatch):
         # only the real result is scanned, when it becomes an HsiCube; a
@@ -366,28 +400,75 @@ TINY = {
 }
 
 
+def tiny_problem(kind):
+    """One of ``TINY``, degraded with a little noise, and its naive prior."""
+    bands, height, width, s, phase, blur_kind = TINY[kind]
+    if blur_kind == "gaussian":
+        blur = BlurOperator.gaussian(height, width, 0.7, support=3)
+    else:
+        blur = BlurOperator.uniform_block(height, width, s)
+    model = DegradationModel(
+        blur, Downsampler(s, phase), SpectralResponse.default_rgb(bands), noise_sigma=0.002
+    )
+    gt = generate_scene(SceneSpec(bands, height, width, endmembers=3, seed=7))
+    y, z = model.degrade(gt)
+    return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
+
+
+CONFIGS = pytest.mark.parametrize(
+    "cfg", [HqsConfig(), HqsConfig(mu=0.3, nu=0.02, rho=0.15)], ids=["default", "strong"]
+)
+
+
 class TestFixedPoint:
     """``fuse`` run to its fixed point is the minimizer of the objective, not
     only the same iterates as ``fuse_spatial``."""
 
-    @pytest.mark.parametrize("cfg", [HqsConfig(), HqsConfig(mu=0.3, nu=0.02, rho=0.15)],
-                             ids=["default", "strong"])
+    @CONFIGS
     @pytest.mark.parametrize("kind", list(TINY))
     def test_fuse_reaches_the_dense_joint_minimizer(self, kind, cfg):
-        bands, height, width, s, phase, blur_kind = TINY[kind]
-        if blur_kind == "gaussian":
-            blur = BlurOperator.gaussian(height, width, 0.7, support=3)
-        else:
-            blur = BlurOperator.uniform_block(height, width, s)
-        model = DegradationModel(
-            blur, Downsampler(s, phase), SpectralResponse.default_rgb(bands), noise_sigma=0.002
-        )
-        gt = generate_scene(SceneSpec(bands, height, width, endmembers=3, seed=7))
-        y, z = model.degrade(gt)
-        prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        model, y, z, prior = tiny_problem(kind)
         x_star, _, value = dense_joint_minimizer(y, z, model, prior, cfg)
         got = fuse(y, z, model, prior, HqsConfig(cfg.mu, cfg.nu, cfg.rho, 200, 1e-14))
         assert got.converged
         assert relative_gap(got.x_hat.data, x_star) <= 1e-10
         # no iterate scores below the minimum
         assert got.objective_trace[-1] >= value - 1e-12 * abs(value)
+
+    @CONFIGS
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_error_in_the_s_norm_never_rises(self, kind, cfg):
+        # with rho fixed, the minimum of L over v is a quadratic in x with
+        # Hessian S = A + rho*(I - G): A the data normal operator, G the
+        # v-step's linear map (``vstep`` with a zero prior). HQS is the
+        # stationary iteration of the splitting S = P - rho*G, P = A + rho*I
+        # the exact x-step, and P + rho*G is positive definite, so the error
+        # shrinks in the S-norm at every iteration
+        model, y, z, prior = tiny_problem(kind)
+        shape = prior.data.shape
+        blur = model.blur
+        a_y = dense_matrix(
+            lambda e: model.down.apply_array(roll_blur(e, blur.kernel, blur.anchor)), shape
+        )
+        a_z = dense_matrix(model.srf.apply_array, shape)
+        lap = LaplacianOperator.create(shape[1], shape[2])
+        zero = HsiCube(np.zeros(shape))
+        g = dense_matrix(
+            lambda e: vstep(HsiCube(e), zero, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho).data, shape
+        )
+        s_mat = a_y.T @ a_y + a_z.T @ a_z + cfg.rho * (np.eye(len(g)) - g)
+        x_star = dense_joint_minimizer(y, z, model, prior, cfg)[0].ravel()
+
+        def s_norm(x):
+            return float(np.sqrt(x @ s_mat @ x))
+
+        errors = [
+            s_norm(fuse(y, z, model, prior, HqsConfig(cfg.mu, cfg.nu, cfg.rho, k, 1e-14))
+                   .x_hat.data.ravel() - x_star)
+            for k in range(1, 9)
+        ]
+        # once a run reaches the dense solve's own roundoff (about 2e-15 of
+        # ||x*||_S here) its error can only wobble
+        floor = 1e-13 * s_norm(x_star)
+        assert errors[0] > 1e3 * floor
+        assert all(b <= a + floor for a, b in zip(errors, errors[1:])), errors
