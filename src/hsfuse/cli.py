@@ -325,7 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_errormap(args: argparse.Namespace) -> int:
     from .io import band_index_for_wavelength, export_error_map
 
-    with _Stage(args, args.out, "x_hat ref band wavelength max_error") as stage:
+    with _Stage(args, args.out, "x_hat ref band wavelength wl_min wl_max max_error") as stage:
         if (args.band is None) == (args.wavelength is None):
             raise ValidationError("pass exactly one of --band or --wavelength")
         with stage.timed("load"):

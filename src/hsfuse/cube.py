@@ -88,9 +88,18 @@ _pool = None
 _pool_workers = 0
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
+    """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``."""
+    arr = np.asarray(cube.data, dtype=dtype)
+    if arr.ndim != 3 or min(arr.shape) < 1:
+        raise ValidationError(
+            f"cube data must be 3-D with every dimension at least 1, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("cube values must be finite")
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(cube, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -100,17 +109,7 @@ class HsiCube:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValidationError(
-                f"cube data must have shape (bands, height, width), got {arr.shape}"
-            )
-        if min(arr.shape) < 1:
-            raise ValidationError(f"cube dimensions must all be at least 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("cube values must be finite")
-        arr = np.ascontiguousarray(arr)
-        object.__setattr__(self, "data", _freeze(arr))
+        _freeze_data(self, np.float64)
 
     @property
     def bands(self) -> int:
@@ -136,6 +135,11 @@ class HsiCube:
         """Frobenius norm over all values."""
         return float(np.linalg.norm(self.data))
 
+    def check_shape(self, name: str, expected: tuple[int, ...]) -> None:
+        """Raise ``ValidationError`` naming the cube ``name`` unless its shape is ``expected``."""
+        if self.data.shape != expected:
+            raise ValidationError(f"{name} has shape {self.data.shape}, expected {expected}")
+
 
 @dataclass(frozen=True)
 class FreqCube:
@@ -149,23 +153,15 @@ class FreqCube:
     width: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ValidationError(
-                f"frequency data must have shape (bands, height, width//2 + 1), got {arr.shape}"
-            )
-        if min(arr.shape) < 1:
-            raise ValidationError(f"cube dimensions must all be at least 1, got {arr.shape}")
         width = check_int("width", self.width, 1)
-        if arr.shape[2] != width // 2 + 1:
+        # checked before the array is frozen, so a rejected array stays writable
+        shape = np.shape(self.data)
+        if len(shape) == 3 and shape[2] != width // 2 + 1:
             raise ValidationError(
-                f"{arr.shape[2]} stored columns do not match width {width} "
+                f"{shape[2]} stored columns do not match width {width} "
                 f"(expected {width // 2 + 1})"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("frequency coefficients must be finite")
-        arr = np.ascontiguousarray(arr)
-        object.__setattr__(self, "data", _freeze(arr))
+        _freeze_data(self, np.complex128)
         object.__setattr__(self, "width", width)
 
 

@@ -11,8 +11,13 @@ anchor at the top-left tap, a k x k uniform kernel averages the window
 non-overlapping block means.
 
 All three operators act on plain arrays through ``apply_array`` /
-``adjoint_array`` and do not re-validate their input. Validation lives at the
-entry points: the constructors check their scalar arguments once, through
+``adjoint_array`` and do not re-validate their input, with one exception:
+``Downsampler.apply_array`` raises ``ValidationError`` when its factor does
+not divide the grid. A ``Downsampler`` is bound to no grid, and a hand-built
+``SylvesterSystem`` can pair it with one it does not divide;
+``sylvester_residual`` would then slice off the remainder and fail on an
+untyped broadcast error. Validation lives at the entry points: the
+constructors check their scalar arguments once, through
 ``errors.check_int``/``check_real``, and ``DegradationModel`` owns the shape
 contract every solver relies on: ``check_hr`` for a high-resolution cube and
 ``check_data`` for the (y, z) pair. Adjoints are exact: for every pair
@@ -130,6 +135,14 @@ class BlurOperator:
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
         return circular_convolve(data, np.conj(self.multiplier))
+
+    def check_grid(self, cube: HsiCube) -> None:
+        """Raise unless ``cube`` lies on the operator's grid."""
+        if (self.height, self.width) != (cube.height, cube.width):
+            raise ValidationError(
+                f"operator grid {(self.height, self.width)} does not match cube grid "
+                f"{(cube.height, cube.width)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,25 +267,17 @@ class DegradationModel:
 
     def check_hr(self, name: str, cube: HsiCube) -> None:
         """Raise unless ``cube`` has the high-resolution shape (bands, height, width)."""
-        expected = (self.bands,) + self.hr_shape
-        if cube.data.shape != expected:
-            raise ValidationError(f"{name} has shape {cube.data.shape}, model expects {expected}")
+        cube.check_shape(name, (self.bands,) + self.hr_shape)
 
     def check_data(self, y: HsiCube, z: HsiCube) -> None:
         """Raise unless y and z have the shapes ``degrade`` produces."""
         s = self.down.factor
-        for name, cube, expected in (
-            ("y", y, (self.bands, self.blur.height // s, self.blur.width // s)),
-            ("z", z, (self.srf.out_bands,) + self.hr_shape),
-        ):
-            if cube.data.shape != expected:
-                raise ValidationError(
-                    f"{name} has shape {cube.data.shape}, model expects {expected}"
-                )
+        y.check_shape("y", (self.bands, self.blur.height // s, self.blur.width // s))
+        z.check_shape("z", (self.srf.out_bands,) + self.hr_shape)
 
     def degrade(self, x: HsiCube) -> tuple[HsiCube, HsiCube]:
         """Produce the low-res cube and the mixed-band image for a full cube."""
-        self.check_hr("cube", x)
+        self.check_hr("x", x)
         y = self.down.apply_array(self.blur.apply_array(x.data))
         z = self.srf.apply_array(x.data)
         if self.noise_sigma > 0:

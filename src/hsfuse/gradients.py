@@ -68,14 +68,6 @@ class LaplacianOperator(BlurOperator):
         """``|multiplier|^2`` per frequency: the Gram multiplier of D^T D."""
         return (self.multiplier * np.conj(self.multiplier)).real
 
-    def check_grid(self, cube: HsiCube) -> None:
-        """Raise unless ``cube`` lies on the operator's grid."""
-        if (self.height, self.width) != (cube.height, cube.width):
-            raise ValidationError(
-                f"operator grid {(self.height, self.width)} does not match cube grid "
-                f"{(cube.height, cube.width)}"
-            )
-
 
 def spectral_diff_apply_array(data: np.ndarray) -> np.ndarray:
     if data.shape[0] < 2:
@@ -114,8 +106,7 @@ def regularizer_value(
     The spectral term vanishes for single-band cubes.
     """
     mu, nu = check_real("mu", mu, allow_zero=True), check_real("nu", nu, allow_zero=True)
-    if x.data.shape != xt.data.shape:
-        raise ValidationError(f"cube shapes differ: {x.data.shape} vs {xt.data.shape}")
+    xt.check_shape("xt", x.data.shape)
     if lap is None:
         lap = LaplacianOperator.create(x.height, x.width)
     lap.check_grid(x)

@@ -198,10 +198,7 @@ def export_error_map(
     ``band`` is a 0-based index. Errors of ``max_error`` and above map to 255;
     quantization is round-half-up.
     """
-    if x_hat.data.shape != x_ref.data.shape:
-        raise ValidationError(
-            f"cube shapes differ: {x_hat.data.shape} vs {x_ref.data.shape}"
-        )
+    x_hat.check_shape("x_hat", x_ref.data.shape)
     if check_int("band", band, 0) >= x_hat.bands:
         raise ValidationError(f"band {band!r} outside [0, {x_hat.bands})")
     check_real("max_error", max_error)

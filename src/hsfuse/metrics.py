@@ -84,10 +84,7 @@ def _ssim_band(a: np.ndarray, b: np.ndarray, window: BlurOperator) -> float:
 
 def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
     """All five metrics of ``x_hat`` against the reference ``x_ref``."""
-    if x_hat.data.shape != x_ref.data.shape:
-        raise ValidationError(
-            f"cube shapes differ: {x_hat.data.shape} vs {x_ref.data.shape}"
-        )
+    x_hat.check_shape("x_hat", x_ref.data.shape)
     check_int("factor", factor, 1)
     if min(x_hat.height, x_hat.width) < _SSIM_WINDOW:
         raise ValidationError(

@@ -97,11 +97,7 @@ class SylvesterSystem:
         scale = max(float(np.abs(c1).max()), 1e-30)
         if float(np.abs(c1 - c1.T).max()) > 1e-10 * scale:
             raise ValidationError("C1 must be symmetric")
-        if (self.blur.height, self.blur.width) != (self.c3.height, self.c3.width):
-            raise ValidationError(
-                f"blur grid {(self.blur.height, self.blur.width)} does not match C3 grid "
-                f"{(self.c3.height, self.c3.width)}"
-            )
+        self.blur.check_grid(self.c3)
         c1 = c1.copy()
         c1.setflags(write=False)
         object.__setattr__(self, "c1", c1)
@@ -139,10 +135,7 @@ def build_system(
 
 def sylvester_residual(system: SylvesterSystem, x: HsiCube) -> float:
     """Relative residual ||C1 X + X C2 - C3|| / max(||C3||, tiny)."""
-    if x.data.shape != system.c3.data.shape:
-        raise ValidationError(
-            f"x has shape {x.data.shape}, system expects {system.c3.data.shape}"
-        )
+    x.check_shape("x", system.c3.data.shape)
     lhs = system.operator_apply_array(x.data)
     denom = max(system.c3.norm(), float(np.finfo(np.float64).tiny))
     return float(np.linalg.norm(lhs - system.c3.data)) / denom

@@ -151,10 +151,7 @@ def vstep(
     """
     mu_p = check_real("mu_p", mu_p, allow_zero=True)
     nu_p = check_real("nu_p", nu_p, allow_zero=True)
-    if x_next.data.shape != prior.data.shape:
-        raise ValidationError(
-            f"cube shapes differ: {x_next.data.shape} vs {prior.data.shape}"
-        )
+    prior.check_shape("prior", x_next.data.shape)
     lap.check_grid(x_next)
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next

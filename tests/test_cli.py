@@ -143,7 +143,8 @@ class TestPipeline:
             ),
             str(tmp / "e.pgm"): (
                 head + ["band", "peak_rss_mb", "error"],
-                ["x_hat", "ref", "band", "wavelength", "max_error", "threads"],
+                ["x_hat", "ref", "band", "wavelength", "wl_min", "wl_max", "max_error",
+                 "threads"],
                 ["x_hat", "ref"], ["image"], {"load", "export"},
             ),
         }

@@ -45,6 +45,19 @@ def test_construction_copies_noncontiguous_and_casts():
     assert cube.data.shape == (2, 4, 3)
 
 
+def test_construction_freezes_a_contiguous_array_in_place():
+    # wrapping takes ownership: no copy of a cube-sized array
+    real = np.zeros((2, 3, 4))
+    assert HsiCube(real).data is real and not real.flags.writeable
+    spec = np.zeros((2, 3, 3), dtype=np.complex128)
+    assert FreqCube(spec, 4).data is spec and not spec.flags.writeable
+    # an array a cube rejects is not frozen
+    spec = np.zeros((2, 3, 3), dtype=np.complex128)
+    with pytest.raises(ValidationError):
+        FreqCube(spec, 8)
+    assert spec.flags.writeable
+
+
 def test_filled_and_properties():
     cube = HsiCube(np.full((3, 5, 7), -2.0))
     assert (cube.bands, cube.height, cube.width) == (3, 5, 7)

@@ -4,9 +4,14 @@ import pytest
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
-from hsfuse.hqs import HqsConfig, fuse
+from hsfuse.gradients import LaplacianOperator, regularizer_value
+from hsfuse.hqs import HqsConfig, fuse, objective_value
 from hsfuse.io import band_index_for_wavelength, export_error_map
+from hsfuse.metrics import evaluate
+from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
+from hsfuse.sylvester import build_system, sylvester_residual
+from hsfuse.vstep import vstep
 
 
 def _model(*down_args):
@@ -51,3 +56,37 @@ def _fuse(**cfg):
 def test_non_integer_arguments_raise_validation_error(call, tmp_path):
     with pytest.raises(ValidationError):
         call(tmp_path)
+
+
+# each entry point with the argument it checks against the others or the
+# model; ``c`` holds a well-shaped cube under every argument name but one
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("prior", lambda m, c, tmp: vstep(
+            c["x"], c["prior"], LaplacianOperator.create(8, 8), 1.0, 1.0)),
+        ("xt", lambda m, c, tmp: regularizer_value(c["x"], c["xt"], 1.0, 1.0)),
+        ("x_hat", lambda m, c, tmp: export_error_map(c["x_hat"], c["x"], 0, tmp / "e.pgm")),
+        ("x_hat", lambda m, c, tmp: evaluate(c["x_hat"], c["x"], 4)),
+        ("x", lambda m, c, tmp: sylvester_residual(
+            build_system(m, c["y"], c["z"], c["v"], 1.0), c["x"])),
+        ("v", lambda m, c, tmp: objective_value(
+            c["x"], c["v"], c["y"], c["z"], m, c["prior"], HqsConfig())),
+        ("z", lambda m, c, tmp: fuse(c["y"], c["z"], m, c["prior"])),
+        ("y", lambda m, c, tmp: make_prior(PriorSource.naive_fusion(), c["y"], c["z"], m)),
+        ("x", lambda m, c, tmp: m.degrade(c["x"])),
+    ],
+    ids=[
+        "vstep", "regularizer_value", "export_error_map", "evaluate", "sylvester_residual",
+        "objective_value", "fuse", "make_prior", "degrade",
+    ],
+)
+def test_mis_shaped_cube_is_named_by_its_argument(name, call, tmp_path):
+    model = _model(4)
+    x = HsiCube(np.full((4, 8, 8), 0.5))
+    y, z = model.degrade(x)
+    cubes = {"x": x, "v": x, "xt": x, "x_hat": x, "prior": x, "y": y, "z": z}
+    bands, height, width = cubes[name].data.shape
+    cubes[name] = HsiCube(np.zeros((bands, height, width + 1)))
+    with pytest.raises(ValidationError, match=rf"^{name} has shape \("):
+        call(model, cubes, tmp_path)

@@ -5,8 +5,9 @@ library is a change to that one module; no module reaches into another's
 private (``_``-prefixed) names; the package runs on numpy alone: no
 module imports scipy, and importing every module loads none; its one
 thread pool lives in ``hsfuse.cube``, which loads ``concurrent.futures``
-only when a map first needs a worker; and every public name has a caller
-in the program, the benchmark or the acceptance criteria.
+only when a map first needs a worker; only ``hsfuse.cube`` compares a
+cube's shape; and every public name has a caller in the program, the
+benchmark or the acceptance criteria.
 """
 
 import ast
@@ -29,6 +30,34 @@ def test_only_cube_names_an_fft_library():
         path.name
         for path in SOURCES
         if path.name != "cube.py" and any(name in path.read_text() for name in names)
+    ]
+    assert SOURCES and offenders == []
+
+
+def _compares_data_shape(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``==``/``!=`` comparison with some ``<expr>.data.shape`` operand."""
+    if not isinstance(node, ast.Compare) or not any(
+        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+    ):
+        return False
+    return any(
+        isinstance(side, ast.Attribute)
+        and side.attr == "shape"
+        and isinstance(side.value, ast.Attribute)
+        and side.value.attr == "data"
+        for side in [node.left, *node.comparators]
+    )
+
+
+def test_only_cube_compares_cube_shapes():
+    # ``HsiCube.check_shape`` is the one shape rule; a hand-written comparison
+    # elsewhere is a second copy of it with its own message
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cube.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _compares_data_shape(node)
     ]
     assert SOURCES and offenders == []
 
