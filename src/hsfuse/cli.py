@@ -24,6 +24,8 @@ import os
 import sys
 import time
 
+import hsfuse
+
 from .errors import (
     CubeFormatError,
     UnsupportedStructureError,
@@ -80,6 +82,10 @@ def _peak_rss_mb() -> float | None:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
+# the manifest layout's version, raised when a key is renamed, moved or dropped
+_SCHEMA_VERSION = 1
+
+
 def _write_manifest(path: str, manifest: dict) -> None:
     from .io import write_atomic
 
@@ -90,22 +96,36 @@ class _Stage:
     """One command run and its manifest.
 
     The manifest goes to --manifest, or next to the primary output. Its keys
-    come in a fixed order: ``command``, ``config`` (the value of each flag in
-    ``flags``, then the resolved ``threads``), ``inputs`` (all commands but
-    simulate), ``outputs``,
-    ``timings_s``, any command-specific results, ``peak_rss_mb`` (the
-    process's peak RSS so far, which for an in-process caller covers
-    everything it ran before), then ``error``. Leaving the ``with`` block
+    come in a fixed order: ``schema_version`` (``_SCHEMA_VERSION``),
+    ``command``, ``versions`` (python, numpy and hsfuse), ``config`` (the
+    value of each flag in ``flags``, then the resolved ``threads``),
+    ``inputs`` (all commands but simulate), ``outputs``, ``timings_s``, any
+    command-specific results, ``peak_rss_mb`` (the process's peak RSS so
+    far, which for an in-process caller covers everything it ran before),
+    then ``error``. Leaving the ``with`` block
     writes it: ``error`` is None on success, or the exception's type and
     message, which is re-raised; a failure to write that manifest is not
     reported over the original error.
     """
 
     def __init__(self, args: argparse.Namespace, primary: str, flags: str):
+        import platform
+
+        import numpy as np
+
         self.path = args.manifest or str(primary) + ".manifest.json"
         config = {flag: getattr(args, flag) for flag in flags.split()}
         config["threads"] = args.threads
-        self.manifest: dict = {"command": args.command, "config": config}
+        self.manifest: dict = {
+            "schema_version": _SCHEMA_VERSION,
+            "command": args.command,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "hsfuse": hsfuse.__version__,
+            },
+            "config": config,
+        }
         if args.command != "simulate":
             self.manifest["inputs"] = {}
         self.manifest["outputs"] = {}

@@ -203,8 +203,13 @@ def pool_map(fn: Callable, items: Sequence) -> list:
     results = [None] * len(items)
     claim = itertools.count()
     lock = threading.Lock()
+    # emptied once the map is over: an executor thread holds a finished or
+    # cancelled share a moment longer, and through it this closure, which
+    # must not keep fn's inputs alive past the map
+    task = [fn, items]
 
     def drain() -> None:
+        fn, items = task
         while True:
             with lock:
                 i = next(claim)
@@ -221,6 +226,7 @@ def pool_map(fn: Callable, items: Sequence) -> list:
         # a share no worker has started finds nothing left to take; cancelling
         # it keeps a map run from a worker from waiting on its own pool
         errors = [f.exception() for f in futures if not f.cancel()]
+        task.clear()
     for error in errors:
         if error is not None:
             raise error
@@ -372,14 +378,18 @@ def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):
     """A sum over the full spectra of a ``width``-column grid, from their half spectra.
 
     Each array holds stored columns in its last two axes, (height,
-    width//2 + 1), and is flattened over them. ``fn`` takes one slice of
-    every flattened array, over the same columns and with a contiguous last
-    axis (so a complex slice can be viewed as floats), and returns their sum
-    (a number or an array of sums). It runs on each ``column_blocks`` block
-    on the pool, and the block sums are added in block order. Every stored
-    column but the self-mirrored ones stands for itself and its mirror, so
-    with ``own``, ``fn`` of the self-mirrored columns alone, the full sum is
-    ``2*stored - own``. This is the one place that rule lives.
+    width//2 + 1), and is flattened over them. The arrays may differ in
+    leading shape: a (height, width//2 + 1) table can sit beside (bands,
+    height, width//2 + 1) spectra, for the stored blocks and the
+    self-mirrored columns alike. ``fn`` takes one slice of every flattened
+    array, over the same columns and with a contiguous last axis (so a
+    complex slice can be viewed as floats; a table's slice is 1-D), and
+    returns their sum (a number or an array of sums). It runs on each
+    ``column_blocks`` block on the pool, and the block sums are added in
+    block order. Every stored column but the self-mirrored ones stands for
+    itself and its mirror, so with ``own``, ``fn`` of the self-mirrored
+    columns alone, the full sum is ``2*stored - own``. This is the one
+    place that rule lives.
     """
     flat = [a.reshape(a.shape[:-2] + (-1,)) for a in arrays]
     blocks = column_blocks(flat[0].shape[-1])

@@ -21,8 +21,11 @@ input once (the prior and z through ``cube.rdft2``, y on its
 low-resolution grid through ``sylvester.lowres_spectrum``), rotates the
 prior and y into U's coordinates (``cube.mix_bands``), factors both
 sub-steps once (the x-step from ``srf U``, with a data term that holds no
-cube: ``sylvester.data_term``), and returns x through one rotation back
-and one inverse transform (``cube.irdft2``).
+cube: ``sylvester.data_term``; the v-step as a band vector and one
+half-grid table, its gain built per block of frequencies where it is
+used), and returns x through one rotation back and one inverse transform
+(``cube.irdft2``). Besides the prior's spectrum, x and v, the loop holds
+only z's spectrum.
 
 Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
 x_k, read off what the two exact steps compute. The y-term is the x-step's
@@ -170,20 +173,22 @@ class _Spectra:
         ``x_old``. One ``half_sums`` pass.
         """
 
-        def sums(x, p, gain, z_hat, *old) -> np.ndarray:
+        def sums(x, p, freq, z_hat, *old) -> np.ndarray:
             """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
             # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
             # is rho*(1 - gain)*|x - p|^2
             z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
             dev = x - p
-            out = [_dot(z_res, z_res), _dot(dev, dev * (1.0 - gain))]
+            coupling = self.denoise.gain(freq)
+            np.subtract(1.0, coupling, out=coupling)
+            out = [_dot(z_res, z_res), _dot(dev, dev * coupling)]
             if old:
                 step = x - old[0]
                 out += [_dot(step, step), _dot(old[0], old[0])]
             return np.array(out)
 
         width = self.xstep.width
-        arrays = (x_hat, self.p_hat, self.denoise.gain.reshape(x_hat.shape), self.data.z_hat)
+        arrays = (x_hat, self.p_hat, self.denoise.freq_term, self.data.z_hat)
         if x_old is not None:
             arrays += (x_old,)
         z_sq, coupled, *stop = half_sums(sums, arrays, width)

@@ -14,13 +14,15 @@ whose band vectors are in U's coordinates (mixed by U^T), the solve is
 
     v = p + g * (x - p),    g[k, f] = 1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k).
 
-``factor_denoise`` builds ``DenoiseFactors``, the basis U and the gain,
-once for fixed weights (d enters only the gain), and ``denoise_spectrum``
-applies the gain, with no transform and no band mix, to spectra that the HQS
-loop keeps in U's coordinates (see ``hqs``, which also reads the objective's
-coupling and regularizer off the gain). Each
-frequency is solved on its own, so it runs unchanged on half spectra (see
-``cube``). ``vstep``, the one-shot spatial form, rotates x_next and the prior
+``factor_denoise`` builds ``DenoiseFactors`` once for fixed weights: the
+basis U and the gain's two terms, ``nu_p*d_k`` per band and ``1 +
+mu_p*|lap(f)|^2`` per frequency, not the gain itself. ``denoise_spectrum``
+builds the gain for a few bands of one block of frequencies at a time and
+applies it, with no transform and no band mix, to spectra that the HQS loop
+keeps in U's coordinates (see ``hqs``, which also reads the objective's
+coupling and regularizer off the gain, built the same way). Each frequency
+is solved on its own, so it runs unchanged on half spectra (see ``cube``).
+``vstep``, the one-shot spatial form, rotates x_next and the prior
 (``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain,
 rotates back and transforms back (``idft2_per_band``). ``solve_tridiagonal``
 is the Thomas algorithm for T_f's tridiagonal form; the loop does not need it.
@@ -92,24 +94,38 @@ def solve_tridiagonal(
     return x
 
 
+# bands per gain chunk in ``denoise_spectrum``: a chunk's gain over a column
+# block is an eighth of a megabyte, so the pass makes no block-sized temporary
+_GAIN_BANDS = 8
+
+
 @dataclass(frozen=True)
 class DenoiseFactors:
-    """Every frequency's T_f, diagonalized once for fixed weights: the basis and the gain.
+    """Every frequency's T_f, diagonalized once for fixed weights: the basis and the gain's terms.
 
-    ``basis`` is U; ``gain[k, f]`` is ``1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k)``
-    at each stored frequency f, with d_k the eigenvalue of U's column k.
+    ``basis`` is U, ``band_term[k]`` is ``nu_p*d_k`` with d_k the eigenvalue
+    of U's column k, and ``freq_term`` is ``1 + mu_p*|lap(f)|^2`` on the half
+    grid, shape (height, width//2 + 1). The gain is never stored whole:
+    ``gain`` builds it for the frequencies a pass is working on.
     """
 
     basis: np.ndarray
-    gain: np.ndarray
+    band_term: np.ndarray
+    freq_term: np.ndarray
+
+    def gain(self, freq: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """``1 / (band_term[rows] + freq)`` as a new (bands in ``rows``, freq.size) array.
+
+        ``freq`` is a 1-D slice of the flattened ``freq_term``.
+        """
+        gain = np.add.outer(self.band_term[rows], freq)
+        return np.reciprocal(gain, out=gain)
 
 
 def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """U and the gain at each frequency of ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
+    """U and the gain's terms for ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
     eig, basis = spectral_gram_eig(bands)
-    gain = np.add.outer(nu_p * eig, 1.0 + mu_p * lap_sq.reshape(-1))
-    np.reciprocal(gain, out=gain)
-    return DenoiseFactors(basis, gain)
+    return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * lap_sq)
 
 
 def denoise_spectrum(
@@ -121,17 +137,21 @@ def denoise_spectrum(
     U's coordinates, shape (bands, height, width//2 + 1); ``out`` must be a
     third array of that shape. The deviation ``x - p`` is formed in ``out``,
     scaled by the gain and shifted back by ``p``, one cache-sized block of
-    frequencies per pool item.
+    frequencies per pool item; the gain is built for ``_GAIN_BANDS`` bands of
+    the block at a time.
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
     p = p_hat.reshape(bands, -1)
     v = out.reshape(bands, -1)
+    freq = fac.freq_term.reshape(-1)
+    chunks = [slice(k, k + _GAIN_BANDS) for k in range(0, bands, _GAIN_BANDS)]
 
     def block(cols: slice) -> None:
         vb, pb = v[:, cols], p[:, cols]
         np.subtract(x[:, cols], pb, out=vb)
-        vb *= fac.gain[:, cols]
+        for rows in chunks:
+            vb[rows] *= fac.gain(freq[cols], rows)
         vb += pb
 
     pool_map(block, column_blocks(x.shape[1]))

@@ -117,10 +117,11 @@ class TestPipeline:
         assert main(["evaluate", *compare, "--factor", "4", "--json", str(tmp / "m.json"),
                      "--csv", str(tmp / "m.csv")]) == 0
         assert main(["errormap", *compare, "--band", "1", "--out", str(tmp / "e.pgm")]) == 0
-        head = ["command", "config", "inputs", "outputs", "timings_s"]
+        first = ["schema_version", "command", "versions", "config"]
+        head = first + ["inputs", "outputs", "timings_s"]
         expected = {
             paths["gt"]: (
-                ["command", "config", "outputs", "timings_s", "peak_rss_mb", "error"],
+                first + ["outputs", "timings_s", "peak_rss_mb", "error"],
                 ["bands", "size", "endmembers", "smoothness", "seed", "threads"],
                 None, ["cube"], {"generate", "save"},
             ),
@@ -171,6 +172,23 @@ class TestPipeline:
         assert list(manifest)[-2:] == ["peak_rss_mb", "error"]
         assert manifest["error"]["type"] == "FileNotFoundError"
         assert manifest["peak_rss_mb"] > 0
+
+    def test_manifests_record_schema_and_versions(self, pipeline):
+        # on success and on failure alike
+        import platform
+
+        tmp, paths = pipeline
+        out = str(tmp / "o.cube")
+        assert main(["fuse", "--y", paths["y"], "--z", paths["z"], "--prior",
+                     "file:" + str(tmp / "missing.cube"), "--out", out]) == 3
+        for path in (paths["xhat"], out):
+            manifest = json.loads(open(path + ".manifest.json").read())
+            assert manifest["schema_version"] == 1
+            assert manifest["versions"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "hsfuse": hsfuse.__version__,
+            }
 
     def test_fuse_with_explicit_prior_file(self, pipeline):
         tmp, paths = pipeline
@@ -361,8 +379,9 @@ class TestMemory:
     def test_fuse_peak_stays_below_5_9_cubes(self, tmp_path):
         # from loading y and z to writing x: the naive prior while it is
         # built, then p_hat, x_hat and v_hat (about one real cube each as
-        # half spectra), the v-step gain and the output cube; the prior cube
-        # itself is freed once fuse holds its spectrum
+        # half spectra), z's spectrum and the output cube; the prior cube
+        # itself is freed once fuse holds its spectrum, and the v-step builds
+        # its gain per block
         cube_bytes = write_inputs(tmp_path, 31, 128, 4)
         tracemalloc.start()
         try:

@@ -136,6 +136,22 @@ def test_parseval(rng):
         assert got == pytest.approx(rhs, rel=1e-12)
 
 
+def test_half_sums_takes_a_table_beside_spectra(rng):
+    # a (height, columns) table beside (bands, height, columns) spectra: the
+    # table's 1-D slice meets the spectra's 2-D ones in every block and in
+    # the self-mirrored columns; a mirror-symmetric table (the power of a
+    # real image) weights the full spectrum as its stored columns do
+    for height, width in ((8, 8), (8, 7), (1, 6), (128, 128)):
+        cube = rng.standard_normal((3, height, width))
+        table = np.abs(np.fft.fft2(rng.standard_normal((height, width)))) ** 2
+        want = float(np.sum(table * np.abs(np.fft.fft2(cube)) ** 2))
+        half = np.ascontiguousarray(table[:, : width // 2 + 1])
+        got = half_sums(
+            lambda t, a: float(np.sum(t * np.abs(a) ** 2)), (half, rdft2(cube)), width
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_idft_rejects_asymmetric_spectrum():
     # columns 0 and width/2 are their own mirrors: a lone nonzero bin off row 0
     # there cannot come from a real image

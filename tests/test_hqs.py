@@ -144,8 +144,9 @@ class TestFuse:
     def test_peak_memory_stays_below_2_7_complex_cubes(self):
         # the loop holds half spectra only, the x-step's data term adds no
         # cube to them (it reuses z's spectrum and keeps a per-group shift for
-        # y), the v-step keeps one real gain per band and stored frequency,
-        # and the one inverse transform writes the real cube directly
+        # y), the v-step keeps a band vector and one half-grid table and
+        # builds its gain per block, and the one inverse transform writes the
+        # real cube directly
         gt = generate_scene(SceneSpec(31, 128, 128, seed=0))
         blur = BlurOperator.uniform_block(128, 128, 4)
         model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
@@ -158,6 +159,25 @@ class TestFuse:
         finally:
             tracemalloc.stop()
         assert peak < 2.7 * gt.data.size * 16
+
+    def test_loop_holds_no_gain_cube(self, monkeypatch):
+        # the prior's spectrum, x, v and z's spectrum, and block temporaries
+        # that are small at this size: a stored v-step gain (half a complex
+        # half spectrum) would take the peak to about 4.1 of them
+        monkeypatch.setenv("HSFUSE_THREADS", "1")
+        size = 256
+        gt = generate_scene(SceneSpec(31, size, size, seed=0))
+        blur = BlurOperator.uniform_block(size, size, 4)
+        model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
+        y, z = model.degrade(gt)
+        prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        tracemalloc.start()
+        try:
+            fuse(y, z, model, prior, HqsConfig(max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.85 * 31 * size * (size // 2 + 1) * 16
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info < (3, 11),

@@ -6,7 +6,9 @@ same work at several sizes.
 
 import sys
 import threading
+import weakref
 
+import numpy as np
 import pytest
 
 from hsfuse.cube import pool_map, pool_size
@@ -59,6 +61,22 @@ def test_map_raises_an_item_error_after_every_thread_stops(monkeypatch):
     with pytest.raises(ArithmeticError, match="item 3"):
         pool_map(item, range(8))
     assert 3 not in done
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_map_keeps_nothing_of_its_function_alive_once_it_returns(monkeypatch, threads):
+    # a worker holds its finished or cancelled share a moment after the map
+    # returns; what fn captured must be freeable by then (fuse relies on it
+    # to free a prior handed over to it)
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    alive = 0
+    for _ in range(50):
+        data = np.ones(8)
+        ref = weakref.ref(data)
+        pool_map(lambda i, held=data: float(held[i]), range(threads))
+        del data
+        alive += ref() is not None
+    assert alive == 0
 
 
 def test_map_inside_a_map_does_not_wait_on_its_own_pool(monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -198,10 +199,38 @@ class TestVstep:
             vstep_gradient(x, x, x, lap, 0.0, 0.1, 0.1)
 
 
+class TestDenoiseFactors:
+    def test_block_gain_equals_the_whole_gain(self, rng):
+        # any band and column slice of the gain, built from the two terms, is
+        # bit for bit the slice of the gain evaluated whole
+        bands, h, w = 31, 24, 30
+        mu_p, nu_p = 50.0, 1.3
+        lap_sq = half_spectrum(LaplacianOperator.create(h, w).response_sq)
+        fac = factor_denoise(lap_sq, bands, mu_p, nu_p)
+        eig, _ = spectral_gram_eig(bands)
+        whole = 1.0 / (nu_p * eig[:, None] + (1.0 + mu_p * lap_sq.reshape(-1)))
+        freq = fac.freq_term.reshape(-1)
+        for _ in range(20):
+            r0, r1 = sorted(rng.integers(0, bands + 1, 2))
+            c0, c1 = sorted(rng.integers(0, freq.size + 1, 2))
+            rows, cols = slice(r0, r1), slice(c0, c1)
+            assert np.array_equal(fac.gain(freq[cols], rows), whole[rows, cols])
+        assert np.array_equal(fac.gain(freq), whole)
+
+    def test_holds_no_band_by_frequency_array(self):
+        bands, h, w = 31, 32, 32
+        lap_sq = half_spectrum(LaplacianOperator.create(h, w).response_sq)
+        fac = factor_denoise(lap_sq, bands, 0.9, 0.3)
+        held = [getattr(fac, f.name) for f in fields(fac)]
+        assert all(isinstance(a, np.ndarray) for a in held)
+        assert max(a.size for a in held) < bands * lap_sq.size
+
+
 class TestDenoiseSpectrum:
     def test_peak_memory_is_well_under_one_cube(self, rng, monkeypatch):
         # the block loop writes x - p into the output, scales it by the gain
-        # and adds p back, all in place: no block-sized temporaries
+        # and adds p back, all in place, and builds the gain for a few bands
+        # at a time: no block-sized temporaries
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         bands, h, w = 31, 128, 128
         fac = factor_denoise(
