@@ -17,23 +17,27 @@ place that rule lives; it sums over blocks of stored columns on the pool.
 ``mix_bands`` is the one band mix: a small matrix applied over the band axis
 of a cube or spectrum, in place, block by block on the pool.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
-and ``idft2_per_band`` on cubes.
-``circular_convolve`` filters on half spectra too, one plane at a time: the
-multiplier of a real kernel is conjugate-symmetric, so its stored columns
-are all the product needs. The full complex ``dft2`` stays for the spectra
-used whole: blur multipliers (an aliasing group spans every column) and the
-small low-resolution y.
+and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
+stack of planes (``stacks``). ``circular_convolve`` filters on half spectra
+too, one plane per item: the multiplier of a real kernel is
+conjugate-symmetric, so its stored columns are all the product needs. The
+full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
+aliasing group spans every column) and the small low-resolution y.
 
 The package has one thread pool, and ``pool_map`` is its only entry. Every
-per-plane transform here and every independent block loop of the HQS
-iteration (band mixes, eigen-channels, v-step blocks, ``half_sums`` blocks)
-runs through it. Its size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
-because a library caller may not have pinned its BLAS threads; the CLI sets
-it to ``--threads`` or the available cores and pins BLAS to one thread. Each
-item writes its own output or returns its own partial result, and callers
-combine partial results in item order, so output bytes do not depend on the
-pool size. A pool of 1 runs the same functions in the calling thread, and
-``concurrent.futures`` is imported only when a map first needs a worker.
+transform of planes here and every independent block loop of the HQS
+iteration (band mixes, stacks of eigen-channels, v-step blocks, ``half_sums``
+blocks) runs through it. Its size is ``HSFUSE_THREADS`` when that is set,
+otherwise 1, because a library caller may not have pinned its BLAS threads;
+the CLI sets it to ``--threads`` or the available cores and pins BLAS to one
+thread. Each item writes its own output or returns its own partial result,
+and callers combine partial results in item order, so output bytes do not
+depend on the pool size. A pool of 1 runs the same functions in the calling
+thread, and ``concurrent.futures`` is imported only when a map first needs a
+worker.
+``stack_rows`` is the one rule that sizes a stack of planes, channels or
+member rows for one numpy call, ``stacks`` splits rows into such stacks for
+the pool, and ``column_blocks`` sizes a block of columns.
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -68,6 +72,8 @@ __all__ = [
     "pool_map",
     "pool_size",
     "rdft2",
+    "stack_rows",
+    "stacks",
 ]
 
 # largest imaginary residue, relative to max(1, peak real magnitude), that an
@@ -76,10 +82,14 @@ _IMAG_TOL = 1e-6
 
 # frequencies per block when a loop walks a (bands, pixels) spectrum: a block
 # of every band stays cache-resident, and the block temporaries that each pool
-# thread's malloc arena keeps between maps stay small (default full-scale CLI
-# fuse with a pool of 2 on a 2-core box: peak RSS 307 MB at 1 << 13, 296 MB at
-# 1 << 12, against 288 MB with a pool of 1; MB = 1e6 bytes)
+# thread's malloc arena keeps between maps stay small
 _BLOCK_COLUMNS = 1 << 12
+
+# bytes of the rows (planes, eigen-channels, member rows) that one numpy call
+# takes (``stack_rows``): small grids batch their per-call overhead away,
+# while a stack stays cache-sized and bounds the temporaries that a call
+# allocates, such as an inverse transform's complex copy of its stack
+_STACK_BYTES = 1 << 18
 
 # the package's executor and its worker count, made by the first map that
 # needs a worker and replaced when the pool size changes
@@ -233,14 +243,37 @@ def pool_map(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _each_plane(fn: Callable[..., object], *arrays: np.ndarray) -> None:
-    """``fn(*planes)`` for the 2-D planes at each index of the arrays' leading axes, on the pool.
+def stack_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` that one numpy call takes: as many as fit ``_STACK_BYTES``, or 1."""
+    return max(1, _STACK_BYTES // row_bytes)
 
-    The arrays share their leading shape; an output array must be contiguous,
-    so that its plane view is written in place.
+
+def stacks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices that cover ``range(rows)``, each a stack of rows for one pool item.
+
+    A stack holds ``stack_rows(row_bytes)`` rows or fewer; whenever there are
+    ``pool_size()`` rows there are at least that many stacks, so no thread of
+    the pool idles.
+    """
+    per = max(1, min(stack_rows(row_bytes), rows // pool_size()))
+    return [slice(i, i + per) for i in range(0, rows, per)]
+
+
+def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarray) -> None:
+    """``fn(*stacks)`` for each slice in ``items`` of the arrays' 2-D planes, on the pool.
+
+    The arrays share their leading shape, flattened into one axis of planes
+    that ``items`` slices. An output array must be contiguous, so that its
+    stack view is written in place.
     """
     planes = [a.reshape((-1,) + a.shape[-2:]) for a in arrays]
-    pool_map(lambda i: fn(*(p[i] for p in planes)), range(len(planes[0])))
+    pool_map(lambda rows: fn(*(p[rows] for p in planes)), items)
+
+
+def _spectrum_stacks(spec: np.ndarray) -> list[slice]:
+    """``stacks`` of the planes of a half spectrum."""
+    count = spec.size // (spec.shape[-2] * spec.shape[-1])
+    return stacks(count, spec.nbytes // count)
 
 
 def dft2(data: np.ndarray) -> np.ndarray:
@@ -256,7 +289,10 @@ def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     ``multiplier`` is the (height, width) spectrum of a real kernel, so the
     product of each plane's half spectrum with its stored columns is the half
     spectrum of the result. Each plane is filtered in its own half-size buffer
-    and transformed back into the new real output.
+    and transformed back into the new real output, one plane per pool item
+    rather than a stack: ``irfftn`` allocates a complex temporary as large as
+    its whole input, so a stack of planes would hold that many complex
+    buffers at once.
     """
     height, width = data.shape[-2:]
     half = multiplier[..., : width // 2 + 1]
@@ -268,26 +304,30 @@ def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         # irfftn, as numpy's irfft2 drops its out= argument
         np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=dst)
 
-    _each_plane(plane, data, out)
+    count = data.size // (height * width)
+    _each_stack(plane, [slice(i, i + 1) for i in range(count)], data, out)
     return out
 
 
 def rdft2(data: np.ndarray) -> np.ndarray:
     """Half spectrum of real ``data`` over the last two axes, in one new complex buffer."""
     out = np.empty(data.shape[:-1] + (data.shape[-1] // 2 + 1,), dtype=np.complex128)
-    _each_plane(lambda src, dst: np.fft.rfftn(src, axes=(-2, -1), out=dst), data, out)
+    _each_stack(
+        lambda src, dst: np.fft.rfftn(src, axes=(-2, -1), out=dst), _spectrum_stacks(out), data, out
+    )
     return out
 
 
 def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     """Inverse of ``rdft2`` for a ``width``-column grid, into one new real array.
 
-    ``np.fft.irfftn`` writes the real result directly. Only the self-mirrored
-    columns can break conjugate symmetry, and a full inverse would turn that
-    break into an imaginary residue; it is measured on those columns,
-    relative to max(1, peak real magnitude), and discarded when small. A
-    non-finite spectrum gives a non-finite result, which the caller's
-    ``HsiCube`` rejects.
+    ``np.fft.irfftn`` writes the real result directly, one call per stack of
+    planes (``stacks``), whose complex temporary the stack's size bounds.
+    Only the self-mirrored columns can break conjugate symmetry, and a full
+    inverse would turn that break into an imaginary residue; it is measured
+    on those columns, relative to max(1, peak real magnitude), and discarded
+    when small. A non-finite spectrum gives a non-finite result, which the
+    caller's ``HsiCube`` rejects.
 
     Raises:
         SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
@@ -299,8 +339,11 @@ def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     rows = np.fft.ifft(spec[..., _self_mirrored(width)], axis=-2)
     resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
     real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
-    _each_plane(
-        lambda src, dst: np.fft.irfftn(src, s=(height, width), axes=(-2, -1), out=dst), spec, real
+    _each_stack(
+        lambda src, dst: np.fft.irfftn(src, s=(height, width), axes=(-2, -1), out=dst),
+        _spectrum_stacks(spec),
+        spec,
+        real,
     )
     # the scale is at least 1, so a residue within the tolerance needs no peak scan
     if resid > _IMAG_TOL:

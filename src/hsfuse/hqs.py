@@ -36,7 +36,11 @@ coupling and the regularizer need neither v nor the Laplacian. That sum,
 the z-term and the stop test's ``||x_k - x_{k-1}||^2`` and
 ``||x_{k-1}||^2`` are one ``cube.half_sums`` call per iteration, by
 Parseval's theorem: one pass over blocks of stored columns on the
-package's thread pool. ``objective_value`` is the spatial form of L at any
+package's thread pool. Within a block the pass walks the bands in the
+v-step's chunks (``DenoiseFactors.band_chunks``), writes one dot product
+per band into a small row, and sums each row over every band, so its
+temporaries are chunk-sized and its sums are those of the block taken
+whole. ``objective_value`` is the spatial form of L at any
 (x, v). Every pass over a spectrum is split into independent items (column
 blocks, bands or eigen-channels) on the pool, and partial sums are added in
 item order, so the iterates and the trace do not depend on the pool size.
@@ -121,10 +125,10 @@ def objective_value(
     return value
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``sum Re(conj(a) * b)`` over two (rows, columns) arrays, read in place."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(conj(a) * b)`` summed over each row of two (rows, columns) arrays, read in place."""
     # row by row: np.vdot would first copy a block of a wider spectrum's rows
-    return float(np.vecdot(a.view(np.float64), b.view(np.float64)).sum())
+    return np.vecdot(a.view(np.float64), b.view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -170,22 +174,30 @@ class _Spectra:
 
         ``x_hat`` is the x-step's output and ``y_term`` its return value.
         The change ``||x - x_old|| / max(||x_old||, tiny)`` is None without
-        ``x_old``. One ``half_sums`` pass.
+        ``x_old``. One ``half_sums`` pass, which walks each block's bands in
+        the v-step's chunks (``DenoiseFactors.band_chunks``), so no temporary
+        spans every band of a block.
         """
+        chunks = self.denoise.band_chunks()
 
         def sums(x, p, freq, z_hat, *old) -> np.ndarray:
             """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
-            # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
-            # is rho*(1 - gain)*|x - p|^2
             z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
-            dev = x - p
-            coupling = self.denoise.gain(freq)
-            np.subtract(1.0, coupling, out=coupling)
-            out = [_dot(z_res, z_res), _dot(dev, dev * coupling)]
-            if old:
-                step = x - old[0]
-                out += [_dot(step, step), _dot(old[0], old[0])]
-            return np.array(out)
+            # one dot per band for each sum; each row is then summed over all
+            # bands at once, so a block's sums do not depend on the chunking
+            rows = np.empty((3 if old else 1, len(x)))
+            for band in chunks:
+                # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
+                # is rho*(1 - gain)*|x - p|^2
+                dev = x[band] - p[band]
+                coupling = self.denoise.gain(freq, band)
+                np.subtract(1.0, coupling, out=coupling)
+                rows[0, band] = _row_dots(dev, dev * coupling)
+                if old:
+                    step = x[band] - old[0][band]
+                    rows[1, band] = _row_dots(step, step)
+                    rows[2, band] = _row_dots(old[0][band], old[0][band])
+            return np.array([_row_dots(z_res, z_res).sum(), *(r.sum() for r in rows)])
 
         width = self.xstep.width
         arrays = (x_hat, self.p_hat, self.denoise.freq_term, self.data.z_hat)

@@ -21,7 +21,9 @@ so no pass of its own divides by lambda. The kernels run on half spectra (see
 ``cube``): the members of a group that fall in unstored columns are conjugate
 mirrors of stored members of the mirror group -g, so a group's reduction
 ``e^H x`` is its stored partial sum plus the conjugate of the matching partial
-sum of group -g (``_fold``), and only the stored members are updated. That
+sum of group -g, and only the stored members are updated. One kernel,
+``_solve_channels``, runs the pass over a stack of channels at a time, one
+numpy call per step for the whole stack rather than one per channel. That
 covers every system a ``DegradationModel`` produces: the model rejects grids
 the factor does not divide, and C1 is positive definite for rho > 0. A system
 outside that structure raises ``UnsupportedStructureError`` (CLI exit code 4)
@@ -53,11 +55,22 @@ and ``hqs.fuse`` once ``HqsConfig`` and the model have checked its inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube, dft2, half_spectrum, irdft2, mix_bands, pool_map, rdft2
+from .cube import (
+    HsiCube,
+    dft2,
+    half_spectrum,
+    irdft2,
+    mix_bands,
+    pool_map,
+    rdft2,
+    stack_rows,
+    stacks,
+)
 from .degradation import BlurOperator, DegradationModel, Downsampler
 from .errors import UnsupportedStructureError, ValidationError, check_real
 
@@ -208,28 +221,6 @@ def factor_xstep(c1: np.ndarray, blur: BlurOperator, down: Downsampler) -> XStep
     return XStepFactors(q, lam, e, esq, mirror)
 
 
-def _fold(fac: XStepFactors, ce: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """``e^H x`` for every aliasing group of one half-spectrum band; ``ce`` is ``conj(e)``.
-
-    Sums each stored column over its s members in rows, extends the
-    (gl, width//2 + 1) partial sums to every column by the mirror relation,
-    and sums the columns of each group: the full (gl, gw) low-resolution grid.
-    """
-    s, gl, half = fac.e.shape
-    width = fac.width
-    rows = np.einsum("tlc,tlc->lc", ce, band.reshape(s, gl, half))
-    full = np.empty((gl, width), dtype=np.complex128)
-    full[:, :half] = rows
-    # column c > width//2 of group row gr mirrors column width - c of group row -gr
-    full[:, half:] = fac.mirror * np.conj(rows[-np.arange(gl) % gl, width - half : 0 : -1])
-    return full.reshape(gl, s, -1).sum(axis=1)
-
-
-def _spread(fac: XStepFactors, low: np.ndarray) -> np.ndarray:
-    """A (gl, gw) per-group value at each stored column: shape (gl, width//2 + 1)."""
-    return np.tile(low, fac.factor)[:, : fac.e.shape[2]]
-
-
 def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | None = None) -> float:
     """Overwrite each eigen-channel ``spec_n`` with ``lam_n * x_n``; return ``sum |nu|^2``.
 
@@ -239,23 +230,44 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | Non
     updated. The division by ``lam_n`` is left to the back-mix,
     ``q Lambda^-1`` (``solve_spectrum``, ``solve_fast``). ``shift``
     (``DataTerm.shift``) is subtracted from each group's numerator
-    ``e^H spec_n``. The squared magnitudes of the groups' coefficients
-    ``nu_n`` are summed per channel and the channel sums added in channel
-    order.
+    ``e^H spec_n``.
+
+    Each pool item solves a stack of channels (``cube.stacks``) with one
+    numpy call per step: it sums each stored column over its s member rows,
+    extends those (gl, width//2 + 1) partial sums to every column by the
+    mirror relation and sums the columns of each group, which gives ``e^H x``
+    on the full (gl, gw) low-resolution grid; then it divides, spreads each
+    group's coefficient ``nu_n`` back over its stored members and updates
+    them a stack of member rows at a time (``cube.stack_rows``), so that no
+    temporary is as large as a full-scale channel (2 MB), which each pool
+    thread's heap would keep. The squared magnitudes of the coefficients are
+    summed per channel and the channel sums added in channel order.
     """
     s, gl, half = fac.e.shape
+    width = fac.width
     ce = np.conj(fac.e)
+    channels = spec.reshape(len(fac.lam), s, gl, half)
+    # column c > width//2 of group row gr mirrors column width - c of group row -gr
+    mirrored = -np.arange(gl) % gl
 
-    def channel(n: int) -> float:
-        group = spec[n].reshape(s, gl, half)
-        num = _fold(fac, ce, group)
+    def stack(rows: slice) -> list[float]:
+        group = channels[rows]
+        partial = np.einsum("tlc,ktlc->klc", ce, group)
+        full = np.empty((len(group), gl, width), dtype=np.complex128)
+        full[..., :half] = partial
+        full[..., half:] = fac.mirror * np.conj(partial[:, mirrored, width - half : 0 : -1])
+        num = full.reshape(len(group), gl, s, -1).sum(axis=2)
         if shift is not None:
-            num -= shift[n]
-        num /= fac.lam[n] * (s * s) + fac.esq
-        group -= fac.e * _spread(fac, num)
-        return float(np.vdot(num, num).real)
+            num -= shift[rows]
+        num /= (fac.lam[rows] * (s * s))[:, None, None] + fac.esq
+        spread = np.tile(num, (1, 1, s))[:, None, :, :half]
+        per = stack_rows(group[:, 0].nbytes)
+        for t in range(0, s, per):
+            group[:, t : t + per] -= fac.e[t : t + per] * spread
+        return [float(np.vdot(nu, nu).real) for nu in num]
 
-    return sum(pool_map(channel, range(len(fac.lam))))
+    misfits = pool_map(stack, stacks(len(fac.lam), spec[0].nbytes))
+    return sum(itertools.chain.from_iterable(misfits))
 
 
 def lowres_spectrum(down: Downsampler, y: np.ndarray, height: int, width: int) -> np.ndarray:

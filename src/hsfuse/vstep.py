@@ -94,8 +94,9 @@ def solve_tridiagonal(
     return x
 
 
-# bands per gain chunk in ``denoise_spectrum``: a chunk's gain over a column
-# block is an eighth of a megabyte, so the pass makes no block-sized temporary
+# bands per chunk of a pass over a column block (``DenoiseFactors.band_chunks``):
+# a chunk's gain over a block is a quarter of a megabyte, so the pass makes
+# no block-sized temporary
 _GAIN_BANDS = 8
 
 
@@ -121,6 +122,11 @@ class DenoiseFactors:
         gain = np.add.outer(self.band_term[rows], freq)
         return np.reciprocal(gain, out=gain)
 
+    def band_chunks(self) -> list[slice]:
+        """Slices of ``_GAIN_BANDS`` bands that cover every band: the chunks of a block pass."""
+        bands = len(self.band_term)
+        return [slice(k, k + _GAIN_BANDS) for k in range(0, bands, _GAIN_BANDS)]
+
 
 def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
     """U and the gain's terms for ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
@@ -137,15 +143,15 @@ def denoise_spectrum(
     U's coordinates, shape (bands, height, width//2 + 1); ``out`` must be a
     third array of that shape. The deviation ``x - p`` is formed in ``out``,
     scaled by the gain and shifted back by ``p``, one cache-sized block of
-    frequencies per pool item; the gain is built for ``_GAIN_BANDS`` bands of
-    the block at a time.
+    frequencies per pool item; the gain is built for one chunk of bands of the
+    block at a time (``DenoiseFactors.band_chunks``).
     """
     bands = x_hat.shape[0]
     x = x_hat.reshape(bands, -1)
     p = p_hat.reshape(bands, -1)
     v = out.reshape(bands, -1)
     freq = fac.freq_term.reshape(-1)
-    chunks = [slice(k, k + _GAIN_BANDS) for k in range(0, bands, _GAIN_BANDS)]
+    chunks = fac.band_chunks()
 
     def block(cols: slice) -> None:
         vb, pb = v[:, cols], p[:, cols]

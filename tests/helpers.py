@@ -8,6 +8,7 @@ conjugate gradient on the full Sylvester operator, the band difference's
 tridiagonal normal matrix, and the gradient of the v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
 the reference the spectral ``hsfuse.hqs.fuse`` is compared against, and
 ``ssim_direct`` forms the SSIM window sums window by window, with no FFT.
+``desk_problem`` builds one of the acceptance gate's desk fusions.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
 objective over (x, v) at fixed rho, from one dense solve.
 """
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hsfuse.cube import HsiCube
+from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
 from hsfuse.gradients import (
     LAPLACIAN_KERNEL,
@@ -25,8 +27,22 @@ from hsfuse.gradients import (
     spectral_diff_apply_array,
 )
 from hsfuse.hqs import HqsConfig, objective_value
+from hsfuse.priors import PriorSource, make_prior
+from hsfuse.scenes import SceneSpec, generate_scene
 from hsfuse.sylvester import build_system, solve_fast
 from hsfuse.vstep import vstep
+
+
+def desk_problem(seed):
+    """One of the acceptance gate's five desk fusions (criteria 4-7)."""
+    gt = generate_scene(
+        SceneSpec(bands=31, height=64, width=64, endmembers=5, smoothness=4.0, seed=seed)
+    )
+    model = DegradationModel(
+        BlurOperator.uniform_block(64, 64, 4), Downsampler(4), SpectralResponse.default_rgb(31)
+    )
+    y, z = model.degrade(gt)
+    return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
 
 
 def rand_cube(rng, bands, height, width, lo=-1.0, hi=1.0) -> HsiCube:

@@ -12,6 +12,7 @@ import hsfuse.vstep
 from helpers import (
     dense_joint_minimizer,
     dense_matrix,
+    desk_problem,
     fuse_spatial,
     rand_cube,
     relative_gap,
@@ -223,18 +224,6 @@ class TestFuse:
         gt, model, y, z, prior = small_problem()
         with pytest.raises(ValidationError):
             fuse(y, z, model, rand_cube(rng, 8, 16, 15))
-
-
-def desk_problem(seed):
-    """One of the acceptance gate's five desk fusions (criteria 4-7)."""
-    gt = generate_scene(
-        SceneSpec(bands=31, height=64, width=64, endmembers=5, smoothness=4.0, seed=seed)
-    )
-    model = DegradationModel(
-        BlurOperator.uniform_block(64, 64, 4), Downsampler(4), SpectralResponse.default_rgb(31)
-    )
-    y, z = model.degrade(gt)
-    return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
 
 
 # (bands, height, width, factor, phase, blur) of the geometries the desk runs

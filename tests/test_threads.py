@@ -1,7 +1,9 @@
-"""The package's thread pool: ``cube.pool_map`` and byte-identical outputs at every pool size.
+"""The package's thread pool: ``cube.pool_map``, its stacks of planes and channels, and
+byte-identical outputs at every pool size and stack size.
 
-The pool reads ``HSFUSE_THREADS`` at each map, so one process can run the
-same work at several sizes.
+The pool reads ``HSFUSE_THREADS`` at each map, and ``cube.stacks`` reads it
+and ``cube._STACK_BYTES`` at each call, so one process can run the same work
+at several sizes.
 """
 
 import sys
@@ -11,13 +13,16 @@ import weakref
 import numpy as np
 import pytest
 
-from hsfuse.cube import pool_map, pool_size
+import hsfuse.cube
+from helpers import desk_problem
+from hsfuse.cube import irdft2, pool_map, pool_size, rdft2, stacks
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
-from hsfuse.hqs import HqsConfig, fuse
+from hsfuse.hqs import HqsConfig, _Spectra, fuse
 from hsfuse.metrics import evaluate
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
+from hsfuse.sylvester import solve_spectrum
 
 
 def test_default_size_is_one(monkeypatch):
@@ -129,3 +134,68 @@ def test_map_under_contention_runs_each_item_once(monkeypatch):
         assert runs == [1] * 3000
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    cap = hsfuse.cube._STACK_BYTES
+    for rows, row_bytes in ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1)):
+        got = [range(rows)[s] for s in stacks(rows, row_bytes)]
+        assert [i for stack in got for i in stack] == list(range(rows))
+        assert all(len(stack) * row_bytes <= cap or len(stack) == 1 for stack in got)
+        assert len(got) >= min(rows, threads)
+    # a desk plane stack holds several planes; a full-scale plane goes alone
+    assert len(stacks(31, 64 * 33 * 16)) < 31
+    assert len(stacks(31, 512 * 257 * 16)) == 31
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(31, 64, 64), (5, 45, 63), (7, 30, 35), (3, 16, 16)])
+def test_stacked_transforms_equal_numpy_on_the_whole_array(monkeypatch, rng, threads, shape):
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    x = rng.standard_normal(shape)
+    spec = rdft2(x)
+    assert spec.tobytes() == np.fft.rfftn(x, axes=(-2, -1)).tobytes()
+    whole = np.fft.irfftn(spec, s=shape[1:], axes=(-2, -1))
+    assert irdft2(spec, shape[2]).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
+    model, y, z, prior = desk_problem(0)
+    cfg = HqsConfig()
+
+    def run():
+        fixed = _Spectra.prepare(y, z, model, prior, cfg)
+        v_hat = fixed.p_hat.copy()
+        misfit = solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
+        return fixed.p_hat.tobytes(), v_hat.tobytes(), misfit, irdft2(v_hat, 64).tobytes()
+
+    stacked = run()
+    monkeypatch.setattr(hsfuse.cube, "_STACK_BYTES", 1)
+    assert len(stacks(31, 64 * 33 * 16)) == 31
+    assert run() == stacked
+
+
+def test_fuse_makes_fewer_fft_calls_than_it_transforms_planes(monkeypatch):
+    # one numpy call per stack of planes: a return to one call per plane fails
+    monkeypatch.setenv("HSFUSE_THREADS", "1")
+    model, y, z, prior = desk_problem(0)
+    calls, planes = [], []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append(fn.__name__)
+            planes.append(np.asarray(a)[..., 0, 0].size)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    fuse(y, z, model, prior)
+    # the prior's and z's half spectra, and x back to pixels
+    assert sum(planes) == 31 + 3 + 31
+    assert len(calls) < sum(planes)
