@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
     check_int,
-    check_int_text,
 )
 
 __all__ = ["main", "entry"]
@@ -55,20 +54,19 @@ def _configure_threads(threads: int | None) -> int:
     """Size the package's pool and pin every BLAS/OpenMP pool to one thread.
 
     The size is ``threads`` (--threads), else ``HSFUSE_THREADS``, else the
-    available cores; it is written back to ``HSFUSE_THREADS``, where the pool
-    reads it. BLAS worker threads would spin between calls on the cores the
-    pool needs, and the loop gives them almost no work.
+    available cores, written to ``HSFUSE_THREADS`` and read back (and checked)
+    by ``cube.pool_size``. BLAS worker threads would spin between calls on the
+    cores the pool needs, and the loop gives them almost no work.
     """
     if threads is not None:
-        threads = check_int("--threads", threads, 1)
-    elif "HSFUSE_THREADS" in os.environ:
-        threads = check_int_text("HSFUSE_THREADS", os.environ["HSFUSE_THREADS"], 1)
-    else:
-        threads = _available_cores()
+        os.environ["HSFUSE_THREADS"] = str(check_int("--threads", threads, 1))
+    elif "HSFUSE_THREADS" not in os.environ:
+        os.environ["HSFUSE_THREADS"] = str(_available_cores())
     for var in _THREAD_VARS:
         os.environ[var] = "1"
-    os.environ["HSFUSE_THREADS"] = str(threads)
-    return threads
+    from .cube import pool_size
+
+    return pool_size()
 
 
 def _peak_rss_mb() -> float | None:

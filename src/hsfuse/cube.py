@@ -35,9 +35,10 @@ and callers combine partial results in item order, so output bytes do not
 depend on the pool size. A pool of 1 runs the same functions in the calling
 thread, and ``concurrent.futures`` is imported only when a map first needs a
 worker.
-``stack_rows`` is the one rule that sizes a stack of planes, channels or
-member rows for one numpy call, ``stacks`` splits rows into such stacks for
-the pool, and ``column_blocks`` sizes a block of columns.
+This module alone cuts work, with one private slicer under ``stacks`` (pool
+items of planes or channels), ``chunks`` (the rows of one numpy call inside
+an item; ``block_chunks`` in a pass over a column block) and ``each_block``
+(a function over blocks of columns on the pool).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -55,15 +56,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError, check_int, check_int_text
+from .errors import SymmetryViolationError, ValidationError, check_int
 
 __all__ = [
     "HsiCube",
     "FreqCube",
+    "block_chunks",
+    "chunks",
     "circular_convolve",
-    "column_blocks",
     "dft2",
     "dft2_per_band",
+    "each_block",
     "half_spectrum",
     "half_sums",
     "idft2_per_band",
@@ -72,7 +75,6 @@ __all__ = [
     "pool_map",
     "pool_size",
     "rdft2",
-    "stack_rows",
     "stacks",
 ]
 
@@ -86,7 +88,7 @@ _IMAG_TOL = 1e-6
 _BLOCK_COLUMNS = 1 << 12
 
 # bytes of the rows (planes, eigen-channels, member rows) that one numpy call
-# takes (``stack_rows``): small grids batch their per-call overhead away,
+# takes (``chunks``, ``stacks``): small grids batch their per-call overhead away,
 # while a stack stays cache-sized and bounds the temporaries that a call
 # allocates, such as an inverse transform's complex copy of its stack
 _STACK_BYTES = 1 << 18
@@ -177,8 +179,12 @@ class FreqCube:
 
 def pool_size() -> int:
     """Threads that run each ``pool_map``, the caller's included: ``HSFUSE_THREADS``, or 1."""
-    env = os.environ.get("HSFUSE_THREADS")
-    return 1 if env is None else check_int_text("HSFUSE_THREADS", env, 1)
+    env = os.environ.get("HSFUSE_THREADS", "1")
+    try:
+        env = int(env)
+    except ValueError:
+        pass  # check_int rejects the text by name
+    return check_int("HSFUSE_THREADS", env, 1)
 
 
 def _submit(workers: int, fn: Callable[[], None], count: int) -> list:
@@ -243,20 +249,33 @@ def pool_map(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def stack_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` that one numpy call takes: as many as fit ``_STACK_BYTES``, or 1."""
-    return max(1, _STACK_BYTES // row_bytes)
+def _slices(rows: int, per: int) -> list[slice]:
+    """Slices of ``per`` rows (at least 1; the last may hold fewer) that cover ``range(rows)``."""
+    per = max(1, per)
+    return [slice(i, i + per) for i in range(0, rows, per)]
+
+
+def chunks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices of ``range(rows)`` for one numpy call each, inside one pool item.
+
+    A chunk holds as many rows as fit ``_STACK_BYTES``, or 1, whatever the pool size.
+    """
+    return _slices(rows, _STACK_BYTES // row_bytes)
+
+
+def block_chunks(rows: int) -> list[slice]:
+    """``chunks`` of float64 rows of a full block (8 at the default cap), for every block alike."""
+    return chunks(rows, 8 * _BLOCK_COLUMNS)
 
 
 def stacks(rows: int, row_bytes: int) -> list[slice]:
     """Slices that cover ``range(rows)``, each a stack of rows for one pool item.
 
-    A stack holds ``stack_rows(row_bytes)`` rows or fewer; whenever there are
+    A stack holds no more rows than a ``chunks`` stack; whenever there are
     ``pool_size()`` rows there are at least that many stacks, so no thread of
     the pool idles.
     """
-    per = max(1, min(stack_rows(row_bytes), rows // pool_size()))
-    return [slice(i, i + per) for i in range(0, rows, per)]
+    return _slices(rows, min(_STACK_BYTES // row_bytes, rows // pool_size()))
 
 
 def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarray) -> None:
@@ -267,7 +286,7 @@ def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarr
     stack view is written in place.
     """
     planes = [a.reshape((-1,) + a.shape[-2:]) for a in arrays]
-    pool_map(lambda rows: fn(*(p[rows] for p in planes)), items)
+    pool_map(lambda rows: fn(*[p[rows] for p in planes]), items)  # a list: see each_block
 
 
 def _spectrum_stacks(spec: np.ndarray) -> list[slice]:
@@ -304,8 +323,7 @@ def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         # irfftn, as numpy's irfft2 drops its out= argument
         np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=dst)
 
-    count = data.size // (height * width)
-    _each_stack(plane, [slice(i, i + 1) for i in range(count)], data, out)
+    _each_stack(plane, _slices(data.size // (height * width), 1), data, out)
     return out
 
 
@@ -383,9 +401,17 @@ def idft2_per_band(fc: FreqCube) -> HsiCube:
     return HsiCube(irdft2(fc.data, fc.width))
 
 
-def column_blocks(n: int) -> list[slice]:
-    """Slices that cover ``range(n)`` in cache-sized blocks of spectrum columns."""
-    return [slice(j, j + _BLOCK_COLUMNS) for j in range(0, n, _BLOCK_COLUMNS)]
+def each_block(fn: Callable, *arrays: np.ndarray) -> list:
+    """``fn`` of each block of ``_BLOCK_COLUMNS`` columns of the arrays, on the pool.
+
+    The arrays share the length of their last axis, which the blocks slice;
+    ``fn`` takes one view per array, over the same columns, and the results
+    come back in block order.
+    """
+    blocks = _slices(arrays[0].shape[-1], _BLOCK_COLUMNS)
+    # a list, not a generator: CPython builds a generator's argument tuple at a
+    # guessed size and shrinks it, and the shrunk tuples pile up on a free list
+    return pool_map(lambda cols: fn(*[a[..., cols] for a in arrays]), blocks)
 
 
 def mix_bands(
@@ -401,20 +427,17 @@ def mix_bands(
     def real(a: np.ndarray) -> np.ndarray:
         return a.reshape(a.shape[0], -1).view(np.float64)
 
-    flat = real(spec)
-
-    def mix(cols: slice) -> None:
-        block = mat @ flat[:, cols]
-        if add is None:
-            flat[:, cols] = block
+    def mix(out: np.ndarray, *s: np.ndarray) -> None:
+        block = mat @ out
+        if not s:
+            out[...] = block
             return
         # ``m @ s`` is written straight into the spectrum: adding it through a
         # second block-sized temporary made this pass 3x slower at 31x64x64
-        out = flat[:, cols]
-        np.matmul(add[0], real(add[1])[:, cols], out=out)
+        np.matmul(add[0], s[0], out=out)
         out += block
 
-    pool_map(mix, column_blocks(flat.shape[1]))
+    each_block(mix, real(spec), *(() if add is None else (real(add[1]),)))
 
 
 def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):
@@ -428,15 +451,13 @@ def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):
     array, over the same columns and with a contiguous last axis (so a
     complex slice can be viewed as floats; a table's slice is 1-D), and
     returns their sum (a number or an array of sums). It runs on each
-    ``column_blocks`` block on the pool, and the block sums are added in
+    ``each_block`` block on the pool, and the block sums are added in
     block order. Every stored column but the self-mirrored ones stands for
     itself and its mirror, so with ``own``, ``fn`` of the self-mirrored
     columns alone, the full sum is ``2*stored - own``. This is the one
     place that rule lives.
     """
-    flat = [a.reshape(a.shape[:-2] + (-1,)) for a in arrays]
-    blocks = column_blocks(flat[0].shape[-1])
-    stored = sum(pool_map(lambda cols: fn(*(a[..., cols] for a in flat)), blocks))
+    stored = sum(each_block(fn, *(a.reshape(a.shape[:-2] + (-1,)) for a in arrays)))
     cols = _self_mirrored(width)
-    own = fn(*(np.ascontiguousarray(a[..., cols]).reshape(a.shape[:-2] + (-1,)) for a in arrays))
+    own = fn(*[np.ascontiguousarray(a[..., cols]).reshape(a.shape[:-2] + (-1,)) for a in arrays])
     return 2 * stored - own

@@ -19,7 +19,6 @@ __all__ = [
     "TruncatedPayloadError",
     "UnknownDtypeError",
     "check_int",
-    "check_int_text",
     "check_real",
 ]
 
@@ -65,15 +64,6 @@ def check_int(name: str, value, minimum: int) -> int:
     if number < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
     return number
-
-
-def check_int_text(name: str, text: str, minimum: int) -> int:
-    """``check_int`` on the text of an integer, such as an environment variable's value."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = text  # check_int rejects it by name
-    return check_int(name, value, minimum)
 
 
 def check_real(name: str, value, allow_zero: bool = False) -> float:

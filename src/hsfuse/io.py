@@ -61,8 +61,10 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
     without a copy.
 
     Readers see the previous file or the complete new one, never a partial
-    write. On failure the temp file is removed and ``path`` is left as it was.
-    The new file gets the usual mode of a file created by ``open``.
+    write. On failure the temp file is removed and ``path`` is left as it was;
+    an OS error is raised again with its errno (so its ``OSError`` subclass)
+    and ``path``, not the temp file the caller never named. The new file gets
+    the usual mode of a file created by ``open``.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -72,9 +74,11 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -66,9 +66,9 @@ from .cube import (
     half_spectrum,
     irdft2,
     mix_bands,
+    chunks,
     pool_map,
     rdft2,
-    stack_rows,
     stacks,
 )
 from .degradation import BlurOperator, DegradationModel, Downsampler
@@ -238,7 +238,7 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | Non
     mirror relation and sums the columns of each group, which gives ``e^H x``
     on the full (gl, gw) low-resolution grid; then it divides, spreads each
     group's coefficient ``nu_n`` back over its stored members and updates
-    them a stack of member rows at a time (``cube.stack_rows``), so that no
+    them a stack of member rows at a time (``cube.chunks``), so that no
     temporary is as large as a full-scale channel (2 MB), which each pool
     thread's heap would keep. The squared magnitudes of the coefficients are
     summed per channel and the channel sums added in channel order.
@@ -261,9 +261,8 @@ def _solve_channels(fac: XStepFactors, spec: np.ndarray, shift: np.ndarray | Non
             num -= shift[rows]
         num /= (fac.lam[rows] * (s * s))[:, None, None] + fac.esq
         spread = np.tile(num, (1, 1, s))[:, None, :, :half]
-        per = stack_rows(group[:, 0].nbytes)
-        for t in range(0, s, per):
-            group[:, t : t + per] -= fac.e[t : t + per] * spread
+        for members in chunks(s, group[:, 0].nbytes):
+            group[:, members] -= fac.e[members] * spread
         return [float(np.vdot(nu, nu).real) for nu in num]
 
     misfits = pool_map(stack, stacks(len(fac.lam), spec[0].nbytes))

@@ -41,12 +41,12 @@ import numpy as np
 from .cube import (
     FreqCube,
     HsiCube,
-    column_blocks,
+    block_chunks,
     dft2_per_band,
+    each_block,
     half_spectrum,
     idft2_per_band,
     mix_bands,
-    pool_map,
 )
 from .errors import ValidationError, check_real
 from .gradients import LaplacianOperator, spectral_gram_eig
@@ -94,12 +94,6 @@ def solve_tridiagonal(
     return x
 
 
-# bands per chunk of a pass over a column block (``DenoiseFactors.band_chunks``):
-# a chunk's gain over a block is a quarter of a megabyte, so the pass makes
-# no block-sized temporary
-_GAIN_BANDS = 8
-
-
 @dataclass(frozen=True)
 class DenoiseFactors:
     """Every frequency's T_f, diagonalized once for fixed weights: the basis and the gain's terms.
@@ -114,18 +108,13 @@ class DenoiseFactors:
     band_term: np.ndarray
     freq_term: np.ndarray
 
-    def gain(self, freq: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def gain(self, freq: np.ndarray, rows: slice) -> np.ndarray:
         """``1 / (band_term[rows] + freq)`` as a new (bands in ``rows``, freq.size) array.
 
         ``freq`` is a 1-D slice of the flattened ``freq_term``.
         """
         gain = np.add.outer(self.band_term[rows], freq)
         return np.reciprocal(gain, out=gain)
-
-    def band_chunks(self) -> list[slice]:
-        """Slices of ``_GAIN_BANDS`` bands that cover every band: the chunks of a block pass."""
-        bands = len(self.band_term)
-        return [slice(k, k + _GAIN_BANDS) for k in range(0, bands, _GAIN_BANDS)]
 
 
 def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
@@ -142,25 +131,21 @@ def denoise_spectrum(
     ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior in
     U's coordinates, shape (bands, height, width//2 + 1); ``out`` must be a
     third array of that shape. The deviation ``x - p`` is formed in ``out``,
-    scaled by the gain and shifted back by ``p``, one cache-sized block of
-    frequencies per pool item; the gain is built for one chunk of bands of the
-    block at a time (``DenoiseFactors.band_chunks``).
+    scaled by the gain and shifted back by ``p``, one block of frequencies
+    per pool item (``cube.each_block``); the gain is built for one chunk of
+    bands of the block at a time (``cube.block_chunks``).
     """
     bands = x_hat.shape[0]
-    x = x_hat.reshape(bands, -1)
-    p = p_hat.reshape(bands, -1)
-    v = out.reshape(bands, -1)
-    freq = fac.freq_term.reshape(-1)
-    chunks = fac.band_chunks()
+    chunks = block_chunks(bands)
 
-    def block(cols: slice) -> None:
-        vb, pb = v[:, cols], p[:, cols]
-        np.subtract(x[:, cols], pb, out=vb)
+    def block(x: np.ndarray, p: np.ndarray, v: np.ndarray, freq: np.ndarray) -> None:
+        np.subtract(x, p, out=v)
         for rows in chunks:
-            vb[rows] *= fac.gain(freq[cols], rows)
-        vb += pb
+            v[rows] *= fac.gain(freq, rows)
+        v += p
 
-    pool_map(block, column_blocks(x.shape[1]))
+    flat = (a.reshape(bands, -1) for a in (x_hat, p_hat, out))
+    each_block(block, *flat, fac.freq_term.reshape(-1))
 
 
 def vstep(

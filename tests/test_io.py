@@ -149,6 +149,15 @@ class TestCubeContainer:
         # no temp file is left behind, nor a manifest from the failed command
         assert [p.name for p in out_dir.iterdir()] == ["out"]
 
+    def test_failed_write_names_the_target_path(self, rng, tmp_path):
+        # the temp file is an implementation detail the caller never named
+        path = tmp_path / "missing" / "y.cube"
+        with pytest.raises(FileNotFoundError) as info:
+            save_cube(path, rand_cube(rng, 2, 4, 4))
+        assert str(path) in str(info.value)
+        assert ".tmp" not in str(info.value)
+        assert info.value.filename == str(path)
+
     def test_save_validation(self, rng, tmp_path):
         cube = rand_cube(rng, 1, 2, 2)
         with pytest.raises(ValidationError):

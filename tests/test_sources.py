@@ -6,8 +6,8 @@ private (``_``-prefixed) names; the package runs on numpy alone: no
 module imports scipy, and importing every module loads none; its one
 thread pool lives in ``hsfuse.cube``, which loads ``concurrent.futures``
 only when a map first needs a worker; only ``hsfuse.cube`` compares a
-cube's shape; and every public name has a caller in the program, the
-benchmark or the acceptance criteria.
+cube's shape or cuts work into slices; and every public name has a
+caller in the program, the benchmark or the acceptance criteria.
 """
 
 import ast
@@ -58,6 +58,21 @@ def test_only_cube_compares_cube_shapes():
         if path.name != "cube.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if _compares_data_shape(node)
+    ]
+    assert SOURCES and offenders == []
+
+
+def test_only_cube_cuts_work_into_slices():
+    # ``cube.stacks``, ``cube.chunks`` and ``cube.each_block`` decide how a
+    # pass is cut; a slice built elsewhere is a second rule beside them
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cube.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "slice"
     ]
     assert SOURCES and offenders == []
 

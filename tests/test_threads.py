@@ -1,9 +1,9 @@
-"""The package's thread pool: ``cube.pool_map``, its stacks of planes and channels, and
+"""The package's thread pool: ``cube.pool_map``, its stacks and chunks of rows, and
 byte-identical outputs at every pool size and stack size.
 
 The pool reads ``HSFUSE_THREADS`` at each map, and ``cube.stacks`` reads it
-and ``cube._STACK_BYTES`` at each call, so one process can run the same work
-at several sizes.
+and ``cube._STACK_BYTES`` at each call (``cube.chunks`` the cap alone), so
+one process can run the same work at several sizes.
 """
 
 import sys
@@ -15,7 +15,7 @@ import pytest
 
 import hsfuse.cube
 from helpers import desk_problem
-from hsfuse.cube import irdft2, pool_map, pool_size, rdft2, stacks
+from hsfuse.cube import block_chunks, chunks, irdft2, pool_map, pool_size, rdft2, stacks
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
 from hsfuse.hqs import HqsConfig, _Spectra, fuse
@@ -140,14 +140,22 @@ def test_map_under_contention_runs_each_item_once(monkeypatch):
 def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
     monkeypatch.setenv("HSFUSE_THREADS", str(threads))
     cap = hsfuse.cube._STACK_BYTES
-    for rows, row_bytes in ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1)):
+    cases = ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1), (32, 8192))
+    for rows, row_bytes in cases:
         got = [range(rows)[s] for s in stacks(rows, row_bytes)]
         assert [i for stack in got for i in stack] == list(range(rows))
         assert all(len(stack) * row_bytes <= cap or len(stack) == 1 for stack in got)
         assert len(got) >= min(rows, threads)
+        # one numpy call's chunks fill the cap whatever the pool size
+        got = [range(rows)[s] for s in chunks(rows, row_bytes)]
+        assert [i for chunk in got for i in chunk] == list(range(rows))
+        assert all(len(chunk) * row_bytes <= cap or len(chunk) == 1 for chunk in got)
+        assert len(got[0]) == min(rows, max(1, cap // row_bytes))
     # a desk plane stack holds several planes; a full-scale plane goes alone
     assert len(stacks(31, 64 * 33 * 16)) < 31
     assert len(stacks(31, 512 * 257 * 16)) == 31
+    # a block pass walks 8 bands of a full block's float64 gain at a time
+    assert [len(range(31)[s]) for s in block_chunks(31)] == [8, 8, 8, 7]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -173,10 +181,24 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
         misfit = solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
         return fixed.p_hat.tobytes(), v_hat.tobytes(), misfit, irdft2(v_hat, 64).tobytes()
 
-    stacked = run()
+    def fused():
+        result = fuse(y, z, model, prior, cfg)
+        return (
+            result.x_hat.data.tobytes(),
+            result.objective_trace,
+            result.rel_changes,
+            result.iterations,
+        )
+
+    stacked, whole = run(), fused()
     monkeypatch.setattr(hsfuse.cube, "_STACK_BYTES", 1)
     assert len(stacks(31, 64 * 33 * 16)) == 31
+    # the v-step, the score and the Sherman-Morrison update go one band or
+    # one member row at a time
+    assert len(block_chunks(31)) == 31
+    assert len(chunks(4, 64 * 33 * 16)) == 4
     assert run() == stacked
+    assert fused() == whole
 
 
 def test_fuse_makes_fewer_fft_calls_than_it_transforms_planes(monkeypatch):

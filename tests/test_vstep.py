@@ -215,7 +215,7 @@ class TestDenoiseFactors:
             c0, c1 = sorted(rng.integers(0, freq.size + 1, 2))
             rows, cols = slice(r0, r1), slice(c0, c1)
             assert np.array_equal(fac.gain(freq[cols], rows), whole[rows, cols])
-        assert np.array_equal(fac.gain(freq), whole)
+        assert np.array_equal(fac.gain(freq, slice(None)), whole)
 
     def test_holds_no_band_by_frequency_array(self):
         bands, h, w = 31, 32, 32
