@@ -13,11 +13,11 @@ non-overlapping block means.
 All three operators act on plain arrays through ``apply_array`` /
 ``adjoint_array`` and do not re-validate their input, with one exception:
 ``Downsampler.apply_array`` raises ``ValidationError`` when its factor does
-not divide the grid. A ``Downsampler`` is bound to no grid, and a hand-built
-``SylvesterSystem`` can pair it with one it does not divide;
-``sylvester_residual`` would then slice off the remainder and fail on an
-untyped broadcast error. Validation lives at the entry points: the
-constructors check their scalar arguments once, through
+not divide the grid. A ``Downsampler`` is bound to no grid and is applied to
+arrays on its own, outside any ``DegradationModel`` (acceptance criterion 1
+does so); slicing would otherwise drop the remainder silently and leave an
+untyped broadcast error to a later step. Validation lives at the entry
+points: the constructors check their scalar arguments once, through
 ``errors.check_int``/``check_real``, and ``DegradationModel`` owns the shape
 contract every solver relies on: ``check_hr`` for a high-resolution cube and
 ``check_data`` for the (y, z) pair. Adjoints are exact: for every pair

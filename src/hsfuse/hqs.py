@@ -16,16 +16,16 @@ v-step for the previous x, so no v goes unused.
 Every operator in L is circulant or pointwise in frequency, so x and v stay
 half spectra (see ``cube``) from the first iteration to the last, their
 band axis in the coordinates of U, the DCT-II basis in which the v-step is
-one gain per band and frequency (see ``vstep``). A run transforms each
-input once (the prior and z through ``cube.rdft2``, y on its
-low-resolution grid through ``sylvester.lowres_spectrum``), rotates the
-prior and y into U's coordinates (``cube.mix_bands``), factors both
-sub-steps once (the x-step from ``srf U``, with a data term that holds no
-cube: ``sylvester.data_term``; the v-step as a band vector and one
-half-grid table, its gain built per block of frequencies where it is
-used), and returns x through one rotation back and one inverse transform
-(``cube.irdft2``). Besides the prior's spectrum, x and v, the loop holds
-only z's spectrum.
+one gain per band and frequency (see ``vstep``). A run factors both
+sub-steps once, each in its own module: the v-step as a band vector and one
+half-grid table, its gain built per block of frequencies where it is used
+(``vstep.factor_denoise``), and the x-step in U's coordinates, with the data
+term of y and z and no cube of its own (``sylvester.XStep.create``, which
+transforms y on its low-resolution grid and z once). It transforms the
+prior once (``cube.rdft2``) and rotates it into U's coordinates
+(``cube.mix_bands``), and returns x through one rotation back and one
+inverse transform (``cube.irdft2``). Besides the prior's spectrum, x and v,
+the loop holds only z's spectrum.
 
 Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
 x_k, read off what the two exact steps compute. The y-term is the x-step's
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import HsiCube, block_chunks, half_spectrum, half_sums, irdft2, mix_bands, rdft2
+from .cube import HsiCube, block_chunks, half_sums, irdft2, mix_bands, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -135,37 +135,32 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Spectra:
     """What one run transforms and factors once, and the one pass that scores an iterate.
 
-    Everything is in the coordinates of U = ``denoise.basis``: ``srf`` is the
-    response times U, and ``p_hat`` (the prior's half spectrum) and the
-    x-step's data term are mixed by U^T.
+    Everything is in the coordinates of U = ``denoise.basis``: the x-step is
+    built in them (``xstep.srf`` is the response times U), and ``p_hat``, the
+    prior's half spectrum, is mixed by U^T.
     """
 
     cfg: HqsConfig
-    srf: np.ndarray
-    xstep: sylvester.XStepFactors
+    xstep: sylvester.XStep
     denoise: DenoiseFactors
-    data: sylvester.DataTerm
     p_hat: np.ndarray
 
     @classmethod
     def prepare(
         cls, y: HsiCube, z: HsiCube, model: DegradationModel, prior: HsiCube, cfg: HqsConfig
     ) -> "_Spectra":
-        bands = model.bands
-        height, width = model.hr_shape
-        lap_sq = half_spectrum(LaplacianOperator.create(height, width).response_sq)
-        denoise = factor_denoise(lap_sq, bands, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
-        u = denoise.basis
-        srf = model.srf.matrix @ u
-        xstep = sylvester.factor_xstep(
-            srf.T @ srf + cfg.rho * np.eye(bands), model.blur, model.down
-        )
-        y_tilde = sylvester.lowres_spectrum(model.down, y.data, height, width)
-        mix_bands(u.T, y_tilde)
-        data = sylvester.data_term(xstep, srf, y_tilde, rdft2(z.data))
+        # The order keeps the set-up's peak low: the Laplacian operator is
+        # bound to no name, so it is freed when factor_denoise returns, and z
+        # and then the prior are transformed only once the factors exist. At
+        # full scale (CLI fuse --iters 2 --threads 1), holding the operator
+        # through the set-up raised peak RSS by 3.1 MB, transforming z before
+        # the factors by 4.1 MB, and both together by 9.3 MB.
+        mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
+        denoise = factor_denoise(LaplacianOperator.create(*model.hr_shape), model.bands, mu_p, nu_p)
+        xstep = sylvester.XStep.create(model, denoise.basis, cfg.rho, y, z)
         p_hat = rdft2(prior.data)
-        mix_bands(u.T, p_hat)
-        return cls(cfg, srf, xstep, denoise, data, p_hat)
+        mix_bands(denoise.basis.T, p_hat)
+        return cls(cfg, xstep, denoise, p_hat)
 
     def score(
         self, x_hat: np.ndarray, y_term: float, x_old: np.ndarray | None = None
@@ -182,7 +177,7 @@ class _Spectra:
 
         def sums(x, p, freq, z_hat, *old) -> np.ndarray:
             """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
-            z_res = z_hat.view(np.float64) - self.srf @ x.view(np.float64)
+            z_res = z_hat.view(np.float64) - self.xstep.srf @ x.view(np.float64)
             # one dot per band for each sum; each row is then summed over all
             # bands at once, so a block's sums do not depend on the chunking
             rows = np.empty((3 if old else 1, len(x)))
@@ -200,7 +195,7 @@ class _Spectra:
             return np.array([_row_dots(z_res, z_res).sum(), *(r.sum() for r in rows)])
 
         width = self.xstep.width
-        arrays = (x_hat, self.p_hat, self.denoise.freq_term, self.data.z_hat)
+        arrays = (x_hat, self.p_hat, self.denoise.freq_term, self.xstep.z_hat)
         if x_old is not None:
             arrays += (x_old,)
         z_sq, coupled, *stop = half_sums(sums, arrays, width)
@@ -257,7 +252,7 @@ def fuse(
         if k > 0:
             denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
         # looked up on its module, so a wrapper installed there sees every x-step
-        y_term = sylvester.solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
+        y_term = sylvester.solve_spectrum(fixed.xstep, v_hat)
         x_hat, v_hat = v_hat, x_hat
         objective, change = fixed.score(x_hat, y_term, v_hat if k > 0 else None)
         iterations = k + 1

@@ -14,14 +14,15 @@ whose band vectors are in U's coordinates (mixed by U^T), the solve is
 
     v = p + g * (x - p),    g[k, f] = 1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k).
 
-``factor_denoise`` builds ``DenoiseFactors`` once for fixed weights: the
-basis U and the gain's two terms, ``nu_p*d_k`` per band and ``1 +
-mu_p*|lap(f)|^2`` per frequency, not the gain itself. ``denoise_spectrum``
-builds the gain for a few bands of one block of frequencies at a time and
-applies it, with no transform and no band mix, to spectra that the HQS loop
-keeps in U's coordinates (see ``hqs``, which also reads the objective's
-coupling and regularizer off the gain, built the same way). Each frequency
-is solved on its own, so it runs unchanged on half spectra (see ``cube``).
+``factor_denoise`` builds ``DenoiseFactors`` once for fixed weights and a
+``LaplacianOperator``: the basis U and the gain's two terms, ``nu_p*d_k`` per
+band and ``1 + mu_p*|lap(f)|^2`` per frequency of the half grid, not the gain
+itself. ``denoise_spectrum`` builds the gain for a few bands of one block of
+frequencies at a time and applies it, with no transform and no band mix, to
+spectra that the HQS loop keeps in U's coordinates (see ``hqs``, which also
+reads the objective's coupling and regularizer off the gain, built the same
+way). Each frequency is solved on its own, so it runs unchanged on half
+spectra (see ``cube``).
 ``vstep``, the one-shot spatial form, rotates x_next and the prior
 (``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain,
 rotates back and transforms back (``idft2_per_band``). ``solve_tridiagonal``
@@ -117,10 +118,10 @@ class DenoiseFactors:
         return np.reciprocal(gain, out=gain)
 
 
-def factor_denoise(lap_sq: np.ndarray, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """U and the gain's terms for ``lap_sq``, ``|lap(f)|^2`` on the half grid."""
+def factor_denoise(lap: LaplacianOperator, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
+    """U and the gain's terms, with ``|lap(f)|^2`` taken on the half grid."""
     eig, basis = spectral_gram_eig(bands)
-    return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * lap_sq)
+    return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * half_spectrum(lap.response_sq))
 
 
 def denoise_spectrum(
@@ -166,7 +167,7 @@ def vstep(
     lap.check_grid(x_next)
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
-    fac = factor_denoise(half_spectrum(lap.response_sq), x_next.bands, mu_p, nu_p)
+    fac = factor_denoise(lap, x_next.bands, mu_p, nu_p)
 
     def rotated(cube: HsiCube) -> np.ndarray:
         data = cube.data.copy()

@@ -4,10 +4,15 @@ Everything here is deliberately independent of the library's FFT-based
 implementations: blur is evaluated tap by tap with np.roll, dense operator
 matrices are built from impulses, and adjointness is checked through raw
 inner products. The x-step and v-step oracles live here too: matrix-free
-conjugate gradient on the full Sylvester operator, the band difference's
-tridiagonal normal matrix, and the gradient of the v-step objective. ``fuse_spatial`` is the HQS loop in the spatial domain,
-the reference the spectral ``hsfuse.hqs.fuse`` is compared against, and
-``ssim_direct`` forms the SSIM window sums window by window, with no FFT.
+conjugate gradient on the full Sylvester operator (the tests' other
+independent x-step oracle is the dense Kronecker solve), the band
+difference's tridiagonal normal matrix, and the gradient of the v-step
+objective. ``fuse_spatial`` is the HQS loop in the spatial domain, the
+reference the spectral ``hsfuse.hqs.fuse`` is compared against. It shares
+the x-step kernel with the loop (``solve_fast`` runs the loop's x-step once,
+in the identity band basis), so it checks the loop's spectral bookkeeping,
+the v-step and the scoring, not the x-step itself. ``ssim_direct`` forms
+the SSIM window sums window by window, with no FFT.
 ``desk_problem`` builds one of the acceptance gate's desk fusions.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
 objective over (x, v) at fixed rho, from one dense solve.

@@ -287,6 +287,18 @@ class TestExitCodes:
         manifest = json.loads(open(out + ".manifest.json").read())
         assert manifest["error"]["type"] == "LinAlgError"
 
+    def test_rho_too_small_for_c1_exits_4_and_names_rho(self, pipeline):
+        tmp, paths = pipeline
+        # the 3-band response leaves R^T R rank 3 over 8 bands, so at rho
+        # 1e-30 the smallest eigenvalue of C1 = R^T R + rho*I rounds below zero
+        out = str(tmp / "o.cube")
+        rc = main(["fuse", "--y", paths["y"], "--z", paths["z"], "--rho", "1e-30",
+                   "--out", out])
+        assert rc == 4
+        error = json.loads(open(out + ".manifest.json").read())["error"]
+        assert error["type"] == "UnsupportedStructureError"
+        assert "rho" in error["message"]
+
 
 class TestThreads:
     BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -313,7 +313,7 @@ class TestSpectralLoop:
         for _ in range(3):
             v_prev = rand_cube(rng, *prior.data.shape)
             x_hat = loop_spectrum(fixed, v_prev)
-            y_term = solve_spectrum(fixed.xstep, x_hat, cfg.rho, fixed.data)
+            y_term = solve_spectrum(fixed.xstep, x_hat)
             got, change = fixed.score(x_hat, y_term)
             x = solve_fast(build_system(model, y, z, v_prev, cfg.rho))
             v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
@@ -332,12 +332,30 @@ class TestSpectralLoop:
         ):
             fixed = _Spectra.prepare(y, z, model, prior, cfg)
             x_hat = loop_spectrum(fixed, v_prev)
-            got = solve_spectrum(fixed.xstep, x_hat, cfg.rho, fixed.data)
+            got = solve_spectrum(fixed.xstep, x_hat)
             x = np.fft.irfft2(
                 np.tensordot(fixed.denoise.basis, x_hat, axes=(1, 0)), s=prior.data.shape[1:]
             )
             want = float(np.sum((y.data - model.down.apply_array(model.blur.apply_array(x))) ** 2))
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family,arg", [("desk", 0)] + [("variant", kind) for kind in VARIANTS])
+    def test_xstep_does_not_depend_on_the_band_basis(self, family, arg, rng):
+        # solve_fast runs the loop's x-step in the identity basis; the loop
+        # runs it in U's coordinates, with C1 and the data term rotated by U
+        model, y, z, prior = build_problem(family, arg)
+        for cfg, v in (
+            (HqsConfig(), prior),
+            (HqsConfig(mu=0.3, nu=0.02, rho=0.15), rand_cube(rng, *prior.data.shape)),
+        ):
+            fixed = _Spectra.prepare(y, z, model, prior, cfg)
+            x_hat = loop_spectrum(fixed, v)
+            solve_spectrum(fixed.xstep, x_hat)
+            got = np.fft.irfft2(
+                np.tensordot(fixed.denoise.basis, x_hat, axes=(1, 0)), s=prior.data.shape[1:]
+            )
+            want = solve_fast(build_system(model, y, z, v, cfg.rho))
+            assert relative_gap(got, want.data) <= 1e-12
 
     def test_one_scoring_pass_per_iteration_and_no_unused_vstep(self, monkeypatch):
         model, y, z, prior = desk_problem(0)

@@ -178,7 +178,7 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
     def run():
         fixed = _Spectra.prepare(y, z, model, prior, cfg)
         v_hat = fixed.p_hat.copy()
-        misfit = solve_spectrum(fixed.xstep, v_hat, cfg.rho, fixed.data)
+        misfit = solve_spectrum(fixed.xstep, v_hat)
         return fixed.p_hat.tobytes(), v_hat.tobytes(), misfit, irdft2(v_hat, 64).tobytes()
 
     def fused():
