@@ -12,11 +12,12 @@ Conventions, fixed so numbers are comparable across runs:
   below 1e-6 are excluded with a warning.
 * SSIM follows the single-scale formulation with an 11x11 Gaussian window
   (sigma 1.5), K1 = 0.01, K2 = 0.03, dynamic range 1.0, window-weighted
-  moments, and 'valid'-mode borders; per-band values are averaged. One
-  circular blur of the stack (a, b, a*a, b*b, a*b) by the center-anchored
-  ``BlurOperator.gaussian``, built once per call, gives a band's five window
-  sums; rows [5, H-5) and columns [5, W-5) are the pixels whose window never
-  wraps around the border, which is exactly the 'valid' region.
+  moments, and 'valid'-mode borders; per-band values are averaged. The
+  window sums of a, b, a*a + b*b and a*b are two GEMM passes of the 1-D
+  profile over 'valid' rows only, the second on the transposed first.
+
+One ``pool_map`` item per band returns its squared error, reference mean and
+SSIM; SAM runs per ``each_block`` block of pixels. Both add up in item order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .cube import HsiCube
-from .degradation import BlurOperator
+from .cube import HsiCube, each_block, pool_map
 from .errors import ValidationError, check_int
 
 __all__ = ["MetricReport", "CSV_HEADER", "evaluate"]
@@ -40,6 +41,12 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _PSNR_CAP = 99.0
+# A window pass makes one GEMM per stack of this many output rows, with the
+# (rows, rows + 10) Toeplitz block of the normalized 1-D Gaussian profile.
+_SSIM_ROWS = 32
+_PROFILE = np.exp(-0.5 * (np.arange(-5, 6) / _SSIM_SIGMA) ** 2)
+_PROFILE /= _PROFILE.sum()
+_TAPS = sum(g * np.eye(_SSIM_ROWS, _SSIM_ROWS + 10, k) for k, g in enumerate(_PROFILE))
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,63 @@ class MetricReport:
         )
 
 
-def _ssim_band(a: np.ndarray, b: np.ndarray, window: BlurOperator) -> float:
+def _window_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:, i] = sum_k g[k] x[:, i + k]`` over the 'valid' rows i of the (n, rows, cols) ``x``.
+
+    Each stack of output rows is one GEMM of ``_TAPS`` by a view of the input
+    rows it reads; the leftover rows take the top-left corner of ``_TAPS``.
+    """
+    n, rows, cols = x.shape
+    full, tail = divmod(rows - _SSIM_WINDOW + 1, _SSIM_ROWS)
+    done, (s0, s1, s2) = full * _SSIM_ROWS, x.strides
+    blocks = as_strided(x, (n, full, _SSIM_ROWS + 10, cols), (s0, _SSIM_ROWS * s1, s1, s2))
+    np.matmul(_TAPS, blocks, out=out[:, :done].reshape(n, full, _SSIM_ROWS, cols))
+    np.matmul(_TAPS[:tail, : tail + 10], x[:, done:], out=out[:, done:])
+    return out
+
+
+def _band_scores(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """Mean squared error, reference mean and mean SSIM of one band pair."""
+    h, w = a.shape
+    vh, vw = h - _SSIM_WINDOW + 1, w - _SSIM_WINDOW + 1
+    # ``first`` holds the window inputs, then their row sums transposed, then
+    # the SSIM map; ``second`` the row sums, then the window sums (transposed)
+    first, second = np.empty(4 * h * w), np.empty(4 * vh * w)
+    inputs = first.reshape(4, h, w)
+    mse = float(np.mean(np.square(np.subtract(a, b, out=inputs[0]), out=inputs[0])))
+    inputs[0], inputs[1] = a, b
+    np.add(np.square(a, out=inputs[2]), np.square(b, out=inputs[3]), out=inputs[2])
+    np.multiply(a, b, out=inputs[3])
+    rows = _window_rows(inputs, second.reshape(4, vh, w))
+    turned = first[: 4 * w * vh].reshape(4, w, vh)
+    turned[...] = rows.transpose(0, 2, 1)
+    # SSIM's mean does not mind the transpose; only var_a + var_b enters it
+    mu_a, mu_b, sq, ab = _window_rows(turned, second[: 4 * vw * vh].reshape(4, vw, vh))
     c1, c2 = _SSIM_K1**2, _SSIM_K2**2
-    h = _SSIM_WINDOW // 2
-    sums = window.apply_array(np.stack((a, b, a * a, b * b, a * b)))[:, h:-h, h:-h]
-    mu_a, mu_b, sq_a, sq_b, ab = sums
-    var_a = sq_a - mu_a * mu_a
-    var_b = sq_b - mu_b * mu_b
-    cov = ab - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    num = np.multiply(mu_a, mu_b, out=first[: vw * vh].reshape(vw, vh))
+    ab -= num  # cov
+    for term, shift in ((num, c1), (ab, c2)):
+        term *= 2.0
+        term += shift
+    num *= ab
+    np.square(mu_a, out=mu_a)
+    mu_a += np.square(mu_b, out=mu_b)
+    sq -= mu_a  # var_a + var_b
+    sq += c2
+    mu_a += c1
+    mu_a *= sq
+    num /= mu_a
+    return mse, float(np.mean(b)), float(np.mean(num))
+
+
+def _sam_block(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+    """Spectral angle sum (degrees) and count over the valid pixels of a block of columns."""
+    dots, sq_a, sq_b = (np.einsum("ij,ij->j", u, v) for u, v in ((a, b), (a, a), (b, b)))
+    valid = (sq_a > 0) & (sq_b > 0)
+    # sqrt of the product (not product of sqrts) so identical spectra give
+    # cosine exactly 1
+    cosines = np.clip(dots[valid] / np.sqrt(sq_a[valid] * sq_b[valid]), -1.0, 1.0)
+    return float(np.sum(np.degrees(np.arccos(cosines)))), int(np.count_nonzero(valid))
 
 
 def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
@@ -90,17 +143,8 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
         raise ValidationError(
             f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
         )
-    window = BlurOperator.gaussian(x_hat.height, x_hat.width, _SSIM_SIGMA, _SSIM_WINDOW)
-    # one band at a time, so no temporary is larger than one band's stack of
-    # five SSIM window sums; the SAM sums over bands run per pixel, in band order
-    dots, sq_a, sq_b = (np.zeros(x_hat.data.shape[1:]) for _ in range(3))
-    per_band = []
-    for a, b in zip(x_hat.data, x_ref.data):
-        diff = a - b
-        per_band.append((np.mean(diff * diff), np.mean(b), _ssim_band(a, b, window)))
-        dots += a * b
-        sq_a += a * a
-        sq_b += b * b
+    per_band = pool_map(lambda k: _band_scores(x_hat.data[k], x_ref.data[k]), range(x_hat.bands))
+    per_block = each_block(_sam_block, *(c.data.reshape(c.bands, -1) for c in (x_hat, x_ref)))
     mse_b, ref_means, ssim_b = np.array(per_band).T
 
     rmse = 255.0 * float(np.sqrt(np.mean(mse_b)))
@@ -108,14 +152,8 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
     with np.errstate(divide="ignore"):
         psnr = float(np.mean(np.minimum(10.0 * np.log10(1.0 / mse_b), _PSNR_CAP)))
 
-    valid = (sq_a > 0) & (sq_b > 0)
-    if np.any(valid):
-        # sqrt of the product (not product of sqrts) so identical spectra give
-        # cosine exactly 1
-        cosines = np.clip(dots[valid] / np.sqrt(sq_a[valid] * sq_b[valid]), -1.0, 1.0)
-        sam = float(np.mean(np.degrees(np.arccos(cosines))))
-    else:
-        sam = 0.0
+    angles, count = (sum(v) for v in zip(*per_block))
+    sam = angles / count if count else 0.0
 
     usable = ref_means >= 1e-6
     if not np.all(usable):
@@ -130,5 +168,4 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
         ergas = 0.0
 
     ssim = float(np.mean(ssim_b))
-
     return MetricReport(rmse=rmse, psnr=psnr, sam=sam, ergas=ergas, ssim=ssim)

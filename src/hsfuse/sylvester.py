@@ -48,10 +48,10 @@ dense Kronecker solve and matrix-free conjugate gradient).
 
 Every ``DegradationModel`` has a grid its factor divides, and C1 is positive
 definite for rho > 0 in exact arithmetic. R^T R has rank at most the number
-of mixed bands, though, so at rho of about 1e-17 or below the smallest
-eigenvalue of C1 can round to zero or below; ``XStep.create`` then raises
-``UnsupportedStructureError`` (CLI exit code 4) naming rho, rather than
-falling back to an iterative solver.
+of mixed bands, though, so at rho of about 1e-15 or below the smallest
+eigenvalue of C1 is lost in roundoff. ``XStep.create`` raises
+``UnsupportedStructureError`` (CLI exit code 4) naming rho whenever it is
+below ``4 * bands * eps`` times the largest, rather than falling back.
 
 Inputs are validated where they enter: ``SylvesterSystem`` (which
 ``build_system`` builds) checks rho, then the shapes of y, z and v against
@@ -208,10 +208,12 @@ class XStep:
         height, width = model.hr_shape
         srf = model.srf.matrix @ basis
         lam, q = np.linalg.eigh(srf.T @ srf + rho * np.eye(model.bands))
-        if lam[0] <= 0:
+        # eigh's error is about bands * eps * lam[-1]: below that, lam[0]'s sign is noise
+        floor = 4 * model.bands * np.finfo(np.float64).eps * lam[-1]
+        if lam[0] < floor:
             raise UnsupportedStructureError(
                 f"rho = {rho:.3e} is too small: C1 = R^T R + rho*I is not positive "
-                f"definite in floating point (smallest eigenvalue {lam[0]:.3e})"
+                f"definite in floating point (smallest eigenvalue {lam[0]:.3e} < {floor:.3e})"
             )
         gl, gw = height // s, width // s
         pr, pc = model.down.phase

@@ -299,6 +299,21 @@ class TestExitCodes:
         assert error["type"] == "UnsupportedStructureError"
         assert "rho" in error["message"]
 
+    @pytest.mark.parametrize("bands", [4, 8, 31])
+    def test_tiny_rho_exits_4_at_every_band_count(self, tmp_path, bands):
+        # C1's smallest eigenvalue at rho 1e-30 is roundoff of either sign
+        # (positive at 4 bands), so the refusal must not hang on that sign
+        p = {k: str(tmp_path / f"{k}.cube") for k in ("gt", "y", "z", "x")}
+        assert main(["simulate", "--bands", str(bands), "--size", "16", "--endmembers", "2",
+                     "--out", p["gt"]]) == 0
+        assert main(["degrade", "--in", p["gt"], "--blur", "block:4", "--factor", "4",
+                     "--out-y", p["y"], "--out-z", p["z"]]) == 0
+        rc = main(["fuse", "--y", p["y"], "--z", p["z"], "--rho", "1e-30", "--out", p["x"]])
+        assert rc == 4
+        error = json.loads(open(p["x"] + ".manifest.json").read())["error"]
+        assert error["type"] == "UnsupportedStructureError"
+        assert "rho" in error["message"]
+
 
 class TestThreads:
     BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -6,18 +6,22 @@ import pytest
 
 from helpers import rand_cube, ssim_direct
 from hsfuse.cube import HsiCube
+from hsfuse.degradation import BlurOperator
 from hsfuse.errors import ValidationError
 from hsfuse.metrics import CSV_HEADER, evaluate
 
 
 def test_identical_cubes_report_is_exact(rng):
-    cube = rand_cube(rng, 4, 16, 16, lo=0.1, hi=1.0)
-    rep = evaluate(cube, HsiCube(cube.data.copy()), factor=2)
-    assert rep.rmse == 0.0
-    assert rep.psnr == 99.0
-    assert rep.sam == 0.0
-    assert rep.ergas == 0.0
-    assert rep.ssim == 1.0
+    # 16x16 leaves fewer 'valid' rows than one GEMM stack of the SSIM window
+    # sums; 90x77 takes two full stacks and a tail in each pass
+    for shape in ((4, 16, 16), (2, 90, 77)):
+        cube = rand_cube(rng, *shape, lo=0.1, hi=1.0)
+        rep = evaluate(cube, HsiCube(cube.data.copy()), factor=2)
+        assert rep.rmse == 0.0
+        assert rep.psnr == 99.0
+        assert rep.sam == 0.0
+        assert rep.ergas == 0.0
+        assert rep.ssim == 1.0
 
 
 def test_rmse_formula(rng):
@@ -28,18 +32,22 @@ def test_rmse_formula(rng):
     assert rep.rmse == pytest.approx(want, rel=1e-14)
 
 
-def test_evaluate_peak_memory_stays_below_one_cube(rng):
-    # bands are scored one at a time; only per-band temporaries and the three
-    # per-pixel SAM sums are held, never a cube-sized difference or product
+def test_evaluate_peak_memory_stays_below_one_cube(rng, monkeypatch):
+    # each pool item scores one band in buffers of its own, and SAM runs over
+    # blocks of pixels; with two threads two bands' buffers are held at once,
+    # never a cube-sized difference or product
     a = rand_cube(rng, 31, 64, 64, lo=0.1, hi=1.0)
     b = rand_cube(rng, 31, 64, 64, lo=0.1, hi=1.0)
-    tracemalloc.start()
-    try:
-        evaluate(a, b, factor=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < a.data.nbytes
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        evaluate(a, b, factor=4)  # the pool's threads exist before tracing
+        tracemalloc.start()
+        try:
+            evaluate(a, b, factor=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.data.nbytes, threads
 
 
 def test_psnr_per_band_mean_and_cap(rng):
@@ -128,6 +136,36 @@ def test_ssim_matches_direct_window_sums(rng, shape):
     noisy = ref + rng.normal(0.0, 0.1, shape)
     got = evaluate(HsiCube(noisy), HsiCube(ref), factor=1).ssim
     assert got == pytest.approx(ssim_direct(noisy, ref), rel=1e-10)
+
+
+# Each pass of the window sums makes one GEMM per stack of 32 'valid' rows and
+# one for the rows left over; these shapes leave 1, 32, 33 and 2*32 + k valid
+# rows or columns, so full stacks, tails and lone tails all occur.
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 11, 42), (1, 42, 43), (1, 43, 79), (2, 75, 70), (1, 11, 64), (1, 64, 11), (1, 43, 43)],
+)
+def test_ssim_matches_direct_sums_where_row_stacks_split_unevenly(rng, shape):
+    ref = rng.uniform(0.0, 1.0, shape)
+    noisy = ref + rng.normal(0.0, 0.1, shape)
+    got = evaluate(HsiCube(noisy), HsiCube(ref), factor=1).ssim
+    assert got == pytest.approx(ssim_direct(noisy, ref), rel=1e-10)
+
+
+def test_full_scale_band_ssim_matches_circular_blur_of_the_window_inputs(rng):
+    # the other way to the same 'valid' sums: blur a, b, a*a, b*b and a*b
+    # circularly by the center-anchored window and keep the pixels whose
+    # window never wraps (ssim_direct would take seconds at this size)
+    ref = rng.uniform(0.0, 1.0, (512, 512))
+    noisy = ref + rng.normal(0.0, 0.1, ref.shape)
+    window = BlurOperator.gaussian(512, 512, 1.5, 11)
+    stack = np.stack((noisy, ref, noisy * noisy, ref * ref, noisy * ref))
+    mu_a, mu_b, sq_a, sq_b, ab = window.apply_array(stack)[:, 5:-5, 5:-5]
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * (ab - mu_a * mu_b) + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (sq_a - mu_a**2 + sq_b - mu_b**2 + c2)
+    got = evaluate(HsiCube(noisy[None]), HsiCube(ref[None]), factor=1).ssim
+    assert got == pytest.approx(float(np.mean(num / den)), rel=1e-12)
 
 
 def test_ssim_penalizes_noise(rng):

@@ -160,6 +160,24 @@ class TestSolveFast:
         with pytest.raises(UnsupportedStructureError, match="rho"):
             solve_fast(system)
 
+    @pytest.mark.parametrize("bands", [4, 8, 31])
+    def test_tiny_rho_is_refused_whatever_the_roundoff_sign(self, rng, bands):
+        # at rho 1e-30 the smallest eigenvalue of C1 is pure roundoff: in the
+        # loop's band basis it comes out positive at 4 bands and negative at
+        # 8 and 31, so the refusal must not rest on its sign. A rho a few
+        # decades above the roundoff floor is solved.
+        model = DegradationModel(
+            BlurOperator.uniform_block(8, 8, 2), Downsampler(2), SpectralResponse.default_rgb(bands)
+        )
+        gt = rand_cube(rng, bands, 8, 8, lo=0.0, hi=1.0)
+        y, z = model.degrade(gt)
+        with pytest.raises(UnsupportedStructureError, match="rho"):
+            solve_fast(build_system(model, y, z, gt, rho=1e-30))
+        with pytest.raises(UnsupportedStructureError, match="rho"):
+            fuse(y, z, model, gt, HqsConfig(rho=1e-30))
+        solve_fast(build_system(model, y, z, gt, rho=1e-12))
+        fuse(y, z, model, gt, HqsConfig(rho=1e-12, max_iter=1))
+
 
 class TestSolveCG:
     def test_warm_start_at_solution_returns_immediately(self, rng):
