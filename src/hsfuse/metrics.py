@@ -17,14 +17,15 @@ Conventions, fixed so numbers are comparable across runs:
   profile over 'valid' rows only, the second on the transposed first.
 
 One ``pool_map`` item per band returns its squared error, reference mean and
-SSIM; SAM runs per ``each_block`` block of pixels. Both add up in item order.
+SSIM, scored a strip of rows at a time in two strip-sized buffers; SAM runs
+per ``each_block`` block of pixels. Both add up in item order.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -38,15 +39,16 @@ CSV_HEADER = "rmse,psnr,ergas,sam,ssim"
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
-_SSIM_K1 = 0.01
-_SSIM_K2 = 0.03
+_SSIM_C1 = 0.01**2  # (K1 * dynamic range)^2
+_SSIM_C2 = 0.03**2  # (K2 * dynamic range)^2
 _PSNR_CAP = 99.0
 # A window pass makes one GEMM per stack of this many output rows, with the
-# (rows, rows + 10) Toeplitz block of the normalized 1-D Gaussian profile.
+# (rows, rows + window - 1) Toeplitz block of the normalized 1-D Gaussian profile
 _SSIM_ROWS = 32
-_PROFILE = np.exp(-0.5 * (np.arange(-5, 6) / _SSIM_SIGMA) ** 2)
+_SPAN = _SSIM_ROWS + _SSIM_WINDOW - 1
+_PROFILE = np.exp(-0.5 * ((np.arange(_SSIM_WINDOW) - _SSIM_WINDOW // 2) / _SSIM_SIGMA) ** 2)
 _PROFILE /= _PROFILE.sum()
-_TAPS = sum(g * np.eye(_SSIM_ROWS, _SSIM_ROWS + 10, k) for k, g in enumerate(_PROFILE))
+_TAPS = sum(g * np.eye(_SSIM_ROWS, _SPAN, k) for k, g in enumerate(_PROFILE))
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,7 @@ class MetricReport:
     ssim: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "rmse": self.rmse,
-            "psnr": self.psnr,
-            "sam": self.sam,
-            "ergas": self.ergas,
-            "ssim": self.ssim,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -85,9 +81,9 @@ def _window_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     n, rows, cols = x.shape
     full, tail = divmod(rows - _SSIM_WINDOW + 1, _SSIM_ROWS)
     done, (s0, s1, s2) = full * _SSIM_ROWS, x.strides
-    blocks = as_strided(x, (n, full, _SSIM_ROWS + 10, cols), (s0, _SSIM_ROWS * s1, s1, s2))
+    blocks = as_strided(x, (n, full, _SPAN, cols), (s0, _SSIM_ROWS * s1, s1, s2))
     np.matmul(_TAPS, blocks, out=out[:, :done].reshape(n, full, _SSIM_ROWS, cols))
-    np.matmul(_TAPS[:tail, : tail + 10], x[:, done:], out=out[:, done:])
+    np.matmul(_TAPS[:tail, : tail + _SSIM_WINDOW - 1], x[:, done:], out=out[:, done:])
     return out
 
 
@@ -95,34 +91,42 @@ def _band_scores(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Mean squared error, reference mean and mean SSIM of one band pair."""
     h, w = a.shape
     vh, vw = h - _SSIM_WINDOW + 1, w - _SSIM_WINDOW + 1
-    # ``first`` holds the window inputs, then their row sums transposed, then
-    # the SSIM map; ``second`` the row sums, then the window sums (transposed)
-    first, second = np.empty(4 * h * w), np.empty(4 * vh * w)
-    inputs = first.reshape(4, h, w)
-    mse = float(np.mean(np.square(np.subtract(a, b, out=inputs[0]), out=inputs[0])))
-    inputs[0], inputs[1] = a, b
-    np.add(np.square(a, out=inputs[2]), np.square(b, out=inputs[3]), out=inputs[2])
-    np.multiply(a, b, out=inputs[3])
-    rows = _window_rows(inputs, second.reshape(4, vh, w))
-    turned = first[: 4 * w * vh].reshape(4, w, vh)
-    turned[...] = rows.transpose(0, 2, 1)
-    # SSIM's mean does not mind the transpose; only var_a + var_b enters it
-    mu_a, mu_b, sq, ab = _window_rows(turned, second[: 4 * vw * vh].reshape(4, vw, vh))
-    c1, c2 = _SSIM_K1**2, _SSIM_K2**2
-    num = np.multiply(mu_a, mu_b, out=first[: vw * vh].reshape(vw, vh))
-    ab -= num  # cov
-    for term, shift in ((num, c1), (ab, c2)):
-        term *= 2.0
-        term += shift
-    num *= ab
-    np.square(mu_a, out=mu_a)
-    mu_a += np.square(mu_b, out=mu_b)
-    sq -= mu_a  # var_a + var_b
-    sq += c2
-    mu_a += c1
-    mu_a *= sq
-    num /= mu_a
-    return mse, float(np.mean(b)), float(np.mean(num))
+    # a strip of SSIM rows is one Toeplitz block. ``first`` holds its window
+    # inputs, their row sums transposed, then its SSIM map; ``second`` the row
+    # sums, then the window sums
+    first, second = np.empty(4 * _SPAN * w), np.empty(4 * _SSIM_ROWS * w)
+    err = total = 0.0
+    for lo in range(0, vh, _SSIM_ROWS):
+        n = min(_SSIM_ROWS, vh - lo)
+        m = n + _SSIM_WINDOW - 1
+        sa, sb = a[lo : lo + m], b[lo : lo + m]
+        inputs = first[: 4 * m * w].reshape(4, m, w)
+        own = m if lo + n == vh else n  # rows no later strip reads: each error counts once
+        diff = np.subtract(sa[:own], sb[:own], out=inputs[0, :own])
+        err += float(np.vdot(diff, diff))
+        inputs[0], inputs[1] = sa, sb
+        np.add(np.square(sa, out=inputs[2]), np.square(sb, out=inputs[3]), out=inputs[2])
+        np.multiply(sa, sb, out=inputs[3])
+        rows = _window_rows(inputs, second[: 4 * n * w].reshape(4, n, w))
+        turned = first[: 4 * w * n].reshape(4, w, n)
+        turned[...] = rows.transpose(0, 2, 1)
+        # SSIM's mean does not mind the transpose; only var_a + var_b enters it
+        mu_a, mu_b, sq, ab = _window_rows(turned, second[: 4 * vw * n].reshape(4, vw, n))
+        num = np.multiply(mu_a, mu_b, out=first[: vw * n].reshape(vw, n))
+        ab -= num  # cov
+        for term, shift in ((num, _SSIM_C1), (ab, _SSIM_C2)):
+            term *= 2.0
+            term += shift
+        num *= ab
+        np.square(mu_a, out=mu_a)
+        mu_a += np.square(mu_b, out=mu_b)
+        sq -= mu_a  # var_a + var_b
+        sq += _SSIM_C2
+        mu_a += _SSIM_C1
+        mu_a *= sq
+        num /= mu_a
+        total += float(np.sum(num))
+    return err / (h * w), float(np.mean(b)), total / (vh * vw)
 
 
 def _sam_block(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
@@ -161,11 +165,7 @@ def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
             f"ERGAS: excluded {int(np.sum(~usable))} band(s) with near-zero reference mean",
             stacklevel=2,
         )
-    if np.any(usable):
-        ratios = mse_b[usable] / ref_means[usable] ** 2
-        ergas = (100.0 / factor) * float(np.sqrt(np.mean(ratios)))
-    else:
-        ergas = 0.0
+    ratios = mse_b[usable] / ref_means[usable] ** 2
+    ergas = (100.0 / factor) * float(np.sqrt(np.mean(ratios))) if ratios.size else 0.0
 
-    ssim = float(np.mean(ssim_b))
-    return MetricReport(rmse=rmse, psnr=psnr, sam=sam, ergas=ergas, ssim=ssim)
+    return MetricReport(rmse=rmse, psnr=psnr, sam=sam, ergas=ergas, ssim=float(np.mean(ssim_b)))

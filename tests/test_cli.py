@@ -402,6 +402,19 @@ def write_inputs(tmp_path, bands, size, factor):
     return gt.data.nbytes
 
 
+def cli_peak_rss_mb(args: list[str], out, out_flag: str = "--out") -> float:
+    """Peak RSS (MB) from the manifest of one CLI run in a fresh interpreter."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    # through a shell that forks it: a child spawned straight from this
+    # process starts its ru_maxrss at this process's own peak
+    cmd = [sys.executable, "-m", "hsfuse", *args, out_flag, str(out)]
+    subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", *cmd],
+                   env=env, capture_output=True, check=True)
+    return json.loads(open(str(out) + ".manifest.json").read())["peak_rss_mb"]
+
+
 class TestMemory:
     def test_fuse_peak_stays_below_5_9_cubes(self, tmp_path):
         # from loading y and z to writing x: the naive prior while it is
@@ -436,20 +449,31 @@ class TestMemory:
         assert main(["degrade", "--in", str(tmp_path / "gt.cube"), "--blur", "block:8",
                      "--factor", "8", "--out-y", str(tmp_path / "y.cube"),
                      "--out-z", str(tmp_path / "z.cube")]) == 0
-        root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
-        env = os.environ.copy()
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
-        peaks = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"x{threads}.cube"
-            subprocess.run(
-                [sys.executable, "-m", "hsfuse", "fuse", "--threads", threads,
-                 "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
-                 "--iters", "2", "--out", str(out)],
-                env=env, capture_output=True, check=True,
-            )
-            peaks.append(json.loads(open(str(out) + ".manifest.json").read())["peak_rss_mb"])
+        peaks = [
+            cli_peak_rss_mb(["fuse", "--threads", threads, "--y", str(tmp_path / "y.cube"),
+                             "--z", str(tmp_path / "z.cube"), "--iters", "2"],
+                            tmp_path / f"x{threads}.cube")
+            for threads in ("1", "8")
+        ]
         assert peaks[1] - peaks[0] < 25.0
+
+    def test_evaluate_peak_rss_grows_little_with_the_pool(self, tmp_path):
+        # each pool item scores one band a strip of SSIM rows at a time, so a
+        # thread's buffers do not grow with the image. Measured on a 2-vCPU
+        # box, 31x256x256, --threads 8 minus --threads 1 (MB = 1e6 bytes):
+        # 29.0-29.4 with whole-band buffers per item, 4.6-4.9 with strip
+        # buffers, 4.8-4.9 with the earlier one-band-at-a-time FFT SSIM
+        pytest.importorskip("resource")
+        for seed, name in ((0, "gt"), (1, "xh")):
+            assert main(["simulate", "--bands", "31", "--size", "256", "--seed", str(seed),
+                         "--out", str(tmp_path / f"{name}.cube")]) == 0
+        peaks = [
+            cli_peak_rss_mb(["evaluate", "--threads", threads, "--x-hat", str(tmp_path / "xh.cube"),
+                             "--ref", str(tmp_path / "gt.cube"), "--factor", "8"],
+                            tmp_path / f"m{threads}.json", out_flag="--json")
+            for threads in ("1", "8")
+        ]
+        assert peaks[1] - peaks[0] < 10.0
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info < (3, 11),

@@ -33,7 +33,7 @@ def test_rmse_formula(rng):
 
 
 def test_evaluate_peak_memory_stays_below_one_cube(rng, monkeypatch):
-    # each pool item scores one band in buffers of its own, and SAM runs over
+    # each pool item scores one band in strip buffers of its own, and SAM runs over
     # blocks of pixels; with two threads two bands' buffers are held at once,
     # never a cube-sized difference or product
     a = rand_cube(rng, 31, 64, 64, lo=0.1, hi=1.0)

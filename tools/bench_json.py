@@ -1,13 +1,15 @@
 """Run the benchmark over a fixed seed list and write BENCH_<pr>.json at the repo root.
 
-    python3 tools/bench_json.py --pr 25 [--seeds 1 2 3 4 5] [--seconds 20]
+    python3 tools/bench_json.py --pr 25
 
 ``bench/run.py`` is run as a black box, one process at a time, for every
-workload at ``--trace 0`` and every seed. The file records, per workload,
-the median and interquartile range of each end-to-end metric over the
-seeds, whether every run was ``correct``, the failed and attempted counts,
-and the environment the benchmark printed (thread settings, core count,
-library versions and git revision).
+workload at ``--trace 0`` and every seed of ``SEEDS``, ``SECONDS`` long each.
+Seeds, run length and workloads are constants so that any two BENCH files
+compare like with like. The file records, per workload, the median and
+interquartile range of each end-to-end metric over the seeds, whether every
+run was ``correct``, the failed and attempted counts, and the environment the
+benchmark printed (thread settings, core count, library versions and git
+revision).
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "bench" / "run.py"
 WORKLOADS = ("fuse-full", "tiles-desk", "stages-full")
 SEEDS = (1, 2, 3, 4, 5)
+SECONDS = 20
 
 
-def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+def run_once(workload: str, seed: int) -> tuple[dict, dict]:
     """The result object and the environment printed by one benchmark run."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
@@ -37,21 +40,21 @@ def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
 
 def summarize(values: list[float]) -> dict:
     """Median and interquartile range (inclusive quartiles) of one metric's runs."""
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "iqr": q3 - q1, "runs": values}
 
 
-def workload_summary(workload: str, seeds: list[int], seconds: int) -> dict:
+def workload_summary(workload: str) -> dict:
     results, envs = [], []
-    for seed in seeds:
-        result, env = run_once(workload, seed, seconds)
+    for seed in SEEDS:
+        result, env = run_once(workload, seed)
         results.append(result)
         envs.append(env)
         print(f"{workload} seed {seed}: correct={result['correct']} failed={result['failed']}",
               file=sys.stderr)
     names = results[0]["metrics"]
     return {
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "correct": all(r["correct"] for r in results),
         "failed": sum(r["failed"] for r in results),
         "attempted": sum(r["attempted"] for r in results),
@@ -67,13 +70,10 @@ def workload_summary(workload: str, seeds: list[int], seconds: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     report = {
-        "command": f"bench/run.py --seconds {args.seconds} --trace 0",
-        "workloads": {w: workload_summary(w, args.seeds, args.seconds) for w in args.workloads},
+        "command": f"bench/run.py --seconds {SECONDS} --trace 0",
+        "workloads": {w: workload_summary(w) for w in WORKLOADS},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
