@@ -461,7 +461,7 @@ class TestMemory:
         # each pool item scores one band a strip of SSIM rows at a time, so a
         # thread's buffers do not grow with the image. Measured on a 2-vCPU
         # box, 31x256x256, --threads 8 minus --threads 1 (MB = 1e6 bytes):
-        # 29.0-29.4 with whole-band buffers per item, 4.6-4.9 with strip
+        # 29.0-29.4 with whole-band buffers per item, 4.6-4.8 with strip
         # buffers, 4.8-4.9 with the earlier one-band-at-a-time FFT SSIM
         pytest.importorskip("resource")
         for seed, name in ((0, "gt"), (1, "xh")):
