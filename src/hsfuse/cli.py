@@ -156,6 +156,14 @@ class _Stage:
         self.manifest["inputs"][role] = {"path": path, "shape": list(cube.data.shape)}
         return cube
 
+    def shape(self, role: str, path: str) -> tuple[int, int, int]:
+        """An input's (bands, height, width) from its header, recorded as ``load`` records it."""
+        from .io import cube_shape
+
+        shape = cube_shape(path)
+        self.manifest["inputs"][role] = {"path": path, "shape": list(shape)}
+        return shape
+
     def output(self, role: str, path: str, cube=None) -> None:
         record: dict = {"path": path}
         if cube is not None:
@@ -341,29 +349,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_errormap(args: argparse.Namespace) -> int:
-    from .io import band_index_for_wavelength, export_error_map
+    from .cube import check_shape
+    from .io import band_index_for_wavelength, export_error_map, load_cube
 
     with _Stage(args, args.out, "x_hat ref band wavelength wl_min wl_max max_error") as stage:
         if (args.band is None) == (args.wavelength is None):
             raise ValidationError("pass exactly one of --band or --wavelength")
         with stage.timed("load"):
-            x_hat = stage.load("x_hat", args.x_hat)
-            ref = stage.load("ref", args.ref)
-        if args.band is not None:
-            if not 1 <= args.band <= x_hat.bands:
-                raise ValidationError(
-                    f"--band is 1-based and must lie in [1, {x_hat.bands}], got {args.band}"
-                )
-            band0 = args.band - 1
-        else:
-            band0 = band_index_for_wavelength(
-                args.wavelength, x_hat.bands, args.wl_min, args.wl_max
-            )
+            shape = stage.shape("x_hat", args.x_hat)
+            check_shape("x_hat", shape, stage.shape("ref", args.ref))
+            bands = shape[0]
+            if args.band is not None:
+                if not 1 <= args.band <= bands:
+                    raise ValidationError(
+                        f"--band is 1-based and must lie in [1, {bands}], got {args.band}"
+                    )
+                band0 = args.band - 1
+            else:
+                band0 = band_index_for_wavelength(args.wavelength, bands, args.wl_min, args.wl_max)
+            # the one band of each file, every band of which is still checked
+            x_hat = load_cube(args.x_hat, band0)
+            ref = load_cube(args.ref, band0)
         with stage.timed("export"):
-            export_error_map(x_hat, ref, band0, args.out, max_error=args.max_error)
+            export_error_map(x_hat, ref, 0, args.out, max_error=args.max_error)
         stage.manifest["band"] = band0 + 1
         stage.output("image", args.out)
-        print(f"wrote {args.out} (band {band0 + 1} of {x_hat.bands})")
+        print(f"wrote {args.out} (band {band0 + 1} of {bands})")
     return 0
 
 

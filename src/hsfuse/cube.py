@@ -37,8 +37,9 @@ thread, and ``concurrent.futures`` is imported only when a map first needs a
 worker.
 This module alone cuts work, with one private slicer under ``stacks`` (pool
 items of planes or channels), ``chunks`` (the rows of one numpy call inside
-an item; ``block_chunks`` in a pass over a column block) and ``each_block``
-(a function over blocks of columns on the pool).
+an item; ``block_chunks`` in a pass over a column block), ``pool_rounds``
+(a row per pool thread, for a caller that maps chunk after chunk) and
+``each_block`` (a function over blocks of columns on the pool).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -62,6 +63,7 @@ __all__ = [
     "HsiCube",
     "FreqCube",
     "block_chunks",
+    "check_shape",
     "chunks",
     "circular_convolve",
     "dft2",
@@ -73,6 +75,7 @@ __all__ = [
     "irdft2",
     "mix_bands",
     "pool_map",
+    "pool_rounds",
     "pool_size",
     "rdft2",
     "stacks",
@@ -149,8 +152,13 @@ class HsiCube:
 
     def check_shape(self, name: str, expected: tuple[int, ...]) -> None:
         """Raise ``ValidationError`` naming the cube ``name`` unless its shape is ``expected``."""
-        if self.data.shape != expected:
-            raise ValidationError(f"{name} has shape {self.data.shape}, expected {expected}")
+        check_shape(name, self.data.shape, expected)
+
+
+def check_shape(name: str, shape: tuple[int, ...], expected: tuple[int, ...]) -> None:
+    """The one shape rule, also for a cube known by its file header: ``shape`` must be ``expected``."""
+    if shape != expected:
+        raise ValidationError(f"{name} has shape {shape}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -266,6 +274,11 @@ def chunks(rows: int, row_bytes: int) -> list[slice]:
 def block_chunks(rows: int) -> list[slice]:
     """``chunks`` of float64 rows of a full block (8 at the default cap), for every block alike."""
     return chunks(rows, 8 * _BLOCK_COLUMNS)
+
+
+def pool_rounds(rows: int) -> list[slice]:
+    """``pool_size()``-row slices covering ``range(rows)``: one pool map each, a row per thread."""
+    return _slices(rows, pool_size())
 
 
 def stacks(rows: int, row_bytes: int) -> list[slice]:

@@ -9,7 +9,10 @@ Cube container layout, front to back:
 * the raw little-endian payload, exactly bands*height*width values
 
 The package writes f64 cubes and reads f64 or f32 ones, since cubes may come
-from other tools; SRF tables are only read. Writes are bit-reproducible for
+from other tools; SRF tables are only read. ``load_cube`` given a band keeps
+that band alone, but reads and checks every band, one at a time into a reused
+buffer, so it rejects each file the whole read rejects. ``cube_shape`` reads
+only the header, checked alike. Writes are bit-reproducible for
 equal inputs. Every file the package writes (cubes and error maps here; the
 CLI's manifests and reports) goes through ``write_atomic``: a sibling temp
 file renamed onto the target, so a failed write leaves the previous file in
@@ -43,6 +46,7 @@ __all__ = [
     "MAGIC",
     "save_cube",
     "load_cube",
+    "cube_shape",
     "write_atomic",
     "load_srf_csv",
     "export_error_map",
@@ -102,55 +106,76 @@ def save_cube(path: str | Path, cube: HsiCube, scale: tuple[float, float] | None
     write_atomic(path, head, payload)
 
 
-def load_cube(path: str | Path) -> HsiCube:
+def _open_payload(fh, path: str | Path) -> tuple[tuple[int, int, int], str]:
+    """Check an open cube's magic, header and payload length; return its dims and numpy dtype."""
+    if fh.read(4) != MAGIC:
+        raise BadMagicError(f"{path}: missing {MAGIC!r} magic")
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise CubeFormatError(f"{path}: header line is not terminated")
+    try:
+        header = json.loads(line[:-1].decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CubeFormatError(f"{path}: header is not one-line JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CubeFormatError(f"{path}: header must be a JSON object")
+    try:
+        dims = tuple(header[key] for key in ("bands", "height", "width"))
+        dtype = header["dtype"]
+        layout = header["layout"]
+    except KeyError as exc:
+        raise CubeFormatError(f"{path}: header is missing the required key {exc}") from exc
+    if not all(type(d) is int for d in dims):
+        raise CubeFormatError(f"{path}: dimensions must be JSON integers, got {dims}")
+    if min(dims) < 1:
+        raise CubeFormatError(f"{path}: dimensions must be positive, got {dims}")
+    if layout != "band-major":
+        raise CubeFormatError(f"{path}: unsupported layout {layout!r}")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise UnknownDtypeError(f"{path}: unknown dtype {dtype!r}")
+    expected = dims[0] * dims[1] * dims[2] * np.dtype(_DTYPES[dtype]).itemsize
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload < expected:
+        raise TruncatedPayloadError(f"{path}: payload has {payload} bytes, header promises {expected}")
+    if payload > expected:
+        raise CubeFormatError(f"{path}: {payload - expected} trailing bytes after the payload")
+    return dims, _DTYPES[dtype]
+
+
+def _read_into(fh, values: np.ndarray, path: str | Path) -> np.ndarray:
+    """Fill ``values`` from ``fh``'s next bytes; a short read is a truncated payload."""
+    got = fh.readinto(memoryview(values).cast("B"))
+    if got != values.nbytes:
+        raise TruncatedPayloadError(f"{path}: read {got} of {values.nbytes} payload bytes")
+    return values
+
+
+def cube_shape(path: str | Path) -> tuple[int, int, int]:
+    """A cube file's (bands, height, width), checked as ``load_cube`` checks it, values aside."""
+    with open(path, "rb") as fh:
+        return _open_payload(fh, path)[0]
+
+
+def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
     """Read a cube, checking magic, header, and payload length exactly.
 
     The payload is read straight into the cube's own (aligned) array, so an
-    f64 file is held in memory once; an f32 payload is upcast once.
+    f64 file is held in memory once; an f32 payload is upcast once. With a
+    0-based ``band``, the cube is that band alone, (1, height, width), and
+    the other bands are read into one reused buffer and checked finite.
     """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise BadMagicError(f"{path}: missing {MAGIC!r} magic")
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise CubeFormatError(f"{path}: header line is not terminated")
-        try:
-            header = json.loads(line[:-1].decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CubeFormatError(f"{path}: header is not one-line JSON ({exc})") from exc
-        if not isinstance(header, dict):
-            raise CubeFormatError(f"{path}: header must be a JSON object")
-        try:
-            dims = tuple(header[key] for key in ("bands", "height", "width"))
-            dtype = header["dtype"]
-            layout = header["layout"]
-        except KeyError as exc:
-            raise CubeFormatError(f"{path}: header is missing the required key {exc}") from exc
-        if not all(type(d) is int for d in dims):
-            raise CubeFormatError(f"{path}: dimensions must be JSON integers, got {dims}")
-        bands, height, width = dims
-        if min(bands, height, width) < 1:
-            raise CubeFormatError(f"{path}: dimensions must be positive, got {(bands, height, width)}")
-        if layout != "band-major":
-            raise CubeFormatError(f"{path}: unsupported layout {layout!r}")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise UnknownDtypeError(f"{path}: unknown dtype {dtype!r}")
-        expected = bands * height * width * np.dtype(_DTYPES[dtype]).itemsize
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload < expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload has {payload} bytes, header promises {expected}"
-            )
-        if payload > expected:
-            raise CubeFormatError(
-                f"{path}: {payload - expected} trailing bytes after the payload"
-            )
-        values = np.empty((bands, height, width), dtype=_DTYPES[dtype])
-        got = fh.readinto(memoryview(values).cast("B"))
-        if got != expected:
-            raise TruncatedPayloadError(
-                f"{path}: read {got} payload bytes, header promises {expected}"
-            )
+        (bands, height, width), dtype = _open_payload(fh, path)
+        if band is None:
+            values = _read_into(fh, np.empty((bands, height, width), dtype=dtype), path)
+        else:
+            if check_int("band", band, 0) >= bands:
+                raise ValidationError(f"band {band!r} outside [0, {bands})")
+            values = np.empty((1, height, width), dtype=dtype)
+            other = np.empty_like(values)
+            for b in range(bands):
+                if not np.isfinite(_read_into(fh, values if b == band else other, path)).all():
+                    raise CubeFormatError(f"{path}: payload contains non-finite values")
     try:
         return HsiCube(values.astype(np.float64, copy=False))
     except ValidationError as exc:

@@ -81,4 +81,6 @@ def generate_scene(spec: SceneSpec) -> HsiCube:
     spectra = _smooth_spectra(rng, spec.bands, spec.endmembers)
     maps = _abundance_maps(rng, spec.endmembers, spec.height, spec.width, spec.smoothness)
     data = np.tensordot(spectra, maps, axes=(1, 0))
-    return HsiCube(data / data.max())
+    # in place: the scaled cube is the product's own buffer, not a second cube
+    data /= data.max()
+    return HsiCube(data)

@@ -16,6 +16,7 @@ the SSIM window sums window by window, with no FFT.
 ``desk_problem`` builds one of the acceptance gate's desk fusions.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
 objective over (x, v) at fixed rho, from one dense solve.
+``bad_cube_files`` writes one malformed cube file per way a read can reject it.
 """
 
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from hsfuse.gradients import (
     spectral_diff_apply_array,
 )
 from hsfuse.hqs import HqsConfig, objective_value
+from hsfuse.io import MAGIC, save_cube
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
 from hsfuse.sylvester import build_system, solve_fast
@@ -286,3 +288,29 @@ def dense_joint_minimizer(
         + (v - p) @ q @ (v - p)
     )
     return x.reshape(shape), v.reshape(shape), float(value)
+
+
+def bad_cube_files(tmp_path, rng, bands=5, height=4, width=6):
+    """Files that ``load_cube`` rejects, by name, and the valid blob they come from.
+
+    The non-finite values sit in band 3, so a read of any other band meets
+    them only by scanning the rest of the file.
+    """
+    path = tmp_path / "good.cube"
+    save_cube(path, rand_cube(rng, bands, height, width))
+    blob = path.read_bytes()
+    start = blob.index(b"\n") + 1
+    bad_value = start + 8 * (3 * height * width + 5)
+    files = {
+        "nan": blob[:bad_value] + np.array([np.nan]).tobytes() + blob[bad_value + 8 :],
+        "inf": blob[:bad_value] + np.array([-np.inf]).tobytes() + blob[bad_value + 8 :],
+        "truncated": blob[:-1],
+        "trailing": blob + b"\0",
+        "header": MAGIC + b"not json\n" + blob[start:],
+        "magic": b"NOPE" + blob[4:],
+    }
+    out = {}
+    for name, content in files.items():
+        out[name] = tmp_path / f"{name}.cube"
+        out[name].write_bytes(content)
+    return out, blob

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import hsfuse
+from helpers import bad_cube_files, rand_cube
 from hsfuse.cli import main
-from hsfuse.cube import pool_size
+from hsfuse.cube import HsiCube, pool_size
+from hsfuse.errors import CubeFormatError, ValidationError
 from hsfuse.io import load_cube
 
 
@@ -202,6 +204,86 @@ class TestPipeline:
         got = load_cube(out)
         ref = load_cube(paths["gt"])
         assert np.linalg.norm(got.data - ref.data) <= 1e-8 * np.linalg.norm(ref.data)
+
+
+class TestErrormapBandRead:
+    """``errormap`` reads one band of each file and rejects what a whole read rejects."""
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header"])
+    @pytest.mark.parametrize("role", ["x_hat", "ref"])
+    def test_rejected_files_exit_3(self, rng, tmp_path, kind, role):
+        files, blob = bad_cube_files(tmp_path, rng)
+        good = tmp_path / "other.cube"
+        good.write_bytes(blob)
+        with pytest.raises(CubeFormatError) as whole:
+            load_cube(files[kind])
+        paths = {"x_hat": str(good), "ref": str(good), role: str(files[kind])}
+        out = str(tmp_path / "e.pgm")
+        # band 1 is mapped, and the non-finite values sit in band 4
+        rc = main(["errormap", "--x-hat", paths["x_hat"], "--ref", paths["ref"],
+                   "--band", "1", "--out", out])
+        assert rc == 3
+        error = json.loads(open(out + ".manifest.json").read())["error"]
+        assert error["type"] == type(whole.value).__name__
+
+    def test_mismatched_shapes_exit_2_with_the_shape_rule(self, rng, tmp_path):
+        from hsfuse.io import save_cube
+
+        a, b = tmp_path / "a.cube", tmp_path / "b.cube"
+        save_cube(a, rand_cube(rng, 4, 6, 6))
+        save_cube(b, rand_cube(rng, 4, 6, 8))
+        with pytest.raises(ValidationError) as rule:
+            load_cube(a).check_shape("x_hat", (4, 6, 8))
+        out = str(tmp_path / "e.pgm")
+        assert main(["errormap", "--x-hat", str(a), "--ref", str(b), "--band", "1",
+                     "--out", out]) == 2
+        error = json.loads(open(out + ".manifest.json").read())["error"]
+        assert error == {"type": "ValidationError", "message": str(rule.value)}
+
+    def test_f32_input_maps_the_pixels_of_its_f64_copy(self, rng, tmp_path):
+        from hsfuse.io import MAGIC, save_cube
+
+        ref, x = rand_cube(rng, 5, 6, 7, 0.0, 1.0), rand_cube(rng, 5, 6, 7, 0.0, 1.0)
+        save_cube(tmp_path / "ref.cube", ref)
+        head = {"bands": 5, "height": 6, "width": 7, "dtype": "f32", "layout": "band-major"}
+        x32 = x.data.astype("<f4")
+        (tmp_path / "x32.cube").write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + x32.tobytes())
+        save_cube(tmp_path / "x64.cube", HsiCube(x32.astype(np.float64)))
+        for name in ("x32", "x64"):
+            assert main(["errormap", "--x-hat", str(tmp_path / f"{name}.cube"),
+                         "--ref", str(tmp_path / "ref.cube"), "--band", "3", "--max-error", "0.5",
+                         "--out", str(tmp_path / f"{name}.pgm")]) == 0
+        assert (tmp_path / "x32.pgm").read_bytes() == (tmp_path / "x64.pgm").read_bytes()
+
+    def test_manifest_records_the_full_input_shapes(self, pipeline):
+        tmp, paths = pipeline
+        out = str(tmp / "err.pgm")
+        assert main(["errormap", "--x-hat", paths["xhat"], "--ref", paths["gt"],
+                     "--band", "2", "--out", out]) == 0
+        inputs = json.loads(open(out + ".manifest.json").read())["inputs"]
+        assert inputs["x_hat"]["shape"] == inputs["ref"]["shape"] == [8, 32, 32]
+
+    def test_errormap_holds_no_whole_cube(self, tmp_path):
+        # in-process main(), 31x128x128 (a cube is 4.06 MB), after a warm-up
+        # run: 2.14 cubes traced when both cubes were loaded whole, 0.17 with
+        # one band of each (two kept bands, two scan buffers, the map's
+        # temporaries)
+        from hsfuse.io import save_cube
+        from hsfuse.scenes import SceneSpec, generate_scene
+
+        for seed, name in ((0, "gt"), (1, "x")):
+            save_cube(tmp_path / f"{name}.cube", generate_scene(SceneSpec(31, 128, 128, seed=seed)))
+        args = ["errormap", "--threads", "2", "--x-hat", str(tmp_path / "x.cube"),
+                "--ref", str(tmp_path / "gt.cube"), "--band", "6", "--out", str(tmp_path / "e.pgm")]
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            rc = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 0.3 * 31 * 128 * 128 * 8
 
 
 class TestExitCodes:

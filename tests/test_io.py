@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hsfuse.io
-from helpers import rand_cube
+from helpers import bad_cube_files, rand_cube
 from hsfuse.cli import _write_manifest, build_parser
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import SpectralResponse
@@ -18,6 +18,7 @@ from hsfuse.errors import (
 from hsfuse.io import (
     MAGIC,
     band_index_for_wavelength,
+    cube_shape,
     export_error_map,
     load_cube,
     load_srf_csv,
@@ -267,6 +268,60 @@ class TestCubeContainer:
         monkeypatch.setattr(np, "isfinite", counting)
         load_cube(path)
         assert len(scans) == 1
+
+
+class TestBandRead:
+    def test_band_equals_the_whole_read(self, rng, tmp_path):
+        cube = rand_cube(rng, 4, 5, 3)
+        path = tmp_path / "a.cube"
+        save_cube(path, cube)
+        for band in range(4):
+            got = load_cube(path, band)
+            assert np.array_equal(got.data, cube.data[band : band + 1])
+        assert cube_shape(path) == (4, 5, 3)
+
+    def test_f32_band_equals_the_whole_read(self, rng, tmp_path):
+        cube = rand_cube(rng, 3, 4, 4)
+        path = tmp_path / "a.cube"
+        head = {"bands": 3, "height": 4, "width": 4, "dtype": "f32", "layout": "band-major"}
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + cube.data.astype("<f4").tobytes())
+        assert np.array_equal(load_cube(path, 2).data, load_cube(path).data[2:])
+
+    def test_band_is_zero_based_and_checked(self, rng, tmp_path):
+        path = tmp_path / "a.cube"
+        save_cube(path, rand_cube(rng, 3, 2, 2))
+        for band in (3, -1, 1.0):
+            with pytest.raises(ValidationError):
+                load_cube(path, band)
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic"])
+    def test_band_read_rejects_what_the_whole_read_rejects(self, rng, tmp_path, kind):
+        path = bad_cube_files(tmp_path, rng)[0][kind]
+        with pytest.raises(CubeFormatError) as whole:
+            load_cube(path)
+        for band in (0, 3, 4):
+            with pytest.raises(type(whole.value)):
+                load_cube(path, band)
+        if kind not in ("nan", "inf"):  # the header and length checks alone
+            with pytest.raises(type(whole.value)):
+                cube_shape(path)
+
+    def test_band_read_holds_two_bands(self, rng, tmp_path):
+        import tracemalloc
+
+        cube = rand_cube(rng, 31, 64, 64)
+        path = tmp_path / "a.cube"
+        save_cube(path, cube)
+        load_cube(path, 0)
+        tracemalloc.start()
+        try:
+            band = load_cube(path, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(band.data, cube.data[7:8])
+        # the kept band, one reused buffer and a scan mask: about 2.2 bands
+        assert peak < 3 * band.data.nbytes
 
 
 class TestSrfCsv:

@@ -1,15 +1,18 @@
 """Run the benchmark over a fixed seed list and write BENCH_<pr>.json at the repo root.
 
-    python3 tools/bench_json.py --pr 25
+    python3 tools/bench_json.py --pr 26
 
 ``bench/run.py`` is run as a black box, one process at a time, for every
-workload at ``--trace 0`` and every seed of ``SEEDS``, ``SECONDS`` long each.
-Seeds, run length and workloads are constants so that any two BENCH files
-compare like with like. The file records, per workload, the median and
-interquartile range of each end-to-end metric over the seeds, whether every
-run was ``correct``, the failed and attempted counts, and the environment the
-benchmark printed (thread settings, core count, library versions and git
-revision).
+workload at ``--trace 0`` and every seed of ``SEEDS``, ``SECONDS`` long each,
+and once more at ``--trace 1`` with ``TRACE_SEED``. Seeds, run length and
+workloads are constants so that any two BENCH files compare like with like.
+The file records, per workload, the median and interquartile range of each
+end-to-end metric over the seeds, whether every run was ``correct``, the
+failed and attempted counts, and the environment the benchmark printed
+(thread settings, core count, library versions and git revision). Under
+``per_layer`` it records the traced run's per-layer rows as printed (among
+them each CLI stage's time, ``cli.<stage>.s``, and peak RSS,
+``cli.<stage>.rss_mb``), with that run's ``correct`` and failed count.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "bench" / "run.py"
 WORKLOADS = ("fuse-full", "tiles-desk", "stages-full")
 SEEDS = (1, 2, 3, 4, 5)
+TRACE_SEED = SEEDS[0]
 SECONDS = 20
 
 
-def run_once(workload: str, seed: int) -> tuple[dict, dict]:
+def run_once(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
     """The result object and the environment printed by one benchmark run."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
     lines = out.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
@@ -53,6 +57,9 @@ def workload_summary(workload: str) -> dict:
         print(f"{workload} seed {seed}: correct={result['correct']} failed={result['failed']}",
               file=sys.stderr)
     names = results[0]["metrics"]
+    traced, _ = run_once(workload, TRACE_SEED, trace=1)
+    print(f"{workload} traced seed {TRACE_SEED}: correct={traced['correct']} "
+          f"failed={traced['failed']}", file=sys.stderr)
     return {
         "seeds": list(SEEDS),
         "correct": all(r["correct"] for r in results),
@@ -64,6 +71,12 @@ def workload_summary(workload: str) -> dict:
             for name in names
         },
         "environment": envs[0],
+        "per_layer": {
+            "seed": TRACE_SEED,
+            "correct": traced["correct"],
+            "failed": traced["failed"],
+            "metrics": traced["metrics"],
+        },
     }
 
 
@@ -72,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     args = parser.parse_args(argv)
     report = {
-        "command": f"bench/run.py --seconds {SECONDS} --trace 0",
+        "command": f"bench/run.py --seconds {SECONDS} --trace 0 (per_layer: --trace 1 --seed {TRACE_SEED})",
         "workloads": {w: workload_summary(w) for w in WORKLOADS},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
