@@ -37,9 +37,9 @@ thread, and ``concurrent.futures`` is imported only when a map first needs a
 worker.
 This module alone cuts work, with one private slicer under ``stacks`` (pool
 items of planes or channels), ``chunks`` (the rows of one numpy call inside
-an item; ``block_chunks`` in a pass over a column block), ``pool_rounds``
-(a row per pool thread, for a caller that maps chunk after chunk) and
-``each_block`` (a function over blocks of columns on the pool).
+an item; ``block_chunks`` in a pass over a column block), ``planes`` (pool
+items of one plane each) and ``each_block`` (a function over blocks of
+columns on the pool).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -74,8 +74,8 @@ __all__ = [
     "idft2_per_band",
     "irdft2",
     "mix_bands",
+    "planes",
     "pool_map",
-    "pool_rounds",
     "pool_size",
     "rdft2",
     "stacks",
@@ -276,9 +276,9 @@ def block_chunks(rows: int) -> list[slice]:
     return chunks(rows, 8 * _BLOCK_COLUMNS)
 
 
-def pool_rounds(rows: int) -> list[slice]:
-    """``pool_size()``-row slices covering ``range(rows)``: one pool map each, a row per thread."""
-    return _slices(rows, pool_size())
+def planes(count: int) -> list[slice]:
+    """One slice per plane of ``range(count)``: pool items whose temporaries grow with the item."""
+    return _slices(count, 1)
 
 
 def stacks(rows: int, row_bytes: int) -> list[slice]:
@@ -336,7 +336,7 @@ def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         # irfftn, as numpy's irfft2 drops its out= argument
         np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=dst)
 
-    _each_stack(plane, _slices(data.size // (height * width), 1), data, out)
+    _each_stack(plane, planes(data.size // (height * width)), data, out)
     return out
 
 

@@ -24,8 +24,9 @@ contract every solver relies on: ``check_hr`` for a high-resolution cube and
 <apply(x), y> == <x, adjoint(y)> up to roundoff. ``DegradationModel`` rejects
 grids the decimation factor does not divide, so every model it accepts has
 the aliasing-group structure the closed-form x-step solver needs.
-``DegradationModel.degrade`` blurs and decimates a chunk of planes at a time, one
-per pool thread (``cube.pool_rounds``), so it never holds a whole blurred cube.
+``DegradationModel.degrade`` blurs and decimates one plane per pool item
+(``cube.planes``) into its low-resolution output, so it never holds a whole
+blurred cube.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HsiCube, circular_convolve, dft2, pool_rounds
+from .cube import HsiCube, circular_convolve, dft2, planes, pool_map
 from .errors import ValidationError, check_int, check_real
 
 __all__ = [
@@ -281,9 +282,12 @@ class DegradationModel:
         """Produce the low-res cube and the mixed-band image for a full cube."""
         self.check_hr("x", x)
         y = np.empty((self.bands, *(n // self.down.factor for n in self.hr_shape)))
-        for rows in pool_rounds(self.bands):
-            # assigned, not kept as a view: a strided view holds its whole blurred chunk
+
+        def blur_down(rows: slice) -> None:
+            # assigned, not kept as a view: a strided view holds its whole blurred plane
             y[rows] = self.down.apply_array(self.blur.apply_array(x.data[rows]))
+
+        pool_map(blur_down, planes(self.bands))
         z = self.srf.apply_array(x.data)
         if self.noise_sigma > 0:
             rng = np.random.default_rng(self.noise_seed)

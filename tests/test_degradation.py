@@ -266,8 +266,7 @@ class TestDegradationModel:
     @pytest.mark.parametrize("blur", ["block", "gauss"])
     @pytest.mark.parametrize("sigma", [0.0, 0.02])
     def test_degrade_equals_the_whole_cube_expression(self, rng, monkeypatch, threads, blur, sigma):
-        # y is made a pool-sized chunk of planes at a time; 7 bands leave a
-        # short last chunk at pools 2 and 3
+        # y is blurred and decimated one plane per pool item
         monkeypatch.setenv("HSFUSE_THREADS", threads)
         h, w, s = 12, 16, 4
         op = BlurOperator.uniform_block(h, w, s) if blur == "block" else BlurOperator.gaussian(h, w, 1.2)
@@ -288,8 +287,9 @@ class TestDegradationModel:
     def test_degrade_holds_no_blurred_cube(self, rng, monkeypatch):
         # traced above the input at 31x128x128, factor 4, after a warm-up
         # call: 1.17-1.20 cubes while the whole blurred cube was made before
-        # decimation; 0.17, 0.26 and 0.29 at pools 1, 2 and 3 now, of which z
-        # is 3/31 of a cube and the rest a chunk of planes in flight
+        # decimation; 0.17, 0.26 and 0.36 at pools 1, 2 and 3 with one plane
+        # per pool item, of which z is 3/31 of a cube and the rest the
+        # planes in flight with their transforms
         monkeypatch.setenv("HSFUSE_THREADS", "2")
         x = rand_cube(rng, 31, 128, 128, lo=0.0, hi=1.0)
         model = DegradationModel(
