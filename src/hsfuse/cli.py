@@ -330,10 +330,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     primary = args.json or args.csv or (args.x_hat + ".metrics")
     with _Stage(args, primary, "x_hat ref factor json csv") as stage:
         with stage.timed("load"):
-            x_hat = stage.load("x_hat", args.x_hat)
-            ref = stage.load("ref", args.ref)
+            stage.shape("x_hat", args.x_hat)
+            stage.shape("ref", args.ref)
         with stage.timed("evaluate"):
-            report = evaluate(x_hat, ref, args.factor)
+            # read from the files band by band, never a whole cube
+            report = evaluate(args.x_hat, args.ref, args.factor)
         stage.manifest["metrics"] = report.to_dict()
         if args.json:
             write_atomic(args.json, (report.to_json() + "\n").encode())

@@ -9,14 +9,16 @@ Cube container layout, front to back:
 * the raw little-endian payload, exactly bands*height*width values
 
 The package writes f64 cubes and reads f64 or f32 ones, since cubes may come
-from other tools; SRF tables are only read. ``load_cube`` given a band keeps
-that band alone, but reads and checks every band, one at a time into a reused
-buffer, so it rejects each file the whole read rejects. ``cube_shape`` reads
-only the header, checked alike. Writes are bit-reproducible for
-equal inputs. Every file the package writes (cubes and error maps here; the
-CLI's manifests and reports) goes through ``write_atomic``: a sibling temp
-file renamed onto the target, so a failed write leaves the previous file in
-place. Error maps are binary P5 graymaps scaling |difference| linearly so
+from other tools; SRF tables are only read. A ``BandReader`` reads an open
+cube file's bands front to back as float64 planes, checking each finite as
+it is read, so a read of every band rejects each file the whole read
+rejects. It is the one band read: ``load_cube`` given a band keeps that band
+alone and reads past the others, and ``metrics.evaluate`` scores files
+through it. ``cube_shape`` reads only the header, checked alike. Writes are
+bit-reproducible for equal inputs. Every file the package writes (cubes and
+error maps here; the CLI's manifests and reports) goes through
+``write_atomic``: a sibling temp file renamed onto the target, so a failed
+write leaves the previous file in place. Error maps are binary P5 graymaps scaling |difference| linearly so
 ``max_error`` maps to 255, with round-half-up quantization.
 """
 
@@ -47,6 +49,7 @@ __all__ = [
     "save_cube",
     "load_cube",
     "cube_shape",
+    "BandReader",
     "write_atomic",
     "load_srf_csv",
     "export_error_map",
@@ -156,26 +159,51 @@ def cube_shape(path: str | Path) -> tuple[int, int, int]:
         return _open_payload(fh, path)[0]
 
 
+class BandReader:
+    """The bands of the cube file open as ``fh``, read front to back, each checked finite.
+
+    ``shape`` and ``dtype`` (the payload's numpy dtype) come from the checked
+    header. A skipped band and an f32 band pass through one reused band
+    buffer of that dtype.
+    """
+
+    def __init__(self, fh, path: str | Path):
+        self.shape, self.dtype = _open_payload(fh, path)
+        self._fh, self._path = fh, path
+        self._raw: np.ndarray | None = None
+
+    def read(self, out: np.ndarray | None = None) -> None:
+        """Read the next band into the float64 (height, width) ``out``, or past it when None."""
+        raw = out
+        if out is None or self.dtype != _DTYPES["f64"]:
+            if self._raw is None:
+                self._raw = np.empty(self.shape[1:], dtype=self.dtype)
+            raw = self._raw
+        if not np.isfinite(_read_into(self._fh, raw, self._path)).all():
+            raise CubeFormatError(f"{self._path}: payload contains non-finite values")
+        if out is not None and raw is not out:
+            out[...] = raw
+
+
 def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
     """Read a cube, checking magic, header, and payload length exactly.
 
     The payload is read straight into the cube's own (aligned) array, so an
     f64 file is held in memory once; an f32 payload is upcast once. With a
-    0-based ``band``, the cube is that band alone, (1, height, width), and
-    the other bands are read into one reused buffer and checked finite.
+    0-based ``band``, the cube is that band alone, (1, height, width); every
+    band is still read and checked by the ``BandReader``.
     """
     with open(path, "rb") as fh:
-        (bands, height, width), dtype = _open_payload(fh, path)
+        reader = BandReader(fh, path)
+        bands = reader.shape[0]
         if band is None:
-            values = _read_into(fh, np.empty((bands, height, width), dtype=dtype), path)
+            values = _read_into(fh, np.empty(reader.shape, dtype=reader.dtype), path)
         else:
             if check_int("band", band, 0) >= bands:
                 raise ValidationError(f"band {band!r} outside [0, {bands})")
-            values = np.empty((1, height, width), dtype=dtype)
-            other = np.empty_like(values)
+            values = np.empty((1, *reader.shape[1:]))
             for b in range(bands):
-                if not np.isfinite(_read_into(fh, values if b == band else other, path)).all():
-                    raise CubeFormatError(f"{path}: payload contains non-finite values")
+                reader.read(values[0] if b == band else None)
     try:
         return HsiCube(values.astype(np.float64, copy=False))
     except ValidationError as exc:

@@ -16,22 +16,34 @@ Conventions, fixed so numbers are comparable across runs:
   window sums of a, b, a*a + b*b and a*b are two GEMM passes of the 1-D
   profile over 'valid' rows only, the second on the transposed first.
 
-One ``pool_map`` item per band returns its squared error, reference mean and
-SSIM, scored a strip of rows at a time in two strip-sized buffers; SAM runs
-per ``each_block`` block of pixels. Both add up in item order.
+``evaluate`` takes cubes or cube files and walks them one band pair at a
+time: a cube's band is a view of its data, and a file's is read into one of
+two reused planes by ``io.BandReader``, which checks it finite, so a file is
+never held whole. Each band pair is one ``pool_map``, whose items are its
+strips of SSIM rows (two strip-sized buffers each), the reference band's
+mean and the read of the next pair. A strip returns its squared error and
+SSIM sum, added up in strip order, and adds the a*b, a*a and b*b of the rows
+it owns to three per-pixel SAM planes, so each pixel's sums add in band
+order. The angles are summed per ``each_block`` block of pixels at the end,
+in block order. The report depends neither on the pool size nor on whether
+cubes or files were scored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cube import HsiCube, each_block, pool_map
+from .cube import HsiCube, check_shape, each_block, pool_map
 from .errors import ValidationError, check_int
+from .io import BandReader
 
 __all__ = ["MetricReport", "CSV_HEADER", "evaluate"]
 
@@ -87,51 +99,56 @@ def _window_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_scores(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """Mean squared error, reference mean and mean SSIM of one band pair."""
+def _strip_scores(a: np.ndarray, b: np.ndarray, lo: int, sums: np.ndarray) -> tuple[float, float]:
+    """Squared error and SSIM sum of one band pair's strip of SSIM rows from ``lo``.
+
+    The strip owns the input rows no later strip reads: it counts their
+    squared error and adds their a*b, a*a and b*b to the (3, height, width)
+    SAM ``sums``, so each row counts once over a band's strips.
+    """
     h, w = a.shape
     vh, vw = h - _SSIM_WINDOW + 1, w - _SSIM_WINDOW + 1
+    n = min(_SSIM_ROWS, vh - lo)
+    m = n + _SSIM_WINDOW - 1
     # a strip of SSIM rows is one Toeplitz block. ``first`` holds its window
     # inputs, their row sums transposed, then its SSIM map; ``second`` the row
     # sums, then the window sums
-    first, second = np.empty(4 * _SPAN * w), np.empty(4 * _SSIM_ROWS * w)
-    err = total = 0.0
-    for lo in range(0, vh, _SSIM_ROWS):
-        n = min(_SSIM_ROWS, vh - lo)
-        m = n + _SSIM_WINDOW - 1
-        sa, sb = a[lo : lo + m], b[lo : lo + m]
-        inputs = first[: 4 * m * w].reshape(4, m, w)
-        own = m if lo + n == vh else n  # rows no later strip reads: each error counts once
-        diff = np.subtract(sa[:own], sb[:own], out=inputs[0, :own])
-        err += float(np.vdot(diff, diff))
-        inputs[0], inputs[1] = sa, sb
-        np.add(np.square(sa, out=inputs[2]), np.square(sb, out=inputs[3]), out=inputs[2])
-        np.multiply(sa, sb, out=inputs[3])
-        rows = _window_rows(inputs, second[: 4 * n * w].reshape(4, n, w))
-        turned = first[: 4 * w * n].reshape(4, w, n)
-        turned[...] = rows.transpose(0, 2, 1)
-        # SSIM's mean does not mind the transpose; only var_a + var_b enters it
-        mu_a, mu_b, sq, ab = _window_rows(turned, second[: 4 * vw * n].reshape(4, vw, n))
-        num = np.multiply(mu_a, mu_b, out=first[: vw * n].reshape(vw, n))
-        ab -= num  # cov
-        for term, shift in ((num, _SSIM_C1), (ab, _SSIM_C2)):
-            term *= 2.0
-            term += shift
-        num *= ab
-        np.square(mu_a, out=mu_a)
-        mu_a += np.square(mu_b, out=mu_b)
-        sq -= mu_a  # var_a + var_b
-        sq += _SSIM_C2
-        mu_a += _SSIM_C1
-        mu_a *= sq
-        num /= mu_a
-        total += float(np.sum(num))
-    return err / (h * w), float(np.mean(b)), total / (vh * vw)
+    first, second = np.empty(4 * m * w), np.empty(4 * n * w)
+    sa, sb = a[lo : lo + m], b[lo : lo + m]
+    inputs = first.reshape(4, m, w)
+    own = m if lo + n == vh else n
+    diff = np.subtract(sa[:own], sb[:own], out=inputs[0, :own])
+    err = float(np.vdot(diff, diff))
+    inputs[0], inputs[1] = sa, sb
+    # the SAM sums take the owned rows of the products the window inputs need
+    dots, sq_a, sq_b = sums[:, lo : lo + own]
+    sq_a += np.square(sa, out=inputs[2])[:own]
+    sq_b += np.square(sb, out=inputs[3])[:own]
+    np.add(inputs[2], inputs[3], out=inputs[2])
+    dots += np.multiply(sa, sb, out=inputs[3])[:own]
+    rows = _window_rows(inputs, second.reshape(4, n, w))
+    turned = first[: 4 * w * n].reshape(4, w, n)
+    turned[...] = rows.transpose(0, 2, 1)
+    # SSIM's mean does not mind the transpose; only var_a + var_b enters it
+    mu_a, mu_b, sq, ab = _window_rows(turned, second[: 4 * vw * n].reshape(4, vw, n))
+    num = np.multiply(mu_a, mu_b, out=first[: vw * n].reshape(vw, n))
+    ab -= num  # cov
+    for term, shift in ((num, _SSIM_C1), (ab, _SSIM_C2)):
+        term *= 2.0
+        term += shift
+    num *= ab
+    np.square(mu_a, out=mu_a)
+    mu_a += np.square(mu_b, out=mu_b)
+    sq -= mu_a  # var_a + var_b
+    sq += _SSIM_C2
+    mu_a += _SSIM_C1
+    mu_a *= sq
+    num /= mu_a
+    return err, float(np.sum(num))
 
 
-def _sam_block(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+def _sam_block(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> tuple[float, int]:
     """Spectral angle sum (degrees) and count over the valid pixels of a block of columns."""
-    dots, sq_a, sq_b = (np.einsum("ij,ij->j", u, v) for u, v in ((a, b), (a, a), (b, b)))
     valid = (sq_a > 0) & (sq_b > 0)
     # sqrt of the product (not product of sqrts) so identical spectra give
     # cosine exactly 1
@@ -139,16 +156,63 @@ def _sam_block(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
     return float(np.sum(np.degrees(np.arccos(cosines)))), int(np.count_nonzero(valid))
 
 
-def evaluate(x_hat: HsiCube, x_ref: HsiCube, factor: int) -> MetricReport:
-    """All five metrics of ``x_hat`` against the reference ``x_ref``."""
-    x_hat.check_shape("x_hat", x_ref.data.shape)
-    check_int("factor", factor, 1)
-    if min(x_hat.height, x_hat.width) < _SSIM_WINDOW:
-        raise ValidationError(
-            f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
-        )
-    per_band = pool_map(lambda k: _band_scores(x_hat.data[k], x_ref.data[k]), range(x_hat.bands))
-    per_block = each_block(_sam_block, *(c.data.reshape(c.bands, -1) for c in (x_hat, x_ref)))
+@contextlib.contextmanager
+def _bands(source: HsiCube | str | os.PathLike):
+    """``(shape, read)`` of a cube or a cube file; ``read(k)`` gives band ``k`` as a plane.
+
+    Bands are read in order. A cube's band is a view of its data. A file's
+    is read and checked finite into the first or second of two reused
+    planes, by turns, so it holds until band ``k + 2`` is read.
+    """
+    if isinstance(source, HsiCube):
+        yield source.data.shape, source.data.__getitem__
+        return
+    with open(source, "rb") as fh:
+        reader = BandReader(fh, source)
+        planes = np.empty((2, *reader.shape[1:]))
+
+        def read(k: int) -> np.ndarray:
+            reader.read(planes[k % 2])
+            return planes[k % 2]
+
+        yield reader.shape, read
+
+
+def evaluate(
+    x_hat: HsiCube | str | os.PathLike, x_ref: HsiCube | str | os.PathLike, factor: int
+) -> MetricReport:
+    """All five metrics of ``x_hat`` against the reference ``x_ref``.
+
+    Each is a cube or the path of a cube file, which is read one band at a
+    time and never held whole. A cube and its file go through the same loop
+    and report the same bytes. Shapes are checked before any band is read.
+    """
+    with _bands(x_hat) as (shape, read_hat), _bands(x_ref) as (ref_shape, read_ref):
+        check_shape("x_hat", shape, ref_shape)
+        check_int("factor", factor, 1)
+        bands, height, width = shape
+        if min(height, width) < _SSIM_WINDOW:
+            raise ValidationError(
+                f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
+            )
+        vh, vw = height - _SSIM_WINDOW + 1, width - _SSIM_WINDOW + 1
+        strips = range(0, vh, _SSIM_ROWS)
+        sums = np.zeros((3, height, width))  # each pixel's SAM sums over the bands read so far
+        per_band = []
+        pair = pool_map(lambda read: read(0), (read_hat, read_ref))
+        for k in range(bands):
+            a, b = pair
+            # the next band pair is read while this one is scored
+            ahead = [partial(read, k + 1) for read in (read_hat, read_ref)] if k + 1 < bands else []
+            scores = [partial(_strip_scores, a, b, lo, sums) for lo in strips]
+            done = pool_map(lambda job: job(), [*ahead, partial(np.mean, b), *scores])
+            pair, ref_mean, per_strip = done[: len(ahead)], done[len(ahead)], done[len(ahead) + 1 :]
+            err = total = 0.0
+            for strip_err, strip_total in per_strip:
+                err += strip_err
+                total += strip_total
+            per_band.append((err / (height * width), float(ref_mean), total / (vh * vw)))
+    per_block = each_block(_sam_block, *sums.reshape(3, -1))
     mse_b, ref_means, ssim_b = np.array(per_band).T
 
     rmse = 255.0 * float(np.sqrt(np.mean(mse_b)))

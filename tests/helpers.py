@@ -308,6 +308,7 @@ def bad_cube_files(tmp_path, rng, bands=5, height=4, width=6):
         "trailing": blob + b"\0",
         "header": MAGIC + b"not json\n" + blob[start:],
         "magic": b"NOPE" + blob[4:],
+        "dtype": blob[:start].replace(b'"f64"', b'"i32"') + blob[start:],
     }
     out = {}
     for name, content in files.items():

@@ -14,6 +14,7 @@ from hsfuse.cli import main
 from hsfuse.cube import HsiCube, pool_size
 from hsfuse.errors import CubeFormatError, ValidationError
 from hsfuse.io import load_cube
+from hsfuse.metrics import evaluate
 
 
 @pytest.fixture
@@ -286,6 +287,88 @@ class TestErrormapBandRead:
         assert peak < 0.3 * 31 * 128 * 128 * 8
 
 
+@pytest.fixture(scope="module")
+def scored_files(tmp_path_factory):
+    """An x_hat and a reference file, two seeded 31-band scenes, at desk size and 256x256."""
+    from hsfuse.io import save_cube
+    from hsfuse.scenes import SceneSpec, generate_scene
+
+    root = tmp_path_factory.mktemp("scored")
+    files = {}
+    for size in (64, 256):
+        for seed, name in ((0, "gt"), (1, "xh")):
+            save_cube(root / f"{name}{size}.cube", generate_scene(SceneSpec(31, size, size, seed=seed)))
+        files[size] = (str(root / f"xh{size}.cube"), str(root / f"gt{size}.cube"))
+    return files
+
+
+class TestEvaluateBandRead:
+    """``evaluate`` scores the files band by band and writes what scoring the loaded cubes writes."""
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_report_equals_the_report_of_the_loaded_cubes(self, scored_files, tmp_path, size):
+        x_hat, ref = scored_files[size]
+        want = (evaluate(load_cube(x_hat), load_cube(ref), 4).to_json() + "\n").encode()
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"r{threads}.json"
+            assert main(["evaluate", "--threads", threads, "--x-hat", x_hat, "--ref", ref,
+                         "--factor", "4", "--json", str(out)]) == 0
+            assert out.read_bytes() == want, threads
+            inputs = json.loads(open(str(out) + ".manifest.json").read())["inputs"]
+            assert inputs["x_hat"]["shape"] == inputs["ref"]["shape"] == [31, size, size]
+
+    def test_f32_x_hat_scores_as_its_f64_upcast(self, rng, tmp_path):
+        from hsfuse.io import MAGIC, save_cube
+
+        ref, x = rand_cube(rng, 5, 16, 13, 0.0, 1.0), rand_cube(rng, 5, 16, 13, 0.0, 1.0)
+        save_cube(tmp_path / "ref.cube", ref)
+        head = {"bands": 5, "height": 16, "width": 13, "dtype": "f32", "layout": "band-major"}
+        x32 = x.data.astype("<f4")
+        (tmp_path / "x32.cube").write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + x32.tobytes())
+        save_cube(tmp_path / "x64.cube", HsiCube(x32.astype(np.float64)))
+        for name in ("x32", "x64"):
+            assert main(["evaluate", "--x-hat", str(tmp_path / f"{name}.cube"),
+                         "--ref", str(tmp_path / "ref.cube"), "--factor", "2",
+                         "--json", str(tmp_path / f"{name}.json")]) == 0
+        assert (tmp_path / "x32.json").read_bytes() == (tmp_path / "x64.json").read_bytes()
+
+    def test_mismatched_shapes_exit_2_before_any_payload_read(self, rng, tmp_path, monkeypatch):
+        import hsfuse.io
+        from hsfuse.io import save_cube
+
+        a, b = tmp_path / "a.cube", tmp_path / "b.cube"
+        save_cube(a, rand_cube(rng, 4, 16, 16))
+        save_cube(b, rand_cube(rng, 4, 16, 18))
+        with pytest.raises(ValidationError) as rule:
+            load_cube(a).check_shape("x_hat", (4, 16, 18))
+        reads = []
+        read_into = hsfuse.io._read_into
+        monkeypatch.setattr(hsfuse.io, "_read_into", lambda *args: reads.append(1) or read_into(*args))
+        out = str(tmp_path / "m.json")
+        assert main(["evaluate", "--x-hat", str(a), "--ref", str(b), "--factor", "2",
+                     "--json", out]) == 2
+        error = json.loads(open(out + ".manifest.json").read())["error"]
+        assert error == {"type": "ValidationError", "message": str(rule.value)}
+        assert reads == []
+
+    @pytest.mark.parametrize("role", ["x_hat", "ref"])
+    def test_nan_in_the_last_band_exits_3_without_a_report(self, rng, tmp_path, role):
+        from hsfuse.io import save_cube
+
+        good, bad = tmp_path / "good.cube", tmp_path / "bad.cube"
+        save_cube(good, rand_cube(rng, 4, 16, 16))
+        blob = good.read_bytes()
+        bad.write_bytes(blob[:-8] + np.array([np.nan]).tobytes())
+        paths = {"x_hat": str(good), "ref": str(good), role: str(bad)}
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--x-hat", paths["x_hat"], "--ref", paths["ref"], "--factor", "2",
+                     "--json", str(out)]) == 3
+        assert not out.exists()
+        error = json.loads(open(str(out) + ".manifest.json").read())["error"]
+        assert error["type"] == "CubeFormatError"
+        assert str(bad) in error["message"]
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, pipeline):
         tmp, paths = pipeline
@@ -484,17 +567,27 @@ def write_inputs(tmp_path, bands, size, factor):
     return gt.data.nbytes
 
 
-def cli_peak_rss_mb(args: list[str], out, out_flag: str = "--out") -> float:
-    """Peak RSS (MB) from the manifest of one CLI run in a fresh interpreter."""
+def run_fresh(cmd: list[str]) -> str:
+    """The standard output of ``cmd`` run with this package importable, through a shell."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     # through a shell that forks it: a child spawned straight from this
     # process starts its ru_maxrss at this process's own peak
-    cmd = [sys.executable, "-m", "hsfuse", *args, out_flag, str(out)]
-    subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", *cmd],
-                   env=env, capture_output=True, check=True)
+    return subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", *cmd],
+                          env=env, capture_output=True, check=True, text=True).stdout
+
+
+def cli_peak_rss_mb(args: list[str], out, out_flag: str = "--out") -> float:
+    """Peak RSS (MB) from the manifest of one CLI run in a fresh interpreter."""
+    run_fresh([sys.executable, "-m", "hsfuse", *args, out_flag, str(out)])
     return json.loads(open(str(out) + ".manifest.json").read())["peak_rss_mb"]
+
+
+def bare_peak_rss_mb() -> float:
+    """Peak RSS (MB) of a fresh interpreter that imports numpy and ``hsfuse.cli`` and stops."""
+    probe = "import numpy, hsfuse.cli as cli; print(cli._peak_rss_mb())"
+    return float(run_fresh([sys.executable, "-c", probe]))
 
 
 class TestMemory:
@@ -540,11 +633,12 @@ class TestMemory:
         assert peaks[1] - peaks[0] < 25.0
 
     def test_evaluate_peak_rss_grows_little_with_the_pool(self, tmp_path):
-        # each pool item scores one band a strip of SSIM rows at a time, so a
-        # thread's buffers do not grow with the image. Measured on a 2-vCPU
-        # box, 31x256x256, --threads 8 minus --threads 1 (MB = 1e6 bytes):
-        # 29.0-29.4 with whole-band buffers per item, 4.6-4.8 with strip
-        # buffers, 4.8-4.9 with the earlier one-band-at-a-time FFT SSIM
+        # each pool item scores one strip of SSIM rows, so a thread's buffers
+        # do not grow with the image. Measured on a 2-vCPU box, 31x256x256,
+        # --threads 8 minus --threads 1 (MB = 1e6 bytes): 29.0-29.4 with
+        # whole-band buffers per item, 4.6-4.8 with strip buffers, 4.8-4.9
+        # with the earlier one-band-at-a-time FFT SSIM; reading the files,
+        # 12.4 with a band pair per thread, 5.2-6.0 with one pair at a time
         pytest.importorskip("resource")
         for seed, name in ((0, "gt"), (1, "xh")):
             assert main(["simulate", "--bands", "31", "--size", "256", "--seed", str(seed),
@@ -556,6 +650,19 @@ class TestMemory:
             for threads in ("1", "8")
         ]
         assert peaks[1] - peaks[0] < 10.0
+
+    def test_evaluate_peak_stays_below_a_bare_interpreter_plus_one_cube(self, scored_files, tmp_path):
+        # evaluate holds two bands of each file (the pair it scores and the
+        # next one being read), three per-pixel SAM planes and a strip buffer
+        # per thread, never a whole cube. Measured on a 2-vCPU box, 31x256x256
+        # (a cube is 16.25 MB), --threads 2 (MB = 1e6 bytes): a bare
+        # interpreter with numpy and hsfuse.cli imported peaks at 29.6-29.7 MB,
+        # evaluate at 36.5-36.9 MB, and at 67.0-67.2 MB when it loaded both cubes
+        pytest.importorskip("resource")
+        x_hat, ref = scored_files[256]
+        peak = cli_peak_rss_mb(["evaluate", "--threads", "2", "--x-hat", x_hat, "--ref", ref,
+                                "--factor", "8"], tmp_path / "m.json", out_flag="--json")
+        assert peak < bare_peak_rss_mb() + 31 * 256 * 256 * 8 / 1e6
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info < (3, 11),

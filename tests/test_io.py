@@ -17,6 +17,7 @@ from hsfuse.errors import (
 )
 from hsfuse.io import (
     MAGIC,
+    BandReader,
     band_index_for_wavelength,
     cube_shape,
     export_error_map,
@@ -24,6 +25,7 @@ from hsfuse.io import (
     load_srf_csv,
     save_cube,
 )
+from hsfuse.metrics import evaluate
 
 
 class TestCubeContainer:
@@ -294,7 +296,9 @@ class TestBandRead:
             with pytest.raises(ValidationError):
                 load_cube(path, band)
 
-    @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic"])
+    @pytest.mark.parametrize(
+        "kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"]
+    )
     def test_band_read_rejects_what_the_whole_read_rejects(self, rng, tmp_path, kind):
         path = bad_cube_files(tmp_path, rng)[0][kind]
         with pytest.raises(CubeFormatError) as whole:
@@ -305,6 +309,37 @@ class TestBandRead:
         if kind not in ("nan", "inf"):  # the header and length checks alone
             with pytest.raises(type(whole.value)):
                 cube_shape(path)
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"])
+    @pytest.mark.parametrize("role", ["x_hat", "x_ref"])
+    def test_streamed_evaluate_rejects_what_the_whole_read_rejects(self, rng, tmp_path, kind, role):
+        # evaluate reads through the same BandReader as load_cube(path, band);
+        # the non-finite values sit in band 3 of 5
+        files, blob = bad_cube_files(tmp_path, rng, height=12, width=12)
+        good = tmp_path / "other.cube"
+        good.write_bytes(blob)
+        with pytest.raises(CubeFormatError) as whole:
+            load_cube(files[kind])
+        paths = {"x_hat": good, "x_ref": good, role: files[kind]}
+        with pytest.raises(type(whole.value)) as streamed:
+            evaluate(paths["x_hat"], paths["x_ref"], factor=1)
+        assert str(files[kind]) in str(streamed.value)
+
+    def test_reader_upcasts_f32_and_skips_bands(self, rng, tmp_path):
+        cube = rand_cube(rng, 3, 4, 5)
+        path = tmp_path / "a.cube"
+        head = {"bands": 3, "height": 4, "width": 5, "dtype": "f32", "layout": "band-major"}
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + cube.data.astype("<f4").tobytes())
+        plane = np.empty((4, 5))
+        with open(path, "rb") as fh:
+            reader = BandReader(fh, path)
+            assert reader.shape == (3, 4, 5)
+            reader.read()
+            reader.read(plane)
+            assert np.array_equal(plane, cube.data[1].astype(np.float32))
+            reader.read()
+            with pytest.raises(TruncatedPayloadError, match=str(path)):
+                reader.read(plane)  # past the last band
 
     def test_band_read_holds_two_bands(self, rng, tmp_path):
         import tracemalloc

@@ -8,6 +8,7 @@ from helpers import rand_cube, ssim_direct
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import BlurOperator
 from hsfuse.errors import ValidationError
+from hsfuse.io import save_cube
 from hsfuse.metrics import CSV_HEADER, evaluate
 
 
@@ -78,17 +79,34 @@ def test_sam_scale_invariance(rng):
     assert evaluate(HsiCube(1.7 * a.data), b, factor=1).sam == pytest.approx(base, abs=1e-12)
 
 
-def test_sam_skips_zero_spectra(rng):
+def test_sam_skips_zero_spectra(rng, tmp_path):
     a = rand_cube(rng, 3, 12, 12, lo=0.1, hi=1.0).data.copy()
     b = rand_cube(rng, 3, 12, 12, lo=0.1, hi=1.0).data.copy()
     a[:, 0, 0] = 0.0  # this pixel must not contribute
     b_moved = b.copy()
     b_moved[:, 0, 0] = 123.0
-    full = evaluate(HsiCube(a.copy()), HsiCube(b), factor=1).sam
-    assert evaluate(HsiCube(a.copy()), HsiCube(b_moved), factor=1).sam == full
-    with pytest.warns(UserWarning, match="ERGAS"):
-        zero = evaluate(HsiCube(np.zeros((3, 12, 12))), HsiCube(np.zeros((3, 12, 12))), factor=1)
-    assert zero.sam == 0.0
+    zeros = np.zeros((3, 12, 12))
+    for name, data in (("a", a), ("b", b), ("b_moved", b_moved), ("zeros", zeros)):
+        save_cube(tmp_path / name, HsiCube(data.copy()))
+    # cubes and the files they were saved to
+    for given in (lambda data, name: HsiCube(data.copy()), lambda data, name: tmp_path / name):
+        full = evaluate(given(a, "a"), given(b, "b"), factor=1).sam
+        assert evaluate(given(a, "a"), given(b_moved, "b_moved"), factor=1).sam == full
+        with pytest.warns(UserWarning, match="ERGAS"):
+            zero = evaluate(given(zeros, "zeros"), given(zeros, "zeros"), factor=1)
+        assert zero.sam == 0.0
+
+
+def test_files_score_as_their_cubes(rng, tmp_path):
+    # one loop reads a cube's bands as views and a file's into reused planes;
+    # 5 bands and 40x23 pixels leave a short last strip of SSIM rows
+    a = rand_cube(rng, 5, 40, 23, lo=0.1, hi=1.0)
+    b = rand_cube(rng, 5, 40, 23, lo=0.1, hi=1.0)
+    save_cube(tmp_path / "a.cube", a)
+    save_cube(tmp_path / "b.cube", b)
+    want = evaluate(a, b, factor=2).to_json()
+    for x_hat, x_ref in ((tmp_path / "a.cube", str(tmp_path / "b.cube")), (a, tmp_path / "b.cube")):
+        assert evaluate(x_hat, x_ref, factor=2).to_json() == want
 
 
 def test_ergas_formula_and_factor_scaling(rng):
@@ -108,8 +126,10 @@ def test_ergas_excludes_near_zero_reference_bands(rng):
     b = rand_cube(rng, 3, 12, 12, lo=0.2, hi=1.0).data.copy()
     b[2] = 0.0  # reference band mean below threshold
     a2 = HsiCube(a)
-    with pytest.warns(UserWarning, match="ERGAS"):
+    with pytest.warns(UserWarning, match="ERGAS") as record:
         got = evaluate(a2, HsiCube(b), factor=2).ergas
+    # the warning points at the caller's line, not into the package
+    assert [w.filename for w in record] == [__file__]
     mse = np.mean((a[:2] - b[:2]) ** 2, axis=(1, 2))
     means = np.mean(b[:2], axis=(1, 2))
     want = 50.0 * np.sqrt(np.mean(mse / means**2))
