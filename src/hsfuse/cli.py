@@ -6,7 +6,17 @@ outputs, timings) next to its primary output unless --manifest says otherwise;
 on a failure the manifest is still written, with an error record. All five
 commands share one stage runner (``_Stage``) for that manifest, and every
 file they write (cubes, manifests, JSON/CSV reports, error maps) goes through
-``io.write_atomic``, so a failed write leaves the previous file in place.
+``io.write_atomic`` or its temp file, so a failed write leaves the previous
+file in place.
+
+No stage holds a whole input or output cube but ``fuse``. ``simulate`` times
+the endmember spectra, their maps and the peak of their product under
+``generate``, and the scaled product's blocks of pixels, written straight
+into the file, under ``save``. ``degrade`` reads its input's header under
+``load``, the band-by-band and block-by-block passes that make y and z
+under ``degrade``, and the two outputs under ``save``. ``evaluate`` reads
+both headers under ``load`` and scores the files band by band under
+``evaluate``; ``errormap`` reads one band of each file under ``load``.
 
 Heavy imports happen inside the command handlers so that the BLAS/OpenMP
 thread pools can be pinned to one thread before numpy loads. The package's
@@ -164,10 +174,10 @@ class _Stage:
         self.manifest["inputs"][role] = {"path": path, "shape": list(shape)}
         return shape
 
-    def output(self, role: str, path: str, cube=None) -> None:
+    def output(self, role: str, path: str, shape: tuple[int, ...] | None = None) -> None:
         record: dict = {"path": path}
-        if cube is not None:
-            record["shape"] = list(cube.data.shape)
+        if shape is not None:
+            record["shape"] = list(shape)
         self.manifest["outputs"][role] = record
 
 
@@ -215,24 +225,25 @@ def _resolve_srf(spec: str, in_bands: int, out_bands: int | None):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .io import save_cube
-    from .scenes import SceneSpec, generate_scene
+    from .io import save_blocks
+    from .scenes import SceneSpec, scene_blocks
 
-    spec = SceneSpec(
-        bands=args.bands,
-        height=args.size,
-        width=args.size,
-        endmembers=args.endmembers,
-        smoothness=args.smoothness,
-        seed=args.seed,
-    )
     with _Stage(args, args.out, "bands size endmembers smoothness seed") as stage:
+        spec = SceneSpec(
+            bands=args.bands,
+            height=args.size,
+            width=args.size,
+            endmembers=args.endmembers,
+            smoothness=args.smoothness,
+            seed=args.seed,
+        )
+        shape = (spec.bands, spec.height, spec.width)
         with stage.timed("generate"):
-            cube = generate_scene(spec)
+            block = scene_blocks(spec)
         with stage.timed("save"):
-            save_cube(args.out, cube, scale=(0.0, 1.0))
-        stage.output("cube", args.out, cube)
-        print(f"wrote {args.out} ({cube.bands}x{cube.height}x{cube.width})")
+            save_blocks(args.out, shape, block, scale=(0.0, 1.0))
+        stage.output("cube", args.out, shape)
+        print(f"wrote {args.out} ({'x'.join(map(str, shape))})")
     return 0
 
 
@@ -241,20 +252,22 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     from .io import save_cube
 
     with _Stage(args, args.out_y, "in blur factor srf noise noise_seed") as stage:
+        path = getattr(args, "in")  # "in" is a keyword
         with stage.timed("load"):
-            x = stage.load("cube", getattr(args, "in"))  # "in" is a keyword
+            bands, height, width = stage.shape("cube", path)
         with stage.timed("degrade"):
-            blur = _parse_blur(args.blur, x.height, x.width)
-            srf = _resolve_srf(args.srf, x.bands, None)
+            blur = _parse_blur(args.blur, height, width)
+            srf = _resolve_srf(args.srf, bands, None)
             model = DegradationModel(
                 blur, Downsampler(args.factor), srf, noise_sigma=args.noise, noise_seed=args.noise_seed
             )
-            y, z = model.degrade(x)
+            # read from the file band by band, then block by block, never whole
+            y, z = model.degrade(path)
         with stage.timed("save"):
             save_cube(args.out_y, y)
             save_cube(args.out_z, z)
-        stage.output("y", args.out_y, y)
-        stage.output("z", args.out_z, z)
+        stage.output("y", args.out_y, y.data.shape)
+        stage.output("z", args.out_z, z.data.shape)
         print(
             f"wrote {args.out_y} ({y.bands}x{y.height}x{y.width}) and "
             f"{args.out_z} ({z.bands}x{z.height}x{z.width})"
@@ -310,7 +323,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             result = fuse(y, z, model, holder.pop(), cfg)
         with stage.timed("save"):
             save_cube(args.out, result.x_hat)
-        stage.output("x_hat", args.out, result.x_hat)
+        stage.output("x_hat", args.out, result.x_hat.data.shape)
         stage.manifest["iterations"] = result.iterations
         stage.manifest["converged"] = result.converged
         stage.manifest["objective_trace"] = list(result.objective_trace)

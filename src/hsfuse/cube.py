@@ -34,12 +34,17 @@ thread. Each item writes its own output or returns its own partial result,
 and callers combine partial results in item order, so output bytes do not
 depend on the pool size. A pool of 1 runs the same functions in the calling
 thread, and ``concurrent.futures`` is imported only when a map first needs a
-worker.
+worker. ``serial`` makes a function that pool items share, such as the reads
+or writes of one open file, run for one item at a time.
 This module alone cuts work, with one private slicer under ``stacks`` (pool
 items of planes or channels), ``chunks`` (the rows of one numpy call inside
 an item; ``block_chunks`` in a pass over a column block), ``planes`` (pool
-items of one plane each) and ``each_block`` (a function over blocks of
-columns on the pool).
+items of one plane each), ``blocks`` (pool items of a block of pixels or
+frequencies) and ``each_block`` (a function over those blocks of columns on
+the pool). A block starts on a multiple of ``_BLOCK_COLUMNS`` and ends on
+one or at the last column, so a GEMM cut into blocks of columns gives the
+bits of the whole product (checked with numpy 2.4's OpenBLAS, whose GEMM
+gives other bits for blocks cut at columns that are not multiples of 8).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -63,6 +68,7 @@ __all__ = [
     "HsiCube",
     "FreqCube",
     "block_chunks",
+    "blocks",
     "check_shape",
     "chunks",
     "circular_convolve",
@@ -78,6 +84,7 @@ __all__ = [
     "pool_map",
     "pool_size",
     "rdft2",
+    "serial",
     "stacks",
 ]
 
@@ -257,6 +264,17 @@ def pool_map(fn: Callable, items: Sequence) -> list:
     return results
 
 
+def serial(fn: Callable) -> Callable:
+    """``fn`` behind a lock of its own, so the threads of a ``pool_map`` call it one at a time."""
+    lock = threading.Lock()
+
+    def call(*args, **kwargs):
+        with lock:
+            return fn(*args, **kwargs)
+
+    return call
+
+
 def _slices(rows: int, per: int) -> list[slice]:
     """Slices of ``per`` rows (at least 1; the last may hold fewer) that cover ``range(rows)``."""
     per = max(1, per)
@@ -274,6 +292,11 @@ def chunks(rows: int, row_bytes: int) -> list[slice]:
 def block_chunks(rows: int) -> list[slice]:
     """``chunks`` of float64 rows of a full block (8 at the default cap), for every block alike."""
     return chunks(rows, 8 * _BLOCK_COLUMNS)
+
+
+def blocks(count: int) -> list[slice]:
+    """Slices of ``_BLOCK_COLUMNS`` columns (the last may hold fewer) that cover ``range(count)``."""
+    return _slices(count, _BLOCK_COLUMNS)
 
 
 def planes(count: int) -> list[slice]:
@@ -315,20 +338,24 @@ def dft2(data: np.ndarray) -> np.ndarray:
     return np.fft.fft2(buf, axes=(-2, -1), out=buf)
 
 
-def circular_convolve(data: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+def circular_convolve(
+    data: np.ndarray, multiplier: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``ifft2(fft2(data) * multiplier).real`` over the last two axes of real ``data``.
 
     ``multiplier`` is the (height, width) spectrum of a real kernel, so the
     product of each plane's half spectrum with its stored columns is the half
     spectrum of the result. Each plane is filtered in its own half-size buffer
-    and transformed back into the new real output, one plane per pool item
+    and transformed back into the real output, one plane per pool item
     rather than a stack: ``irfftn`` allocates a complex temporary as large as
     its whole input, so a stack of planes would hold that many complex
-    buffers at once.
+    buffers at once. The output is a new array, or the contiguous float64
+    ``out``, which may be ``data`` itself: a plane is transformed before its
+    result overwrites it.
     """
     height, width = data.shape[-2:]
     half = multiplier[..., : width // 2 + 1]
-    out = np.empty(data.shape, dtype=np.float64)
+    out = np.empty(data.shape, dtype=np.float64) if out is None else out
 
     def plane(src: np.ndarray, dst: np.ndarray) -> None:
         spec = np.fft.rfftn(src, axes=(-2, -1))
@@ -421,10 +448,9 @@ def each_block(fn: Callable, *arrays: np.ndarray) -> list:
     ``fn`` takes one view per array, over the same columns, and the results
     come back in block order.
     """
-    blocks = _slices(arrays[0].shape[-1], _BLOCK_COLUMNS)
     # a list, not a generator: CPython builds a generator's argument tuple at a
     # guessed size and shrinks it, and the shrunk tuples pile up on a free list
-    return pool_map(lambda cols: fn(*[a[..., cols] for a in arrays]), blocks)
+    return pool_map(lambda cols: fn(*[a[..., cols] for a in arrays]), blocks(arrays[0].shape[-1]))
 
 
 def mix_bands(

@@ -24,18 +24,22 @@ contract every solver relies on: ``check_hr`` for a high-resolution cube and
 <apply(x), y> == <x, adjoint(y)> up to roundoff. ``DegradationModel`` rejects
 grids the decimation factor does not divide, so every model it accepts has
 the aliasing-group structure the closed-form x-step solver needs.
-``DegradationModel.degrade`` blurs and decimates one plane per pool item
-(``cube.planes``) into its low-resolution output, so it never holds a whole
-blurred cube.
+``DegradationModel.degrade`` takes a cube or a cube file (``io.open_cube``)
+and holds neither a whole blurred cube nor, for a file, the input cube: it
+reads, blurs and decimates one band per pool item (``cube.planes``) into its
+low-resolution output, then mixes the bands of one ``cube.blocks`` block of
+pixels per pool item into z. A GEMM cut at those blocks gives the bits of
+the whole band mix, which a cut between bands does not.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HsiCube, circular_convolve, dft2, planes, pool_map
+from .cube import HsiCube, blocks, check_shape, circular_convolve, dft2, planes, pool_map
 from .errors import ValidationError, check_int, check_real
 
 __all__ = [
@@ -133,8 +137,9 @@ class BlurOperator:
         multiplier.setflags(write=False)
         return cls(height, width, kernel, (ar, ac), multiplier)
 
-    def apply_array(self, data: np.ndarray) -> np.ndarray:
-        return circular_convolve(data, self.multiplier)
+    def apply_array(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The blurred ``data``: a new array, or ``out``, which may be ``data`` itself."""
+        return circular_convolve(data, self.multiplier, out)
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
         return circular_convolve(data, np.conj(self.multiplier))
@@ -278,20 +283,40 @@ class DegradationModel:
         y.check_shape("y", (self.bands, self.blur.height // s, self.blur.width // s))
         z.check_shape("z", (self.srf.out_bands,) + self.hr_shape)
 
-    def degrade(self, x: HsiCube) -> tuple[HsiCube, HsiCube]:
-        """Produce the low-res cube and the mixed-band image for a full cube."""
-        self.check_hr("x", x)
-        y = np.empty((self.bands, *(n // self.down.factor for n in self.hr_shape)))
+    def degrade(self, x: HsiCube | str | os.PathLike) -> tuple[HsiCube, HsiCube]:
+        """Produce the low-res cube and the mixed-band image of a cube or a cube file.
 
-        def blur_down(rows: slice) -> None:
-            # assigned, not kept as a view: a strided view holds its whole blurred plane
-            y[rows] = self.down.apply_array(self.blur.apply_array(x.data[rows]))
+        A file is read band by band for y, then a block of pixels of every
+        band at a time for z, each read checked finite; a cube and its file
+        give the same bytes.
+        """
+        # imported here: ``io`` imports this module, and the solvers' processes
+        # that only apply the operators need no file format
+        from .io import open_cube
 
-        pool_map(blur_down, planes(self.bands))
-        z = self.srf.apply_array(x.data)
+        with open_cube(x) as reader:
+            check_shape("x", reader.shape, (self.bands,) + self.hr_shape)
+            y = np.empty((self.bands, *(n // self.down.factor for n in self.hr_shape)))
+
+            def blur_down(rows: slice) -> None:
+                plane = reader.band(rows.start)[None]
+                # a file's band is read into a new plane, blurred in place: a second
+                # plane per item made the heap shrink and grow back for each band
+                # (63k page faults at 31x512x512, against 2k for a cube's bands)
+                blurred = self.blur.apply_array(plane, plane if plane.flags.writeable else None)
+                # assigned, not kept as a view: a strided view holds its whole blurred plane
+                y[rows] = self.down.apply_array(blurred)
+
+            def mix(cols: slice) -> None:
+                z[:, cols] = self.srf.matrix @ reader.pixels(cols)
+
+            pool_map(blur_down, planes(self.bands))
+            # made after y's pass, which holds a plane and its transforms per thread
+            z = np.empty((self.srf.out_bands, reader.shape[1] * reader.shape[2]))
+            pool_map(mix, blocks(z.shape[1]))
         if self.noise_sigma > 0:
             rng = np.random.default_rng(self.noise_seed)
             # draw order fixed (y then z) so a seed pins both outputs
-            y = y + rng.normal(0.0, self.noise_sigma, y.shape)
-            z = z + rng.normal(0.0, self.noise_sigma, z.shape)
-        return HsiCube(y), HsiCube(z)
+            y += rng.normal(0.0, self.noise_sigma, y.shape)
+            z += rng.normal(0.0, self.noise_sigma, z.shape)
+        return HsiCube(y), HsiCube(z.reshape(self.srf.out_bands, *self.hr_shape))

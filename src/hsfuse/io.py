@@ -9,17 +9,23 @@ Cube container layout, front to back:
 * the raw little-endian payload, exactly bands*height*width values
 
 The package writes f64 cubes and reads f64 or f32 ones, since cubes may come
-from other tools; SRF tables are only read. A ``BandReader`` reads an open
-cube file's bands front to back as float64 planes, checking each finite as
-it is read, so a read of every band rejects each file the whole read
-rejects. It is the one band read: ``load_cube`` given a band keeps that band
-alone and reads past the others, and ``metrics.evaluate`` scores files
-through it. ``cube_shape`` reads only the header, checked alike. Writes are
-bit-reproducible for equal inputs. Every file the package writes (cubes and
-error maps here; the CLI's manifests and reports) goes through
-``write_atomic``: a sibling temp file renamed onto the target, so a failed
-write leaves the previous file in place. Error maps are binary P5 graymaps scaling |difference| linearly so
-``max_error`` maps to 255, with round-half-up quantization.
+from other tools; SRF tables are only read. A cube is written whole by
+``save_cube`` or block by block of pixels by ``save_blocks``, which writes
+each band's segment of a block at its offset and refuses a non-finite block,
+so the package never writes a cube that ``load_cube`` rejects. A
+``BandReader`` reads an open cube file's bands, in order or by index, or
+every band's values at a block of pixels, as float64 and checked finite, so
+a read of every band rejects each file the whole read rejects. It is the one
+part read: ``load_cube`` given a band keeps that band alone and reads past
+the others, ``metrics.evaluate`` scores files through it and
+``DegradationModel.degrade`` degrades them. ``open_cube`` gives a cube or a
+cube file the same reads. ``cube_shape`` reads only the header, checked
+alike. Writes are bit-reproducible for equal inputs. Every file the package
+writes (cubes and error maps here; the CLI's manifests and reports) goes
+through ``write_atomic`` or its temp file: a sibling temp file renamed onto
+the target, so a failed write leaves the previous file in place. Error maps
+are binary P5 graymaps scaling |difference| linearly so ``max_error`` maps
+to 255, with round-half-up quantization.
 """
 
 from __future__ import annotations
@@ -28,11 +34,12 @@ import contextlib
 import csv
 import json
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, blocks, pool_map, serial
 from .degradation import SpectralResponse
 from .errors import (
     BadMagicError,
@@ -47,9 +54,11 @@ from .errors import (
 __all__ = [
     "MAGIC",
     "save_cube",
+    "save_blocks",
     "load_cube",
     "cube_shape",
     "BandReader",
+    "open_cube",
     "write_atomic",
     "load_srf_csv",
     "export_error_map",
@@ -59,6 +68,24 @@ __all__ = [
 MAGIC = b"HSRC"
 
 _DTYPES = {"f64": "<f8", "f32": "<f4"}
+
+
+@contextlib.contextmanager
+def _atomic(path: str | Path):
+    """The open binary temp file that becomes ``path`` when the block succeeds (``write_atomic``)."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
@@ -73,40 +100,64 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
     and ``path``, not the temp file the caller never named. The new file gets
     the usual mode of a file created by ``open``.
     """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
+    with _atomic(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
-def save_cube(path: str | Path, cube: HsiCube, scale: tuple[float, float] | None = None) -> None:
-    """Write a cube as f64; ``scale`` optionally records the nominal value range."""
-    header: dict = {
-        "bands": cube.bands,
-        "height": cube.height,
-        "width": cube.width,
-        "dtype": "f64",
-        "layout": "band-major",
-    }
+def _header(shape: tuple[int, int, int], scale: tuple[float, float] | None) -> bytes:
+    """The magic and header line of an f64 cube of ``shape``; ``scale`` is checked here."""
+    header: dict = dict(zip(("bands", "height", "width"), shape), dtype="f64", layout="band-major")
     if scale is not None:
         lo, hi = float(scale[0]), float(scale[1])
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValidationError(f"scale must be a finite (lo, hi) pair with hi > lo, got {scale!r}")
         header["scale"] = [lo, hi]
+    return MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
+
+
+def save_cube(path: str | Path, cube: HsiCube, scale: tuple[float, float] | None = None) -> None:
+    """Write a cube as f64; ``scale`` optionally records the nominal value range."""
     # the array's own buffer, not a cube-sized bytes copy of it
     payload = memoryview(np.ascontiguousarray(cube.data, dtype=_DTYPES["f64"])).cast("B")
-    head = MAGIC + json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
-    write_atomic(path, head, payload)
+    write_atomic(path, _header(cube.data.shape, scale), payload)
+
+
+def save_blocks(
+    path: str | Path,
+    shape: tuple[int, int, int],
+    block: Callable[[slice], np.ndarray],
+    scale: tuple[float, float] | None = None,
+) -> None:
+    """Write the f64 cube of ``shape`` whose values at the pixels ``cols`` are ``block(cols)``.
+
+    ``block`` gives every band at a slice of pixels (flat, row-major), as
+    (bands, n) float64. It is called once per ``cube.blocks`` block, one block
+    per pool item, and each band's segment is written at its offset in the
+    temp file of ``write_atomic``, so the file is the one ``save_cube`` writes
+    for the cube of those values, and no cube is held. A non-finite block is
+    refused with ``ValidationError``, as ``HsiCube`` refuses one, and
+    nothing is written to ``path``.
+    """
+    bands, height, width = shape
+    head = _header(shape, scale)
+    pixels = height * width
+    with _atomic(path) as fh:
+
+        @serial
+        def write(start: int, values: np.ndarray) -> None:
+            for b, segment in enumerate(values):
+                fh.seek(len(head) + (b * pixels + start) * values.itemsize)
+                fh.write(memoryview(segment).cast("B"))
+
+        def put(cols: slice) -> None:
+            values = np.ascontiguousarray(block(cols), dtype=_DTYPES["f64"])
+            if not np.isfinite(values).all():
+                raise ValidationError("cube values must be finite")
+            write(cols.start, values)
+
+        fh.write(head)
+        pool_map(put, blocks(pixels))
 
 
 def _open_payload(fh, path: str | Path) -> tuple[tuple[int, int, int], str]:
@@ -160,29 +211,85 @@ def cube_shape(path: str | Path) -> tuple[int, int, int]:
 
 
 class BandReader:
-    """The bands of the cube file open as ``fh``, read front to back, each checked finite.
+    """The cube file open as ``fh``, read a band or a block of pixels at a time, checked finite.
 
     ``shape`` and ``dtype`` (the payload's numpy dtype) come from the checked
-    header. A skipped band and an f32 band pass through one reused band
-    buffer of that dtype.
+    header. Reads fill float64 arrays with contiguous rows; f32 values pass
+    through one reused band buffer. The file is read for one call at a time
+    (``cube.serial``) and the values are checked after, so pool items may
+    share a reader and check their values at once.
     """
 
     def __init__(self, fh, path: str | Path):
         self.shape, self.dtype = _open_payload(fh, path)
         self._fh, self._path = fh, path
+        self._start = fh.tell()
         self._raw: np.ndarray | None = None
+        self._next = 0
+        self._fill = serial(self._fill_rows)
 
-    def read(self, out: np.ndarray | None = None) -> None:
-        """Read the next band into the float64 (height, width) ``out``, or past it when None."""
-        raw = out
-        if out is None or self.dtype != _DTYPES["f64"]:
-            if self._raw is None:
-                self._raw = np.empty(self.shape[1:], dtype=self.dtype)
-            raw = self._raw
-        if not np.isfinite(_read_into(self._fh, raw, self._path)).all():
+    def read(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The band after the one ``read`` read last, as ``band`` reads it."""
+        self._next += 1
+        return self.band(self._next - 1, out)
+
+    def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Band ``k`` as a float64 (height, width) plane: the contiguous ``out``, or a new one."""
+        out = np.empty(self.shape[1:]) if out is None else out
+        self._rows(k * self.shape[1] * self.shape[2], out.reshape(1, -1))
+        return out
+
+    def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Every band's values at the pixels ``cols`` (flat, row-major) as a float64 (bands, n) array."""
+        part = range(self.shape[1] * self.shape[2])[cols]
+        out = np.empty((self.shape[0], len(part))) if out is None else out
+        self._rows(part.start, out)
+        return out
+
+    def _rows(self, start: int, rows: np.ndarray) -> None:
+        """Fill row i of ``rows`` from value ``start`` of band i, and check them finite."""
+        self._fill(start, rows)
+        if not np.isfinite(rows).all():
             raise CubeFormatError(f"{self._path}: payload contains non-finite values")
-        if out is not None and raw is not out:
-            out[...] = raw
+
+    def _fill_rows(self, start: int, rows: np.ndarray) -> None:
+        plane = self.shape[1] * self.shape[2]
+        for i, row in enumerate(rows):
+            self._fh.seek(self._start + (start + i * plane) * np.dtype(self.dtype).itemsize)
+            if self.dtype == _DTYPES["f64"]:
+                _read_into(self._fh, row, self._path)
+                continue
+            if self._raw is None:
+                self._raw = np.empty(plane, dtype=self.dtype)
+            row[...] = _read_into(self._fh, self._raw[: row.size], self._path)
+
+
+class _CubeReads:
+    """A cube's reads, named as a ``BandReader``'s: views of its data, which leave ``out`` alone."""
+
+    def __init__(self, cube: HsiCube):
+        self.shape = cube.data.shape
+        self._data = cube.data
+
+    def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        return self._data[k]
+
+    def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        return self._data.reshape(self.shape[0], -1)[:, cols]
+
+
+@contextlib.contextmanager
+def open_cube(source: HsiCube | str | os.PathLike):
+    """A reader of a cube or of the cube file at a path: ``shape``, ``band`` and ``pixels``.
+
+    A file's reader is a ``BandReader``, whose reads fill ``out`` or new
+    arrays; a cube's gives views of its data, so neither is copied.
+    """
+    if isinstance(source, HsiCube):
+        yield _CubeReads(source)
+        return
+    with open(source, "rb") as fh:
+        yield BandReader(fh, source)
 
 
 def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
@@ -191,7 +298,8 @@ def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
     The payload is read straight into the cube's own (aligned) array, so an
     f64 file is held in memory once; an f32 payload is upcast once. With a
     0-based ``band``, the cube is that band alone, (1, height, width); every
-    band is still read and checked by the ``BandReader``.
+    band is still read and checked by the ``BandReader``, the others through
+    one reused plane.
     """
     with open(path, "rb") as fh:
         reader = BandReader(fh, path)
@@ -201,9 +309,9 @@ def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
         else:
             if check_int("band", band, 0) >= bands:
                 raise ValidationError(f"band {band!r} outside [0, {bands})")
-            values = np.empty((1, *reader.shape[1:]))
+            values, past = np.empty((1, *reader.shape[1:])), np.empty(reader.shape[1:])
             for b in range(bands):
-                reader.read(values[0] if b == band else None)
+                reader.read(values[0] if b == band else past)
     try:
         return HsiCube(values.astype(np.float64, copy=False))
     except ValidationError as exc:

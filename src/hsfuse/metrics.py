@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .cube import HsiCube, check_shape, each_block, pool_map
 from .errors import ValidationError, check_int
-from .io import BandReader
+from .io import open_cube
 
 __all__ = ["MetricReport", "CSV_HEADER", "evaluate"]
 
@@ -164,18 +164,9 @@ def _bands(source: HsiCube | str | os.PathLike):
     is read and checked finite into the first or second of two reused
     planes, by turns, so it holds until band ``k + 2`` is read.
     """
-    if isinstance(source, HsiCube):
-        yield source.data.shape, source.data.__getitem__
-        return
-    with open(source, "rb") as fh:
-        reader = BandReader(fh, source)
-        planes = np.empty((2, *reader.shape[1:]))
-
-        def read(k: int) -> np.ndarray:
-            reader.read(planes[k % 2])
-            return planes[k % 2]
-
-        yield reader.shape, read
+    with open_cube(source) as reader:
+        planes = None if isinstance(source, HsiCube) else np.empty((2, *reader.shape[1:]))
+        yield reader.shape, lambda k: reader.band(k, None if planes is None else planes[k % 2])
 
 
 def evaluate(

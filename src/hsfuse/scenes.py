@@ -7,19 +7,28 @@ periodic Gaussian of width ``smoothness`` pixels, standardized, and passed
 through a softmax over endmembers, so maps are non-negative and sum to one at
 every pixel. The product is scaled by its global peak into [0, 1]. Everything
 is drawn from one seeded generator, so a spec pins the scene bit-for-bit.
+
+The product is never formed whole. ``scene_blocks`` draws the spectra and
+maps and takes the peak over ``cube.blocks`` blocks of pixels, then gives
+each block of the scaled scene on demand, recomputed from the factors:
+``generate_scene`` fills a cube with those blocks, and ``io.save_blocks``
+writes them to a file, one block per pool item either way, so a file holds
+the bytes of the cube. A GEMM cut at those blocks gives the bits of the
+whole product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, blocks, pool_map
 from .degradation import BlurOperator
 from .errors import ValidationError, check_int, check_real
 
-__all__ = ["SceneSpec", "generate_scene"]
+__all__ = ["SceneSpec", "generate_scene", "scene_blocks"]
 
 
 @dataclass(frozen=True)
@@ -66,21 +75,44 @@ def _abundance_maps(
     if support > cap:
         support = cap if cap % 2 else cap - 1
     blur = BlurOperator.gaussian(height, width, smoothness, support)
-    logits = blur.apply_array(logits)
+    # in place: the maps are one buffer of their size, and std's scratch one more
+    blur.apply_array(logits, logits)
     std = logits.std(axis=(1, 2), keepdims=True)
     std[std < 1e-12] = 1.0
-    logits = (logits - logits.mean(axis=(1, 2), keepdims=True)) / std
+    logits -= logits.mean(axis=(1, 2), keepdims=True)
+    logits /= std
     logits -= logits.max(axis=0, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=0, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0, keepdims=True)
+    return logits
+
+
+def scene_blocks(spec: SceneSpec) -> Callable[..., np.ndarray]:
+    """The scaled scene of ``spec`` as a function of a slice of its pixels (flat, row-major).
+
+    ``block(cols, out=None)`` gives every band at those pixels, (bands, n)
+    float64, recomputed from the endmember spectra and maps into ``out`` or
+    a new array; its values at the ``cube.blocks`` blocks are the bits of the
+    cube ``generate_scene`` makes.
+    """
+    rng = np.random.default_rng(spec.seed)
+    spectra = _smooth_spectra(rng, spec.bands, spec.endmembers)
+    maps = _abundance_maps(rng, spec.endmembers, spec.height, spec.width, spec.smoothness)
+    maps = maps.reshape(spec.endmembers, -1)
+    peak = max(pool_map(lambda cols: float((spectra @ maps[:, cols]).max()), blocks(maps.shape[1])))
+
+    def block(cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        values = np.matmul(spectra, maps[:, cols], out=out)
+        values /= peak
+        return values
+
+    return block
 
 
 def generate_scene(spec: SceneSpec) -> HsiCube:
     """Deterministic scene for the given spec; rank at most ``endmembers``."""
-    rng = np.random.default_rng(spec.seed)
-    spectra = _smooth_spectra(rng, spec.bands, spec.endmembers)
-    maps = _abundance_maps(rng, spec.endmembers, spec.height, spec.width, spec.smoothness)
-    data = np.tensordot(spectra, maps, axes=(1, 0))
-    # in place: the scaled cube is the product's own buffer, not a second cube
-    data /= data.max()
-    return HsiCube(data)
+    block = scene_blocks(spec)
+    data = np.empty((spec.bands, spec.height * spec.width))
+    # each block straight into the cube, which holds no block-sized temporary
+    pool_map(lambda cols: block(cols, data[:, cols]), blocks(data.shape[1]))
+    return HsiCube(data.reshape(spec.bands, spec.height, spec.width))

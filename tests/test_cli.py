@@ -369,6 +369,112 @@ class TestEvaluateBandRead:
         assert str(bad) in error["message"]
 
 
+class TestStreamedStages:
+    """``simulate`` and ``degrade`` work through their files and write the bytes of the loaded cubes."""
+
+    @pytest.mark.parametrize(
+        "bands, size, block_columns",
+        [(31, 64, None), (7, 13, 32), (31, 512, None)],
+    )
+    def test_simulate_writes_the_saved_scene(self, tmp_path, monkeypatch, bands, size, block_columns):
+        # 7x13x13 in blocks of 32 pixels ends on a block of 9
+        import hsfuse.cube
+        from hsfuse.io import save_cube
+        from hsfuse.scenes import SceneSpec, generate_scene
+
+        endmembers = min(5, bands)
+        want = tmp_path / "want.cube"
+        save_cube(want, generate_scene(SceneSpec(bands, size, size, endmembers, seed=3)), scale=(0, 1))
+        if block_columns is not None:
+            monkeypatch.setattr(hsfuse.cube, "_BLOCK_COLUMNS", block_columns)
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"gt{threads}.cube"
+            assert main(["simulate", "--threads", threads, "--bands", str(bands), "--size", str(size),
+                         "--endmembers", str(endmembers), "--seed", "3", "--out", str(out)]) == 0
+            assert out.read_bytes() == want.read_bytes(), threads
+            outputs = json.loads(open(str(out) + ".manifest.json").read())["outputs"]
+            assert outputs["cube"]["shape"] == [bands, size, size]
+
+    def test_scene_blocks_write_a_non_square_scene(self, tmp_path, monkeypatch):
+        # the CLI's scenes are square; simulate's two calls on 7x13x11, in
+        # blocks of 32 pixels with a tail of 15, write the saved scene, and the
+        # scene filled from those blocks keeps its bytes
+        import hsfuse.cube
+        from hsfuse.io import save_blocks, save_cube
+        from hsfuse.scenes import SceneSpec, generate_scene, scene_blocks
+
+        spec = SceneSpec(7, 13, 11)
+        scene = generate_scene(spec)
+        save_cube(tmp_path / "want.cube", scene, scale=(0, 1))
+        monkeypatch.setattr(hsfuse.cube, "_BLOCK_COLUMNS", 32)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("HSFUSE_THREADS", threads)
+            out = tmp_path / f"gt{threads}.cube"
+            save_blocks(out, (7, 13, 11), scene_blocks(spec), scale=(0, 1))
+            assert out.read_bytes() == (tmp_path / "want.cube").read_bytes(), threads
+            assert np.array_equal(generate_scene(spec).data, scene.data), threads
+
+    @staticmethod
+    def degrade(tmp_path, path, name, *flags):
+        out_y, out_z = tmp_path / f"{name}.y", tmp_path / f"{name}.z"
+        rc = main(["degrade", "--in", str(path), "--blur", "block:2", "--factor", "2", *flags,
+                   "--out-y", str(out_y), "--out-z", str(out_z)])
+        return rc, out_y, out_z
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"])
+    def test_rejected_files_exit_3_and_write_no_output(self, rng, tmp_path, kind):
+        # the non-finite values sit in band 3 of 5, read after the bands before it
+        files, _ = bad_cube_files(tmp_path, rng)
+        with pytest.raises(CubeFormatError) as whole:
+            load_cube(files[kind])
+        rc, out_y, out_z = self.degrade(tmp_path, files[kind], kind)
+        assert rc == 3
+        error = json.loads(open(str(out_y) + ".manifest.json").read())["error"]
+        assert error["type"] == type(whole.value).__name__
+        assert not out_y.exists() and not out_z.exists()
+
+    def test_f32_input_gives_the_bytes_of_its_f64_copy(self, rng, tmp_path):
+        from hsfuse.io import MAGIC, save_cube
+
+        x = rand_cube(rng, 6, 8, 10, 0.0, 1.0)
+        head = {"bands": 6, "height": 8, "width": 10, "dtype": "f32", "layout": "band-major"}
+        x32 = x.data.astype("<f4")
+        (tmp_path / "x32.cube").write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + x32.tobytes())
+        save_cube(tmp_path / "x64.cube", HsiCube(x32.astype(np.float64)))
+        runs = [self.degrade(tmp_path, tmp_path / f"{name}.cube", name) for name in ("x32", "x64")]
+        assert [rc for rc, *_ in runs] == [0, 0]
+        for a, b in zip(runs[0][1:], runs[1][1:]):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_degrade_writes_the_bytes_of_the_loaded_cube(self, tmp_path, monkeypatch, threads):
+        # 31x72x72 is one full block of pixels and a tail of 1,088; with noise
+        # too, which is drawn after both passes
+        from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
+        from hsfuse.io import save_cube
+        from hsfuse.scenes import SceneSpec, generate_scene
+
+        gt = tmp_path / "gt.cube"
+        save_cube(gt, generate_scene(SceneSpec(31, 72, 72, seed=2)), scale=(0, 1))
+        for noise in ("0", "0.01"):
+            model = DegradationModel(
+                BlurOperator.uniform_block(72, 72, 4), Downsampler(4), SpectralResponse.default_rgb(31),
+                noise_sigma=float(noise), noise_seed=7,
+            )
+            monkeypatch.setenv("HSFUSE_THREADS", "1")
+            want = model.degrade(load_cube(gt))
+            for cube, name in zip(want, ("y", "z")):
+                save_cube(tmp_path / f"want.{name}", cube)
+            rc, out_y, out_z = self.degrade(tmp_path, gt, "got", "--threads", threads, "--blur",
+                                            "block:4", "--factor", "4", "--noise", noise,
+                                            "--noise-seed", "7")
+            assert rc == 0
+            assert out_y.read_bytes() == (tmp_path / "want.y").read_bytes(), noise
+            assert out_z.read_bytes() == (tmp_path / "want.z").read_bytes(), noise
+            inputs = json.loads(open(str(out_y) + ".manifest.json").read())["inputs"]
+            assert inputs["cube"]["shape"] == [31, 72, 72]
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, pipeline):
         tmp, paths = pipeline
@@ -395,6 +501,13 @@ class TestExitCodes:
                   "--band", "99", "--out", str(tmp / "e.pgm")]) == 2
         )
         assert main(["simulate", "--bands", "4", "--size", "3", "--out", out]) == 2
+        # the spec is checked inside the stage, so the rejection has its manifest
+        bad = tmp / "bad.cube"
+        assert main(["simulate", "--bands", "3", "--endmembers", "5", "--size", "16",
+                     "--out", str(bad)]) == 2
+        manifest = json.loads(open(str(bad) + ".manifest.json").read())
+        assert manifest["error"]["type"] == "ValidationError"
+        assert not bad.exists()
         ypath = str(tmp / "a")
         assert (
             main(["degrade", "--in", paths["gt"], "--blur", "block:4", "--factor", "4",
@@ -663,6 +776,44 @@ class TestMemory:
         peak = cli_peak_rss_mb(["evaluate", "--threads", "2", "--x-hat", x_hat, "--ref", ref,
                                 "--factor", "8"], tmp_path / "m.json", out_flag="--json")
         assert peak < bare_peak_rss_mb() + 31 * 256 * 256 * 8 / 1e6
+
+    def test_simulate_peak_stays_below_a_bare_interpreter_plus_1_25_cubes(self, tmp_path):
+        # simulate holds the endmember maps while it draws them and one block
+        # of pixels per thread while it writes, never the cube. Measured on a
+        # 2-vCPU box, 31x256x256 (a cube is 16.25 MB), --threads 2 (MB = 1e6
+        # bytes): a bare interpreter peaks at 29.6-29.8 MB, simulate at
+        # 46.5-46.7 MB, and at 64.0-64.1 MB when it made and saved the cube
+        pytest.importorskip("resource")
+        peak = cli_peak_rss_mb(["simulate", "--threads", "2", "--bands", "31", "--size", "256",
+                                "--seed", "0"], tmp_path / "gt.cube")
+        assert peak < bare_peak_rss_mb() + 1.25 * 31 * 256 * 256 * 8 / 1e6
+
+    def test_degrade_peak_stays_below_a_bare_interpreter_plus_0_75_cubes(self, scored_files, tmp_path):
+        # degrade holds y, z, a band per thread for y and a block of pixels
+        # per thread for z, never the input cube. Measured on a 2-vCPU box,
+        # 31x256x256 (a cube is 16.25 MB), --threads 2 (MB = 1e6 bytes): a
+        # bare interpreter peaks at 29.6-29.8 MB, degrade at 37.9 MB, and
+        # at 54.1-54.3 MB when it loaded the cube
+        pytest.importorskip("resource")
+        peak = cli_peak_rss_mb(["degrade", "--threads", "2", "--in", scored_files[256][1],
+                                "--blur", "block:8", "--factor", "8", "--out-z",
+                                str(tmp_path / "z.cube")], tmp_path / "y.cube", out_flag="--out-y")
+        assert peak < bare_peak_rss_mb() + 0.75 * 31 * 256 * 256 * 8 / 1e6
+
+    def test_degrade_peak_rss_grows_little_with_the_pool(self, scored_files, tmp_path):
+        # each pool item reads and blurs one band, or reads and mixes one
+        # block of pixels. Measured on a 2-vCPU box, 31x256x256, --threads 8
+        # minus --threads 1 (MB = 1e6 bytes): 11.9-12.0 with the cube loaded
+        # whole, 12.0-12.1 reading it band by band and block by block
+        pytest.importorskip("resource")
+        peaks = [
+            cli_peak_rss_mb(["degrade", "--threads", threads, "--in", scored_files[256][1],
+                             "--blur", "block:8", "--factor", "8", "--out-z",
+                             str(tmp_path / f"z{threads}.cube")],
+                            tmp_path / f"y{threads}.cube", out_flag="--out-y")
+            for threads in ("1", "8")
+        ]
+        assert peaks[1] - peaks[0] < 15.0
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info < (3, 11),

@@ -23,6 +23,8 @@ from hsfuse.io import (
     export_error_map,
     load_cube,
     load_srf_csv,
+    open_cube,
+    save_blocks,
     save_cube,
 )
 from hsfuse.metrics import evaluate
@@ -151,6 +153,32 @@ class TestCubeContainer:
         assert path.read_bytes() == b"previous contents"
         # no temp file is left behind, nor a manifest from the failed command
         assert [p.name for p in out_dir.iterdir()] == ["out"]
+
+    def test_block_writer_writes_the_saved_cube(self, rng, tmp_path, monkeypatch):
+        import hsfuse.cube
+
+        cube = rand_cube(rng, 3, 7, 9)
+        save_cube(tmp_path / "want.cube", cube, scale=(-1, 1))
+        flat = cube.as_matrix()
+        # blocks of 16 pixels, the last of 15, written in any order by 3 threads
+        monkeypatch.setattr(hsfuse.cube, "_BLOCK_COLUMNS", 16)
+        monkeypatch.setenv("HSFUSE_THREADS", "3")
+        save_blocks(tmp_path / "got.cube", (3, 7, 9), lambda cols: flat[:, cols], scale=(-1, 1))
+        assert (tmp_path / "got.cube").read_bytes() == (tmp_path / "want.cube").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_writer_refuses_a_non_finite_block(self, rng, tmp_path, bad):
+        # a cube load_cube would reject is never written: the previous file
+        # stays, and no temp file is left
+        path = tmp_path / "out.cube"
+        path.write_bytes(b"previous contents")
+        flat = rand_cube(rng, 2, 64, 80).as_matrix().copy()
+        flat[1, 4096 + 7] = bad  # in the second of the default blocks of 4,096 pixels
+
+        with pytest.raises(ValidationError, match="finite"):
+            save_blocks(path, (2, 64, 80), lambda cols: flat[:, cols])
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.cube"]
 
     def test_failed_write_names_the_target_path(self, rng, tmp_path):
         # the temp file is an implementation detail the caller never named
@@ -340,6 +368,50 @@ class TestBandRead:
             reader.read()
             with pytest.raises(TruncatedPayloadError, match=str(path)):
                 reader.read(plane)  # past the last band
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_reads_by_index_and_by_pixels_equal_the_whole_read(self, rng, tmp_path, dtype):
+        cube = rand_cube(rng, 4, 5, 7)
+        path = tmp_path / "a.cube"
+        head = {"bands": 4, "height": 5, "width": 7, "dtype": dtype, "layout": "band-major"}
+        values = cube.data.astype({"f64": "<f8", "f32": "<f4"}[dtype])
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + values.tobytes())
+        whole = load_cube(path).data
+        with open_cube(path) as reader, open_cube(load_cube(path)) as views:
+            for k in (3, 0, 2):
+                assert np.array_equal(reader.band(k), whole[k])
+                assert np.array_equal(views.band(k), whole[k])
+            pixels = reader.pixels(slice(9, 30))
+            assert pixels.shape == (4, 21)
+            assert np.array_equal(pixels, whole.reshape(4, -1)[:, 9:30])
+            assert np.array_equal(views.pixels(slice(9, 30)), pixels)
+
+    def test_pool_items_share_a_reader(self, rng, tmp_path, monkeypatch):
+        # more threads than cores and a short switch interval: a read that
+        # lost the file position or the shared f32 buffer to another item
+        # would give another band's or block's values
+        import sys
+
+        from hsfuse.cube import pool_map
+
+        cube = rand_cube(rng, 6, 16, 16)
+        path = tmp_path / "a.cube"
+        head = {"bands": 6, "height": 16, "width": 16, "dtype": "f32", "layout": "band-major"}
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + cube.data.astype("<f4").tobytes())
+        whole = load_cube(path).data
+        flat = whole.reshape(6, -1)
+        monkeypatch.setenv("HSFUSE_THREADS", "8")
+        jobs = [(k % 6, slice(k % 200, k % 200 + 56)) for k in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with open_cube(path) as reader:
+                got = pool_map(lambda job: (reader.band(job[0]), reader.pixels(job[1])), jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        for (k, cols), (band, pixels) in zip(jobs, got):
+            assert np.array_equal(band, whole[k])
+            assert np.array_equal(pixels, flat[:, cols])
 
     def test_band_read_holds_two_bands(self, rng, tmp_path):
         import tracemalloc
