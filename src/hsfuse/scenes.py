@@ -75,7 +75,7 @@ def _abundance_maps(
     if support > cap:
         support = cap if cap % 2 else cap - 1
     blur = BlurOperator.gaussian(height, width, smoothness, support)
-    # in place: the maps are one buffer of their size, and std's scratch one more
+    # in place: the maps are one buffer of their size, and std's temporary one more
     blur.apply_array(logits, logits)
     std = logits.std(axis=(1, 2), keepdims=True)
     std[std < 1e-12] = 1.0

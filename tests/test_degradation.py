@@ -284,6 +284,17 @@ class TestDegradationModel:
         assert np.array_equal(y.data, want_y)
         assert np.array_equal(z.data, want_z)
 
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_z_blocks_give_the_bits_of_the_whole_band_mix(self, rng, monkeypatch, threads):
+        # 72x72 is a full block of 4,096 pixels and a tail of 1,088
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        model = DegradationModel(
+            BlurOperator.uniform_block(72, 72, 4), Downsampler(4), SpectralResponse.default_rgb(31)
+        )
+        x = rand_cube(rng, 31, 72, 72, lo=0.0, hi=1.0)
+        _, z = model.degrade(x)
+        assert np.array_equal(z.data, np.tensordot(model.srf.matrix, x.data, axes=(1, 0)))
+
     def test_degrade_holds_no_blurred_cube(self, rng, monkeypatch):
         # traced above the input at 31x128x128, factor 4, after a warm-up
         # call: 1.17-1.20 cubes while the whole blurred cube was made before

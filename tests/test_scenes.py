@@ -78,6 +78,22 @@ def test_scene_bytes_are_pinned(spec, digest):
     assert hashlib.sha256(generate_scene(spec).data.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_blocks_give_the_bits_of_the_whole_product(monkeypatch, threads):
+    # 72x72 is a full block of 4,096 pixels and a tail of 1,088; the GEMM cut
+    # at the blocks must add each pixel's endmembers as the whole product does
+    from hsfuse.scenes import _abundance_maps, _smooth_spectra
+
+    monkeypatch.setenv("HSFUSE_THREADS", threads)
+    spec = SceneSpec(31, 72, 72, seed=5)
+    rng = np.random.default_rng(spec.seed)
+    spectra = _smooth_spectra(rng, spec.bands, spec.endmembers)
+    maps = _abundance_maps(rng, spec.endmembers, spec.height, spec.width, spec.smoothness)
+    whole = np.tensordot(spectra, maps, axes=(1, 0))
+    whole /= whole.max()
+    assert np.array_equal(generate_scene(spec).data, whole)
+
+
 def test_scene_peak_stays_near_one_cube():
     # each block of the product is made and scaled in the cube itself, and the
     # maps are made in place, so the peak is the cube, the endmember maps and
