@@ -19,9 +19,9 @@ of a cube or spectrum, in place, block by block on the pool.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
 and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
 stack of planes (``stacks``). ``circular_convolve`` filters on half spectra
-too, one plane per item: the multiplier of a real kernel is
-conjugate-symmetric, so its stored columns are all the product needs. The
-full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
+too, one plane per item in one half-spectrum buffer: the multiplier of a
+real kernel is conjugate-symmetric, so its stored columns are all the
+product needs. The full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
 aliasing group spans every column) and the small low-resolution y.
 
 The package has one thread pool, and ``pool_map`` is its only entry. Every
@@ -345,11 +345,12 @@ def circular_convolve(
 
     ``multiplier`` is the (height, width) spectrum of a real kernel, so the
     product of each plane's half spectrum with its stored columns is the half
-    spectrum of the result. Each plane is filtered in its own half-size buffer
-    and transformed back into the real output, one plane per pool item
-    rather than a stack: ``irfftn`` allocates a complex temporary as large as
-    its whole input, so a stack of planes would hold that many complex
-    buffers at once. The output is a new array, or the contiguous float64
+    spectrum of the result. Each pool item filters one plane in one half-size
+    complex buffer: the row transform writes it, the column transforms and
+    the product work in it, and the inverse row transform writes the real
+    output. These are the calls ``np.fft.rfftn`` and ``irfftn`` make, in
+    their order, so the bits are theirs, without the temporaries they
+    allocate per call. The output is a new array, or the contiguous float64
     ``out``, which may be ``data`` itself: a plane is transformed before its
     result overwrites it.
     """
@@ -358,10 +359,12 @@ def circular_convolve(
     out = np.empty(data.shape, dtype=np.float64) if out is None else out
 
     def plane(src: np.ndarray, dst: np.ndarray) -> None:
-        spec = np.fft.rfftn(src, axes=(-2, -1))
-        spec *= half
-        # irfftn, as numpy's irfft2 drops its out= argument
-        np.fft.irfftn(spec, s=(height, width), axes=(-2, -1), out=dst)
+        buf = np.empty(src.shape[:-1] + half.shape[-1:], dtype=np.complex128)
+        np.fft.rfft(src, axis=-1, out=buf)
+        np.fft.fft(buf, axis=-2, out=buf)
+        buf *= half
+        np.fft.ifft(buf, axis=-2, out=buf)
+        np.fft.irfft(buf, n=width, axis=-1, out=dst)
 
     _each_stack(plane, planes(data.size // (height * width)), data, out)
     return out

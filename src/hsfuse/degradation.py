@@ -132,7 +132,8 @@ class BlurOperator:
                 raise ValidationError("kernel sum is too close to zero to normalize")
             kernel = kernel / total
         embedded = _embed_kernel(kernel, (ar, ac), height, width)
-        multiplier = np.conj(dft2(embedded))
+        multiplier = dft2(embedded)
+        np.conj(multiplier, out=multiplier)
         kernel.setflags(write=False)
         multiplier.setflags(write=False)
         return cls(height, width, kernel, (ar, ac), multiplier)

@@ -66,6 +66,19 @@ def _smooth_spectra(rng: np.random.Generator, bands: int, count: int) -> np.ndar
     return (0.2 + 0.8 * (smooth - lo) / span).T
 
 
+def _standardize(maps: np.ndarray) -> np.ndarray:
+    """Each map of ``maps`` less its mean, over its std (1 below 1e-12), in place.
+
+    One map at a time, so std's temporary is one map, not all of them; each
+    map's std and mean are the bits of the whole array's over axes (1, 2).
+    """
+    for plane in maps:
+        std = plane.std()
+        plane -= plane.mean()
+        plane /= 1.0 if std < 1e-12 else std
+    return maps
+
+
 def _abundance_maps(
     rng: np.random.Generator, count: int, height: int, width: int, smoothness: float
 ) -> np.ndarray:
@@ -75,12 +88,9 @@ def _abundance_maps(
     if support > cap:
         support = cap if cap % 2 else cap - 1
     blur = BlurOperator.gaussian(height, width, smoothness, support)
-    # in place: the maps are one buffer of their size, and std's temporary one more
+    # in place: the maps are one buffer of their size
     blur.apply_array(logits, logits)
-    std = logits.std(axis=(1, 2), keepdims=True)
-    std[std < 1e-12] = 1.0
-    logits -= logits.mean(axis=(1, 2), keepdims=True)
-    logits /= std
+    _standardize(logits)
     logits -= logits.max(axis=0, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=0, keepdims=True)

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from hsfuse.cube import (
     FreqCube,
     HsiCube,
+    circular_convolve,
     dft2_per_band,
     half_sums,
     idft2_per_band,
     irdft2,
     rdft2,
 )
+from hsfuse.degradation import BlurOperator
 from hsfuse.errors import SymmetryViolationError, ValidationError
 
 
@@ -207,3 +209,23 @@ def test_freqcube_validates():
         assert FreqCube(np.zeros((1, 2, 2)), width).width == width
     with pytest.raises(ValidationError):
         FreqCube(np.zeros((1, 2, 2)), 4)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "shape", [(3, 13, 11), (2, 7, 8), (4, 32, 17), (5, 64, 64), (31, 128, 128), (1, 5, 5)]
+)
+def test_circular_convolve_gives_the_bits_of_rfftn_and_irfftn(monkeypatch, threads, shape):
+    # each plane's row and column transforms in one buffer are the calls
+    # numpy's rfftn and irfftn make, so the bits must be theirs, into a new
+    # array or over the input
+    monkeypatch.setenv("HSFUSE_THREADS", threads)
+    height, width = shape[1:]
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    multiplier = BlurOperator.custom(height, width, rng.uniform(0.1, 1.0, (3, 2))).multiplier
+    half = multiplier[:, : width // 2 + 1]
+    want = np.fft.irfftn(np.fft.rfftn(x, axes=(-2, -1)) * half, s=(height, width), axes=(-2, -1))
+    assert circular_convolve(x, multiplier).tobytes() == want.tobytes()
+    assert circular_convolve(x, multiplier, x) is x
+    assert x.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hsfuse.errors import ValidationError
-from hsfuse.scenes import SceneSpec, generate_scene
+from hsfuse.scenes import SceneSpec, _standardize, generate_scene, scene_blocks
 
 
 def test_seed_pins_scene_bitwise():
@@ -108,3 +108,34 @@ def test_scene_peak_stays_near_one_cube():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * scene.data.nbytes
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 512, 512), (3, 13, 11), (5, 64, 64), (5, 256, 256), (2, 4, 4), (5, 100, 37)]
+)
+def test_each_map_standardizes_to_the_bits_of_the_whole_array(shape):
+    maps = np.random.default_rng(sum(shape)).standard_normal(shape)
+    maps[-1] = 0.25  # a flat map is only centered
+    std = maps.std(axis=(1, 2), keepdims=True)
+    std[std < 1e-12] = 1.0
+    want = (maps - maps.mean(axis=(1, 2), keepdims=True)) / std
+    assert _standardize(maps).tobytes() == want.tobytes()
+
+
+def test_scene_blocks_peak_stays_near_the_maps(monkeypatch):
+    # scene_blocks, the path of CLI simulate, holds the maps, one plane
+    # buffer per blur item and one block of the peak's product per thread.
+    # With 5 endmembers that 1 MB block hides the maps' own temporaries, so
+    # this scene draws as many maps as bands. Traced at 31x128x128 with 31
+    # endmembers, pool 1, after a warm-up call: 2.069 map sets with the
+    # whole-array std and the transforms' own temporaries, 1.253 with each
+    # map standardized alone and one buffer per plane
+    monkeypatch.setenv("HSFUSE_THREADS", "1")
+    scene_blocks(SceneSpec(4, 8, 8, endmembers=2))
+    tracemalloc.start()
+    try:
+        scene_blocks(SceneSpec(31, 128, 128, endmembers=31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35 * 31 * 128 * 128 * 8
