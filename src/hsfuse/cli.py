@@ -16,7 +16,9 @@ into the file, under ``save``. ``degrade`` reads its input's header under
 ``load``, the band-by-band and block-by-block passes that make y and z
 under ``degrade``, and the two outputs under ``save``. ``evaluate`` reads
 both headers under ``load`` and scores the files band by band under
-``evaluate``; ``errormap`` reads one band of each file under ``load``.
+``evaluate``; ``errormap`` reads both headers under ``load``, and under
+``export`` reads and checks every band of both files, keeping the mapped
+band's difference, and writes the map.
 
 Heavy imports happen inside the command handlers so that the BLAS/OpenMP
 thread pools can be pinned to one thread before numpy loads. The package's
@@ -363,16 +365,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_errormap(args: argparse.Namespace) -> int:
-    from .cube import check_shape
-    from .io import band_index_for_wavelength, export_error_map, load_cube
+    from .io import band_index_for_wavelength, export_error_map
 
     with _Stage(args, args.out, "x_hat ref band wavelength wl_min wl_max max_error") as stage:
         if (args.band is None) == (args.wavelength is None):
             raise ValidationError("pass exactly one of --band or --wavelength")
         with stage.timed("load"):
-            shape = stage.shape("x_hat", args.x_hat)
-            check_shape("x_hat", shape, stage.shape("ref", args.ref))
-            bands = shape[0]
+            bands = stage.shape("x_hat", args.x_hat)[0]
+            stage.shape("ref", args.ref)
             if args.band is not None:
                 if not 1 <= args.band <= bands:
                     raise ValidationError(
@@ -381,11 +381,8 @@ def cmd_errormap(args: argparse.Namespace) -> int:
                 band0 = args.band - 1
             else:
                 band0 = band_index_for_wavelength(args.wavelength, bands, args.wl_min, args.wl_max)
-            # the one band of each file, every band of which is still checked
-            x_hat = load_cube(args.x_hat, band0)
-            ref = load_cube(args.ref, band0)
         with stage.timed("export"):
-            export_error_map(x_hat, ref, 0, args.out, max_error=args.max_error)
+            export_error_map(args.x_hat, args.ref, band0, args.out, max_error=args.max_error)
         stage.manifest["band"] = band0 + 1
         stage.output("image", args.out)
         print(f"wrote {args.out} (band {band0 + 1} of {bands})")

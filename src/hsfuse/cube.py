@@ -345,14 +345,15 @@ def circular_convolve(
 
     ``multiplier`` is the (height, width) spectrum of a real kernel, so the
     product of each plane's half spectrum with its stored columns is the half
-    spectrum of the result. Each pool item filters one plane in one half-size
-    complex buffer: the row transform writes it, the column transforms and
-    the product work in it, and the inverse row transform writes the real
-    output. These are the calls ``np.fft.rfftn`` and ``irfftn`` make, in
-    their order, so the bits are theirs, without the temporaries they
-    allocate per call. The output is a new array, or the contiguous float64
-    ``out``, which may be ``data`` itself: a plane is transformed before its
-    result overwrites it.
+    spectrum of the result; only those ``width // 2 + 1`` columns are read, so
+    a caller may pass them alone. Each pool item filters one plane in one
+    half-size complex buffer: the row transform writes it, the column
+    transforms and the product work in it, and the inverse row transform
+    writes the real output. These are the calls ``np.fft.rfftn`` and
+    ``irfftn`` make, in their order, so the bits are theirs, without the
+    temporaries they allocate per call. The output is a new array, or the
+    contiguous float64 ``out``, which may be ``data`` itself: a plane is
+    transformed before its result overwrites it.
     """
     height, width = data.shape[-2:]
     half = multiplier[..., : width // 2 + 1]

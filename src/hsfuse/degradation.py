@@ -25,11 +25,11 @@ contract every solver relies on: ``check_hr`` for a high-resolution cube and
 grids the decimation factor does not divide, so every model it accepts has
 the aliasing-group structure the closed-form x-step solver needs.
 ``DegradationModel.degrade`` takes a cube or a cube file (``io.open_cube``)
-and holds neither a whole blurred cube nor, for a file, the input cube: it
-reads, blurs and decimates one band per pool item (``cube.planes``) into its
-low-resolution output, then mixes the bands of one ``cube.blocks`` block of
-pixels per pool item into z. A GEMM cut at those blocks gives the bits of
-the whole band mix, which a cut between bands does not.
+and holds neither a whole blurred cube nor, for a file, the input cube: each
+pool item (``cube.planes``) reads a band into a new plane, blurs it in place
+and decimates it into the low-resolution output; then each mixes the bands
+of one ``cube.blocks`` block of pixels into z. A GEMM cut at those blocks
+gives the bits of the whole band mix, which a cut between bands does not.
 """
 
 from __future__ import annotations
@@ -143,7 +143,8 @@ class BlurOperator:
         return circular_convolve(data, self.multiplier, out)
 
     def adjoint_array(self, data: np.ndarray) -> np.ndarray:
-        return circular_convolve(data, np.conj(self.multiplier))
+        # conjugates only the columns ``circular_convolve`` reads
+        return circular_convolve(data, np.conj(self.multiplier[:, : self.width // 2 + 1]))
 
     def check_grid(self, cube: HsiCube) -> None:
         """Raise unless ``cube`` lies on the operator's grid."""
@@ -300,11 +301,11 @@ class DegradationModel:
             y = np.empty((self.bands, *(n // self.down.factor for n in self.hr_shape)))
 
             def blur_down(rows: slice) -> None:
-                plane = reader.band(rows.start)[None]
-                # a file's band is read into a new plane, blurred in place: a second
-                # plane per item made the heap shrink and grow back for each band
-                # (63k page faults at 31x512x512, against 2k for a cube's bands)
-                blurred = self.blur.apply_array(plane, plane if plane.flags.writeable else None)
+                plane = reader.band(rows.start, np.empty(self.hr_shape))[None]
+                # the band is read into a new plane, blurred in place: a second plane
+                # per item made the heap shrink and grow back for each band (63k page
+                # faults at 31x512x512, against 2k with one plane per item)
+                blurred = self.blur.apply_array(plane, plane)
                 # assigned, not kept as a view: a strided view holds its whole blurred plane
                 y[rows] = self.down.apply_array(blurred)
 

@@ -12,20 +12,20 @@ The package writes f64 cubes and reads f64 or f32 ones, since cubes may come
 from other tools; SRF tables are only read. A cube is written whole by
 ``save_cube`` or block by block of pixels by ``save_blocks``, which writes
 each band's segment of a block at its offset and refuses a non-finite block,
-so the package never writes a cube that ``load_cube`` rejects. A
-``BandReader`` reads an open cube file's bands, in order or by index, or
-every band's values at a block of pixels, as float64 and checked finite, so
-a read of every band rejects each file the whole read rejects. It is the one
-part read: ``load_cube`` given a band keeps that band alone and reads past
-the others, ``metrics.evaluate`` scores files through it and
-``DegradationModel.degrade`` degrades them. ``open_cube`` gives a cube or a
-cube file the same reads. ``cube_shape`` reads only the header, checked
-alike. Writes are bit-reproducible for equal inputs. Every file the package
-writes (cubes and error maps here; the CLI's manifests and reports) goes
-through ``write_atomic`` or its temp file: a sibling temp file renamed onto
-the target, so a failed write leaves the previous file in place. Error maps
-are binary P5 graymaps scaling |difference| linearly so ``max_error`` maps
-to 255, with round-half-up quantization.
+so the package never writes a cube that ``load_cube`` rejects. ``load_cube``
+reads a whole cube; every other read goes through ``open_cube``, which gives
+a cube or a cube file the same reads, of a band or of every band at a block
+of pixels. A read given ``out`` fills it, from either; without it, a file's
+read gives a new array and a cube's a read-only view. A file's reads come
+from a ``BandReader``, which checks each as float64 and finite, so a read of
+every band rejects each file the whole read rejects. ``cube_shape`` reads
+only the header, checked alike. Writes are bit-reproducible for equal
+inputs. Every file the package writes (cubes and error maps here; the CLI's
+manifests and reports) goes through ``write_atomic`` or its temp file: a
+sibling temp file renamed onto the target, so a failed write leaves the
+previous file in place. Error maps are binary P5 graymaps scaling
+|difference| linearly so ``max_error`` maps to 255, with round-half-up
+quantization.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube, blocks, pool_map, serial
+from .cube import HsiCube, blocks, check_shape, pool_map, serial
 from .degradation import SpectralResponse
 from .errors import (
     BadMagicError,
@@ -225,13 +225,7 @@ class BandReader:
         self._fh, self._path = fh, path
         self._start = fh.tell()
         self._raw: np.ndarray | None = None
-        self._next = 0
         self._fill = serial(self._fill_rows)
-
-    def read(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The band after the one ``read`` read last, as ``band`` reads it."""
-        self._next += 1
-        return self.band(self._next - 1, out)
 
     def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """Band ``k`` as a float64 (height, width) plane: the contiguous ``out``, or a new one."""
@@ -264,26 +258,34 @@ class BandReader:
             row[...] = _read_into(self._fh, self._raw[: row.size], self._path)
 
 
+def _filled(view: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``view``, or ``out`` filled with its values."""
+    if out is None:
+        return view
+    out[...] = view
+    return out
+
+
 class _CubeReads:
-    """A cube's reads, named as a ``BandReader``'s: views of its data, which leave ``out`` alone."""
+    """A cube's reads, named as a ``BandReader``'s: they fill ``out``, or give views of its data."""
 
     def __init__(self, cube: HsiCube):
         self.shape = cube.data.shape
         self._data = cube.data
 
     def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        return self._data[k]
+        return _filled(self._data[k], out)
 
     def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
-        return self._data.reshape(self.shape[0], -1)[:, cols]
+        return _filled(self._data.reshape(self.shape[0], -1)[:, cols], out)
 
 
 @contextlib.contextmanager
 def open_cube(source: HsiCube | str | os.PathLike):
     """A reader of a cube or of the cube file at a path: ``shape``, ``band`` and ``pixels``.
 
-    A file's reader is a ``BandReader``, whose reads fill ``out`` or new
-    arrays; a cube's gives views of its data, so neither is copied.
+    Given ``out``, both fill it. Without it, a file's reads (a ``BandReader``)
+    give new arrays and a cube's read-only views of its data.
     """
     if isinstance(source, HsiCube):
         yield _CubeReads(source)
@@ -292,26 +294,15 @@ def open_cube(source: HsiCube | str | os.PathLike):
         yield BandReader(fh, source)
 
 
-def load_cube(path: str | Path, band: int | None = None) -> HsiCube:
+def load_cube(path: str | Path) -> HsiCube:
     """Read a cube, checking magic, header, and payload length exactly.
 
     The payload is read straight into the cube's own (aligned) array, so an
-    f64 file is held in memory once; an f32 payload is upcast once. With a
-    0-based ``band``, the cube is that band alone, (1, height, width); every
-    band is still read and checked by the ``BandReader``, the others through
-    one reused plane.
+    f64 file is held in memory once; an f32 payload is upcast once.
     """
     with open(path, "rb") as fh:
-        reader = BandReader(fh, path)
-        bands = reader.shape[0]
-        if band is None:
-            values = _read_into(fh, np.empty(reader.shape, dtype=reader.dtype), path)
-        else:
-            if check_int("band", band, 0) >= bands:
-                raise ValidationError(f"band {band!r} outside [0, {bands})")
-            values, past = np.empty((1, *reader.shape[1:])), np.empty(reader.shape[1:])
-            for b in range(bands):
-                reader.read(values[0] if b == band else past)
+        shape, dtype = _open_payload(fh, path)
+        values = _read_into(fh, np.empty(shape, dtype=dtype), path)
     try:
         return HsiCube(values.astype(np.float64, copy=False))
     except ValidationError as exc:
@@ -352,24 +343,39 @@ def load_srf_csv(path: str | Path) -> SpectralResponse:
 
 
 def export_error_map(
-    x_hat: HsiCube,
-    x_ref: HsiCube,
+    x_hat: HsiCube | str | os.PathLike,
+    x_ref: HsiCube | str | os.PathLike,
     band: int,
     path: str | Path,
     max_error: float = 0.1,
 ) -> None:
     """Write |x_hat - x_ref| of one band as a binary P5 graymap.
 
-    ``band`` is a 0-based index. Errors of ``max_error`` and above map to 255;
-    quantization is round-half-up.
+    Each input is a cube or the path of a cube file; shapes, ``band`` (a
+    0-based index) and ``max_error`` are checked before any band is read.
+    Every band of both is read through ``open_cube`` into one reused scan
+    plane, so a file is checked as a whole read checks it; x_hat's mapped
+    band goes into the other plane, which keeps the difference and becomes
+    the map. Errors of ``max_error`` and above map to 255; quantization is
+    round-half-up.
     """
-    x_hat.check_shape("x_hat", x_ref.data.shape)
-    if check_int("band", band, 0) >= x_hat.bands:
-        raise ValidationError(f"band {band!r} outside [0, {x_hat.bands})")
-    check_real("max_error", max_error)
-    err = np.abs(x_hat.data[band] - x_ref.data[band]) * (255.0 / max_error)
-    pixels = np.clip(np.floor(err + 0.5), 0.0, 255.0).astype(np.uint8)
-    write_atomic(path, b"P5\n%d %d\n255\n" % (x_hat.width, x_hat.height), pixels.tobytes())
+    with open_cube(x_hat) as hat, open_cube(x_ref) as ref:
+        check_shape("x_hat", hat.shape, ref.shape)
+        bands, height, width = hat.shape
+        if check_int("band", band, 0) >= bands:
+            raise ValidationError(f"band {band!r} outside [0, {bands})")
+        check_real("max_error", max_error)
+        err, scan = np.empty((2, height, width))
+        for k in range(bands):
+            hat.band(k, err if k == band else scan)
+            ref.band(k, scan)
+            if k == band:
+                np.subtract(err, scan, out=err)
+    np.abs(err, out=err)
+    err *= 255.0 / max_error
+    err += 0.5
+    pixels = np.clip(np.floor(err, out=err), 0.0, 255.0, out=err).astype(np.uint8)
+    write_atomic(path, b"P5\n%d %d\n255\n" % (width, height), pixels.tobytes())
 
 
 def band_index_for_wavelength(

@@ -17,21 +17,19 @@ Conventions, fixed so numbers are comparable across runs:
   profile over 'valid' rows only, the second on the transposed first.
 
 ``evaluate`` takes cubes or cube files and walks them one band pair at a
-time: a cube's band is a view of its data, and a file's is read into one of
-two reused planes by ``io.BandReader``, which checks it finite, so a file is
-never held whole. Each band pair is one ``pool_map``, whose items are its
-strips of SSIM rows (two strip-sized buffers each), the reference band's
-mean and the read of the next pair. A strip returns its squared error and
-SSIM sum, added up in strip order, and adds the a*b, a*a and b*b of the rows
-it owns to three per-pixel SAM planes, so each pixel's sums add in band
-order. The angles are summed per ``each_block`` block of pixels at the end,
-in block order. The report depends neither on the pool size nor on whether
-cubes or files were scored.
+time: ``io.open_cube`` reads each input's band into one of its two reused
+planes, checking a file's finite, so a file is never held whole. Each band
+pair is one ``pool_map``, whose items are its strips of SSIM rows (two
+strip-sized buffers each), the reference band's mean and the read of the
+next pair. A strip returns its squared error and SSIM sum, added up in strip
+order, and adds the a*b, a*a and b*b of the rows it owns to three per-pixel
+SAM planes, so each pixel's sums add in band order. The angles are summed
+per ``each_block`` block of pixels at the end, in block order. The report
+depends neither on the pool size nor on whether cubes or files were scored.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import warnings
@@ -156,19 +154,6 @@ def _sam_block(dots: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> tuple[fl
     return float(np.sum(np.degrees(np.arccos(cosines)))), int(np.count_nonzero(valid))
 
 
-@contextlib.contextmanager
-def _bands(source: HsiCube | str | os.PathLike):
-    """``(shape, read)`` of a cube or a cube file; ``read(k)`` gives band ``k`` as a plane.
-
-    Bands are read in order. A cube's band is a view of its data. A file's
-    is read and checked finite into the first or second of two reused
-    planes, by turns, so it holds until band ``k + 2`` is read.
-    """
-    with open_cube(source) as reader:
-        planes = None if isinstance(source, HsiCube) else np.empty((2, *reader.shape[1:]))
-        yield reader.shape, lambda k: reader.band(k, None if planes is None else planes[k % 2])
-
-
 def evaluate(
     x_hat: HsiCube | str | os.PathLike, x_ref: HsiCube | str | os.PathLike, factor: int
 ) -> MetricReport:
@@ -178,23 +163,30 @@ def evaluate(
     time and never held whole. A cube and its file go through the same loop
     and report the same bytes. Shapes are checked before any band is read.
     """
-    with _bands(x_hat) as (shape, read_hat), _bands(x_ref) as (ref_shape, read_ref):
-        check_shape("x_hat", shape, ref_shape)
+    with open_cube(x_hat) as hat, open_cube(x_ref) as ref:
+        check_shape("x_hat", hat.shape, ref.shape)
         check_int("factor", factor, 1)
-        bands, height, width = shape
+        bands, height, width = hat.shape
         if min(height, width) < _SSIM_WINDOW:
             raise ValidationError(
                 f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for the SSIM window"
             )
         vh, vw = height - _SSIM_WINDOW + 1, width - _SSIM_WINDOW + 1
         strips = range(0, vh, _SSIM_ROWS)
+        # band k of each input is read into plane k % 2 of its two, so it holds
+        # until band k + 2 is read
+        planes = np.empty((2, 2, height, width))
         sums = np.zeros((3, height, width))  # each pixel's SAM sums over the bands read so far
         per_band = []
-        pair = pool_map(lambda read: read(0), (read_hat, read_ref))
+
+        def reads(k: int) -> list:
+            return [partial(reader.band, k, two[k % 2]) for reader, two in zip((hat, ref), planes)]
+
+        pair = pool_map(lambda job: job(), reads(0))
         for k in range(bands):
             a, b = pair
             # the next band pair is read while this one is scored
-            ahead = [partial(read, k + 1) for read in (read_hat, read_ref)] if k + 1 < bands else []
+            ahead = reads(k + 1) if k + 1 < bands else []
             scores = [partial(_strip_scores, a, b, lo, sums) for lo in strips]
             done = pool_map(lambda job: job(), [*ahead, partial(np.mean, b), *scores])
             pair, ref_mean, per_strip = done[: len(ahead)], done[len(ahead)], done[len(ahead) + 1 :]

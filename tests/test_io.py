@@ -302,47 +302,67 @@ class TestCubeContainer:
 
 class TestBandRead:
     def test_band_equals_the_whole_read(self, rng, tmp_path):
-        cube = rand_cube(rng, 4, 5, 3)
-        path = tmp_path / "a.cube"
-        save_cube(path, cube)
+        # export_error_map reads every band of two files and maps one, byte
+        # for byte as it maps the loaded cubes
+        a, b = rand_cube(rng, 4, 5, 3, 0.0, 1.0), rand_cube(rng, 4, 5, 3, 0.0, 1.0)
+        save_cube(tmp_path / "a.cube", a)
+        save_cube(tmp_path / "b.cube", b)
         for band in range(4):
-            got = load_cube(path, band)
-            assert np.array_equal(got.data, cube.data[band : band + 1])
-        assert cube_shape(path) == (4, 5, 3)
+            export_error_map(a, b, band, tmp_path / "cubes.pgm", max_error=0.5)
+            export_error_map(tmp_path / "a.cube", tmp_path / "b.cube", band, tmp_path / "files.pgm",
+                             max_error=0.5)
+            export_error_map(a, str(tmp_path / "b.cube"), band, tmp_path / "mixed.pgm", max_error=0.5)
+            want = (tmp_path / "cubes.pgm").read_bytes()
+            assert (tmp_path / "files.pgm").read_bytes() == want
+            assert (tmp_path / "mixed.pgm").read_bytes() == want
+        assert cube_shape(tmp_path / "a.cube") == (4, 5, 3)
 
     def test_f32_band_equals_the_whole_read(self, rng, tmp_path):
-        cube = rand_cube(rng, 3, 4, 4)
+        cube, ref = rand_cube(rng, 3, 4, 4, 0.0, 1.0), rand_cube(rng, 3, 4, 4, 0.0, 1.0)
         path = tmp_path / "a.cube"
         head = {"bands": 3, "height": 4, "width": 4, "dtype": "f32", "layout": "band-major"}
         path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + cube.data.astype("<f4").tobytes())
-        assert np.array_equal(load_cube(path, 2).data, load_cube(path).data[2:])
+        save_cube(tmp_path / "ref.cube", ref)
+        for x_hat, x_ref in ((path, tmp_path / "ref.cube"), (tmp_path / "ref.cube", path)):
+            export_error_map(x_hat, x_ref, 2, tmp_path / "files.pgm", max_error=0.5)
+            export_error_map(load_cube(x_hat), load_cube(x_ref), 2, tmp_path / "cubes.pgm",
+                             max_error=0.5)
+            assert (tmp_path / "files.pgm").read_bytes() == (tmp_path / "cubes.pgm").read_bytes()
 
     def test_band_is_zero_based_and_checked(self, rng, tmp_path):
         path = tmp_path / "a.cube"
         save_cube(path, rand_cube(rng, 3, 2, 2))
         for band in (3, -1, 1.0):
             with pytest.raises(ValidationError):
-                load_cube(path, band)
+                export_error_map(path, path, band, tmp_path / "e.pgm")
+        assert not (tmp_path / "e.pgm").exists()
 
     @pytest.mark.parametrize(
         "kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"]
     )
     def test_band_read_rejects_what_the_whole_read_rejects(self, rng, tmp_path, kind):
-        path = bad_cube_files(tmp_path, rng)[0][kind]
+        # the non-finite values sit in band 3 of 5, so the maps of bands 0 and
+        # 4 meet them only by reading the bands they do not map
+        files, blob = bad_cube_files(tmp_path, rng)
+        good = tmp_path / "other.cube"
+        good.write_bytes(blob)
         with pytest.raises(CubeFormatError) as whole:
-            load_cube(path)
+            load_cube(files[kind])
         for band in (0, 3, 4):
-            with pytest.raises(type(whole.value)):
-                load_cube(path, band)
+            for x_hat, x_ref in ((files[kind], good), (good, files[kind])):
+                with pytest.raises(type(whole.value)) as streamed:
+                    export_error_map(x_hat, x_ref, band, tmp_path / "e.pgm")
+                assert str(files[kind]) in str(streamed.value)
+        assert not (tmp_path / "e.pgm").exists()
         if kind not in ("nan", "inf"):  # the header and length checks alone
             with pytest.raises(type(whole.value)):
-                cube_shape(path)
+                cube_shape(files[kind])
 
     @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"])
     @pytest.mark.parametrize("role", ["x_hat", "x_ref"])
     def test_streamed_evaluate_rejects_what_the_whole_read_rejects(self, rng, tmp_path, kind, role):
-        # evaluate reads through the same BandReader as load_cube(path, band);
-        # the non-finite values sit in band 3 of 5
+        # evaluate reads through the same BandReader as export_error_map; the
+        # non-finite values sit in band 3 of 5
         files, blob = bad_cube_files(tmp_path, rng, height=12, width=12)
         good = tmp_path / "other.cube"
         good.write_bytes(blob)
@@ -362,12 +382,11 @@ class TestBandRead:
         with open(path, "rb") as fh:
             reader = BandReader(fh, path)
             assert reader.shape == (3, 4, 5)
-            reader.read()
-            reader.read(plane)
+            assert reader.band(1, plane) is plane  # band 0 is never read
             assert np.array_equal(plane, cube.data[1].astype(np.float32))
-            reader.read()
+            assert np.array_equal(reader.band(2), cube.data[2].astype(np.float32))
             with pytest.raises(TruncatedPayloadError, match=str(path)):
-                reader.read(plane)  # past the last band
+                reader.band(3, plane)  # past the last band
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
     def test_reads_by_index_and_by_pixels_equal_the_whole_read(self, rng, tmp_path, dtype):
@@ -385,6 +404,13 @@ class TestBandRead:
             assert pixels.shape == (4, 21)
             assert np.array_equal(pixels, whole.reshape(4, -1)[:, 9:30])
             assert np.array_equal(views.pixels(slice(9, 30)), pixels)
+            # given ``out``, a cube's reads fill it as a file's do
+            for read in (reader, views):
+                plane, block = np.zeros((5, 7)), np.zeros((4, 21))
+                assert read.band(1, plane) is plane
+                assert np.array_equal(plane, whole[1])
+                assert read.pixels(slice(9, 30), block) is block
+                assert np.array_equal(block, pixels)
 
     def test_pool_items_share_a_reader(self, rng, tmp_path, monkeypatch):
         # more threads than cores and a short switch interval: a read that
@@ -416,19 +442,19 @@ class TestBandRead:
     def test_band_read_holds_two_bands(self, rng, tmp_path):
         import tracemalloc
 
-        cube = rand_cube(rng, 31, 64, 64)
-        path = tmp_path / "a.cube"
-        save_cube(path, cube)
-        load_cube(path, 0)
+        for name in ("a", "b"):
+            save_cube(tmp_path / f"{name}.cube", rand_cube(rng, 31, 128, 128))
+        args = (tmp_path / "a.cube", tmp_path / "b.cube", 7, tmp_path / "e.pgm")
+        export_error_map(*args)
         tracemalloc.start()
         try:
-            band = load_cube(path, 7)
+            export_error_map(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(band.data, cube.data[7:8])
-        # the kept band, one reused buffer and a scan mask: about 2.2 bands
-        assert peak < 3 * band.data.nbytes
+        # the kept difference, one scan plane and a scan mask: 2.32 bands (5.03
+        # when one band of each file was loaded whole and then mapped)
+        assert peak < 2.6 * 128 * 128 * 8
 
 
 class TestSrfCsv:
