@@ -63,19 +63,11 @@ def _available_cores() -> int:
 
 
 def _configure_threads(threads: int | None) -> int:
-    """Size the package's pool and pin every BLAS/OpenMP pool to one thread.
-
-    The size is ``threads`` (--threads), else ``HSFUSE_THREADS``, else the
-    available cores, written to ``HSFUSE_THREADS`` and read back (and checked)
-    by ``cube.pool_size``. BLAS worker threads would spin between calls on the
-    cores the pool needs, and the loop gives them almost no work.
-    """
+    """Put the pool size in ``HSFUSE_THREADS`` (--threads, else as set, else the cores); read it back."""
     if threads is not None:
         os.environ["HSFUSE_THREADS"] = str(check_int("--threads", threads, 1))
     elif "HSFUSE_THREADS" not in os.environ:
         os.environ["HSFUSE_THREADS"] = str(_available_cores())
-    for var in _THREAD_VARS:
-        os.environ[var] = "1"
     from .cube import pool_size
 
     return pool_size()
@@ -108,14 +100,15 @@ class _Stage:
     The manifest goes to --manifest, or next to the primary output. Its keys
     come in a fixed order: ``schema_version`` (``_SCHEMA_VERSION``),
     ``command``, ``versions`` (python, numpy and hsfuse), ``config`` (the
-    value of each flag in ``flags``, then the resolved ``threads``),
+    value of each flag in ``flags``, then ``threads``, which entering the
+    stage resolves, so that an invalid size is recorded as its error),
     ``inputs`` (all commands but simulate), ``outputs``, ``timings_s``, any
     command-specific results, ``peak_rss_mb`` (the process's peak RSS so
     far, which for an in-process caller covers everything it ran before),
-    then ``error``. Leaving the ``with`` block
-    writes it: ``error`` is None on success, or the exception's type and
-    message, which is re-raised; a failure to write that manifest is not
-    reported over the original error.
+    then ``error``. Leaving the ``with`` block, or failing to enter it, writes
+    it: ``error`` is None on success, or the exception's type and message,
+    which is re-raised; a failure to write that manifest is not reported over
+    the original error.
     """
 
     def __init__(self, args: argparse.Namespace, primary: str, flags: str):
@@ -142,6 +135,12 @@ class _Stage:
         self.manifest["timings_s"] = {}
 
     def __enter__(self) -> "_Stage":
+        config = self.manifest["config"]
+        try:
+            config["threads"] = _configure_threads(config["threads"])
+        except Exception as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -170,9 +169,10 @@ class _Stage:
 
     def shape(self, role: str, path: str) -> tuple[int, int, int]:
         """An input's (bands, height, width) from its header, recorded as ``load`` records it."""
-        from .io import cube_shape
+        from .io import open_cube
 
-        shape = cube_shape(path)
+        with open_cube(path) as reader:
+            shape = reader.shape
         self.manifest["inputs"][role] = {"path": path, "shape": list(shape)}
         return shape
 
@@ -483,8 +483,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # BLAS worker threads would spin between calls on the cores the pool
+    # needs, and the loop gives them almost no work
+    for var in _THREAD_VARS:
+        os.environ[var] = "1"
     try:
-        args.threads = _configure_threads(args.threads)
         return args.func(args)
     except Exception as exc:
         code = _exit_code_for(exc)

@@ -18,7 +18,7 @@ place that rule lives; it sums over blocks of stored columns on the pool.
 of a cube or spectrum, in place, block by block on the pool.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
 and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
-stack of planes (``stacks``). ``circular_convolve`` filters on half spectra
+chunk of planes (``chunks``). ``circular_convolve`` filters on half spectra
 too, one plane per item in one half-spectrum buffer: the multiplier of a
 real kernel is conjugate-symmetric, so its stored columns are all the
 product needs. The full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
@@ -26,7 +26,7 @@ aliasing group spans every column) and the small low-resolution y.
 
 The package has one thread pool, and ``pool_map`` is its only entry. Every
 transform of planes here and every independent block loop of the HQS
-iteration (band mixes, stacks of eigen-channels, v-step blocks, ``half_sums``
+iteration (band mixes, chunks of eigen-channels, v-step blocks, ``half_sums``
 blocks) runs through it. Its size is ``HSFUSE_THREADS`` when that is set,
 otherwise 1, because a library caller may not have pinned its BLAS threads;
 the CLI sets it to ``--threads`` or the available cores and pins BLAS to one
@@ -36,15 +36,16 @@ depend on the pool size. A pool of 1 runs the same functions in the calling
 thread, and ``concurrent.futures`` is imported only when a map first needs a
 worker. ``serial`` makes a function that pool items share, such as the reads
 or writes of one open file, run for one item at a time.
-This module alone cuts work, with one private slicer under ``stacks`` (pool
-items of planes or channels), ``chunks`` (the rows of one numpy call inside
-an item; ``block_chunks`` in a pass over a column block), ``planes`` (pool
-items of one plane each), ``blocks`` (pool items of a block of pixels or
-frequencies) and ``each_block`` (a function over those blocks of columns on
-the pool). A block starts on a multiple of ``_BLOCK_COLUMNS`` and ends on
-one or at the last column, so a GEMM cut into blocks of columns gives the
-bits of the whole product (checked with numpy 2.4's OpenBLAS, whose GEMM
-gives other bits for blocks cut at columns that are not multiples of 8).
+This module alone cuts work, by shape, never by the pool size, with one
+private slicer under ``chunks`` (the rows of one numpy call: a pool item of
+planes or channels, or a call inside one; ``block_chunks`` in a pass over a
+column block), ``planes`` (pool items of one plane each), ``blocks`` (pool
+items of a block of pixels or frequencies) and ``each_block`` (a function
+over those blocks of columns on the pool). A block starts on a multiple of
+``_BLOCK_COLUMNS`` and ends on one or at the last column, so a GEMM cut into
+blocks of columns gives the bits of the whole product (checked with numpy
+2.4's OpenBLAS, whose GEMM gives other bits for blocks cut at columns that
+are not multiples of 8).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -85,7 +86,6 @@ __all__ = [
     "pool_size",
     "rdft2",
     "serial",
-    "stacks",
 ]
 
 # largest imaginary residue, relative to max(1, peak real magnitude), that an
@@ -98,9 +98,9 @@ _IMAG_TOL = 1e-6
 _BLOCK_COLUMNS = 1 << 12
 
 # bytes of the rows (planes, eigen-channels, member rows) that one numpy call
-# takes (``chunks``, ``stacks``): small grids batch their per-call overhead away,
-# while a stack stays cache-sized and bounds the temporaries that a call
-# allocates, such as an inverse transform's complex copy of its stack
+# takes (``chunks``): small grids batch their per-call overhead away, while a
+# chunk stays cache-sized and bounds the temporaries that a call allocates,
+# such as an inverse transform's complex copy of its chunk
 _STACK_BYTES = 1 << 18
 
 # the package's executor and its worker count, made by the first map that
@@ -282,7 +282,7 @@ def _slices(rows: int, per: int) -> list[slice]:
 
 
 def chunks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices of ``range(rows)`` for one numpy call each, inside one pool item.
+    """Slices of ``range(rows)`` for one numpy call each: a pool item, or a call inside one.
 
     A chunk holds as many rows as fit ``_STACK_BYTES``, or 1, whatever the pool size.
     """
@@ -304,18 +304,8 @@ def planes(count: int) -> list[slice]:
     return _slices(count, 1)
 
 
-def stacks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices that cover ``range(rows)``, each a stack of rows for one pool item.
-
-    A stack holds no more rows than a ``chunks`` stack; whenever there are
-    ``pool_size()`` rows there are at least that many stacks, so no thread of
-    the pool idles.
-    """
-    return _slices(rows, min(_STACK_BYTES // row_bytes, rows // pool_size()))
-
-
 def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarray) -> None:
-    """``fn(*stacks)`` for each slice in ``items`` of the arrays' 2-D planes, on the pool.
+    """``fn`` of every array's stack of 2-D planes at each slice in ``items``, on the pool.
 
     The arrays share their leading shape, flattened into one axis of planes
     that ``items`` slices. An output array must be contiguous, so that its
@@ -325,10 +315,10 @@ def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarr
     pool_map(lambda rows: fn(*[p[rows] for p in planes]), items)  # a list: see each_block
 
 
-def _spectrum_stacks(spec: np.ndarray) -> list[slice]:
-    """``stacks`` of the planes of a half spectrum."""
+def _spectrum_chunks(spec: np.ndarray) -> list[slice]:
+    """``chunks`` of the planes of a half spectrum."""
     count = spec.size // (spec.shape[-2] * spec.shape[-1])
-    return stacks(count, spec.nbytes // count)
+    return chunks(count, spec.nbytes // count)
 
 
 def dft2(data: np.ndarray) -> np.ndarray:
@@ -375,7 +365,7 @@ def rdft2(data: np.ndarray) -> np.ndarray:
     """Half spectrum of real ``data`` over the last two axes, in one new complex buffer."""
     out = np.empty(data.shape[:-1] + (data.shape[-1] // 2 + 1,), dtype=np.complex128)
     _each_stack(
-        lambda src, dst: np.fft.rfftn(src, axes=(-2, -1), out=dst), _spectrum_stacks(out), data, out
+        lambda src, dst: np.fft.rfftn(src, axes=(-2, -1), out=dst), _spectrum_chunks(out), data, out
     )
     return out
 
@@ -383,8 +373,8 @@ def rdft2(data: np.ndarray) -> np.ndarray:
 def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     """Inverse of ``rdft2`` for a ``width``-column grid, into one new real array.
 
-    ``np.fft.irfftn`` writes the real result directly, one call per stack of
-    planes (``stacks``), whose complex temporary the stack's size bounds.
+    ``np.fft.irfftn`` writes the real result directly, one call per chunk of
+    planes (``chunks``), whose complex temporary the chunk's size bounds.
     Only the self-mirrored columns can break conjugate symmetry, and a full
     inverse would turn that break into an imaginary residue; it is measured
     on those columns, relative to max(1, peak real magnitude), and discarded
@@ -403,7 +393,7 @@ def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
     _each_stack(
         lambda src, dst: np.fft.irfftn(src, s=(height, width), axes=(-2, -1), out=dst),
-        _spectrum_stacks(spec),
+        _spectrum_chunks(spec),
         spec,
         real,
     )

@@ -18,14 +18,13 @@ a cube or a cube file the same reads, of a band or of every band at a block
 of pixels. A read given ``out`` fills it, from either; without it, a file's
 read gives a new array and a cube's a read-only view. A file's reads come
 from a ``BandReader``, which checks each as float64 and finite, so a read of
-every band rejects each file the whole read rejects. ``cube_shape`` reads
-only the header, checked alike. Writes are bit-reproducible for equal
-inputs. Every file the package writes (cubes and error maps here; the CLI's
-manifests and reports) goes through ``write_atomic`` or its temp file: a
-sibling temp file renamed onto the target, so a failed write leaves the
-previous file in place. Error maps are binary P5 graymaps scaling
-|difference| linearly so ``max_error`` maps to 255, with round-half-up
-quantization.
+every band rejects each file the whole read rejects. Writes are
+bit-reproducible for equal inputs. Every file the package writes (cubes and
+error maps here; the CLI's manifests and reports) goes through
+``write_atomic`` or its temp file: a sibling temp file renamed onto the
+target, so a failed write leaves the previous file in place. Error maps are
+binary P5 graymaps scaling |difference| linearly so ``max_error`` maps to
+255, with round-half-up quantization.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "save_cube",
     "save_blocks",
     "load_cube",
-    "cube_shape",
     "BandReader",
     "open_cube",
     "write_atomic",
@@ -202,12 +200,6 @@ def _read_into(fh, values: np.ndarray, path: str | Path) -> np.ndarray:
     if got != values.nbytes:
         raise TruncatedPayloadError(f"{path}: read {got} of {values.nbytes} payload bytes")
     return values
-
-
-def cube_shape(path: str | Path) -> tuple[int, int, int]:
-    """A cube file's (bands, height, width), checked as ``load_cube`` checks it, values aside."""
-    with open(path, "rb") as fh:
-        return _open_payload(fh, path)[0]
 
 
 class BandReader:

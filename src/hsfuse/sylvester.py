@@ -23,8 +23,8 @@ so no pass of its own divides by lambda. The kernels run on half spectra (see
 mirrors of stored members of the mirror group -g, so a group's reduction
 ``e^H x`` is its stored partial sum plus the conjugate of the matching partial
 sum of group -g, and only the stored members are updated. One kernel,
-``_solve_channels``, runs the pass over a stack of channels at a time, one
-numpy call per step for the whole stack rather than one per channel.
+``_solve_channels``, runs the pass over a chunk of channels at a time, one
+numpy call per step for the whole chunk rather than one per channel.
 
 The data part of C3 is never formed as a cube. The first band mix adds z's
 half spectrum, mixed by (srf q)^T, block by block. The transform of
@@ -77,7 +77,6 @@ from .cube import (
     chunks,
     pool_map,
     rdft2,
-    stacks,
 )
 from .degradation import DegradationModel
 from .errors import UnsupportedStructureError, check_real
@@ -258,13 +257,13 @@ def _solve_channels(xstep: XStep, spec: np.ndarray) -> float:
     to the back-mix, ``q Lambda^-1`` (``solve_spectrum``). ``xstep.shift``
     is subtracted from each group's numerator ``e^H spec_n``.
 
-    Each pool item solves a stack of channels (``cube.stacks``) with one
+    Each pool item solves a chunk of channels (``cube.chunks``) with one
     numpy call per step: it sums each stored column over its s member rows,
     extends those (gl, width//2 + 1) partial sums to every column by the
     mirror relation and sums the columns of each group, which gives ``e^H x``
     on the full (gl, gw) low-resolution grid; then it divides, spreads each
     group's coefficient ``nu_n`` back over its stored members and updates
-    them a stack of member rows at a time (``cube.chunks``), so that no
+    them a chunk of member rows at a time (``cube.chunks``), so that no
     temporary is as large as a full-scale channel (2 MB), which each pool
     thread's heap would keep. The squared magnitudes of the coefficients are
     summed per channel and the channel sums added in channel order.
@@ -276,7 +275,7 @@ def _solve_channels(xstep: XStep, spec: np.ndarray) -> float:
     # column c > width//2 of group row gr mirrors column width - c of group row -gr
     mirrored = -np.arange(gl) % gl
 
-    def stack(rows: slice) -> list[float]:
+    def chunk(rows: slice) -> list[float]:
         group = channels[rows]
         partial = np.einsum("tlc,ktlc->klc", ce, group)
         full = np.empty((len(group), gl, width), dtype=np.complex128)
@@ -290,7 +289,7 @@ def _solve_channels(xstep: XStep, spec: np.ndarray) -> float:
             group[:, members] -= xstep.e[members] * spread
         return [float(np.vdot(nu, nu).real) for nu in num]
 
-    misfits = pool_map(stack, stacks(len(xstep.lam), spec[0].nbytes))
+    misfits = pool_map(chunk, chunks(len(xstep.lam), spec[0].nbytes))
     return sum(itertools.chain.from_iterable(misfits))
 
 

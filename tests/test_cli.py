@@ -654,13 +654,18 @@ class TestThreads:
         assert runs[0] == runs[1]
 
     def test_invalid_values_exit_2(self, tmp_path, monkeypatch):
+        # a failed run writes its manifest, with the error record, like any other
+        manifest = tmp_path / "s.cube.manifest.json"
         rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
                    "--threads", "0", "--out", str(tmp_path / "s.cube")])
         assert rc == 2
+        assert json.loads(manifest.read_text())["error"]["type"] == "ValidationError"
+        manifest.unlink()
         monkeypatch.setenv("HSFUSE_THREADS", "many")
         rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
                    "--out", str(tmp_path / "s.cube")])
         assert rc == 2
+        assert json.loads(manifest.read_text())["error"]["type"] == "ValidationError"
 
 
 def write_inputs(tmp_path, bands, size, factor):

@@ -19,7 +19,6 @@ from hsfuse.io import (
     MAGIC,
     BandReader,
     band_index_for_wavelength,
-    cube_shape,
     export_error_map,
     load_cube,
     load_srf_csv,
@@ -315,7 +314,8 @@ class TestBandRead:
             want = (tmp_path / "cubes.pgm").read_bytes()
             assert (tmp_path / "files.pgm").read_bytes() == want
             assert (tmp_path / "mixed.pgm").read_bytes() == want
-        assert cube_shape(tmp_path / "a.cube") == (4, 5, 3)
+        with open_cube(tmp_path / "a.cube") as reader:
+            assert reader.shape == (4, 5, 3)
 
     def test_f32_band_equals_the_whole_read(self, rng, tmp_path):
         cube, ref = rand_cube(rng, 3, 4, 4, 0.0, 1.0), rand_cube(rng, 3, 4, 4, 0.0, 1.0)
@@ -355,8 +355,8 @@ class TestBandRead:
                 assert str(files[kind]) in str(streamed.value)
         assert not (tmp_path / "e.pgm").exists()
         if kind not in ("nan", "inf"):  # the header and length checks alone
-            with pytest.raises(type(whole.value)):
-                cube_shape(files[kind])
+            with pytest.raises(type(whole.value)), open_cube(files[kind]) as reader:
+                pytest.fail(f"opened with shape {reader.shape}")
 
     @pytest.mark.parametrize("kind", ["nan", "inf", "truncated", "trailing", "header", "magic", "dtype"])
     @pytest.mark.parametrize("role", ["x_hat", "x_ref"])

@@ -65,7 +65,7 @@ def test_only_cube_compares_cube_shapes():
 
 
 def test_only_cube_cuts_work_into_slices():
-    # ``cube.stacks``, ``cube.chunks`` and ``cube.each_block`` decide how a
+    # ``cube.chunks``, ``cube.planes`` and ``cube.each_block`` decide how a
     # pass is cut; a slice built elsewhere is a second rule beside them
     offenders = [
         f"{path.name}:{node.lineno}"

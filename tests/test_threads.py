@@ -1,9 +1,9 @@
-"""The package's thread pool: ``cube.pool_map``, its stacks and chunks of rows, and
-byte-identical outputs at every pool size and stack size.
+"""The package's thread pool: ``cube.pool_map``, its chunks of rows, and
+byte-identical outputs at every pool size and chunk size.
 
-The pool reads ``HSFUSE_THREADS`` at each map, and ``cube.stacks`` reads it
-and ``cube._STACK_BYTES`` at each call (``cube.chunks`` the cap alone), so
-one process can run the same work at several sizes.
+The pool reads ``HSFUSE_THREADS`` at each map, and ``cube.chunks`` reads
+``cube._STACK_BYTES`` at each call, so one process can run the same work at
+several sizes. No cut reads the pool size.
 """
 
 import sys
@@ -15,7 +15,7 @@ import pytest
 
 import hsfuse.cube
 from helpers import desk_problem
-from hsfuse.cube import block_chunks, chunks, irdft2, pool_map, pool_size, rdft2, stacks
+from hsfuse.cube import block_chunks, blocks, chunks, irdft2, planes, pool_map, pool_size, rdft2
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
 from hsfuse.hqs import HqsConfig, _Spectra, fuse
@@ -142,20 +142,45 @@ def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
     cap = hsfuse.cube._STACK_BYTES
     cases = ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1), (32, 8192))
     for rows, row_bytes in cases:
-        got = [range(rows)[s] for s in stacks(rows, row_bytes)]
-        assert [i for stack in got for i in stack] == list(range(rows))
-        assert all(len(stack) * row_bytes <= cap or len(stack) == 1 for stack in got)
-        assert len(got) >= min(rows, threads)
         # one numpy call's chunks fill the cap whatever the pool size
         got = [range(rows)[s] for s in chunks(rows, row_bytes)]
         assert [i for chunk in got for i in chunk] == list(range(rows))
         assert all(len(chunk) * row_bytes <= cap or len(chunk) == 1 for chunk in got)
         assert len(got[0]) == min(rows, max(1, cap // row_bytes))
-    # a desk plane stack holds several planes; a full-scale plane goes alone
-    assert len(stacks(31, 64 * 33 * 16)) < 31
-    assert len(stacks(31, 512 * 257 * 16)) == 31
+    # a desk plane chunk holds several planes; a full-scale plane goes alone
+    assert len(chunks(31, 64 * 33 * 16)) < 31
+    assert len(chunks(31, 512 * 257 * 16)) == 31
     # a block pass walks 8 bands of a full block's float64 gain at a time
     assert [len(range(31)[s]) for s in block_chunks(31)] == [8, 8, 8, 7]
+
+
+def test_cuts_do_not_depend_on_the_pool_size(monkeypatch):
+    # the pool size decides how many threads run a map, never how a pass is
+    # cut; at 3 and 8 threads a cut that read it split desk planes otherwise
+    def cuts():
+        return (
+            [chunks(rows, row_bytes) for rows, row_bytes in ((31, 64 * 33 * 16), (3, 64 * 33 * 16),
+                                                             (31, 512 * 257 * 16), (5, 100))],
+            [block_chunks(rows) for rows in (31, 3, 1)],
+            [blocks(count) for count in (4096, 64 * 33, 128 * 65 * 2)],
+            [planes(count) for count in (31, 3)],
+        )
+
+    runs = []
+    for threads in ("1", "2", "3", "8"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        runs.append(cuts())
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_desk_fuse_bytes_do_not_depend_on_the_pool_size(monkeypatch):
+    model, y, z, prior = desk_problem(1)
+    runs = []
+    for threads in ("1", "3", "8"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        result = fuse(y, z, model, prior, HqsConfig(max_iter=8, rel_tol=1e-300))
+        runs.append((result.x_hat.data.tobytes(), result.objective_trace))
+    assert runs[1:] == runs[:1] * 2
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -192,7 +217,7 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
 
     stacked, whole = run(), fused()
     monkeypatch.setattr(hsfuse.cube, "_STACK_BYTES", 1)
-    assert len(stacks(31, 64 * 33 * 16)) == 31
+    assert len(chunks(31, 64 * 33 * 16)) == 31
     # the v-step, the score and the Sherman-Morrison update go one band or
     # one member row at a time
     assert len(block_chunks(31)) == 31
@@ -202,7 +227,7 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
 
 
 def test_fuse_makes_fewer_fft_calls_than_it_transforms_planes(monkeypatch):
-    # one numpy call per stack of planes: a return to one call per plane fails
+    # one numpy call per chunk of planes: a return to one call per plane fails
     monkeypatch.setenv("HSFUSE_THREADS", "1")
     model, y, z, prior = desk_problem(0)
     calls, planes = [], []

@@ -13,15 +13,24 @@ failed and attempted counts, and the environment the benchmark printed
 ``per_layer`` it records the traced run's per-layer rows as printed (among
 them each CLI stage's time, ``cli.<stage>.s``, and peak RSS,
 ``cli.<stage>.rss_mb``), with that run's ``correct`` and failed count.
+
+Under ``cli_fuse`` it records the default full-scale CLI ``fuse`` (20
+iterations; ``simulate`` seed ``FUSE_SEED``, ``degrade`` with ``block:32``
+and factor 32) once at each ``--threads`` of ``FUSE_THREADS``: the process's
+wall time and, from its manifest, ``timings_s``, ``peak_rss_mb``,
+``iterations`` and the last ``rel_changes`` entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +39,8 @@ WORKLOADS = ("fuse-full", "tiles-desk", "stages-full")
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = SEEDS[0]
 SECONDS = 20
+FUSE_SEED = 0
+FUSE_THREADS = (1, 2, 4)
 
 
 def run_once(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
@@ -80,6 +91,43 @@ def workload_summary(workload: str) -> dict:
     }
 
 
+def hsfuse(*args: str) -> float:
+    """Wall time of one ``python -m hsfuse`` process run from this checkout's source."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    t0 = time.perf_counter()
+    # through a shell that forks it: a child spawned straight from this
+    # process starts its ru_maxrss at this process's own peak
+    subprocess.run(["/bin/sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-m", "hsfuse", *args],
+                   env=env, capture_output=True, check=True)
+    return time.perf_counter() - t0
+
+
+def cli_fuse() -> dict:
+    """The default full-scale CLI ``fuse`` at each ``--threads`` of ``FUSE_THREADS``."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        gt, y, z, x = (str(Path(tmp) / f"{name}.cube") for name in ("gt", "y", "z", "x"))
+        hsfuse("simulate", "--seed", str(FUSE_SEED), "--out", gt)
+        hsfuse("degrade", "--in", gt, "--blur", "block:32", "--factor", "32",
+               "--out-y", y, "--out-z", z)
+        for threads in FUSE_THREADS:
+            wall = hsfuse("fuse", "--threads", str(threads), "--y", y, "--z", z, "--out", x)
+            manifest = json.loads(Path(x + ".manifest.json").read_text())
+            runs[str(threads)] = {
+                "wall_s": wall,
+                "timings_s": manifest["timings_s"],
+                "peak_rss_mb": manifest["peak_rss_mb"],
+                "iterations": manifest["iterations"],
+                "last_rel_change": manifest["rel_changes"][-1],
+            }
+            print(f"cli fuse --threads {threads}: {wall:.2f} s", file=sys.stderr)
+    return {
+        "command": f"hsfuse simulate --seed {FUSE_SEED}; degrade --blur block:32 --factor 32; "
+                   "fuse --threads <n>",
+        "threads": runs,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -87,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "command": f"bench/run.py --seconds {SECONDS} --trace 0 (per_layer: --trace 1 --seed {TRACE_SEED})",
         "workloads": {w: workload_summary(w) for w in WORKLOADS},
+        "cli_fuse": cli_fuse(),
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
