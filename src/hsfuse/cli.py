@@ -99,9 +99,10 @@ class _Stage:
 
     The manifest goes to --manifest, or next to the primary output. Its keys
     come in a fixed order: ``schema_version`` (``_SCHEMA_VERSION``),
-    ``command``, ``versions`` (python, numpy and hsfuse), ``config`` (the
-    value of each flag in ``flags``, then ``threads``, which entering the
-    stage resolves, so that an invalid size is recorded as its error),
+    ``command``, ``versions`` (python, numpy and hsfuse), ``config`` (every
+    parsed flag but the manifest and output paths, in parser order, then
+    ``threads``, which entering the stage resolves, so that an invalid size
+    is recorded as its error),
     ``inputs`` (all commands but simulate), ``outputs``, ``timings_s``, any
     command-specific results, ``peak_rss_mb`` (the process's peak RSS so
     far, which for an in-process caller covers everything it ran before),
@@ -111,13 +112,14 @@ class _Stage:
     the original error.
     """
 
-    def __init__(self, args: argparse.Namespace, primary: str, flags: str):
+    def __init__(self, args: argparse.Namespace, primary: str):
         import platform
 
         import numpy as np
 
         self.path = args.manifest or str(primary) + ".manifest.json"
-        config = {flag: getattr(args, flag) for flag in flags.split()}
+        skip = {"command", "func", "manifest", "threads"}
+        config = {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("out")}
         config["threads"] = args.threads
         self.manifest: dict = {
             "schema_version": _SCHEMA_VERSION,
@@ -206,31 +208,37 @@ def _parse_blur(spec: str, height: int, width: int):
     )
 
 
-def _resolve_srf(spec: str, in_bands: int, out_bands: int | None):
-    from .degradation import SpectralResponse
+def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], out_bands=None, **noise):
+    """The model of --blur (``block:<factor>`` if unset), --srf and ``factor``, noted in config.
+
+    ``shape`` is the high-resolution (bands, height, width), and ``out_bands`` z's bands if known.
+    """
+    from .degradation import DegradationModel, Downsampler, SpectralResponse
     from .io import load_srf_csv
 
-    if spec == "default":
-        srf = SpectralResponse.default_rgb(in_bands)
+    spec = args.blur or f"block:{factor}"
+    stage.manifest["config"].update(blur=spec, factor=factor)
+    bands, height, width = shape
+    blur = _parse_blur(spec, height, width)
+    if args.srf == "default":
+        srf = SpectralResponse.default_rgb(bands)
     else:
-        srf = load_srf_csv(spec)
-        if srf.in_bands != in_bands:
-            raise ValidationError(
-                f"SRF table covers {srf.in_bands} channels, cube has {in_bands}"
-            )
+        srf = load_srf_csv(args.srf)
+        if srf.in_bands != bands:
+            raise ValidationError(f"SRF table covers {srf.in_bands} channels, cube has {bands}")
     if out_bands is not None and srf.out_bands != out_bands:
         raise ValidationError(
-            f"SRF {spec!r} produces {srf.out_bands} bands but z has {out_bands}; "
+            f"SRF {args.srf!r} produces {srf.out_bands} bands but z has {out_bands}; "
             "pass --srf <csv> with that many columns"
         )
-    return srf
+    return DegradationModel(blur, Downsampler(factor), srf, **noise)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .io import save_blocks
     from .scenes import SceneSpec, scene_blocks
 
-    with _Stage(args, args.out, "bands size endmembers smoothness seed") as stage:
+    with _Stage(args, args.out) as stage:
         spec = SceneSpec(
             bands=args.bands,
             height=args.size,
@@ -250,19 +258,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_degrade(args: argparse.Namespace) -> int:
-    from .degradation import DegradationModel, Downsampler
     from .io import save_cube
 
-    with _Stage(args, args.out_y, "in blur factor srf noise noise_seed") as stage:
+    with _Stage(args, args.out_y) as stage:
         path = getattr(args, "in")  # "in" is a keyword
         with stage.timed("load"):
-            bands, height, width = stage.shape("cube", path)
+            shape = stage.shape("cube", path)
         with stage.timed("degrade"):
-            blur = _parse_blur(args.blur, height, width)
-            srf = _resolve_srf(args.srf, bands, None)
-            model = DegradationModel(
-                blur, Downsampler(args.factor), srf, noise_sigma=args.noise, noise_seed=args.noise_seed
-            )
+            noise = {"noise_sigma": args.noise, "noise_seed": args.noise_seed}
+            model = _model(stage, args, args.factor, shape, **noise)
             # read from the file band by band, then block by block, never whole
             y, z = model.degrade(path)
         with stage.timed("save"):
@@ -288,22 +292,16 @@ def _infer_factor(y, z) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    from .degradation import DegradationModel, Downsampler
     from .hqs import HqsConfig, fuse
     from .io import save_cube
     from .priors import PriorSource, make_prior
 
-    with _Stage(args, args.out, "y z prior mu nu rho iters tol blur srf") as stage:
+    with _Stage(args, args.out) as stage:
         with stage.timed("load"):
             y = stage.load("y", args.y)
             z = stage.load("z", args.z)
 
-        factor = _infer_factor(y, z)
-        blur_spec = args.blur if args.blur else f"block:{factor}"
-        stage.manifest["config"].update(blur=blur_spec, factor=factor)
-        blur = _parse_blur(blur_spec, z.height, z.width)
-        srf = _resolve_srf(args.srf, y.bands, z.bands)
-        model = DegradationModel(blur, Downsampler(factor), srf)
+        model = _model(stage, args, _infer_factor(y, z), (y.bands, z.height, z.width), z.bands)
 
         if args.prior == "naive":
             src = PriorSource.naive_fusion()
@@ -343,7 +341,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .metrics import CSV_HEADER, evaluate
 
     primary = args.json or args.csv or (args.x_hat + ".metrics")
-    with _Stage(args, primary, "x_hat ref factor json csv") as stage:
+    with _Stage(args, primary) as stage:
         with stage.timed("load"):
             stage.shape("x_hat", args.x_hat)
             stage.shape("ref", args.ref)
@@ -367,7 +365,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_errormap(args: argparse.Namespace) -> int:
     from .io import band_index_for_wavelength, export_error_map
 
-    with _Stage(args, args.out, "x_hat ref band wavelength wl_min wl_max max_error") as stage:
+    with _Stage(args, args.out) as stage:
         if (args.band is None) == (args.wavelength is None):
             raise ValidationError("pass exactly one of --band or --wavelength")
         with stage.timed("load"):
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", parents=[common], help="apply the degradation model")
     p.add_argument("--in", required=True)
-    p.add_argument("--blur", default="block:32", help="block:<size> or gauss:<sigma>[:<support>]")
+    p.add_argument("--blur", help="block:<size> or gauss:<sigma>[:<support>]; default block:<factor>")
     p.add_argument("--factor", type=int, default=32)
     p.add_argument("--srf", default="default", help="'default' or an SRF csv path")
     p.add_argument("--noise", type=float, default=0.0)
@@ -439,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.001)
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--blur", default=None, help="defaults to block:<factor>")
+    p.add_argument("--blur", help="defaults to block:<factor>")
     p.add_argument("--srf", default="default", help="'default' or an SRF csv path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)

@@ -37,15 +37,14 @@ thread, and ``concurrent.futures`` is imported only when a map first needs a
 worker. ``serial`` makes a function that pool items share, such as the reads
 or writes of one open file, run for one item at a time.
 This module alone cuts work, by shape, never by the pool size, with one
-private slicer under ``chunks`` (the rows of one numpy call: a pool item of
-planes or channels, or a call inside one; ``block_chunks`` in a pass over a
-column block), ``planes`` (pool items of one plane each), ``blocks`` (pool
-items of a block of pixels or frequencies) and ``each_block`` (a function
-over those blocks of columns on the pool). A block starts on a multiple of
-``_BLOCK_COLUMNS`` and ends on one or at the last column, so a GEMM cut into
-blocks of columns gives the bits of the whole product (checked with numpy
-2.4's OpenBLAS, whose GEMM gives other bits for blocks cut at columns that
-are not multiples of 8).
+private slicer under two rules: ``chunks`` (the rows of one numpy call: a
+pool item of planes or channels, or a call inside one, such as a chunk of
+bands of one column block) and ``blocks`` (pool items of a block of pixels
+or frequencies, which ``each_block`` walks on the pool). A block starts on
+a multiple of ``_BLOCK_COLUMNS`` and ends on one or at the last column, so
+a GEMM cut into blocks of columns gives the bits of the whole product
+(checked with numpy 2.4's OpenBLAS, whose GEMM gives other bits for blocks
+cut at columns that are not multiples of 8).
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -68,7 +67,6 @@ from .errors import SymmetryViolationError, ValidationError, check_int
 __all__ = [
     "HsiCube",
     "FreqCube",
-    "block_chunks",
     "blocks",
     "check_shape",
     "chunks",
@@ -81,7 +79,6 @@ __all__ = [
     "idft2_per_band",
     "irdft2",
     "mix_bands",
-    "planes",
     "pool_map",
     "pool_size",
     "rdft2",
@@ -101,7 +98,7 @@ _BLOCK_COLUMNS = 1 << 12
 # takes (``chunks``): small grids batch their per-call overhead away, while a
 # chunk stays cache-sized and bounds the temporaries that a call allocates,
 # such as an inverse transform's complex copy of its chunk
-_STACK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 18
 
 # the package's executor and its worker count, made by the first map that
 # needs a worker and replaced when the pool size changes
@@ -284,24 +281,14 @@ def _slices(rows: int, per: int) -> list[slice]:
 def chunks(rows: int, row_bytes: int) -> list[slice]:
     """Slices of ``range(rows)`` for one numpy call each: a pool item, or a call inside one.
 
-    A chunk holds as many rows as fit ``_STACK_BYTES``, or 1, whatever the pool size.
+    A chunk holds as many rows as fit ``_CHUNK_BYTES``, or 1, whatever the pool size.
     """
-    return _slices(rows, _STACK_BYTES // row_bytes)
-
-
-def block_chunks(rows: int) -> list[slice]:
-    """``chunks`` of float64 rows of a full block (8 at the default cap), for every block alike."""
-    return chunks(rows, 8 * _BLOCK_COLUMNS)
+    return _slices(rows, _CHUNK_BYTES // row_bytes)
 
 
 def blocks(count: int) -> list[slice]:
     """Slices of ``_BLOCK_COLUMNS`` columns (the last may hold fewer) that cover ``range(count)``."""
     return _slices(count, _BLOCK_COLUMNS)
-
-
-def planes(count: int) -> list[slice]:
-    """One slice per plane of ``range(count)``: pool items whose temporaries grow with the item."""
-    return _slices(count, 1)
 
 
 def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarray) -> None:
@@ -357,7 +344,9 @@ def circular_convolve(
         np.fft.ifft(buf, axis=-2, out=buf)
         np.fft.irfft(buf, n=width, axis=-1, out=dst)
 
-    _each_stack(plane, planes(data.size // (height * width)), data, out)
+    # one plane per item, not ``chunks``: each thread's complex buffer stays one
+    # half-spectrum plane, where a chunk of small planes would hold several
+    _each_stack(plane, _slices(data.size // (height * width), 1), data, out)
     return out
 
 

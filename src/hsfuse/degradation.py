@@ -26,7 +26,7 @@ grids the decimation factor does not divide, so every model it accepts has
 the aliasing-group structure the closed-form x-step solver needs.
 ``DegradationModel.degrade`` takes a cube or a cube file (``io.open_cube``)
 and holds neither a whole blurred cube nor, for a file, the input cube: each
-pool item (``cube.planes``) reads a band into a new plane, blurs it in place
+pool item (one band) reads the band into a new plane, blurs it in place
 and decimates it into the low-resolution output; then each mixes the bands
 of one ``cube.blocks`` block of pixels into z. A GEMM cut at those blocks
 gives the bits of the whole band mix, which a cut between bands does not.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HsiCube, blocks, check_shape, circular_convolve, dft2, planes, pool_map
+from .cube import HsiCube, blocks, check_shape, circular_convolve, dft2, pool_map
 from .errors import ValidationError, check_int, check_real
 
 __all__ = [
@@ -300,19 +300,19 @@ class DegradationModel:
             check_shape("x", reader.shape, (self.bands,) + self.hr_shape)
             y = np.empty((self.bands, *(n // self.down.factor for n in self.hr_shape)))
 
-            def blur_down(rows: slice) -> None:
-                plane = reader.band(rows.start, np.empty(self.hr_shape))[None]
+            def blur_down(band: int) -> None:
+                plane = reader.band(band, np.empty(self.hr_shape))
                 # the band is read into a new plane, blurred in place: a second plane
                 # per item made the heap shrink and grow back for each band (63k page
                 # faults at 31x512x512, against 2k with one plane per item)
                 blurred = self.blur.apply_array(plane, plane)
                 # assigned, not kept as a view: a strided view holds its whole blurred plane
-                y[rows] = self.down.apply_array(blurred)
+                y[band] = self.down.apply_array(blurred)
 
             def mix(cols: slice) -> None:
                 z[:, cols] = self.srf.matrix @ reader.pixels(cols)
 
-            pool_map(blur_down, planes(self.bands))
+            pool_map(blur_down, range(self.bands))
             # made after y's pass, which holds a plane and its transforms per thread
             z = np.empty((self.srf.out_bands, reader.shape[1] * reader.shape[2]))
             pool_map(mix, blocks(z.shape[1]))

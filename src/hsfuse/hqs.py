@@ -37,9 +37,9 @@ the z-term and the stop test's ``||x_k - x_{k-1}||^2`` and
 ``||x_{k-1}||^2`` are one ``cube.half_sums`` call per iteration, by
 Parseval's theorem: one pass over blocks of stored columns on the
 package's thread pool. Within a block the pass walks the bands in the
-v-step's chunks (``cube.block_chunks``), writes one dot product
-per band into a small row, and sums each row over every band, so its
-temporaries are chunk-sized and its sums are those of the block taken
+v-step's chunks (``cube.chunks`` of the block's gain row), writes one dot
+product per band into a small row, and sums each row over every band, so
+its temporaries are chunk-sized and its sums are those of the block taken
 whole. ``objective_value`` is the spatial form of L at any
 (x, v). Every pass over a spectrum is split into independent items (column
 blocks, bands or eigen-channels) on the pool, and partial sums are added in
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sylvester
-from .cube import HsiCube, block_chunks, half_sums, irdft2, mix_bands, rdft2
+from .cube import HsiCube, chunks, half_sums, irdft2, mix_bands, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import LaplacianOperator, regularizer_value
@@ -170,10 +170,9 @@ class _Spectra:
         ``x_hat`` is the x-step's output and ``y_term`` its return value.
         The change ``||x - x_old|| / max(||x_old||, tiny)`` is None without
         ``x_old``. One ``half_sums`` pass, which walks each block's bands in
-        the v-step's chunks (``cube.block_chunks``), so no temporary spans
-        every band of a block.
+        the v-step's chunks (``cube.chunks`` of the block's gain row), so no
+        temporary spans more than one chunk of bands.
         """
-        chunks = block_chunks(len(x_hat))
 
         def sums(x, p, freq, z_hat, *old) -> np.ndarray:
             """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
@@ -181,7 +180,7 @@ class _Spectra:
             # one dot per band for each sum; each row is then summed over all
             # bands at once, so a block's sums do not depend on the chunking
             rows = np.empty((3 if old else 1, len(x)))
-            for band in chunks:
+            for band in chunks(len(x), freq.nbytes):
                 # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
                 # is rho*(1 - gain)*|x - p|^2
                 dev = x[band] - p[band]

@@ -476,6 +476,21 @@ class TestStreamedStages:
             inputs = json.loads(open(str(out_y) + ".manifest.json").read())["inputs"]
             assert inputs["cube"]["shape"] == [31, 72, 72]
 
+    def test_default_blur_follows_the_factor(self, rng, tmp_path):
+        # without --blur, degrade blurs by block:<factor>, the blur fuse assumes
+        from hsfuse.io import save_cube
+
+        save_cube(tmp_path / "x.cube", rand_cube(rng, 5, 16, 16, 0.0, 1.0))
+        runs = []
+        for name, flags in (("default", []), ("given", ["--blur", "block:4"])):
+            out_y, out_z = tmp_path / f"{name}.y", tmp_path / f"{name}.z"
+            assert main(["degrade", "--in", str(tmp_path / "x.cube"), "--factor", "4", *flags,
+                         "--out-y", str(out_y), "--out-z", str(out_z)]) == 0
+            config = json.loads(open(str(out_y) + ".manifest.json").read())["config"]
+            assert (config["blur"], config["factor"]) == ("block:4", 4), name
+            runs.append((out_y.read_bytes(), out_z.read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestExitCodes:
     def test_validation_errors_exit_2(self, pipeline):

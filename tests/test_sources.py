@@ -65,8 +65,8 @@ def test_only_cube_compares_cube_shapes():
 
 
 def test_only_cube_cuts_work_into_slices():
-    # ``cube.chunks``, ``cube.planes`` and ``cube.each_block`` decide how a
-    # pass is cut; a slice built elsewhere is a second rule beside them
+    # ``cube.chunks`` and ``cube.blocks`` (which ``cube.each_block`` walks)
+    # decide how a pass is cut; a slice built elsewhere is a third rule
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

@@ -2,7 +2,7 @@
 byte-identical outputs at every pool size and chunk size.
 
 The pool reads ``HSFUSE_THREADS`` at each map, and ``cube.chunks`` reads
-``cube._STACK_BYTES`` at each call, so one process can run the same work at
+``cube._CHUNK_BYTES`` at each call, so one process can run the same work at
 several sizes. No cut reads the pool size.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 import hsfuse.cube
 from helpers import desk_problem
-from hsfuse.cube import block_chunks, blocks, chunks, irdft2, planes, pool_map, pool_size, rdft2
+from hsfuse.cube import blocks, chunks, irdft2, pool_map, pool_size, rdft2
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
 from hsfuse.hqs import HqsConfig, _Spectra, fuse
@@ -136,13 +136,11 @@ def test_map_under_contention_runs_each_item_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
-    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
-    cap = hsfuse.cube._STACK_BYTES
+def test_chunks_fit_the_cap_and_cover_every_row():
+    cap = hsfuse.cube._CHUNK_BYTES
     cases = ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1), (32, 8192))
     for rows, row_bytes in cases:
-        # one numpy call's chunks fill the cap whatever the pool size
+        # one numpy call's chunks fill the cap
         got = [range(rows)[s] for s in chunks(rows, row_bytes)]
         assert [i for chunk in got for i in chunk] == list(range(rows))
         assert all(len(chunk) * row_bytes <= cap or len(chunk) == 1 for chunk in got)
@@ -151,7 +149,7 @@ def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
     assert len(chunks(31, 64 * 33 * 16)) < 31
     assert len(chunks(31, 512 * 257 * 16)) == 31
     # a block pass walks 8 bands of a full block's float64 gain at a time
-    assert [len(range(31)[s]) for s in block_chunks(31)] == [8, 8, 8, 7]
+    assert [len(range(31)[s]) for s in chunks(31, 8 * 4096)] == [8, 8, 8, 7]
 
 
 def test_cuts_do_not_depend_on_the_pool_size(monkeypatch):
@@ -161,9 +159,7 @@ def test_cuts_do_not_depend_on_the_pool_size(monkeypatch):
         return (
             [chunks(rows, row_bytes) for rows, row_bytes in ((31, 64 * 33 * 16), (3, 64 * 33 * 16),
                                                              (31, 512 * 257 * 16), (5, 100))],
-            [block_chunks(rows) for rows in (31, 3, 1)],
             [blocks(count) for count in (4096, 64 * 33, 128 * 65 * 2)],
-            [planes(count) for count in (31, 3)],
         )
 
     runs = []
@@ -181,6 +177,26 @@ def test_desk_fuse_bytes_do_not_depend_on_the_pool_size(monkeypatch):
         result = fuse(y, z, model, prior, HqsConfig(max_iter=8, rel_tol=1e-300))
         runs.append((result.x_hat.data.tobytes(), result.objective_trace))
     assert runs[1:] == runs[:1] * 2
+
+
+def test_fuse_bytes_with_a_tail_block_do_not_depend_on_the_chunks_or_the_pool(monkeypatch):
+    # a 96x96 grid's half spectrum is a full block of 4,096 columns and a tail
+    # of 608, whose bands the v-step and the score cut by its own gain row
+    gt = generate_scene(SceneSpec(bands=31, height=96, width=96, seed=0))
+    model = DegradationModel(
+        BlurOperator.uniform_block(96, 96, 4), Downsampler(4), SpectralResponse.default_rgb(31)
+    )
+    y, z = model.degrade(gt)
+    prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+    assert [len(range(96 * 49)[s]) for s in blocks(96 * 49)] == [4096, 608]
+    runs = []
+    for cap in (hsfuse.cube._CHUNK_BYTES, 1):
+        monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("HSFUSE_THREADS", threads)
+            result = fuse(y, z, model, prior, HqsConfig(max_iter=6, rel_tol=1e-300))
+            runs.append((result.x_hat.data.tobytes(), result.objective_trace))
+    assert runs[1:] == runs[:1] * 3
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -216,11 +232,11 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
         )
 
     stacked, whole = run(), fused()
-    monkeypatch.setattr(hsfuse.cube, "_STACK_BYTES", 1)
+    monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", 1)
     assert len(chunks(31, 64 * 33 * 16)) == 31
     # the v-step, the score and the Sherman-Morrison update go one band or
     # one member row at a time
-    assert len(block_chunks(31)) == 31
+    assert len(chunks(31, 8 * 4096)) == 31
     assert len(chunks(4, 64 * 33 * 16)) == 4
     assert run() == stacked
     assert fused() == whole
