@@ -136,11 +136,13 @@ def test_map_under_contention_runs_each_item_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_chunks_fit_the_cap_and_cover_every_row():
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
+    monkeypatch.setenv("HSFUSE_THREADS", str(threads))
     cap = hsfuse.cube._CHUNK_BYTES
     cases = ((31, 64 * 33 * 16), (31, 512 * 257 * 16), (5, 100), (2, 100), (1, 1), (32, 8192))
     for rows, row_bytes in cases:
-        # one numpy call's chunks fill the cap
+        # one numpy call's chunks fill the cap whatever the pool size
         got = [range(rows)[s] for s in chunks(rows, row_bytes)]
         assert [i for chunk in got for i in chunk] == list(range(rows))
         assert all(len(chunk) * row_bytes <= cap or len(chunk) == 1 for chunk in got)
