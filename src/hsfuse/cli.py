@@ -189,23 +189,19 @@ def _parse_blur(spec: str, height: int, width: int):
     from .degradation import BlurOperator
 
     kind, _, rest = spec.partition(":")
+    if kind not in ("block", "gauss"):
+        raise ValidationError(
+            f"unknown blur spec {spec!r}; use block:<size> or gauss:<sigma>[:<support>]"
+        )
+    fields = rest.split(":")
     try:
-        if kind == "block":
-            return BlurOperator.uniform_block(height, width, int(rest))
-        if kind == "gauss":
-            parts = rest.split(":")
-            sigma = float(parts[0])
-            support = int(parts[1]) if len(parts) > 1 else None
-            if len(parts) > 2:
-                raise ValidationError(f"too many fields in blur spec {spec!r}")
-            return BlurOperator.gaussian(height, width, sigma, support)
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+        numbers = [int(rest)] if kind == "block" else [float(fields[0]), *map(int, fields[1:2])]
+    except ValueError as exc:
         raise ValidationError(f"malformed blur spec {spec!r}: {exc}") from exc
-    raise ValidationError(
-        f"unknown blur spec {spec!r}; use block:<size> or gauss:<sigma>[:<support>]"
-    )
+    if len(fields) > 2:
+        raise ValidationError(f"too many fields in blur spec {spec!r}")
+    build = BlurOperator.uniform_block if kind == "block" else BlurOperator.gaussian
+    return build(height, width, *numbers)
 
 
 def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], out_bands=None, **noise):

@@ -17,14 +17,14 @@ Conventions, fixed so numbers are comparable across runs:
   profile over 'valid' rows only, the second on the transposed first.
 
 ``evaluate`` takes cubes or cube files and walks them one band pair at a
-time: ``io.open_cube`` reads each input's band into one of its two reused
-planes, checking a file's finite, so a file is never held whole. Each band
-pair is one ``pool_map``, whose items are its strips of SSIM rows (two
-strip-sized buffers each), the reference band's mean and the read of the
-next pair. A strip returns its squared error and SSIM sum, added up in strip
-order, and adds the a*b, a*a and b*b of the rows it owns to three per-pixel
-SAM planes, so each pixel's sums add in band order. The angles are summed
-per ``each_block`` block of pixels at the end, in block order. The report
+time: ``io.open_cube`` reads each input's band into its one reused plane,
+checking a file's finite, so a file is never held whole. Each band pair is
+scored in one ``pool_map``, whose items are its strips of SSIM rows (two
+strip-sized buffers each) and the reference band's mean. A strip returns
+its squared error and SSIM sum, added up in strip order, and adds the
+a*b, a*a and b*b of the rows it owns to three per-pixel SAM planes, so
+each pixel's sums add in band order. The angles are summed per
+``each_block`` block of pixels at the end, in block order. The report
 depends neither on the pool size nor on whether cubes or files were scored.
 """
 
@@ -173,23 +173,14 @@ def evaluate(
             )
         vh, vw = height - _SSIM_WINDOW + 1, width - _SSIM_WINDOW + 1
         strips = range(0, vh, _SSIM_ROWS)
-        # band k of each input is read into plane k % 2 of its two, so it holds
-        # until band k + 2 is read
-        planes = np.empty((2, 2, height, width))
+        planes = np.empty((2, height, width))  # band k of each input
         sums = np.zeros((3, height, width))  # each pixel's SAM sums over the bands read so far
         per_band = []
-
-        def reads(k: int) -> list:
-            return [partial(reader.band, k, two[k % 2]) for reader, two in zip((hat, ref), planes)]
-
-        pair = pool_map(lambda job: job(), reads(0))
         for k in range(bands):
-            a, b = pair
-            # the next band pair is read while this one is scored
-            ahead = reads(k + 1) if k + 1 < bands else []
+            reads = [partial(reader.band, k, plane) for reader, plane in zip((hat, ref), planes)]
+            a, b = pool_map(lambda job: job(), reads)
             scores = [partial(_strip_scores, a, b, lo, sums) for lo in strips]
-            done = pool_map(lambda job: job(), [*ahead, partial(np.mean, b), *scores])
-            pair, ref_mean, per_strip = done[: len(ahead)], done[len(ahead)], done[len(ahead) + 1 :]
+            ref_mean, *per_strip = pool_map(lambda job: job(), [partial(np.mean, b), *scores])
             err = total = 0.0
             for strip_err, strip_total in per_strip:
                 err += strip_err

@@ -493,7 +493,7 @@ class TestStreamedStages:
 
 
 class TestExitCodes:
-    def test_validation_errors_exit_2(self, pipeline):
+    def test_validation_errors_exit_2(self, pipeline, capsys):
         tmp, paths = pipeline
         out = str(tmp / "o.cube")
         assert main(["fuse", "--y", paths["y"], "--z", paths["gt"], "--out", out]) == 2
@@ -501,14 +501,30 @@ class TestExitCodes:
             main(["fuse", "--y", paths["y"], "--z", paths["z"], "--prior", "guess",
                   "--out", out]) == 2
         )
-        assert (
-            main(["degrade", "--in", paths["gt"], "--blur", "wedge:3", "--factor", "4",
-                  "--out-y", str(tmp / "a"), "--out-z", str(tmp / "b")]) == 2
-        )
-        assert (
-            main(["degrade", "--in", paths["gt"], "--blur", "block:nope", "--factor", "4",
-                  "--out-y", str(tmp / "a"), "--out-z", str(tmp / "b")]) == 2
-        )
+        # each --blur form, and the message of each way to get one wrong
+        int_error = "invalid literal for int() with base 10:"
+        float_error = "could not convert string to float:"
+        blur_errors = {
+            "gauss:1.5": None,
+            "gauss:1.5:7": None,
+            "gauss:1.5:7:9": "too many fields in blur spec 'gauss:1.5:7:9'",
+            "gauss:": f"malformed blur spec 'gauss:': {float_error} ''",
+            "gauss:x": f"malformed blur spec 'gauss:x': {float_error} 'x'",
+            "gauss:1.5:": f"malformed blur spec 'gauss:1.5:': {int_error} ''",
+            "gauss:1.5:x:9": f"malformed blur spec 'gauss:1.5:x:9': {int_error} 'x'",
+            "gauss:1.5:8": "support must be odd, got 8",
+            "block:0": "block size must be at least 1, got 0",
+            "block:4:2": f"malformed blur spec 'block:4:2': {int_error} '4:2'",
+            "block": f"malformed blur spec 'block': {int_error} ''",
+            "block:nope": f"malformed blur spec 'block:nope': {int_error} 'nope'",
+            "wedge:3": "unknown blur spec 'wedge:3'; use block:<size> or gauss:<sigma>[:<support>]",
+        }
+        capsys.readouterr()
+        for spec, error in blur_errors.items():
+            rc = main(["degrade", "--in", paths["gt"], "--blur", spec, "--factor", "4",
+                       "--out-y", str(tmp / "a"), "--out-z", str(tmp / "b")])
+            want = (0, "") if error is None else (2, f"error: {error}\n")
+            assert (rc, capsys.readouterr().err) == want, spec
         assert (
             main(["errormap", "--x-hat", paths["gt"], "--ref", paths["gt"],
                   "--band", "1", "--wavelength", "540", "--out", str(tmp / "e.pgm")]) == 2
@@ -791,12 +807,13 @@ class TestMemory:
         assert peaks[1] - peaks[0] < 10.0
 
     def test_evaluate_peak_stays_below_a_bare_interpreter_plus_one_cube(self, scored_files, tmp_path):
-        # evaluate holds two bands of each file (the pair it scores and the
-        # next one being read), three per-pixel SAM planes and a strip buffer
-        # per thread, never a whole cube. Measured on a 2-vCPU box, 31x256x256
-        # (a cube is 16.25 MB), --threads 2 (MB = 1e6 bytes): a bare
-        # interpreter with numpy and hsfuse.cli imported peaks at 29.6-29.7 MB,
-        # evaluate at 36.5-36.9 MB, and at 67.0-67.2 MB when it loaded both cubes
+        # evaluate holds one band of each file (the pair it scores), three
+        # per-pixel SAM planes and a strip buffer per thread, never a whole
+        # cube. Measured on a 2-vCPU box, 31x256x256 (a cube is 16.25 MB),
+        # --threads 2 (MB = 1e6 bytes): a bare interpreter with numpy and
+        # hsfuse.cli imported peaks at 29.6-29.7 MB, evaluate at 35.5-35.8 MB,
+        # at 36.5-36.9 MB when it read the next band pair while scoring one,
+        # and at 67.0-67.2 MB when it loaded both cubes
         pytest.importorskip("resource")
         x_hat, ref = scored_files[256]
         peak = cli_peak_rss_mb(["evaluate", "--threads", "2", "--x-hat", x_hat, "--ref", ref,

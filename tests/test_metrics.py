@@ -51,6 +51,26 @@ def test_evaluate_peak_memory_stays_below_one_cube(rng, monkeypatch):
         assert peak < a.data.nbytes, threads
 
 
+def test_evaluate_of_two_files_holds_one_band_pair(rng, tmp_path, monkeypatch):
+    # band k of each file is read into its one plane, then the pair is scored:
+    # two band planes, three SAM planes and the strips' buffers. Traced at
+    # 31x128x128, in band planes: 9.45 (pool 1) and 11.81 (pool 2) while the
+    # next pair was read as one was scored, 7.45 and 9.80 one pair at a time
+    for name in ("x", "gt"):
+        save_cube(tmp_path / f"{name}.cube", rand_cube(rng, 31, 128, 128, lo=0.1, hi=1.0))
+    files = (tmp_path / "x.cube", tmp_path / "gt.cube")
+    for threads, planes in (("1", 8.5), ("2", 10.8)):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        evaluate(*files, factor=4)  # the pool's threads exist before tracing
+        tracemalloc.start()
+        try:
+            evaluate(*files, factor=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < planes * 128 * 128 * 8, threads
+
+
 def test_psnr_per_band_mean_and_cap(rng):
     ref = rand_cube(rng, 2, 16, 16, lo=0.0, hi=1.0)
     noisy = ref.data.copy()
