@@ -212,7 +212,7 @@ def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], out_ba
     from .degradation import DegradationModel, Downsampler, SpectralResponse
     from .io import load_srf_csv
 
-    spec = args.blur or f"block:{factor}"
+    spec = f"block:{factor}" if args.blur is None else args.blur
     stage.manifest["config"].update(blur=spec, factor=factor)
     bands, height, width = shape
     blur = _parse_blur(spec, height, width)

@@ -24,18 +24,19 @@ real kernel is conjugate-symmetric, so its stored columns are all the
 product needs. The full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
 aliasing group spans every column) and the small low-resolution y.
 
-The package has one thread pool, and ``pool_map`` is its only entry. Every
-transform of planes here and every independent block loop of the HQS
-iteration (band mixes, chunks of eigen-channels, v-step blocks, ``half_sums``
-blocks) runs through it. Its size is ``HSFUSE_THREADS`` when that is set,
-otherwise 1, because a library caller may not have pinned its BLAS threads;
-the CLI sets it to ``--threads`` or the available cores and pins BLAS to one
-thread. Each item writes its own output or returns its own partial result,
-and callers combine partial results in item order, so output bytes do not
-depend on the pool size. A pool of 1 runs the same functions in the calling
-thread, and ``concurrent.futures`` is imported only when a map first needs a
-worker. ``serial`` makes a function that pool items share, such as the reads
-or writes of one open file, run for one item at a time.
+``pool_map`` is the package's only parallelism. Every transform of planes
+here and every independent block loop of the HQS iteration (band mixes,
+chunks of eigen-channels, v-step blocks, ``half_sums`` blocks) runs through
+it. Its pool size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
+because a library caller may not have pinned its BLAS threads; the CLI sets
+it to ``--threads`` or the available cores and pins BLAS to one thread. A map
+runs on the calling thread and on helper threads that it starts and joins
+itself, so no thread outlives a map. Each item writes its own output or
+returns its own partial result, and callers combine partial results in item
+order, so output bytes do not depend on the pool size. A pool of 1 runs the
+same functions in the calling thread alone. ``serial`` makes a function that
+pool items share, such as the reads or writes of one open file, run for one
+item at a time.
 This module alone cuts work, by shape, never by the pool size, with one
 private slicer under two rules: ``chunks`` (the rows of one numpy call: a
 pool item of planes or channels, or a call inside one, such as a chunk of
@@ -99,13 +100,6 @@ _BLOCK_COLUMNS = 1 << 12
 # chunk stays cache-sized and bounds the temporaries that a call allocates,
 # such as an inverse transform's complex copy of its chunk
 _CHUNK_BYTES = 1 << 18
-
-# the package's executor and its worker count, made by the first map that
-# needs a worker and replaced when the pool size changes
-_pool_lock = threading.Lock()
-_pool = None
-_pool_workers = 0
-
 
 def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
     """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``."""
@@ -199,65 +193,44 @@ def pool_size() -> int:
     return check_int("HSFUSE_THREADS", env, 1)
 
 
-def _submit(workers: int, fn: Callable[[], None], count: int) -> list:
-    """Queue ``count`` calls of ``fn`` on the package's executor of ``workers`` threads.
-
-    The executor is made on first use and replaced when ``workers`` changes;
-    a replaced one still runs what was queued on it. Submitting under the
-    lock keeps a replacement from shutting an executor between its lookup
-    and the submit.
-    """
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool_workers != workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="hsfuse")
-            _pool_workers = workers
-        return [_pool.submit(fn) for _ in range(count)]
-
-
 def pool_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, run on the package's thread pool.
+    """``[fn(item) for item in items]``, run on threads of the map's own.
 
-    ``pool_size()`` threads, the calling one among them, take the next
-    unclaimed item until none is left. Each result lands at its item's
-    index, so the list does not depend on the pool size or on which thread
-    ran what. An error raised by ``fn`` is raised here once every thread has
-    stopped.
+    Up to ``pool_size()`` threads, the calling one among them, take the next
+    unclaimed item until none is left. The others are started for this map
+    and joined before it returns, so nothing of ``fn`` outlives the map, and
+    a map run from an item has threads of its own. Each result lands at its
+    item's index, so the list does not depend on the pool size or on which
+    thread ran what. The first error raised by ``fn`` is raised here once
+    every thread has stopped.
     """
     results = [None] * len(items)
+    errors = []
     claim = itertools.count()
     lock = threading.Lock()
-    # emptied once the map is over: an executor thread holds a finished or
-    # cancelled share a moment longer, and through it this closure, which
-    # must not keep fn's inputs alive past the map
-    task = [fn, items]
 
     def drain() -> None:
-        fn, items = task
-        while True:
-            with lock:
-                i = next(claim)
-            if i >= len(items):
-                return
-            results[i] = fn(items[i])
+        try:
+            while True:
+                with lock:
+                    i = next(claim)
+                if i >= len(items):
+                    return
+                results[i] = fn(items[i])
+        except BaseException as error:  # raised below, once every thread has stopped
+            errors.append(error)
 
-    size = pool_size()
-    helpers = min(size, len(items)) - 1
-    futures = _submit(size - 1, drain, helpers) if helpers > 0 else []
+    helpers = [threading.Thread(target=drain) for _ in range(min(pool_size(), len(items)) - 1)]
     try:
+        for thread in helpers:
+            thread.start()
         drain()
     finally:
-        # a share no worker has started finds nothing left to take; cancelling
-        # it keeps a map run from a worker from waiting on its own pool
-        errors = [f.exception() for f in futures if not f.cancel()]
-        task.clear()
-    for error in errors:
-        if error is not None:
-            raise error
+        for thread in helpers:
+            if thread.is_alive():  # not one that a failed start left unstarted
+                thread.join()
+    if errors:
+        raise errors[0]
     return results
 
 

@@ -35,9 +35,9 @@ return value (see ``sylvester``). Per band k and frequency f, with
 coupling and the regularizer need neither v nor the Laplacian. That sum,
 the z-term and the stop test's ``||x_k - x_{k-1}||^2`` and
 ``||x_{k-1}||^2`` are one ``cube.half_sums`` call per iteration, by
-Parseval's theorem: one pass over blocks of stored columns on the
-package's thread pool. Within a block the pass walks the bands in the
-v-step's chunks (``cube.chunks`` of the block's gain row), writes one dot
+Parseval's theorem: one pass over blocks of stored columns on
+``cube.pool_map``. Within a block the pass walks the bands in the
+v-step's chunks (``cube.chunks`` of the block's complex row), writes one dot
 product per band into a small row, and sums each row over every band, so
 its temporaries are chunk-sized and its sums are those of the block taken
 whole. ``objective_value`` is the spatial form of L at any
@@ -170,7 +170,7 @@ class _Spectra:
         ``x_hat`` is the x-step's output and ``y_term`` its return value.
         The change ``||x - x_old|| / max(||x_old||, tiny)`` is None without
         ``x_old``. One ``half_sums`` pass, which walks each block's bands in
-        the v-step's chunks (``cube.chunks`` of the block's gain row), so no
+        the v-step's chunks (``cube.chunks`` of the block's complex row), so no
         temporary spans more than one chunk of bands.
         """
 
@@ -180,7 +180,7 @@ class _Spectra:
             # one dot per band for each sum; each row is then summed over all
             # bands at once, so a block's sums do not depend on the chunking
             rows = np.empty((3 if old else 1, len(x)))
-            for band in chunks(len(x), freq.nbytes):
+            for band in chunks(len(x), x[0].nbytes):
                 # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
                 # is rho*(1 - gain)*|x - p|^2
                 dev = x[band] - p[band]

@@ -134,13 +134,13 @@ def denoise_spectrum(
     third array of that shape. The deviation ``x - p`` is formed in ``out``,
     scaled by the gain and shifted back by ``p``, one block of frequencies
     per pool item (``cube.each_block``); the gain is built for one chunk of
-    bands of the block at a time (``cube.chunks`` of the block's gain row).
+    bands of the block at a time (``cube.chunks`` of the block's complex row).
     """
     bands = x_hat.shape[0]
 
     def block(x: np.ndarray, p: np.ndarray, v: np.ndarray, freq: np.ndarray) -> None:
         np.subtract(x, p, out=v)
-        for rows in chunks(bands, freq.nbytes):
+        for rows in chunks(bands, v[0].nbytes):
             v[rows] *= fac.gain(freq, rows)
         v += p
 

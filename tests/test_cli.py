@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import hsfuse
+import hsfuse.io
 from helpers import bad_cube_files, rand_cube
 from hsfuse.cli import main
 from hsfuse.cube import HsiCube, pool_size
 from hsfuse.errors import CubeFormatError, ValidationError
-from hsfuse.io import load_cube
+from hsfuse.io import load_cube, save_cube
 from hsfuse.metrics import evaluate
 
 
@@ -518,6 +519,7 @@ class TestExitCodes:
             "block": f"malformed blur spec 'block': {int_error} ''",
             "block:nope": f"malformed blur spec 'block:nope': {int_error} 'nope'",
             "wedge:3": "unknown blur spec 'wedge:3'; use block:<size> or gauss:<sigma>[:<support>]",
+            "": "unknown blur spec ''; use block:<size> or gauss:<sigma>[:<support>]",
         }
         capsys.readouterr()
         for spec, error in blur_errors.items():
@@ -525,6 +527,9 @@ class TestExitCodes:
                        "--out-y", str(tmp / "a"), "--out-z", str(tmp / "b")])
             want = (0, "") if error is None else (2, f"error: {error}\n")
             assert (rc, capsys.readouterr().err) == want, spec
+        # an empty spec is refused, not taken for the default block:<factor>
+        rc = main(["fuse", "--y", paths["y"], "--z", paths["z"], "--blur", "", "--out", out])
+        assert (rc, capsys.readouterr().err) == (2, f"error: {blur_errors['']}\n")
         assert (
             main(["errormap", "--x-hat", paths["gt"], "--ref", paths["gt"],
                   "--band", "1", "--wavelength", "540", "--out", str(tmp / "e.pgm")]) == 2
@@ -549,6 +554,46 @@ class TestExitCodes:
         )
         manifest = json.loads(open(ypath + ".manifest.json").read())
         assert manifest["error"]["type"] == "ValidationError"
+
+    def test_inputs_that_do_not_fit_each_other_exit_2(self, pipeline, capsys):
+        tmp, paths = pipeline
+        capsys.readouterr()
+        # an SRF table over 4 channels for the 8-band cube
+        srf = tmp / "short_srf.csv"
+        srf.write_text("band,r,g\n1,1,0\n2,1,0\n3,0,1\n4,0,1\n")
+        rc = main(["degrade", "--in", paths["gt"], "--srf", str(srf), "--factor", "4",
+                   "--out-y", str(tmp / "a"), "--out-z", str(tmp / "b")])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: SRF table covers 4 channels, cube has 8\n"
+        )
+        # a z grid of 30x32 over y's 8x8 is no whole multiple along the rows
+        z = tmp / "z_off.cube"
+        save_cube(z, HsiCube(np.zeros((3, 30, 32))))
+        rc = main(["fuse", "--y", paths["y"], "--z", str(z), "--out", str(tmp / "o.cube")])
+        assert (rc, capsys.readouterr().err) == (
+            2,
+            "error: z grid (30, 32) is not the same integer multiple of y grid (8, 8) "
+            "along both axes\n",
+        )
+
+    def test_an_unexpected_error_propagates_once_the_manifest_records_it(
+        self, pipeline, monkeypatch
+    ):
+        tmp, paths = pipeline
+
+        class Unexpected(Exception):
+            pass
+
+        def load(path):
+            raise Unexpected(f"cannot load {path}")
+
+        # an error type with no exit code is a defect: main re-raises it
+        monkeypatch.setattr(hsfuse.io, "load_cube", load)
+        out = str(tmp / "o.cube")
+        with pytest.raises(Unexpected, match="cannot load"):
+            main(["fuse", "--y", paths["y"], "--z", paths["z"], "--out", out])
+        error = json.loads(open(out + ".manifest.json").read())["error"]
+        assert error == {"type": "Unexpected", "message": f"cannot load {paths['y']}"}
 
     def test_usage_errors_exit_2(self, capsys):
         assert main(["fuse"]) == 2

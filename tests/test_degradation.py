@@ -133,6 +133,9 @@ class TestBlurOperator:
             BlurOperator.custom(8, 8, np.array([[1.0, -1.0]]))  # zero-sum normalize
         with pytest.raises(ValidationError):
             BlurOperator.custom(8, 8, np.array([[np.nan, 1.0]]))
+        for kernel in (np.ones(3), np.ones((1, 1, 1)), np.ones((0, 3))):
+            with pytest.raises(ValidationError, match="kernel must be a non-empty 2-D array"):
+                BlurOperator.custom(8, 8, kernel)
 
     def test_cube_interface_checks_grid(self, rng):
         # the operators take arrays; the model's cube entry point checks the grid
@@ -221,6 +224,13 @@ class TestSpectralResponse:
             SpectralResponse(np.array([[0.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(ValidationError):
             SpectralResponse.default_rgb(3)
+        with pytest.raises(ValidationError, match="response matrix must be 2-D"):
+            SpectralResponse(np.ones(4))
+        with pytest.raises(ValidationError, match="at least one output band"):
+            SpectralResponse(np.ones((0, 4)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="response entries must be finite"):
+                SpectralResponse(np.array([[1.0, bad, 0.2, 0.3]]))
 
 
 class TestDegradationModel:

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import hsfuse.cube
 import hsfuse.hqs
 import hsfuse.sylvester
 import hsfuse.vstep
@@ -413,6 +414,25 @@ class TestSpectralLoop:
         one = planes(1)
         assert 1.0 <= one < 3.0
         assert planes(6) == one
+
+    def test_score_temporaries_stay_within_a_few_chunks(self, monkeypatch):
+        # the pass cuts each block's bands by the complex row it makes, so its
+        # chunk temporaries (x - p, its product with the coupling, the step and
+        # the coupling itself) stay near the cap; cut by the float64 gain row,
+        # a desk call (1.05 MB per half spectrum) peaked at 2.0 MB
+        monkeypatch.setenv("HSFUSE_THREADS", "1")
+        model, y, z, prior = desk_problem(0)
+        fixed = _Spectra.prepare(y, z, model, prior, HqsConfig())
+        x_old = fixed.p_hat.copy()
+        x_hat = fixed.p_hat.copy()
+        y_term = solve_spectrum(fixed.xstep, x_hat)
+        tracemalloc.start()
+        try:
+            fixed.score(x_hat, y_term, x_old)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * hsfuse.cube._CHUNK_BYTES
 
 
 # (bands, height, width, factor, phase, blur) of grids small enough for a

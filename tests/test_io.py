@@ -220,6 +220,12 @@ class TestCubeContainer:
         with pytest.raises(CubeFormatError):
             load_cube(path)
 
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.cube"
+        path.write_bytes(MAGIC + b"[31, 64, 64]\n")
+        with pytest.raises(CubeFormatError, match="header must be a JSON object"):
+            load_cube(path)
+
     def test_header_missing_key(self, tmp_path):
         path = tmp_path / "bad.cube"
         path.write_bytes(MAGIC + b'{"bands":1,"height":1,"width":1,"dtype":"f64"}\n' + b"\0" * 8)

@@ -4,8 +4,8 @@ Every Fourier transform goes through ``hsfuse.cube``, so swapping the FFT
 library is a change to that one module; no module reaches into another's
 private (``_``-prefixed) names; the package runs on numpy alone: no
 module imports scipy, and importing every module loads none; its one
-thread pool lives in ``hsfuse.cube``, which loads ``concurrent.futures``
-only when a map first needs a worker; only ``hsfuse.cube`` compares a
+thread pool lives in ``hsfuse.cube``, whose maps start plain threads and
+never load ``concurrent.futures``; only ``hsfuse.cube`` compares a
 cube's shape or cuts work into slices; only ``hsfuse.io`` opens or reads
 files (the builtin ``open``, ``readinto``, ``np.fromfile``, ``np.memmap``),
 so every read of a cube passes its checks; and every public name has a
@@ -169,7 +169,9 @@ def test_fuse_import_path_loads_no_scipy():
 
 
 def test_import_loads_no_executor():
-    # ``concurrent.futures`` costs 5-7 ms that a pool of one never needs
+    # ``concurrent.futures`` costs 5-7 ms that no map needs, so no module
+    # imports it, not even lazily
+    assert [path.name for path in SOURCES if "concurrent" in _imported(path)] == []
     assert "concurrent" not in _loaded_by_importing_every_module()
 
 

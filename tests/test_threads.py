@@ -70,9 +70,8 @@ def test_map_raises_an_item_error_after_every_thread_stops(monkeypatch):
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_map_keeps_nothing_of_its_function_alive_once_it_returns(monkeypatch, threads):
-    # a worker holds its finished or cancelled share a moment after the map
-    # returns; what fn captured must be freeable by then (fuse relies on it
-    # to free a prior handed over to it)
+    # what fn captured must be freeable once the map returns (fuse relies on
+    # it to free a prior handed over to it)
     monkeypatch.setenv("HSFUSE_THREADS", str(threads))
     alive = 0
     for _ in range(50):
@@ -88,6 +87,19 @@ def test_map_inside_a_map_does_not_wait_on_its_own_pool(monkeypatch):
     monkeypatch.setenv("HSFUSE_THREADS", "2")
     got = pool_map(lambda i: sum(pool_map(lambda j: i * j, range(5))), range(6))
     assert got == [10 * i for i in range(6)]
+
+
+def test_no_thread_outlives_a_map(monkeypatch):
+    # each map joins the threads it starts, also when an item raises, so
+    # none is left running between maps or after a pool size change
+    before = threading.active_count()
+    for threads in ("2", "3"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        assert pool_map(lambda i: i, range(8)) == list(range(8))
+        assert pool_map(lambda i: sum(pool_map(lambda j: i * j, range(5))), range(6))[1] == 10
+        with pytest.raises(ZeroDivisionError):
+            pool_map(lambda i: 1 / (i - 2), range(8))
+    assert threading.active_count() == before
 
 
 def test_outputs_are_byte_identical_at_every_pool_size(monkeypatch):
@@ -150,7 +162,7 @@ def test_stacks_fit_the_cap_and_feed_every_thread(monkeypatch, threads):
     # a desk plane chunk holds several planes; a full-scale plane goes alone
     assert len(chunks(31, 64 * 33 * 16)) < 31
     assert len(chunks(31, 512 * 257 * 16)) == 31
-    # a block pass walks 8 bands of a full block's float64 gain at a time
+    # a 4,096-column float64 row takes 8 rows per chunk
     assert [len(range(31)[s]) for s in chunks(31, 8 * 4096)] == [8, 8, 8, 7]
 
 
@@ -183,7 +195,7 @@ def test_desk_fuse_bytes_do_not_depend_on_the_pool_size(monkeypatch):
 
 def test_fuse_bytes_with_a_tail_block_do_not_depend_on_the_chunks_or_the_pool(monkeypatch):
     # a 96x96 grid's half spectrum is a full block of 4,096 columns and a tail
-    # of 608, whose bands the v-step and the score cut by its own gain row
+    # of 608, whose bands the v-step and the score cut by its own complex row
     gt = generate_scene(SceneSpec(bands=31, height=96, width=96, seed=0))
     model = DegradationModel(
         BlurOperator.uniform_block(96, 96, 4), Downsampler(4), SpectralResponse.default_rgb(31)
