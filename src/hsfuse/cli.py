@@ -9,16 +9,19 @@ file they write (cubes, manifests, JSON/CSV reports, error maps) goes through
 ``io.write_atomic`` or its temp file, so a failed write leaves the previous
 file in place.
 
-No stage holds a whole input or output cube but ``fuse``. ``simulate`` times
-the endmember spectra, their maps and the peak of their product under
-``generate``, and the scaled product's blocks of pixels, written straight
-into the file, under ``save``. ``degrade`` reads its input's header under
-``load``, the band-by-band and block-by-block passes that make y and z
-under ``degrade``, and the two outputs under ``save``. ``evaluate`` reads
-both headers under ``load`` and scores the files band by band under
-``evaluate``; ``errormap`` reads both headers under ``load``, and under
-``export`` reads and checks every band of both files, keeping the mapped
-band's difference, and writes the map.
+Every stage that reads files reads their headers first, under ``load``, and
+checks them before it reads any payload. No stage holds a whole input or
+output cube but ``fuse``, which under ``load`` reads both headers, builds
+and checks the model against them, and only then loads y and z whole.
+``simulate`` times the endmember spectra, their maps and the peak of their
+product under ``generate``, and the scaled product's blocks of pixels,
+written straight into the file, under ``save``. ``degrade`` reads its
+input's header under ``load``, the band-by-band and block-by-block passes
+that make y and z under ``degrade``, and the two outputs under ``save``.
+``evaluate`` reads both headers under ``load`` and scores the files band by
+band under ``evaluate``; ``errormap`` reads both headers under ``load``, and
+under ``export`` reads and checks every band of both files, keeping the
+mapped band's difference, and writes the map.
 
 Heavy imports happen inside the command handlers so that the BLAS/OpenMP
 thread pools can be pinned to one thread before numpy loads. The package's
@@ -162,15 +165,12 @@ class _Stage:
         yield
         self.manifest["timings_s"][name] = time.perf_counter() - t0
 
-    def load(self, role: str, path: str):
-        from .io import load_cube
-
-        cube = load_cube(path)
-        self.manifest["inputs"][role] = {"path": path, "shape": list(cube.data.shape)}
-        return cube
-
     def shape(self, role: str, path: str) -> tuple[int, int, int]:
-        """An input's (bands, height, width) from its header, recorded as ``load`` records it."""
+        """An input's (bands, height, width) from its header alone, recorded under ``inputs``.
+
+        Every stage that reads files records them this way before it reads
+        any payload; ``fuse`` then loads its two inputs whole.
+        """
         from .io import open_cube
 
         with open_cube(path) as reader:
@@ -277,36 +277,35 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_factor(y, z) -> int:
-    factor = z.height // y.height
-    if z.height != y.height * factor or z.width != y.width * factor:
+def _infer_factor(y: tuple[int, int, int], z: tuple[int, int, int]) -> int:
+    """The factor of z's grid over y's, from their (bands, height, width) shapes."""
+    factor = z[1] // y[1]
+    if z[1:] != (y[1] * factor, y[2] * factor):
         raise ValidationError(
-            f"z grid {(z.height, z.width)} is not the same integer multiple of y grid "
-            f"{(y.height, y.width)} along both axes"
+            f"z grid {z[1:]} is not the same integer multiple of y grid {y[1:]} along both axes"
         )
     return factor
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     from .hqs import HqsConfig, fuse
-    from .io import save_cube
+    from .io import load_cube, save_cube
     from .priors import PriorSource, make_prior
 
     with _Stage(args, args.out) as stage:
         with stage.timed("load"):
-            y = stage.load("y", args.y)
-            z = stage.load("z", args.z)
-
-        model = _model(stage, args, _infer_factor(y, z), (y.bands, z.height, z.width), z.bands)
+            y_shape, z_shape = stage.shape("y", args.y), stage.shape("z", args.z)
+            # the model is checked against both headers before any payload is read
+            factor = _infer_factor(y_shape, z_shape)
+            model = _model(stage, args, factor, (y_shape[0], *z_shape[1:]), z_shape[0])
+            y, z = load_cube(args.y), load_cube(args.z)
 
         if args.prior == "naive":
             src = PriorSource.naive_fusion()
         elif args.prior.startswith("file:"):
             src = PriorSource.external_file(args.prior[5:])
         else:
-            raise ValidationError(
-                f"prior must be 'naive' or 'file:<path>', got {args.prior!r}"
-            )
+            raise ValidationError(f"prior must be 'naive' or 'file:<path>', got {args.prior!r}")
         cfg = HqsConfig(
             mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
         )

@@ -289,14 +289,17 @@ def open_cube(source: HsiCube | str | os.PathLike):
 def load_cube(path: str | Path) -> HsiCube:
     """Read a cube, checking magic, header, and payload length exactly.
 
-    The payload is read straight into the cube's own (aligned) array, so an
-    f64 file is held in memory once; an f32 payload is upcast once.
+    The payload is read band by band straight into the cube's own float64
+    array by ``BandReader``'s row fill, so an f64 file is held in memory once
+    and an f32 one passes through one band plane; the cube's constructor is
+    the one finiteness scan.
     """
     with open(path, "rb") as fh:
-        shape, dtype = _open_payload(fh, path)
-        values = _read_into(fh, np.empty(shape, dtype=dtype), path)
+        reader = BandReader(fh, path)
+        values = np.empty(reader.shape)
+        reader._fill_rows(0, values.reshape(len(values), -1))
     try:
-        return HsiCube(values.astype(np.float64, copy=False))
+        return HsiCube(values)
     except ValidationError as exc:
         raise CubeFormatError(f"{path}: payload contains non-finite values") from exc
 

@@ -372,6 +372,42 @@ class TestEvaluateBandRead:
         assert str(bad) in error["message"]
 
 
+class TestFuseReadsHeadersFirst:
+    """``fuse`` records both headers and checks the model against them before it reads a payload."""
+
+    def test_a_z_grid_that_does_not_fit_y_exits_2_before_any_payload_read(
+        self, rng, tmp_path, monkeypatch
+    ):
+        y, z = tmp_path / "y.cube", tmp_path / "z.cube"
+        save_cube(y, rand_cube(rng, 8, 8, 8))
+        save_cube(z, rand_cube(rng, 3, 30, 32))
+        reads = []
+        read_into = hsfuse.io._read_into
+        monkeypatch.setattr(hsfuse.io, "_read_into", lambda *args: reads.append(1) or read_into(*args))
+        out = str(tmp_path / "x.cube")
+        assert main(["fuse", "--y", str(y), "--z", str(z), "--out", out]) == 2
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"]["type"] == "ValidationError"
+        assert manifest["inputs"]["z"]["shape"] == [3, 30, 32]
+        assert reads == []
+
+    def test_a_nan_in_z_exits_3_with_both_inputs_recorded(self, rng, tmp_path):
+        y, z = tmp_path / "y.cube", tmp_path / "z.cube"
+        save_cube(y, rand_cube(rng, 8, 8, 8))
+        save_cube(z, rand_cube(rng, 3, 32, 32))
+        z.write_bytes(z.read_bytes()[:-8] + np.array([np.nan]).tobytes())
+        out = str(tmp_path / "x.cube")
+        assert main(["fuse", "--y", str(y), "--z", str(z), "--out", out]) == 3
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"]["type"] == "CubeFormatError"
+        assert str(z) in manifest["error"]["message"]
+        assert manifest["inputs"] == {
+            "y": {"path": str(y), "shape": [8, 8, 8]},
+            "z": {"path": str(z), "shape": [3, 32, 32]},
+        }
+        assert not os.path.exists(out)
+
+
 class TestStreamedStages:
     """``simulate`` and ``degrade`` work through their files and write the bytes of the loaded cubes."""
 
@@ -704,6 +740,23 @@ class TestThreads:
         for var in self.BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         self.assert_pinned(len(os.sched_getaffinity(0)), self.simulate(tmp_path))
+
+    def test_cores_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        from hsfuse.cli import _available_cores
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _available_cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _available_cores() == 1
+
+    def test_peak_rss_is_none_without_resource(self, monkeypatch):
+        from hsfuse.cli import _peak_rss_mb
+
+        assert _peak_rss_mb() > 0
+        # a None entry makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, "resource", None)
+        assert _peak_rss_mb() is None
 
     def test_fuse_bytes_do_not_depend_on_threads(self, tmp_path):
         # several column blocks (128x65 stored columns) and an odd band count

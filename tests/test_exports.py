@@ -18,3 +18,9 @@ def test_every_submodule_export_resolves():
         module = importlib.import_module(f"hsfuse.{name}")
         missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_dir_lists_every_lazy_export_and_the_version():
+    names = dir(hsfuse)
+    assert set(hsfuse.__all__) <= set(names)
+    assert "__version__" in names and names == sorted(names)

@@ -139,6 +139,11 @@ class TestRegularizerValue:
         want = 0.5 * np.sum(lap.apply_array(x.data - xt.data) ** 2)
         assert regularizer_value(x, xt, 0.5, 123.0, lap=lap) == pytest.approx(want, rel=1e-12)
 
+    def test_default_laplacian_is_the_cubes_own_grid(self, rng):
+        x, xt = rand_cube(rng, 3, 6, 9), rand_cube(rng, 3, 6, 9)
+        want = regularizer_value(x, xt, 0.3, 0.07, lap=LaplacianOperator.create(6, 9))
+        assert regularizer_value(x, xt, 0.3, 0.07) == want
+
     def test_validation(self, rng):
         x = rand_cube(rng, 2, 6, 6)
         with pytest.raises(ValidationError):

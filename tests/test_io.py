@@ -67,6 +67,25 @@ class TestCubeContainer:
         # must not inherit that misalignment
         assert again.data.flags.aligned
 
+    def test_f32_load_passes_through_one_band_plane(self, rng, tmp_path):
+        import tracemalloc
+
+        cube = rand_cube(rng, 31, 64, 64)
+        path = tmp_path / "a.cube"
+        head = {"bands": 31, "height": 64, "width": 64, "dtype": "f32", "layout": "band-major"}
+        values = cube.data.astype("<f4")
+        path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + values.tobytes())
+        tracemalloc.start()
+        try:
+            again = load_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.data, values.astype(np.float64))
+        # the float64 cube, one f32 plane and the finiteness scan's mask (1/8
+        # cube); an f32 copy of the whole payload would add half a cube
+        assert peak < 1.25 * cube.data.nbytes
+
     def test_save_writes_the_payload_without_a_copy(self, rng, tmp_path):
         import tracemalloc
 
