@@ -23,7 +23,6 @@ _EXPORTS = {
     "SylvesterSystem": "sylvester",
     "build_system": "sylvester",
     "solve_fast": "sylvester",
-    "vstep": "vstep",
     "HqsConfig": "hqs",
     "FusionResult": "hqs",
     "fuse": "hqs",

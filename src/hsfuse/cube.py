@@ -136,21 +136,13 @@ class HsiCube:
     def width(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def num_pixels(self) -> int:
-        return self.data.shape[1] * self.data.shape[2]
-
     def as_matrix(self) -> np.ndarray:
         """Read-only (bands, pixels) view; no copy."""
-        return self.data.reshape(self.bands, self.num_pixels)
+        return self.data.reshape(self.bands, -1)
 
     def norm(self) -> float:
         """Frobenius norm over all values."""
         return float(np.linalg.norm(self.data))
-
-    def check_shape(self, name: str, expected: tuple[int, ...]) -> None:
-        """Raise ``ValidationError`` naming the cube ``name`` unless its shape is ``expected``."""
-        check_shape(name, self.data.shape, expected)
 
 
 def check_shape(name: str, shape: tuple[int, ...], expected: tuple[int, ...]) -> None:

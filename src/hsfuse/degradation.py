@@ -146,14 +146,6 @@ class BlurOperator:
         # conjugates only the columns ``circular_convolve`` reads
         return circular_convolve(data, np.conj(self.multiplier[:, : self.width // 2 + 1]))
 
-    def check_grid(self, cube: HsiCube) -> None:
-        """Raise unless ``cube`` lies on the operator's grid."""
-        if (self.height, self.width) != (cube.height, cube.width):
-            raise ValidationError(
-                f"operator grid {(self.height, self.width)} does not match cube grid "
-                f"{(cube.height, cube.width)}"
-            )
-
 
 @dataclass(frozen=True)
 class Downsampler:
@@ -277,13 +269,12 @@ class DegradationModel:
 
     def check_hr(self, name: str, cube: HsiCube) -> None:
         """Raise unless ``cube`` has the high-resolution shape (bands, height, width)."""
-        cube.check_shape(name, (self.bands,) + self.hr_shape)
+        check_shape(name, cube.data.shape, (self.bands,) + self.hr_shape)
 
     def check_data(self, y: HsiCube, z: HsiCube) -> None:
         """Raise unless y and z have the shapes ``degrade`` produces."""
-        s = self.down.factor
-        y.check_shape("y", (self.bands, self.blur.height // s, self.blur.width // s))
-        z.check_shape("z", (self.srf.out_bands,) + self.hr_shape)
+        check_shape("y", y.data.shape, (self.bands, *(n // self.down.factor for n in self.hr_shape)))
+        check_shape("z", z.data.shape, (self.srf.out_bands,) + self.hr_shape)
 
     def degrade(self, x: HsiCube | str | os.PathLike) -> tuple[HsiCube, HsiCube]:
         """Produce the low-res cube and the mixed-band image of a cube or a cube file.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, check_shape
 from .degradation import BlurOperator
 from .errors import ValidationError, check_real
 
@@ -106,10 +106,10 @@ def regularizer_value(
     The spectral term vanishes for single-band cubes.
     """
     mu, nu = check_real("mu", mu, allow_zero=True), check_real("nu", nu, allow_zero=True)
-    xt.check_shape("xt", x.data.shape)
+    check_shape("xt", xt.data.shape, x.data.shape)
     if lap is None:
         lap = LaplacianOperator.create(x.height, x.width)
-    lap.check_grid(x)
+    check_shape("x", x.data.shape, (x.bands, lap.height, lap.width))
     diff = x.data - xt.data
     value = mu * float(np.sum(lap.apply_array(diff) ** 2))
     if x.bands > 1:

@@ -194,6 +194,20 @@ def _open_payload(fh, path: str | Path) -> tuple[tuple[int, int, int], str]:
     return dims, _DTYPES[dtype]
 
 
+def _band(k: int, shape: tuple[int, int, int]) -> int:
+    """``k`` as the index of one of the cube's bands, in ``[0, bands)``, or ``ValidationError``."""
+    if check_int("band", k, 0) >= shape[0]:
+        raise ValidationError(f"band {k!r} outside [0, {shape[0]})")
+    return k
+
+
+def _contiguous(cols: slice) -> slice:
+    """``cols``, a slice of flat pixel indices, if its step is 1; else ``ValidationError``."""
+    if cols.step not in (None, 1):
+        raise ValidationError(f"pixel slice {cols!r} must have step 1")
+    return cols
+
+
 def _read_into(fh, values: np.ndarray, path: str | Path) -> np.ndarray:
     """Fill ``values`` from ``fh``'s next bytes; a short read is a truncated payload."""
     got = fh.readinto(memoryview(values).cast("B"))
@@ -222,12 +236,12 @@ class BandReader:
     def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """Band ``k`` as a float64 (height, width) plane: the contiguous ``out``, or a new one."""
         out = np.empty(self.shape[1:]) if out is None else out
-        self._rows(k * self.shape[1] * self.shape[2], out.reshape(1, -1))
+        self._rows(_band(k, self.shape) * self.shape[1] * self.shape[2], out.reshape(1, -1))
         return out
 
     def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Every band's values at the pixels ``cols`` (flat, row-major) as a float64 (bands, n) array."""
-        part = range(self.shape[1] * self.shape[2])[cols]
+        part = range(self.shape[1] * self.shape[2])[_contiguous(cols)]
         out = np.empty((self.shape[0], len(part))) if out is None else out
         self._rows(part.start, out)
         return out
@@ -262,14 +276,13 @@ class _CubeReads:
     """A cube's reads, named as a ``BandReader``'s: they fill ``out``, or give views of its data."""
 
     def __init__(self, cube: HsiCube):
-        self.shape = cube.data.shape
-        self._data = cube.data
+        self.shape, self._data = cube.data.shape, cube.data
 
     def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        return _filled(self._data[k], out)
+        return _filled(self._data[_band(k, self.shape)], out)
 
     def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
-        return _filled(self._data.reshape(self.shape[0], -1)[:, cols], out)
+        return _filled(self._data.reshape(self.shape[0], -1)[:, _contiguous(cols)], out)
 
 
 @contextlib.contextmanager
@@ -277,7 +290,9 @@ def open_cube(source: HsiCube | str | os.PathLike):
     """A reader of a cube or of the cube file at a path: ``shape``, ``band`` and ``pixels``.
 
     Given ``out``, both fill it. Without it, a file's reads (a ``BandReader``)
-    give new arrays and a cube's read-only views of its data.
+    give new arrays and a cube's read-only views of its data. Both take a
+    band index in ``[0, bands)`` and a pixel slice of step 1, and raise
+    ``ValidationError`` for any other before reading.
     """
     if isinstance(source, HsiCube):
         yield _CubeReads(source)
@@ -357,8 +372,7 @@ def export_error_map(
     with open_cube(x_hat) as hat, open_cube(x_ref) as ref:
         check_shape("x_hat", hat.shape, ref.shape)
         bands, height, width = hat.shape
-        if check_int("band", band, 0) >= bands:
-            raise ValidationError(f"band {band!r} outside [0, {bands})")
+        _band(band, hat.shape)
         check_real("max_error", max_error)
         err, scan = np.empty((2, height, width))
         for k in range(bands):

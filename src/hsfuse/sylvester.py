@@ -70,6 +70,7 @@ import numpy as np
 
 from .cube import (
     HsiCube,
+    check_shape,
     dft2,
     half_spectrum,
     irdft2,
@@ -149,7 +150,7 @@ def build_system(
 
 def sylvester_residual(system: SylvesterSystem, x: HsiCube) -> float:
     """Relative residual ||C1 X + X C2 - C3|| / max(||C3||, tiny)."""
-    x.check_shape("x", system.v.data.shape)
+    check_shape("x", x.data.shape, system.v.data.shape)
     c3 = system.c3
     lhs = system.operator_apply_array(x.data)
     denom = max(c3.norm(), float(np.finfo(np.float64).tiny))

@@ -42,6 +42,7 @@ import numpy as np
 from .cube import (
     FreqCube,
     HsiCube,
+    check_shape,
     chunks,
     dft2_per_band,
     each_block,
@@ -162,8 +163,8 @@ def vstep(
     """
     mu_p = check_real("mu_p", mu_p, allow_zero=True)
     nu_p = check_real("nu_p", nu_p, allow_zero=True)
-    prior.check_shape("prior", x_next.data.shape)
-    lap.check_grid(x_next)
+    check_shape("prior", prior.data.shape, x_next.data.shape)
+    check_shape("x_next", x_next.data.shape, (x_next.bands, lap.height, lap.width))
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
     fac = factor_denoise(lap, x_next.bands, mu_p, nu_p)

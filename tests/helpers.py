@@ -13,7 +13,10 @@ the x-step kernel with the loop (``solve_fast`` runs the loop's x-step once,
 in the identity band basis), so it checks the loop's spectral bookkeeping,
 the v-step and the scoring, not the x-step itself. ``ssim_direct`` forms
 the SSIM window sums window by window, with no FFT.
-``desk_problem`` builds one of the acceptance gate's desk fusions.
+``desk_problem`` builds one of the acceptance gate's desk fusions, from
+``desk_truth`` and ``desk_model``. ``stand_in_prior`` builds a seeded
+imperfect prior from a scene's ground truth, in place of the network output
+the paper hands the fusion: blurred, noisy or off in each band's gain.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
 objective over (x, v) at fixed rho, from one dense solve.
 ``bad_cube_files`` writes one malformed cube file per way a read can reject it.
@@ -40,16 +43,45 @@ from hsfuse.sylvester import build_system, solve_fast
 from hsfuse.vstep import vstep
 
 
-def desk_problem(seed):
-    """One of the acceptance gate's five desk fusions (criteria 4-7)."""
-    gt = generate_scene(
+def desk_truth(seed) -> HsiCube:
+    """The ground truth of desk fusion ``seed``: a 31x64x64 scene."""
+    return generate_scene(
         SceneSpec(bands=31, height=64, width=64, endmembers=5, smoothness=4.0, seed=seed)
     )
-    model = DegradationModel(
+
+
+def desk_model() -> DegradationModel:
+    """The desk fusions' model: a 4x4 block blur, factor 4 and the default RGB response."""
+    return DegradationModel(
         BlurOperator.uniform_block(64, 64, 4), Downsampler(4), SpectralResponse.default_rgb(31)
     )
-    y, z = model.degrade(gt)
+
+
+def desk_problem(seed):
+    """One of the acceptance gate's five desk fusions (criteria 4-7)."""
+    model = desk_model()
+    y, z = model.degrade(desk_truth(seed))
     return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
+
+
+STAND_INS = ("blurred", "noisy", "gain")
+
+
+def stand_in_prior(gt: HsiCube, kind: str, seed: int) -> HsiCube:
+    """An imperfect prior made from the ground truth ``gt``, seeded by ``seed``.
+
+    ``blurred``: a Gaussian blur of sigma 1.0 (``BlurOperator.gaussian``);
+    ``noisy``: white noise at 3% of ``gt``'s standard deviation; ``gain``:
+    band k scaled by 1 + 0.05 sin(k / 3).
+    """
+    if kind == "blurred":
+        return HsiCube(BlurOperator.gaussian(gt.height, gt.width, 1.0).apply_array(gt.data))
+    if kind == "noisy":
+        noise = np.random.default_rng(seed).normal(0.0, 0.03 * gt.data.std(), gt.data.shape)
+        return HsiCube(gt.data + noise)
+    if kind == "gain":
+        return HsiCube(gt.data * (1.0 + 0.05 * np.sin(np.arange(gt.bands) / 3.0))[:, None, None])
+    raise ValueError(f"unknown stand-in prior {kind!r}")
 
 
 def rand_cube(rng, bands, height, width, lo=-1.0, hi=1.0) -> HsiCube:

@@ -13,7 +13,7 @@ import hsfuse
 import hsfuse.io
 from helpers import bad_cube_files, rand_cube
 from hsfuse.cli import main
-from hsfuse.cube import HsiCube, pool_size
+from hsfuse.cube import HsiCube, check_shape, pool_size
 from hsfuse.errors import CubeFormatError, ValidationError
 from hsfuse.io import load_cube, save_cube
 from hsfuse.metrics import evaluate
@@ -236,7 +236,7 @@ class TestErrormapBandRead:
         save_cube(a, rand_cube(rng, 4, 6, 6))
         save_cube(b, rand_cube(rng, 4, 6, 8))
         with pytest.raises(ValidationError) as rule:
-            load_cube(a).check_shape("x_hat", (4, 6, 8))
+            check_shape("x_hat", load_cube(a).data.shape, (4, 6, 8))
         out = str(tmp_path / "e.pgm")
         assert main(["errormap", "--x-hat", str(a), "--ref", str(b), "--band", "1",
                      "--out", out]) == 2
@@ -343,7 +343,7 @@ class TestEvaluateBandRead:
         save_cube(a, rand_cube(rng, 4, 16, 16))
         save_cube(b, rand_cube(rng, 4, 16, 18))
         with pytest.raises(ValidationError) as rule:
-            load_cube(a).check_shape("x_hat", (4, 16, 18))
+            check_shape("x_hat", load_cube(a).data.shape, (4, 16, 18))
         reads = []
         read_into = hsfuse.io._read_into
         monkeypatch.setattr(hsfuse.io, "_read_into", lambda *args: reads.append(1) or read_into(*args))

@@ -63,7 +63,7 @@ def test_construction_freezes_a_contiguous_array_in_place():
 def test_filled_and_properties():
     cube = HsiCube(np.full((3, 5, 7), -2.0))
     assert (cube.bands, cube.height, cube.width) == (3, 5, 7)
-    assert cube.num_pixels == 35
+    assert cube.height * cube.width == cube.as_matrix().shape[1] == 35
     assert np.all(cube.data == -2.0)
     with pytest.raises(ValidationError):
         HsiCube(np.zeros((0, 5, 7)))

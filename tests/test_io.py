@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -410,8 +411,40 @@ class TestBandRead:
             assert reader.band(1, plane) is plane  # band 0 is never read
             assert np.array_equal(plane, cube.data[1].astype(np.float32))
             assert np.array_equal(reader.band(2), cube.data[2].astype(np.float32))
-            with pytest.raises(TruncatedPayloadError, match=str(path)):
+            with pytest.raises(ValidationError):
                 reader.band(3, plane)  # past the last band
+            os.truncate(path, path.stat().st_size - 4)  # the file shrinks under the reader
+            with pytest.raises(TruncatedPayloadError, match=str(path)):
+                reader.band(2, plane)
+
+    @staticmethod
+    def _source(tmp_path, source, shape):
+        """A cube of values 0, 1, 2, ... and what ``open_cube`` is given for it: the cube or its file."""
+        cube = HsiCube(np.arange(np.prod(shape), dtype=np.float64).reshape(shape))
+        save_cube(tmp_path / "a.cube", cube)
+        return cube, cube if source == "cube" else tmp_path / "a.cube"
+
+    @pytest.mark.parametrize("source", ["cube", "file"])
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 4, 5)])
+    def test_band_index_outside_the_bands_is_a_validation_error(self, tmp_path, source, shape):
+        cube, opened = self._source(tmp_path, source, shape)
+        with open_cube(opened) as reader:
+            # -1 is neither the last band nor the header's bytes read as values
+            for band in (-1, shape[0], shape[0] + 7, 1.0, "0"):
+                with pytest.raises(ValidationError, match="band"):
+                    reader.band(band, np.empty(shape[1:]))
+            assert np.array_equal(reader.band(np.int64(shape[0] - 1)), cube.data[-1])
+
+    @pytest.mark.parametrize("source", ["cube", "file"])
+    def test_pixel_slice_of_step_other_than_1_is_a_validation_error(self, tmp_path, source):
+        cube, opened = self._source(tmp_path, source, (3, 4, 5))
+        with open_cube(opened) as reader:
+            # a file read took slice(0, 10, 2) as the contiguous run 0..4
+            for cols in (slice(0, 10, 2), slice(19, None, -1), slice(None, None, 3)):
+                with pytest.raises(ValidationError, match="step"):
+                    reader.pixels(cols)
+            for cols in (slice(1, 20), slice(None, None, 1), slice(20, 23), slice(7, 3)):
+                assert np.array_equal(reader.pixels(cols), cube.as_matrix()[:, cols])
 
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
     def test_reads_by_index_and_by_pixels_equal_the_whole_read(self, rng, tmp_path, dtype):

@@ -36,30 +36,37 @@ def test_only_cube_names_an_fft_library():
     assert SOURCES and offenders == []
 
 
-def _compares_data_shape(node: ast.AST) -> bool:
-    """Whether ``node`` is an ``==``/``!=`` comparison with some ``<expr>.data.shape`` operand."""
-    if not isinstance(node, ast.Compare) or not any(
-        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-    ):
-        return False
-    return any(
+def _is_cube_shape(side: ast.AST) -> bool:
+    """Whether ``side`` is ``<expr>.data.shape`` or a grid: a tuple holding ``<expr>.height`` or ``.width``."""
+    if isinstance(side, ast.Tuple):
+        return any(isinstance(e, ast.Attribute) and e.attr in ("height", "width") for e in side.elts)
+    return (
         isinstance(side, ast.Attribute)
         and side.attr == "shape"
         and isinstance(side.value, ast.Attribute)
         and side.value.attr == "data"
-        for side in [node.left, *node.comparators]
     )
 
 
+def _compares_cube_shape(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``==``/``!=`` comparison with a cube's shape or grid as an operand."""
+    if not isinstance(node, ast.Compare) or not any(
+        isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+    ):
+        return False
+    return any(_is_cube_shape(side) for side in [node.left, *node.comparators])
+
+
 def test_only_cube_compares_cube_shapes():
-    # ``HsiCube.check_shape`` is the one shape rule; a hand-written comparison
-    # elsewhere is a second copy of it with its own message
+    # ``cube.check_shape`` is the one shape rule, for shapes and for an
+    # operator's grid alike; a hand-written comparison elsewhere is a second
+    # copy of it with its own message
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         if path.name != "cube.py"
         for node in ast.walk(ast.parse(path.read_text()))
-        if _compares_data_shape(node)
+        if _compares_cube_shape(node)
     ]
     assert SOURCES and offenders == []
 

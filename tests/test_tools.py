@@ -19,6 +19,7 @@ def _tool(name: str):
 loc = _tool("loc")
 bench_json = _tool("bench_json")
 unreached = _tool("unreached")
+prior_table = _tool("prior_table")
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
@@ -100,3 +101,26 @@ def test_benchmark_copy_holds_the_checkout_files_and_no_git(tmp_path):
     assert "bench/run.py" in got and not (root / ".git").exists()
     cube = "src/hsfuse/cube.py"
     assert (root / cube).read_bytes() == (TOOLS.parent / cube).read_bytes()
+
+
+def test_prior_table_prints_each_stand_in_before_and_after_fusion(capsys):
+    from helpers import STAND_INS, desk_truth, stand_in_prior
+    from hsfuse.metrics import evaluate
+
+    rows = prior_table.rows([3])
+    assert [(row["seed"], row["prior"]) for row in rows] == [(3, kind) for kind in STAND_INS]
+    gt = desk_truth(3)
+    for row in rows:
+        before = evaluate(stand_in_prior(gt, row["prior"], 3), gt, factor=4)
+        assert [row[f"{name}_prior"] for name in prior_table.METRICS] == [
+            getattr(before, name) for name in prior_table.METRICS
+        ]
+        assert row["psnr_fused"] > row["psnr_prior"] and row["sam_fused"] < row["sam_prior"]
+    prior_table.main(["--seeds", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(STAND_INS)
+    assert lines[0].split() == ["seed", "prior"] + [
+        f"{name}_{side}" for name in prior_table.METRICS for side in ("prior", "fused")
+    ]
+    assert lines[2].split()[:2] == ["3", "noisy"]
+    assert float(lines[2].split()[5]) == pytest.approx(rows[1]["psnr_fused"], abs=1e-4)
