@@ -102,8 +102,15 @@ _BLOCK_COLUMNS = 1 << 12
 _CHUNK_BYTES = 1 << 18
 
 def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
-    """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``."""
-    arr = np.asarray(cube.data, dtype=dtype)
+    """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``.
+
+    Data whose dtype does not cast to ``dtype`` under numpy's ``same_kind``
+    rule (complex into float64, text, datetimes) is refused, not converted.
+    """
+    arr = np.asarray(cube.data)
+    if not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise ValidationError(f"cube data of dtype {arr.dtype} does not cast to {np.dtype(dtype)}")
+    arr = arr.astype(dtype, copy=False)
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise ValidationError(
             f"cube data must be 3-D with every dimension at least 1, got shape {arr.shape}"

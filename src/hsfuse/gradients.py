@@ -11,8 +11,9 @@ banded map. It is deliberately not wrapped circularly: band 1 and band B are
 not neighbours. Its normal matrix is tridiagonal with diagonal (1, 2, ..., 2, 1)
 and off-diagonals -1, the path graph's Laplacian, which the DCT-II basis
 diagonalizes (``spectral_gram_eig``, plain arrays): the stencil and the band
-difference are constants of this module, so only the grid and the weights of
-``regularizer_value``, the public entry point, are checked.
+difference are constants of this module, and ``regularizer_value``, the public
+entry point, builds the stencil on its cube's grid, so only its cubes' shapes
+and its weights are checked.
 """
 
 from __future__ import annotations
@@ -94,24 +95,15 @@ def spectral_gram_eig(bands: int) -> tuple[np.ndarray, np.ndarray]:
     return 4.0 * np.sin(np.pi * k / (2 * bands)) ** 2, u
 
 
-def regularizer_value(
-    x: HsiCube,
-    xt: HsiCube,
-    mu: float,
-    nu: float,
-    lap: LaplacianOperator | None = None,
-) -> float:
-    """Weighted squared penalty mu*||D(x - xt)||^2 + nu*||E(x - xt)||^2.
+def regularizer_value(x: HsiCube, xt: HsiCube, mu: float, nu: float) -> float:
+    """Weighted squared penalty mu*||D(x - xt)||^2 + nu*||E(x - xt)||^2, D on x's own grid.
 
     The spectral term vanishes for single-band cubes.
     """
     mu, nu = check_real("mu", mu, allow_zero=True), check_real("nu", nu, allow_zero=True)
     check_shape("xt", xt.data.shape, x.data.shape)
-    if lap is None:
-        lap = LaplacianOperator.create(x.height, x.width)
-    check_shape("x", x.data.shape, (x.bands, lap.height, lap.width))
     diff = x.data - xt.data
-    value = mu * float(np.sum(lap.apply_array(diff) ** 2))
+    value = mu * float(np.sum(LaplacianOperator.create(x.height, x.width).apply_array(diff) ** 2))
     if x.bands > 1:
         value += nu * float(np.sum(spectral_diff_apply_array(diff) ** 2))
     return value

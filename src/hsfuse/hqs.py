@@ -48,7 +48,7 @@ item order, so the iterates and the trace do not depend on the pool size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from . import sylvester
 from .cube import HsiCube, chunks, half_sums, irdft2, mix_bands, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
-from .gradients import LaplacianOperator, regularizer_value
+from .gradients import regularizer_value
 from .vstep import DenoiseFactors, denoise_spectrum, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
@@ -97,9 +97,9 @@ class FusionResult:
 
     x_hat: HsiCube
     iterations: int
-    objective_trace: tuple[float, ...] = field(default_factory=tuple)
-    converged: bool = False
-    rel_changes: tuple[float, ...] = field(default_factory=tuple)
+    objective_trace: tuple[float, ...]
+    converged: bool
+    rel_changes: tuple[float, ...]
 
 
 def objective_value(
@@ -110,7 +110,6 @@ def objective_value(
     model: DegradationModel,
     prior: HsiCube,
     cfg: HqsConfig,
-    lap: LaplacianOperator | None = None,
 ) -> float:
     """Augmented objective at a given (x, v) pair."""
     for name, cube in (("x", x), ("v", v), ("prior", prior)):
@@ -121,7 +120,7 @@ def objective_value(
     value = float(np.sum((y.data - y_model) ** 2))
     value += float(np.sum((z.data - z_model) ** 2))
     value += cfg.rho * float(np.sum((x.data - v.data) ** 2))
-    value += regularizer_value(v, prior, cfg.mu, cfg.nu, lap=lap)
+    value += regularizer_value(v, prior, cfg.mu, cfg.nu)
     return value
 
 
@@ -140,7 +139,6 @@ class _Spectra:
     prior's half spectrum, is mixed by U^T.
     """
 
-    cfg: HqsConfig
     xstep: sylvester.XStep
     denoise: DenoiseFactors
     p_hat: np.ndarray
@@ -149,18 +147,18 @@ class _Spectra:
     def prepare(
         cls, y: HsiCube, z: HsiCube, model: DegradationModel, prior: HsiCube, cfg: HqsConfig
     ) -> "_Spectra":
-        # The order keeps the set-up's peak low: the Laplacian operator is
-        # bound to no name, so it is freed when factor_denoise returns, and z
-        # and then the prior are transformed only once the factors exist. At
-        # full scale (CLI fuse --iters 2 --threads 1), holding the operator
-        # through the set-up raised peak RSS by 3.1 MB, transforming z before
-        # the factors by 4.1 MB, and both together by 9.3 MB.
+        # The order keeps the set-up's peak low: factor_denoise frees the
+        # Laplacian operator it builds before it returns, and z and then the
+        # prior are transformed only once the factors exist. At full scale
+        # (CLI fuse --iters 2 --threads 1), holding the operator through the
+        # set-up raised peak RSS by 3.1 MB, transforming z before the factors
+        # by 4.1 MB, and both together by 9.3 MB.
         mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
-        denoise = factor_denoise(LaplacianOperator.create(*model.hr_shape), model.bands, mu_p, nu_p)
+        denoise = factor_denoise(*model.hr_shape, model.bands, mu_p, nu_p)
         xstep = sylvester.XStep.create(model, denoise.basis, cfg.rho, y, z)
         p_hat = rdft2(prior.data)
         mix_bands(denoise.basis.T, p_hat)
-        return cls(cfg, xstep, denoise, p_hat)
+        return cls(xstep, denoise, p_hat)
 
     def score(
         self, x_hat: np.ndarray, y_term: float, x_old: np.ndarray | None = None
@@ -199,7 +197,7 @@ class _Spectra:
             arrays += (x_old,)
         z_sq, coupled, *stop = half_sums(sums, arrays, width)
         n = x_hat.shape[1] * width
-        objective = y_term + z_sq / n + self.cfg.rho * coupled / n
+        objective = y_term + z_sq / n + self.xstep.rho * coupled / n
         if not stop:
             return objective, None
         diff, base = stop
@@ -245,8 +243,6 @@ def fuse(
     x_hat = np.empty_like(v_hat)
     trace: list[float] = []
     changes: list[float] = []
-    converged = False
-    iterations = 0
     for k in range(cfg.max_iter):
         if k > 0:
             denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
@@ -254,12 +250,10 @@ def fuse(
         y_term = sylvester.solve_spectrum(fixed.xstep, v_hat)
         x_hat, v_hat = v_hat, x_hat
         objective, change = fixed.score(x_hat, y_term, v_hat if k > 0 else None)
-        iterations = k + 1
         trace.append(objective)
         if change is not None:
             changes.append(change)
             if change <= cfg.rel_tol:
-                converged = True
                 break
     mix_bands(fixed.denoise.basis, x_hat)
     # free the prior's spectrum, the factors and the previous x before the
@@ -267,8 +261,8 @@ def fuse(
     del fixed, v_hat
     return FusionResult(
         x_hat=HsiCube(irdft2(x_hat, width)),
-        iterations=iterations,
+        iterations=len(trace),
         objective_trace=tuple(trace),
-        converged=converged,
+        converged=bool(changes) and changes[-1] <= cfg.rel_tol,
         rel_changes=tuple(changes),
     )

@@ -208,6 +208,21 @@ def _contiguous(cols: slice) -> slice:
     return cols
 
 
+def _out(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A read's buffer: ``out`` if it is a writable C-contiguous float64 array of ``shape``.
+
+    Without ``out``, a new such array; any other ``out`` is a ``ValidationError``.
+    """
+    if out is None:
+        return np.empty(shape)
+    got = (getattr(out, "dtype", type(out)), np.shape(out))
+    if got != (np.float64, shape) or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValidationError(
+            f"out must be a writable C-contiguous float64 array of shape {shape}, got {got}"
+        )
+    return out
+
+
 def _read_into(fh, values: np.ndarray, path: str | Path) -> np.ndarray:
     """Fill ``values`` from ``fh``'s next bytes; a short read is a truncated payload."""
     got = fh.readinto(memoryview(values).cast("B"))
@@ -221,28 +236,28 @@ class BandReader:
 
     ``shape`` and ``dtype`` (the payload's numpy dtype) come from the checked
     header. Reads fill float64 arrays with contiguous rows; f32 values pass
-    through one reused band buffer. The file is read for one call at a time
-    (``cube.serial``) and the values are checked after, so pool items may
-    share a reader and check their values at once.
+    through a row buffer of each read's own. The file is read for one call at
+    a time (``cube.serial``) and the values are checked after, so pool items
+    may share a reader, whose file position is all they share, and check
+    their values at once.
     """
 
     def __init__(self, fh, path: str | Path):
         self.shape, self.dtype = _open_payload(fh, path)
         self._fh, self._path = fh, path
         self._start = fh.tell()
-        self._raw: np.ndarray | None = None
         self._fill = serial(self._fill_rows)
 
     def band(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """Band ``k`` as a float64 (height, width) plane: the contiguous ``out``, or a new one."""
-        out = np.empty(self.shape[1:]) if out is None else out
+        out = _out(out, self.shape[1:])
         self._rows(_band(k, self.shape) * self.shape[1] * self.shape[2], out.reshape(1, -1))
         return out
 
     def pixels(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Every band's values at the pixels ``cols`` (flat, row-major) as a float64 (bands, n) array."""
         part = range(self.shape[1] * self.shape[2])[_contiguous(cols)]
-        out = np.empty((self.shape[0], len(part))) if out is None else out
+        out = _out(out, (self.shape[0], len(part)))
         self._rows(part.start, out)
         return out
 
@@ -254,21 +269,20 @@ class BandReader:
 
     def _fill_rows(self, start: int, rows: np.ndarray) -> None:
         plane = self.shape[1] * self.shape[2]
+        raw = None if self.dtype == _DTYPES["f64"] else np.empty(rows.shape[1], dtype=self.dtype)
         for i, row in enumerate(rows):
             self._fh.seek(self._start + (start + i * plane) * np.dtype(self.dtype).itemsize)
-            if self.dtype == _DTYPES["f64"]:
+            if raw is None:
                 _read_into(self._fh, row, self._path)
-                continue
-            if self._raw is None:
-                self._raw = np.empty(plane, dtype=self.dtype)
-            row[...] = _read_into(self._fh, self._raw[: row.size], self._path)
+            else:
+                row[...] = _read_into(self._fh, raw, self._path)
 
 
 def _filled(view: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``view``, or ``out`` filled with its values."""
+    """``view``, or ``out`` filled with its values; ``out`` must fit as a file read's must."""
     if out is None:
         return view
-    out[...] = view
+    _out(out, view.shape)[...] = view
     return out
 
 
@@ -291,7 +305,8 @@ def open_cube(source: HsiCube | str | os.PathLike):
 
     Given ``out``, both fill it. Without it, a file's reads (a ``BandReader``)
     give new arrays and a cube's read-only views of its data. Both take a
-    band index in ``[0, bands)`` and a pixel slice of step 1, and raise
+    band index in ``[0, bands)``, a pixel slice of step 1 and an ``out`` that
+    is a writable C-contiguous float64 array of the read's shape, and raise
     ``ValidationError`` for any other before reading.
     """
     if isinstance(source, HsiCube):
@@ -306,8 +321,8 @@ def load_cube(path: str | Path) -> HsiCube:
 
     The payload is read band by band straight into the cube's own float64
     array by ``BandReader``'s row fill, so an f64 file is held in memory once
-    and an f32 one passes through one band plane; the cube's constructor is
-    the one finiteness scan.
+    and an f32 one passes through one band-sized row buffer; the cube's
+    constructor is the one finiteness scan.
     """
     with open(path, "rb") as fh:
         reader = BandReader(fh, path)

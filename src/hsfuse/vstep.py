@@ -15,9 +15,9 @@ whose band vectors are in U's coordinates (mixed by U^T), the solve is
     v = p + g * (x - p),    g[k, f] = 1 / (1 + mu_p*|lap(f)|^2 + nu_p*d_k).
 
 ``factor_denoise`` builds ``DenoiseFactors`` once for fixed weights and a
-``LaplacianOperator``: the basis U and the gain's two terms, ``nu_p*d_k`` per
-band and ``1 + mu_p*|lap(f)|^2`` per frequency of the half grid, not the gain
-itself. ``denoise_spectrum`` builds the gain for a few bands of one block of
+grid, whose ``LaplacianOperator`` it makes: the basis U and the gain's two
+terms, ``nu_p*d_k`` per band and ``1 + mu_p*|lap(f)|^2`` per frequency of the
+half grid, not the gain itself. ``denoise_spectrum`` builds the gain for a few bands of one block of
 frequencies at a time and applies it, with no transform and no band mix, to
 spectra that the HQS loop keeps in U's coordinates (see ``hqs``, which also
 reads the objective's coupling and regularizer off the gain, built the same
@@ -119,10 +119,11 @@ class DenoiseFactors:
         return np.reciprocal(gain, out=gain)
 
 
-def factor_denoise(lap: LaplacianOperator, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
-    """U and the gain's terms, with ``|lap(f)|^2`` taken on the half grid."""
+def factor_denoise(height: int, width: int, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
+    """U and the gain's terms, with the height x width grid's ``|lap(f)|^2`` on the half grid."""
     eig, basis = spectral_gram_eig(bands)
-    return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * half_spectrum(lap.response_sq))
+    lap_sq = LaplacianOperator.create(height, width).response_sq
+    return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * half_spectrum(lap_sq))
 
 
 def denoise_spectrum(
@@ -167,7 +168,7 @@ def vstep(
     check_shape("x_next", x_next.data.shape, (x_next.bands, lap.height, lap.width))
     if mu_p == 0.0 and nu_p == 0.0:
         return x_next
-    fac = factor_denoise(lap, x_next.bands, mu_p, nu_p)
+    fac = factor_denoise(lap.height, lap.width, x_next.bands, mu_p, nu_p)
 
     def rotated(cube: HsiCube) -> np.ndarray:
         data = cube.data.copy()

@@ -266,7 +266,7 @@ def fuse_spatial(y, z, model, prior, cfg: HqsConfig | None = None) -> SpatialFus
         x = solve_fast(build_system(model, y, z, v, cfg.rho))
         v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
         iterates.append(x)
-        trace.append(objective_value(x, v, y, z, model, prior, cfg, lap=lap))
+        trace.append(objective_value(x, v, y, z, model, prior, cfg))
         if x_prev is not None:
             denom = max(x_prev.norm(), float(np.finfo(np.float64).tiny))
             if float(np.linalg.norm(x.data - x_prev.data)) / denom <= cfg.rel_tol:
@@ -320,6 +320,69 @@ def dense_joint_minimizer(
         + (v - p) @ q @ (v - p)
     )
     return x.reshape(shape), v.reshape(shape), float(value)
+
+
+def woodbury_minimizer(y, z, model, prior, cfg: HqsConfig) -> np.ndarray:
+    """The x of ``dense_joint_minimizer``, solved one aliasing group at a time.
+
+    Minimizing over v first leaves a quadratic in x alone: the data terms plus
+    ``(x - p)^T W (x - p)``, with ``W = rho Q (rho I + Q)^-1``. Q is diagonal in
+    full unnormalized 2-D spectra (DFT) whose band vectors are mixed by U^T, U
+    the eigenvectors of the band difference's normal matrix (from ``np.linalg.eigh``):
+    ``a = mu |lap(f)|^2 + nu d_k`` and ``W = rho a / (rho + a)`` per frequency f
+    and band k. Down-sampling by s at phase (r, c) folds the s^2 members f_m of
+    aliasing group g into one low-resolution frequency:
+    ``Y_g = (1/s^2) sum_m t_m h_m X_m``, h the blur's response and
+    ``t = exp(2 pi i (f_1 r / height + f_2 c / width))``. With ``e = conj(t h)``
+    and ``Ru = srf U``, member m solves
+
+        B_m X_m + (1/s^2) e_m sum_n conj(e_n) X_n = b_m,
+        B_m = diag(W_m) + Ru^T Ru,  b_m = Ru^T Z_m + e_m U^T Y_g + W_m U^T P_m,
+
+    and Woodbury on the group's rank-one coupling gives the capacitance
+    ``K_g = I + (1/s^2) sum_m |e_m|^2 B_m^-1``; solving
+    ``K_g c_g = (1/s^2) sum_m conj(e_m) B_m^-1 b_m`` gives
+    ``X_m = B_m^-1 (b_m - e_m c_g)``. Every B_m is inverted densely; both
+    responses come from impulses through ``roll_blur``, and there is no half
+    spectrum or mirror rule, so the solve shares no code with the x-step.
+    """
+    bands, height, width = prior.data.shape
+    s = model.down.factor
+    groups = (s, height // s, s, width // s)  # a frequency index is alias * group size + group
+
+    def rows(data: np.ndarray) -> np.ndarray:
+        """The DFT of each band of ``data`` as (height, width, bands) band vectors."""
+        return np.moveaxis(np.fft.fft2(data), 0, -1)
+
+    def group_sum(a: np.ndarray) -> np.ndarray:
+        return a.reshape(groups + a.shape[2:]).sum(axis=(0, 2))
+
+    def spread(a: np.ndarray) -> np.ndarray:
+        """A per-group array repeated at each of its members, as (height, width, ...)."""
+        full = np.broadcast_to(a[None, :, None], groups + a.shape[2:])
+        return full.reshape((height, width) + a.shape[2:])
+
+    diag, off = spectral_gram_tridiag(bands)
+    d, u = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    ru = model.srf.matrix @ u
+    impulse = np.zeros((height, width))
+    impulse[0, 0] = 1.0
+    lap_sq = np.abs(np.fft.fft2(roll_blur(impulse, LAPLACIAN_KERNEL, (1, 1)))) ** 2
+    a = cfg.mu * lap_sq[..., None] + cfg.nu * d
+    w = cfg.rho * a / (cfg.rho + a)
+    pr, pc = model.down.phase
+    f1, f2 = np.arange(height)[:, None], np.arange(width)[None, :]
+    t = np.exp(2j * np.pi * (f1 * pr / height + f2 * pc / width))
+    e = np.conj(t * np.fft.fft2(roll_blur(impulse, model.blur.kernel, model.blur.anchor)))
+    b = rows(z.data) @ ru + e[..., None] * spread(rows(y.data) @ u) + w * (rows(prior.data) @ u)
+    b_mat = np.broadcast_to(ru.T @ ru, (height, width, bands, bands)).copy()
+    b_mat[..., np.arange(bands), np.arange(bands)] += w
+    b_inv = np.linalg.inv(b_mat)
+    solved = (b_inv @ b[..., None])[..., 0]
+    k = np.eye(bands) + group_sum(np.abs(e[..., None, None]) ** 2 * b_inv) / s**2
+    c = np.linalg.solve(k, group_sum(np.conj(e[..., None]) * solved)[..., None] / s**2)
+    x_rows = solved - e[..., None] * (b_inv @ spread(c))[..., 0]
+    return np.fft.ifft2(np.moveaxis(x_rows @ u.T, -1, 0)).real
 
 
 def bad_cube_files(tmp_path, rng, bands=5, height=4, width=6):

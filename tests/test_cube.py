@@ -197,6 +197,34 @@ def test_non_finite_spectrum_gives_a_cube_that_fails(rng):
                 HsiCube(irdft2(bad, 6))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.full((1, 2, 2), 1 + 2j),  # only warned that its imaginary part was dropped
+        np.array([[["1"]]]),  # parsed as the number 1.0
+        np.zeros((1, 2, 2), dtype="datetime64[s]"),  # became 0.0
+        np.zeros((1, 2, 2), dtype=object),
+    ],
+    ids=["complex", "text", "datetime", "object"],
+)
+def test_data_that_does_not_cast_under_same_kind_is_refused(data):
+    with pytest.raises(ValidationError, match="does not cast"):
+        HsiCube(data)
+    if data.dtype.kind != "c":
+        with pytest.raises(ValidationError, match="does not cast"):
+            FreqCube(data, data.shape[2])
+
+
+def test_bool_integer_and_float32_data_are_cast():
+    for dtype in (bool, np.int8, np.int64, np.uint16, np.float32, np.float64):
+        data = np.ones((1, 2, 2), dtype=dtype)
+        cube = HsiCube(data)
+        assert cube.data.dtype == np.float64 and np.array_equal(cube.data, data)
+        spec = FreqCube(data, 2)
+        assert spec.data.dtype == np.complex128 and np.array_equal(spec.data, data)
+    assert HsiCube([[[1, 2.5]]]).data.dtype == np.float64
+
+
 def test_freqcube_validates():
     with pytest.raises(ValidationError):
         FreqCube(np.zeros((3, 3), dtype=np.complex128), 4)

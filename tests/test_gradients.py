@@ -127,22 +127,26 @@ class TestRegularizerValue:
         diff = x.data - xt.data
         want = 0.3 * np.sum(lap.apply_array(diff) ** 2)
         want += 0.07 * np.sum((diff[1:] - diff[:-1]) ** 2)
-        got = regularizer_value(x, xt, 0.3, 0.07, lap=lap)
+        got = regularizer_value(x, xt, 0.3, 0.07)
         assert got == pytest.approx(want, rel=1e-12)
         # identical cubes cost nothing
-        assert regularizer_value(x, x, 0.3, 0.07, lap=lap) == 0.0
+        assert regularizer_value(x, x, 0.3, 0.07) == 0.0
 
     def test_single_band_drops_spectral_term(self, rng):
         x = rand_cube(rng, 1, 6, 6)
         xt = rand_cube(rng, 1, 6, 6)
         lap = LaplacianOperator.create(6, 6)
         want = 0.5 * np.sum(lap.apply_array(x.data - xt.data) ** 2)
-        assert regularizer_value(x, xt, 0.5, 123.0, lap=lap) == pytest.approx(want, rel=1e-12)
+        assert regularizer_value(x, xt, 0.5, 123.0) == pytest.approx(want, rel=1e-12)
 
     def test_default_laplacian_is_the_cubes_own_grid(self, rng):
+        # a non-square grid: the stencil applied with the sides swapped, or on
+        # another grid, would not give the manual formula's value
         x, xt = rand_cube(rng, 3, 6, 9), rand_cube(rng, 3, 6, 9)
-        want = regularizer_value(x, xt, 0.3, 0.07, lap=LaplacianOperator.create(6, 9))
-        assert regularizer_value(x, xt, 0.3, 0.07) == want
+        diff = x.data - xt.data
+        want = 0.3 * np.sum(roll_blur(diff, LAPLACIAN_KERNEL, (1, 1)) ** 2)
+        want += 0.07 * np.sum((diff[1:] - diff[:-1]) ** 2)
+        assert regularizer_value(x, xt, 0.3, 0.07) == pytest.approx(want, rel=1e-12)
 
     def test_validation(self, rng):
         x = rand_cube(rng, 2, 6, 6)
@@ -150,8 +154,3 @@ class TestRegularizerValue:
             regularizer_value(x, rand_cube(rng, 2, 6, 5), 0.1, 0.1)
         with pytest.raises(ValidationError):
             regularizer_value(x, x, -0.1, 0.1)
-        # a Laplacian of another grid: 6x12 would give a wrong value, 12x6 a numpy error
-        xt = rand_cube(rng, 2, 6, 6)
-        for h, w in ((6, 12), (12, 6)):
-            with pytest.raises(ValidationError):
-                regularizer_value(x, xt, 0.1, 0.1, lap=LaplacianOperator.create(h, w))

@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 import weakref
@@ -18,6 +19,7 @@ from helpers import (
     rand_cube,
     relative_gap,
     roll_blur,
+    woodbury_minimizer,
 )
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import (
@@ -73,12 +75,11 @@ class TestObjectiveValue:
         x = rand_cube(rng, 8, 16, 16)
         v = rand_cube(rng, 8, 16, 16)
         cfg = HqsConfig(mu=0.3, nu=0.02, rho=0.15)
-        lap = LaplacianOperator.create(16, 16)
         want = float(np.sum((y.data - model.down.apply_array(model.blur.apply_array(x.data))) ** 2))
         want += float(np.sum((z.data - model.srf.apply_array(x.data)) ** 2))
         want += 0.15 * float(np.sum((x.data - v.data) ** 2))
-        want += regularizer_value(v, prior, 0.3, 0.02, lap=lap)
-        got = objective_value(x, v, y, z, model, prior, cfg, lap=lap)
+        want += regularizer_value(v, prior, 0.3, 0.02)
+        got = objective_value(x, v, y, z, model, prior, cfg)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_validation(self, rng):
@@ -318,7 +319,7 @@ class TestSpectralLoop:
             got, change = fixed.score(x_hat, y_term)
             x = solve_fast(build_system(model, y, z, v_prev, cfg.rho))
             v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
-            want = objective_value(x, v, y, z, model, prior, cfg, lap=lap)
+            want = objective_value(x, v, y, z, model, prior, cfg)
             assert change is None
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -462,6 +463,13 @@ def tiny_problem(kind):
     return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
 
 
+@functools.lru_cache(maxsize=None)
+def tiny_star(kind, cfg):
+    """``tiny_problem(kind)`` and its ``dense_joint_minimizer`` at ``cfg``, computed once per pair."""
+    model, y, z, prior = tiny_problem(kind)
+    return (model, y, z, prior), dense_joint_minimizer(y, z, model, prior, cfg)
+
+
 CONFIGS = pytest.mark.parametrize(
     "cfg", [HqsConfig(), HqsConfig(mu=0.3, nu=0.02, rho=0.15)], ids=["default", "strong"]
 )
@@ -474,8 +482,7 @@ class TestFixedPoint:
     @CONFIGS
     @pytest.mark.parametrize("kind", list(TINY))
     def test_fuse_reaches_the_dense_joint_minimizer(self, kind, cfg):
-        model, y, z, prior = tiny_problem(kind)
-        x_star, _, value = dense_joint_minimizer(y, z, model, prior, cfg)
+        (model, y, z, prior), (x_star, _, value) = tiny_star(kind, cfg)
         got = fuse(y, z, model, prior, HqsConfig(cfg.mu, cfg.nu, cfg.rho, 200, 1e-14))
         assert got.converged
         assert relative_gap(got.x_hat.data, x_star) <= 1e-10
@@ -491,7 +498,7 @@ class TestFixedPoint:
         # stationary iteration of the splitting S = P - rho*G, P = A + rho*I
         # the exact x-step, and P + rho*G is positive definite, so the error
         # shrinks in the S-norm at every iteration
-        model, y, z, prior = tiny_problem(kind)
+        (model, y, z, prior), (x_star, _, _) = tiny_star(kind, cfg)
         shape = prior.data.shape
         blur = model.blur
         a_y = dense_matrix(
@@ -504,7 +511,7 @@ class TestFixedPoint:
             lambda e: vstep(HsiCube(e), zero, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho).data, shape
         )
         s_mat = a_y.T @ a_y + a_z.T @ a_z + cfg.rho * (np.eye(len(g)) - g)
-        x_star = dense_joint_minimizer(y, z, model, prior, cfg)[0].ravel()
+        x_star = x_star.ravel()
 
         def s_norm(x):
             return float(np.sqrt(x @ s_mat @ x))
@@ -519,3 +526,43 @@ class TestFixedPoint:
         floor = 1e-13 * s_norm(x_star)
         assert errors[0] > 1e3 * floor
         assert all(b <= a + floor for a, b in zip(errors, errors[1:])), errors
+
+
+@functools.lru_cache(maxsize=None)
+def desk_star(seed):
+    """Desk fusion ``seed`` and its minimizer x* at the default config, by ``woodbury_minimizer``."""
+    model, y, z, prior = desk_problem(seed)
+    return (model, y, z, prior), woodbury_minimizer(y, z, model, prior, HqsConfig())
+
+
+class TestWoodburyMinimizer:
+    """The estimator solved one aliasing group at a time: a fixed-point oracle
+    for grids too large for ``dense_joint_minimizer``."""
+
+    @CONFIGS
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_matches_the_dense_joint_minimizer(self, kind, cfg):
+        (model, y, z, prior), (x_star, _, _) = tiny_star(kind, cfg)
+        assert relative_gap(woodbury_minimizer(y, z, model, prior, cfg), x_star) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fuse_run_to_its_fixed_point_reaches_it_on_desk_grids(self, seed):
+        (model, y, z, prior), x_star = desk_star(seed)
+        got = fuse(y, z, model, prior, HqsConfig(max_iter=200, rel_tol=1e-16))
+        assert got.converged
+        assert relative_gap(got.x_hat.data, x_star) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_minimizer_leaves_the_z_residual_that_fuse_leaves(self, seed):
+        # acceptance criterion 6's cause: z is a penalty term of the
+        # objective, not a constraint, so its minimizer misfits z where the
+        # naive prior, built to fit z, does not; the default run's residual
+        # is the minimizer's, and so no stop rule can bring it to the prior's
+        (model, y, z, prior), x_star = desk_star(seed)
+
+        def z_residual(x):
+            return float(np.linalg.norm(model.srf.apply_array(x) - z.data) / np.linalg.norm(z.data))
+
+        star, fused = z_residual(x_star), z_residual(fuse(y, z, model, prior).x_hat.data)
+        assert fused == pytest.approx(star, rel=1e-2)
+        assert min(star, fused) > z_residual(prior.data)

@@ -325,6 +325,31 @@ class TestCubeContainer:
         assert len(scans) == 1
 
 
+def _read_only(shape):
+    out = np.full(shape, -7.0)
+    out.setflags(write=False)
+    return out
+
+
+# (read, out maker) of buffers that a 3x4x5 cube's band(1, out) or
+# pixels(slice(0, 20), out) must refuse. Unchecked, a file read filled the
+# float32 plane with reinterpreted float64 bytes, filled the (2, 4, 5) and
+# (20,) buffers from bands 1 and 2 and the (3, 7) one with 7 values per band,
+# and raised TypeError for the strided one; a cube read broadcast into the
+# (2, 4, 5) buffer, cast into the float32 one and filled the strided one.
+BAD_OUTS = {
+    "float32": ("band", lambda: np.full((4, 5), -7.0, dtype=np.float32)),
+    "two_bands": ("band", lambda: np.full((2, 4, 5), -7.0)),
+    "flat": ("band", lambda: np.full(20, -7.0)),
+    "strided": ("band", lambda: np.full((4, 10), -7.0)[:, ::2]),
+    "fortran": ("band", lambda: np.asfortranarray(np.full((4, 5), -7.0))),
+    "read_only": ("band", lambda: _read_only((4, 5))),
+    "list": ("band", lambda: [[-7.0] * 5 for _ in range(4)]),
+    "wide_block": ("pixels", lambda: np.full((3, 7), -7.0)),
+    "short_block": ("pixels", lambda: np.full((3, 19), -7.0)),
+}
+
+
 class TestBandRead:
     def test_band_equals_the_whole_read(self, rng, tmp_path):
         # export_error_map reads every band of two files and maps one, byte
@@ -446,6 +471,27 @@ class TestBandRead:
             for cols in (slice(1, 20), slice(None, None, 1), slice(20, 23), slice(7, 3)):
                 assert np.array_equal(reader.pixels(cols), cube.as_matrix()[:, cols])
 
+    @pytest.mark.parametrize("bad", list(BAD_OUTS))
+    @pytest.mark.parametrize("source", ["cube", "file"])
+    def test_out_that_does_not_fit_the_read_is_a_validation_error(
+        self, tmp_path, monkeypatch, source, bad
+    ):
+        _, opened = self._source(tmp_path, source, (3, 4, 5))
+        read, make = BAD_OUTS[bad]
+        out = make()
+        before = np.array(out, copy=True)
+
+        def no_read(*args):
+            raise AssertionError("a payload byte was read")
+
+        monkeypatch.setattr(hsfuse.io, "_read_into", no_read)
+        with open_cube(opened) as reader, pytest.raises(ValidationError, match="out must be"):
+            if read == "band":
+                reader.band(1, out)
+            else:
+                reader.pixels(slice(0, 20), out)
+        assert np.array_equal(np.asarray(out), before)
+
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
     def test_reads_by_index_and_by_pixels_equal_the_whole_read(self, rng, tmp_path, dtype):
         cube = rand_cube(rng, 4, 5, 7)
@@ -472,8 +518,8 @@ class TestBandRead:
 
     def test_pool_items_share_a_reader(self, rng, tmp_path, monkeypatch):
         # more threads than cores and a short switch interval: a read that
-        # lost the file position or the shared f32 buffer to another item
-        # would give another band's or block's values
+        # lost the file position to another item would give another band's or
+        # block's values
         import sys
 
         from hsfuse.cube import pool_map

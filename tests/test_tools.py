@@ -40,6 +40,41 @@ over two lines"""
     assert loc.code_lines(source) == 5
 
 
+def test_settable_values_count_defaulted_parameters_and_dataclass_fields():
+    source = '''import dataclasses
+from dataclasses import dataclass, field
+
+
+def solve(a, b=1, *, c, d=None, **extra):
+    def inner(e=2):
+        return e
+    return inner
+
+
+class Plain:
+    size: int = 3  # not a dataclass: no field
+
+    def scale(self, by=2.0):
+        return by
+
+
+@dataclass(frozen=True)
+class Config:
+    rate: float = 0.1
+    steps: int = field(default=4)
+    names: tuple = field(default_factory=tuple)
+    table: object = field(repr=False)  # set by every caller
+    count: int
+
+
+@dataclasses.dataclass
+class Other:
+    flag: bool = False
+'''
+    # b, d, e and by; rate, steps, names and flag
+    assert loc.settable_values(source) == 8
+
+
 SYNTHETIC = '''"""A module docstring."""
 import threading
 

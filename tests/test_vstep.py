@@ -207,7 +207,7 @@ class TestDenoiseFactors:
         mu_p, nu_p = 50.0, 1.3
         lap = LaplacianOperator.create(h, w)
         lap_sq = half_spectrum(lap.response_sq)
-        fac = factor_denoise(lap, bands, mu_p, nu_p)
+        fac = factor_denoise(h, w, bands, mu_p, nu_p)
         eig, _ = spectral_gram_eig(bands)
         whole = 1.0 / (nu_p * eig[:, None] + (1.0 + mu_p * lap_sq.reshape(-1)))
         freq = fac.freq_term.reshape(-1)
@@ -220,7 +220,7 @@ class TestDenoiseFactors:
 
     def test_holds_no_band_by_frequency_array(self):
         bands, h, w = 31, 32, 32
-        fac = factor_denoise(LaplacianOperator.create(h, w), bands, 0.9, 0.3)
+        fac = factor_denoise(h, w, bands, 0.9, 0.3)
         held = [getattr(fac, f.name) for f in fields(fac)]
         assert all(isinstance(a, np.ndarray) for a in held)
         assert max(a.size for a in held) < bands * h * (w // 2 + 1)
@@ -233,7 +233,7 @@ class TestDenoiseSpectrum:
         # at a time: no block-sized temporaries
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         bands, h, w = 31, 128, 128
-        fac = factor_denoise(LaplacianOperator.create(h, w), bands, 0.9, 0.3)
+        fac = factor_denoise(h, w, bands, 0.9, 0.3)
         shape = (bands, h, w // 2 + 1)
         x_hat, p_hat = (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)
