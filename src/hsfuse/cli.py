@@ -11,8 +11,9 @@ file in place.
 
 Every stage that reads files reads their headers first, under ``load``, and
 checks them before it reads any payload. No stage holds a whole input or
-output cube but ``fuse``, which under ``load`` reads both headers, builds
-and checks the model against them, and only then loads y and z whole.
+output cube but ``fuse``, which under ``load`` reads the headers of y, z
+and a prior file, builds the model from y's and z's and checks the prior's
+against it, and only then loads y and z whole (a prior file under ``prior``).
 ``simulate`` times the endmember spectra, their maps and the peak of their
 product under ``generate``, and the scaled product's blocks of pixels,
 written straight into the file, under ``save``. ``degrade`` reads its
@@ -169,7 +170,7 @@ class _Stage:
         """An input's (bands, height, width) from its header alone, recorded under ``inputs``.
 
         Every stage that reads files records them this way before it reads
-        any payload; ``fuse`` then loads its two inputs whole.
+        any payload; ``fuse`` then loads its inputs whole.
         """
         from .io import open_cube
 
@@ -288,24 +289,25 @@ def _infer_factor(y: tuple[int, int, int], z: tuple[int, int, int]) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    from .cube import check_shape
     from .hqs import HqsConfig, fuse
     from .io import load_cube, save_cube
     from .priors import PriorSource, make_prior
 
     with _Stage(args, args.out) as stage:
+        kind, _, prior_path = args.prior.partition(":")
+        if args.prior != "naive" and not (kind == "file" and prior_path):
+            raise ValidationError(f"prior must be 'naive' or 'file:<path>', got {args.prior!r}")
         with stage.timed("load"):
             y_shape, z_shape = stage.shape("y", args.y), stage.shape("z", args.z)
-            # the model is checked against both headers before any payload is read
+            # the model is checked against every header before any payload is read
             factor = _infer_factor(y_shape, z_shape)
-            model = _model(stage, args, factor, (y_shape[0], *z_shape[1:]), z_shape[0])
+            hr_shape = (y_shape[0], *z_shape[1:])
+            model = _model(stage, args, factor, hr_shape, z_shape[0])
+            if prior_path:
+                check_shape("prior", stage.shape("prior", prior_path), hr_shape)
             y, z = load_cube(args.y), load_cube(args.z)
 
-        if args.prior == "naive":
-            src = PriorSource.naive_fusion()
-        elif args.prior.startswith("file:"):
-            src = PriorSource.external_file(args.prior[5:])
-        else:
-            raise ValidationError(f"prior must be 'naive' or 'file:<path>', got {args.prior!r}")
         cfg = HqsConfig(
             mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
         )
@@ -313,7 +315,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         with stage.timed("prior"):
             # held only by the list, so fuse gets the one reference and frees
             # the cube once it holds its spectrum
-            holder = [make_prior(src, y, z, model)]
+            if prior_path:
+                holder = [load_cube(prior_path)]
+            else:
+                holder = [make_prior(PriorSource.naive_fusion(), y, z, model)]
         with stage.timed("fuse"):
             result = fuse(y, z, model, holder.pop(), cfg)
         with stage.timed("save"):

@@ -67,11 +67,17 @@ def check_int(name: str, value, minimum: int) -> int:
 
 
 def check_real(name: str, value, allow_zero: bool = False) -> float:
-    """``value`` as a ``float``: finite and positive, or non-negative with ``allow_zero``."""
+    """``value`` as a ``float``: finite and positive, or non-negative with ``allow_zero``.
+
+    A value that is not a real number (text, None, complex, a sequence) is
+    refused like one out of range; a 0-d array or a bool counts as its value.
+    """
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     if not (finite and (value >= 0 if allow_zero else value > 0)):
         kind = "non-negative" if allow_zero else "positive"
         raise ValidationError(f"{name} must be finite and {kind}, got {value!r}")

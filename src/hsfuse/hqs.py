@@ -210,7 +210,7 @@ def fuse(
     z: HsiCube,
     model: DegradationModel,
     prior: HsiCube,
-    cfg: HqsConfig | None = None,
+    cfg: HqsConfig = HqsConfig(),
 ) -> FusionResult:
     """Run the alternating iteration from v = prior.
 
@@ -230,8 +230,6 @@ def fuse(
         UnsupportedStructureError: the x-step system is outside the closed-form
             solver's structure.
     """
-    if cfg is None:
-        cfg = HqsConfig()
     model.check_hr("prior", prior)
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)

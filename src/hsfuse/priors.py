@@ -1,9 +1,11 @@
 """Prior cubes for the regularizer's anchor term.
 
 The fusion driver treats the prior as data: any high-resolution cube of the
-right shape works. Two sources are supported: an external file (the usual
-case, e.g. the output of a separately trained network) and a self-contained
-naive fusion built from the inputs themselves.
+right shape works. The usual prior is a cube file, e.g. the output of a
+separately trained network; it is read like any other input
+(``io.load_cube``, or ``fuse --prior file:<path>``, which checks its header
+first) and handed to ``hqs.fuse`` as is. ``make_prior`` builds the one prior
+this package makes itself, a naive fusion of the inputs.
 
 Naive fusion upsamples the low-res cube bilinearly to u, then back-projects
 the spectral residual per pixel so the result reproduces the mixed-band image
@@ -30,14 +32,9 @@ __all__ = ["PriorSource", "make_prior"]
 
 @dataclass(frozen=True)
 class PriorSource:
-    """Tagged choice of where the prior cube comes from."""
+    """Tagged choice of the prior ``make_prior`` builds; ``naive_fusion`` is the one kind."""
 
     kind: str
-    path: str | None = None
-
-    @classmethod
-    def external_file(cls, path: str) -> "PriorSource":
-        return cls(kind="external_file", path=str(path))
 
     @classmethod
     def naive_fusion(cls) -> "PriorSource":
@@ -60,7 +57,11 @@ def _axis_weights(n_in: int, factor: int) -> np.ndarray:
     return mat
 
 
-def _naive_fusion(y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
+def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
+    """Build the naive-fusion prior of y and z, checked against the model geometry."""
+    model.check_data(y, z)
+    if src.kind != "naive_fusion":
+        raise ValidationError(f"unknown prior source kind {src.kind!r}")
     r = model.srf.matrix
     # K = R^T (R R^T)^-1; R R^T is symmetric
     k = np.linalg.solve(r @ r.T, r).T
@@ -74,19 +75,3 @@ def _naive_fusion(y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
     for b in range(len(k)):
         out[b] += wr @ low[b] @ wc.T
     return HsiCube(out)
-
-
-def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
-    """Produce the prior cube and check it against the model geometry."""
-    model.check_data(y, z)
-    if src.kind == "naive_fusion":
-        return _naive_fusion(y, z, model)
-    if src.kind != "external_file":
-        raise ValidationError(f"unknown prior source kind {src.kind!r}")
-    if not src.path:
-        raise ValidationError("external_file prior needs a path")
-    from .io import load_cube
-
-    cube = load_cube(src.path)
-    model.check_hr("prior cube", cube)
-    return cube

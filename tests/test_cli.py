@@ -373,7 +373,14 @@ class TestEvaluateBandRead:
 
 
 class TestFuseReadsHeadersFirst:
-    """``fuse`` records both headers and checks the model against them before it reads a payload."""
+    """``fuse`` records every header and checks the model against them before it reads a payload."""
+
+    @staticmethod
+    def record_reads(monkeypatch) -> list:
+        reads = []
+        read_into = hsfuse.io._read_into
+        monkeypatch.setattr(hsfuse.io, "_read_into", lambda *args: reads.append(1) or read_into(*args))
+        return reads
 
     def test_a_z_grid_that_does_not_fit_y_exits_2_before_any_payload_read(
         self, rng, tmp_path, monkeypatch
@@ -381,9 +388,7 @@ class TestFuseReadsHeadersFirst:
         y, z = tmp_path / "y.cube", tmp_path / "z.cube"
         save_cube(y, rand_cube(rng, 8, 8, 8))
         save_cube(z, rand_cube(rng, 3, 30, 32))
-        reads = []
-        read_into = hsfuse.io._read_into
-        monkeypatch.setattr(hsfuse.io, "_read_into", lambda *args: reads.append(1) or read_into(*args))
+        reads = self.record_reads(monkeypatch)
         out = str(tmp_path / "x.cube")
         assert main(["fuse", "--y", str(y), "--z", str(z), "--out", out]) == 2
         manifest = json.loads(open(out + ".manifest.json").read())
@@ -406,6 +411,84 @@ class TestFuseReadsHeadersFirst:
             "z": {"path": str(z), "shape": [3, 32, 32]},
         }
         assert not os.path.exists(out)
+
+    def test_a_prior_file_that_does_not_fit_exits_2_before_any_payload_read(
+        self, rng, tmp_path, monkeypatch
+    ):
+        y, z, prior = tmp_path / "y.cube", tmp_path / "z.cube", tmp_path / "p.cube"
+        save_cube(y, rand_cube(rng, 8, 8, 8))
+        save_cube(z, rand_cube(rng, 3, 32, 32))
+        save_cube(prior, rand_cube(rng, 8, 32, 30))
+        with pytest.raises(ValidationError) as rule:
+            check_shape("prior", (8, 32, 30), (8, 32, 32))
+        reads = self.record_reads(monkeypatch)
+        out = str(tmp_path / "x.cube")
+        assert main(["fuse", "--y", str(y), "--z", str(z), "--prior", f"file:{prior}",
+                     "--out", out]) == 2
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"] == {"type": "ValidationError", "message": str(rule.value)}
+        assert manifest["inputs"]["prior"] == {"path": str(prior), "shape": [8, 32, 30]}
+        assert reads == []
+
+    def test_a_nan_in_the_prior_exits_3_with_every_input_recorded(self, rng, tmp_path):
+        y, z, prior = tmp_path / "y.cube", tmp_path / "z.cube", tmp_path / "p.cube"
+        save_cube(y, rand_cube(rng, 8, 8, 8))
+        save_cube(z, rand_cube(rng, 3, 32, 32))
+        save_cube(prior, rand_cube(rng, 8, 32, 32))
+        prior.write_bytes(prior.read_bytes()[:-8] + np.array([np.nan]).tobytes())
+        out = str(tmp_path / "x.cube")
+        assert main(["fuse", "--y", str(y), "--z", str(z), "--prior", f"file:{prior}",
+                     "--out", out]) == 3
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"]["type"] == "CubeFormatError"
+        assert str(prior) in manifest["error"]["message"]
+        assert manifest["inputs"] == {
+            "y": {"path": str(y), "shape": [8, 8, 8]},
+            "z": {"path": str(z), "shape": [3, 32, 32]},
+            "prior": {"path": str(prior), "shape": [8, 32, 32]},
+        }
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("spec", ["file:", "guess"])
+    def test_a_bad_prior_spec_exits_2_before_any_file_is_opened(
+        self, rng, tmp_path, monkeypatch, spec
+    ):
+        y, z = tmp_path / "y.cube", tmp_path / "z.cube"
+        save_cube(y, rand_cube(rng, 8, 8, 8))
+        save_cube(z, rand_cube(rng, 3, 32, 32))
+        reads = self.record_reads(monkeypatch)
+        out = str(tmp_path / "x.cube")
+        assert main(["fuse", "--y", str(y), "--z", str(z), "--prior", spec, "--out", out]) == 2
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["error"] == {
+            "type": "ValidationError",
+            "message": f"prior must be 'naive' or 'file:<path>', got {spec!r}",
+        }
+        assert manifest["inputs"] == {}
+        assert reads == []
+
+    def test_a_prior_file_fuses_as_the_loaded_cube(self, rng, tmp_path):
+        from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
+        from hsfuse.hqs import HqsConfig, fuse
+
+        write_inputs(tmp_path, 8, 16, 2)
+        # a noisy stand-in for a network's output
+        prior = tmp_path / "noisy.cube"
+        gt = load_cube(tmp_path / "prior.cube").data
+        save_cube(prior, HsiCube(gt + 0.03 * gt.std() * rng.standard_normal(gt.shape)))
+        y, z = load_cube(tmp_path / "y.cube"), load_cube(tmp_path / "z.cube")
+        model = DegradationModel(
+            BlurOperator.uniform_block(16, 16, 2), Downsampler(2), SpectralResponse.default_rgb(8)
+        )
+        want = fuse(y, z, model, load_cube(prior), HqsConfig(max_iter=3)).x_hat
+        out = tmp_path / "x.cube"
+        assert main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
+                     "--prior", f"file:{prior}", "--iters", "3", "--out", str(out)]) == 0
+        save_cube(tmp_path / "want.cube", want)
+        assert out.read_bytes() == (tmp_path / "want.cube").read_bytes()
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert manifest["inputs"]["prior"] == {"path": str(prior), "shape": [8, 16, 16]}
+        assert list(manifest["timings_s"]) == ["load", "prior", "fuse", "save"]
 
 
 class TestStreamedStages:
@@ -707,6 +790,55 @@ class TestExitCodes:
         assert "rho" in error["message"]
 
 
+def test_parser_defaults_are_the_librarys():
+    """Each default the parser repeats by value is the library's, so the CLI's default run is its."""
+    import dataclasses
+    import inspect
+
+    from hsfuse.cli import build_parser
+    from hsfuse.degradation import DegradationModel
+    from hsfuse.hqs import HqsConfig
+    from hsfuse.io import band_index_for_wavelength, export_error_map
+    from hsfuse.scenes import SceneSpec
+
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def params(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    parser = build_parser()
+
+    def parsed(*argv):
+        return vars(parser.parse_args(argv))
+
+    fuse = parsed("fuse", "--y", "y", "--z", "z", "--out", "x")
+    simulate = parsed("simulate", "--out", "x")
+    degrade = parsed("degrade", "--in", "x", "--out-y", "y", "--out-z", "z")
+    errormap = parsed("errormap", "--x-hat", "x", "--ref", "r", "--out", "e")
+    hqs, scene, model = fields(HqsConfig), fields(SceneSpec), fields(DegradationModel)
+    wavelength, export = params(band_index_for_wavelength), params(export_error_map)
+    pairs = {
+        "--mu": (fuse["mu"], hqs["mu"]),
+        "--nu": (fuse["nu"], hqs["nu"]),
+        "--rho": (fuse["rho"], hqs["rho"]),
+        "--iters": (fuse["iters"], hqs["max_iter"]),
+        "--tol": (fuse["tol"], hqs["rel_tol"]),
+        "--endmembers": (simulate["endmembers"], scene["endmembers"]),
+        "--smoothness": (simulate["smoothness"], scene["smoothness"]),
+        "--seed": (simulate["seed"], scene["seed"]),
+        "--noise": (degrade["noise"], model["noise_sigma"]),
+        "--noise-seed": (degrade["noise_seed"], model["noise_seed"]),
+        "--wl-min": (errormap["wl_min"], wavelength["lo_nm"]),
+        "--wl-max": (errormap["wl_max"], wavelength["hi_nm"]),
+        "--max-error": (errormap["max_error"], export["max_error"]),
+    }
+    assert {flag: pair for flag, pair in pairs.items() if pair[0] != pair[1]} == {}
+    # BLAS is pinned after parsing, so building the parser loads no numpy
+    probe = "import sys, hsfuse.cli as cli; cli.build_parser(); print('numpy' in sys.modules)"
+    assert run_fresh([sys.executable, "-c", probe]) == "False\n"
+
+
 class TestThreads:
     BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -971,22 +1103,26 @@ class TestMemory:
         import hsfuse.sylvester
 
         write_inputs(tmp_path, 8, 16, 2)
+        prior_path = str(tmp_path / "prior.cube")
         refs, alive = [], []
-        make_prior = hsfuse.priors.make_prior
+        # the naive prior comes from make_prior, a prior file from load_cube
+        module, name = (hsfuse.priors, "make_prior") if prior == "naive" else (hsfuse.io, "load_cube")
+        build = getattr(module, name)
         solve_spectrum = hsfuse.sylvester.solve_spectrum
 
         def recording_prior(*args, **kwargs):
-            cube = make_prior(*args, **kwargs)
-            refs.append(weakref.ref(cube.data))
+            cube = build(*args, **kwargs)
+            if prior == "naive" or args[0] == prior_path:
+                refs.append(weakref.ref(cube.data))
             return cube
 
         def probed_solve(*args, **kwargs):
             alive.append(refs[0]() is not None)
             return solve_spectrum(*args, **kwargs)
 
-        monkeypatch.setattr(hsfuse.priors, "make_prior", recording_prior)
+        monkeypatch.setattr(module, name, recording_prior)
         monkeypatch.setattr(hsfuse.sylvester, "solve_spectrum", probed_solve)
-        spec = "naive" if prior == "naive" else "file:" + str(tmp_path / "prior.cube")
+        spec = "naive" if prior == "naive" else "file:" + prior_path
         rc = main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
                    "--prior", spec, "--iters", "2", "--out", str(tmp_path / "x.cube")])
         assert rc == 0

@@ -90,3 +90,38 @@ def test_mis_shaped_cube_is_named_by_its_argument(name, call, tmp_path):
     cubes[name] = HsiCube(np.zeros((bands, height, width + 1)))
     with pytest.raises(ValidationError, match=rf"^{name} has shape \("):
         call(model, cubes, tmp_path)
+
+
+# values that are no real number once escaped ``check_real`` as an untyped
+# TypeError from ``math.isfinite``
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: HqsConfig(mu="0.1"),
+        lambda tmp: HqsConfig(mu=None),
+        lambda tmp: HqsConfig(mu=1j),
+        lambda tmp: SceneSpec(8, 8, 8, smoothness=[1.0]),
+        lambda tmp: BlurOperator.gaussian(8, 8, np.array([1.0, 2.0])),
+        lambda tmp: DegradationModel(
+            BlurOperator.uniform_block(8, 8, 4), Downsampler(4), SpectralResponse.default_rgb(4),
+            noise_sigma="0",
+        ),
+        lambda tmp: export_error_map(
+            HsiCube(np.zeros((2, 4, 4))), HsiCube(np.zeros((2, 4, 4))), 0, tmp / "e.pgm",
+            max_error=None,
+        ),
+    ],
+    ids=[
+        "HqsConfig-mu-str", "HqsConfig-mu-None", "HqsConfig-mu-complex", "SceneSpec-smoothness",
+        "gaussian-sigma", "DegradationModel-noise_sigma", "export_error_map-max_error",
+    ],
+)
+def test_non_real_arguments_raise_validation_error(call, tmp_path):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        call(tmp_path)
+
+
+def test_zero_dimensional_arrays_and_bools_stay_real():
+    assert HqsConfig(mu=np.array(0.1)).mu == np.array(0.1)
+    assert HqsConfig(mu=True).mu is True
+    assert BlurOperator.gaussian(8, 8, np.array(1.0)).height == 8

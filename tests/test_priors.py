@@ -12,7 +12,6 @@ from hsfuse.degradation import (
     SpectralResponse,
 )
 from hsfuse.errors import ValidationError
-from hsfuse.io import save_cube
 from hsfuse.priors import PriorSource, _axis_weights, make_prior
 
 
@@ -127,16 +126,7 @@ class TestNaivePriorOnLowResGrid:
 
 
 class TestMakePrior:
-    def test_external_file_roundtrip(self, rng, tmp_path):
-        model = make_model()
-        gt = rand_cube(rng, 6, 8, 8, lo=0.0, hi=1.0)
-        y, z = model.degrade(gt)
-        path = tmp_path / "prior.cube"
-        save_cube(path, gt)
-        prior = make_prior(PriorSource.external_file(path), y, z, model)
-        assert np.array_equal(prior.data, gt.data)
-
-    def test_geometry_validation(self, rng, tmp_path):
+    def test_geometry_validation(self, rng):
         model = make_model()
         gt = rand_cube(rng, 6, 8, 8, lo=0.0, hi=1.0)
         y, z = model.degrade(gt)
@@ -147,15 +137,10 @@ class TestMakePrior:
             make_prior(src, rand_cube(rng, 6, 3, 4), z, model)
         with pytest.raises(ValidationError):
             make_prior(src, y, rand_cube(rng, 2, 8, 8), model)
-        wrong_shape = tmp_path / "wrong.cube"
-        save_cube(wrong_shape, rand_cube(rng, 6, 8, 7))
-        with pytest.raises(ValidationError):
-            make_prior(PriorSource.external_file(wrong_shape), y, z, model)
-        with pytest.raises(ValidationError):
-            make_prior(PriorSource(kind="mystery"), y, z, model)
-        with pytest.raises(ValidationError):
-            make_prior(PriorSource(kind="external_file"), y, z, model)
+        # a prior file is read by its caller, so make_prior knows no file kind
+        for kind in ("mystery", "external_file"):
+            with pytest.raises(ValidationError, match="unknown prior source kind"):
+                make_prior(PriorSource(kind=kind), y, z, model)
 
     def test_source_constructors_tag_kinds(self):
         assert PriorSource.naive_fusion().kind == "naive_fusion"
-        assert PriorSource.external_file("p").path == "p"
