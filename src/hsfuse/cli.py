@@ -3,11 +3,12 @@
 Exit codes: 0 success, 2 validation problem, 3 I/O or file-format problem,
 4 numerical failure. Every run writes one JSON manifest (flag echo, inputs,
 outputs, timings) next to its primary output unless --manifest says otherwise;
-on a failure the manifest is still written, with an error record. All five
-commands share one stage runner (``_Stage``) for that manifest, and every
-file they write (cubes, manifests, JSON/CSV reports, error maps) goes through
-``io.write_atomic`` or its temp file, so a failed write leaves the previous
-file in place.
+on a failure the manifest is still written, with an error record. ``main``
+runs every command in one stage runner (``_Stage``) for that manifest: it
+opens the stage, sizes the pool inside it, and hands the stage to the
+command, which only does its own work. Every file the commands write (cubes,
+manifests, JSON/CSV reports, error maps) goes through ``io.write_atomic`` or
+its temp file, so a failed write leaves the previous file in place.
 
 Every stage that reads files reads their headers first, under ``load``, and
 checks them before it reads any payload. No stage holds a whole input or
@@ -101,28 +102,28 @@ def _write_manifest(path: str, manifest: dict) -> None:
 class _Stage:
     """One command run and its manifest.
 
-    The manifest goes to --manifest, or next to the primary output. Its keys
-    come in a fixed order: ``schema_version`` (``_SCHEMA_VERSION``),
-    ``command``, ``versions`` (python, numpy and hsfuse), ``config`` (every
-    parsed flag but the manifest and output paths, in parser order, then
-    ``threads``, which entering the stage resolves, so that an invalid size
-    is recorded as its error),
-    ``inputs`` (all commands but simulate), ``outputs``, ``timings_s``, any
-    command-specific results, ``peak_rss_mb`` (the process's peak RSS so
-    far, which for an in-process caller covers everything it ran before),
-    then ``error``. Leaving the ``with`` block, or failing to enter it, writes
-    it: ``error`` is None on success, or the exception's type and message,
-    which is re-raised; a failure to write that manifest is not reported over
-    the original error.
+    The manifest goes to --manifest, or next to the primary output, which
+    each subparser names with its ``primary`` default. Its keys come in a
+    fixed order: ``schema_version`` (``_SCHEMA_VERSION``), ``command``,
+    ``versions`` (python, numpy and hsfuse), ``config`` (every parsed flag
+    but the manifest and output paths, in parser order, then ``threads``,
+    which ``main`` resolves inside the stage, so that an invalid size is
+    recorded as its error), ``inputs`` (all commands but simulate),
+    ``outputs``, ``timings_s``, any command-specific results,
+    ``peak_rss_mb`` (the process's peak RSS so far, which for an in-process
+    caller covers everything it ran before), then ``error``. Leaving the
+    ``with`` block writes it: ``error`` is None on success, or the
+    exception's type and message, which is re-raised; a failure to write
+    that manifest is not reported over the original error.
     """
 
-    def __init__(self, args: argparse.Namespace, primary: str):
+    def __init__(self, args: argparse.Namespace):
         import platform
 
         import numpy as np
 
-        self.path = args.manifest or str(primary) + ".manifest.json"
-        skip = {"command", "func", "manifest", "threads"}
+        self.path = args.manifest or args.primary(args) + ".manifest.json"
+        skip = {"command", "func", "primary", "manifest", "threads"}
         config = {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("out")}
         config["threads"] = args.threads
         self.manifest: dict = {
@@ -141,12 +142,6 @@ class _Stage:
         self.manifest["timings_s"] = {}
 
     def __enter__(self) -> "_Stage":
-        config = self.manifest["config"]
-        try:
-            config["threads"] = _configure_threads(config["threads"])
-        except Exception as exc:
-            self.__exit__(type(exc), exc, exc.__traceback__)
-            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -205,10 +200,10 @@ def _parse_blur(spec: str, height: int, width: int):
     return build(height, width, *numbers)
 
 
-def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], out_bands=None, **noise):
+def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], **noise):
     """The model of --blur (``block:<factor>`` if unset), --srf and ``factor``, noted in config.
 
-    ``shape`` is the high-resolution (bands, height, width), and ``out_bands`` z's bands if known.
+    ``shape`` is the high-resolution (bands, height, width).
     """
     from .degradation import DegradationModel, Downsampler, SpectralResponse
     from .io import load_srf_csv
@@ -223,59 +218,50 @@ def _model(stage: _Stage, args, factor: int, shape: tuple[int, int, int], out_ba
         srf = load_srf_csv(args.srf)
         if srf.in_bands != bands:
             raise ValidationError(f"SRF table covers {srf.in_bands} channels, cube has {bands}")
-    if out_bands is not None and srf.out_bands != out_bands:
-        raise ValidationError(
-            f"SRF {args.srf!r} produces {srf.out_bands} bands but z has {out_bands}; "
-            "pass --srf <csv> with that many columns"
-        )
     return DegradationModel(blur, Downsampler(factor), srf, **noise)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, stage: _Stage) -> None:
     from .io import save_blocks
     from .scenes import SceneSpec, scene_blocks
 
-    with _Stage(args, args.out) as stage:
-        spec = SceneSpec(
-            bands=args.bands,
-            height=args.size,
-            width=args.size,
-            endmembers=args.endmembers,
-            smoothness=args.smoothness,
-            seed=args.seed,
-        )
-        shape = (spec.bands, spec.height, spec.width)
-        with stage.timed("generate"):
-            block = scene_blocks(spec)
-        with stage.timed("save"):
-            save_blocks(args.out, shape, block, scale=(0.0, 1.0))
-        stage.output("cube", args.out, shape)
-        print(f"wrote {args.out} ({'x'.join(map(str, shape))})")
-    return 0
+    spec = SceneSpec(
+        bands=args.bands,
+        height=args.size,
+        width=args.size,
+        endmembers=args.endmembers,
+        smoothness=args.smoothness,
+        seed=args.seed,
+    )
+    shape = (spec.bands, spec.height, spec.width)
+    with stage.timed("generate"):
+        block = scene_blocks(spec)
+    with stage.timed("save"):
+        save_blocks(args.out, shape, block, scale=(0.0, 1.0))
+    stage.output("cube", args.out, shape)
+    print(f"wrote {args.out} ({'x'.join(map(str, shape))})")
 
 
-def cmd_degrade(args: argparse.Namespace) -> int:
+def cmd_degrade(args: argparse.Namespace, stage: _Stage) -> None:
     from .io import save_cube
 
-    with _Stage(args, args.out_y) as stage:
-        path = getattr(args, "in")  # "in" is a keyword
-        with stage.timed("load"):
-            shape = stage.shape("cube", path)
-        with stage.timed("degrade"):
-            noise = {"noise_sigma": args.noise, "noise_seed": args.noise_seed}
-            model = _model(stage, args, args.factor, shape, **noise)
-            # read from the file band by band, then block by block, never whole
-            y, z = model.degrade(path)
-        with stage.timed("save"):
-            save_cube(args.out_y, y)
-            save_cube(args.out_z, z)
-        stage.output("y", args.out_y, y.data.shape)
-        stage.output("z", args.out_z, z.data.shape)
-        print(
-            f"wrote {args.out_y} ({y.bands}x{y.height}x{y.width}) and "
-            f"{args.out_z} ({z.bands}x{z.height}x{z.width})"
-        )
-    return 0
+    path = getattr(args, "in")  # "in" is a keyword
+    with stage.timed("load"):
+        shape = stage.shape("cube", path)
+    with stage.timed("degrade"):
+        noise = {"noise_sigma": args.noise, "noise_seed": args.noise_seed}
+        model = _model(stage, args, args.factor, shape, **noise)
+        # read from the file band by band, then block by block, never whole
+        y, z = model.degrade(path)
+    with stage.timed("save"):
+        save_cube(args.out_y, y)
+        save_cube(args.out_z, z)
+    stage.output("y", args.out_y, y.data.shape)
+    stage.output("z", args.out_z, z.data.shape)
+    print(
+        f"wrote {args.out_y} ({y.bands}x{y.height}x{y.width}) and "
+        f"{args.out_z} ({z.bands}x{z.height}x{z.width})"
+    )
 
 
 def _infer_factor(y: tuple[int, int, int], z: tuple[int, int, int]) -> int:
@@ -288,103 +274,101 @@ def _infer_factor(y: tuple[int, int, int], z: tuple[int, int, int]) -> int:
     return factor
 
 
-def cmd_fuse(args: argparse.Namespace) -> int:
+def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
     from .cube import check_shape
     from .hqs import HqsConfig, fuse
     from .io import load_cube, save_cube
     from .priors import PriorSource, make_prior
 
-    with _Stage(args, args.out) as stage:
-        kind, _, prior_path = args.prior.partition(":")
-        if args.prior != "naive" and not (kind == "file" and prior_path):
-            raise ValidationError(f"prior must be 'naive' or 'file:<path>', got {args.prior!r}")
-        with stage.timed("load"):
-            y_shape, z_shape = stage.shape("y", args.y), stage.shape("z", args.z)
-            # the model is checked against every header before any payload is read
-            factor = _infer_factor(y_shape, z_shape)
-            hr_shape = (y_shape[0], *z_shape[1:])
-            model = _model(stage, args, factor, hr_shape, z_shape[0])
-            if prior_path:
-                check_shape("prior", stage.shape("prior", prior_path), hr_shape)
-            y, z = load_cube(args.y), load_cube(args.z)
+    kind, _, prior_path = args.prior.partition(":")
+    if args.prior != "naive" and not (kind == "file" and prior_path):
+        raise ValidationError(f"prior must be 'naive' or 'file:<path>', got {args.prior!r}")
+    with stage.timed("load"):
+        y_shape, z_shape = stage.shape("y", args.y), stage.shape("z", args.z)
+        # the model is checked against every header before any payload is read
+        factor = _infer_factor(y_shape, z_shape)
+        hr_shape = (y_shape[0], *z_shape[1:])
+        model = _model(stage, args, factor, hr_shape)
+        if model.srf.out_bands != z_shape[0]:
+            raise ValidationError(
+                f"SRF {args.srf!r} produces {model.srf.out_bands} bands but z has {z_shape[0]}; "
+                "pass --srf <csv> with that many columns"
+            )
+        if prior_path:
+            check_shape("prior", stage.shape("prior", prior_path), hr_shape)
+        y, z = load_cube(args.y), load_cube(args.z)
 
-        cfg = HqsConfig(
-            mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
-        )
+    cfg = HqsConfig(
+        mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
+    )
 
-        with stage.timed("prior"):
-            # held only by the list, so fuse gets the one reference and frees
-            # the cube once it holds its spectrum
-            if prior_path:
-                holder = [load_cube(prior_path)]
-            else:
-                holder = [make_prior(PriorSource.naive_fusion(), y, z, model)]
-        with stage.timed("fuse"):
-            result = fuse(y, z, model, holder.pop(), cfg)
-        with stage.timed("save"):
-            save_cube(args.out, result.x_hat)
-        stage.output("x_hat", args.out, result.x_hat.data.shape)
-        stage.manifest["iterations"] = result.iterations
-        stage.manifest["converged"] = result.converged
-        stage.manifest["objective_trace"] = list(result.objective_trace)
-        # how far the run was from --tol, also when it stopped at the cap
-        stage.manifest["rel_changes"] = list(result.rel_changes)
-        print(
-            f"wrote {args.out} after {result.iterations} iteration(s), "
-            f"converged={result.converged}"
-        )
-    return 0
+    with stage.timed("prior"):
+        # held only by the list, so fuse gets the one reference and frees
+        # the cube once it holds its spectrum
+        if prior_path:
+            holder = [load_cube(prior_path)]
+        else:
+            holder = [make_prior(PriorSource.naive_fusion(), y, z, model)]
+    with stage.timed("fuse"):
+        result = fuse(y, z, model, holder.pop(), cfg)
+    with stage.timed("save"):
+        save_cube(args.out, result.x_hat)
+    stage.output("x_hat", args.out, result.x_hat.data.shape)
+    stage.manifest["iterations"] = result.iterations
+    stage.manifest["converged"] = result.converged
+    stage.manifest["objective_trace"] = list(result.objective_trace)
+    # how far the run was from --tol, also when it stopped at the cap
+    stage.manifest["rel_changes"] = list(result.rel_changes)
+    print(
+        f"wrote {args.out} after {result.iterations} iteration(s), "
+        f"converged={result.converged}"
+    )
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, stage: _Stage) -> None:
     from .io import write_atomic
     from .metrics import CSV_HEADER, evaluate
 
-    primary = args.json or args.csv or (args.x_hat + ".metrics")
-    with _Stage(args, primary) as stage:
-        with stage.timed("load"):
-            stage.shape("x_hat", args.x_hat)
-            stage.shape("ref", args.ref)
-        with stage.timed("evaluate"):
-            # read from the files band by band, never a whole cube
-            report = evaluate(args.x_hat, args.ref, args.factor)
-        stage.manifest["metrics"] = report.to_dict()
-        if args.json:
-            write_atomic(args.json, (report.to_json() + "\n").encode())
-            stage.output("json", args.json)
-        if args.csv:
-            write_atomic(args.csv, f"{CSV_HEADER}\n{report.csv_row()}\n".encode())
-            stage.output("csv", args.csv)
-        print(
-            f"rmse={report.rmse:.6g} psnr={report.psnr:.6g} ergas={report.ergas:.6g} "
-            f"sam={report.sam:.6g} ssim={report.ssim:.6g}"
-        )
-    return 0
+    with stage.timed("load"):
+        stage.shape("x_hat", args.x_hat)
+        stage.shape("ref", args.ref)
+    with stage.timed("evaluate"):
+        # read from the files band by band, never a whole cube
+        report = evaluate(args.x_hat, args.ref, args.factor)
+    stage.manifest["metrics"] = report.to_dict()
+    if args.json:
+        write_atomic(args.json, (report.to_json() + "\n").encode())
+        stage.output("json", args.json)
+    if args.csv:
+        write_atomic(args.csv, f"{CSV_HEADER}\n{report.csv_row()}\n".encode())
+        stage.output("csv", args.csv)
+    print(
+        f"rmse={report.rmse:.6g} psnr={report.psnr:.6g} ergas={report.ergas:.6g} "
+        f"sam={report.sam:.6g} ssim={report.ssim:.6g}"
+    )
 
 
-def cmd_errormap(args: argparse.Namespace) -> int:
+def cmd_errormap(args: argparse.Namespace, stage: _Stage) -> None:
     from .io import band_index_for_wavelength, export_error_map
 
-    with _Stage(args, args.out) as stage:
-        if (args.band is None) == (args.wavelength is None):
-            raise ValidationError("pass exactly one of --band or --wavelength")
-        with stage.timed("load"):
-            bands = stage.shape("x_hat", args.x_hat)[0]
-            stage.shape("ref", args.ref)
-            if args.band is not None:
-                if not 1 <= args.band <= bands:
-                    raise ValidationError(
-                        f"--band is 1-based and must lie in [1, {bands}], got {args.band}"
-                    )
-                band0 = args.band - 1
-            else:
-                band0 = band_index_for_wavelength(args.wavelength, bands, args.wl_min, args.wl_max)
-        with stage.timed("export"):
-            export_error_map(args.x_hat, args.ref, band0, args.out, max_error=args.max_error)
-        stage.manifest["band"] = band0 + 1
-        stage.output("image", args.out)
-        print(f"wrote {args.out} (band {band0 + 1} of {bands})")
-    return 0
+    if (args.band is None) == (args.wavelength is None):
+        raise ValidationError("pass exactly one of --band or --wavelength")
+    with stage.timed("load"):
+        bands = stage.shape("x_hat", args.x_hat)[0]
+        stage.shape("ref", args.ref)
+        if args.band is not None:
+            if not 1 <= args.band <= bands:
+                raise ValidationError(
+                    f"--band is 1-based and must lie in [1, {bands}], got {args.band}"
+                )
+            band0 = args.band - 1
+        else:
+            band0 = band_index_for_wavelength(args.wavelength, bands, args.wl_min, args.wl_max)
+    with stage.timed("export"):
+        export_error_map(args.x_hat, args.ref, band0, args.out, max_error=args.max_error)
+    stage.manifest["band"] = band0 + 1
+    stage.output("image", args.out)
+    print(f"wrote {args.out} (band {band0 + 1} of {bands})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothness", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, primary=lambda a: a.out)
 
     p = sub.add_parser("degrade", parents=[common], help="apply the degradation model")
     p.add_argument("--in", required=True)
@@ -426,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--out-y", required=True)
     p.add_argument("--out-z", required=True)
-    p.set_defaults(func=cmd_degrade)
+    p.set_defaults(func=cmd_degrade, primary=lambda a: a.out_y)
 
     p = sub.add_parser("fuse", parents=[common], help="reconstruct the high-resolution cube")
     p.add_argument("--y", required=True, help="low-resolution cube")
@@ -440,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blur", help="defaults to block:<factor>")
     p.add_argument("--srf", default="default", help="'default' or an SRF csv path")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=cmd_fuse, primary=lambda a: a.out)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a cube against a reference")
     p.add_argument("--x-hat", required=True)
@@ -448,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=int, required=True)
     p.add_argument("--json", default=None, help="write the report as JSON here")
     p.add_argument("--csv", default=None, help="write the report as CSV here")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, primary=lambda a: a.json or a.csv or a.x_hat + ".metrics")
 
     p = sub.add_parser("errormap", parents=[common], help="export a per-band error image")
     p.add_argument("--x-hat", required=True)
@@ -459,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wl-max", type=float, default=700.0)
     p.add_argument("--max-error", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_errormap)
+    p.set_defaults(func=cmd_errormap, primary=lambda a: a.out)
     return parser
 
 
@@ -486,7 +470,10 @@ def main(argv: list[str] | None = None) -> int:
     for var in _THREAD_VARS:
         os.environ[var] = "1"
     try:
-        return args.func(args)
+        with _Stage(args) as stage:
+            stage.manifest["config"]["threads"] = _configure_threads(args.threads)
+            args.func(args, stage)
+        return 0
     except Exception as exc:
         code = _exit_code_for(exc)
         if code is None:

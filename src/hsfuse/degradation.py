@@ -123,6 +123,8 @@ class BlurOperator:
             )
         if not np.all(np.isfinite(kernel)):
             raise ValidationError("kernel values must be finite")
+        if np.shape(anchor) != (2,):
+            raise ValidationError(f"anchor must be a (row, column) pair, got {anchor!r}")
         ar, ac = anchor
         if not all(check_int("anchor", a, 0) < n for a, n in zip((ar, ac), kernel.shape)):
             raise ValidationError(f"anchor {anchor} lies outside the kernel {kernel.shape}")
@@ -156,6 +158,8 @@ class Downsampler:
 
     def __post_init__(self) -> None:
         check_int("factor", self.factor, 1)
+        if np.shape(self.phase) != (2,):
+            raise ValidationError(f"phase must be a (row, column) pair, got {self.phase!r}")
         pr, pc = self.phase
         if not all(check_int("phase", p, 0) < self.factor for p in (pr, pc)):
             raise ValidationError(

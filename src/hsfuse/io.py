@@ -408,11 +408,12 @@ def band_index_for_wavelength(
     """0-based index of the band whose center is nearest the wavelength.
 
     Band centers are spaced uniformly from ``lo_nm`` to ``hi_nm`` inclusive.
-    Ties and out-of-range wavelengths resolve to the nearest center.
+    Ties and out-of-range wavelengths resolve to the nearest center. Every
+    wavelength is a length, so each must be a finite, positive real number.
     """
     check_int("bands", bands, 1)
-    if not (np.isfinite(wavelength_nm) and np.isfinite(lo_nm) and np.isfinite(hi_nm)):
-        raise ValidationError("wavelengths must be finite")
+    wavelength_nm = check_real("wavelength_nm", wavelength_nm)
+    lo_nm, hi_nm = check_real("lo_nm", lo_nm), check_real("hi_nm", hi_nm)
     if hi_nm <= lo_nm:
         raise ValidationError(f"need hi_nm > lo_nm, got {lo_nm!r} and {hi_nm!r}")
     centers = np.linspace(lo_nm, hi_nm, bands)

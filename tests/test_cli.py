@@ -657,6 +657,11 @@ class TestExitCodes:
             main(["errormap", "--x-hat", paths["gt"], "--ref", paths["gt"],
                   "--band", "99", "--out", str(tmp / "e.pgm")]) == 2
         )
+        # a wavelength is a positive length
+        for flags in (["--wavelength", "0"], ["--wavelength", "-540"],
+                      ["--wavelength", "540", "--wl-min", "0"]):
+            assert main(["errormap", "--x-hat", paths["gt"], "--ref", paths["gt"], *flags,
+                         "--out", str(tmp / "e.pgm")]) == 2
         assert main(["simulate", "--bands", "4", "--size", "3", "--out", out]) == 2
         # the spec is checked inside the stage, so the rejection has its manifest
         bad = tmp / "bad.cube"
@@ -914,19 +919,30 @@ class TestThreads:
             runs.append((out.read_bytes(), manifest["objective_trace"], manifest["rel_changes"]))
         assert runs[0] == runs[1]
 
-    def test_invalid_values_exit_2(self, tmp_path, monkeypatch):
-        # a failed run writes its manifest, with the error record, like any other
-        manifest = tmp_path / "s.cube.manifest.json"
-        rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
-                   "--threads", "0", "--out", str(tmp_path / "s.cube")])
-        assert rc == 2
-        assert json.loads(manifest.read_text())["error"]["type"] == "ValidationError"
-        manifest.unlink()
-        monkeypatch.setenv("HSFUSE_THREADS", "many")
-        rc = main(["simulate", "--bands", "4", "--size", "8", "--endmembers", "2",
-                   "--out", str(tmp_path / "s.cube")])
-        assert rc == 2
-        assert json.loads(manifest.read_text())["error"]["type"] == "ValidationError"
+    # each command's flags (the pool is sized before any file is read) and its primary output
+    COMMANDS = {
+        "simulate": ("--out {d}/s.cube", "s.cube"),
+        "degrade": ("--in {d}/x.cube --out-y {d}/y.cube --out-z {d}/z.cube", "y.cube"),
+        "fuse": ("--y {d}/y.cube --z {d}/z.cube --out {d}/x.cube", "x.cube"),
+        "evaluate": ("--x-hat {d}/x.cube --ref {d}/r.cube --factor 4", "x.cube.metrics"),
+        "errormap": ("--x-hat {d}/x.cube --ref {d}/r.cube --band 1 --out {d}/e.pgm", "e.pgm"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_invalid_values_exit_2(self, tmp_path, monkeypatch, command):
+        # a failed run writes its manifest at its primary output, with the
+        # error record, like any other
+        flags, primary = self.COMMANDS[command]
+        argv = [command, *flags.format(d=tmp_path).split()]
+        manifest = tmp_path / f"{primary}.manifest.json"
+        for extra, env, threads in ((["--threads", "0"], None, 0), ([], "many", None)):
+            if env is not None:
+                monkeypatch.setenv("HSFUSE_THREADS", env)
+            assert main(argv + extra) == 2
+            record = json.loads(manifest.read_text())
+            assert record["error"]["type"] == "ValidationError"
+            assert record["config"]["threads"] == threads
+            manifest.unlink()
 
 
 def write_inputs(tmp_path, bands, size, factor):

@@ -185,6 +185,25 @@ class TestDownsampler:
             Downsampler(3).apply_array(np.zeros((1, 7, 9)))
 
 
+# a sub-pixel offset is a (row, column) pair, refused with the argument's name
+# before either element is checked
+_OFFSETS = {
+    "phase": lambda pair: Downsampler(2, phase=pair),
+    "anchor": lambda pair: BlurOperator.custom(8, 8, np.ones((3, 3)), anchor=pair),
+}
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    [("phase", 1), ("phase", None), ("phase", (0,)), ("phase", (0, 0, 0)),
+     ("anchor", 1), ("anchor", (1,)), ("anchor", (1, 1, 1)), ("anchor", [[1, 1]])],
+    ids=lambda value: str(value).replace(" ", ""),
+)
+def test_an_offset_that_is_not_a_pair_is_refused(name, pair):
+    with pytest.raises(ValidationError, match=rf"{name} must be a \(row, column\) pair"):
+        _OFFSETS[name](pair)
+
+
 class TestSpectralResponse:
     def test_rows_are_normalized(self):
         srf = SpectralResponse(np.array([[2.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 2.0]]))

@@ -552,6 +552,17 @@ class TestWoodburyMinimizer:
         assert got.converged
         assert relative_gap(got.x_hat.data, x_star) <= 1e-10
 
+    @CONFIGS
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    def test_fuse_run_to_its_fixed_point_reaches_it_on_variants(self, kind, cfg):
+        # odd grids, odd factors, sub-pixel phases and Gaussian blurs, where
+        # the aliasing groups and the half spectrum's mirror differ from desk's
+        model, y, z, prior = variant_problem(kind)
+        x_star = woodbury_minimizer(y, z, model, prior, cfg)
+        got = fuse(y, z, model, prior, HqsConfig(cfg.mu, cfg.nu, cfg.rho, max_iter=200, rel_tol=1e-16))
+        assert got.converged
+        assert relative_gap(got.x_hat.data, x_star) <= 1e-10
+
     @pytest.mark.parametrize("seed", range(5))
     def test_the_minimizer_leaves_the_z_residual_that_fuse_leaves(self, seed):
         # acceptance criterion 6's cause: z is a penalty term of the

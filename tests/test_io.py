@@ -6,7 +6,7 @@ import pytest
 
 import hsfuse.io
 from helpers import bad_cube_files, rand_cube
-from hsfuse.cli import _write_manifest, build_parser
+from hsfuse.cli import _write_manifest, main
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import SpectralResponse
 from hsfuse.errors import (
@@ -153,11 +153,10 @@ class TestCubeContainer:
             raise OSError("no space left on device")
 
         def evaluate(report_flag):
-            args = build_parser().parse_args(
+            return main(
                 ["evaluate", "--x-hat", cube_path, "--ref", cube_path, "--factor", "2",
                  report_flag, str(path)]
             )
-            args.func(args)
 
         writes = {
             "cube": lambda: save_cube(path, cube),
@@ -167,8 +166,12 @@ class TestCubeContainer:
             "evaluate-csv": lambda: evaluate("--csv"),
         }
         monkeypatch.setattr(hsfuse.io, "open", open_then_fail, raising=False)
-        with pytest.raises(OSError):
-            writes[write]()
+        if write.startswith("evaluate"):
+            # the CLI reports the failed write as an I/O problem
+            assert writes[write]() == 3
+        else:
+            with pytest.raises(OSError):
+                writes[write]()
         assert path.read_bytes() == b"previous contents"
         # no temp file is left behind, nor a manifest from the failed command
         assert [p.name for p in out_dir.iterdir()] == ["out"]
@@ -657,3 +660,8 @@ class TestWavelengthLookup:
             band_index_for_wavelength(np.nan, 31)
         with pytest.raises(ValidationError):
             band_index_for_wavelength(500.0, 31, lo_nm=700.0, hi_nm=400.0)
+        # a wavelength is a length: a real number, finite and positive
+        for args in [(None, 31), ("500", 31), (500.0, 31, None, 700.0), (500, 31, 400, "700"),
+                     (0.0, 31), (-540.0, 31), (500.0, 31, 0.0, 700.0), (500.0, 31, -100.0, 700.0)]:
+            with pytest.raises(ValidationError):
+                band_index_for_wavelength(*args)

@@ -8,8 +8,10 @@ thread pool lives in ``hsfuse.cube``, whose maps start plain threads and
 never load ``concurrent.futures``; only ``hsfuse.cube`` compares a
 cube's shape or cuts work into slices; only ``hsfuse.io`` opens or reads
 files (the builtin ``open``, ``readinto``, ``np.fromfile``, ``np.memmap``),
-so every read of a cube passes its checks; and every public name has a
-caller in the program, the benchmark or the acceptance criteria.
+so every read of a cube passes its checks; only ``cli.main`` opens a
+command's stage, so each run's manifest and pool size are set up once; and
+every public name has a caller in the program, the benchmark or the
+acceptance criteria.
 """
 
 import ast
@@ -99,6 +101,22 @@ def test_only_io_opens_files():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
     ]
     assert SOURCES and offenders == []
+
+
+def _stage_calls(node: ast.AST) -> list[ast.Call]:
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_Stage"
+    ]
+
+
+def test_only_main_opens_a_stage():
+    # ``main`` opens the manifest and sizes the pool for every command; a
+    # command that opened its own stage would be a second runner
+    tree = ast.parse((Path(hsfuse.__file__).parent / "cli.py").read_text())
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    assert len(_stage_calls(tree)) == len(_stage_calls(main)) == 1
 
 
 def test_no_module_imports_a_private_name_from_another():
