@@ -14,7 +14,8 @@ Every stage that reads files reads their headers first, under ``load``, and
 checks them before it reads any payload. No stage holds a whole input or
 output cube but ``fuse``, which under ``load`` reads the headers of y, z
 and a prior file, builds the model from y's and z's and checks the prior's
-against it, and only then loads y and z whole (a prior file under ``prior``).
+against it, and only then loads y and z whole (a prior file under ``prior``;
+the naive prior is built as its spectrum inside ``hqs.fuse``, under ``fuse``).
 ``simulate`` times the endmember spectra, their maps and the peak of their
 product under ``generate``, and the scaled product's blocks of pixels,
 written straight into the file, under ``save``. ``degrade`` reads its
@@ -278,7 +279,7 @@ def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
     from .cube import check_shape
     from .hqs import HqsConfig, fuse
     from .io import load_cube, save_cube
-    from .priors import PriorSource, make_prior
+    from .priors import PriorSource
 
     kind, _, prior_path = args.prior.partition(":")
     if args.prior != "naive" and not (kind == "file" and prior_path):
@@ -303,12 +304,10 @@ def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
     )
 
     with stage.timed("prior"):
-        # held only by the list, so fuse gets the one reference and frees
-        # the cube once it holds its spectrum
-        if prior_path:
-            holder = [load_cube(prior_path)]
-        else:
-            holder = [make_prior(PriorSource.naive_fusion(), y, z, model)]
+        # a prior file's cube is held only by the list, so fuse gets the one
+        # reference and frees it once it holds its spectrum; fuse builds the
+        # naive prior's spectrum itself, under "fuse"
+        holder = [load_cube(prior_path) if prior_path else PriorSource.naive_fusion()]
     with stage.timed("fuse"):
         result = fuse(y, z, model, holder.pop(), cfg)
     with stage.timed("save"):

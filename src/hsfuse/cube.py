@@ -14,8 +14,10 @@ mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
 Parseval sum counts each stored column that has a mirror twice: all but
 column 0 and, for an even width, column width//2. ``half_sums`` is the one
 place that rule lives; it sums over blocks of stored columns on the pool.
-``mix_bands`` is the one band mix: a small matrix applied over the band axis
-of a cube or spectrum, in place, block by block on the pool.
+``mix_bands`` is the one full band mix: a small matrix applied over the band
+axis of a cube or spectrum, in place, block by block on the pool, which
+walks a spectrum as its ``real_rows`` view, as do the low-rank band updates
+of ``sylvester`` and ``priors``.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
 and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
 chunk of planes (``chunks``). ``circular_convolve`` filters on half spectra
@@ -83,6 +85,7 @@ __all__ = [
     "pool_map",
     "pool_size",
     "rdft2",
+    "real_rows",
     "serial",
 ]
 
@@ -408,6 +411,11 @@ def each_block(fn: Callable, *arrays: np.ndarray) -> list:
     return pool_map(lambda cols: fn(*[a[..., cols] for a in arrays]), blocks(arrays[0].shape[-1]))
 
 
+def real_rows(a: np.ndarray) -> np.ndarray:
+    """Contiguous ``a`` as a (a.shape[0], values) float64 view; a complex value is two floats."""
+    return a.reshape(a.shape[0], -1).view(np.float64)
+
+
 def mix_bands(
     mat: np.ndarray, spec: np.ndarray, add: tuple[np.ndarray, np.ndarray] | None = None
 ) -> None:
@@ -417,9 +425,6 @@ def mix_bands(
     trailing size. A real matrix mixes real and imaginary parts alike, so a
     spectrum is mixed as its real view, one block of columns per pool item.
     """
-
-    def real(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[0], -1).view(np.float64)
 
     def mix(out: np.ndarray, *s: np.ndarray) -> None:
         block = mat @ out
@@ -431,7 +436,7 @@ def mix_bands(
         np.matmul(add[0], s[0], out=out)
         out += block
 
-    each_block(mix, real(spec), *(() if add is None else (real(add[1]),)))
+    each_block(mix, real_rows(spec), *(() if add is None else (real_rows(add[1]),)))
 
 
 def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import HsiCube, blocks, check_shape, circular_convolve, dft2, pool_map
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_int, check_pair, check_real
 
 __all__ = [
     "BlurOperator",
@@ -123,10 +123,8 @@ class BlurOperator:
             )
         if not np.all(np.isfinite(kernel)):
             raise ValidationError("kernel values must be finite")
-        if np.shape(anchor) != (2,):
-            raise ValidationError(f"anchor must be a (row, column) pair, got {anchor!r}")
-        ar, ac = anchor
-        if not all(check_int("anchor", a, 0) < n for a, n in zip((ar, ac), kernel.shape)):
+        ar, ac = check_pair("anchor", anchor)
+        if ar >= kernel.shape[0] or ac >= kernel.shape[1]:
             raise ValidationError(f"anchor {anchor} lies outside the kernel {kernel.shape}")
         if normalize:
             total = kernel.sum()
@@ -157,14 +155,11 @@ class Downsampler:
     phase: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        check_int("factor", self.factor, 1)
-        if np.shape(self.phase) != (2,):
-            raise ValidationError(f"phase must be a (row, column) pair, got {self.phase!r}")
-        pr, pc = self.phase
-        if not all(check_int("phase", p, 0) < self.factor for p in (pr, pc)):
-            raise ValidationError(
-                f"phase {self.phase} must lie in [0, {self.factor}) on both axes"
-            )
+        object.__setattr__(self, "factor", check_int("factor", self.factor, 1))
+        phase = check_pair("phase", self.phase)
+        if max(phase) >= self.factor:
+            raise ValidationError(f"phase {self.phase} must lie in [0, {self.factor}) on both axes")
+        object.__setattr__(self, "phase", phase)
 
     def apply_array(self, data: np.ndarray) -> np.ndarray:
         height, width = data.shape[-2:]

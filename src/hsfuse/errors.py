@@ -2,9 +2,9 @@
 
 The CLI maps these onto process exit codes: validation problems exit with 2,
 file-format and OS-level I/O problems with 3, numerical failures with 4.
-Public entry points check each integer argument with ``check_int`` and each
-positive (or non-negative) real one with ``check_real``, once; the code they
-call trusts the result.
+Public entry points check each integer argument with ``check_int``, each
+(row, column) offset with ``check_pair`` and each positive (or non-negative)
+real one with ``check_real``, once; the code they call trusts the result.
 """
 
 import math
@@ -19,6 +19,7 @@ __all__ = [
     "TruncatedPayloadError",
     "UnknownDtypeError",
     "check_int",
+    "check_pair",
     "check_real",
 ]
 
@@ -64,6 +65,19 @@ def check_int(name: str, value, minimum: int) -> int:
     if number < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
     return number
+
+
+def check_pair(name: str, value) -> tuple[int, int]:
+    """``value`` as a (row, column) offset: a tuple of two ``int``s, each at least 0.
+
+    Anything that does not unpack into two integers, a ragged pair such as
+    ``(0, (1,))`` included, is refused.
+    """
+    try:
+        row, col = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a (row, column) pair, got {value!r}") from None
+    return check_int(name, row, 0), check_int(name, col, 0)
 
 
 def check_real(name: str, value, allow_zero: bool = False) -> float:

@@ -21,9 +21,13 @@ sub-steps once, each in its own module: the v-step as a band vector and one
 half-grid table, its gain built per block of frequencies where it is used
 (``vstep.factor_denoise``), and the x-step in U's coordinates, with the data
 term of y and z and no cube of its own (``sylvester.XStep.create``, which
-transforms y on its low-resolution grid and z once). It transforms the
-prior once (``cube.rdft2``) and rotates it into U's coordinates
-(``cube.mix_bands``), and returns x through one rotation back and one
+transforms y on its low-resolution grid and z once). The x-step stays in
+U's coordinates (see ``sylvester``), so the loop makes no bands x bands mix
+over a spectrum. The prior's spectrum in U's coordinates is made once: for
+``priors.PriorSource.naive_fusion()`` it is built directly from y and z's
+spectrum (``priors.prior_spectrum``), with no prior cube and no transform
+of one; a prior cube is transformed (``cube.rdft2``) and rotated
+(``cube.mix_bands``). ``fuse`` returns x through one rotation back and one
 inverse transform (``cube.irdft2``). Besides the prior's spectrum, x and v,
 the loop holds only z's spectrum.
 
@@ -57,6 +61,7 @@ from .cube import HsiCube, chunks, half_sums, irdft2, mix_bands, rdft2
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import regularizer_value
+from .priors import PriorSource, prior_spectrum
 from .vstep import DenoiseFactors, denoise_spectrum, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
@@ -135,8 +140,8 @@ class _Spectra:
     """What one run transforms and factors once, and the one pass that scores an iterate.
 
     Everything is in the coordinates of U = ``denoise.basis``: the x-step is
-    built in them (``xstep.srf`` is the response times U), and ``p_hat``, the
-    prior's half spectrum, is mixed by U^T.
+    built in them (``xstep.srf`` is the response times U), and so is
+    ``p_hat``, the prior's half spectrum.
     """
 
     xstep: sylvester.XStep
@@ -145,7 +150,12 @@ class _Spectra:
 
     @classmethod
     def prepare(
-        cls, y: HsiCube, z: HsiCube, model: DegradationModel, prior: HsiCube, cfg: HqsConfig
+        cls,
+        y: HsiCube,
+        z: HsiCube,
+        model: DegradationModel,
+        prior: HsiCube | PriorSource,
+        cfg: HqsConfig,
     ) -> "_Spectra":
         # The order keeps the set-up's peak low: factor_denoise frees the
         # Laplacian operator it builds before it returns, and z and then the
@@ -156,8 +166,11 @@ class _Spectra:
         mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
         denoise = factor_denoise(*model.hr_shape, model.bands, mu_p, nu_p)
         xstep = sylvester.XStep.create(model, denoise.basis, cfg.rho, y, z)
-        p_hat = rdft2(prior.data)
-        mix_bands(denoise.basis.T, p_hat)
+        if isinstance(prior, PriorSource):
+            p_hat = prior_spectrum(y, model, denoise.basis, xstep.z_hat)
+        else:
+            p_hat = rdft2(prior.data)
+            mix_bands(denoise.basis.T, p_hat)
         return cls(xstep, denoise, p_hat)
 
     def score(
@@ -209,19 +222,22 @@ def fuse(
     y: HsiCube,
     z: HsiCube,
     model: DegradationModel,
-    prior: HsiCube,
+    prior: HsiCube | PriorSource,
     cfg: HqsConfig = HqsConfig(),
 ) -> FusionResult:
-    """Run the alternating iteration from v = prior.
+    """Run the alternating iteration from v = prior, a cube or the naive prior's source.
 
     Stops early once the relative change between consecutive x iterates falls
     to ``cfg.rel_tol`` (the ``converged`` flag records whether that happened
     before the ``max_iter`` cap).
 
-    The loop reads the prior only through its half spectrum, so ``fuse``
-    drops its own reference to ``prior`` once that is taken: a caller that
-    hands over its only reference, as the CLI does, has the cube freed
-    before the loop allocates its iterates. On CPython 3.10 the caller's
+    The loop reads the prior only through its half spectrum. For
+    ``PriorSource.naive_fusion()`` that spectrum is built directly
+    (``priors.prior_spectrum``), and no prior cube exists. A cube's is
+    taken with one transform and one band mix, and ``fuse`` then drops its
+    own reference to ``prior``: a caller that hands over its only
+    reference, as the CLI does for a prior file, has the cube freed before
+    the loop allocates its iterates. On CPython 3.10 the caller's
     stack holds the argument until the call returns, so there the cube lives
     through the run.
 
@@ -230,7 +246,8 @@ def fuse(
         UnsupportedStructureError: the x-step system is outside the closed-form
             solver's structure.
     """
-    model.check_hr("prior", prior)
+    if not isinstance(prior, PriorSource):
+        model.check_hr("prior", prior)
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
     del prior

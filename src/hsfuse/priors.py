@@ -1,20 +1,25 @@
-"""Prior cubes for the regularizer's anchor term.
+"""Prior cubes for the regularizer's anchor term, and the naive prior's spectrum.
 
 The fusion driver treats the prior as data: any high-resolution cube of the
 right shape works. The usual prior is a cube file, e.g. the output of a
 separately trained network; it is read like any other input
 (``io.load_cube``, or ``fuse --prior file:<path>``, which checks its header
-first) and handed to ``hqs.fuse`` as is. ``make_prior`` builds the one prior
-this package makes itself, a naive fusion of the inputs.
+first) and handed to ``hqs.fuse`` as is. The one prior this package makes
+itself is a naive fusion of the inputs, which ``hqs.fuse`` also takes as its
+``PriorSource``.
 
 Naive fusion upsamples the low-res cube bilinearly to u, then back-projects
 the spectral residual per pixel so the result reproduces the mixed-band image
 exactly: with K = R^T (R R^T)^-1, the prior u + K (z - R u) satisfies
 ``srf(prior) == z`` up to solver roundoff. The upsample is linear and acts on
 each band alone, so it commutes with the band mix M = I - K R, and the prior
-is built as ``Wr (M y)_b Wc^T + (K z)_b``: the bands x bands mix runs on the
-low-resolution grid, and the only cube-sized work is one upsample per band
-and one GEMM over z.
+is ``Wr (M y)_b Wc^T + (K z)_b``: the bands x bands mix runs on the
+low-resolution grid. ``make_prior`` builds that cube, one upsample per band
+and one GEMM over z. ``prior_spectrum`` builds its half spectrum in the
+coordinates of a band basis U, which is what the fusion loop reads, with no
+cube and no transform of one: the mix is U^T M on y's grid, the transform of
+a separable upsample is ``F(Wr) (U^T M y)_b rfft(Wc)^T`` per band, and z
+enters through its half spectrum, mixed by U^T K.
 """
 
 from __future__ import annotations
@@ -23,22 +28,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, chunks, dft2, each_block, pool_map, real_rows
 from .degradation import DegradationModel
 from .errors import ValidationError
 
-__all__ = ["PriorSource", "make_prior"]
+__all__ = ["PriorSource", "make_prior", "prior_spectrum"]
 
 
 @dataclass(frozen=True)
 class PriorSource:
-    """Tagged choice of the prior ``make_prior`` builds; ``naive_fusion`` is the one kind."""
+    """Tagged choice of the prior this package builds; ``naive_fusion`` is the one kind."""
 
     kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind != "naive_fusion":
+            raise ValidationError(f"unknown prior source kind {self.kind!r}")
 
     @classmethod
     def naive_fusion(cls) -> "PriorSource":
         return cls(kind="naive_fusion")
+
+
+def _naive_mixes(model: DegradationModel) -> tuple[np.ndarray, np.ndarray]:
+    """K = R^T (R R^T)^-1, which maps z into bands, and the mix I - K R applied to y."""
+    r = model.srf.matrix
+    # R R^T is symmetric
+    k = np.linalg.solve(r @ r.T, r).T
+    return k, np.eye(len(k)) - k @ r
 
 
 def _axis_weights(n_in: int, factor: int) -> np.ndarray:
@@ -57,15 +74,17 @@ def _axis_weights(n_in: int, factor: int) -> np.ndarray:
     return mat
 
 
+def _axis_spectrum(n_in: int, factor: int) -> np.ndarray:
+    """The DFT of each column of ``_axis_weights(n_in, factor)``, shape (n_in*factor, n_in)."""
+    # a plane one column wide: its 2-D DFT is the 1-D DFT of that column
+    return dft2(_axis_weights(n_in, factor).T[:, :, None])[:, :, 0].T
+
+
 def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
     """Build the naive-fusion prior of y and z, checked against the model geometry."""
     model.check_data(y, z)
-    if src.kind != "naive_fusion":
-        raise ValidationError(f"unknown prior source kind {src.kind!r}")
-    r = model.srf.matrix
-    # K = R^T (R R^T)^-1; R R^T is symmetric
-    k = np.linalg.solve(r @ r.T, r).T
-    low = ((np.eye(len(k)) - k @ r) @ y.as_matrix()).reshape(y.data.shape)
+    k, mix = _naive_mixes(model)
+    low = (mix @ y.as_matrix()).reshape(y.data.shape)
     height, width = model.hr_shape
     out = (k @ z.as_matrix()).reshape(len(k), height, width)
     s = model.down.factor
@@ -75,3 +94,35 @@ def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel
     for b in range(len(k)):
         out[b] += wr @ low[b] @ wc.T
     return HsiCube(out)
+
+
+def prior_spectrum(
+    y: HsiCube, model: DegradationModel, basis: np.ndarray, z_hat: np.ndarray
+) -> np.ndarray:
+    """The half spectrum of the naive prior ``make_prior`` builds, its bands in ``basis``'s coordinates.
+
+    ``z_hat`` is z's half spectrum; y and z are the model's, as the caller
+    has checked. One pool item per chunk of bands writes each band's
+    upsample with one GEMM into its plane, and one pass over blocks of
+    columns (``cube.each_block``) adds z's part, so the bytes do not depend
+    on the chunking and no temporary is larger than a block.
+    """
+    k, mix = _naive_mixes(model)
+    low = (basis.T @ mix @ y.as_matrix()).reshape(y.data.shape)
+    z_mix = basis.T @ k
+    s = model.down.factor
+    width = model.hr_shape[1]
+    rows = _axis_spectrum(y.height, s)
+    cols = _axis_spectrum(y.width, s)[: width // 2 + 1].T
+    out = np.empty((len(low), len(rows), cols.shape[1]), dtype=np.complex128)
+
+    def upsample(bands: slice) -> None:
+        for b in range(len(out))[bands]:
+            np.matmul(rows @ low[b], cols, out=out[b])
+
+    def add_z(block: np.ndarray, z_block: np.ndarray) -> None:
+        block += z_mix @ z_block
+
+    pool_map(upsample, chunks(len(out), out[0].nbytes))
+    each_block(add_z, real_rows(out), real_rows(z_hat))
+    return out

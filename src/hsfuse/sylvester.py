@@ -10,41 +10,53 @@ per-band normal operator of blur-then-decimate over pixels (matrix-free), and
 C3 = srf_adjoint(z) + blur_adjoint(upsample_adjoint(y)) + rho*v.
 
 The solve is exact per frequency. ``XStep.create`` eigendecomposes C1 in the
-coordinates of an orthonormal band basis U, as ``(R U)^T (R U) + rho*I``; in
-its eigenbasis every channel n decouples, and in the frequency domain
-decimation couples only the factor^2 frequencies that alias onto one
+coordinates of an orthonormal band basis U, as ``S^T S + rho*I`` with
+S = R U; in its eigenbasis every channel n decouples, and in the frequency
+domain decimation couples only the factor^2 frequencies that alias onto one
 low-resolution frequency. Each coupled block is ``lambda_n*I + (1/d) e e^H``,
 with ``e`` the blur response of the group (times unit twiddles for a nonzero
-sampling phase), inverted in closed form by Sherman-Morrison:
-``x_n = (b_n - e*nu_n) / lambda_n`` with one coefficient ``nu_n`` per group.
-The pass leaves ``b_n - e*nu_n`` and the mix back to bands is ``q Lambda^-1``,
-so no pass of its own divides by lambda. The kernels run on half spectra (see
-``cube``): the members of a group that fall in unstored columns are conjugate
-mirrors of stored members of the mirror group -g, so a group's reduction
-``e^H x`` is its stored partial sum plus the conjugate of the matching partial
-sum of group -g, and only the stored members are updated. One kernel,
-``_solve_channels``, runs the pass over a chunk of channels at a time, one
-numpy call per step for the whole chunk rather than one per channel.
+sampling phase), inverted in closed form by Sherman-Morrison. The solution
+is ``x = x0 - e * Q u``: ``x0 = C1^-1 (rho*v + S^T z)`` and, for each group,
+``u = Q^T (e^H x0 - s^2 y_tilde) / (lambda*s^2 + |e|^2)``, one number per
+channel (Wei et al., IEEE TIP 2015, solve the same equation in closed form).
 
-The data part of C3 is never formed as a cube. The first band mix adds z's
-half spectrum, mixed by (srf q)^T, block by block. The transform of
+R has only out_bands (3) rows, so C1 is rho*I plus a rank-3 update: every
+eigenvalue but the top r = min(out_bands, bands) is rho, and
+``rho*C1^-1 = I + Q_r diag(rho/lambda_r - 1) Q_r^T`` (the Woodbury
+identity). The spectrum therefore never leaves U's coordinates.
+``solve_spectrum`` makes three passes over it, each on the pool: the block
+pass (``_block_pass``) writes x0 in place, a rank-r update of v plus
+``C1^-1 S^T`` times z's half spectrum; the reduction (``_group_sums``)
+forms ``e^H x0`` for every band and group; the spread (``_spread``)
+subtracts ``e * w`` at every member. Between the last two, the group step
+runs on the small (bands, gl, gw) grid: ``u``, the y misfit and
+``w = Q u``, with one bands x bands product each way. The kernels run on
+half spectra (see ``cube``): the members of a group that fall in unstored
+columns are conjugate mirrors of stored members of the mirror group -g, so
+a group's reduction ``e^H x`` is its stored partial sum plus the conjugate
+of the matching partial sum of group -g, and only the stored members are
+updated. Each pass works on a chunk of bands (or a block of columns) per
+numpy call.
+
+The data part of C3 is never formed as a cube. z enters through its half
+spectrum in the block pass. The transform of
 blur_adjoint(upsample_adjoint(y)) is ``e`` times y's small, phase-ramped
-transform ``y_tilde`` at every member of a group, so it enters the
-Sherman-Morrison pass as one shift per group and channel,
-``lam_n*s^2*(q^T y_tilde)_n``. With that shift the low-resolution residual of
-the x the pass writes is ``-nu_n``, so ``solve_spectrum`` returns
+transform ``y_tilde`` at every member of a group, so it enters the group
+step as ``s^2 * y_tilde`` (``XStep.y_low``). The Sherman-Morrison
+coefficients are ``nu = lambda * u``, and the low-resolution residual of
+the x the pass writes is ``-nu``, so ``solve_spectrum`` returns
 ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
 
 There is one x-step path. The HQS loop builds one ``XStep`` in the v-step's
 basis and calls ``solve_spectrum`` every iteration, which maps the spectrum
-of v to the spectrum of the solution with no transform at all.
-``solve_fast`` runs that same x-step once on cubes, in the identity basis:
-it transforms v (``cube.rdft2``), calls ``solve_spectrum`` and transforms
-back (``cube.irdft2``). A ``SylvesterSystem`` holds what one x-step is built
-from: the model, y, z, v and rho. C1, C3 and the operator ``C1 X + X C2`` are
-derived from them in one place, for the explicit diagnostic
-``sylvester_residual`` and for the test suite's independent oracles (the
-dense Kronecker solve and matrix-free conjugate gradient).
+of v to the spectrum of the solution with no transform and no full band
+mix. ``solve_fast`` runs that same x-step once on cubes, in the identity
+basis: it transforms v (``cube.rdft2``), calls ``solve_spectrum`` and
+transforms back (``cube.irdft2``). A ``SylvesterSystem`` holds what one
+x-step is built from: the model, y, z, v and rho. C1, C3 and the operator
+``C1 X + X C2`` are derived from them in one place, for the explicit
+diagnostic ``sylvester_residual`` and for the test suite's independent
+oracles (the dense Kronecker solve and matrix-free conjugate gradient).
 
 Every ``DegradationModel`` has a grid its factor divides, and C1 is positive
 definite for rho > 0 in exact arithmetic. R^T R has rank at most the number
@@ -63,7 +75,6 @@ the model have checked its inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +83,14 @@ from .cube import (
     HsiCube,
     check_shape,
     dft2,
+    each_block,
     half_spectrum,
     irdft2,
     mix_bands,
     chunks,
     pool_map,
     rdft2,
+    real_rows,
 )
 from .degradation import DegradationModel
 from .errors import UnsupportedStructureError, check_real
@@ -161,9 +174,12 @@ def sylvester_residual(system: SylvesterSystem, x: HsiCube) -> float:
 class XStep:
     """What the x-step keeps fixed for one model, band basis U, rho and (y, z) pair.
 
-    ``srf`` is the response in U's coordinates, R U, which the objective's
-    z-term reads too. ``q``/``lam`` eigendecompose C1 = srf^T srf + rho*I
-    (ascending, all positive). Member (tr, tc) of aliasing group (gr, gc)
+    ``srf`` is the response in U's coordinates, S = R U, which the objective's
+    z-term reads too. ``q``/``lam`` eigendecompose C1 = S^T S + rho*I
+    (ascending, all positive). S^T S has rank at most r = min(out_bands,
+    bands), so every eigenvalue but the top r is rho, and with q_r the top
+    r eigenvectors, ``rho * C1^-1 = I + lift q_r^T`` for
+    ``lift = q_r diag(rho/lam_r - 1)``. ``z_gain`` is C1^-1 S^T. Member (tr, tc) of aliasing group (gr, gc)
     sits at frequency (tr*gl + gr, tc*gw + gc). A half spectrum stores the
     members in columns 0..width//2, so ``e`` has shape (s, gl, width//2 + 1):
     row tr*gl + gr, column c, which a band of the half spectrum reshapes onto
@@ -174,20 +190,22 @@ class XStep:
     twiddles, and it is 1 at phase (0, 0). ``esq`` is ``|e|^2`` summed over
     all s^2 members of each group, shape (gl, gw).
 
-    The data term: ``shift`` (bands, gl, gw) is y's part, which the
-    Sherman-Morrison pass subtracts from each group's ``e^H b``
-    (``_solve_channels``), and ``z_hat`` is z's half spectrum, which the
-    first band mix adds.
+    The data term: ``y_low`` (bands, gl, gw) is y's part, ``s^2 * y_tilde``
+    in U's coordinates, which the group step subtracts from each group's
+    ``e^H x0`` (``solve_spectrum``), and ``z_hat`` is z's half spectrum,
+    which the block pass adds through ``z_gain``.
     """
 
     rho: float
     srf: np.ndarray
     q: np.ndarray
     lam: np.ndarray
+    lift: np.ndarray
+    z_gain: np.ndarray
     e: np.ndarray
     esq: np.ndarray
     mirror: np.ndarray
-    shift: np.ndarray
+    y_low: np.ndarray
     z_hat: np.ndarray
 
     @property
@@ -215,6 +233,9 @@ class XStep:
                 f"rho = {rho:.3e} is too small: C1 = R^T R + rho*I is not positive "
                 f"definite in floating point (smallest eigenvalue {lam[0]:.3e} < {floor:.3e})"
             )
+        top = len(lam) - min(srf.shape)
+        lift = q[:, top:] * (rho / lam[top:] - 1.0)
+        z_gain = (q / lam) @ (q.T @ srf.T)
         gl, gw = height // s, width // s
         pr, pc = model.down.phase
         tr = np.arange(s).reshape(s, 1, 1, 1)
@@ -232,80 +253,111 @@ class XStep:
         # y's DFT times the sampling-phase ramp: in the group layout of ``e``,
         # the DFT of blur_adjoint(upsample_adjoint(y)) is ``e * y_tilde`` at
         # every member, and ``y_tilde - e^H F(x) / s^2`` is the low-resolution
-        # DFT of y - down(blur(x)) times the same unit-modulus ramp.
-        # Sherman-Morrison solves a group as
-        # ``x = (b - e * (e^H b) / (lam_n*s^2 + |e|^2)) / lam_n``, and
-        # ``e^H (e*c) = |e|^2 c``, so leaving ``e * c_n`` out of b and
-        # subtracting ``lam_n*s^2*c_n`` from ``e^H b`` (c = q^T y_tilde) gives
-        # the same x
+        # DFT of y - down(blur(x)) times the same unit-modulus ramp
         rows, cols = np.arange(gl)[:, None], np.arange(gw)[None, :]
         ramp = np.exp(-2j * np.pi * (rows * pr / height + cols * pc / width))
-        y_tilde = dft2(y.data) * ramp
-        mix_bands(basis.T, y_tilde)
-        shift = (lam * s**2)[:, None, None] * np.tensordot(q.T, y_tilde, axes=(1, 0))
+        y_low = dft2(y.data) * ramp
+        mix_bands(basis.T, y_low)
+        y_low *= s * s
         # z, the one cube-sized input, is transformed last, once the factors
         # and y's small arrays exist (see ``hqs._Spectra.prepare``)
-        return cls(rho, srf, q, lam, e, esq, mirror, shift, rdft2(z.data))
+        return cls(rho, srf, q, lam, lift, z_gain, e, esq, mirror, y_low, rdft2(z.data))
 
 
-def _solve_channels(xstep: XStep, spec: np.ndarray) -> float:
-    """Overwrite each eigen-channel ``spec_n`` with ``lam_n * x_n``; return ``sum |nu|^2``.
+def _block_pass(xstep: XStep, spec: np.ndarray) -> None:
+    """Overwrite ``spec``, the half spectrum of v, with that of ``x0 = C1^-1 (rho*v + S^T z)``.
 
-    ``x_n`` solves ``(lam_n*I + C2) x_n = spec_n`` plus y's part of the data
-    term; ``spec`` holds the channels' half spectra, shape (bands, height,
-    width//2 + 1). Each aliasing group of a channel is one Sherman-Morrison
-    solve; its stored members are updated. The division by ``lam_n`` is left
-    to the back-mix, ``q Lambda^-1`` (``solve_spectrum``). ``xstep.shift``
-    is subtracted from each group's numerator ``e^H spec_n``.
+    One block of columns per pool item, in place: ``v + lift (q_r^T v)``,
+    then ``+ z_gain z_hat``, as two updates (one GEMM over the stacked
+    factors lost the last bits that the fixed-point tests read).
+    """
+    qr = xstep.q[:, -xstep.lift.shape[1] :]
 
-    Each pool item solves a chunk of channels (``cube.chunks``) with one
-    numpy call per step: it sums each stored column over its s member rows,
+    def block(out: np.ndarray, z: np.ndarray) -> None:
+        tmp = xstep.lift @ (qr.T @ out)
+        out += tmp
+        np.matmul(xstep.z_gain, z, out=tmp)
+        out += tmp
+
+    each_block(block, real_rows(spec), real_rows(xstep.z_hat))
+
+
+def _group_sums(xstep: XStep, spec: np.ndarray) -> np.ndarray:
+    """``e^H x`` of every band and aliasing group, shape (bands, gl, gw).
+
+    Each pool item takes a chunk of bands (``cube.chunks``) with one numpy
+    call per step: it sums each stored column over its s member rows,
     extends those (gl, width//2 + 1) partial sums to every column by the
-    mirror relation and sums the columns of each group, which gives ``e^H x``
-    on the full (gl, gw) low-resolution grid; then it divides, spreads each
-    group's coefficient ``nu_n`` back over its stored members and updates
-    them a chunk of member rows at a time (``cube.chunks``), so that no
-    temporary is as large as a full-scale channel (2 MB), which each pool
-    thread's heap would keep. The squared magnitudes of the coefficients are
-    summed per channel and the channel sums added in channel order.
+    mirror relation and sums the columns of each group.
     """
     s, gl, half = xstep.e.shape
     width = xstep.width
+    bands = spec.shape[0]
     ce = np.conj(xstep.e)
-    channels = spec.reshape(len(xstep.lam), s, gl, half)
+    channels = spec.reshape(bands, s, gl, half)
     # column c > width//2 of group row gr mirrors column width - c of group row -gr
     mirrored = -np.arange(gl) % gl
+    sums = np.empty((bands, gl, width // s), dtype=np.complex128)
 
-    def chunk(rows: slice) -> list[float]:
-        group = channels[rows]
-        partial = np.einsum("tlc,ktlc->klc", ce, group)
-        full = np.empty((len(group), gl, width), dtype=np.complex128)
+    def chunk(rows: slice) -> None:
+        partial = np.einsum("tlc,ktlc->klc", ce, channels[rows])
+        full = np.empty((len(partial), gl, width), dtype=np.complex128)
         full[..., :half] = partial
         full[..., half:] = xstep.mirror * np.conj(partial[:, mirrored, width - half : 0 : -1])
-        num = full.reshape(len(group), gl, s, -1).sum(axis=2)
-        num -= xstep.shift[rows]
-        num /= (xstep.lam[rows] * (s * s))[:, None, None] + xstep.esq
-        spread = np.tile(num, (1, 1, s))[:, None, :, :half]
+        sums[rows] = full.reshape(len(partial), gl, s, -1).sum(axis=2)
+
+    pool_map(chunk, chunks(bands, spec[0].nbytes))
+    return sums
+
+
+def _spread(xstep: XStep, spec: np.ndarray, w: np.ndarray) -> None:
+    """``x_m -= e_m * w_g`` at every stored member m of every group g, a chunk of bands per item.
+
+    Within an item the members are updated a chunk of member rows at a time
+    (``cube.chunks``), so that no temporary is as large as a full-scale band
+    (2 MB), which each pool thread's heap would keep.
+    """
+    s, gl, half = xstep.e.shape
+    channels = spec.reshape(len(w), s, gl, half)
+
+    def chunk(rows: slice) -> None:
+        group = channels[rows]
+        spread = np.tile(w[rows], (1, 1, s))[:, None, :, :half]
         for members in chunks(s, group[:, 0].nbytes):
             group[:, members] -= xstep.e[members] * spread
-        return [float(np.vdot(nu, nu).real) for nu in num]
 
-    misfits = pool_map(chunk, chunks(len(xstep.lam), spec[0].nbytes))
-    return sum(itertools.chain.from_iterable(misfits))
+    pool_map(chunk, chunks(len(w), spec[0].nbytes))
 
 
 def solve_spectrum(xstep: XStep, v_hat: np.ndarray) -> float:
     """The x-step on half spectra: overwrite ``v_hat``, the DFT of v, with the DFT of x.
 
-    ``v_hat`` is in the coordinates of the basis ``xstep`` was built in. Two
-    band mixes (the first adds z; the second is ``q Lambda^-1``, which
-    finishes each channel's solve) and one Sherman-Morrison pass per channel
-    (which adds y); no transform. Returns ``||y - down(blur(x))||^2`` for the
-    x it writes: ``sum |nu|^2 / (gl*gw)`` over every group and channel.
+    ``v_hat`` is in the coordinates of the basis ``xstep`` was built in, and
+    stays in them: no transform and no bands x bands mix over the spectrum.
+    In C1's eigenbasis each channel n and aliasing group g is one
+    Sherman-Morrison solve, ``x = x0 - e * Q u`` with ``x0`` from the block
+    pass (``_block_pass``), ``r = e^H x0`` per group (``_group_sums``) and
+    ``u = Q^T (r - s^2 y_tilde) / (lam*s^2 + |e_g|^2)`` on the small
+    (bands, gl, gw) grid; ``_spread`` subtracts ``e * Q u``. The
+    Sherman-Morrison coefficients are ``nu = lam * u``, and the
+    low-resolution residual of the x written is ``-nu``, so this returns
+    ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
     """
-    mix_bands(xstep.rho * xstep.q.T, v_hat, ((xstep.srf @ xstep.q).T, xstep.z_hat))
-    misfit = _solve_channels(xstep, v_hat)
-    mix_bands(xstep.q / xstep.lam, v_hat)
+    _block_pass(xstep, v_hat)
+    sums = _group_sums(xstep, v_hat)
+    sums -= xstep.y_low
+    s = xstep.e.shape[0]
+    u = np.tensordot(xstep.q.T, sums, axes=(1, 0))
+    # each (bands, gl, gw) array is freed once used: at factor 4 they are as
+    # large as the block temporaries
+    del sums
+    u /= (xstep.lam * (s * s))[:, None, None] + xstep.esq
+    nu = u * xstep.lam[:, None, None]
+    misfit = float(np.vdot(nu, nu).real)
+    del nu
+    w = np.tensordot(xstep.q, u, axes=(1, 0))
+    del u
+    _spread(xstep, v_hat, w)
     return misfit / xstep.esq.size
 
 

@@ -491,6 +491,30 @@ class TestFuseReadsHeadersFirst:
         assert list(manifest["timings_s"]) == ["load", "prior", "fuse", "save"]
 
 
+    def test_the_naive_prior_fuses_as_its_saved_cube(self, tmp_path):
+        from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
+        from hsfuse.priors import PriorSource, make_prior
+
+        write_inputs(tmp_path, 8, 16, 2)
+        y, z = load_cube(tmp_path / "y.cube"), load_cube(tmp_path / "z.cube")
+        model = DegradationModel(
+            BlurOperator.uniform_block(16, 16, 2), Downsampler(2), SpectralResponse.default_rgb(8)
+        )
+        prior = tmp_path / "naive.cube"
+        save_cube(prior, make_prior(PriorSource.naive_fusion(), y, z, model))
+        runs = []
+        for spec in ("naive", f"file:{prior}"):
+            out = tmp_path / f"x_{len(runs)}.cube"
+            assert main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
+                         "--prior", spec, "--iters", "4", "--out", str(out)]) == 0
+            manifest = json.loads(open(str(out) + ".manifest.json").read())
+            assert list(manifest["timings_s"]) == ["load", "prior", "fuse", "save"]
+            runs.append((load_cube(out).data, manifest["iterations"], manifest["converged"]))
+        (naive, *flags), (cube, *cube_flags) = runs
+        assert flags == cube_flags
+        assert np.linalg.norm(naive - cube) <= 1e-13 * np.linalg.norm(cube)
+
+
 class TestStreamedStages:
     """``simulate`` and ``degrade`` work through their files and write the bytes of the loaded cubes."""
 
@@ -964,6 +988,25 @@ def write_inputs(tmp_path, bands, size, factor):
     return gt.data.nbytes
 
 
+def hr_arrays_alive(shape) -> int:
+    """Float64 arrays of ``shape``, or views of one, that a gc-tracked object or a frame of the caller's stack holds."""
+    import gc
+
+    holders = gc.get_objects()
+    frame = sys._getframe(1)
+    while frame is not None:
+        holders.append(frame.f_locals)
+        frame = frame.f_back
+    found = set()
+    for holder in holders:
+        for obj in gc.get_referents(holder):
+            while isinstance(obj, np.ndarray):
+                if obj.dtype == np.float64 and obj.shape == shape:
+                    found.add(id(obj))
+                obj = obj.base
+    return len(found)
+
+
 def run_fresh(cmd: list[str]) -> str:
     """The standard output of ``cmd`` run with this package importable, through a shell."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(hsfuse.__file__)))
@@ -1115,31 +1158,43 @@ class TestMemory:
     )
     @pytest.mark.parametrize("prior", ["naive", "file"])
     def test_fuse_frees_the_prior_before_the_first_xstep(self, tmp_path, monkeypatch, prior):
+        # a prior file's cube is freed once fuse holds its spectrum; the naive
+        # prior is built as its spectrum, so the CLI never makes its cube. At
+        # the first x-step no float64 array of the high-resolution shape is
+        # held by any object or by a frame of the call stack
         import hsfuse.priors
         import hsfuse.sylvester
 
         write_inputs(tmp_path, 8, 16, 2)
         prior_path = str(tmp_path / "prior.cube")
-        refs, alive = [], []
-        # the naive prior comes from make_prior, a prior file from load_cube
-        module, name = (hsfuse.priors, "make_prior") if prior == "naive" else (hsfuse.io, "load_cube")
-        build = getattr(module, name)
+        refs, alive, held = [], [], []
+        load = hsfuse.io.load_cube
         solve_spectrum = hsfuse.sylvester.solve_spectrum
 
-        def recording_prior(*args, **kwargs):
-            cube = build(*args, **kwargs)
-            if prior == "naive" or args[0] == prior_path:
+        def recording_load(*args, **kwargs):
+            cube = load(*args, **kwargs)
+            if args[0] == prior_path:
                 refs.append(weakref.ref(cube.data))
             return cube
 
+        def no_prior_cube(*args, **kwargs):
+            raise AssertionError("the CLI built a naive prior cube")
+
         def probed_solve(*args, **kwargs):
-            alive.append(refs[0]() is not None)
+            if not held:
+                held.append(hr_arrays_alive((8, 16, 16)))
+            alive.extend(ref() is not None for ref in refs)
             return solve_spectrum(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, recording_prior)
+        monkeypatch.setattr(hsfuse.priors, "make_prior", no_prior_cube)
+        monkeypatch.setattr(hsfuse.io, "load_cube", recording_load)
         monkeypatch.setattr(hsfuse.sylvester, "solve_spectrum", probed_solve)
         spec = "naive" if prior == "naive" else "file:" + prior_path
         rc = main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
                    "--prior", spec, "--iters", "2", "--out", str(tmp_path / "x.cube")])
         assert rc == 0
-        assert len(refs) == 1 and alive == [False, False]
+        assert held == [0]
+        if prior == "file":
+            assert len(refs) == 1 and alive == [False, False]
+        else:
+            assert refs == []

@@ -204,6 +204,27 @@ def test_an_offset_that_is_not_a_pair_is_refused(name, pair):
         _OFFSETS[name](pair)
 
 
+@pytest.mark.parametrize(
+    "name, pair",
+    [("phase", (0, (1,))), ("phase", ((1,), 0)), ("phase", (0, [1, 1])),
+     ("anchor", (1, (1,))), ("anchor", ((1, 1), 1)), ("anchor", (1.0, 1))],
+    ids=lambda value: str(value).replace(" ", ""),
+)
+def test_a_ragged_or_non_integer_offset_is_refused(name, pair):
+    with pytest.raises(ValidationError, match=rf"{name} must be an integer"):
+        _OFFSETS[name](pair)
+
+
+def test_a_phase_is_held_as_a_tuple_of_ints():
+    for phase in (np.array([1, 1]), [1, 1], (np.int64(1), np.int32(1))):
+        down = Downsampler(np.int64(2), phase)
+        assert down == Downsampler(2, (1, 1)) and hash(down) == hash(Downsampler(2, (1, 1)))
+        assert type(down.phase) is tuple and all(type(p) is int for p in down.phase)
+        assert type(down.factor) is int
+    blur = BlurOperator.custom(8, 8, np.ones((3, 3)), anchor=np.array([2, 1]))
+    assert blur.anchor == (2, 1) and all(type(a) is int for a in blur.anchor)
+
+
 class TestSpectralResponse:
     def test_rows_are_normalized(self):
         srf = SpectralResponse(np.array([[2.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 2.0]]))

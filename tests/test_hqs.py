@@ -9,6 +9,7 @@ import pytest
 
 import hsfuse.cube
 import hsfuse.hqs
+import hsfuse.priors
 import hsfuse.sylvester
 import hsfuse.vstep
 from helpers import (
@@ -359,6 +360,18 @@ class TestSpectralLoop:
             want = solve_fast(build_system(model, y, z, v, cfg.rho))
             assert relative_gap(got, want.data) <= 1e-12
 
+    @pytest.mark.parametrize("family,arg", [("desk", seed) for seed in range(5)]
+                             + [("variant", kind) for kind in VARIANTS])
+    def test_the_naive_source_fuses_as_its_cube(self, family, arg):
+        # the loop reads the naive prior's spectrum built directly, or the
+        # cube make_prior builds transformed and rotated: the same run
+        model, y, z, prior = build_problem(family, arg)
+        for cfg in (HqsConfig(), HqsConfig(mu=0.3, nu=0.02, rho=0.15)):
+            got = fuse(y, z, model, PriorSource.naive_fusion(), cfg)
+            want = fuse(y, z, model, prior, cfg)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert relative_gap(got.x_hat.data, want.x_hat.data) <= 1e-13
+
     def test_one_scoring_pass_per_iteration_and_no_unused_vstep(self, monkeypatch):
         model, y, z, prior = desk_problem(0)
         calls = {"denoise_spectrum": 0, "half_sums": 0}
@@ -415,6 +428,50 @@ class TestSpectralLoop:
         one = planes(1)
         assert 1.0 <= one < 3.0
         assert planes(6) == one
+
+    def test_work_count_does_not_grow_with_iterations(self, monkeypatch):
+        # the x-step stays in U's coordinates, so the loop mixes no bands x
+        # bands over a spectrum; the naive source's spectrum is built with no
+        # transform of a bands-deep cube, so the forward planes are z's and
+        # the Laplacian kernel's and the final rotation is the only mix, and
+        # a cube prior adds its own transform and rotation
+        model, y, z, prior = desk_problem(0)
+        bands, height, width = prior.data.shape
+        spectrum = (bands, height, width // 2 + 1)
+        counts = {"planes": 0, "mixes": 0}
+
+        def forward(fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (height, width):
+                    counts["planes"] += np.size(a) // (height * width)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        def mixing(fn):
+            def wrapper(mat, spec, *args, **kwargs):
+                if np.shape(mat) == (bands, bands) and spec.shape == spectrum:
+                    counts["mixes"] += 1
+                return fn(mat, spec, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft2", "fftn", "rfft2", "rfftn"):
+            monkeypatch.setattr(np.fft, name, forward(getattr(np.fft, name)))
+        for module in (hsfuse.cube, hsfuse.hqs, hsfuse.priors, hsfuse.sylvester, hsfuse.vstep):
+            if hasattr(module, "mix_bands"):
+                monkeypatch.setattr(module, "mix_bands", mixing(module.mix_bands))
+
+        def work(source, max_iter):
+            counts.update(planes=0, mixes=0)
+            result = fuse(y, z, model, source, HqsConfig(max_iter=max_iter, rel_tol=1e-300))
+            assert result.iterations == max_iter
+            return dict(counts)
+
+        out = model.srf.out_bands + 1
+        for max_iter in (1, 6):
+            assert work(PriorSource.naive_fusion(), max_iter) == {"planes": out, "mixes": 1}
+            assert work(prior, max_iter) == {"planes": out + bands, "mixes": 2}
 
     def test_score_temporaries_stay_within_a_few_chunks(self, monkeypatch):
         # the pass cuts each block's bands by the complex row it makes, so its

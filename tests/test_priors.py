@@ -12,7 +12,7 @@ from hsfuse.degradation import (
     SpectralResponse,
 )
 from hsfuse.errors import ValidationError
-from hsfuse.priors import PriorSource, _axis_weights, make_prior
+from hsfuse.priors import PriorSource, _axis_weights, make_prior, prior_spectrum
 
 
 def make_model(bands=6, h=8, w=8, s=2):
@@ -112,6 +112,22 @@ class TestNaivePriorOnLowResGrid:
         got = make_prior(PriorSource.naive_fusion(), y, z, model).data
         want = upsample_then_back_project(y, z, model)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "bands,h,w,s", [(6, 8, 12, 4), (5, 12, 8, 4), (7, 9, 15, 3), (31, 12, 18, 3), (5, 7, 5, 1)]
+    )
+    def test_its_spectrum_is_the_rotated_transform_of_the_cube(self, rng, bands, h, w, s):
+        # prior_spectrum builds U^T rfft2(prior) with no cube: the mix on y's
+        # grid, the transform of a separable upsample and z's spectrum
+        model = make_model(bands, h, w, s)
+        y, z = model.degrade(rand_cube(rng, bands, h, w, lo=0.0, hi=1.0))
+        basis = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
+        src = PriorSource.naive_fusion()
+        got = prior_spectrum(y, model, basis, np.fft.rfft2(z.data))
+        cube = np.fft.rfft2(make_prior(src, y, z, model).data)
+        want = np.tensordot(basis.T, cube, axes=(1, 0))
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_peak_memory_stays_below_one_and_a_half_cubes(self, rng):
         model = make_model(31, 128, 128, 4)
