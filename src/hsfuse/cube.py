@@ -14,10 +14,11 @@ mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
 Parseval sum counts each stored column that has a mirror twice: all but
 column 0 and, for an even width, column width//2. ``half_sums`` is the one
 place that rule lives; it sums over blocks of stored columns on the pool.
-``mix_bands`` is the one full band mix: a small matrix applied over the band
-axis of a cube or spectrum, in place, block by block on the pool, which
-walks a spectrum as its ``real_rows`` view, as do the low-rank band updates
-of ``sylvester`` and ``priors``.
+``mix_bands`` is the one full band mix in place: a small matrix applied
+over the band axis of a cube or spectrum, block by block on the pool, which
+walks a spectrum as its ``real_rows`` view. The band updates of
+``sylvester`` and ``priors`` that write into an array walk it the same way,
+each through ``each_block`` with its own product.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
 and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
 chunk of planes (``chunks``). ``circular_convolve`` filters on half spectra
@@ -416,27 +417,18 @@ def real_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1).view(np.float64)
 
 
-def mix_bands(
-    mat: np.ndarray, spec: np.ndarray, add: tuple[np.ndarray, np.ndarray] | None = None
-) -> None:
-    """``spec <- mat @ spec``, plus ``m @ s`` when ``add = (m, s)``, over the band axis in place.
+def mix_bands(mat: np.ndarray, spec: np.ndarray) -> None:
+    """``spec <- mat @ spec`` over the band axis, in place.
 
-    ``spec`` is contiguous, real or complex, and ``s`` shares its dtype and
-    trailing size. A real matrix mixes real and imaginary parts alike, so a
-    spectrum is mixed as its real view, one block of columns per pool item.
+    ``spec`` is contiguous, real or complex. A real matrix mixes real and
+    imaginary parts alike, so a spectrum is mixed as its real view, one
+    block of columns per pool item.
     """
 
-    def mix(out: np.ndarray, *s: np.ndarray) -> None:
-        block = mat @ out
-        if not s:
-            out[...] = block
-            return
-        # ``m @ s`` is written straight into the spectrum: adding it through a
-        # second block-sized temporary made this pass 3x slower at 31x64x64
-        np.matmul(add[0], s[0], out=out)
-        out += block
+    def mix(out: np.ndarray) -> None:
+        out[...] = mat @ out
 
-    each_block(mix, real_rows(spec), *(() if add is None else (real_rows(add[1]),)))
+    each_block(mix, real_rows(spec))
 
 
 def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):

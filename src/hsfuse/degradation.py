@@ -20,10 +20,12 @@ untyped broadcast error to a later step. Validation lives at the entry
 points: the constructors check their scalar arguments once, through
 ``errors.check_int``/``check_real``, and ``DegradationModel`` owns the shape
 contract every solver relies on: ``check_hr`` for a high-resolution cube and
-``check_data`` for the (y, z) pair. Adjoints are exact: for every pair
-<apply(x), y> == <x, adjoint(y)> up to roundoff. ``DegradationModel`` rejects
-grids the decimation factor does not divide, so every model it accepts has
-the aliasing-group structure the closed-form x-step solver needs.
+``check_data`` for the (y, z) pair, each refusing an argument that is not an
+``HsiCube`` (an array, a path, None) by name before any work is done.
+Adjoints are exact: for every pair <apply(x), y> == <x, adjoint(y)> up to
+roundoff. ``DegradationModel`` rejects grids the decimation factor does not
+divide, so every model it accepts has the aliasing-group structure the
+closed-form x-step solver needs.
 ``DegradationModel.degrade`` takes a cube or a cube file (``io.open_cube``)
 and holds neither a whole blurred cube nor, for a file, the input cube: each
 pool item (one band) reads the band into a new plane, blurs it in place
@@ -60,6 +62,13 @@ def _embed_kernel(kernel: np.ndarray, anchor: tuple[int, int], height: int, widt
     # the whole axis in a tight grid
     np.add.at(full, (rows[:, None], cols[None, :]), kernel)
     return full
+
+
+def _check_cube(name: str, cube: HsiCube, expected: tuple[int, ...]) -> None:
+    """Raise unless ``cube`` is an ``HsiCube`` (an array or a path is not) of shape ``expected``."""
+    if not isinstance(cube, HsiCube):
+        raise ValidationError(f"{name} must be an HsiCube, got {type(cube).__name__}")
+    check_shape(name, cube.data.shape, expected)
 
 
 @dataclass(frozen=True)
@@ -267,13 +276,13 @@ class DegradationModel:
         return (self.blur.height, self.blur.width)
 
     def check_hr(self, name: str, cube: HsiCube) -> None:
-        """Raise unless ``cube`` has the high-resolution shape (bands, height, width)."""
-        check_shape(name, cube.data.shape, (self.bands,) + self.hr_shape)
+        """Raise unless ``cube`` is a cube of the high-resolution shape (bands, height, width)."""
+        _check_cube(name, cube, (self.bands,) + self.hr_shape)
 
     def check_data(self, y: HsiCube, z: HsiCube) -> None:
-        """Raise unless y and z have the shapes ``degrade`` produces."""
-        check_shape("y", y.data.shape, (self.bands, *(n // self.down.factor for n in self.hr_shape)))
-        check_shape("z", z.data.shape, (self.srf.out_bands,) + self.hr_shape)
+        """Raise unless y and z are cubes of the shapes ``degrade`` produces."""
+        _check_cube("y", y, (self.bands, *(n // self.down.factor for n in self.hr_shape)))
+        _check_cube("z", z, (self.srf.out_bands,) + self.hr_shape)
 
     def degrade(self, x: HsiCube | str | os.PathLike) -> tuple[HsiCube, HsiCube]:
         """Produce the low-res cube and the mixed-band image of a cube or a cube file.

@@ -14,11 +14,14 @@ exactly: with K = R^T (R R^T)^-1, the prior u + K (z - R u) satisfies
 ``srf(prior) == z`` up to solver roundoff. The upsample is linear and acts on
 each band alone, so it commutes with the band mix M = I - K R, and the prior
 is ``Wr (M y)_b Wc^T + (K z)_b``: the bands x bands mix runs on the
-low-resolution grid. ``make_prior`` builds that cube, one upsample per band
-and one GEMM over z. ``prior_spectrum`` builds its half spectrum in the
-coordinates of a band basis U, which is what the fusion loop reads, with no
-cube and no transform of one: the mix is U^T M on y's grid, the transform of
-a separable upsample is ``F(Wr) (U^T M y)_b rfft(Wc)^T`` per band, and z
+low-resolution grid. One private pass builds it: a GEMM per band writes
+``rows (M y)_b cols`` into the band's plane, chunks of bands being pool
+items, and ``K z`` is then added over blocks of columns. ``make_prior``
+runs it with the real weights Wr and Wc^T, K and z, and returns the cube.
+``prior_spectrum`` runs it for the half spectrum in the coordinates of a
+band basis U, which is what the fusion loop reads, with no cube and no
+transform of one: the mix is U^T M on y's grid, the transform of a
+separable upsample is ``F(Wr) (U^T M y)_b rfft(Wc)^T`` per band, and z
 enters through its half spectrum, mixed by U^T K.
 """
 
@@ -80,20 +83,43 @@ def _axis_spectrum(n_in: int, factor: int) -> np.ndarray:
     return dft2(_axis_weights(n_in, factor).T[:, :, None])[:, :, 0].T
 
 
+def _naive_pass(
+    y: HsiCube, mix: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``rows @ (mix y)_b @ cols`` for each band b, plus ``k @ z``: the naive prior's one pass.
+
+    ``mix`` mixes y's bands on its low-resolution grid, ``rows`` and ``cols``
+    upsample each band or transform its upsample, and ``k`` mixes z, a cube
+    or its half spectrum, into the result's grid. One pool item per chunk of
+    bands (``cube.chunks``) writes each band's plane with one GEMM, and one
+    pass over blocks of columns (``cube.each_block``) adds z's part, so the
+    bytes do not depend on the chunking or the pool size and no temporary
+    is larger than a plane or a block.
+    """
+    low = (mix @ y.as_matrix()).reshape(y.data.shape)
+    out = np.empty((len(low), len(rows), cols.shape[1]), dtype=np.result_type(rows, cols))
+
+    def upsample(bands: slice) -> None:
+        for b in range(len(out))[bands]:
+            np.matmul(rows @ low[b], cols, out=out[b])
+
+    def add_z(block: np.ndarray, z_block: np.ndarray) -> None:
+        block += k @ z_block
+
+    pool_map(upsample, chunks(len(out), out[0].nbytes))
+    each_block(add_z, real_rows(out), real_rows(z))
+    return out
+
+
 def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel) -> HsiCube:
     """Build the naive-fusion prior of y and z, checked against the model geometry."""
+    if not isinstance(src, PriorSource):
+        raise ValidationError(f"src must be a PriorSource, got {type(src).__name__}")
     model.check_data(y, z)
     k, mix = _naive_mixes(model)
-    low = (mix @ y.as_matrix()).reshape(y.data.shape)
-    height, width = model.hr_shape
-    out = (k @ z.as_matrix()).reshape(len(k), height, width)
-    s = model.down.factor
-    wr = _axis_weights(y.height, s)
-    wc = _axis_weights(y.width, s)
-    # one band at a time, so the upsample adds a plane, not a cube, to the peak
-    for b in range(len(k)):
-        out[b] += wr @ low[b] @ wc.T
-    return HsiCube(out)
+    wr = _axis_weights(y.height, model.down.factor)
+    wc = _axis_weights(y.width, model.down.factor)
+    return HsiCube(_naive_pass(y, mix, wr, wc.T, k, z.data))
 
 
 def prior_spectrum(
@@ -102,27 +128,11 @@ def prior_spectrum(
     """The half spectrum of the naive prior ``make_prior`` builds, its bands in ``basis``'s coordinates.
 
     ``z_hat`` is z's half spectrum; y and z are the model's, as the caller
-    has checked. One pool item per chunk of bands writes each band's
-    upsample with one GEMM into its plane, and one pass over blocks of
-    columns (``cube.each_block``) adds z's part, so the bytes do not depend
-    on the chunking and no temporary is larger than a block.
+    has checked. It is ``make_prior``'s pass with each axis's upsample
+    replaced by its transform and both band mixes led by ``basis.T``.
     """
     k, mix = _naive_mixes(model)
-    low = (basis.T @ mix @ y.as_matrix()).reshape(y.data.shape)
-    z_mix = basis.T @ k
-    s = model.down.factor
-    width = model.hr_shape[1]
-    rows = _axis_spectrum(y.height, s)
-    cols = _axis_spectrum(y.width, s)[: width // 2 + 1].T
-    out = np.empty((len(low), len(rows), cols.shape[1]), dtype=np.complex128)
-
-    def upsample(bands: slice) -> None:
-        for b in range(len(out))[bands]:
-            np.matmul(rows @ low[b], cols, out=out[b])
-
-    def add_z(block: np.ndarray, z_block: np.ndarray) -> None:
-        block += z_mix @ z_block
-
-    pool_map(upsample, chunks(len(out), out[0].nbytes))
-    each_block(add_z, real_rows(out), real_rows(z_hat))
-    return out
+    rows = _axis_spectrum(y.height, model.down.factor)
+    # the transform's stored columns, as many as z_hat holds
+    cols = _axis_spectrum(y.width, model.down.factor)[: z_hat.shape[-1]].T
+    return _naive_pass(y, basis.T @ mix, rows, cols, basis.T @ k, z_hat)

@@ -228,6 +228,30 @@ class TestFuse:
         with pytest.raises(ValidationError):
             fuse(y, z, model, rand_cube(rng, 8, 16, 15))
 
+    @pytest.mark.parametrize(
+        "arg,kind",
+        [
+            ("prior", "ndarray"),
+            ("prior", "str"),
+            ("prior", "NoneType"),
+            ("y", "ndarray"),
+            ("z", "ndarray"),
+        ],
+    )
+    def test_an_input_that_is_not_a_cube_is_refused_before_the_set_up(self, monkeypatch, arg, kind):
+        # a network's output arrives as an array: it is refused by name and type,
+        # not left to fail untyped inside the set-up
+        gt, model, y, z, prior = small_problem()
+        args = {"y": y, "z": z, "prior": prior}
+        args[arg] = {"ndarray": args[arg].data.copy(), "str": "naive", "NoneType": None}[kind]
+
+        def no_set_up(*a, **k):
+            raise AssertionError("the set-up ran")
+
+        monkeypatch.setattr(_Spectra, "prepare", no_set_up)
+        with pytest.raises(ValidationError, match=f"{arg} must be an HsiCube, got {kind}"):
+            fuse(args["y"], args["z"], model, args["prior"])
+
 
 # (bands, height, width, factor, phase, blur) of the geometries the desk runs
 # do not cover: Gaussian blur, sampling phases, non-square and odd grids, odd

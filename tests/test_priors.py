@@ -158,5 +158,18 @@ class TestMakePrior:
             with pytest.raises(ValidationError, match="unknown prior source kind"):
                 make_prior(PriorSource(kind=kind), y, z, model)
 
+    def test_an_input_of_the_wrong_type_is_refused_by_name(self, rng):
+        model = make_model()
+        y, z = model.degrade(rand_cube(rng, 6, 8, 8, lo=0.0, hi=1.0))
+        src = PriorSource.naive_fusion()
+        for args, message in [
+            ((src, y.data, z, model), "y must be an HsiCube, got ndarray"),
+            ((src, y, z.data, model), "z must be an HsiCube, got ndarray"),
+            (("naive", y, z, model), "src must be a PriorSource, got str"),
+            ((None, y, z, model), "src must be a PriorSource, got NoneType"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                make_prior(*args)
+
     def test_source_constructors_tag_kinds(self):
         assert PriorSource.naive_fusion().kind == "naive_fusion"

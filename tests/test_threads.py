@@ -120,6 +120,7 @@ def test_outputs_are_byte_identical_at_every_pool_size(monkeypatch):
             (
                 y.data.tobytes(),
                 z.data.tobytes(),
+                prior.data.tobytes(),
                 result.x_hat.data.tobytes(),
                 result.objective_trace,
                 result.rel_changes,
@@ -195,21 +196,24 @@ def test_desk_fuse_bytes_do_not_depend_on_the_pool_size(monkeypatch):
 
 def test_fuse_bytes_with_a_tail_block_do_not_depend_on_the_chunks_or_the_pool(monkeypatch):
     # a 96x96 grid's half spectrum is a full block of 4,096 columns and a tail
-    # of 608, whose bands the v-step and the score cut by its own complex row
+    # of 608, whose bands the v-step and the score cut by its own complex row;
+    # the prior's 9,216 pixels end in a tail block of 1,024
     gt = generate_scene(SceneSpec(bands=31, height=96, width=96, seed=0))
     model = DegradationModel(
         BlurOperator.uniform_block(96, 96, 4), Downsampler(4), SpectralResponse.default_rgb(31)
     )
     y, z = model.degrade(gt)
-    prior = make_prior(PriorSource.naive_fusion(), y, z, model)
     assert [len(range(96 * 49)[s]) for s in blocks(96 * 49)] == [4096, 608]
     runs = []
     for cap in (hsfuse.cube._CHUNK_BYTES, 1):
         monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
         for threads in ("1", "3"):
             monkeypatch.setenv("HSFUSE_THREADS", threads)
+            prior = make_prior(PriorSource.naive_fusion(), y, z, model)
             result = fuse(y, z, model, prior, HqsConfig(max_iter=6, rel_tol=1e-300))
-            runs.append((result.x_hat.data.tobytes(), result.objective_trace))
+            runs.append(
+                (prior.data.tobytes(), result.x_hat.data.tobytes(), result.objective_trace)
+            )
     assert runs[1:] == runs[:1] * 3
 
 

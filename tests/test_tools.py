@@ -75,6 +75,17 @@ class Other:
     assert loc.settable_values(source) == 8
 
 
+def test_loc_prints_the_three_counts_summed_over_every_module(tmp_path, monkeypatch, capsys):
+    # the first count is ``cat *.py | wc -l``: newlines, so a last line without
+    # one does not count, and blank, comment and docstring lines do
+    (tmp_path / "a.py").write_text('"""Doc."""\n\n# note\ndef f(x=1):\n    return x\n')
+    (tmp_path / "b.py").write_text("def g(a, *, b=2, c=3):\n    return a")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    monkeypatch.setattr(loc, "PACKAGE", tmp_path)
+    loc.main()
+    assert capsys.readouterr().out == "src/hsfuse: 6 lines, 4 of them code, 3 settable values\n"
+
+
 SYNTHETIC = '''"""A module docstring."""
 import threading
 
