@@ -12,8 +12,8 @@ the half spectrum of ``np.fft.rfftn``: columns 0..width//2 of every band,
 shape (bands, height, width//2 + 1). Every other column is the conjugate
 mirror of a stored one, bin (r, c) of bin (-r, -c) modulo the grid, so a
 Parseval sum counts each stored column that has a mirror twice: all but
-column 0 and, for an even width, column width//2. ``half_sums`` is the one
-place that rule lives; it sums over blocks of stored columns on the pool.
+column 0 and, for an even width, column width//2, which ``self_mirrored``
+slices out.
 ``mix_bands`` is the one full band mix in place: a small matrix applied
 over the band axis of a cube or spectrum, block by block on the pool, which
 walks a spectrum as its ``real_rows`` view. The band updates of
@@ -28,27 +28,32 @@ product needs. The full complex ``dft2`` stays for the spectra used whole: blur 
 aliasing group spans every column) and the small low-resolution y.
 
 ``pool_map`` is the package's only parallelism. Every transform of planes
-here and every independent block loop of the HQS iteration (band mixes,
-chunks of eigen-channels, v-step blocks, ``half_sums`` blocks) runs through
-it. Its pool size is ``HSFUSE_THREADS`` when that is set, otherwise 1,
-because a library caller may not have pinned its BLAS threads; the CLI sets
-it to ``--threads`` or the available cores and pins BLAS to one thread. A map
+here and every independent loop of the HQS iteration (band mixes, blocks of
+the group step, runs of aliasing-group rows) runs through it. Its pool size
+is ``HSFUSE_THREADS`` when that is set, otherwise 1, because a library
+caller may not have pinned its BLAS threads; the CLI sets it to
+``--threads`` or the available cores and pins BLAS to one thread. A map
 runs on the calling thread and on helper threads that it starts and joins
 itself, so no thread outlives a map. Each item writes its own output or
 returns its own partial result, and callers combine partial results in item
 order, so output bytes do not depend on the pool size. A pool of 1 runs the
 same functions in the calling thread alone. ``serial`` makes a function that
 pool items share, such as the reads or writes of one open file, run for one
-item at a time.
+item at a time. ``Scratch`` holds work arrays that the items of many maps
+reuse, one set per thread.
 This module alone cuts work, by shape, never by the pool size, with one
-private slicer under two rules: ``chunks`` (the rows of one numpy call: a
+private slicer under four rules: ``chunks`` (the rows of one numpy call: a
 pool item of planes or channels, or a call inside one, such as a chunk of
-bands of one column block) and ``blocks`` (pool items of a block of pixels
-or frequencies, which ``each_block`` walks on the pool). A block starts on
-a multiple of ``_BLOCK_COLUMNS`` and ends on one or at the last column, so
-a GEMM cut into blocks of columns gives the bits of the whole product
-(checked with numpy 2.4's OpenBLAS, whose GEMM gives other bits for blocks
-cut at columns that are not multiples of 8).
+bands), ``blocks`` (pool items of a block of pixels or frequencies, which
+``each_block`` walks on the pool), ``mirror_runs`` (pool items of the rows
+of a grid whose row r mirrors row -r, each closed under that mirror) and
+``tiles`` (the cut of an item's grid of cells into runs that fit a core's
+cache). A block starts on a multiple of ``_BLOCK_COLUMNS`` and ends on one
+or at the last column, so a GEMM cut into blocks of columns gives the bits
+of the whole product (checked with numpy 2.4's OpenBLAS, whose GEMM gives
+other bits for blocks cut at columns that are not multiples of 8). The
+runs and tiles of ``mirror_runs`` and ``tiles`` depend on the grid alone,
+not on ``_CHUNK_BYTES``.
 
 Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
@@ -59,6 +64,7 @@ rather than copied, so pass a copy if the caller still needs to write it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from collections.abc import Callable, Sequence
@@ -71,6 +77,7 @@ from .errors import SymmetryViolationError, ValidationError, check_int
 __all__ = [
     "HsiCube",
     "FreqCube",
+    "Scratch",
     "blocks",
     "check_shape",
     "chunks",
@@ -79,15 +86,17 @@ __all__ = [
     "dft2_per_band",
     "each_block",
     "half_spectrum",
-    "half_sums",
     "idft2_per_band",
     "irdft2",
+    "mirror_runs",
     "mix_bands",
     "pool_map",
     "pool_size",
     "rdft2",
     "real_rows",
+    "self_mirrored",
     "serial",
+    "tiles",
 ]
 
 # largest imaginary residue, relative to max(1, peak real magnitude), that an
@@ -104,6 +113,10 @@ _BLOCK_COLUMNS = 1 << 12
 # chunk stays cache-sized and bounds the temporaries that a call allocates,
 # such as an inverse transform's complex copy of its chunk
 _CHUNK_BYTES = 1 << 18
+
+# values per band of one ``tiles`` cell run: the run's every band stays in a
+# core's cache through the few passes a tile makes over it
+_TILE_VALUES = 1 << 10
 
 def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
     """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``.
@@ -248,6 +261,28 @@ def serial(fn: Callable) -> Callable:
     return call
 
 
+class Scratch:
+    """Work arrays that pool items reuse, one set per thread.
+
+    ``get(key, shape, dtype)`` returns a contiguous array of that shape laid
+    over the thread's buffer for ``key``, which grows to the largest shape
+    asked for. A pass that walks many tiles thus allocates its temporaries,
+    and has their pages mapped, once per thread rather than once per tile;
+    a helper thread's buffers go when its map ends.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def get(self, key: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        buffers = self._local.__dict__
+        size = math.prod(shape)
+        buf = buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
 def _slices(rows: int, per: int) -> list[slice]:
     """Slices of ``per`` rows (at least 1; the last may hold fewer) that cover ``range(rows)``."""
     per = max(1, per)
@@ -265,6 +300,41 @@ def chunks(rows: int, row_bytes: int) -> list[slice]:
 def blocks(count: int) -> list[slice]:
     """Slices of ``_BLOCK_COLUMNS`` columns (the last may hold fewer) that cover ``range(count)``."""
     return _slices(count, _BLOCK_COLUMNS)
+
+
+def mirror_runs(rows: int, row_values: int) -> list[tuple[slice, ...]]:
+    """Pool items of the rows of a grid whose row r mirrors row -r mod ``rows``, closed under it.
+
+    Each item is a run of the rows 0..rows//2 that holds ``_BLOCK_COLUMNS``
+    values for the run and its mirror rows, with ``row_values`` values to a
+    row (at least one row), and the rows that mirror the run's and are not
+    in it (row 0, and row rows/2 for an even count, mirror themselves). It
+    is given as slices of rows in that order: one slice when the two are
+    adjacent or the second is empty, as for a grid that one item covers.
+    """
+    runs = []
+    for run in _slices(rows // 2 + 1, _BLOCK_COLUMNS // (2 * row_values)):
+        lo = range(rows // 2 + 1)[run]
+        hi = range(max(rows - lo.stop + 1, lo.stop), rows - max(lo.start, 1) + 1)
+        if not hi or hi.start == lo.stop:
+            runs.append((slice(lo.start, hi.stop if hi else lo.stop),))
+        else:
+            runs.append((slice(lo.start, lo.stop), slice(hi.start, hi.stop)))
+    return runs
+
+
+def tiles(rows: int, cols: int, size: int) -> list[tuple[slice, slice]]:
+    """The cut of a (rows, cols) grid of cells of ``size`` values each, as (rows, cols) slices.
+
+    Runs of columns hold as many columns as fit ``_TILE_VALUES`` values of
+    one row; each run's rows are then cut into runs that fit it too (at
+    least one column or row each). The cut lists a column run's row runs in
+    order, one column run after the other.
+    """
+    cut = []
+    for run in _slices(cols, _TILE_VALUES // size):
+        cut += [(r, run) for r in _slices(rows, _TILE_VALUES // (len(range(cols)[run]) * size))]
+    return cut
 
 
 def _each_stack(fn: Callable[..., object], items: list[slice], *arrays: np.ndarray) -> None:
@@ -353,7 +423,7 @@ def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
     # a self-mirrored column c adds exp(2j*pi*c*j/width)/width, which is +-1/width,
     # times its inverse over rows to pixel column j, so the worst pixel
     # carries the sum of the columns' imaginary parts
-    rows = np.fft.ifft(spec[..., _self_mirrored(width)], axis=-2)
+    rows = np.fft.ifft(spec[..., self_mirrored(width)], axis=-2)
     resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
     real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
     _each_stack(
@@ -378,9 +448,14 @@ def half_spectrum(full: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
 
 
-def _self_mirrored(width: int) -> list[int]:
-    """Stored columns that are their own mirror: 0, and width//2 when width is even."""
-    return [0, width // 2] if width % 2 == 0 else [0]
+def self_mirrored(width: int) -> slice:
+    """Stored columns that are their own mirror, 0 and width//2 when width is even, as a slice.
+
+    Every other stored column stands for itself and its mirror, so a sum
+    over the full spectrum is twice the sum over the stored columns less the
+    sum over these.
+    """
+    return slice(None, None, width // 2) if width % 2 == 0 else slice(0, 1)
 
 
 def dft2_per_band(cube: HsiCube) -> FreqCube:
@@ -429,26 +504,3 @@ def mix_bands(mat: np.ndarray, spec: np.ndarray) -> None:
         out[...] = mat @ out
 
     each_block(mix, real_rows(spec))
-
-
-def half_sums(fn: Callable, arrays: Sequence[np.ndarray], width: int):
-    """A sum over the full spectra of a ``width``-column grid, from their half spectra.
-
-    Each array holds stored columns in its last two axes, (height,
-    width//2 + 1), and is flattened over them. The arrays may differ in
-    leading shape: a (height, width//2 + 1) table can sit beside (bands,
-    height, width//2 + 1) spectra, for the stored blocks and the
-    self-mirrored columns alike. ``fn`` takes one slice of every flattened
-    array, over the same columns and with a contiguous last axis (so a
-    complex slice can be viewed as floats; a table's slice is 1-D), and
-    returns their sum (a number or an array of sums). It runs on each
-    ``each_block`` block on the pool, and the block sums are added in
-    block order. Every stored column but the self-mirrored ones stands for
-    itself and its mirror, so with ``own``, ``fn`` of the self-mirrored
-    columns alone, the full sum is ``2*stored - own``. This is the one
-    place that rule lives.
-    """
-    stored = sum(each_block(fn, *(a.reshape(a.shape[:-2] + (-1,)) for a in arrays)))
-    cols = _self_mirrored(width)
-    own = fn(*[np.ascontiguousarray(a[..., cols]).reshape(a.shape[:-2] + (-1,)) for a in arrays])
-    return 2 * stored - own

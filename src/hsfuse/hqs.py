@@ -6,9 +6,9 @@ The augmented objective
               + mu*||D(v - prior)||^2 + nu*||E(v - prior)||^2
 
 is minimized by alternating exact sub-solves with a fixed rho: the Sylvester
-step updates x with v fixed (closed form, ``sylvester.solve_spectrum``), the
-v-step updates v with x fixed as one elementwise gain on the deviation
-v - prior (``vstep.denoise_spectrum``). Both are exact minimizers, so the
+step updates x with v fixed (closed form, see ``sylvester``), the v-step
+updates v with x fixed as one elementwise gain on the deviation v - prior
+(``vstep.DenoiseFactors.denoise``). Both are exact minimizers, so the
 objective trace is non-increasing. The iteration starts from v = prior and
 returns the last x iterate; each iteration after the first opens with the
 v-step for the previous x, so no v goes unused.
@@ -18,7 +18,7 @@ half spectra (see ``cube``) from the first iteration to the last, their
 band axis in the coordinates of U, the DCT-II basis in which the v-step is
 one gain per band and frequency (see ``vstep``). A run factors both
 sub-steps once, each in its own module: the v-step as a band vector and one
-half-grid table, its gain built per block of frequencies where it is used
+half-grid table, its gain built per tile where it is used
 (``vstep.factor_denoise``), and the x-step in U's coordinates, with the data
 term of y and z and no cube of its own (``sylvester.XStep.create``, which
 transforms y on its low-resolution grid and z once). The x-step stays in
@@ -28,25 +28,32 @@ over a spectrum. The prior's spectrum in U's coordinates is made once: for
 spectrum (``priors.prior_spectrum``), with no prior cube and no transform
 of one; a prior cube is transformed (``cube.rdft2``) and rotated
 (``cube.mix_bands``). ``fuse`` returns x through one rotation back and one
-inverse transform (``cube.irdft2``). Besides the prior's spectrum, x and v,
-the loop holds only z's spectrum.
+inverse transform (``cube.irdft2``).
+
+The loop holds two half spectra, the prior's and x's, and z's; v is never
+stored. The x-step needs v twice: its ``e^H v`` per aliasing group, for the
+group step, and v itself, to write x. The set-up reduces the prior's
+``e^H p`` once (``sylvester.group_sums``); the first v is the prior. Each
+iteration then makes one pool map over the spectrum,
+``sylvester.write_pass``: per tile it forms v from the previous x (the
+v-step; the first iteration copies the prior, which is that v bit for bit),
+writes the new x over the previous one, scores it and reduces
+``g (x - p)``, the next v less p, so that the next ``e^H v`` is ``e^H p``
+plus that sum on the small (bands, gl, gw) grid. The last iteration the cap
+allows reduces nothing.
 
 Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
-x_k, read off what the two exact steps compute. The y-term is the x-step's
-return value (see ``sylvester``). Per band k and frequency f, with
+x_k, read off what the two exact steps compute. The y-term is the group
+step's return value (see ``sylvester``). Per band k and frequency f, with
 ``a = mu*|lap(f)|^2 + nu*d_k`` and the v-step's gain ``g = rho/(rho + a)``,
 ``min_v rho*|x - v|^2 + a*|v - p|^2 = rho*(1 - g)*|x - p|^2``, so the
-coupling and the regularizer need neither v nor the Laplacian. That sum,
-the z-term and the stop test's ``||x_k - x_{k-1}||^2`` and
-``||x_{k-1}||^2`` are one ``cube.half_sums`` call per iteration, by
-Parseval's theorem: one pass over blocks of stored columns on
-``cube.pool_map``. Within a block the pass walks the bands in the
-v-step's chunks (``cube.chunks`` of the block's complex row), writes one dot
-product per band into a small row, and sums each row over every band, so
-its temporaries are chunk-sized and its sums are those of the block taken
-whole. ``objective_value`` is the spatial form of L at any
-(x, v). Every pass over a spectrum is split into independent items (column
-blocks, bands or eigen-channels) on the pool, and partial sums are added in
+coupling and the regularizer need neither v nor the Laplacian; the pass
+reads it as ``rho*(|x - p|^2 - Re conj(x - p) g (x - p))`` from the next
+v's ``g (x - p)``. That sum, the z-term and the stop test's
+``||x_k - x_{k-1}||^2`` and ``||x_k||^2`` (the next iteration's base) are
+summed over each tile, by Parseval's theorem. ``objective_value`` is the
+spatial form of L at any (x, v). Every pass over a spectrum is split into
+independent items on the pool by shape alone, and partial sums are added in
 item order, so the iterates and the trace do not depend on the pool size.
 """
 
@@ -57,12 +64,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sylvester
-from .cube import HsiCube, chunks, half_sums, irdft2, mix_bands, rdft2
+from .cube import HsiCube, Scratch, irdft2, mix_bands, rdft2, real_rows, self_mirrored
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import regularizer_value
 from .priors import PriorSource, prior_spectrum
-from .vstep import DenoiseFactors, denoise_spectrum, factor_denoise
+from .vstep import DenoiseFactors, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
 # module because bench/spans.py wraps them at these names.
@@ -129,24 +136,46 @@ def objective_value(
     return value
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Re(conj(a) * b)`` summed over each row of two (rows, columns) arrays, read in place."""
-    # row by row: np.vdot would first copy a block of a wider spectrum's rows
-    return np.vecdot(a.view(np.float64), b.view(np.float64))
+# The pass's tile work arrays, kept from run to run: fresh ones for each run
+# of a 31x64x64 desk tile cost 1.7 ms of page faults, a quarter of a
+# one-iteration fuse. A pool helper's go when its map ends.
+_SCRATCH = Scratch()
+
+
+def _sums(
+    x: np.ndarray, dev: np.ndarray, scaled: np.ndarray, z_res: np.ndarray, old: np.ndarray
+) -> np.ndarray:
+    """The z-term, the coupling over rho, ``||x - old||^2`` and ``||x||^2`` over contiguous arrays.
+
+    ``dev`` is x - p, ``scaled`` the v-step's ``g (x - p)`` and ``z_res``
+    z's residual. At the v-step's v,
+    ``rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2`` is
+    ``rho*(1 - g)*|x - p|^2``, so the coupling and the regularizer need
+    neither v nor the Laplacian. Each sum is one dot per band, read in
+    place as ``real_rows``; the step is written over ``dev``.
+    """
+    d, z = real_rows(dev), real_rows(z_res)
+    coupled = np.vecdot(d, d).sum() - np.vecdot(d, real_rows(scaled)).sum()
+    np.subtract(x, old, out=dev)
+    r = real_rows(x)
+    return np.array([np.vecdot(z, z).sum(), coupled, np.vecdot(d, d).sum(), np.vecdot(r, r).sum()])
 
 
 @dataclass(frozen=True)
 class _Spectra:
-    """What one run transforms and factors once, and the one pass that scores an iterate.
+    """What one run transforms and factors once, and one iteration.
 
     Everything is in the coordinates of U = ``denoise.basis``: the x-step is
     built in them (``xstep.srf`` is the response times U), and so is
-    ``p_hat``, the prior's half spectrum.
+    ``p_hat``, the prior's half spectrum. ``p_sums`` is its ``e^H`` per
+    aliasing group (``sylvester.group_sums``), the first v's, and each
+    later v's is ``p_sums`` plus that of ``g (x - p)``.
     """
 
     xstep: sylvester.XStep
     denoise: DenoiseFactors
     p_hat: np.ndarray
+    p_sums: np.ndarray
 
     @classmethod
     def prepare(
@@ -171,51 +200,67 @@ class _Spectra:
         else:
             p_hat = rdft2(prior.data)
             mix_bands(denoise.basis.T, p_hat)
-        return cls(xstep, denoise, p_hat)
+        return cls(xstep, denoise, p_hat, sylvester.group_sums(xstep, p_hat))
 
-    def score(
-        self, x_hat: np.ndarray, y_term: float, x_old: np.ndarray | None = None
-    ) -> tuple[float, float | None]:
-        """``objective_value`` at x and the v-step's v for it, and the stop test's change.
+    def iterate(
+        self, x_hat: np.ndarray, prev: np.ndarray, sums: np.ndarray, more: bool
+    ) -> tuple[float, float, float, np.ndarray | None]:
+        """One iteration: the x-step from the v-step's v for ``prev``'s x, written over ``x_hat``.
 
-        ``x_hat`` is the x-step's output and ``y_term`` its return value.
-        The change ``||x - x_old|| / max(||x_old||, tiny)`` is None without
-        ``x_old``. One ``half_sums`` pass, which walks each block's bands in
-        the v-step's chunks (``cube.chunks`` of the block's complex row), so no
-        temporary spans more than one chunk of bands.
+        ``prev`` holds the previous x (the prior before the first
+        iteration), and may be ``x_hat`` itself; ``sums`` is its v's
+        ``e^H v``, which ``sylvester.group_step`` turns into ``w`` before
+        ``sylvester.write_pass`` forms that v again and writes x. Both are
+        looked up on their module, so that a wrapper installed there sees
+        every x-step. Returns ``objective_value`` at the new x and the
+        v-step's v for it; ``||x - x_prev||^2`` and ``||x||^2``, each sum
+        over the spectrum scaled by Parseval's theorem to the sum over
+        pixels; and, with ``more``, the next v's ``e^H v``. The step is the
+        exact difference of the two iterates. Every stored column stands for
+        itself and its mirror but the self-mirrored ones
+        (``cube.self_mirrored``), so each sum is twice the stored columns'
+        less those columns': the pass sums the stored columns, and the
+        self-mirrored ones are summed here, from a copy of the previous x's
+        taken before the pass.
         """
+        xstep, denoise, scratch = self.xstep, self.denoise, _SCRATCH
+        own = self_mirrored(xstep.width)
+        old = prev[..., own].copy()
+        grid, p_grid = xstep.grid(prev), xstep.grid(self.p_hat)
+        freq = denoise.freq_term.reshape(xstep.e.shape)
 
-        def sums(x, p, freq, z_hat, *old) -> np.ndarray:
-            """z-term, coupling and regularizer over rho, and the stop test's sums over a block."""
-            z_res = z_hat.view(np.float64) - self.xstep.srf @ x.view(np.float64)
-            # one dot per band for each sum; each row is then summed over all
-            # bands at once, so a block's sums do not depend on the chunking
-            rows = np.empty((3 if old else 1, len(x)))
-            for band in chunks(len(x), x[0].nbytes):
-                # at the v-step's v, rho*|x - v|^2 + (mu*|lap|^2 + nu*d)*|v - p|^2
-                # is rho*(1 - gain)*|x - p|^2
-                dev = x[band] - p[band]
-                coupling = self.denoise.gain(freq, band)
-                np.subtract(1.0, coupling, out=coupling)
-                rows[0, band] = _row_dots(dev, dev * coupling)
-                if old:
-                    step = x[band] - old[0][band]
-                    rows[1, band] = _row_dots(step, step)
-                    rows[2, band] = _row_dots(old[0][band], old[0][band])
-            return np.array([_row_dots(z_res, z_res).sum(), *(r.sum() for r in rows)])
+        def form(index: tuple, out: np.ndarray) -> np.ndarray:
+            gain = scratch.get("gain", out.shape, np.float64)
+            denoise.gain(index[0], freq[index[1:]], gain)
+            if prev is self.p_hat:
+                # x is the prior, so v = p + g (p - p) is p, bit for bit
+                np.copyto(out, p_grid[index])
+            else:
+                denoise.denoise(grid[index], p_grid[index], gain, out)
+            return gain
 
-        width = self.xstep.width
-        arrays = (x_hat, self.p_hat, self.denoise.freq_term, self.xstep.z_hat)
-        if x_old is not None:
-            arrays += (x_old,)
-        z_sq, coupled, *stop = half_sums(sums, arrays, width)
-        n = x_hat.shape[1] * width
-        objective = y_term + z_sq / n + self.xstep.rho * coupled / n
-        if not stop:
-            return objective, None
-        diff, base = stop
-        tiny = float(np.finfo(np.float64).tiny)
-        return objective, float(np.sqrt(diff / n)) / max(float(np.sqrt(base / n)), tiny)
+        def score(
+            index: tuple, x: np.ndarray, gain: np.ndarray, z: np.ndarray, work: np.ndarray
+        ) -> tuple:
+            z_res = scratch.get("z_res", z.shape, np.complex128)
+            np.matmul(xstep.srf, real_rows(x), out=real_rows(z_res))
+            np.subtract(z, z_res, out=z_res)
+            dev = np.subtract(x, p_grid[index], out=work)
+            # g (x - p), the next v less p
+            scaled = np.multiply(dev, gain, out=scratch.get("next", x.shape, np.complex128))
+            return _sums(x, dev, scaled, z_res, grid[index]), scaled if more else None
+
+        y_term = sylvester.group_step(xstep, sums)
+        stored, sums = sylvester.write_pass(xstep, x_hat, sums, form, score, scratch)
+        if sums is not None:
+            sums += self.p_sums
+        x, p, z = np.ascontiguousarray(x_hat[..., own]), self.p_hat[..., own], xstep.z_hat[..., own]
+        z_res = z - np.tensordot(xstep.srf, x, axes=(1, 0))
+        dev = x - p
+        scaled = dev * denoise.gain(..., denoise.freq_term[..., own], np.empty(dev.shape))
+        mine = _sums(x, dev, scaled, z_res, old)
+        z_sq, coupled, step, norm = (2 * stored - mine) / (x_hat.shape[1] * xstep.width)
+        return y_term + z_sq + xstep.rho * coupled, step, norm, sums
 
 
 def fuse(
@@ -252,28 +297,27 @@ def fuse(
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
     del prior
     width = model.hr_shape[1]
-    # two spectrum buffers: the v-step writes v over the x before last, and
-    # the x-step overwrites that v with the new x
-    v_hat = fixed.p_hat.copy()
-    x_hat = np.empty_like(v_hat)
+    # the one spectrum buffer besides the prior's: x, the prior before the
+    # first iteration (so v = p), and each iteration writes the next over it
+    x_hat = np.empty_like(fixed.p_hat)
+    sums = fixed.p_sums.copy()
     trace: list[float] = []
     changes: list[float] = []
+    tiny = float(np.finfo(np.float64).tiny)
     for k in range(cfg.max_iter):
-        if k > 0:
-            denoise_spectrum(fixed.denoise, x_hat, fixed.p_hat, v_hat)
-        # looked up on its module, so a wrapper installed there sees every x-step
-        y_term = sylvester.solve_spectrum(fixed.xstep, v_hat)
-        x_hat, v_hat = v_hat, x_hat
-        objective, change = fixed.score(x_hat, y_term, v_hat if k > 0 else None)
+        prev = x_hat if k > 0 else fixed.p_hat
+        objective, step, norm, sums = fixed.iterate(x_hat, prev, sums, k + 1 < cfg.max_iter)
         trace.append(objective)
-        if change is not None:
-            changes.append(change)
-            if change <= cfg.rel_tol:
+        if k > 0:
+            changes.append(float(np.sqrt(step)) / max(float(np.sqrt(base)), tiny))
+            if changes[-1] <= cfg.rel_tol:
                 break
+        base = norm
+    del sums
     mix_bands(fixed.denoise.basis, x_hat)
-    # free the prior's spectrum, the factors and the previous x before the
-    # inverse transform allocates its output
-    del fixed, v_hat
+    # free the prior's spectrum and the factors before the inverse transform
+    # allocates its output
+    del fixed
     return FusionResult(
         x_hat=HsiCube(irdft2(x_hat, width)),
         iterations=len(trace),

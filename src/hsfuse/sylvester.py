@@ -23,40 +23,48 @@ channel (Wei et al., IEEE TIP 2015, solve the same equation in closed form).
 R has only out_bands (3) rows, so C1 is rho*I plus a rank-3 update: every
 eigenvalue but the top r = min(out_bands, bands) is rho, and
 ``rho*C1^-1 = I + Q_r diag(rho/lambda_r - 1) Q_r^T`` (the Woodbury
-identity). The spectrum therefore never leaves U's coordinates.
-``solve_spectrum`` makes three passes over it, each on the pool: the block
-pass (``_block_pass``) writes x0 in place, a rank-r update of v plus
-``C1^-1 S^T`` times z's half spectrum; the reduction (``_group_sums``)
-forms ``e^H x0`` for every band and group; the spread (``_spread``)
-subtracts ``e * w`` at every member. Between the last two, the group step
-runs on the small (bands, gl, gw) grid: ``u``, the y misfit and
-``w = Q u``, with one bands x bands product each way. The kernels run on
-half spectra (see ``cube``): the members of a group that fall in unstored
-columns are conjugate mirrors of stored members of the mirror group -g, so
-a group's reduction ``e^H x`` is its stored partial sum plus the conjugate
-of the matching partial sum of group -g, and only the stored members are
-updated. Each pass works on a chunk of bands (or a block of columns) per
-numpy call.
+identity). The spectrum therefore never leaves U's coordinates, and the
+x-step is two pool maps and a small step between them. ``group_sums``
+reduces v to ``e^H v`` for every band and group. Since the rank-r update and
+z's mix act per frequency and ``e^H`` per band, ``e^H x0 = e^H v +
+lift q_r^T e^H v + z_gain e^H z_hat``, so ``group_step`` needs nothing else:
+on the small (bands, gl, gw) grid it makes ``u``, the y misfit and
+``w = Q u``, in place of ``e^H v``. ``write_pass`` then forms x0 (a rank-r
+update of v plus ``C1^-1 S^T`` times z's half spectrum) and subtracts
+``e * w`` at every member, and can score the x it writes and reduce the
+next iteration's v, less the prior, on the way (see ``hqs``). The kernels
+run on half spectra (see ``cube``): the members of a group that fall in
+unstored columns are conjugate mirrors of stored members of the mirror
+group -g, so a group's ``e^H x`` is its stored partial sum plus the
+conjugate of the matching partial sum of group -g, and only the stored
+members are updated. Both maps walk runs of group rows closed under that
+mirror (``cube.mirror_runs``, kept as ``XStep.runs``), each with every
+member row: ``group_sums`` a chunk of bands per item, ``write_pass`` every
+band of a run per item, in ``cube.tiles`` of its member rows and group
+rows whose work arrays stay in a core's cache.
 
 The data part of C3 is never formed as a cube. z enters through its half
-spectrum in the block pass. The transform of
-blur_adjoint(upsample_adjoint(y)) is ``e`` times y's small, phase-ramped
-transform ``y_tilde`` at every member of a group, so it enters the group
-step as ``s^2 * y_tilde`` (``XStep.y_low``). The Sherman-Morrison
-coefficients are ``nu = lambda * u``, and the low-resolution residual of
-the x the pass writes is ``-nu``, so ``solve_spectrum`` returns
-``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
+spectrum in the pass. The transform of blur_adjoint(upsample_adjoint(y)) is
+``e`` times y's small, phase-ramped transform ``y_tilde`` at every member of
+a group, so it enters the group step as ``s^2 * y_tilde``, less z's part of
+``e^H x0``, which ``XStep.create`` reduces once (``XStep.low``). The
+Sherman-Morrison coefficients are ``nu = lambda * u``, and the
+low-resolution residual of the x the pass writes is ``-nu``, so
+``group_step`` returns ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
 
 There is one x-step path. The HQS loop builds one ``XStep`` in the v-step's
-basis and calls ``solve_spectrum`` every iteration, which maps the spectrum
-of v to the spectrum of the solution with no transform and no full band
-mix. ``solve_fast`` runs that same x-step once on cubes, in the identity
-basis: it transforms v (``cube.rdft2``), calls ``solve_spectrum`` and
-transforms back (``cube.irdft2``). A ``SylvesterSystem`` holds what one
-x-step is built from: the model, y, z, v and rho. C1, C3 and the operator
-``C1 X + X C2`` are derived from them in one place, for the explicit
-diagnostic ``sylvester_residual`` and for the test suite's independent
-oracles (the dense Kronecker solve and matrix-free conjugate gradient).
+basis; each iteration makes the group step and one ``write_pass``, and the
+``e^H v`` it starts from comes from the set-up (``group_sums`` of the
+prior) or the previous pass. That takes the spectrum of v to the spectrum
+of the solution with no transform and no full band mix.
+``solve_spectrum`` is that x-step for a v held whole, and ``solve_fast``
+runs it once on cubes, in the identity basis: it transforms v
+(``cube.rdft2``), calls ``solve_spectrum`` and transforms back
+(``cube.irdft2``). A ``SylvesterSystem`` holds what one x-step is built
+from: the model, y, z, v and rho. C1, C3 and the operator ``C1 X + X C2``
+are derived from them in one place, for the explicit diagnostic
+``sylvester_residual`` and for the test suite's independent oracles (the
+dense Kronecker solve and matrix-free conjugate gradient).
 
 Every ``DegradationModel`` has a grid its factor divides, and C1 is positive
 definite for rho > 0 in exact arithmetic. R^T R has rank at most the number
@@ -75,22 +83,26 @@ the model have checked its inputs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cube import (
     HsiCube,
+    Scratch,
     check_shape,
+    chunks,
     dft2,
     each_block,
     half_spectrum,
     irdft2,
+    mirror_runs,
     mix_bands,
-    chunks,
     pool_map,
     rdft2,
     real_rows,
+    tiles,
 )
 from .degradation import DegradationModel
 from .errors import UnsupportedStructureError, check_real
@@ -99,9 +111,12 @@ __all__ = [
     "SylvesterSystem",
     "XStep",
     "build_system",
+    "group_step",
+    "group_sums",
     "solve_fast",
     "solve_spectrum",
     "sylvester_residual",
+    "write_pass",
 ]
 
 
@@ -179,21 +194,23 @@ class XStep:
     (ascending, all positive). S^T S has rank at most r = min(out_bands,
     bands), so every eigenvalue but the top r is rho, and with q_r the top
     r eigenvectors, ``rho * C1^-1 = I + lift q_r^T`` for
-    ``lift = q_r diag(rho/lam_r - 1)``. ``z_gain`` is C1^-1 S^T. Member (tr, tc) of aliasing group (gr, gc)
-    sits at frequency (tr*gl + gr, tc*gw + gc). A half spectrum stores the
-    members in columns 0..width//2, so ``e`` has shape (s, gl, width//2 + 1):
-    row tr*gl + gr, column c, which a band of the half spectrum reshapes onto
-    without a copy. The member of group g in column c > width//2 is the
-    conjugate mirror of a stored member of group -g in column width - c. For
-    those columns, ``mirror`` holds the unit factor conj(u(g)) with
-    ``e(-m) = u(g) * conj(e(m))``. ``u(g)`` comes from the sampling-phase
-    twiddles, and it is 1 at phase (0, 0). ``esq`` is ``|e|^2`` summed over
-    all s^2 members of each group, shape (gl, gw).
+    ``lift = q_r diag(rho/lam_r - 1)``. ``z_gain`` is C1^-1 S^T. Member
+    (tr, tc) of aliasing group (gr, gc) sits at frequency
+    (tr*gl + gr, tc*gw + gc). A half spectrum stores the members in columns
+    0..width//2, so ``e`` (and ``ce``, its conjugate) has shape
+    (s, gl, width//2 + 1): row tr*gl + gr, column c, which a band of the
+    half spectrum reshapes onto without a copy (``grid``). The member of
+    group g in column c > width//2 is the conjugate mirror of a stored member
+    of group -g in column width - c. For those columns, ``mirror`` holds the
+    unit factor conj(u(g)) with ``e(-m) = u(g) * conj(e(m))``. ``u(g)`` comes
+    from the sampling-phase twiddles, and it is 1 at phase (0, 0). ``esq`` is
+    ``|e|^2`` summed over all s^2 members of each group, shape (gl, gw).
 
-    The data term: ``y_low`` (bands, gl, gw) is y's part, ``s^2 * y_tilde``
-    in U's coordinates, which the group step subtracts from each group's
-    ``e^H x0`` (``solve_spectrum``), and ``z_hat`` is z's half spectrum,
-    which the block pass adds through ``z_gain``.
+    The data term: ``low`` (bands, gl, gw) is what the group step subtracts
+    from each group's ``e^H v + lift q_r^T e^H v``: y's part,
+    ``s^2 * y_tilde`` in U's coordinates, less z's, ``z_gain e^H z_hat``.
+    ``z_hat`` is z's half spectrum, which ``write_pass`` adds through
+    ``z_gain``. ``runs`` are the maps' pool items (``_runs``).
     """
 
     rho: float
@@ -203,14 +220,21 @@ class XStep:
     lift: np.ndarray
     z_gain: np.ndarray
     e: np.ndarray
+    ce: np.ndarray
     esq: np.ndarray
     mirror: np.ndarray
-    y_low: np.ndarray
+    low: np.ndarray
     z_hat: np.ndarray
+    runs: tuple
 
     @property
     def width(self) -> int:
         return self.e.shape[2] + self.mirror.shape[1]
+
+    def grid(self, spec: np.ndarray) -> np.ndarray:
+        """A half spectrum in the group layout: (bands, s, gl, width//2 + 1), no copy."""
+        return spec.reshape((len(spec),) + self.e.shape)
+
 
     @classmethod
     def create(
@@ -256,77 +280,193 @@ class XStep:
         # DFT of y - down(blur(x)) times the same unit-modulus ramp
         rows, cols = np.arange(gl)[:, None], np.arange(gw)[None, :]
         ramp = np.exp(-2j * np.pi * (rows * pr / height + cols * pc / width))
-        y_low = dft2(y.data) * ramp
-        mix_bands(basis.T, y_low)
-        y_low *= s * s
+        low = dft2(y.data) * ramp
+        mix_bands(basis.T, low)
+        low *= s * s
         # z, the one cube-sized input, is transformed last, once the factors
         # and y's small arrays exist (see ``hqs._Spectra.prepare``)
-        return cls(rho, srf, q, lam, lift, z_gain, e, esq, mirror, y_low, rdft2(z.data))
+        z_hat = rdft2(z.data)
+        runs = _runs(s, gl, e.shape[2], mirror)
+        xstep = cls(rho, srf, q, lam, lift, z_gain, e, np.conj(e), esq, mirror, low, z_hat, runs)
+        z_low = group_sums(xstep, z_hat)
+        real_rows(low)[...] -= z_gain @ real_rows(z_low)
+        return xstep
 
 
-def _block_pass(xstep: XStep, spec: np.ndarray) -> None:
-    """Overwrite ``spec``, the half spectrum of v, with that of ``x0 = C1^-1 (rho*v + S^T z)``.
+def _runs(s: int, gl: int, half: int, mirror: np.ndarray) -> tuple:
+    """The maps' runs of group rows closed under the mirror (``cube.mirror_runs``).
 
-    One block of columns per pool item, in place: ``v + lift (q_r^T v)``,
-    then ``+ z_gain z_hat``, as two updates (one GEMM over the stacked
-    factors lost the last bits that the fixed-point tests read).
+    Each is (parts, mirrored, mirror): the run's slices of rows, each with
+    the place of its first row among the run's rows, the place of each
+    row's mirror row -gr among them, and the unit factors ``XStep.mirror``
+    of those rows.
     """
-    qr = xstep.q[:, -xstep.lift.shape[1] :]
+    runs = []
+    for parts in mirror_runs(gl, s * half):
+        rows = np.r_[parts]
+        at = np.empty(gl, dtype=np.intp)
+        at[rows] = np.arange(len(rows))
+        places = tuple((part, at[part.start]) for part in parts)
+        runs.append((places, at[-rows % gl], mirror[rows]))
+    return tuple(runs)
 
-    def block(out: np.ndarray, z: np.ndarray) -> None:
-        tmp = xstep.lift @ (qr.T @ out)
-        out += tmp
-        np.matmul(xstep.z_gain, z, out=tmp)
-        out += tmp
 
-    each_block(block, real_rows(spec), real_rows(xstep.z_hat))
+def _reduce_run(xstep: XStep, run: tuple, partial: np.ndarray, sums: np.ndarray, band: slice) -> None:
+    """Write ``e^H`` of a run's groups into ``sums[band]`` from its stored columns' member sums.
+
+    ``partial`` holds, for the bands ``band`` and the run's rows, each
+    stored column summed over its member rows. Column c > width//2 of
+    group row gr mirrors column width - c of group row -gr, so the run's
+    partial sums give every column's, and each group's columns are then
+    summed, a chunk of bands at a time (``cube.chunks``).
+    """
+    parts, mirrored, mirror = run
+    s, _, half = xstep.e.shape
+    width, sums = xstep.width, sums[band]
+    for rows in chunks(len(partial), len(mirrored) * width * 16):
+        part = partial[rows]
+        full = np.empty(part.shape[:2] + (width,), dtype=np.complex128)
+        full[..., :half] = part
+        full[..., half:] = mirror * np.conj(part[:, mirrored, width - half : 0 : -1])
+        group = full.reshape(len(full), -1, s, width // s).sum(axis=2)
+        for part, at in parts:
+            sums[rows, part] = group[:, at : at + part.stop - part.start]
 
 
-def _group_sums(xstep: XStep, spec: np.ndarray) -> np.ndarray:
-    """``e^H x`` of every band and aliasing group, shape (bands, gl, gw).
+def group_sums(xstep: XStep, spec: np.ndarray) -> np.ndarray:
+    """``e^H`` of a half spectrum for every band and aliasing group, shape (bands, gl, gw).
 
-    Each pool item takes a chunk of bands (``cube.chunks``) with one numpy
-    call per step: it sums each stored column over its s member rows,
-    extends those (gl, width//2 + 1) partial sums to every column by the
-    mirror relation and sums the columns of each group.
+    Each pool item reduces a chunk of bands (``cube.chunks``) over a run of
+    group rows and their mirror rows (``XStep.runs``) with every member row, so
+    its output is its own rows of the (bands, gl, gw) grid.
     """
     s, gl, half = xstep.e.shape
-    width = xstep.width
-    bands = spec.shape[0]
-    ce = np.conj(xstep.e)
-    channels = spec.reshape(bands, s, gl, half)
-    # column c > width//2 of group row gr mirrors column width - c of group row -gr
-    mirrored = -np.arange(gl) % gl
-    sums = np.empty((bands, gl, width // s), dtype=np.complex128)
+    bands, grid = len(spec), xstep.grid(spec)
+    sums = np.empty((bands, gl, xstep.width // s), dtype=np.complex128)
 
-    def chunk(rows: slice) -> None:
-        partial = np.einsum("tlc,ktlc->klc", ce, channels[rows])
-        full = np.empty((len(partial), gl, width), dtype=np.complex128)
-        full[..., :half] = partial
-        full[..., half:] = xstep.mirror * np.conj(partial[:, mirrored, width - half : 0 : -1])
-        sums[rows] = full.reshape(len(partial), gl, s, -1).sum(axis=2)
+    def item(cut: tuple) -> None:
+        run, band = cut
+        partial = np.empty((len(range(bands)[band]), len(run[1]), half), dtype=np.complex128)
+        for rows, at in run[0]:
+            out = partial[:, at : at + rows.stop - rows.start]
+            np.einsum("tlc,ktlc->klc", xstep.ce[:, rows], grid[band, :, rows], out=out)
+        _reduce_run(xstep, run, partial, sums, band)
 
-    pool_map(chunk, chunks(bands, spec[0].nbytes))
+    items = [(run, band) for run in xstep.runs for band in chunks(bands, len(run[1]) * half * 16)]
+    pool_map(item, items)
     return sums
 
 
-def _spread(xstep: XStep, spec: np.ndarray, w: np.ndarray) -> None:
-    """``x_m -= e_m * w_g`` at every stored member m of every group g, a chunk of bands per item.
+def group_step(xstep: XStep, sums: np.ndarray) -> float:
+    """The group step, in place: ``sums``, ``e^H v``, becomes ``w = Q u``; returns the y misfit.
 
-    Within an item the members are updated a chunk of member rows at a time
-    (``cube.chunks``), so that no temporary is as large as a full-scale band
-    (2 MB), which each pool thread's heap would keep.
+    ``r = e^H x0 - s^2 y_tilde`` is ``sums + lift q_r^T sums - low``, and
+    ``u = Q^T r / (lam*s^2 + |e_g|^2)``. It runs one block of columns of the
+    (bands, gl, gw) grid per pool item, so besides ``sums`` it holds only
+    block temporaries. The Sherman-Morrison coefficients are ``nu = lam*u``,
+    and the misfit is ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
+    """
+    s = xstep.e.shape[0]
+    qr = xstep.q[:, -xstep.lift.shape[1] :]
+    scale = xstep.lam * (s * s)
+    lam_sq = xstep.lam**2
+
+    def block(r: np.ndarray, low: np.ndarray, esq: np.ndarray) -> float:
+        r += xstep.lift @ (qr.T @ r)
+        r -= low
+        u = xstep.q.T @ r
+        u /= np.add.outer(scale, esq)
+        misfit = float(lam_sq @ np.vecdot(u, u))
+        np.matmul(xstep.q, u, out=r)
+        return misfit
+
+    # a complex value is two floats, each divided by its group's |e_g|^2
+    esq = np.repeat(xstep.esq.reshape(-1), 2)
+    return sum(each_block(block, real_rows(sums), real_rows(xstep.low), esq)) / xstep.esq.size
+
+
+def write_pass(
+    xstep: XStep,
+    spec: np.ndarray,
+    w: np.ndarray,
+    form: Callable,
+    score: Callable | None,
+    scratch: Scratch,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Write ``x = x0 - e * w`` over ``spec``, for ``w`` from ``group_step``; optionally score it.
+
+    ``form(index, out)`` writes v at ``index`` of the group layout
+    (``XStep.grid``), every band of some member rows and group rows, into
+    ``out``. Each pool item is a run of group rows and their mirror rows
+    (``XStep.runs``), walked in ``cube.tiles`` whose work arrays come from
+    ``scratch``. A tile's v becomes ``x0 = v + lift (q_r^T v)``, then
+    ``+ z_gain z_hat``, as two updates (one GEMM over the stacked factors
+    lost the last bits that the fixed-point tests read), and then x.
+
+    With ``score``, ``score(index, x, made, z, work)`` runs before x is
+    written over ``spec[index]``: ``made`` is what ``form`` returned, ``z``
+    the tile's ``z_hat`` and ``work`` a spare array shaped as x. It returns
+    an array of sums and an array shaped as x to reduce, or None. The pass
+    then returns the sums added over every tile and, if the tiles gave
+    arrays to reduce, their ``e^H`` as ``group_sums`` shapes it: each tile
+    adds its member rows' share, in the order of the member rows. The cut
+    depends on the grid alone, and the sums are added in item order, so
+    neither depends on the pool.
     """
     s, gl, half = xstep.e.shape
-    channels = spec.reshape(len(w), s, gl, half)
+    bands = len(spec)
+    qr = xstep.q[:, -xstep.lift.shape[1] :]
+    grid, z_grid = xstep.grid(spec), xstep.grid(xstep.z_hat)
+    # column c of group row gr takes w[:, gr, c % gw]
+    columns = np.arange(half) % (xstep.width // s)
+    sums = None if score is None else np.empty_like(w)
 
-    def chunk(rows: slice) -> None:
-        group = channels[rows]
-        spread = np.tile(w[rows], (1, 1, s))[:, None, :, :half]
-        for members in chunks(s, group[:, 0].nbytes):
-            group[:, members] -= xstep.e[members] * spread
+    def item(run: tuple) -> tuple[np.ndarray | None, bool]:
+        partial = found = None
+        spread_rows = None
+        for part, offset in run[0]:
+            for members, groups in tiles(s, part.stop - part.start, half):
+                groups = range(part.start, part.stop)[groups]
+                index = np.s_[:, members, groups.start : groups.stop]
+                shape = grid[index].shape
+                if groups != spread_rows:
+                    # w at every stored column of the tile's group rows
+                    spread_rows = groups
+                    spread = scratch.get("w", (bands, 1) + shape[2:], np.complex128)
+                    np.take(w[:, index[2]], columns, axis=2, out=spread[:, 0])
+                x = scratch.get("x", shape, np.complex128)
+                made = form(index, x)
+                tmp = scratch.get("tmp", shape, np.complex128)
+                rows, tmp_rows = real_rows(x), real_rows(tmp)
+                np.matmul(xstep.lift, qr.T @ rows, out=tmp_rows)
+                rows += tmp_rows
+                z = scratch.get("z", z_grid[index].shape, np.complex128)
+                np.copyto(z, z_grid[index])
+                np.matmul(xstep.z_gain, real_rows(z), out=tmp_rows)
+                rows += tmp_rows
+                x -= np.multiply(xstep.e[index[1:]], spread, out=tmp)
+                if score is not None:
+                    tile_sums, reduce = score(index, x, made, z, tmp)
+                    found = tile_sums if found is None else found + tile_sums
+                    if reduce is not None:
+                        if partial is None:
+                            partial = np.empty((bands, len(run[1]), half), dtype=np.complex128)
+                        at = np.s_[offset + groups.start - part.start : offset + groups.stop - part.start]
+                        ce = xstep.ce[index[1:]]
+                        if members.start == 0:
+                            np.einsum("tlc,ktlc->klc", ce, reduce, out=partial[:, at])
+                        else:
+                            reduced = scratch.get("e", (bands,) + shape[2:], np.complex128)
+                            partial[:, at] += np.einsum("tlc,ktlc->klc", ce, reduce, out=reduced)
+                grid[index] = x
+        if partial is not None:
+            _reduce_run(xstep, run, partial, sums, np.s_[:])
+        return found, partial is not None
 
-    pool_map(chunk, chunks(len(w), spec[0].nbytes))
+    done = pool_map(item, xstep.runs)
+    if score is None:
+        return None, None
+    return sum(found for found, _ in done), sums if done[0][1] else None
 
 
 def solve_spectrum(xstep: XStep, v_hat: np.ndarray) -> float:
@@ -335,30 +475,16 @@ def solve_spectrum(xstep: XStep, v_hat: np.ndarray) -> float:
     ``v_hat`` is in the coordinates of the basis ``xstep`` was built in, and
     stays in them: no transform and no bands x bands mix over the spectrum.
     In C1's eigenbasis each channel n and aliasing group g is one
-    Sherman-Morrison solve, ``x = x0 - e * Q u`` with ``x0`` from the block
-    pass (``_block_pass``), ``r = e^H x0`` per group (``_group_sums``) and
-    ``u = Q^T (r - s^2 y_tilde) / (lam*s^2 + |e_g|^2)`` on the small
-    (bands, gl, gw) grid; ``_spread`` subtracts ``e * Q u``. The
-    Sherman-Morrison coefficients are ``nu = lam * u``, and the
-    low-resolution residual of the x written is ``-nu``, so this returns
-    ``||y - down(blur(x))||^2 = sum |nu|^2 / (gl*gw)``.
+    Sherman-Morrison solve, ``x = x0 - e * Q u``: ``group_sums`` sums
+    ``e^H v`` per group, ``group_step`` makes ``w = Q u`` from it on the
+    small (bands, gl, gw) grid, and ``write_pass`` forms x0 and subtracts
+    ``e * w``. Returns ``||y - down(blur(x))||^2``.
     """
-    _block_pass(xstep, v_hat)
-    sums = _group_sums(xstep, v_hat)
-    sums -= xstep.y_low
-    s = xstep.e.shape[0]
-    u = np.tensordot(xstep.q.T, sums, axes=(1, 0))
-    # each (bands, gl, gw) array is freed once used: at factor 4 they are as
-    # large as the block temporaries
-    del sums
-    u /= (xstep.lam * (s * s))[:, None, None] + xstep.esq
-    nu = u * xstep.lam[:, None, None]
-    misfit = float(np.vdot(nu, nu).real)
-    del nu
-    w = np.tensordot(xstep.q, u, axes=(1, 0))
-    del u
-    _spread(xstep, v_hat, w)
-    return misfit / xstep.esq.size
+    grid = xstep.grid(v_hat)
+    sums = group_sums(xstep, v_hat)
+    misfit = group_step(xstep, sums)
+    write_pass(xstep, v_hat, sums, lambda index, out: np.copyto(out, grid[index]), None, Scratch())
+    return misfit
 
 
 def solve_fast(system: SylvesterSystem) -> HsiCube:

@@ -17,20 +17,23 @@ whose band vectors are in U's coordinates (mixed by U^T), the solve is
 ``factor_denoise`` builds ``DenoiseFactors`` once for fixed weights and a
 grid, whose ``LaplacianOperator`` it makes: the basis U and the gain's two
 terms, ``nu_p*d_k`` per band and ``1 + mu_p*|lap(f)|^2`` per frequency of the
-half grid, not the gain itself. ``denoise_spectrum`` builds the gain for a few bands of one block of
-frequencies at a time and applies it, with no transform and no band mix, to
-spectra that the HQS loop keeps in U's coordinates (see ``hqs``, which also
-reads the objective's coupling and regularizer off the gain, built the same
-way). Each frequency is solved on its own, so it runs unchanged on half
-spectra (see ``cube``).
+half grid, not the gain itself. ``DenoiseFactors.gain`` builds the gain
+for the bands and frequencies it is given, in the caller's buffer, and
+``DenoiseFactors.denoise`` applies it, with no transform and no band mix,
+to spectra that the HQS loop keeps in U's coordinates (see ``hqs``, which
+forms v this way once per tile of its one pass over the spectrum, and reads
+the objective's coupling and regularizer off the same gain). Each frequency
+is solved on its own, so it runs unchanged on half spectra (see ``cube``).
 ``vstep``, the one-shot spatial form, rotates x_next and the prior
-(``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain,
-rotates back and transforms back (``idft2_per_band``). ``solve_tridiagonal``
-is the Thomas algorithm for T_f's tridiagonal form; the loop does not need it.
+(``cube.mix_bands``), transforms them (``dft2_per_band``), applies the gain
+a chunk of bands at a time (``cube.chunks``), rotates back and transforms
+back (``idft2_per_band``). ``solve_tridiagonal`` is the Thomas algorithm for
+T_f's tridiagonal form; the loop does not need it.
 
 ``vstep`` and ``solve_tridiagonal`` are the entry points that check their
-inputs; ``factor_denoise`` and ``denoise_spectrum`` trust theirs, which come
-from ``vstep`` or from ``hqs.fuse`` after ``HqsConfig`` has checked the weights.
+inputs; ``factor_denoise`` and ``DenoiseFactors`` trust theirs, which come
+from ``vstep`` or from ``hqs.fuse`` after ``HqsConfig`` has checked the
+weights.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .cube import (
     check_shape,
     chunks,
     dft2_per_band,
-    each_block,
     half_spectrum,
     idft2_per_band,
     mix_bands,
@@ -55,7 +57,6 @@ from .gradients import LaplacianOperator, spectral_gram_eig
 
 __all__ = [
     "DenoiseFactors",
-    "denoise_spectrum",
     "factor_denoise",
     "solve_tridiagonal",
     "vstep",
@@ -110,13 +111,28 @@ class DenoiseFactors:
     band_term: np.ndarray
     freq_term: np.ndarray
 
-    def gain(self, freq: np.ndarray, rows: slice) -> np.ndarray:
-        """``1 / (band_term[rows] + freq)`` as a new (bands in ``rows``, freq.size) array.
+    def gain(self, rows: slice, freq: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``1 / (band_term[rows] + freq)`` written into and returned as ``out``.
 
-        ``freq`` is a 1-D slice of the flattened ``freq_term``.
+        ``freq`` is a slice of ``freq_term``, flattened or not, and ``out``
+        a float64 array of shape (bands in ``rows``,) + freq.shape.
         """
-        gain = np.add.outer(self.band_term[rows], freq)
-        return np.reciprocal(gain, out=gain)
+        np.add.outer(self.band_term[rows], freq, out=out)
+        return np.reciprocal(out, out=out)
+
+    @staticmethod
+    def denoise(x_hat: np.ndarray, p_hat: np.ndarray, gain: np.ndarray, out: np.ndarray) -> None:
+        """Write the v-step solution ``p + g (x - p)`` into ``out``.
+
+        ``x_hat``, ``p_hat`` and ``out`` hold some bands of x_next's and the
+        prior's spectra in U's coordinates at some frequencies, in any
+        layout, and ``gain`` the gain there (``DenoiseFactors.gain``). The
+        deviation is formed in ``out``, then scaled by the gain and shifted
+        back by ``p``.
+        """
+        np.subtract(x_hat, p_hat, out=out)
+        out *= gain
+        out += p_hat
 
 
 def factor_denoise(height: int, width: int, bands: int, mu_p: float, nu_p: float) -> DenoiseFactors:
@@ -124,30 +140,6 @@ def factor_denoise(height: int, width: int, bands: int, mu_p: float, nu_p: float
     eig, basis = spectral_gram_eig(bands)
     lap_sq = LaplacianOperator.create(height, width).response_sq
     return DenoiseFactors(basis, nu_p * eig, 1.0 + mu_p * half_spectrum(lap_sq))
-
-
-def denoise_spectrum(
-    fac: DenoiseFactors, x_hat: np.ndarray, p_hat: np.ndarray, out: np.ndarray
-) -> None:
-    """Write the DFT of the v-step solution, in U's coordinates, into ``out``.
-
-    ``x_hat`` and ``p_hat`` are the half spectra of x_next and the prior in
-    U's coordinates, shape (bands, height, width//2 + 1); ``out`` must be a
-    third array of that shape. The deviation ``x - p`` is formed in ``out``,
-    scaled by the gain and shifted back by ``p``, one block of frequencies
-    per pool item (``cube.each_block``); the gain is built for one chunk of
-    bands of the block at a time (``cube.chunks`` of the block's complex row).
-    """
-    bands = x_hat.shape[0]
-
-    def block(x: np.ndarray, p: np.ndarray, v: np.ndarray, freq: np.ndarray) -> None:
-        np.subtract(x, p, out=v)
-        for rows in chunks(bands, v[0].nbytes):
-            v[rows] *= fac.gain(freq, rows)
-        v += p
-
-    flat = (a.reshape(bands, -1) for a in (x_hat, p_hat, out))
-    each_block(block, *flat, fac.freq_term.reshape(-1))
 
 
 def vstep(
@@ -175,8 +167,10 @@ def vstep(
         mix_bands(fac.basis.T, data)
         return dft2_per_band(HsiCube(data)).data
 
-    x_hat = rotated(x_next)
+    x_hat, p_hat = rotated(x_next), rotated(prior)
     out = np.empty_like(x_hat)
-    denoise_spectrum(fac, x_hat, rotated(prior), out)
+    for rows in chunks(len(out), out[0].nbytes):
+        gain = fac.gain(rows, fac.freq_term, np.empty(out[rows].shape))
+        fac.denoise(x_hat[rows], p_hat[rows], gain, out[rows])
     mix_bands(fac.basis, out)
     return idft2_per_band(FreqCube(out, x_next.width))

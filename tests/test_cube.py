@@ -8,10 +8,10 @@ from hsfuse.cube import (
     HsiCube,
     circular_convolve,
     dft2_per_band,
-    half_sums,
     idft2_per_band,
     irdft2,
     rdft2,
+    self_mirrored,
 )
 from hsfuse.degradation import BlurOperator
 from hsfuse.errors import SymmetryViolationError, ValidationError
@@ -117,40 +117,39 @@ def test_dft_roundtrip_and_dc(rng):
 
 def test_parseval(rng):
     # every stored column but 0 and (for even widths) width/2 has a mirror,
-    # so it counts twice; half_sums applies that rule blockwise, on slices
-    # whose last axis is contiguous (for a 1-row grid, a plain fancy-indexed
-    # copy of the self-mirrored columns is not), and the 128x65 stored
-    # columns of the last input span three column blocks
+    # so it counts twice; self_mirrored slices those columns out of the
+    # stored ones as a basic slice, a view, for 1-row and 2-column grids too
     cases = (
         ((8, 8), [1, 2, 2, 2, 1]),
         ((8, 7), [1, 2, 2, 2]),
         ((1, 6), [1, 2, 2, 1]),
+        ((1, 2), [1, 1]),
         ((128, 128), None),
     )
     for (height, width), weights in cases:
         cube = HsiCube(rng.standard_normal((2, height, width)))
         rhs = height * width * float(np.sum(cube.data**2))
         spec = rdft2(cube.data)
+        own = spec[..., self_mirrored(width)]
         if weights is not None:
             lhs = float(np.sum(np.abs(spec) ** 2 * np.array(weights, dtype=float)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
-        got = half_sums(lambda a: float(np.sum(a.view(np.float64) ** 2)), (spec,), width)
+            assert np.shares_memory(own, spec)
+            assert own.shape[-1] == weights.count(1)
+        got = 2 * float(np.sum(np.abs(spec) ** 2)) - float(np.sum(np.abs(own) ** 2))
         assert got == pytest.approx(rhs, rel=1e-12)
 
 
-def test_half_sums_takes_a_table_beside_spectra(rng):
-    # a (height, columns) table beside (bands, height, columns) spectra: the
-    # table's 1-D slice meets the spectra's 2-D ones in every block and in
-    # the self-mirrored columns; a mirror-symmetric table (the power of a
-    # real image) weights the full spectrum as its stored columns do
+def test_self_mirrored_columns_weight_a_table_as_the_full_spectrum(rng):
+    # a mirror-symmetric table (the power of a real image) weights the full
+    # spectrum as twice its stored columns less the self-mirrored ones
     for height, width in ((8, 8), (8, 7), (1, 6), (128, 128)):
         cube = rng.standard_normal((3, height, width))
         table = np.abs(np.fft.fft2(rng.standard_normal((height, width)))) ** 2
         want = float(np.sum(table * np.abs(np.fft.fft2(cube)) ** 2))
-        half = np.ascontiguousarray(table[:, : width // 2 + 1])
-        got = half_sums(
-            lambda t, a: float(np.sum(t * np.abs(a) ** 2)), (half, rdft2(cube)), width
-        )
+        half = table[:, : width // 2 + 1]
+        power = half * np.abs(rdft2(cube)) ** 2
+        got = 2 * float(np.sum(power)) - float(np.sum(power[..., self_mirrored(width)]))
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -22,7 +22,7 @@ from helpers import (
     roll_blur,
     woodbury_minimizer,
 )
-from hsfuse.cube import HsiCube
+from hsfuse.cube import HsiCube, Scratch
 from hsfuse.degradation import (
     BlurOperator,
     DegradationModel,
@@ -34,7 +34,14 @@ from hsfuse.gradients import LaplacianOperator, regularizer_value
 from hsfuse.hqs import FusionResult, HqsConfig, _Spectra, fuse, objective_value
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
-from hsfuse.sylvester import build_system, solve_fast, solve_spectrum
+from hsfuse.sylvester import (
+    build_system,
+    group_step,
+    group_sums,
+    solve_fast,
+    solve_spectrum,
+    write_pass,
+)
 from hsfuse.vstep import vstep
 
 
@@ -145,12 +152,13 @@ class TestFuse:
         result = fuse(y, z, model, prior, HqsConfig(max_iter=3, rel_tol=1e-14))
         assert result.iterations == 3
 
-    def test_peak_memory_stays_below_2_7_complex_cubes(self):
-        # the loop holds half spectra only, the x-step's data term adds no
-        # cube to them (it reuses z's spectrum and keeps a per-group shift for
-        # y), the v-step keeps a band vector and one half-grid table and
-        # builds its gain per block, and the one inverse transform writes the
-        # real cube directly
+    def test_peak_memory_stays_below_2_65_complex_cubes(self):
+        # the loop holds two half spectra, the prior's and x's, and forms v
+        # tile by tile where it is used; the x-step's data term adds no cube
+        # to them (it reuses z's spectrum and keeps a per-group shift for y),
+        # the v-step keeps a band vector and one half-grid table, and the one
+        # inverse transform writes the real cube directly. Measured at 1.79
+        # cubes
         gt = generate_scene(SceneSpec(31, 128, 128, seed=0))
         blur = BlurOperator.uniform_block(128, 128, 4)
         model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
@@ -162,12 +170,12 @@ class TestFuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.7 * gt.data.size * 16
+        assert peak < 2.65 * gt.data.size * 16
 
     def test_loop_holds_no_gain_cube(self, monkeypatch):
-        # the prior's spectrum, x, v and z's spectrum, and block temporaries
-        # that are small at this size: a stored v-step gain (half a complex
-        # half spectrum) would take the peak to about 4.1 of them
+        # the prior's spectrum, x and z's spectrum, and tile temporaries that
+        # are small at this size: measured at 2.90 half spectra, and a stored
+        # v-step gain (half a complex half spectrum) would take it to about 3.4
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         size = 256
         gt = generate_scene(SceneSpec(31, size, size, seed=0))
@@ -181,7 +189,7 @@ class TestFuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.85 * 31 * size * (size // 2 + 1) * 16
+        assert peak < 3.15 * 31 * size * (size // 2 + 1) * 16
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info < (3, 11),
@@ -194,13 +202,13 @@ class TestFuse:
         model, y, z, prior = desk_problem(0)
         ref = weakref.ref(prior.data)
         alive = []
-        solve_spectrum = hsfuse.sylvester.solve_spectrum
+        write_pass = hsfuse.sylvester.write_pass
 
         def probed(*args, **kwargs):
             alive.append(ref() is not None)
-            return solve_spectrum(*args, **kwargs)
+            return write_pass(*args, **kwargs)
 
-        monkeypatch.setattr(hsfuse.sylvester, "solve_spectrum", probed)
+        monkeypatch.setattr(hsfuse.sylvester, "write_pass", probed)
         holder = [prior]
         del prior
         result = fuse(y, z, model, holder.pop(), HqsConfig(max_iter=2))
@@ -330,28 +338,32 @@ class TestSpectralLoop:
 
     @pytest.mark.parametrize("kind", list(VARIANTS))
     def test_spectral_objective_matches_objective_value(self, kind, rng):
-        # the loop scores the x-step's x, with the v-step's v for it, from the
-        # x-step's y-term and the v-step's gain; the oracle runs both one-shot
-        # steps and scores the pair on cubes
+        # an iteration scores the x it writes, with the v-step's v for it,
+        # from the group step's y-term and the v-step's gain; the oracle runs
+        # both one-shot steps from x_prev's v and scores the pair on cubes
         model, y, z, prior = variant_problem(kind)
         cfg = HqsConfig(mu=0.3, nu=0.02, rho=0.15)
         fixed = _Spectra.prepare(y, z, model, prior, cfg)
         lap = LaplacianOperator.create(prior.height, prior.width)
+        mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
         for _ in range(3):
-            v_prev = rand_cube(rng, *prior.data.shape)
-            x_hat = loop_spectrum(fixed, v_prev)
-            y_term = solve_spectrum(fixed.xstep, x_hat)
-            got, change = fixed.score(x_hat, y_term)
+            x_prev = rand_cube(rng, *prior.data.shape)
+            v_prev = vstep(x_prev, prior, lap, mu_p, nu_p)
+            prev = loop_spectrum(fixed, x_prev)
+            sums = group_sums(fixed.xstep, loop_spectrum(fixed, v_prev))
+            got, step, norm, _ = fixed.iterate(np.empty_like(prev), prev, sums, False)
             x = solve_fast(build_system(model, y, z, v_prev, cfg.rho))
-            v = vstep(x, prior, lap, cfg.mu / cfg.rho, cfg.nu / cfg.rho)
+            v = vstep(x, prior, lap, mu_p, nu_p)
             want = objective_value(x, v, y, z, model, prior, cfg)
-            assert change is None
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert step == pytest.approx(float(np.sum((x.data - x_prev.data) ** 2)), rel=1e-10)
+            assert norm == pytest.approx(float(np.sum(x.data**2)), rel=1e-10)
 
     @pytest.mark.parametrize("family,arg", [("desk", 0)] + [("variant", kind) for kind in VARIANTS])
     def test_xstep_returns_the_y_term_of_its_x(self, family, arg, rng):
-        # the low-resolution residual of the x the x-step writes is minus its
-        # Sherman-Morrison coefficients, so their squares sum to the y-term
+        # the low-resolution residual of the x the pass writes is minus the
+        # group step's Sherman-Morrison coefficients, so their squares sum to
+        # the y-term
         model, y, z, prior = build_problem(family, arg)
         for cfg, v_prev in (
             (HqsConfig(), prior),
@@ -359,7 +371,14 @@ class TestSpectralLoop:
         ):
             fixed = _Spectra.prepare(y, z, model, prior, cfg)
             x_hat = loop_spectrum(fixed, v_prev)
-            got = solve_spectrum(fixed.xstep, x_hat)
+            v_grid = fixed.xstep.grid(x_hat.copy())
+            sums = group_sums(fixed.xstep, x_hat)
+            got = group_step(fixed.xstep, sums)
+
+            def form(index, out):
+                np.copyto(out, v_grid[index])
+
+            write_pass(fixed.xstep, x_hat, sums, form, None, Scratch())
             x = np.fft.irfft2(
                 np.tensordot(fixed.denoise.basis, x_hat, axes=(1, 0)), s=prior.data.shape[1:]
             )
@@ -397,27 +416,57 @@ class TestSpectralLoop:
             assert relative_gap(got.x_hat.data, want.x_hat.data) <= 1e-13
 
     def test_one_scoring_pass_per_iteration_and_no_unused_vstep(self, monkeypatch):
+        # the set-up reduces the first v, the prior, once (and z's spectrum
+        # for the data term); each iteration then makes one write_pass, which
+        # builds the gain and forms v once per tile (the first v is the
+        # prior, copied), returns the iteration's score sums and reduces the
+        # next v, but for the last iteration the cap allows
         model, y, z, prior = desk_problem(0)
-        calls = {"denoise_spectrum": 0, "half_sums": 0}
+        reductions, passes = [0], []
+        calls = {"gain": 0, "denoise": 0}
+        group_sums_fn, write_pass_fn = hsfuse.sylvester.group_sums, hsfuse.sylvester.write_pass
+        factors = hsfuse.vstep.DenoiseFactors
+        gain, denoise = factors.gain, factors.denoise
 
-        def counting(name):
-            fn = getattr(hsfuse.hqs, name)
+        def counting_sums(*args, **kwargs):
+            reductions[0] += 1
+            return group_sums_fn(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counting_pass(xstep, *args):
+            s, _, half = xstep.e.shape
+            tile_count = sum(
+                len(hsfuse.cube.tiles(s, part.stop - part.start, half))
+                for parts, _, _ in xstep.runs
+                for part, _ in parts
+            )
+            before = dict(calls)
+            stored, sums = write_pass_fn(xstep, *args)
+            made = {name: (calls[name] - before[name]) / tile_count for name in calls}
+            passes.append((made, stored is not None, sums is not None))
+            return stored, sums
 
-            return wrapper
+        def counting_gain(*args):
+            calls["gain"] += 1
+            return gain(*args)
 
-        for name in calls:
-            monkeypatch.setattr(hsfuse.hqs, name, counting(name))
+        def counting_denoise(*args):
+            calls["denoise"] += 1
+            return denoise(*args)
+
+        monkeypatch.setattr(hsfuse.sylvester, "group_sums", counting_sums)
+        monkeypatch.setattr(hsfuse.sylvester, "write_pass", counting_pass)
+        monkeypatch.setattr(factors, "gain", counting_gain)
+        monkeypatch.setattr(factors, "denoise", staticmethod(counting_denoise))
         for cfg in (HqsConfig(max_iter=1), HqsConfig(max_iter=4, rel_tol=1e-14), HqsConfig()):
-            calls.update(dict.fromkeys(calls, 0))
+            reductions[0] = 0
+            passes.clear()
             result = fuse(y, z, model, prior, cfg)
-            assert calls == {
-                "denoise_spectrum": result.iterations - 1,
-                "half_sums": result.iterations,
-            }
+            n = result.iterations
+            assert reductions[0] == 2
+            made = [{"gain": 1, "denoise": int(k > 0)} for k in range(n)]
+            # a run that stops on the tolerance reduced a next v it does not use
+            more = [True] * (n - 1) + [n < cfg.max_iter]
+            assert passes == [(m, True, later) for m, later in zip(made, more)]
 
     def test_transform_count_does_not_grow_with_iterations(self, monkeypatch):
         model, y, z, prior = desk_problem(0)
@@ -497,24 +546,26 @@ class TestSpectralLoop:
             assert work(PriorSource.naive_fusion(), max_iter) == {"planes": out, "mixes": 1}
             assert work(prior, max_iter) == {"planes": out + bands, "mixes": 2}
 
-    def test_score_temporaries_stay_within_a_few_chunks(self, monkeypatch):
-        # the pass cuts each block's bands by the complex row it makes, so its
-        # chunk temporaries (x - p, its product with the coupling, the step and
-        # the coupling itself) stay near the cap; cut by the float64 gain row,
-        # a desk call (1.05 MB per half spectrum) peaked at 2.0 MB
+    def test_pass_temporaries_stay_within_a_few_tiles(self, monkeypatch):
+        # an iteration's temporaries are the work arrays of one tile (v and x,
+        # the x-step's update, the next v less p and the gain, each every band
+        # of at most _TILE_VALUES frequencies), the next v's sums over member
+        # rows and the small (bands, gl, gw) arrays: measured at 5.2 tiles; a
+        # pass that held v, x - p or the step for the spectrum (1.05 MB, 2.1
+        # tiles) or a whole block (31 x 4,096 complex values) would exceed it
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         model, y, z, prior = desk_problem(0)
         fixed = _Spectra.prepare(y, z, model, prior, HqsConfig())
-        x_old = fixed.p_hat.copy()
-        x_hat = fixed.p_hat.copy()
-        y_term = solve_spectrum(fixed.xstep, x_hat)
+        x_hat = np.empty_like(fixed.p_hat)
+        sums = group_sums(fixed.xstep, fixed.p_hat)
+        tile = 31 * hsfuse.cube._TILE_VALUES * 16
         tracemalloc.start()
         try:
-            fixed.score(x_hat, y_term, x_old)
+            fixed.iterate(x_hat, fixed.p_hat, sums, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * hsfuse.cube._CHUNK_BYTES
+        assert peak < 6 * tile
 
 
 # (bands, height, width, factor, phase, blur) of grids small enough for a

@@ -11,7 +11,7 @@ from hsfuse.degradation import (
 )
 from hsfuse.errors import UnsupportedStructureError, ValidationError
 from hsfuse.hqs import HqsConfig, fuse
-from hsfuse.sylvester import build_system, solve_fast, solve_spectrum, sylvester_residual
+from hsfuse.sylvester import build_system, solve_fast, sylvester_residual, write_pass
 
 
 def make_model(rng, bands, h, w, s, blur_kind="block", phase=(0, 0)):
@@ -137,6 +137,14 @@ class TestOracleTriangle:
         assert relative_gap(fast.data, cg.x.data) <= 1e-7
         assert sylvester_residual(system, fast) <= 1e-10
 
+    @pytest.mark.parametrize("h,w,s", [(64, 64, 1), (48, 64, 1), (64, 40, 2)])
+    def test_runs_of_many_group_rows(self, rng, h, w, s):
+        # at factors 1 and 2 a run of group rows is cut into several tiles of
+        # group rows, some of equal length, each of which must take its own
+        # rows of w; too large for the dense oracle, so the residual decides
+        system, *_ = random_system(rng, 2, h, w, s, rho=0.01, blur_kind="gauss")
+        assert sylvester_residual(system, solve_fast(system)) <= 1e-10
+
     def test_ground_truth_is_fixed_point(self, rng):
         model = make_model(rng, 5, 8, 8, 2)
         gt = rand_cube(rng, 5, 8, 8, lo=0.0, hi=1.0)
@@ -204,8 +212,8 @@ class TestSolveCG:
 
 
 class TestSolveDispatch:
-    """``fuse`` looks its closed-form x-step, ``solve_spectrum``, up on its
-    module once per iteration."""
+    """``fuse`` looks its x-step's pass, ``write_pass``, up on its module once
+    per iteration."""
 
     def _problem(self, rng):
         model = make_model(rng, 4, 8, 8, 2)
@@ -216,11 +224,11 @@ class TestSolveDispatch:
         y, z, model, prior = self._problem(rng)
         calls = []
 
-        def counting(xstep, v_hat):
+        def counting(xstep, *args):
             calls.append(xstep.rho)
-            return solve_spectrum(xstep, v_hat)
+            return write_pass(xstep, *args)
 
-        monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", counting)
+        monkeypatch.setattr("hsfuse.sylvester.write_pass", counting)
         result = fuse(y, z, model, prior, HqsConfig(max_iter=3, rel_tol=1e-14))
         assert len(calls) == result.iterations == 3
 
@@ -228,10 +236,10 @@ class TestSolveDispatch:
         # a system outside the closed form's structure fails the run (CLI exit 4)
         y, z, model, prior = self._problem(rng)
 
-        def refuse(xstep, v_hat):
+        def refuse(*args):
             raise UnsupportedStructureError("forced")
 
-        monkeypatch.setattr("hsfuse.sylvester.solve_spectrum", refuse)
+        monkeypatch.setattr("hsfuse.sylvester.write_pass", refuse)
         with pytest.raises(UnsupportedStructureError, match="forced"):
             fuse(y, z, model, prior)
 

@@ -22,7 +22,7 @@ from hsfuse.hqs import HqsConfig, _Spectra, fuse
 from hsfuse.metrics import evaluate
 from hsfuse.priors import PriorSource, make_prior
 from hsfuse.scenes import SceneSpec, generate_scene
-from hsfuse.sylvester import solve_spectrum
+from hsfuse.sylvester import group_sums
 
 
 def test_default_size_is_one(monkeypatch):
@@ -235,10 +235,12 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
     cfg = HqsConfig()
 
     def run():
+        # the loop's first iteration, from the prior
         fixed = _Spectra.prepare(y, z, model, prior, cfg)
-        v_hat = fixed.p_hat.copy()
-        misfit = solve_spectrum(fixed.xstep, v_hat)
-        return fixed.p_hat.tobytes(), v_hat.tobytes(), misfit, irdft2(v_hat, 64).tobytes()
+        x_hat = np.empty_like(fixed.p_hat)
+        sums = group_sums(fixed.xstep, fixed.p_hat)
+        *scores, sums = fixed.iterate(x_hat, fixed.p_hat, sums, True)
+        return fixed.p_hat.tobytes(), x_hat.tobytes(), scores, sums.tobytes(), irdft2(x_hat, 64).tobytes()
 
     def fused():
         result = fuse(y, z, model, prior, cfg)
@@ -252,12 +254,45 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
     stacked, whole = run(), fused()
     monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", 1)
     assert len(chunks(31, 64 * 33 * 16)) == 31
-    # the v-step, the score and the Sherman-Morrison update go one band or
-    # one member row at a time
+    # the reductions over group rows go one band at a time
     assert len(chunks(31, 8 * 4096)) == 31
     assert len(chunks(4, 64 * 33 * 16)) == 4
     assert run() == stacked
     assert fused() == whole
+
+
+# (bands, height, width, factor, phase) of grids whose runs of group rows and
+# their mirrors differ from desk's: 6 group rows by 7 group columns; factor 1,
+# where every row is its own group; an odd width whose only self-mirrored
+# column is column 0
+RUN_GEOMETRIES = {
+    "odd_factor": (6, 30, 35, 5, (0, 0)),
+    "factor_1": (5, 24, 27, 1, (0, 0)),
+    "phase_2_1": (5, 45, 63, 3, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(RUN_GEOMETRIES))
+def test_fuse_bytes_across_group_row_runs_do_not_depend_on_the_pool_or_the_chunks(
+    monkeypatch, kind
+):
+    bands, height, width, factor, phase = RUN_GEOMETRIES[kind]
+    model = DegradationModel(
+        BlurOperator.gaussian(height, width, 1.3),
+        Downsampler(factor, phase),
+        SpectralResponse.default_rgb(bands),
+    )
+    gt = generate_scene(SceneSpec(bands, height, width, endmembers=4, seed=7))
+    y, z = model.degrade(gt)
+    prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+    runs = []
+    for cap in (hsfuse.cube._CHUNK_BYTES, 1):
+        monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("HSFUSE_THREADS", threads)
+            result = fuse(y, z, model, prior, HqsConfig(max_iter=5, rel_tol=1e-300))
+            runs.append((result.x_hat.data.tobytes(), result.objective_trace, result.rel_changes))
+    assert runs[1:] == runs[:1] * 5
 
 
 def test_fuse_makes_fewer_fft_calls_than_it_transforms_planes(monkeypatch):
