@@ -297,19 +297,20 @@ def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
             )
         if prior_path:
             check_shape("prior", stage.shape("prior", prior_path), hr_shape)
-        y, z = load_cube(args.y), load_cube(args.z)
+        # the list holds the one references to the inputs, which fuse takes
+        # over: it frees y and z once it holds z's spectrum, and a prior
+        # file's cube once it holds the prior's; fuse builds the naive
+        # prior's spectrum itself, under "fuse"
+        inputs = [load_cube(args.y), load_cube(args.z)]
 
     cfg = HqsConfig(
         mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
     )
 
     with stage.timed("prior"):
-        # a prior file's cube is held only by the list, so fuse gets the one
-        # reference and frees it once it holds its spectrum; fuse builds the
-        # naive prior's spectrum itself, under "fuse"
-        holder = [load_cube(prior_path) if prior_path else PriorSource.naive_fusion()]
+        inputs.append(load_cube(prior_path) if prior_path else PriorSource.naive_fusion())
     with stage.timed("fuse"):
-        result = fuse(y, z, model, holder.pop(), cfg)
+        result = fuse(inputs.pop(0), inputs.pop(0), model, inputs.pop(), cfg)
     with stage.timed("save"):
         save_cube(args.out, result.x_hat)
     stage.output("x_hat", args.out, result.x_hat.data.shape)

@@ -21,7 +21,9 @@ walks a spectrum as its ``real_rows`` view. The band updates of
 each through ``each_block`` with its own product.
 ``rdft2`` and ``irdft2`` are that transform pair on arrays, ``dft2_per_band``
 and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
-chunk of planes (``chunks``). ``circular_convolve`` filters on half spectra
+chunk of planes (``chunks``). ``irdft2`` works in place: its column
+transforms run on the pool, its row transforms in order, and the result is
+a view of its input's buffer. ``circular_convolve`` filters on half spectra
 too, one plane per item in one half-spectrum buffer: the multiplier of a
 real kernel is conjugate-symmetric, so its stored columns are all the
 product needs. The full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
@@ -268,7 +270,9 @@ class Scratch:
     over the thread's buffer for ``key``, which grows to the largest shape
     asked for. A pass that walks many tiles thus allocates its temporaries,
     and has their pages mapped, once per thread rather than once per tile;
-    a helper thread's buffers go when its map ends.
+    a helper thread's buffers go when its map ends. The view for each shape
+    is kept too, until the buffer grows, since most tiles of a pass share
+    one shape.
     """
 
     def __init__(self) -> None:
@@ -276,11 +280,16 @@ class Scratch:
 
     def get(self, key: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
         buffers = self._local.__dict__
-        size = math.prod(shape)
-        buf = buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = buffers[key] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
+        view = buffers.get((key, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = buffers.get(key)
+            if buf is None or buf.size < size:
+                for stale in [k for k in buffers if isinstance(k, tuple) and k[0] == key]:
+                    del buffers[stale]
+                buf = buffers[key] = np.empty(size, dtype=dtype)
+            view = buffers[(key, shape)] = buf[:size].reshape(shape)
+        return view
 
 
 def _slices(rows: int, per: int) -> list[slice]:
@@ -406,32 +415,37 @@ def rdft2(data: np.ndarray) -> np.ndarray:
 
 
 def irdft2(spec: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of ``rdft2`` for a ``width``-column grid, into one new real array.
+    """Inverse of ``rdft2`` for a ``width``-column grid, in place: the result is a view of ``spec``.
 
-    ``np.fft.irfftn`` writes the real result directly, one call per chunk of
-    planes (``chunks``), whose complex temporary the chunk's size bounds.
+    ``spec`` is a contiguous complex half spectrum, which the call consumes.
+    The column transforms run in place on the pool, one call per chunk of
+    planes (``chunks``). The row transforms then run in order, one call per
+    chunk of rows, into the real layout of the result, which starts where
+    ``spec`` starts: ``width`` real values take fewer bytes than the
+    ``width//2 + 1`` complex values they come from, so a chunk's output
+    overwrites only rows already read and never one not yet transformed.
+    These are the transforms ``np.fft.irfftn`` makes, in its order, so the
+    bits are its, with no array of the result's size allocated.
     Only the self-mirrored columns can break conjugate symmetry, and a full
     inverse would turn that break into an imaginary residue; it is measured
-    on those columns, relative to max(1, peak real magnitude), and discarded
-    when small. A non-finite spectrum gives a non-finite result, which the
-    caller's ``HsiCube`` rejects.
+    on those columns once their column transforms are made, relative to
+    max(1, peak real magnitude), and discarded when small. A non-finite
+    spectrum gives a non-finite result, which the caller's ``HsiCube``
+    rejects.
 
     Raises:
         SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
     """
-    height = spec.shape[-2]
+    _each_stack(lambda planes: np.fft.ifft(planes, axis=-2, out=planes), _spectrum_chunks(spec), spec)
     # a self-mirrored column c adds exp(2j*pi*c*j/width)/width, which is +-1/width,
     # times its inverse over rows to pixel column j, so the worst pixel
     # carries the sum of the columns' imaginary parts
-    rows = np.fft.ifft(spec[..., self_mirrored(width)], axis=-2)
-    resid = float(np.abs(rows.imag).sum(axis=-1).max()) / width
-    real = np.empty(spec.shape[:-1] + (width,), dtype=np.float64)
-    _each_stack(
-        lambda src, dst: np.fft.irfftn(src, s=(height, width), axes=(-2, -1), out=dst),
-        _spectrum_chunks(spec),
-        spec,
-        real,
-    )
+    resid = float(np.abs(spec[..., self_mirrored(width)].imag).sum(axis=-1).max()) / width
+    rows = spec.reshape(-1, spec.shape[-1])
+    real = spec.reshape(-1).view(np.float64)[: len(rows) * width].reshape(len(rows), width)
+    for chunk in chunks(len(rows), rows[0].nbytes):
+        np.fft.irfft(rows[chunk], n=width, axis=-1, out=real[chunk])
+    real = real.reshape(spec.shape[:-1] + (width,))
     # the scale is at least 1, so a residue within the tolerance needs no peak scan
     if resid > _IMAG_TOL:
         scale = max(1.0, float(real.max()), -float(real.min()))
@@ -469,10 +483,12 @@ def dft2_per_band(cube: HsiCube) -> FreqCube:
 def idft2_per_band(fc: FreqCube) -> HsiCube:
     """Inverse per-band DFT of a half spectrum that should come from a real cube (``irdft2``).
 
+    ``irdft2`` works in place, so it transforms a copy of the frozen ``fc.data``.
+
     Raises:
         SymmetryViolationError: imaginary residue exceeds ``_IMAG_TOL``.
     """
-    return HsiCube(irdft2(fc.data, fc.width))
+    return HsiCube(irdft2(fc.data.copy(), fc.width))
 
 
 def each_block(fn: Callable, *arrays: np.ndarray) -> list:

@@ -28,19 +28,28 @@ over a spectrum. The prior's spectrum in U's coordinates is made once: for
 spectrum (``priors.prior_spectrum``), with no prior cube and no transform
 of one; a prior cube is transformed (``cube.rdft2``) and rotated
 (``cube.mix_bands``). ``fuse`` returns x through one rotation back and one
-inverse transform (``cube.irdft2``).
+inverse transform (``cube.irdft2``), in place: the result is a view of x's
+buffer.
 
-The loop holds two half spectra, the prior's and x's, and z's; v is never
-stored. The x-step needs v twice: its ``e^H v`` per aliasing group, for the
-group step, and v itself, to write x. The set-up reduces the prior's
-``e^H p`` once (``sylvester.group_sums``); the first v is the prior. Each
-iteration then makes one pool map over the spectrum,
+v is never stored. The x-step needs v twice: its ``e^H v`` per aliasing
+group, for the group step, and v itself, to write x. The set-up reduces the
+prior's ``e^H p`` once (``sylvester.group_sums``); the first v is the
+prior. Each iteration then makes one pool map over the spectrum,
 ``sylvester.write_pass``: per tile it forms v from the previous x (the
 v-step; the first iteration copies the prior, which is that v bit for bit),
 writes the new x over the previous one, scores it and reduces
 ``g (x - p)``, the next v less p, so that the next ``e^H v`` is ``e^H p``
 plus that sum on the small (bands, gl, gw) grid. The last iteration the cap
 allows reduces nothing.
+
+For the naive prior the loop holds one spectrum, and z's. The naive prior
+has y's rank: ``priors.SpectrumFactors`` keeps the factors its spectrum is
+built from (4.1 MB at full scale, against a spectrum's 65.3 MB). The first
+iteration writes x over the prior's spectrum, each tile reading its p
+before it writes x, and each later iteration rebuilds a tile's p from the
+factors in the tile's work arrays, with the bits of the spectrum the
+set-up built. A prior cube has no factors, so its loop holds two spectra,
+the prior's and x's.
 
 Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
 x_k, read off what the two exact steps compute. The y-term is the group
@@ -68,7 +77,7 @@ from .cube import HsiCube, Scratch, irdft2, mix_bands, rdft2, real_rows, self_mi
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import regularizer_value
-from .priors import PriorSource, prior_spectrum
+from .priors import PriorSource, SpectrumFactors, prior_spectrum
 from .vstep import DenoiseFactors, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
@@ -154,11 +163,17 @@ def _sums(
     neither v nor the Laplacian. Each sum is one dot per band, read in
     place as ``real_rows``; the step is written over ``dev``.
     """
-    d, z = real_rows(dev), real_rows(z_res)
-    coupled = np.vecdot(d, d).sum() - np.vecdot(d, real_rows(scaled)).sum()
+    d, r = real_rows(dev), real_rows(x)
+    # the per-band dots of the big arrays, summed in one call
+    dots = np.empty((4, len(d)))
+    np.vecdot(d, d, out=dots[0])
+    np.vecdot(d, real_rows(scaled), out=dots[1])
     np.subtract(x, old, out=dev)
-    r = real_rows(x)
-    return np.array([np.vecdot(z, z).sum(), coupled, np.vecdot(d, d).sum(), np.vecdot(r, r).sum()])
+    np.vecdot(d, d, out=dots[2])
+    np.vecdot(r, r, out=dots[3])
+    dd, ds, step, norm = dots.sum(axis=1)
+    z = real_rows(z_res)
+    return np.array([np.vecdot(z, z).sum(), dd - ds, step, norm])
 
 
 @dataclass(frozen=True)
@@ -167,15 +182,23 @@ class _Spectra:
 
     Everything is in the coordinates of U = ``denoise.basis``: the x-step is
     built in them (``xstep.srf`` is the response times U), and so is
-    ``p_hat``, the prior's half spectrum. ``p_sums`` is its ``e^H`` per
-    aliasing group (``sylvester.group_sums``), the first v's, and each
-    later v's is ``p_sums`` plus that of ``g (x - p)``.
+    ``p_hat``, the prior's half spectrum as the set-up makes it. ``p_sums``
+    is its ``e^H`` per aliasing group (``sylvester.group_sums``), the first
+    v's, and each later v's is ``p_sums`` plus that of ``g (x - p)``;
+    ``p_own`` is a copy of its self-mirrored columns. A prior cube has no
+    ``factors``, and its ``p_hat`` stays beside x. The naive prior keeps the
+    ``factors`` its spectrum is built from (``priors.SpectrumFactors``), and
+    ``p_hat`` holds its spectrum only until the first iteration writes x
+    over it: from then on ``p_hat`` is x's buffer, and each iteration
+    rebuilds p tile by tile from the factors where it reads it.
     """
 
     xstep: sylvester.XStep
     denoise: DenoiseFactors
     p_hat: np.ndarray
+    p_own: np.ndarray
     p_sums: np.ndarray
+    factors: SpectrumFactors | None
 
     @classmethod
     def prepare(
@@ -196,65 +219,85 @@ class _Spectra:
         denoise = factor_denoise(*model.hr_shape, model.bands, mu_p, nu_p)
         xstep = sylvester.XStep.create(model, denoise.basis, cfg.rho, y, z)
         if isinstance(prior, PriorSource):
-            p_hat = prior_spectrum(y, model, denoise.basis, xstep.z_hat)
+            p_hat, factors = prior_spectrum(y, model, denoise.basis, xstep.z_hat)
         else:
-            p_hat = rdft2(prior.data)
+            p_hat, factors = rdft2(prior.data), None
             mix_bands(denoise.basis.T, p_hat)
-        return cls(xstep, denoise, p_hat, sylvester.group_sums(xstep, p_hat))
+        own = p_hat[..., self_mirrored(xstep.width)].copy()
+        return cls(xstep, denoise, p_hat, own, sylvester.group_sums(xstep, p_hat), factors)
 
     def iterate(
-        self, x_hat: np.ndarray, prev: np.ndarray, sums: np.ndarray, more: bool
+        self, x_hat: np.ndarray, first: bool, sums: np.ndarray, more: bool
     ) -> tuple[float, float, float, np.ndarray | None]:
-        """One iteration: the x-step from the v-step's v for ``prev``'s x, written over ``x_hat``.
+        """One iteration: the x-step from the v-step's v for the previous x, written over ``x_hat``.
 
-        ``prev`` holds the previous x (the prior before the first
-        iteration), and may be ``x_hat`` itself; ``sums`` is its v's
-        ``e^H v``, which ``sylvester.group_step`` turns into ``w`` before
-        ``sylvester.write_pass`` forms that v again and writes x. Both are
-        looked up on their module, so that a wrapper installed there sees
-        every x-step. Returns ``objective_value`` at the new x and the
-        v-step's v for it; ``||x - x_prev||^2`` and ``||x||^2``, each sum
-        over the spectrum scaled by Parseval's theorem to the sum over
-        pixels; and, with ``more``, the next v's ``e^H v``. The step is the
-        exact difference of the two iterates. Every stored column stands for
-        itself and its mirror but the self-mirrored ones
-        (``cube.self_mirrored``), so each sum is twice the stored columns'
-        less those columns': the pass sums the stored columns, and the
-        self-mirrored ones are summed here, from a copy of the previous x's
-        taken before the pass.
+        ``x_hat`` holds the previous x; for the ``first`` iteration the
+        previous x is the prior, ``p_hat``, which may be ``x_hat`` itself.
+        ``sums`` is that x's v's ``e^H v``, which ``sylvester.group_step``
+        turns into ``w`` before ``sylvester.write_pass`` forms that v again
+        and writes x. Both are looked up on their module, so that a wrapper
+        installed there sees every x-step. Each tile reads its p before it
+        writes x: from ``p_hat``, or, once x is written over the naive
+        prior's spectrum, rebuilt from its factors into a work array.
+        Returns ``objective_value`` at the new x and the v-step's v for it;
+        ``||x - x_prev||^2`` and ``||x||^2``, each sum over the spectrum
+        scaled by Parseval's theorem to the sum over pixels; and, with
+        ``more``, the next v's ``e^H v``. The step is the exact difference of
+        the two iterates. Every stored column stands for itself and its
+        mirror but the self-mirrored ones (``cube.self_mirrored``), so each
+        sum is twice the stored columns' less those columns': the pass sums
+        the stored columns, and the self-mirrored ones are summed here, from
+        a copy of the previous x's taken before the pass.
         """
-        xstep, denoise, scratch = self.xstep, self.denoise, _SCRATCH
+        xstep, denoise, factors, scratch = self.xstep, self.denoise, self.factors, _SCRATCH
         own = self_mirrored(xstep.width)
+        prev = self.p_hat if first else x_hat
         old = prev[..., own].copy()
-        grid, p_grid = xstep.grid(prev), xstep.grid(self.p_hat)
+        grid = xstep.grid(prev)
+        # once x is written over the naive prior's spectrum, p is rebuilt
+        rebuild = factors is not None and not first
+        if rebuild:
+            left = factors.left.reshape(grid.shape[:3] + (-1,))
+        else:
+            p_grid = xstep.grid(self.p_hat)
         freq = denoise.freq_term.reshape(xstep.e.shape)
 
-        def form(index: tuple, out: np.ndarray) -> np.ndarray:
+        def form(index: tuple, out: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             gain = scratch.get("gain", out.shape, np.float64)
             denoise.gain(index[0], freq[index[1:]], gain)
-            if prev is self.p_hat:
-                # x is the prior, so v = p + g (p - p) is p, bit for bit
-                np.copyto(out, p_grid[index])
+            if rebuild:
+                p = scratch.get("p", out.shape, np.complex128)
+                rows = scratch.get("left", left[index].shape, np.complex128)
+                np.copyto(rows, left[index])
+                factors.rows(rows, z, p, out)
             else:
-                denoise.denoise(grid[index], p_grid[index], gain, out)
-            return gain
+                p = p_grid[index]
+            if first:
+                # x is the prior, so v = p + g (p - p) is p, bit for bit
+                np.copyto(out, p)
+            else:
+                denoise.denoise(grid[index], p, gain, out)
+            return gain, p
 
         def score(
-            index: tuple, x: np.ndarray, gain: np.ndarray, z: np.ndarray, work: np.ndarray
+            index: tuple, x: np.ndarray, made: tuple, z: np.ndarray, work: np.ndarray
         ) -> tuple:
+            gain, p = made
             z_res = scratch.get("z_res", z.shape, np.complex128)
             np.matmul(xstep.srf, real_rows(x), out=real_rows(z_res))
             np.subtract(z, z_res, out=z_res)
-            dev = np.subtract(x, p_grid[index], out=work)
-            # g (x - p), the next v less p
-            scaled = np.multiply(dev, gain, out=scratch.get("next", x.shape, np.complex128))
+            dev = np.subtract(x, p, out=work)
+            # g (x - p), the next v less p; a rebuilt p is not read again, and
+            # writing over it keeps one tile array fewer in the core's cache
+            keep = p if rebuild else scratch.get("next", x.shape, np.complex128)
+            scaled = np.multiply(dev, gain, out=keep)
             return _sums(x, dev, scaled, z_res, grid[index]), scaled if more else None
 
         y_term = sylvester.group_step(xstep, sums)
         stored, sums = sylvester.write_pass(xstep, x_hat, sums, form, score, scratch)
         if sums is not None:
             sums += self.p_sums
-        x, p, z = np.ascontiguousarray(x_hat[..., own]), self.p_hat[..., own], xstep.z_hat[..., own]
+        x, p, z = np.ascontiguousarray(x_hat[..., own]), self.p_own, xstep.z_hat[..., own]
         z_res = z - np.tensordot(xstep.srf, x, axes=(1, 0))
         dev = x - p
         scaled = dev * denoise.gain(..., denoise.freq_term[..., own], np.empty(dev.shape))
@@ -295,18 +338,18 @@ def fuse(
         model.check_hr("prior", prior)
     model.check_data(y, z)
     fixed = _Spectra.prepare(y, z, model, prior, cfg)
-    del prior
+    del prior, y, z
     width = model.hr_shape[1]
-    # the one spectrum buffer besides the prior's: x, the prior before the
-    # first iteration (so v = p), and each iteration writes the next over it
-    x_hat = np.empty_like(fixed.p_hat)
+    # the naive prior's loop holds one spectrum: the first iteration writes x
+    # over the prior's, and each iteration the next x over it; a prior
+    # cube's spectrum stays beside x
+    x_hat = fixed.p_hat if fixed.factors is not None else np.empty_like(fixed.p_hat)
     sums = fixed.p_sums.copy()
     trace: list[float] = []
     changes: list[float] = []
     tiny = float(np.finfo(np.float64).tiny)
     for k in range(cfg.max_iter):
-        prev = x_hat if k > 0 else fixed.p_hat
-        objective, step, norm, sums = fixed.iterate(x_hat, prev, sums, k + 1 < cfg.max_iter)
+        objective, step, norm, sums = fixed.iterate(x_hat, k == 0, sums, k + 1 < cfg.max_iter)
         trace.append(objective)
         if k > 0:
             changes.append(float(np.sqrt(step)) / max(float(np.sqrt(base)), tiny))
@@ -315,10 +358,10 @@ def fuse(
         base = norm
     del sums
     mix_bands(fixed.denoise.basis, x_hat)
-    # free the prior's spectrum and the factors before the inverse transform
-    # allocates its output
+    # a prior cube's spectrum and the factors go before the result is scanned
     del fixed
     return FusionResult(
+        # the inverse transform works in place: the cube is a view of x_hat's buffer
         x_hat=HsiCube(irdft2(x_hat, width)),
         iterations=len(trace),
         objective_trace=tuple(trace),

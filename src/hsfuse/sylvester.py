@@ -41,7 +41,10 @@ members are updated. Both maps walk runs of group rows closed under that
 mirror (``cube.mirror_runs``, kept as ``XStep.runs``), each with every
 member row: ``group_sums`` a chunk of bands per item, ``write_pass`` every
 band of a run per item, in ``cube.tiles`` of its member rows and group
-rows whose work arrays stay in a core's cache.
+rows whose work arrays stay in a core's cache. ``write_pass`` writes x over
+the spectrum it is given, and each tile reads its own part of that spectrum
+before it writes it, so the loop can write the first x over the prior's
+spectrum (see ``hqs``).
 
 The data part of C3 is never formed as a cube. z enters through its half
 spectrum in the pass. The transform of blur_adjoint(upsample_adjoint(y)) is
@@ -197,13 +200,13 @@ class XStep:
     ``lift = q_r diag(rho/lam_r - 1)``. ``z_gain`` is C1^-1 S^T. Member
     (tr, tc) of aliasing group (gr, gc) sits at frequency
     (tr*gl + gr, tc*gw + gc). A half spectrum stores the members in columns
-    0..width//2, so ``e`` (and ``ce``, its conjugate) has shape
-    (s, gl, width//2 + 1): row tr*gl + gr, column c, which a band of the
-    half spectrum reshapes onto without a copy (``grid``). The member of
-    group g in column c > width//2 is the conjugate mirror of a stored member
-    of group -g in column width - c. For those columns, ``mirror`` holds the
-    unit factor conj(u(g)) with ``e(-m) = u(g) * conj(e(m))``. ``u(g)`` comes
-    from the sampling-phase twiddles, and it is 1 at phase (0, 0). ``esq`` is
+    0..width//2, so ``e`` has shape (s, gl, width//2 + 1): row tr*gl + gr,
+    column c, which a band of the half spectrum reshapes onto without a copy
+    (``grid``). The member of group g in column c > width//2 is the
+    conjugate mirror of a stored member of group -g in column width - c.
+    For those columns, ``mirror`` holds the unit factor conj(u(g)) with
+    ``e(-m) = u(g) * conj(e(m))``. ``u(g)`` comes from the sampling-phase
+    twiddles, and it is 1 at phase (0, 0). ``esq`` is
     ``|e|^2`` summed over all s^2 members of each group, shape (gl, gw).
 
     The data term: ``low`` (bands, gl, gw) is what the group step subtracts
@@ -220,7 +223,6 @@ class XStep:
     lift: np.ndarray
     z_gain: np.ndarray
     e: np.ndarray
-    ce: np.ndarray
     esq: np.ndarray
     mirror: np.ndarray
     low: np.ndarray
@@ -287,7 +289,7 @@ class XStep:
         # and y's small arrays exist (see ``hqs._Spectra.prepare``)
         z_hat = rdft2(z.data)
         runs = _runs(s, gl, e.shape[2], mirror)
-        xstep = cls(rho, srf, q, lam, lift, z_gain, e, np.conj(e), esq, mirror, low, z_hat, runs)
+        xstep = cls(rho, srf, q, lam, lift, z_gain, e, esq, mirror, low, z_hat, runs)
         z_low = group_sums(xstep, z_hat)
         real_rows(low)[...] -= z_gain @ real_rows(z_low)
         return xstep
@@ -349,7 +351,7 @@ def group_sums(xstep: XStep, spec: np.ndarray) -> np.ndarray:
         partial = np.empty((len(range(bands)[band]), len(run[1]), half), dtype=np.complex128)
         for rows, at in run[0]:
             out = partial[:, at : at + rows.stop - rows.start]
-            np.einsum("tlc,ktlc->klc", xstep.ce[:, rows], grid[band, :, rows], out=out)
+            np.einsum("tlc,ktlc->klc", np.conj(xstep.e[:, rows]), grid[band, :, rows], out=out)
         _reduce_run(xstep, run, partial, sums, band)
 
     items = [(run, band) for run in xstep.runs for band in chunks(bands, len(run[1]) * half * 16)]
@@ -395,13 +397,15 @@ def write_pass(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Write ``x = x0 - e * w`` over ``spec``, for ``w`` from ``group_step``; optionally score it.
 
-    ``form(index, out)`` writes v at ``index`` of the group layout
+    ``form(index, out, z)`` writes v at ``index`` of the group layout
     (``XStep.grid``), every band of some member rows and group rows, into
-    ``out``. Each pool item is a run of group rows and their mirror rows
-    (``XStep.runs``), walked in ``cube.tiles`` whose work arrays come from
-    ``scratch``. A tile's v becomes ``x0 = v + lift (q_r^T v)``, then
-    ``+ z_gain z_hat``, as two updates (one GEMM over the stacked factors
-    lost the last bits that the fixed-point tests read), and then x.
+    ``out``; ``z`` is the tile's ``z_hat``, copied before ``form`` runs, and
+    ``form`` reads ``spec[index]`` before the tile writes it. Each pool item
+    is a run of group rows and their mirror rows (``XStep.runs``), walked in
+    ``cube.tiles`` whose work arrays come from ``scratch``. A tile's v
+    becomes ``x0 = v + lift (q_r^T v)``, then ``+ z_gain z_hat``, as two
+    updates (one GEMM over the stacked factors lost the last bits that the
+    fixed-point tests read), and then x.
 
     With ``score``, ``score(index, x, made, z, work)`` runs before x is
     written over ``spec[index]``: ``made`` is what ``form`` returned, ``z``
@@ -434,14 +438,14 @@ def write_pass(
                     spread_rows = groups
                     spread = scratch.get("w", (bands, 1) + shape[2:], np.complex128)
                     np.take(w[:, index[2]], columns, axis=2, out=spread[:, 0])
+                z = scratch.get("z", z_grid[index].shape, np.complex128)
+                np.copyto(z, z_grid[index])
                 x = scratch.get("x", shape, np.complex128)
-                made = form(index, x)
+                made = form(index, x, z)
                 tmp = scratch.get("tmp", shape, np.complex128)
                 rows, tmp_rows = real_rows(x), real_rows(tmp)
                 np.matmul(xstep.lift, qr.T @ rows, out=tmp_rows)
                 rows += tmp_rows
-                z = scratch.get("z", z_grid[index].shape, np.complex128)
-                np.copyto(z, z_grid[index])
                 np.matmul(xstep.z_gain, real_rows(z), out=tmp_rows)
                 rows += tmp_rows
                 x -= np.multiply(xstep.e[index[1:]], spread, out=tmp)
@@ -452,7 +456,7 @@ def write_pass(
                         if partial is None:
                             partial = np.empty((bands, len(run[1]), half), dtype=np.complex128)
                         at = np.s_[offset + groups.start - part.start : offset + groups.stop - part.start]
-                        ce = xstep.ce[index[1:]]
+                        ce = np.conj(xstep.e[index[1:]])
                         if members.start == 0:
                             np.einsum("tlc,ktlc->klc", ce, reduce, out=partial[:, at])
                         else:
@@ -483,7 +487,7 @@ def solve_spectrum(xstep: XStep, v_hat: np.ndarray) -> float:
     grid = xstep.grid(v_hat)
     sums = group_sums(xstep, v_hat)
     misfit = group_step(xstep, sums)
-    write_pass(xstep, v_hat, sums, lambda index, out: np.copyto(out, grid[index]), None, Scratch())
+    write_pass(xstep, v_hat, sums, lambda index, out, z: np.copyto(out, grid[index]), None, Scratch())
     return misfit
 
 

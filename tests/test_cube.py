@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsfuse.cube
+
 from hsfuse.cube import (
     FreqCube,
     HsiCube,
@@ -29,6 +31,20 @@ def test_construction_validates_shape_and_values():
     bad[1, 1, 1] = np.inf
     with pytest.raises(ValidationError):
         HsiCube(bad)
+
+
+def test_scratch_keeps_a_view_per_shape_until_its_buffer_grows():
+    scratch = hsfuse.cube.Scratch()
+    first = scratch.get("w", (2, 3), np.float64)
+    assert scratch.get("w", (2, 3), np.float64) is first
+    assert np.shares_memory(scratch.get("w", (3, 2), np.float64), first)
+    other = scratch.get("wide", (2,), np.float64)
+    grown = scratch.get("w", (4, 4), np.float64)
+    assert not np.shares_memory(grown, first)
+    again = scratch.get("w", (2, 3), np.float64)
+    assert again is not first and np.shares_memory(again, grown)
+    # a key that starts with the grown one keeps its view
+    assert scratch.get("wide", (2,), np.float64) is other
 
 
 def test_cube_is_immutable():
@@ -180,6 +196,59 @@ def test_idft_tolerance_is_relative_to_peak(rng):
         assert np.abs(out.data - data).max() <= 1.0 / 16 + 1e-9
         with pytest.raises(SymmetryViolationError):
             idft2_per_band(FreqCube(spectrum(1e3, col)[1], 4))
+
+
+# (bands, height, width): odd and even widths, one-row and one-column grids,
+# and the shapes of test_hqs.VARIANTS
+INVERSE_SHAPES = [
+    (31, 64, 64),
+    (3, 1, 6),
+    (2, 7, 1),
+    (2, 5, 2),
+    (31, 32, 32),
+    (31, 32, 48),
+    (5, 45, 63),
+    (6, 30, 35),
+    (6, 35, 30),
+    (6, 30, 40),
+    (5, 24, 27),
+    (5, 24, 30),
+]
+
+
+@pytest.mark.parametrize("shape", INVERSE_SHAPES)
+def test_irdft2_writes_the_bytes_of_irfftn_over_its_input(monkeypatch, rng, shape):
+    # the column transforms in place, then the row transforms into the real
+    # layout at the start of the same buffer, a chunk of rows per call: the
+    # bytes of np.fft.irfftn, with no array of the result's size allocated,
+    # also when every chunk is one plane or one row
+    x = rng.standard_normal(shape)
+    spec = np.fft.rfftn(x, axes=(-2, -1))
+    want = np.fft.irfftn(spec, s=shape[1:], axes=(-2, -1))
+    for cap in (hsfuse.cube._CHUNK_BYTES, 1):
+        monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
+        buf = spec.copy()
+        got = irdft2(buf, shape[2])
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.shares_memory(got, buf) and got.__array_interface__["data"][0] == buf.ctypes.data
+        assert got.tobytes() == want.tobytes()
+
+
+def test_irdft2_refuses_a_spectrum_that_is_not_of_a_real_cube():
+    # a lone bin off row 0 in a self-mirrored column has no mirror
+    for width, col in ((4, 0), (4, 2), (5, 0)):
+        spec = np.zeros((1, 4, width // 2 + 1), dtype=np.complex128)
+        spec[0, 1, col] = 1.0
+        with pytest.raises(SymmetryViolationError):
+            irdft2(spec, width)
+
+
+def test_idft2_per_band_leaves_its_spectrum_as_it_was(rng):
+    # irdft2 consumes its input, so the frozen FreqCube's array is copied first
+    fc = dft2_per_band(HsiCube(rng.standard_normal((3, 8, 7))))
+    before = fc.data.tobytes()
+    back = idft2_per_band(fc)
+    assert fc.data.tobytes() == before and not np.shares_memory(back.data, fc.data)
 
 
 def test_non_finite_spectrum_gives_a_cube_that_fails(rng):

@@ -153,12 +153,11 @@ class TestFuse:
         assert result.iterations == 3
 
     def test_peak_memory_stays_below_2_65_complex_cubes(self):
-        # the loop holds two half spectra, the prior's and x's, and forms v
-        # tile by tile where it is used; the x-step's data term adds no cube
-        # to them (it reuses z's spectrum and keeps a per-group shift for y),
-        # the v-step keeps a band vector and one half-grid table, and the one
-        # inverse transform writes the real cube directly. Measured at 1.79
-        # cubes
+        # a prior cube's loop holds two half spectra, the prior's and x's, and
+        # forms v tile by tile where it is used; the x-step's data term adds
+        # no cube to them (it reuses z's spectrum and keeps a per-group shift
+        # for y), the v-step keeps a band vector and one half-grid table, and
+        # the one inverse transform works in place. Measured at 1.79 cubes
         gt = generate_scene(SceneSpec(31, 128, 128, seed=0))
         blur = BlurOperator.uniform_block(128, 128, 4)
         model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
@@ -213,6 +212,67 @@ class TestFuse:
         del prior
         result = fuse(y, z, model, holder.pop(), HqsConfig(max_iter=2))
         assert result.iterations == 2 and alive == [False, False]
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
+        "returns, so fuse cannot free the data handed to it",
+    )
+    def test_frees_y_and_z_handed_over_before_the_first_xstep(self, monkeypatch):
+        # the loop reads z only through its half spectrum and y only through
+        # the set-up's small arrays and the naive prior's factors
+        model, y, z, prior = desk_problem(0)
+        refs = [weakref.ref(y.data), weakref.ref(z.data)]
+        alive = []
+        write_pass = hsfuse.sylvester.write_pass
+
+        def probed(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return write_pass(*args, **kwargs)
+
+        monkeypatch.setattr(hsfuse.sylvester, "write_pass", probed)
+        holder = [y, z]
+        del y, z
+        source = PriorSource.naive_fusion()
+        result = fuse(holder.pop(0), holder.pop(), model, source, HqsConfig(max_iter=2))
+        assert result.iterations == 2 and alive == [[False, False]] * 2
+
+    def test_the_naive_loop_holds_one_spectrum(self, monkeypatch):
+        # the naive prior's loop writes x over the prior's spectrum and
+        # rebuilds p per tile from its factors (a quarter of a half spectrum
+        # here), and the inverse transform works in place: measured at
+        # 1.63-1.73 half spectra above the inputs (the higher with the tile
+        # work arrays not yet made), where a second spectrum beside x, or a
+        # fresh output cube, held 2.39
+        monkeypatch.setenv("HSFUSE_THREADS", "1")
+        size = 256
+        gt = generate_scene(SceneSpec(31, size, size, seed=0))
+        blur = BlurOperator.uniform_block(size, size, 8)
+        model = DegradationModel(blur, Downsampler(8), SpectralResponse.default_rgb(31))
+        y, z = model.degrade(gt)
+        tracemalloc.start()
+        try:
+            fuse(y, z, model, PriorSource.naive_fusion(), HqsConfig(max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.85 * 31 * size * (size // 2 + 1) * 16
+
+    def test_the_naive_result_is_a_view_of_the_prior_spectrum(self, monkeypatch):
+        # one spectrum buffer from the set-up to the result: x is written over
+        # the prior's spectrum and transformed back in place
+        model, y, z, prior = desk_problem(0)
+        built = []
+        prior_spectrum = hsfuse.hqs.prior_spectrum
+
+        def recording(*args):
+            spec, factors = prior_spectrum(*args)
+            built.append(spec)
+            return spec, factors
+
+        monkeypatch.setattr(hsfuse.hqs, "prior_spectrum", recording)
+        result = fuse(y, z, model, PriorSource.naive_fusion(), HqsConfig(max_iter=2))
+        assert len(built) == 1 and np.shares_memory(result.x_hat.data, built[0])
 
     def test_scans_the_result_for_finiteness_once(self, monkeypatch):
         # only the real result is scanned, when it becomes an HsiCube; a
@@ -351,7 +411,8 @@ class TestSpectralLoop:
             v_prev = vstep(x_prev, prior, lap, mu_p, nu_p)
             prev = loop_spectrum(fixed, x_prev)
             sums = group_sums(fixed.xstep, loop_spectrum(fixed, v_prev))
-            got, step, norm, _ = fixed.iterate(np.empty_like(prev), prev, sums, False)
+            # the x-step writes x over the previous one
+            got, step, norm, _ = fixed.iterate(prev, False, sums, False)
             x = solve_fast(build_system(model, y, z, v_prev, cfg.rho))
             v = vstep(x, prior, lap, mu_p, nu_p)
             want = objective_value(x, v, y, z, model, prior, cfg)
@@ -375,7 +436,7 @@ class TestSpectralLoop:
             sums = group_sums(fixed.xstep, x_hat)
             got = group_step(fixed.xstep, sums)
 
-            def form(index, out):
+            def form(index, out, z):
                 np.copyto(out, v_grid[index])
 
             write_pass(fixed.xstep, x_hat, sums, form, None, Scratch())
@@ -561,7 +622,7 @@ class TestSpectralLoop:
         tile = 31 * hsfuse.cube._TILE_VALUES * 16
         tracemalloc.start()
         try:
-            fixed.iterate(x_hat, fixed.p_hat, sums, True)
+            fixed.iterate(x_hat, True, sums, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -235,12 +235,19 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
     cfg = HqsConfig()
 
     def run():
-        # the loop's first iteration, from the prior
-        fixed = _Spectra.prepare(y, z, model, prior, cfg)
-        x_hat = np.empty_like(fixed.p_hat)
-        sums = group_sums(fixed.xstep, fixed.p_hat)
-        *scores, sums = fixed.iterate(x_hat, fixed.p_hat, sums, True)
-        return fixed.p_hat.tobytes(), x_hat.tobytes(), scores, sums.tobytes(), irdft2(x_hat, 64).tobytes()
+        # the loop's first two iterations from each prior: the naive prior's
+        # writes x over its spectrum and then rebuilds p per tile
+        made = []
+        for source in (prior, PriorSource.naive_fusion()):
+            fixed = _Spectra.prepare(y, z, model, source, cfg)
+            made.append(fixed.p_hat.tobytes())
+            x_hat = fixed.p_hat if fixed.factors is not None else np.empty_like(fixed.p_hat)
+            sums = group_sums(fixed.xstep, fixed.p_hat)
+            for k in range(2):
+                *scores, sums = fixed.iterate(x_hat, k == 0, sums, True)
+                made += [x_hat.tobytes(), scores, sums.tobytes()]
+            made.append(irdft2(x_hat, 64).tobytes())
+        return made
 
     def fused():
         result = fuse(y, z, model, prior, cfg)
@@ -276,6 +283,8 @@ RUN_GEOMETRIES = {
 def test_fuse_bytes_across_group_row_runs_do_not_depend_on_the_pool_or_the_chunks(
     monkeypatch, kind
 ):
+    # for a prior cube and for the naive prior, whose loop rebuilds p from
+    # its factors in every tile
     bands, height, width, factor, phase = RUN_GEOMETRIES[kind]
     model = DegradationModel(
         BlurOperator.gaussian(height, width, 1.3),
@@ -284,34 +293,44 @@ def test_fuse_bytes_across_group_row_runs_do_not_depend_on_the_pool_or_the_chunk
     )
     gt = generate_scene(SceneSpec(bands, height, width, endmembers=4, seed=7))
     y, z = model.degrade(gt)
-    prior = make_prior(PriorSource.naive_fusion(), y, z, model)
-    runs = []
-    for cap in (hsfuse.cube._CHUNK_BYTES, 1):
-        monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("HSFUSE_THREADS", threads)
-            result = fuse(y, z, model, prior, HqsConfig(max_iter=5, rel_tol=1e-300))
-            runs.append((result.x_hat.data.tobytes(), result.objective_trace, result.rel_changes))
-    assert runs[1:] == runs[:1] * 5
+    naive = PriorSource.naive_fusion()
+    for prior in (make_prior(naive, y, z, model), naive):
+        runs = []
+        for cap in (hsfuse.cube._CHUNK_BYTES, 1):
+            monkeypatch.setattr(hsfuse.cube, "_CHUNK_BYTES", cap)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("HSFUSE_THREADS", threads)
+                result = fuse(y, z, model, prior, HqsConfig(max_iter=5, rel_tol=1e-300))
+                runs.append(
+                    (result.x_hat.data.tobytes(), result.objective_trace, result.rel_changes)
+                )
+        assert runs[1:] == runs[:1] * 5
 
 
 def test_fuse_makes_fewer_fft_calls_than_it_transforms_planes(monkeypatch):
-    # one numpy call per chunk of planes: a return to one call per plane fails
+    # one numpy call per chunk of planes, or of rows for the inverse's row
+    # transforms: a return to one call per plane fails
     monkeypatch.setenv("HSFUSE_THREADS", "1")
     model, y, z, prior = desk_problem(0)
-    calls, planes = [], []
+    height = model.hr_shape[0]
+    planes = {"rfftn": [], "ifft": [], "irfft": []}
 
     def counted(fn):
         def wrapper(a, *args, **kwargs):
-            calls.append(fn.__name__)
-            planes.append(np.asarray(a)[..., 0, 0].size)
+            lines = np.asarray(a)[..., 0].size
+            planes[fn.__name__].append(lines / height)
             return fn(a, *args, **kwargs)
 
         return wrapper
 
-    for name in ("rfftn", "irfftn"):
+    for name in planes:
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     fuse(y, z, model, prior)
-    # the prior's and z's half spectra, and x back to pixels
-    assert sum(planes) == 31 + 3 + 31
-    assert len(calls) < sum(planes)
+    # the prior's and z's half spectra, and x back to pixels over columns
+    # and then over rows
+    assert {name: sum(counts) for name, counts in planes.items()} == {
+        "rfftn": 31 + 3,
+        "ifft": 31,
+        "irfft": 31,
+    }
+    assert all(len(counts) < sum(counts) for counts in planes.values())
