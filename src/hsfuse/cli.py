@@ -297,11 +297,12 @@ def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
             )
         if prior_path:
             check_shape("prior", stage.shape("prior", prior_path), hr_shape)
-        # the list holds the one references to the inputs, which fuse takes
-        # over: it frees y and z once it holds z's spectrum, and a prior
-        # file's cube once it holds the prior's; fuse builds the naive
-        # prior's spectrum itself, under "fuse"
-        inputs = [load_cube(args.y), load_cube(args.z)]
+        # the list holds the one references to the inputs and the model, which
+        # fuse takes over: it frees y, z and the model once it holds z's
+        # spectrum and the x-step, and a prior file's cube once it holds the
+        # prior's; fuse builds the naive prior's spectrum itself, under "fuse"
+        inputs = [load_cube(args.y), load_cube(args.z), model]
+        del model
 
     cfg = HqsConfig(
         mu=args.mu, nu=args.nu, rho=args.rho, max_iter=args.iters, rel_tol=args.tol
@@ -310,7 +311,7 @@ def cmd_fuse(args: argparse.Namespace, stage: _Stage) -> None:
     with stage.timed("prior"):
         inputs.append(load_cube(prior_path) if prior_path else PriorSource.naive_fusion())
     with stage.timed("fuse"):
-        result = fuse(inputs.pop(0), inputs.pop(0), model, inputs.pop(), cfg)
+        result = fuse(inputs.pop(0), inputs.pop(0), inputs.pop(0), inputs.pop(), cfg)
     with stage.timed("save"):
         save_cube(args.out, result.x_hat)
     stage.output("x_hat", args.out, result.x_hat.data.shape)

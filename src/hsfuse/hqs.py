@@ -24,10 +24,10 @@ term of y and z and no cube of its own (``sylvester.XStep.create``, which
 transforms y on its low-resolution grid and z once). The x-step stays in
 U's coordinates (see ``sylvester``), so the loop makes no bands x bands mix
 over a spectrum. The prior's spectrum in U's coordinates is made once: for
-``priors.PriorSource.naive_fusion()`` it is built directly from y and z's
-spectrum (``priors.prior_spectrum``), with no prior cube and no transform
-of one; a prior cube is transformed (``cube.rdft2``) and rotated
-(``cube.mix_bands``). ``fuse`` returns x through one rotation back and one
+``priors.PriorSource.naive_fusion()`` it is built directly from factors of
+y's rank and z's spectrum (``priors.naive_factors``), with no prior cube
+and no transform of one; a prior cube is transformed (``cube.rdft2``) and
+rotated (``cube.mix_bands``). ``fuse`` returns x through one rotation back and one
 inverse transform (``cube.irdft2``), in place: the result is a view of x's
 buffer.
 
@@ -42,12 +42,16 @@ writes the new x over the previous one, scores it and reduces
 plus that sum on the small (bands, gl, gw) grid. The last iteration the cap
 allows reduces nothing.
 
-For the naive prior the loop holds one spectrum, and z's. The naive prior
-has y's rank: ``priors.SpectrumFactors`` keeps the factors its spectrum is
-built from (4.1 MB at full scale, against a spectrum's 65.3 MB). The first
-iteration writes x over the prior's spectrum, each tile reading its p
-before it writes x, and each later iteration rebuilds a tile's p from the
-factors in the tile's work arrays, with the bits of the spectrum the
+For the naive prior the loop holds x's half spectrum, z's half spectrum
+and the x-step's small arrays. The set-up frees z's cube and the model,
+whose blur multiplier only the x-step's set-up reads, before it makes the
+prior's spectrum, when they are handed over (see ``fuse``). The naive
+prior has y's rank: ``priors.SpectrumFactors`` keeps the factors its
+spectrum is built from (0.3 MB at full scale, against a spectrum's 65.3
+MB). The first iteration writes x over the prior's spectrum, each tile
+reading its p before it writes x, and each later iteration rebuilds a
+tile's p from the factors in the tile's work arrays
+(``priors.SpectrumFactors.rows``), with the bits of the spectrum the
 set-up built. A prior cube has no factors, so its loop holds two spectra,
 the prior's and x's.
 
@@ -77,7 +81,7 @@ from .cube import HsiCube, Scratch, irdft2, mix_bands, rdft2, real_rows, self_mi
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import regularizer_value
-from .priors import PriorSource, SpectrumFactors, prior_spectrum
+from .priors import PriorSource, SpectrumFactors, naive_factors
 from .vstep import DenoiseFactors, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
@@ -214,14 +218,20 @@ class _Spectra:
         # prior are transformed only once the factors exist. At full scale
         # (CLI fuse --iters 2 --threads 1), holding the operator through the
         # set-up raised peak RSS by 3.1 MB, transforming z before the factors
-        # by 4.1 MB, and both together by 9.3 MB.
+        # by 4.1 MB, and both together by 9.3 MB. For a caller that hands
+        # over its only references, as ``fuse`` does, the dels free z's cube
+        # and the model, whose blur multiplier only ``XStep.create`` reads,
+        # before the prior's spectrum is made, and a prior cube once its
+        # spectrum exists.
         mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
         denoise = factor_denoise(*model.hr_shape, model.bands, mu_p, nu_p)
         xstep = sylvester.XStep.create(model, denoise.basis, cfg.rho, y, z)
-        if isinstance(prior, PriorSource):
-            p_hat, factors = prior_spectrum(y, model, denoise.basis, xstep.z_hat)
-        else:
-            p_hat, factors = rdft2(prior.data), None
+        naive = isinstance(prior, PriorSource)
+        factors = naive_factors(y, model, denoise.basis) if naive else None
+        del y, z, model
+        p_hat = factors.spectrum(xstep.z_hat) if naive else rdft2(prior.data)
+        del prior
+        if not naive:
             mix_bands(denoise.basis.T, p_hat)
         own = p_hat[..., self_mirrored(xstep.width)].copy()
         return cls(xstep, denoise, p_hat, own, sylvester.group_sums(xstep, p_hat), factors)
@@ -257,7 +267,8 @@ class _Spectra:
         # once x is written over the naive prior's spectrum, p is rebuilt
         rebuild = factors is not None and not first
         if rebuild:
-            left = factors.left.reshape(grid.shape[:3] + (-1,))
+            # each tile's rows of the spectrum, in the group layout
+            rows = np.arange(len(factors.wr_hat)).reshape(xstep.e.shape[:2])
         else:
             p_grid = xstep.grid(self.p_hat)
         freq = denoise.freq_term.reshape(xstep.e.shape)
@@ -267,9 +278,7 @@ class _Spectra:
             denoise.gain(index[0], freq[index[1:]], gain)
             if rebuild:
                 p = scratch.get("p", out.shape, np.complex128)
-                rows = scratch.get("left", left[index].shape, np.complex128)
-                np.copyto(rows, left[index])
-                factors.rows(rows, z, p, out)
+                factors.rows(rows[index[1:]].ravel(), z, p, out)
             else:
                 p = p_grid[index]
             if first:
@@ -320,14 +329,17 @@ def fuse(
     before the ``max_iter`` cap).
 
     The loop reads the prior only through its half spectrum. For
-    ``PriorSource.naive_fusion()`` that spectrum is built directly
-    (``priors.prior_spectrum``), and no prior cube exists. A cube's is
-    taken with one transform and one band mix, and ``fuse`` then drops its
-    own reference to ``prior``: a caller that hands over its only
-    reference, as the CLI does for a prior file, has the cube freed before
-    the loop allocates its iterates. On CPython 3.10 the caller's
-    stack holds the argument until the call returns, so there the cube lives
-    through the run.
+    ``PriorSource.naive_fusion()`` that spectrum is built directly from
+    its factors (``priors.naive_factors``), and no prior cube exists. A
+    cube's is taken with one transform and one band mix. ``fuse`` hands its
+    own references to the set-up, which drops z's cube once z's spectrum
+    exists, the model (and its blur multiplier) once the x-step and the
+    naive prior's factors are built, and a prior cube once its spectrum
+    exists. A caller that hands over its only references, as the CLI does
+    for y, z, the model and a prior file, has each freed there, before the
+    prior's spectrum is made; a caller that keeps them gets the same bytes.
+    On CPython 3.10 the caller's stack holds the arguments until the call
+    returns, so there they live through the run.
 
     Raises:
         ValidationError: the prior, y or z does not fit the model's grids.
@@ -337,9 +349,11 @@ def fuse(
     if not isinstance(prior, PriorSource):
         model.check_hr("prior", prior)
     model.check_data(y, z)
-    fixed = _Spectra.prepare(y, z, model, prior, cfg)
-    del prior, y, z
     width = model.hr_shape[1]
+    # popped from a list, the arguments are the set-up's only references
+    handed = [y, z, model, prior]
+    del y, z, model, prior
+    fixed = _Spectra.prepare(handed.pop(0), handed.pop(0), handed.pop(0), handed.pop(), cfg)
     # the naive prior's loop holds one spectrum: the first iteration writes x
     # over the prior's, and each iteration the next x over it; a prior
     # cube's spectrum stays beside x

@@ -18,14 +18,15 @@ low-resolution grid. One private pass builds it: a GEMM per band writes
 ``rows (M y)_b cols`` into the band's plane, chunks of bands being pool
 items, and ``K z`` is then added over blocks of columns. ``make_prior``
 runs it with the real weights Wr and Wc^T, K and z, and returns the cube.
-``prior_spectrum`` runs it for the half spectrum in the coordinates of a
-band basis U, which is what the fusion loop reads, with no cube and no
-transform of one: the mix is U^T M on y's grid, the transform of a
-separable upsample is ``F(Wr) (U^T M y)_b rfft(Wc)^T`` per band, and z
-enters through its half spectrum, mixed by U^T K. It also returns those
-factors (``SpectrumFactors``), y's rank in place of a spectrum, so that
-the loop can drop the spectrum and rebuild any rows of it, with the same
-bits.
+For the half spectrum in the coordinates of a band basis U, which is what
+the fusion loop reads, the mix is U^T M on y's grid and the transform of a
+separable upsample is ``F(Wr) (U^T M y)_b rfft(Wc)^T`` per band; z enters
+through its half spectrum, mixed by U^T K. ``naive_factors`` makes those
+factors (``SpectrumFactors``), which have y's rank and need neither the
+model nor a cube, and ``SpectrumFactors.spectrum`` runs the pass on them,
+with no cube and no transform of one. The loop can then drop the spectrum
+and rebuild any rows of it from the factors (``SpectrumFactors.rows``),
+with the same bits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cube import HsiCube, chunks, dft2, each_block, pool_map, real_rows
 from .degradation import DegradationModel
 from .errors import ValidationError
 
-__all__ = ["PriorSource", "SpectrumFactors", "make_prior", "prior_spectrum"]
+__all__ = ["PriorSource", "SpectrumFactors", "make_prior", "naive_factors"]
 
 
 @dataclass(frozen=True)
@@ -87,33 +88,23 @@ def _axis_spectrum(n_in: int, factor: int) -> np.ndarray:
 
 
 def _naive_pass(
-    y: HsiCube,
-    mix: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    k: np.ndarray,
-    z: np.ndarray,
-    left: np.ndarray | None,
+    low: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """``rows @ (mix y)_b @ cols`` for each band b, plus ``k @ z``: the naive prior's one pass.
+    """``rows @ low[b] @ cols`` for each band b of ``low``, plus ``k @ z``: the naive prior's one pass.
 
-    ``mix`` mixes y's bands on its low-resolution grid, ``rows`` and ``cols``
-    upsample each band or transform its upsample, and ``k`` mixes z, a cube
-    or its half spectrum, into the result's grid. One pool item per chunk of
-    bands (``cube.chunks``) makes each band's ``rows @ (mix y)_b``, into
-    ``left[b]`` when ``left`` is given, and then writes the band's plane,
-    with one GEMM each; one pass over blocks of columns
-    (``cube.each_block``) then adds z's part. So the bytes do not depend on
-    the chunking or the pool size, and no temporary is larger than a plane
-    or a block.
+    ``low`` is y with its bands mixed on its low-resolution grid, ``rows``
+    and ``cols`` upsample each band or transform its upsample, and ``k``
+    mixes z, a cube or its half spectrum, into the result's grid. One pool
+    item per chunk of bands (``cube.chunks``) writes each band's plane with
+    two GEMMs; one pass over blocks of columns (``cube.each_block``) then
+    adds z's part. So the bytes do not depend on the chunking or the pool
+    size, and no temporary is larger than a plane or a block.
     """
-    low = (mix @ y.as_matrix()).reshape(y.data.shape)
     out = np.empty((len(low), len(rows), cols.shape[1]), dtype=np.result_type(rows, cols))
 
     def upsample(bands: slice) -> None:
         for b in range(len(out))[bands]:
-            band = rows @ low[b] if left is None else np.matmul(rows, low[b], out=left[b])
-            np.matmul(band, cols, out=out[b])
+            np.matmul(rows @ low[b], cols, out=out[b])
 
     def add_z(block: np.ndarray, z_block: np.ndarray) -> None:
         block += k @ z_block
@@ -129,61 +120,75 @@ def make_prior(src: PriorSource, y: HsiCube, z: HsiCube, model: DegradationModel
         raise ValidationError(f"src must be a PriorSource, got {type(src).__name__}")
     model.check_data(y, z)
     k, mix = _naive_mixes(model)
+    low = (mix @ y.as_matrix()).reshape(y.data.shape)
     wr = _axis_weights(y.height, model.down.factor)
     wc = _axis_weights(y.width, model.down.factor)
-    return HsiCube(_naive_pass(y, mix, wr, wc.T, k, z.data, None))
+    return HsiCube(_naive_pass(low, wr, wc.T, k, z.data))
 
 
 @dataclass(frozen=True)
 class SpectrumFactors:
-    """The factors ``prior_spectrum`` builds the naive prior's half spectrum from.
+    """The factors of the naive prior's half spectrum, in the coordinates of a band basis U.
 
-    Band b of the spectrum is ``left[b] @ cols + (k @ z_hat)[b]``:
-    ``left`` (bands, height, y's width) holds ``F(Wr) (U^T M y)_b``,
-    ``cols`` the stored columns of ``rfft(Wc)^T`` and ``k`` is U^T K. They
-    have y's rank, so at full scale ``left`` is 4.1 MB against the
-    spectrum's 65.3 MB, and any rows of the spectrum are rebuilt from them
-    and z's half spectrum (``rows``).
+    Band b of the spectrum is ``wr_hat @ low[b] @ cols + (k @ z_hat)[b]``:
+    ``wr_hat`` (height, y's height) is F(Wr), ``low`` (bands, y's height,
+    y's width) is U^T M y as complex values, ``cols`` the stored columns
+    of ``rfft(Wc)^T`` and ``k`` is U^T K. They have y's rank: at full scale
+    they take 0.3 MB against the spectrum's 65.3 MB. ``spectrum`` builds
+    the spectrum from them and z's half spectrum, and ``rows`` any rows of
+    it, with the same bits.
     """
 
-    left: np.ndarray
+    wr_hat: np.ndarray
+    low: np.ndarray
     cols: np.ndarray
     k: np.ndarray
 
-    def rows(self, left: np.ndarray, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        """Write the spectrum at some rows, every band and stored column, into ``out``.
+    def spectrum(self, z_hat: np.ndarray) -> np.ndarray:
+        """The half spectrum, from z's half spectrum ``z_hat``: the pass ``make_prior`` runs."""
+        return _naive_pass(self.low, self.wr_hat, self.cols, self.k, z_hat)
 
-        ``left`` holds those rows of ``self.left`` and ``z`` those of z's
-        half spectrum; ``out`` and ``work``, which is overwritten, are
-        shaped as z's rows with every band. All four are contiguous. One
-        GEMM takes every band's rows as the rows of one matrix, which gives
-        the bits of ``prior_spectrum``'s GEMM per band, where one GEMM per
-        band of a single row would not: numpy makes that a matrix-vector
-        product, whose bits differ (numpy 2.4's OpenBLAS). z's part is then
-        added as ``prior_spectrum`` adds it.
+    def rows(self, at: np.ndarray, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the spectrum at the rows ``at``, every band and stored column, into ``out``.
+
+        ``at`` is an integer array of row indices and ``z`` holds those rows
+        of z's half spectrum; ``out`` and ``work``, which is overwritten,
+        are shaped as z's rows with every band. All three are contiguous.
+        Each band's ``wr_hat[at] @ low[b]`` is a GEMM as ``spectrum`` makes
+        it but for its row count, every band in one matmul call. One GEMM
+        then takes every band's rows as the rows of one matrix. Both give
+        the bits of ``spectrum``'s products at any rows (numpy 2.4's
+        OpenBLAS), but numpy runs a product of one row, or one with a
+        one-column ``low``, as a matrix-vector product, whose bits change
+        with the row count. So a single row is made twice, and for a
+        one-column ``low`` every row is made. z's part is then added as
+        ``spectrum`` adds it.
         """
-        np.matmul(left.reshape(-1, left.shape[-1]), self.cols, out=out.reshape(-1, out.shape[-1]))
+        width = self.low.shape[2]
+        if width == 1:
+            left = np.matmul(self.wr_hat, self.low)[:, at]
+        else:
+            picked = at if len(at) > 1 else np.repeat(at, 2)
+            left = np.matmul(self.wr_hat[picked], self.low)[:, : len(at)]
+        np.matmul(left.reshape(-1, width), self.cols, out=out.reshape(-1, out.shape[-1]))
         np.matmul(self.k, real_rows(z), out=real_rows(work))
         out += work
 
 
-def prior_spectrum(
-    y: HsiCube, model: DegradationModel, basis: np.ndarray, z_hat: np.ndarray
-) -> tuple[np.ndarray, SpectrumFactors]:
-    """The half spectrum of the naive prior ``make_prior`` builds, its bands in ``basis``'s coordinates.
+def naive_factors(y: HsiCube, model: DegradationModel, basis: np.ndarray) -> SpectrumFactors:
+    """The factors of the naive prior's half spectrum, its bands in ``basis``'s coordinates.
 
-    ``z_hat`` is z's half spectrum; y and z are the model's, as the caller
-    has checked. It is ``make_prior``'s pass with each axis's upsample
-    replaced by its transform and both band mixes led by ``basis.T``.
-    Returns the spectrum and the factors it was built from.
+    y is the model's, as the caller has checked. The spectrum's pass
+    (``SpectrumFactors.spectrum``) is ``make_prior``'s with each axis's
+    upsample replaced by its transform and both band mixes led by
+    ``basis.T``.
     """
     k, mix = _naive_mixes(model)
+    low = ((basis.T @ mix) @ y.as_matrix()).reshape(y.data.shape).astype(np.complex128)
     rows = _axis_spectrum(y.height, model.down.factor)
-    # the transform's stored columns, as many as z_hat holds, laid out
-    # contiguous: the loop's GEMM per tile (``SpectrumFactors.rows``) takes
-    # 7% less time on it than on the transposed view, with the same bits
-    cols = np.ascontiguousarray(_axis_spectrum(y.width, model.down.factor)[: z_hat.shape[-1]].T)
-    k = basis.T @ k
-    left = np.empty((len(basis), len(rows), y.width), dtype=np.complex128)
-    spec = _naive_pass(y, basis.T @ mix, rows, cols, k, z_hat, left)
-    return spec, SpectrumFactors(left, cols, k)
+    # the transform's stored columns laid out contiguous: the loop's GEMM per
+    # tile (``SpectrumFactors.rows``) takes 7% less time on it than on the
+    # transposed view, with the same bits
+    columns = model.hr_shape[1] // 2 + 1
+    cols = np.ascontiguousarray(_axis_spectrum(y.width, model.down.factor)[:columns].T)
+    return SpectrumFactors(rows, low, cols, basis.T @ k)

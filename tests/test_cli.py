@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import hsfuse
+import hsfuse.hqs
 import hsfuse.io
 from helpers import bad_cube_files, rand_cube
 from hsfuse.cli import main
-from hsfuse.cube import HsiCube, check_shape, pool_size
+from hsfuse.cube import HsiCube, Scratch, check_shape, pool_size
 from hsfuse.errors import CubeFormatError, ValidationError
 from hsfuse.io import load_cube, save_cube
 from hsfuse.metrics import evaluate
@@ -1035,14 +1036,18 @@ def bare_peak_rss_mb() -> float:
 
 
 class TestMemory:
-    def test_fuse_holds_one_spectrum_from_load_to_save(self, tmp_path):
+    def test_fuse_holds_one_spectrum_from_load_to_save(self, tmp_path, monkeypatch):
         # from loading y and z to writing x: the naive prior's spectrum, which
         # x is written over and transformed back into in place (about one
-        # real cube as a half spectrum), its factors, z's spectrum and the
-        # small (bands, gl, gw) arrays; y and z are freed once fuse holds
-        # their spectra, and v and p are formed tile by tile where they are
-        # used. Measured at 3.19 cubes; at 3.82 with the prior's spectrum
-        # beside x and a fresh output cube, under a bound of 5.8
+        # real cube as a half spectrum), its factors of y's rank, z's
+        # spectrum and the small (bands, gl, gw) arrays; y, z and the model
+        # are freed once fuse holds z's spectrum and the x-step, and v and p
+        # are formed tile by tile where they are used. Measured at 2.73
+        # cubes with fresh tile work arrays; at 3.18 with the factors' rows
+        # at full height and z's cube and the model kept through the set-up,
+        # and at 3.82 with the prior's spectrum beside x and a fresh output
+        # cube
+        monkeypatch.setattr(hsfuse.hqs, "_SCRATCH", Scratch())
         cube_bytes = write_inputs(tmp_path, 31, 128, 4)
         tracemalloc.start()
         try:
@@ -1053,7 +1058,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak < 4.84 * cube_bytes
+        assert peak < 2.9 * cube_bytes
 
     def test_fuse_peak_rss_grows_little_with_the_pool(self, tmp_path):
         # each pool thread's malloc arena keeps the temporaries it freed, so
@@ -1160,24 +1165,31 @@ class TestMemory:
     )
     @pytest.mark.parametrize("prior", ["naive", "file"])
     def test_fuse_frees_the_prior_before_the_first_xstep(self, tmp_path, monkeypatch, prior):
-        # a prior file's cube is freed once fuse holds its spectrum, and y
-        # and z once fuse holds theirs; the naive prior is built as its
-        # spectrum, so the CLI never makes its cube. At the first x-step no
-        # float64 array of the high-resolution shape is held by any object or
-        # by a frame of the call stack
+        # a prior file's cube is freed once fuse holds its spectrum, y and z
+        # once fuse holds theirs, and the model with its blur multiplier once
+        # fuse holds the x-step; the naive prior is built as its spectrum, so
+        # the CLI never makes its cube. At the first x-step no float64 array
+        # of the high-resolution shape is held by any object or by a frame of
+        # the call stack
+        import hsfuse.cli
         import hsfuse.priors
         import hsfuse.sylvester
 
         write_inputs(tmp_path, 8, 16, 2)
         prior_path = str(tmp_path / "prior.cube")
         refs, alive, held = [], [], []
-        load = hsfuse.io.load_cube
+        load, build_model = hsfuse.io.load_cube, hsfuse.cli._model
         write_pass = hsfuse.sylvester.write_pass
 
         def recording_load(*args, **kwargs):
             cube = load(*args, **kwargs)
             refs.append(weakref.ref(cube.data))
             return cube
+
+        def recording_model(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            refs.append(weakref.ref(model.blur.multiplier))
+            return model
 
         def no_prior_cube(*args, **kwargs):
             raise AssertionError("the CLI built a naive prior cube")
@@ -1190,12 +1202,14 @@ class TestMemory:
 
         monkeypatch.setattr(hsfuse.priors, "make_prior", no_prior_cube)
         monkeypatch.setattr(hsfuse.io, "load_cube", recording_load)
+        monkeypatch.setattr(hsfuse.cli, "_model", recording_model)
         monkeypatch.setattr(hsfuse.sylvester, "write_pass", probed_pass)
         spec = "naive" if prior == "naive" else "file:" + prior_path
         rc = main(["fuse", "--y", str(tmp_path / "y.cube"), "--z", str(tmp_path / "z.cube"),
                    "--prior", spec, "--iters", "2", "--out", str(tmp_path / "x.cube")])
         assert rc == 0
         assert held == [0]
-        # y, z and a prior file's cube: fuse holds the one reference to each
-        assert len(refs) == (3 if prior == "file" else 2)
+        # the model's multiplier, y, z and a prior file's cube: fuse holds
+        # the one reference to each
+        assert len(refs) == (4 if prior == "file" else 3)
         assert alive == [False] * 2 * len(refs)

@@ -182,6 +182,7 @@ class TestFuse:
         model = DegradationModel(blur, Downsampler(4), SpectralResponse.default_rgb(31))
         y, z = model.degrade(gt)
         prior = make_prior(PriorSource.naive_fusion(), y, z, model)
+        monkeypatch.setattr(hsfuse.hqs, "_SCRATCH", Scratch())
         tracemalloc.start()
         try:
             fuse(y, z, model, prior, HqsConfig(max_iter=2))
@@ -237,40 +238,73 @@ class TestFuse:
         result = fuse(holder.pop(0), holder.pop(), model, source, HqsConfig(max_iter=2))
         assert result.iterations == 2 and alive == [[False, False]] * 2
 
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
+        "returns, so fuse cannot free the data handed to it",
+    )
+    def test_frees_a_model_and_z_handed_over_before_the_prior_spectrum(self, monkeypatch):
+        # only the x-step's set-up reads the model's blur multiplier, and the
+        # loop reads z only through its spectrum: both go before the naive
+        # prior's spectrum is made, and a caller that keeps them gets the
+        # same bytes
+        model, y, z, prior = desk_problem(0)
+        cfg = HqsConfig(max_iter=2)
+        kept = fuse(y, z, model, PriorSource.naive_fusion(), cfg)
+        refs = [weakref.ref(model.blur.multiplier), weakref.ref(z.data)]
+        alive = []
+        spectrum, group_step = hsfuse.priors.SpectrumFactors.spectrum, hsfuse.sylvester.group_step
+
+        def probing(fn):
+            def probed(*args, **kwargs):
+                alive.append([ref() is not None for ref in refs])
+                return fn(*args, **kwargs)
+
+            return probed
+
+        monkeypatch.setattr(hsfuse.priors.SpectrumFactors, "spectrum", probing(spectrum))
+        monkeypatch.setattr(hsfuse.sylvester, "group_step", probing(group_step))
+        holder = [z, model]
+        del z, model
+        result = fuse(y, holder.pop(0), holder.pop(), PriorSource.naive_fusion(), cfg)
+        assert result.iterations == 2 and alive == [[False, False]] * 3
+        assert result.x_hat.data.tobytes() == kept.x_hat.data.tobytes()
+        assert result.objective_trace == kept.objective_trace
+
     def test_the_naive_loop_holds_one_spectrum(self, monkeypatch):
         # the naive prior's loop writes x over the prior's spectrum and
-        # rebuilds p per tile from its factors (a quarter of a half spectrum
-        # here), and the inverse transform works in place: measured at
-        # 1.63-1.73 half spectra above the inputs (the higher with the tile
-        # work arrays not yet made), where a second spectrum beside x, or a
-        # fresh output cube, held 2.39
+        # rebuilds p per tile from its factors, which have y's rank, and the
+        # inverse transform works in place: measured at 1.53 half spectra
+        # above the inputs with fresh tile work arrays, where the factors'
+        # rows at full height (a quarter of a half spectrum here) held 1.74,
+        # and a second spectrum beside x, or a fresh output cube, 2.39
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         size = 256
         gt = generate_scene(SceneSpec(31, size, size, seed=0))
         blur = BlurOperator.uniform_block(size, size, 8)
         model = DegradationModel(blur, Downsampler(8), SpectralResponse.default_rgb(31))
         y, z = model.degrade(gt)
+        monkeypatch.setattr(hsfuse.hqs, "_SCRATCH", Scratch())
         tracemalloc.start()
         try:
             fuse(y, z, model, PriorSource.naive_fusion(), HqsConfig(max_iter=2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.85 * 31 * size * (size // 2 + 1) * 16
+        assert peak < 1.6 * 31 * size * (size // 2 + 1) * 16
 
     def test_the_naive_result_is_a_view_of_the_prior_spectrum(self, monkeypatch):
         # one spectrum buffer from the set-up to the result: x is written over
         # the prior's spectrum and transformed back in place
         model, y, z, prior = desk_problem(0)
         built = []
-        prior_spectrum = hsfuse.hqs.prior_spectrum
+        spectrum = hsfuse.priors.SpectrumFactors.spectrum
 
-        def recording(*args):
-            spec, factors = prior_spectrum(*args)
-            built.append(spec)
-            return spec, factors
+        def recording(factors, z_hat):
+            built.append(spectrum(factors, z_hat))
+            return built[-1]
 
-        monkeypatch.setattr(hsfuse.hqs, "prior_spectrum", recording)
+        monkeypatch.setattr(hsfuse.priors.SpectrumFactors, "spectrum", recording)
         result = fuse(y, z, model, PriorSource.naive_fusion(), HqsConfig(max_iter=2))
         assert len(built) == 1 and np.shares_memory(result.x_hat.data, built[0])
 
@@ -620,6 +654,7 @@ class TestSpectralLoop:
         x_hat = np.empty_like(fixed.p_hat)
         sums = group_sums(fixed.xstep, fixed.p_hat)
         tile = 31 * hsfuse.cube._TILE_VALUES * 16
+        monkeypatch.setattr(hsfuse.hqs, "_SCRATCH", Scratch())
         tracemalloc.start()
         try:
             fixed.iterate(x_hat, True, sums, True)

@@ -12,7 +12,7 @@ from hsfuse.degradation import (
     SpectralResponse,
 )
 from hsfuse.errors import ValidationError
-from hsfuse.priors import PriorSource, _axis_weights, make_prior, prior_spectrum
+from hsfuse.priors import PriorSource, _axis_weights, make_prior, naive_factors
 
 
 def make_model(bands=6, h=8, w=8, s=2):
@@ -117,35 +117,48 @@ class TestNaivePriorOnLowResGrid:
         "bands,h,w,s", [(6, 8, 12, 4), (5, 12, 8, 4), (7, 9, 15, 3), (31, 12, 18, 3), (5, 7, 5, 1)]
     )
     def test_its_spectrum_is_the_rotated_transform_of_the_cube(self, rng, bands, h, w, s):
-        # prior_spectrum builds U^T rfft2(prior) with no cube: the mix on y's
+        # the factors build U^T rfft2(prior) with no cube: the mix on y's
         # grid, the transform of a separable upsample and z's spectrum
         model = make_model(bands, h, w, s)
         y, z = model.degrade(rand_cube(rng, bands, h, w, lo=0.0, hi=1.0))
         basis = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
         src = PriorSource.naive_fusion()
-        got, _ = prior_spectrum(y, model, basis, np.fft.rfft2(z.data))
+        got = naive_factors(y, model, basis).spectrum(np.fft.rfft2(z.data))
         cube = np.fft.rfft2(make_prior(src, y, z, model).data)
         want = np.tensordot(basis.T, cube, axes=(1, 0))
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize(
-        "bands,h,w,s", [(6, 8, 12, 4), (7, 9, 15, 3), (31, 64, 64, 4), (31, 96, 96, 8), (5, 7, 5, 1)]
+        "bands,h,w,s",
+        [
+            (6, 8, 12, 4),
+            (7, 9, 15, 3),
+            (31, 64, 64, 4),
+            (31, 96, 96, 8),
+            (5, 7, 5, 1),
+            # every band of a y 3 and 5 wide, and a y one column wide
+            (31, 24, 12, 4),
+            (31, 32, 20, 4),
+            (31, 16, 4, 4),
+        ],
     )
     def test_its_factors_rebuild_any_rows_bit_for_bit(self, rng, bands, h, w, s):
-        # the fusion loop rebuilds p tile by tile from the factors; one GEMM
-        # over every band's rows gives the bits of the spectrum's GEMM per
-        # band, for a single row (where a per-band product of one row would
-        # be a matrix-vector product) as for runs and strided sets of rows
+        # the fusion loop rebuilds p tile by tile from the factors, with the
+        # bits of the spectrum they built: for a single row (where a product
+        # of one row would be a matrix-vector product) as for runs and
+        # strided sets of rows, and for a y one column wide (where the
+        # spectrum's product per band is a matrix-vector product)
         model = make_model(bands, h, w, s)
         y, z = model.degrade(rand_cube(rng, bands, h, w, lo=0.0, hi=1.0))
         basis = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
         z_hat = np.fft.rfft2(z.data)
-        spec, factors = prior_spectrum(y, model, basis, z_hat)
+        factors = naive_factors(y, model, basis)
+        spec = factors.spectrum(z_hat)
         picks = [[r] for r in range(h)] + [list(range(1, h)), list(range(0, h, 3)), [h - 1, 0]]
         for rows in picks:
             out = np.empty((bands, len(rows), spec.shape[2]), dtype=np.complex128)
-            factors.rows(factors.left[:, rows], z_hat[:, rows], out, np.empty_like(out))
+            factors.rows(np.array(rows), z_hat[:, rows], out, np.empty_like(out))
             assert out.tobytes() == spec[:, rows].tobytes()
 
     def test_peak_memory_stays_below_one_and_a_half_cubes(self, rng):

@@ -149,6 +149,27 @@ def test_benchmark_copy_holds_the_checkout_files_and_no_git(tmp_path):
     assert (root / cube).read_bytes() == (TOOLS.parent / cube).read_bytes()
 
 
+def test_tree_hash_names_the_files_and_their_bytes(tmp_path):
+    def tree(name, files):
+        root = tmp_path / name
+        for path, data in files.items():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_bytes(data)
+        return bench_json.tree_sha256(root)
+
+    files = {"src/a.py": b"x = 1\n", "bench/run.py": b"", "README.md": b"notes\n"}
+    same = tree("same", dict(reversed(list(files.items()))))
+    assert tree("base", files) == same and len(same) == 64
+    changed = [
+        {**files, "src/a.py": b"x = 2\n"},  # one byte
+        {**files, "src/b.py": b""},  # one more, empty, file
+        {"src/b.py" if k == "src/a.py" else k: v for k, v in files.items()},  # a rename
+        # the same bytes cut at another place between path and content
+        {**{k: v for k, v in files.items() if k != "README.md"}, "README.m": b"dnotes\n"},
+    ]
+    assert len({tree(f"changed{i}", f) for i, f in enumerate(changed)} | {same}) == 5
+
+
 def test_prior_table_prints_each_stand_in_before_and_after_fusion(capsys):
     from helpers import STAND_INS, desk_truth, stand_in_prior
     from hsfuse.metrics import evaluate

@@ -6,7 +6,11 @@ Every run starts from a plain copy of the checkout's files (``git ls-files
 -co --exclude-standard``: tracked and untracked, not ignored) in a temporary
 directory: stages-full ``wall_s`` has read about 9% slower run from the git
 working tree. The copy has no ``.git``, so the file records the checkout's ``git
-rev-parse HEAD`` and whether its working tree differed from it (``dirty``).
+rev-parse HEAD``, whether its working tree differed from it (``dirty``), and
+``tree_sha256``, a hash over every copied file's path and bytes: a file
+written from an uncommitted tree still names the exact files it measured,
+and the hash of a later checkout's copy (``copy_checkout``, then
+``tree_sha256``) says whether that checkout holds them.
 
 ``bench/run.py`` is run as a black box, one process at a time, for every
 workload at ``--trace 0`` and every seed of ``SEEDS``, ``SECONDS`` long each,
@@ -30,6 +34,7 @@ wall time and, from its manifest, ``timings_s``, ``peak_rss_mb``,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -61,6 +66,21 @@ def copy_checkout(dest: Path) -> Path:
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
     return dest
+
+
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over every file under ``root``, in path order: each path relative to ``root``, then its bytes.
+
+    Each path and each file's bytes enter with their length first, so no
+    two trees give the same stream.
+    """
+    digest = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        for part in (name.encode(), data):
+            digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
@@ -159,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                        f"(per_layer: --trace 1 --seed {TRACE_SEED})",
             "git_revision": git("rev-parse", "HEAD").strip(),
             "dirty": bool(git("status", "--porcelain")),
+            "tree_sha256": tree_sha256(root),
             "workloads": {w: workload_summary(root, w) for w in WORKLOADS},
             "cli_fuse": cli_fuse(root),
         }
