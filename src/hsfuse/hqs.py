@@ -36,24 +36,28 @@ group, for the group step, and v itself, to write x. The set-up reduces the
 prior's ``e^H p`` once (``sylvester.group_sums``); the first v is the
 prior. Each iteration then makes one pool map over the spectrum,
 ``sylvester.write_pass``: per tile it forms v from the previous x (the
-v-step; the first iteration copies the prior, which is that v bit for bit),
-writes the new x over the previous one, scores it and reduces
-``g (x - p)``, the next v less p, so that the next ``e^H v`` is ``e^H p``
-plus that sum on the small (bands, gl, gw) grid. The last iteration the cap
-allows reduces nothing.
+v-step; in the first iteration the previous x is the prior, which is that v
+bit for bit, and the tile copies it), writes the new x over the previous
+one, scores it and reduces ``g (x - p)``, the next v less p, so that the
+next ``e^H v`` is ``e^H p`` plus that sum on the small (bands, gl, gw)
+grid. The last iteration the cap allows reduces nothing.
 
-For the naive prior the loop holds x's half spectrum, z's half spectrum
-and the x-step's small arrays. The set-up frees z's cube and the model,
-whose blur multiplier only the x-step's set-up reads, before it makes the
-prior's spectrum, when they are handed over (see ``fuse``). The naive
-prior has y's rank: ``priors.SpectrumFactors`` keeps the factors its
-spectrum is built from (0.3 MB at full scale, against a spectrum's 65.3
-MB). The first iteration writes x over the prior's spectrum, each tile
-reading its p before it writes x, and each later iteration rebuilds a
-tile's p from the factors in the tile's work arrays
-(``priors.SpectrumFactors.rows``), with the bits of the spectrum the
-set-up built. A prior cube has no factors, so its loop holds two spectra,
-the prior's and x's.
+On both routes x starts as the prior's spectrum, and each iteration writes
+x over the previous one, each tile reading its p before it writes x. In the
+first iteration p is the tile of x itself; every later iteration reads it
+through one reader (``_Spectra.prior``), whichever the prior. The set-up
+frees z's cube and the model, whose blur multiplier only the x-step's
+set-up reads, before it makes the prior's spectrum, when they are handed
+over (see ``fuse``). The naive prior has y's rank:
+``priors.SpectrumFactors`` keeps the factors its spectrum is built from
+(0.3 MB at full scale, against a spectrum's 65.3 MB), x starts as the
+spectrum they build, and the reader rebuilds a tile's p from them in the
+tile's work arrays (``priors.SpectrumFactors.rows``), with the bits of that
+spectrum. So the naive prior's loop holds x's half spectrum, z's half
+spectrum and the x-step's small arrays. A prior cube has no factors: the
+reader views its stored spectrum, and x starts as a copy of it, made after
+the set-up's reductions over it, so its loop holds two spectra, the prior's
+and x's.
 
 Iteration k's trace entry is L(x_k, v_k), v_k the v-step's solution for
 x_k, read off what the two exact steps compute. The y-term is the group
@@ -72,6 +76,7 @@ item order, so the iterates and the trace do not depend on the pool size.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +86,7 @@ from .cube import HsiCube, Scratch, irdft2, mix_bands, rdft2, real_rows, self_mi
 from .degradation import DegradationModel
 from .errors import check_int, check_real
 from .gradients import regularizer_value
-from .priors import PriorSource, SpectrumFactors, naive_factors
+from .priors import PriorSource, naive_factors
 from .vstep import DenoiseFactors, factor_denoise
 
 # Not called here: the spatial one-shot sub-steps stay importable from this
@@ -185,24 +190,24 @@ class _Spectra:
     """What one run transforms and factors once, and one iteration.
 
     Everything is in the coordinates of U = ``denoise.basis``: the x-step is
-    built in them (``xstep.srf`` is the response times U), and so is
-    ``p_hat``, the prior's half spectrum as the set-up makes it. ``p_sums``
-    is its ``e^H`` per aliasing group (``sylvester.group_sums``), the first
-    v's, and each later v's is ``p_sums`` plus that of ``g (x - p)``;
-    ``p_own`` is a copy of its self-mirrored columns. A prior cube has no
-    ``factors``, and its ``p_hat`` stays beside x. The naive prior keeps the
-    ``factors`` its spectrum is built from (``priors.SpectrumFactors``), and
-    ``p_hat`` holds its spectrum only until the first iteration writes x
-    over it: from then on ``p_hat`` is x's buffer, and each iteration
-    rebuilds p tile by tile from the factors where it reads it.
+    built in them (``xstep.srf`` is the response times U), and so is the
+    prior's half spectrum. The loop reads that spectrum in one way,
+    ``prior(index, z, out, work)``: p at ``index`` of the group layout
+    (``XStep.grid``), for the tile whose ``z_hat`` rows are ``z``. For a
+    prior cube it is a view of the stored spectrum. For the naive prior it
+    is the tile rebuilt from the factors the spectrum is built from
+    (``priors.SpectrumFactors.rows``) into ``out``, ``work`` being
+    overwritten. ``p_sums`` is the spectrum's ``e^H`` per aliasing group
+    (``sylvester.group_sums``), the first v's, and each later v's is
+    ``p_sums`` plus that of ``g (x - p)``; ``p_own`` is a copy of its
+    self-mirrored columns.
     """
 
     xstep: sylvester.XStep
     denoise: DenoiseFactors
-    p_hat: np.ndarray
+    prior: Callable[[tuple, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     p_own: np.ndarray
     p_sums: np.ndarray
-    factors: SpectrumFactors | None
 
     @classmethod
     def prepare(
@@ -212,7 +217,15 @@ class _Spectra:
         model: DegradationModel,
         prior: HsiCube | PriorSource,
         cfg: HqsConfig,
-    ) -> "_Spectra":
+    ) -> tuple["_Spectra", np.ndarray]:
+        """The run's set-up, and x's starting buffer: it holds the prior's spectrum on both routes.
+
+        The naive prior's spectrum is built from its factors and handed
+        over as that buffer, so the loop holds no second spectrum. A prior
+        cube's stored spectrum stays with the reader, and the buffer is a
+        copy of it, made after the set-up's reductions over it so that they
+        never run beside two spectra.
+        """
         # The order keeps the set-up's peak low: factor_denoise frees the
         # Laplacian operator it builds before it returns, and z and then the
         # prior are transformed only once the factors exist. At full scale
@@ -229,62 +242,67 @@ class _Spectra:
         naive = isinstance(prior, PriorSource)
         factors = naive_factors(y, model, denoise.basis) if naive else None
         del y, z, model
-        p_hat = factors.spectrum(xstep.z_hat) if naive else rdft2(prior.data)
-        del prior
-        if not naive:
+        if naive:
+            p_hat = factors.spectrum(xstep.z_hat)
+            # each tile's rows of the spectrum, in the group layout
+            rows = np.arange(len(factors.wr_hat)).reshape(xstep.e.shape[:2])
+
+            def read(index: tuple, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+                factors.rows(rows[index[1:]].ravel(), z, out, work)
+                return out
+
+        else:
+            p_hat = rdft2(prior.data)
+            del prior
             mix_bands(denoise.basis.T, p_hat)
+            p_grid = xstep.grid(p_hat)
+
+            def read(index: tuple, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+                return p_grid[index]
+
         own = p_hat[..., self_mirrored(xstep.width)].copy()
-        return cls(xstep, denoise, p_hat, own, sylvester.group_sums(xstep, p_hat), factors)
+        fixed = cls(xstep, denoise, read, own, sylvester.group_sums(xstep, p_hat))
+        return fixed, p_hat if naive else p_hat.copy()
 
     def iterate(
         self, x_hat: np.ndarray, first: bool, sums: np.ndarray, more: bool
     ) -> tuple[float, float, float, np.ndarray | None]:
         """One iteration: the x-step from the v-step's v for the previous x, written over ``x_hat``.
 
-        ``x_hat`` holds the previous x; for the ``first`` iteration the
-        previous x is the prior, ``p_hat``, which may be ``x_hat`` itself.
-        ``sums`` is that x's v's ``e^H v``, which ``sylvester.group_step``
-        turns into ``w`` before ``sylvester.write_pass`` forms that v again
-        and writes x. Both are looked up on their module, so that a wrapper
-        installed there sees every x-step. Each tile reads its p before it
-        writes x: from ``p_hat``, or, once x is written over the naive
-        prior's spectrum, rebuilt from its factors into a work array.
-        Returns ``objective_value`` at the new x and the v-step's v for it;
-        ``||x - x_prev||^2`` and ``||x||^2``, each sum over the spectrum
-        scaled by Parseval's theorem to the sum over pixels; and, with
-        ``more``, the next v's ``e^H v``. The step is the exact difference of
-        the two iterates. Every stored column stands for itself and its
-        mirror but the self-mirrored ones (``cube.self_mirrored``), so each
-        sum is twice the stored columns' less those columns': the pass sums
-        the stored columns, and the self-mirrored ones are summed here, from
-        a copy of the previous x's taken before the pass.
+        ``x_hat`` holds the previous x; for the ``first`` iteration that is
+        the prior's spectrum, as ``prepare`` returns it, and v is the
+        previous x. ``sums`` is that x's v's ``e^H v``, which
+        ``sylvester.group_step`` turns into ``w`` before
+        ``sylvester.write_pass`` forms that v again and writes x. Both are
+        looked up on their module, so that a wrapper installed there sees
+        every x-step. Each tile reads its p before it writes x: in the first
+        iteration it is the tile of ``x_hat``, and in every later one it
+        comes from ``prior``. Returns ``objective_value`` at the new x and
+        the v-step's v for it; ``||x - x_prev||^2`` and ``||x||^2``, each sum
+        over the spectrum scaled by Parseval's theorem to the sum over
+        pixels; and, with ``more``, the next v's ``e^H v``. The step is the
+        exact difference of the two iterates. Every stored column stands for
+        itself and its mirror but the self-mirrored ones
+        (``cube.self_mirrored``), so each sum is twice the stored columns'
+        less those columns': the pass sums the stored columns, and the
+        self-mirrored ones are summed here, from a copy of the previous x's
+        taken before the pass.
         """
-        xstep, denoise, factors, scratch = self.xstep, self.denoise, self.factors, _SCRATCH
+        xstep, denoise, scratch = self.xstep, self.denoise, _SCRATCH
         own = self_mirrored(xstep.width)
-        prev = self.p_hat if first else x_hat
-        old = prev[..., own].copy()
-        grid = xstep.grid(prev)
-        # once x is written over the naive prior's spectrum, p is rebuilt
-        rebuild = factors is not None and not first
-        if rebuild:
-            # each tile's rows of the spectrum, in the group layout
-            rows = np.arange(len(factors.wr_hat)).reshape(xstep.e.shape[:2])
-        else:
-            p_grid = xstep.grid(self.p_hat)
+        old = x_hat[..., own].copy()
+        grid = xstep.grid(x_hat)
         freq = denoise.freq_term.reshape(xstep.e.shape)
 
         def form(index: tuple, out: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             gain = scratch.get("gain", out.shape, np.float64)
             denoise.gain(index[0], freq[index[1:]], gain)
-            if rebuild:
-                p = scratch.get("p", out.shape, np.complex128)
-                factors.rows(rows[index[1:]].ravel(), z, p, out)
-            else:
-                p = p_grid[index]
             if first:
-                # x is the prior, so v = p + g (p - p) is p, bit for bit
+                # the previous x is the prior, so v = p + g (p - p) is p, bit for bit
+                p = grid[index]
                 np.copyto(out, p)
             else:
+                p = self.prior(index, z, scratch.get("p", out.shape, np.complex128), out)
                 denoise.denoise(grid[index], p, gain, out)
             return gain, p
 
@@ -296,10 +314,10 @@ class _Spectra:
             np.matmul(xstep.srf, real_rows(x), out=real_rows(z_res))
             np.subtract(z, z_res, out=z_res)
             dev = np.subtract(x, p, out=work)
-            # g (x - p), the next v less p; a rebuilt p is not read again, and
-            # writing over it keeps one tile array fewer in the core's cache
-            keep = p if rebuild else scratch.get("next", x.shape, np.complex128)
-            scaled = np.multiply(dev, gain, out=keep)
+            # g (x - p), the next v less p; a p rebuilt into this array is not
+            # read again, and writing over it keeps one tile array fewer in
+            # the core's cache
+            scaled = np.multiply(dev, gain, out=scratch.get("p", x.shape, np.complex128))
             return _sums(x, dev, scaled, z_res, grid[index]), scaled if more else None
 
         y_term = sylvester.group_step(xstep, sums)
@@ -331,11 +349,13 @@ def fuse(
     The loop reads the prior only through its half spectrum. For
     ``PriorSource.naive_fusion()`` that spectrum is built directly from
     its factors (``priors.naive_factors``), and no prior cube exists. A
-    cube's is taken with one transform and one band mix. ``fuse`` hands its
-    own references to the set-up, which drops z's cube once z's spectrum
-    exists, the model (and its blur multiplier) once the x-step and the
-    naive prior's factors are built, and a prior cube once its spectrum
-    exists. A caller that hands over its only references, as the CLI does
+    cube's is taken with one transform and one band mix. On both routes
+    x starts as that spectrum: the naive prior's itself, whose tiles the
+    loop rebuilds from the factors, or a copy of a cube's, whose tiles it
+    reads. ``fuse`` hands its own references to the set-up, which drops
+    z's cube once z's spectrum exists, the model (and its blur
+    multiplier) once the x-step and the naive prior's factors are built,
+    and a prior cube once its spectrum exists. A caller that hands over its only references, as the CLI does
     for y, z, the model and a prior file, has each freed there, before the
     prior's spectrum is made; a caller that keeps them gets the same bytes.
     On CPython 3.10 the caller's stack holds the arguments until the call
@@ -353,11 +373,7 @@ def fuse(
     # popped from a list, the arguments are the set-up's only references
     handed = [y, z, model, prior]
     del y, z, model, prior
-    fixed = _Spectra.prepare(handed.pop(0), handed.pop(0), handed.pop(0), handed.pop(), cfg)
-    # the naive prior's loop holds one spectrum: the first iteration writes x
-    # over the prior's, and each iteration the next x over it; a prior
-    # cube's spectrum stays beside x
-    x_hat = fixed.p_hat if fixed.factors is not None else np.empty_like(fixed.p_hat)
+    fixed, x_hat = _Spectra.prepare(handed.pop(0), handed.pop(0), handed.pop(0), handed.pop(), cfg)
     sums = fixed.p_sums.copy()
     trace: list[float] = []
     changes: list[float] = []

@@ -43,8 +43,8 @@ member row: ``group_sums`` a chunk of bands per item, ``write_pass`` every
 band of a run per item, in ``cube.tiles`` of its member rows and group
 rows whose work arrays stay in a core's cache. ``write_pass`` writes x over
 the spectrum it is given, and each tile reads its own part of that spectrum
-before it writes it, so the loop can write the first x over the prior's
-spectrum (see ``hqs``).
+before it writes it, so the loop starts x as the prior's spectrum and writes
+each x over the previous one (see ``hqs``).
 
 The data part of C3 is never formed as a cube. z enters through its half
 spectrum in the pass. The transform of blur_adjoint(upsample_adjoint(y)) is
@@ -400,7 +400,8 @@ def write_pass(
     ``form(index, out, z)`` writes v at ``index`` of the group layout
     (``XStep.grid``), every band of some member rows and group rows, into
     ``out``; ``z`` is the tile's ``z_hat``, copied before ``form`` runs, and
-    ``form`` reads ``spec[index]`` before the tile writes it. Each pool item
+    ``form`` reads ``spec[index]``, the x (in the loop's first pass, the
+    prior) that v is formed from, before the tile writes it. Each pool item
     is a run of group rows and their mirror rows (``XStep.runs``), walked in
     ``cube.tiles`` whose work arrays come from ``scratch``. A tile's v
     becomes ``x0 = v + lift (q_r^T v)``, then ``+ z_gain z_hat``, as two

@@ -14,7 +14,9 @@ in the identity band basis), so it checks the loop's spectral bookkeeping,
 the v-step and the scoring, not the x-step itself. ``ssim_direct`` forms
 the SSIM window sums window by window, with no FFT.
 ``desk_problem`` builds one of the acceptance gate's desk fusions, from
-``desk_truth`` and ``desk_model``. ``stand_in_prior`` builds a seeded
+``desk_truth`` and ``desk_model``. ``VARIANTS`` are the geometries the desk
+fusions do not cover; ``variant_problem`` builds one of them, and
+``build_problem`` a fusion of either family. ``stand_in_prior`` builds a seeded
 imperfect prior from a scene's ground truth, in place of the network output
 the paper hands the fusion: blurred, noisy or off in each band's gain.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
@@ -62,6 +64,43 @@ def desk_problem(seed):
     model = desk_model()
     y, z = model.degrade(desk_truth(seed))
     return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
+
+
+# (bands, height, width, factor, phase, blur) of the geometries the desk runs
+# do not cover: Gaussian blur, sampling phases, non-square and odd grids, odd
+# factors, and factors 1 and 2, where many aliasing groups are their own mirrors
+VARIANTS = {
+    "gaussian": (31, 32, 32, 4, (0, 0), "gaussian"),
+    "phase": (31, 32, 32, 4, (1, 2), "block"),
+    "non_square": (31, 32, 48, 4, (0, 0), "block"),
+    "odd_width": (5, 45, 63, 3, (0, 0), "block"),
+    "odd_factor": (6, 30, 35, 5, (0, 0), "gaussian"),
+    "odd_factor_even_width": (6, 35, 30, 5, (0, 0), "block"),
+    "phase_1_3": (6, 30, 40, 5, (1, 3), "block"),
+    "phase_2_1": (5, 45, 63, 3, (2, 1), "gaussian"),
+    "phase_0_4": (6, 30, 35, 5, (0, 4), "block"),
+    "factor_1": (5, 24, 27, 1, (0, 0), "gaussian"),
+    "factor_2": (5, 24, 30, 2, (1, 1), "block"),
+}
+
+
+def variant_problem(kind):
+    """One of ``VARIANTS``, degraded with a little noise, and its naive prior."""
+    bands, height, width, s, phase, blur_kind = VARIANTS[kind]
+    if blur_kind == "gaussian":
+        blur = BlurOperator.gaussian(height, width, 1.3)
+    else:
+        blur = BlurOperator.uniform_block(height, width, s)
+    down = Downsampler(s, phase)
+    model = DegradationModel(blur, down, SpectralResponse.default_rgb(bands), noise_sigma=0.002)
+    gt = generate_scene(SceneSpec(bands, height, width, endmembers=4, seed=7))
+    y, z = model.degrade(gt)
+    return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
+
+
+def build_problem(family, arg):
+    """``desk_problem(arg)`` for the ``"desk"`` family, else ``variant_problem(arg)``."""
+    return desk_problem(arg) if family == "desk" else variant_problem(arg)
 
 
 STAND_INS = ("blurred", "noisy", "gain")

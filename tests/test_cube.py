@@ -199,7 +199,7 @@ def test_idft_tolerance_is_relative_to_peak(rng):
 
 
 # (bands, height, width): odd and even widths, one-row and one-column grids,
-# and the shapes of test_hqs.VARIANTS
+# and the shapes of helpers.VARIANTS
 INVERSE_SHAPES = [
     (31, 64, 64),
     (3, 1, 6),

@@ -13,6 +13,8 @@ import hsfuse.priors
 import hsfuse.sylvester
 import hsfuse.vstep
 from helpers import (
+    VARIANTS,
+    build_problem,
     dense_joint_minimizer,
     dense_matrix,
     desk_problem,
@@ -20,6 +22,7 @@ from helpers import (
     rand_cube,
     relative_gap,
     roll_blur,
+    variant_problem,
     woodbury_minimizer,
 )
 from hsfuse.cube import HsiCube, Scratch
@@ -355,43 +358,7 @@ class TestFuse:
             fuse(args["y"], args["z"], model, args["prior"])
 
 
-# (bands, height, width, factor, phase, blur) of the geometries the desk runs
-# do not cover: Gaussian blur, sampling phases, non-square and odd grids, odd
-# factors, and factors 1 and 2, where many aliasing groups are their own mirrors
-VARIANTS = {
-    "gaussian": (31, 32, 32, 4, (0, 0), "gaussian"),
-    "phase": (31, 32, 32, 4, (1, 2), "block"),
-    "non_square": (31, 32, 48, 4, (0, 0), "block"),
-    "odd_width": (5, 45, 63, 3, (0, 0), "block"),
-    "odd_factor": (6, 30, 35, 5, (0, 0), "gaussian"),
-    "odd_factor_even_width": (6, 35, 30, 5, (0, 0), "block"),
-    "phase_1_3": (6, 30, 40, 5, (1, 3), "block"),
-    "phase_2_1": (5, 45, 63, 3, (2, 1), "gaussian"),
-    "phase_0_4": (6, 30, 35, 5, (0, 4), "block"),
-    "factor_1": (5, 24, 27, 1, (0, 0), "gaussian"),
-    "factor_2": (5, 24, 30, 2, (1, 1), "block"),
-}
-
-
-def variant_problem(kind):
-    """One of ``VARIANTS``, degraded with a little noise, and its naive prior."""
-    bands, height, width, s, phase, blur_kind = VARIANTS[kind]
-    if blur_kind == "gaussian":
-        blur = BlurOperator.gaussian(height, width, 1.3)
-    else:
-        blur = BlurOperator.uniform_block(height, width, s)
-    down = Downsampler(s, phase)
-    model = DegradationModel(blur, down, SpectralResponse.default_rgb(bands), noise_sigma=0.002)
-    gt = generate_scene(SceneSpec(bands, height, width, endmembers=4, seed=7))
-    y, z = model.degrade(gt)
-    return model, y, z, make_prior(PriorSource.naive_fusion(), y, z, model)
-
-
 PROBLEMS = [("desk", seed) for seed in range(5)] + [("variant", kind) for kind in VARIANTS]
-
-
-def build_problem(family, arg):
-    return desk_problem(arg) if family == "desk" else variant_problem(arg)
 
 
 def loop_spectrum(fixed, cube):
@@ -437,7 +404,7 @@ class TestSpectralLoop:
         # both one-shot steps from x_prev's v and scores the pair on cubes
         model, y, z, prior = variant_problem(kind)
         cfg = HqsConfig(mu=0.3, nu=0.02, rho=0.15)
-        fixed = _Spectra.prepare(y, z, model, prior, cfg)
+        fixed, _ = _Spectra.prepare(y, z, model, prior, cfg)
         lap = LaplacianOperator.create(prior.height, prior.width)
         mu_p, nu_p = cfg.mu / cfg.rho, cfg.nu / cfg.rho
         for _ in range(3):
@@ -464,7 +431,7 @@ class TestSpectralLoop:
             (HqsConfig(), prior),
             (HqsConfig(mu=0.3, nu=0.02, rho=0.15), rand_cube(rng, *prior.data.shape)),
         ):
-            fixed = _Spectra.prepare(y, z, model, prior, cfg)
+            fixed, _ = _Spectra.prepare(y, z, model, prior, cfg)
             x_hat = loop_spectrum(fixed, v_prev)
             v_grid = fixed.xstep.grid(x_hat.copy())
             sums = group_sums(fixed.xstep, x_hat)
@@ -489,7 +456,7 @@ class TestSpectralLoop:
             (HqsConfig(), prior),
             (HqsConfig(mu=0.3, nu=0.02, rho=0.15), rand_cube(rng, *prior.data.shape)),
         ):
-            fixed = _Spectra.prepare(y, z, model, prior, cfg)
+            fixed, _ = _Spectra.prepare(y, z, model, prior, cfg)
             x_hat = loop_spectrum(fixed, v)
             solve_spectrum(fixed.xstep, x_hat)
             got = np.fft.irfft2(
@@ -515,13 +482,18 @@ class TestSpectralLoop:
         # for the data term); each iteration then makes one write_pass, which
         # builds the gain and forms v once per tile (the first v is the
         # prior, copied), returns the iteration's score sums and reduces the
-        # next v, but for the last iteration the cap allows
+        # next v, but for the last iteration the cap allows. p is read one
+        # way: x starts as the prior's spectrum, so the first pass reads p
+        # there, and each later pass rebuilds the naive prior's tile from its
+        # factors once per tile, or reads a prior cube's stored spectrum,
+        # which no pass writes
         model, y, z, prior = desk_problem(0)
-        reductions, passes = [0], []
-        calls = {"gain": 0, "denoise": 0}
+        reductions, passes, stored = [0], [], []
+        calls = {"gain": 0, "denoise": 0, "rows": 0}
         group_sums_fn, write_pass_fn = hsfuse.sylvester.group_sums, hsfuse.sylvester.write_pass
         factors = hsfuse.vstep.DenoiseFactors
         gain, denoise = factors.gain, factors.denoise
+        rows, rdft2 = hsfuse.priors.SpectrumFactors.rows, hsfuse.hqs.rdft2
 
         def counting_sums(*args, **kwargs):
             reductions[0] += 1
@@ -534,34 +506,48 @@ class TestSpectralLoop:
                 for parts, _, _ in xstep.runs
                 for part, _ in parts
             )
-            before = dict(calls)
-            stored, sums = write_pass_fn(xstep, *args)
+            before, kept = dict(calls), [spec.tobytes() for spec in stored]
+            out, sums = write_pass_fn(xstep, *args)
             made = {name: (calls[name] - before[name]) / tile_count for name in calls}
-            passes.append((made, stored is not None, sums is not None))
-            return stored, sums
+            unchanged = [spec.tobytes() for spec in stored] == kept
+            passes.append((made, out is not None, sums is not None, unchanged))
+            return out, sums
 
-        def counting_gain(*args):
-            calls["gain"] += 1
-            return gain(*args)
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        def counting_denoise(*args):
-            calls["denoise"] += 1
-            return denoise(*args)
+            return counted
+
+        def recording(*args, **kwargs):
+            # hqs transforms nothing but a prior cube
+            stored.append(rdft2(*args, **kwargs))
+            return stored[-1]
 
         monkeypatch.setattr(hsfuse.sylvester, "group_sums", counting_sums)
         monkeypatch.setattr(hsfuse.sylvester, "write_pass", counting_pass)
-        monkeypatch.setattr(factors, "gain", counting_gain)
-        monkeypatch.setattr(factors, "denoise", staticmethod(counting_denoise))
-        for cfg in (HqsConfig(max_iter=1), HqsConfig(max_iter=4, rel_tol=1e-14), HqsConfig()):
-            reductions[0] = 0
-            passes.clear()
-            result = fuse(y, z, model, prior, cfg)
-            n = result.iterations
-            assert reductions[0] == 2
-            made = [{"gain": 1, "denoise": int(k > 0)} for k in range(n)]
-            # a run that stops on the tolerance reduced a next v it does not use
-            more = [True] * (n - 1) + [n < cfg.max_iter]
-            assert passes == [(m, True, later) for m, later in zip(made, more)]
+        monkeypatch.setattr(factors, "gain", counting("gain", gain))
+        monkeypatch.setattr(factors, "denoise", staticmethod(counting("denoise", denoise)))
+        monkeypatch.setattr(hsfuse.priors.SpectrumFactors, "rows", counting("rows", rows))
+        monkeypatch.setattr(hsfuse.hqs, "rdft2", recording)
+        for source in (prior, PriorSource.naive_fusion()):
+            naive = isinstance(source, PriorSource)
+            for cfg in (HqsConfig(max_iter=1), HqsConfig(max_iter=4, rel_tol=1e-14), HqsConfig()):
+                reductions[0] = 0
+                passes.clear()
+                stored.clear()
+                result = fuse(y, z, model, source, cfg)
+                n = result.iterations
+                assert reductions[0] == 2
+                assert len(stored) == int(not naive)
+                made = [
+                    {"gain": 1, "denoise": int(k > 0), "rows": int(naive and k > 0)}
+                    for k in range(n)
+                ]
+                # a run that stops on the tolerance reduced a next v it does not use
+                more = [True] * (n - 1) + [n < cfg.max_iter]
+                assert passes == [(m, True, later, True) for m, later in zip(made, more)]
 
     def test_transform_count_does_not_grow_with_iterations(self, monkeypatch):
         model, y, z, prior = desk_problem(0)
@@ -650,9 +636,8 @@ class TestSpectralLoop:
         # tiles) or a whole block (31 x 4,096 complex values) would exceed it
         monkeypatch.setenv("HSFUSE_THREADS", "1")
         model, y, z, prior = desk_problem(0)
-        fixed = _Spectra.prepare(y, z, model, prior, HqsConfig())
-        x_hat = np.empty_like(fixed.p_hat)
-        sums = group_sums(fixed.xstep, fixed.p_hat)
+        fixed, x_hat = _Spectra.prepare(y, z, model, prior, HqsConfig())
+        sums = group_sums(fixed.xstep, x_hat)
         tile = 31 * hsfuse.cube._TILE_VALUES * 16
         monkeypatch.setattr(hsfuse.hqs, "_SCRATCH", Scratch())
         tracemalloc.start()
@@ -757,10 +742,10 @@ class TestFixedPoint:
 
 
 @functools.lru_cache(maxsize=None)
-def desk_star(seed):
-    """Desk fusion ``seed`` and its minimizer x* at the default config, by ``woodbury_minimizer``."""
+def desk_star(seed, cfg):
+    """Desk fusion ``seed`` and its minimizer x* at ``cfg``, by ``woodbury_minimizer``."""
     model, y, z, prior = desk_problem(seed)
-    return (model, y, z, prior), woodbury_minimizer(y, z, model, prior, HqsConfig())
+    return (model, y, z, prior), woodbury_minimizer(y, z, model, prior, cfg)
 
 
 class TestWoodburyMinimizer:
@@ -773,10 +758,15 @@ class TestWoodburyMinimizer:
         (model, y, z, prior), (x_star, _, _) = tiny_star(kind, cfg)
         assert relative_gap(woodbury_minimizer(y, z, model, prior, cfg), x_star) <= 1e-10
 
+    @CONFIGS
+    @pytest.mark.parametrize("route", ["cube", "naive"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_fuse_run_to_its_fixed_point_reaches_it_on_desk_grids(self, seed):
-        (model, y, z, prior), x_star = desk_star(seed)
-        got = fuse(y, z, model, prior, HqsConfig(max_iter=200, rel_tol=1e-16))
+    def test_fuse_run_to_its_fixed_point_reaches_it_on_desk_grids(self, seed, route, cfg):
+        # a prior cube's loop reads p from its stored spectrum, the naive
+        # prior's rebuilds it from its factors: both reach x*
+        (model, y, z, prior), x_star = desk_star(seed, cfg)
+        source = prior if route == "cube" else PriorSource.naive_fusion()
+        got = fuse(y, z, model, source, HqsConfig(cfg.mu, cfg.nu, cfg.rho, max_iter=200, rel_tol=1e-16))
         assert got.converged
         assert relative_gap(got.x_hat.data, x_star) <= 1e-10
 
@@ -797,7 +787,7 @@ class TestWoodburyMinimizer:
         # objective, not a constraint, so its minimizer misfits z where the
         # naive prior, built to fit z, does not; the default run's residual
         # is the minimizer's, and so no stop rule can bring it to the prior's
-        (model, y, z, prior), x_star = desk_star(seed)
+        (model, y, z, prior), x_star = desk_star(seed, HqsConfig())
 
         def z_residual(x):
             return float(np.linalg.norm(model.srf.apply_array(x) - z.data) / np.linalg.norm(z.data))

@@ -235,14 +235,14 @@ def test_one_plane_stacks_give_the_same_bytes(monkeypatch, threads):
     cfg = HqsConfig()
 
     def run():
-        # the loop's first two iterations from each prior: the naive prior's
-        # writes x over its spectrum and then rebuilds p per tile
+        # the loop's first two iterations from each prior: x starts as the
+        # prior's spectrum, and the second reads p from a prior cube's stored
+        # spectrum or rebuilds it per tile from the naive prior's factors
         made = []
         for source in (prior, PriorSource.naive_fusion()):
-            fixed = _Spectra.prepare(y, z, model, source, cfg)
-            made.append(fixed.p_hat.tobytes())
-            x_hat = fixed.p_hat if fixed.factors is not None else np.empty_like(fixed.p_hat)
-            sums = group_sums(fixed.xstep, fixed.p_hat)
+            fixed, x_hat = _Spectra.prepare(y, z, model, source, cfg)
+            made.append(x_hat.tobytes())
+            sums = group_sums(fixed.xstep, x_hat)
             for k in range(2):
                 *scores, sums = fixed.iterate(x_hat, k == 0, sums, True)
                 made += [x_hat.tobytes(), scores, sums.tobytes()]

@@ -20,6 +20,7 @@ loc = _tool("loc")
 bench_json = _tool("bench_json")
 unreached = _tool("unreached")
 prior_table = _tool("prior_table")
+fuse_hashes = _tool("fuse_hashes")
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
@@ -191,3 +192,16 @@ def test_prior_table_prints_each_stand_in_before_and_after_fusion(capsys):
     ]
     assert lines[2].split()[:2] == ["3", "noisy"]
     assert float(lines[2].split()[5]) == pytest.approx(rows[1]["psnr_fused"], abs=1e-4)
+
+
+def test_fuse_hashes_prints_the_same_line_for_a_case_at_any_pool_size(monkeypatch):
+    # every desk seed and variant, at both configs and on both prior routes
+    assert len(fuse_hashes.CASES) == (5 + 11) * 2 * 2
+    case = ("variant", "phase_2_1", "strong", "naive")
+    lines = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        lines.append(fuse_hashes.line(case))
+    name, digest = lines[0].rsplit(" ", 1)
+    assert name == "variant phase_2_1 strong naive" and len(digest) == 64
+    assert lines[1] == lines[0]
