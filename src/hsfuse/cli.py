@@ -90,8 +90,8 @@ def _peak_rss_mb() -> float | None:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-# the manifest layout's version, raised when a key is renamed, moved or dropped
-_SCHEMA_VERSION = 1
+# the manifest layout's version, raised when a key is added, renamed, moved or dropped
+_SCHEMA_VERSION = 2
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
@@ -110,7 +110,8 @@ class _Stage:
     but the manifest and output paths, in parser order, then ``threads``,
     which ``main`` resolves inside the stage, so that an invalid size is
     recorded as its error), ``inputs`` (all commands but simulate),
-    ``outputs``, ``timings_s``, any command-specific results,
+    ``outputs``, ``timings_s``, ``rss_mb`` (the process's peak RSS when
+    each timed phase ended, by phase), any command-specific results,
     ``peak_rss_mb`` (the process's peak RSS so far, which for an in-process
     caller covers everything it ran before), then ``error``. Leaving the
     ``with`` block writes it: ``error`` is None on success, or the
@@ -141,6 +142,7 @@ class _Stage:
             self.manifest["inputs"] = {}
         self.manifest["outputs"] = {}
         self.manifest["timings_s"] = {}
+        self.manifest["rss_mb"] = {}
 
     def __enter__(self) -> "_Stage":
         return self
@@ -157,10 +159,11 @@ class _Stage:
 
     @contextlib.contextmanager
     def timed(self, name: str):
-        """Record the wall time of the block under ``timings_s[name]`` if it succeeds."""
+        """Record the block's wall time and closing peak RSS under ``name``, if it succeeds."""
         t0 = time.perf_counter()
         yield
         self.manifest["timings_s"][name] = time.perf_counter() - t0
+        self.manifest["rss_mb"][name] = _peak_rss_mb()
 
     def shape(self, role: str, path: str) -> tuple[int, int, int]:
         """An input's (bands, height, width) from its header alone, recorded under ``inputs``.

@@ -61,6 +61,10 @@ Cubes are immutable once constructed: every operation returns a new
 instance and the wrapped arrays are marked read-only. Wrapping takes
 ownership: a float64 contiguous array passed to a cube is frozen in place
 rather than copied, so pass a copy if the caller still needs to write it.
+Every finiteness check at a cube boundary (both cube constructors, and
+``io``'s block writes and file reads) is ``all_finite``: it scans the
+contiguous values a chunk of ``_CHUNK_BYTES`` at a time, so it holds one
+chunk of booleans (one band at full scale) rather than a cube of them.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ __all__ = [
     "HsiCube",
     "FreqCube",
     "Scratch",
+    "all_finite",
     "blocks",
     "check_shape",
     "chunks",
@@ -120,6 +125,18 @@ _CHUNK_BYTES = 1 << 18
 # core's cache through the few passes a tile makes over it
 _TILE_VALUES = 1 << 10
 
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, scanned a chunk of ``_CHUNK_BYTES`` values at a time.
+
+    The scan reads ``a``'s values in order as one flat contiguous array
+    (``np.ascontiguousarray``, which copies only a strided view), so it
+    holds one chunk's booleans, never an array of ``a``'s size of them.
+    """
+    flat = np.ascontiguousarray(a).reshape(-1)
+    return all(np.isfinite(flat[part]).all() for part in _slices(flat.size, _CHUNK_BYTES))
+
+
 def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
     """Check ``cube.data`` is 3-D, non-empty and finite; freeze it as contiguous ``dtype``.
 
@@ -129,14 +146,13 @@ def _freeze_data(cube: "HsiCube | FreqCube", dtype: type) -> None:
     arr = np.asarray(cube.data)
     if not np.can_cast(arr.dtype, dtype, "same_kind"):
         raise ValidationError(f"cube data of dtype {arr.dtype} does not cast to {np.dtype(dtype)}")
-    arr = arr.astype(dtype, copy=False)
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise ValidationError(
             f"cube data must be 3-D with every dimension at least 1, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    if not all_finite(arr):
         raise ValidationError("cube values must be finite")
-    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     object.__setattr__(cube, "data", arr)
 
@@ -219,8 +235,9 @@ def pool_map(fn: Callable, items: Sequence) -> list:
     and joined before it returns, so nothing of ``fn`` outlives the map, and
     a map run from an item has threads of its own. Each result lands at its
     item's index, so the list does not depend on the pool size or on which
-    thread ran what. The first error raised by ``fn`` is raised here once
-    every thread has stopped.
+    thread ran what. Once an item raises, no thread takes another item,
+    and the first error raised by ``fn`` is raised here once every thread
+    has stopped.
     """
     results = [None] * len(items)
     errors = []
@@ -232,7 +249,7 @@ def pool_map(fn: Callable, items: Sequence) -> list:
             while True:
                 with lock:
                     i = next(claim)
-                if i >= len(items):
+                if i >= len(items) or errors:
                     return
                 results[i] = fn(items[i])
         except BaseException as error:  # raised below, once every thread has stopped

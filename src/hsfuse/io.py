@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube, blocks, check_shape, pool_map, serial
+from .cube import HsiCube, all_finite, blocks, check_shape, pool_map, serial
 from .degradation import SpectralResponse
 from .errors import (
     BadMagicError,
@@ -150,7 +150,7 @@ def save_blocks(
 
         def put(cols: slice) -> None:
             values = np.ascontiguousarray(block(cols), dtype=_DTYPES["f64"])
-            if not np.isfinite(values).all():
+            if not all_finite(values):
                 raise ValidationError("cube values must be finite")
             write(cols.start, values)
 
@@ -264,7 +264,7 @@ class BandReader:
     def _rows(self, start: int, rows: np.ndarray) -> None:
         """Fill row i of ``rows`` from value ``start`` of band i, and check them finite."""
         self._fill(start, rows)
-        if not np.isfinite(rows).all():
+        if not all_finite(rows):
             raise CubeFormatError(f"{self._path}: payload contains non-finite values")
 
     def _fill_rows(self, start: int, rows: np.ndarray) -> None:

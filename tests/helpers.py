@@ -22,12 +22,15 @@ the paper hands the fusion: blurred, noisy or off in each band's gain.
 ``dense_joint_minimizer`` is the estimator itself: the minimizer of the HQS
 objective over (x, v) at fixed rho, from one dense solve.
 ``bad_cube_files`` writes one malformed cube file per way a read can reject it.
+``SCAN_SHAPE``, ``SCAN_SPOTS`` and ``NON_FINITE`` place each kind of
+non-finite value in each kind of chunk of the finiteness scan.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+import hsfuse.cube
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import BlurOperator, DegradationModel, Downsampler, SpectralResponse
 from hsfuse.errors import ValidationError
@@ -121,6 +124,14 @@ def stand_in_prior(gt: HsiCube, kind: str, seed: int) -> HsiCube:
     if kind == "gain":
         return HsiCube(gt.data * (1.0 + 0.05 * np.sin(np.arange(gt.bands) / 3.0))[:, None, None])
     raise ValueError(f"unknown stand-in prior {kind!r}")
+
+
+# three bands of 262,146 values, each just over one scan chunk of
+# ``cube._CHUNK_BYTES`` values, so the cube's last 6 values make a partial chunk
+SCAN_SHAPE = (3, 2, (hsfuse.cube._CHUNK_BYTES >> 1) + 1)
+# the first band, a middle band, the last band and its last partial chunk
+SCAN_SPOTS = [(0, 0, 0), (1, 1, 5), (2, 0, 0), (2, 1, -1)]
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def rand_cube(rng, bands, height, width, lo=-1.0, hi=1.0) -> HsiCube:

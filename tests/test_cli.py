@@ -117,17 +117,18 @@ class TestPipeline:
 
     def test_manifest_schema(self, pipeline):
         # the manifest format of all five commands: top-level keys in order,
-        # config keys in order, input and output roles, timing sections
+        # config keys in order, input and output roles, timing sections, and
+        # a peak RSS for each timed phase
         tmp, paths = pipeline
         compare = ["--x-hat", paths["xhat"], "--ref", paths["gt"]]
         assert main(["evaluate", *compare, "--factor", "4", "--json", str(tmp / "m.json"),
                      "--csv", str(tmp / "m.csv")]) == 0
         assert main(["errormap", *compare, "--band", "1", "--out", str(tmp / "e.pgm")]) == 0
         first = ["schema_version", "command", "versions", "config"]
-        head = first + ["inputs", "outputs", "timings_s"]
+        head = first + ["inputs", "outputs", "timings_s", "rss_mb"]
         expected = {
             paths["gt"]: (
-                first + ["outputs", "timings_s", "peak_rss_mb", "error"],
+                first + ["outputs", "timings_s", "rss_mb", "peak_rss_mb", "error"],
                 ["bands", "size", "endmembers", "smoothness", "seed", "threads"],
                 None, ["cube"], {"generate", "save"},
             ),
@@ -163,6 +164,7 @@ class TestPipeline:
                 assert list(manifest["inputs"]) == inputs, primary
             assert list(manifest["outputs"]) == outputs, primary
             assert set(manifest["timings_s"]) == timings, primary
+            assert list(manifest["rss_mb"]) == list(manifest["timings_s"]), primary
             assert manifest["error"] is None
 
     def test_manifests_record_peak_rss(self, pipeline):
@@ -179,6 +181,28 @@ class TestPipeline:
         assert manifest["error"]["type"] == "FileNotFoundError"
         assert manifest["peak_rss_mb"] > 0
 
+    def test_manifests_record_the_peak_rss_at_the_end_of_each_phase(self, pipeline):
+        # every phase that ran, in order, on success and on failure alike: the
+        # process's peak so far, which never falls and never passes the peak
+        # that the manifest records last
+        pytest.importorskip("resource")
+        tmp, paths = pipeline
+        bad = tmp / "nan.cube"
+        raw = bytearray(open(paths["gt"], "rb").read())
+        raw[-8:] = np.array([np.nan]).tobytes()
+        bad.write_bytes(raw)
+        out = str(tmp / "o.cube")
+        assert main(["fuse", "--y", paths["y"], "--z", paths["z"], "--prior",
+                     f"file:{bad}", "--out", out]) == 3
+        runs = {"fuse": ["load", "prior", "fuse", "save"], "failed fuse": ["load"]}
+        for (name, phases), path in zip(runs.items(), (paths["xhat"], out)):
+            manifest = json.loads(open(path + ".manifest.json").read())
+            rss = list(manifest["rss_mb"].values())
+            assert list(manifest["rss_mb"]) == phases, name
+            assert 0 < rss[0] and rss == sorted(rss), name
+            assert rss[-1] <= manifest["peak_rss_mb"], name
+        assert manifest["error"]["type"] == "CubeFormatError"
+
     def test_manifests_record_schema_and_versions(self, pipeline):
         # on success and on failure alike
         import platform
@@ -189,7 +213,7 @@ class TestPipeline:
                      "file:" + str(tmp / "missing.cube"), "--out", out]) == 3
         for path in (paths["xhat"], out):
             manifest = json.loads(open(path + ".manifest.json").read())
-            assert manifest["schema_version"] == 1
+            assert manifest["schema_version"] == 2
             assert manifest["versions"] == {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import hsfuse.cube
 
+from helpers import NON_FINITE, SCAN_SHAPE, SCAN_SPOTS
 from hsfuse.cube import (
     FreqCube,
     HsiCube,
@@ -31,6 +32,65 @@ def test_construction_validates_shape_and_values():
     bad[1, 1, 1] = np.inf
     with pytest.raises(ValidationError):
         HsiCube(bad)
+
+
+@pytest.mark.parametrize("spot", SCAN_SPOTS)
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_both_cubes_refuse_a_non_finite_value_in_any_chunk(spot, value):
+    real = np.zeros(SCAN_SHAPE)
+    real[spot] = value
+    with pytest.raises(ValidationError, match="finite"):
+        HsiCube(real)
+    # the spectrum's value is non-finite in its imaginary part alone
+    spec = np.zeros(SCAN_SHAPE, dtype=np.complex128)
+    spec[spot] = complex(0, value)
+    with pytest.raises(ValidationError, match="finite"):
+        FreqCube(spec, 2 * SCAN_SHAPE[2] - 2)
+
+
+def test_a_strided_array_freezes_to_its_contiguous_bytes(rng):
+    data = rng.standard_normal(SCAN_SHAPE[::-1])
+    strided = data.transpose(2, 1, 0)
+    assert HsiCube(strided).data.tobytes() == np.ascontiguousarray(strided).tobytes()
+    bad = data.copy()
+    bad[-1, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        HsiCube(bad.transpose(2, 1, 0))
+
+
+def test_wrapping_scans_a_chunk_of_booleans_at_a_time():
+    import tracemalloc
+
+    data = np.zeros((31, 256, 256))
+    tracemalloc.start()
+    try:
+        HsiCube(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one boolean per value of the whole cube would be 2.03 MB
+    assert peak < 2 * hsfuse.cube._CHUNK_BYTES
+
+
+def test_no_item_is_taken_once_one_has_raised(monkeypatch):
+    import time
+
+    monkeypatch.setenv("HSFUSE_THREADS", "2")
+    failure = ArithmeticError("item 0")
+    ran = []
+
+    def item(i):
+        if i == 0:
+            raise failure
+        ran.append(i)
+        time.sleep(1e-3)
+
+    with pytest.raises(ArithmeticError) as caught:
+        hsfuse.cube.pool_map(item, range(100))
+    assert caught.value is failure
+    # the other thread finishes the item it holds, and maybe one more it
+    # claimed before the error was recorded; without the stop it runs all 99
+    assert len(ran) <= 5
 
 
 def test_scratch_keeps_a_view_per_shape_until_its_buffer_grows():

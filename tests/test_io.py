@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hsfuse.io
-from helpers import bad_cube_files, rand_cube
+from helpers import NON_FINITE, SCAN_SHAPE, SCAN_SPOTS, bad_cube_files, rand_cube
 from hsfuse.cli import _write_manifest, main
 from hsfuse.cube import HsiCube
 from hsfuse.degradation import SpectralResponse
@@ -309,6 +309,19 @@ class TestCubeContainer:
         path = tmp_path / "nan.cube"
         path.write_bytes(MAGIC + json.dumps(head).encode() + b"\n" + payload)
         with pytest.raises(CubeFormatError):
+            load_cube(path)
+
+    @pytest.mark.parametrize("spot", SCAN_SPOTS)
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_load_refuses_a_non_finite_value_in_any_chunk(self, tmp_path, spot, value):
+        data = np.zeros(SCAN_SHAPE)
+        path = tmp_path / "bad.cube"
+        save_cube(path, HsiCube(data.copy()))
+        data[spot] = value
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - data.nbytes :] = data.tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(CubeFormatError, match="non-finite"):
             load_cube(path)
 
     def test_load_scans_the_payload_for_non_finite_values_once(self, rng, tmp_path, monkeypatch):
