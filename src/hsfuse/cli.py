@@ -250,6 +250,9 @@ def cmd_degrade(args: argparse.Namespace, stage: _Stage) -> None:
     from .io import save_cube
 
     path = getattr(args, "in")  # "in" is a keyword
+    # the second save would replace the first, which the manifest still lists
+    if os.path.realpath(args.out_y) == os.path.realpath(args.out_z):
+        raise ValidationError(f"--out-y and --out-z name the same file: {args.out_z}")
     with stage.timed("load"):
         shape = stage.shape("cube", path)
     with stage.timed("degrade"):

@@ -24,14 +24,17 @@ and ``idft2_per_band`` on cubes; each pool item makes one numpy call over a
 chunk of planes (``chunks``). ``irdft2`` works in place: its column
 transforms run on the pool, its row transforms in order, and the result is
 a view of its input's buffer. ``circular_convolve`` filters on half spectra
-too, one plane per item in one half-spectrum buffer: the multiplier of a
-real kernel is conjugate-symmetric, so its stored columns are all the
-product needs. The full complex ``dft2`` stays for the spectra used whole: blur multipliers (an
-aliasing group spans every column) and the small low-resolution y.
+too, its planes in turn through one half-spectrum buffer per call, off the
+pool (``degrade`` calls it from its pool items, one band each): the
+multiplier of a real kernel is conjugate-symmetric, so its stored columns
+are all the product needs. The full complex ``dft2`` stays for the spectra
+used whole: blur multipliers (an aliasing group spans every column) and the
+small low-resolution y.
 
 ``pool_map`` is the package's only parallelism. Every transform of planes
-here and every independent loop of the HQS iteration (band mixes, blocks of
-the group step, runs of aliasing-group rows) runs through it. Its pool size
+here but ``circular_convolve``'s, and every independent loop of the HQS
+iteration (band mixes, blocks of the group step, runs of aliasing-group
+rows), runs through it. Its pool size
 is ``HSFUSE_THREADS`` when that is set, otherwise 1, because a library
 caller may not have pinned its BLAS threads; the CLI sets it to
 ``--threads`` or the available cores and pins BLAS to one thread. A map
@@ -395,30 +398,27 @@ def circular_convolve(
     ``multiplier`` is the (height, width) spectrum of a real kernel, so the
     product of each plane's half spectrum with its stored columns is the half
     spectrum of the result; only those ``width // 2 + 1`` columns are read, so
-    a caller may pass them alone. Each pool item filters one plane in one
-    half-size complex buffer: the row transform writes it, the column
-    transforms and the product work in it, and the inverse row transform
-    writes the real output. These are the calls ``np.fft.rfftn`` and
-    ``irfftn`` make, in their order, so the bits are theirs, without the
-    temporaries they allocate per call. The output is a new array, or the
-    contiguous float64 ``out``, which may be ``data`` itself: a plane is
-    transformed before its result overwrites it.
+    a caller may pass them alone. The planes are filtered in turn, in the
+    calling thread, through one half-size complex buffer made once per call:
+    the row transform writes it, the column transforms and the product work
+    in it, and the inverse row transform writes the real output. These are
+    the calls ``np.fft.rfftn`` and ``irfftn`` make, in their order, so the
+    bits are theirs, without the temporaries they allocate per call. The
+    output is a new array, or the contiguous float64 ``out``, which may be
+    ``data`` itself: a plane is transformed before its result overwrites it.
     """
     height, width = data.shape[-2:]
     half = multiplier[..., : width // 2 + 1]
     out = np.empty(data.shape, dtype=np.float64) if out is None else out
-
-    def plane(src: np.ndarray, dst: np.ndarray) -> None:
-        buf = np.empty(src.shape[:-1] + half.shape[-1:], dtype=np.complex128)
+    # not on the pool: a buffer per thread would grow the peak with the pool,
+    # and the stacks filtered whole (the scene's few maps) are small work
+    buf = np.empty((height, width // 2 + 1), dtype=np.complex128)
+    for src, dst in zip(data.reshape(-1, height, width), out.reshape(-1, height, width)):
         np.fft.rfft(src, axis=-1, out=buf)
         np.fft.fft(buf, axis=-2, out=buf)
         buf *= half
         np.fft.ifft(buf, axis=-2, out=buf)
         np.fft.irfft(buf, n=width, axis=-1, out=dst)
-
-    # one plane per item, not ``chunks``: each thread's complex buffer stays one
-    # half-spectrum plane, where a chunk of small planes would hold several
-    _each_stack(plane, _slices(data.size // (height * width), 1), data, out)
     return out
 
 

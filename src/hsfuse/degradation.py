@@ -64,6 +64,14 @@ def _embed_kernel(kernel: np.ndarray, anchor: tuple[int, int], height: int, widt
     return full
 
 
+def _check_fits(shape: tuple[int, int], height: int, width: int) -> tuple[int, int]:
+    """The grid as ``int``s, each at least 1, once a kernel of ``shape`` is checked to fit it."""
+    height, width = check_int("height", height, 1), check_int("width", width, 1)
+    if shape[0] > height or shape[1] > width:
+        raise ValidationError(f"kernel {shape} does not fit the {height}x{width} grid")
+    return height, width
+
+
 def _check_cube(name: str, cube: HsiCube, expected: tuple[int, ...]) -> None:
     """Raise unless ``cube`` is an ``HsiCube`` (an array or a path is not) of shape ``expected``."""
     if not isinstance(cube, HsiCube):
@@ -100,6 +108,9 @@ class BlurOperator:
             support = 2 * int(np.ceil(3.0 * sigma)) + 1
         if check_int("support", support, 1) % 2 == 0:
             raise ValidationError(f"support must be odd, got {support}")
+        # before the kernel is made: a support of millions of taps would ask
+        # numpy for its square
+        _check_fits((support, support), height, width)
         half = support // 2
         offsets = np.arange(-half, half + 1)
         prof = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -125,11 +136,7 @@ class BlurOperator:
             raise ValidationError(f"kernel must be a non-empty 2-D array, got shape {kernel.shape}")
         if anchor is None:
             anchor = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-        height, width = check_int("height", height, 1), check_int("width", width, 1)
-        if kernel.shape[0] > height or kernel.shape[1] > width:
-            raise ValidationError(
-                f"kernel {kernel.shape} does not fit the {height}x{width} grid"
-            )
+        height, width = _check_fits(kernel.shape, height, width)
         if not np.all(np.isfinite(kernel)):
             raise ValidationError("kernel values must be finite")
         ar, ac = check_pair("anchor", anchor)

@@ -5,8 +5,11 @@ maps. Spectra are smoothed random walks rescaled into [0.2, 1], so they are
 positive and spectrally smooth. Abundance logits are white noise blurred by a
 periodic Gaussian of width ``smoothness`` pixels, standardized, and passed
 through a softmax over endmembers, so maps are non-negative and sum to one at
-every pixel. The product is scaled by its global peak into [0, 1]. Everything
-is drawn from one seeded generator, so a spec pins the scene bit-for-bit.
+every pixel. Only the Gaussian's stored multiplier columns are kept, taken
+before the maps are drawn, and the maps are blurred in place in turn through
+one half-spectrum buffer (``cube.circular_convolve``). The product is
+scaled by its global peak into [0, 1]. Everything is drawn from one seeded
+generator, so a spec pins the scene bit-for-bit.
 
 The product is never formed whole. ``scene_blocks`` draws the spectra and
 maps and takes the peak over ``cube.blocks`` blocks of pixels, then gives
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube, blocks, pool_map
+from .cube import HsiCube, blocks, circular_convolve, half_spectrum, pool_map
 from .degradation import BlurOperator
 from .errors import ValidationError, check_int, check_real
 
@@ -82,14 +85,17 @@ def _standardize(maps: np.ndarray) -> np.ndarray:
 def _abundance_maps(
     rng: np.random.Generator, count: int, height: int, width: int, smoothness: float
 ) -> np.ndarray:
-    logits = rng.standard_normal((count, height, width))
     support = 2 * int(np.ceil(3.0 * smoothness)) + 1
     cap = min(height, width)
     if support > cap:
         support = cap if cap % 2 else cap - 1
-    blur = BlurOperator.gaussian(height, width, smoothness, support)
+    # the blur's stored columns alone, taken before the maps are drawn: the
+    # operator's full multiplier and kernel image are gone by then (the blur
+    # draws nothing, so the draws are those of a blur made after them)
+    half = half_spectrum(BlurOperator.gaussian(height, width, smoothness, support).multiplier)
+    logits = rng.standard_normal((count, height, width))
     # in place: the maps are one buffer of their size
-    blur.apply_array(logits, logits)
+    circular_convolve(logits, half, logits)
     _standardize(logits)
     logits -= logits.max(axis=0, keepdims=True)
     np.exp(logits, out=logits)

@@ -660,6 +660,26 @@ class TestStreamedStages:
             runs.append((out_y.read_bytes(), out_z.read_bytes()))
         assert runs[0] == runs[1]
 
+    def test_degrade_refuses_one_file_for_both_outputs(self, rng, tmp_path, monkeypatch):
+        # z's save would replace y's file, which the manifest would still list;
+        # the paths are compared resolved, before any read: the input here
+        # does not exist, which a read would report with exit 3
+        monkeypatch.chdir(tmp_path)
+        for out_z in ("out.cube", "./out.cube", str(tmp_path / "out.cube")):
+            rc = main(["degrade", "--in", "missing.cube", "--factor", "2",
+                       "--out-y", "out.cube", "--out-z", out_z])
+            assert rc == 2, out_z
+            error = json.loads((tmp_path / "out.cube.manifest.json").read_text())["error"]
+            assert error == {"type": "ValidationError",
+                             "message": f"--out-y and --out-z name the same file: {out_z}"}
+            assert not (tmp_path / "out.cube").exists()
+        # two files, one of them spelled with ./, are written
+        save_cube(tmp_path / "x.cube", rand_cube(rng, 4, 8, 8, 0.0, 1.0))
+        assert main(["degrade", "--in", "x.cube", "--factor", "2",
+                     "--out-y", "./out.cube", "--out-z", "out.z"]) == 0
+        assert load_cube("out.cube").data.shape == (4, 4, 4)
+        assert load_cube("out.z").data.shape == (3, 8, 8)
+
 
 class TestExitCodes:
     def test_validation_errors_exit_2(self, pipeline, capsys):
@@ -682,6 +702,9 @@ class TestExitCodes:
             "gauss:1.5:": f"malformed blur spec 'gauss:1.5:': {int_error} ''",
             "gauss:1.5:x:9": f"malformed blur spec 'gauss:1.5:x:9': {int_error} 'x'",
             "gauss:1.5:8": "support must be odd, got 8",
+            # refused before its 6,000,001-tap kernel is made
+            "gauss:1e6": "kernel (6000001, 6000001) does not fit the 32x32 grid",
+            "gauss:1.5:33": "kernel (33, 33) does not fit the 32x32 grid",
             "block:0": "block size must be at least 1, got 0",
             "block:4:2": f"malformed blur spec 'block:4:2': {int_error} '4:2'",
             "block": f"malformed blur spec 'block': {int_error} ''",
@@ -1043,10 +1066,15 @@ def run_fresh(cmd: list[str]) -> str:
                           env=env, capture_output=True, check=True, text=True).stdout
 
 
+def cli_manifest(args: list[str], out, out_flag: str = "--out") -> dict:
+    """The manifest of one CLI run in a fresh interpreter."""
+    run_fresh([sys.executable, "-m", "hsfuse", *args, out_flag, str(out)])
+    return json.loads(open(str(out) + ".manifest.json").read())
+
+
 def cli_peak_rss_mb(args: list[str], out, out_flag: str = "--out") -> float:
     """Peak RSS (MB) from the manifest of one CLI run in a fresh interpreter."""
-    run_fresh([sys.executable, "-m", "hsfuse", *args, out_flag, str(out)])
-    return json.loads(open(str(out) + ".manifest.json").read())["peak_rss_mb"]
+    return cli_manifest(args, out, out_flag)["peak_rss_mb"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1142,8 +1170,8 @@ class TestMemory:
 
     def test_simulate_peak_stays_below_a_bare_interpreter_plus_0_9_cubes(self, tmp_path):
         # simulate holds the endmember maps while it draws them, blurs them in
-        # one plane buffer per thread and standardizes them one map at a
-        # time, then one block of pixels per thread while it writes, never
+        # turn through one half-spectrum buffer and standardizes them one map
+        # at a time, then one block of pixels per thread while it writes, never
         # the cube. Measured on a 2-vCPU box, 31x256x256 (a cube is 16.25 MB),
         # --threads 2 (MB = 1e6 bytes): a bare interpreter peaks at 29.6-29.8
         # MB, simulate at 43.3 MB (0.83 cubes above it), at 46.5-46.7 MB with
@@ -1153,6 +1181,20 @@ class TestMemory:
         peak = cli_peak_rss_mb(["simulate", "--threads", "2", "--bands", "31", "--size", "256",
                                 "--seed", "0"], tmp_path / "gt.cube")
         assert peak < bare_peak_rss_mb() + 0.9 * 31 * 256 * 256 * 8 / 1e6
+
+    def test_simulate_generate_peak_grows_little_with_the_pool(self, tmp_path):
+        # the maps are blurred in turn through one half-spectrum buffer in
+        # the calling thread, not one buffer per plane on the pool. Measured
+        # on a 2-vCPU box, 31x512x512, rss_mb["generate"] at --threads 8
+        # minus --threads 1 (MB = 1e6 bytes): +9.0 to +9.3 with a buffer per
+        # plane, +0.3 to +1.3 with one buffer per call
+        pytest.importorskip("resource")
+        peaks = [
+            cli_manifest(["simulate", "--threads", threads, "--bands", "31", "--size", "512",
+                          "--seed", "0"], tmp_path / f"gt{threads}.cube")["rss_mb"]["generate"]
+            for threads in ("1", "8")
+        ]
+        assert peaks[1] - peaks[0] < 3.0
 
     def test_degrade_peak_stays_below_a_bare_interpreter_plus_0_75_cubes(self, scored_files, tmp_path):
         # degrade holds y, z, a band per thread for y and a block of pixels

@@ -137,6 +137,25 @@ class TestBlurOperator:
             with pytest.raises(ValidationError, match="kernel must be a non-empty 2-D array"):
                 BlurOperator.custom(8, 8, kernel)
 
+    def test_a_gaussian_too_wide_for_its_grid_is_refused_before_its_kernel_is_made(self):
+        # the support, given or defaulted, is checked against the grid first:
+        # sigma 1e6 asked numpy for a 6,000,001-tap square kernel, and sigma
+        # 100 on a 32x32 grid traced its 601x601 kernel (2.9 MB) before custom
+        # refused it
+        with pytest.raises(ValidationError, match=r"kernel \(6000001, 6000001\) does not fit"):
+            BlurOperator.gaussian(512, 512, 1e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"kernel \(601, 601\) does not fit the 32x32"):
+                BlurOperator.gaussian(32, 32, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        with pytest.raises(ValidationError, match=r"kernel \(9, 9\) does not fit the 8x16"):
+            BlurOperator.gaussian(8, 16, 1.0, support=9)
+        assert BlurOperator.gaussian(8, 16, 1.0, support=7).kernel.shape == (7, 7)
+
     def test_cube_interface_checks_grid(self, rng):
         # the operators take arrays; the model's cube entry point checks the grid
         model = DegradationModel(

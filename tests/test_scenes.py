@@ -123,8 +123,9 @@ def test_each_map_standardizes_to_the_bits_of_the_whole_array(shape):
 
 
 def test_scene_blocks_peak_stays_near_the_maps(monkeypatch):
-    # scene_blocks, the path of CLI simulate, holds the maps, one plane
-    # buffer per blur item and one block of the peak's product per thread.
+    # scene_blocks, the path of CLI simulate, holds the maps, the blur's
+    # stored columns and one half-spectrum buffer, then one block of the
+    # peak's product per thread.
     # With 5 endmembers that 1 MB block hides the maps' own temporaries, so
     # this scene draws as many maps as bands. Traced at 31x128x128 with 31
     # endmembers, pool 1, after a warm-up call: 2.069 map sets with the
@@ -139,3 +140,24 @@ def test_scene_blocks_peak_stays_near_the_maps(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.35 * 31 * 128 * 128 * 8
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_maps_are_blurred_through_one_buffer_at_any_pool_size(monkeypatch, threads):
+    # the Gaussian's full multiplier and kernel image are gone before the
+    # maps are drawn, and the maps are blurred in turn through one buffer,
+    # so the maps, the blur's stored columns and that buffer set the peak.
+    # Traced at 5x256x256 after a warm-up call, above the maps, in half-
+    # spectrum planes (256 x 129 complex): 3.25 at pool 1 and 3.26-4.27 at
+    # pool 3 with the operator kept and a buffer per plane on the pool, 2.01
+    # at both. With 31 bands, a 31 x 4,096 block of the peak's product per
+    # thread (1.92 planes) sets the peak at pool 3 instead
+    monkeypatch.setenv("HSFUSE_THREADS", threads)
+    scene_blocks(SceneSpec(4, 8, 8, endmembers=2))
+    tracemalloc.start()
+    try:
+        scene_blocks(SceneSpec(5, 256, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 256 * 256 * 8 + 2.5 * 256 * 129 * 16

@@ -21,6 +21,7 @@ bench_json = _tool("bench_json")
 unreached = _tool("unreached")
 prior_table = _tool("prior_table")
 fuse_hashes = _tool("fuse_hashes")
+stage_hashes = _tool("stage_hashes")
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
@@ -204,4 +205,18 @@ def test_fuse_hashes_prints_the_same_line_for_a_case_at_any_pool_size(monkeypatc
         lines.append(fuse_hashes.line(case))
     name, digest = lines[0].rsplit(" ", 1)
     assert name == "variant phase_2_1 strong naive" and len(digest) == 64
+    assert lines[1] == lines[0]
+
+
+def test_stage_hashes_prints_the_same_line_for_a_case_at_any_pool_size(monkeypatch):
+    # every scene, its file, and its degradation from the cube and the file
+    # under each model
+    assert len(stage_hashes.CASES) == 3 * (2 + 2 * 3)
+    case = ("even", "degrade-file gauss-phase-noise")
+    lines = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("HSFUSE_THREADS", threads)
+        lines.append(stage_hashes.line(case))
+    name, digest = lines[0].rsplit(" ", 1)
+    assert name == "even degrade-file gauss-phase-noise" and len(digest) == 64
     assert lines[1] == lines[0]
